@@ -505,6 +505,30 @@ func BenchmarkEngine_StreamCSR_GNP100k(b *testing.B) {
 	}
 }
 
+// benchGSTConstruct times gst.Construct alone on a prebuilt graph —
+// the E21 cell's tree build, whose allocs/op the bench-smoke gate pins
+// (a flat per-node scratch set, nothing per BFS level).
+func benchGSTConstruct(b *testing.B, g *graph.Graph) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if t := gst.Construct(g, 0); t.MaxLevel() == 0 {
+			b.Fatal("degenerate tree")
+		}
+	}
+}
+
+// BenchmarkEngine_GSTConstruct_Grid150 builds the GST of the 150×150
+// grid: 299 BFS levels, the deep-and-narrow E21 shape.
+func BenchmarkEngine_GSTConstruct_Grid150(b *testing.B) {
+	benchGSTConstruct(b, graph.FromStream(graph.StreamGrid(150, 150)))
+}
+
+// BenchmarkEngine_GSTConstruct_Cluster150 builds the GST of the
+// 150-clique × 150 cluster chain: 300 levels over 3.3M directed edges.
+func BenchmarkEngine_GSTConstruct_Cluster150(b *testing.B) {
+	benchGSTConstruct(b, graph.FromStream(graph.StreamClusterChain(150, 150)))
+}
+
 // BenchmarkRunner compares the experiment orchestrator at different
 // worker counts on one plan (E11 quick: 3 degrees × 200-trial cells).
 // On a multicore machine the parallel variants shrink wall time; the

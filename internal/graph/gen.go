@@ -25,14 +25,7 @@ import (
 //   - BinaryTree / Hypercube: structured topologies for GST sanity.
 
 // Path returns the path 0-1-2-...-n-1 (diameter n-1).
-func Path(n int) *Graph {
-	b := NewBuilder(n)
-	b.SetName(fmt.Sprintf("path-%d", n))
-	for v := 0; v+1 < n; v++ {
-		b.AddEdge(NodeID(v), NodeID(v+1))
-	}
-	return b.Build()
-}
+func Path(n int) *Graph { return FromStream(StreamPath(n)) }
 
 // Cycle returns the n-cycle (diameter floor(n/2)).
 func Cycle(n int) *Graph {
@@ -70,22 +63,7 @@ func Complete(n int) *Graph {
 }
 
 // Grid returns the rows x cols 2D grid (diameter rows+cols-2).
-func Grid(rows, cols int) *Graph {
-	b := NewBuilder(rows * cols)
-	b.SetName(fmt.Sprintf("grid-%dx%d", rows, cols))
-	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				b.AddEdge(id(r, c), id(r, c+1))
-			}
-			if r+1 < rows {
-				b.AddEdge(id(r, c), id(r+1, c))
-			}
-		}
-	}
-	return b.Build()
-}
+func Grid(rows, cols int) *Graph { return FromStream(StreamGrid(rows, cols)) }
 
 // Torus returns the rows x cols 2D torus (wraparound grid).
 func Torus(rows, cols int) *Graph {
@@ -218,21 +196,7 @@ func UnitDisk(n int, radius float64, seed uint64) *Graph {
 // Θ(clique): the workload on which D·log n style bounds are maximally
 // worse than D + polylog (the headline gap of Theorem 1.1).
 func ClusterChain(chain, clique int) *Graph {
-	n := chain * clique
-	b := NewBuilder(n)
-	b.SetName(fmt.Sprintf("clusterchain-%dx%d", chain, clique))
-	id := func(c, i int) NodeID { return NodeID(c*clique + i) }
-	for c := 0; c < chain; c++ {
-		for i := 0; i < clique; i++ {
-			for j := i + 1; j < clique; j++ {
-				b.AddEdge(id(c, i), id(c, j))
-			}
-		}
-		if c+1 < chain {
-			b.AddEdge(id(c, clique-1), id(c+1, 0))
-		}
-	}
-	return b.Build()
+	return FromStream(StreamClusterChain(chain, clique))
 }
 
 // Lollipop returns a clique of size `clique` attached to a path of

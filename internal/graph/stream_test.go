@@ -45,13 +45,13 @@ func buildViaBuilder(s EdgeStream) *Graph {
 }
 
 // TestStreamMatchesLegacyGenerators pins that the deterministic
-// streaming generators are byte-identical to their Builder-based
-// counterparts, including names — callers can swap one for the other
-// without perturbing any experiment.
+// generators, which build through FromStream, are byte-identical to
+// feeding their streams through the Builder, including names — the
+// Builder stays the independent reference for the streamed assembly.
 func TestStreamMatchesLegacyGenerators(t *testing.T) {
 	cases := []struct {
 		stream EdgeStream
-		legacy *Graph
+		gen    *Graph
 	}{
 		{StreamPath(0), Path(0)},
 		{StreamPath(1), Path(1)},
@@ -67,7 +67,7 @@ func TestStreamMatchesLegacyGenerators(t *testing.T) {
 		{StreamClusterChain(9, 7), ClusterChain(9, 7)},
 	}
 	for _, c := range cases {
-		sameGraph(t, FromStream(c.stream), c.legacy, c.legacy.Name())
+		sameGraph(t, c.gen, buildViaBuilder(c.stream), c.gen.Name())
 	}
 }
 

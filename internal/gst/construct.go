@@ -1,7 +1,7 @@
 package gst
 
 import (
-	"sort"
+	"slices"
 
 	"radiocast/internal/graph"
 )
@@ -22,118 +22,136 @@ import (
 //	        induced matching among same-rank pairs.
 //
 // The result satisfies all GST invariants (Tree.Validate).
+//
+// Cost: O(n + m·maxRank) time with maxRank ≤ ⌈log2 n⌉+1, in a fixed
+// number of flat per-node arrays. The members are ordered by level once
+// (levelOrder); every parent keeps a child-rank aggregate (childRanks)
+// that its children are folded into as they are assigned, so a blue's
+// rank is final the moment its boundary is reached and no closing
+// ranking pass is needed.
 func Construct(g *graph.Graph, roots ...NodeID) *Tree {
 	t := NewTree(g, roots)
-	bfs := graph.BFS(g, roots...)
-	for v := 0; v < g.N(); v++ {
-		t.Level[v] = bfs.Dist[v]
+	copy(t.Level, graph.BFS(g, roots...).Dist)
+	offsets, order := levelOrder(t.Level)
+	width := int32(0)
+	for l := 1; l < len(offsets); l++ {
+		width = max(width, offsets[l]-offsets[l-1])
 	}
-	maxLevel := bfs.MaxDist
-	byLevel := make([][]NodeID, maxLevel+1)
-	for v := 0; v < g.N(); v++ {
-		if l := t.Level[v]; l >= 0 {
-			byLevel[l] = append(byLevel[l], NodeID(v))
-		}
+	c := &constructor{
+		t:     t,
+		agg:   newChildRanks(g.N()),
+		open:  make([]bool, g.N()),
+		count: make([]int32, g.N()),
+		blues: make([]NodeID, 0, width),
+		reds:  make([]NodeID, 0, width),
 	}
 	// Bottom-up: assign parents for level l from level l-1.
-	for l := maxLevel; l >= 1; l-- {
-		assignBoundary(t, byLevel[l])
+	for l := len(offsets) - 2; l >= 1; l-- {
+		c.assignBoundary(order[offsets[l]:offsets[l+1]], int32(l))
 	}
-	t.ComputeRanks()
+	for _, v := range order[:offsets[1]] {
+		t.Rank[v] = c.agg.rank(v)
+	}
 	return t
 }
 
+// constructor is Construct's scratch. open and count are all-zero
+// between rank passes: each pass resets the entries it touched.
+type constructor struct {
+	t     *Tree
+	agg   childRanks
+	open  []bool   // unassigned blue of the current rank pass
+	count []int32  // per red: its open blue neighbors
+	blues []NodeID // the current pass's blues, ascending id
+	reds  []NodeID // the reds with a nonzero count
+}
+
 // assignBoundary solves the bipartite assignment problem for the blues
-// (level-l nodes); their ranks are already final because all deeper
-// levels are assigned. Reds are their level-(l-1) neighbors.
-func assignBoundary(t *Tree, blues []NodeID) {
-	if len(blues) == 0 {
-		return
-	}
-	// Blues' ranks are determined by their (already assigned) children.
-	children := t.Children()
-	rankOf := make(map[NodeID]int32, len(blues))
-	var maxRank int32 = 1
-	for _, u := range blues {
-		r := rankFromChildren(t.Rank, children[u])
-		rankOf[u] = r
-		t.Rank[u] = r // provisional; ComputeRanks recomputes identically
-		if r > maxRank {
-			maxRank = r
-		}
+// (the level-l nodes, ascending id); their ranks are final because all
+// deeper levels are assigned. Reds are their level-(l-1) neighbors.
+func (c *constructor) assignBoundary(level []NodeID, l int32) {
+	maxRank := int32(1)
+	for _, u := range level {
+		c.t.Rank[u] = c.agg.rank(u)
+		maxRank = max(maxRank, c.t.Rank[u])
 	}
 	for r := maxRank; r >= 1; r-- {
-		assignRank(t, blues, rankOf, r)
+		c.assignRank(level, l-1, r)
 	}
 }
 
-// assignRank assigns parents to all rank-r blues.
-func assignRank(t *Tree, blues []NodeID, rankOf map[NodeID]int32, r int32) {
-	unassigned := make(map[NodeID]bool)
-	for _, u := range blues {
-		if rankOf[u] == r && t.Parent[u] < 0 {
-			unassigned[u] = true
+// assignRank assigns parents to all rank-r blues of a level whose reds
+// sit at level up.
+func (c *constructor) assignRank(level []NodeID, up, r int32) {
+	t := c.t
+	c.blues = c.blues[:0]
+	for _, u := range level {
+		if t.Rank[u] == r {
+			c.blues = append(c.blues, u)
+			c.open[u] = true
 		}
 	}
-	if len(unassigned) == 0 {
+	if len(c.blues) == 0 {
 		return
 	}
-	// Candidate reds: level l-1 neighbors of the unassigned blues.
-	// count[v] = number of unassigned rank-r blue neighbors of red v.
-	count := make(map[NodeID]int)
-	redsOf := func(u NodeID) []NodeID {
-		var out []NodeID
-		for _, w := range t.G.Neighbors(u) {
-			if t.InTree(w) && t.Level[w] == t.Level[u]-1 {
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-	for u := range unassigned {
-		for _, v := range redsOf(u) {
-			count[v]++
-		}
-	}
-	// Step 1: adopt-all for reds with >= 2 unassigned neighbors.
-	// Deterministic order for reproducibility.
-	queue := make([]NodeID, 0, len(count))
-	for v := range count {
-		queue = append(queue, v)
-	}
-	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
-	// Counts only ever decrease, so a single pass suffices: a red whose
-	// count is below 2 when visited can never grow back above it.
-	for _, v := range queue {
-		if count[v] < 2 {
-			continue
-		}
-		// Adopt all currently unassigned rank-r neighbors of v.
-		for _, u := range t.G.Neighbors(v) {
-			if !unassigned[u] {
+	// count[v] = number of open rank-r blue neighbors of red v.
+	c.reds = c.reds[:0]
+	for _, u := range c.blues {
+		for _, v := range t.G.Neighbors(u) {
+			if t.Level[v] != up {
 				continue
 			}
-			t.Parent[u] = v
-			delete(unassigned, u)
-			for _, w := range redsOf(u) {
-				count[w]--
+			if c.count[v] == 0 {
+				c.reds = append(c.reds, v)
+			}
+			c.count[v]++
+		}
+	}
+	// Step 1: adopt-all for reds with >= 2 open neighbors, in id order.
+	// Counts only ever decrease, so a single pass suffices: a red whose
+	// count is below 2 when visited can never grow back above it.
+	slices.Sort(c.reds)
+	for _, v := range c.reds {
+		if c.count[v] < 2 {
+			continue
+		}
+		for _, u := range t.G.Neighbors(v) {
+			if !c.open[u] {
+				continue
+			}
+			c.adopt(u, v)
+			for _, w := range t.G.Neighbors(u) {
+				if t.Level[w] == up {
+					c.count[w]--
+				}
 			}
 		}
 	}
-	// Step 2: every red now has <= 1 unassigned rank-r neighbor; give
-	// each remaining blue its smallest red neighbor.
-	remaining := make([]NodeID, 0, len(unassigned))
-	for u := range unassigned {
-		remaining = append(remaining, u)
-	}
-	sort.Slice(remaining, func(i, j int) bool { return remaining[i] < remaining[j] })
-	for _, u := range remaining {
-		reds := redsOf(u)
-		if len(reds) == 0 {
-			continue // disconnected from upper level: impossible for BFS members
+	// Step 2: every red now has <= 1 open rank-r neighbor; give each
+	// remaining blue its smallest red neighbor (a BFS member always has
+	// one: its BFS parent).
+	for _, u := range c.blues {
+		if !c.open[u] {
+			continue
 		}
-		t.Parent[u] = reds[0]
+		for _, v := range t.G.Neighbors(u) {
+			if t.Level[v] == up {
+				c.adopt(u, v)
+				break
+			}
+		}
 	}
+	for _, v := range c.reds {
+		c.count[v] = 0
+	}
+}
+
+// adopt makes red v the parent of blue u and folds u's rank into v's
+// child-rank aggregate.
+func (c *constructor) adopt(u, v NodeID) {
+	c.t.Parent[u] = v
+	c.open[u] = false
+	c.agg.add(v, c.t.Rank[u])
 }
 
 // NaiveRankedBFS builds a plain ranked BFS tree (each node's parent is

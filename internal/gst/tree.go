@@ -23,6 +23,7 @@ package gst
 
 import (
 	"fmt"
+	"slices"
 
 	"radiocast/internal/graph"
 	"radiocast/internal/sched"
@@ -96,22 +97,78 @@ func (t *Tree) MaxRank() int32 {
 }
 
 // ComputeRanks fills Rank from Parent using the inductive ranking rule
-// of Section 2.1. It processes levels bottom-up.
+// of Section 2.1. It visits the members deepest level first, so each
+// child's rank is final when it is folded into its parent (which sits
+// one level up).
 func (t *Tree) ComputeRanks() {
-	children := t.Children()
-	// Order nodes by decreasing level.
-	maxLevel := t.MaxLevel()
-	byLevel := make([][]NodeID, maxLevel+1)
-	for v := 0; v < t.G.N(); v++ {
-		if l := t.Level[v]; l >= 0 {
-			byLevel[l] = append(byLevel[l], NodeID(v))
+	_, order := levelOrder(t.Level)
+	agg := newChildRanks(t.G.N())
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		t.Rank[v] = agg.rank(v)
+		if p := t.Parent[v]; p >= 0 {
+			agg.add(p, t.Rank[v])
 		}
 	}
-	for l := maxLevel; l >= 0; l-- {
-		for _, v := range byLevel[l] {
-			t.Rank[v] = rankFromChildren(t.Rank, children[v])
+}
+
+// levelOrder sorts the forest members by level with one counting sort:
+// level l occupies order[offsets[l]:offsets[l+1]], ascending id within
+// a level. Non-members (level -1) are left out.
+func levelOrder(level []int32) (offsets []int32, order []NodeID) {
+	var maxLevel int32
+	for _, l := range level {
+		maxLevel = max(maxLevel, l)
+	}
+	offsets = make([]int32, maxLevel+2)
+	for _, l := range level {
+		if l >= 0 {
+			offsets[l+1]++
 		}
 	}
+	for l := 1; l < len(offsets); l++ {
+		offsets[l] += offsets[l-1]
+	}
+	next := slices.Clone(offsets[:maxLevel+1])
+	order = make([]NodeID, offsets[maxLevel+1])
+	for v, l := range level {
+		if l >= 0 {
+			order[next[l]] = NodeID(v)
+			next[l]++
+		}
+	}
+	return offsets, order
+}
+
+// childRanks is the per-parent aggregate the ranking rule reads: the
+// largest rank among the children folded in so far, and how many of
+// them attain it.
+type childRanks struct{ top, ties []int32 }
+
+func newChildRanks(n int) childRanks {
+	return childRanks{top: make([]int32, n), ties: make([]int32, n)}
+}
+
+// add folds a child of rank r into parent p.
+func (a childRanks) add(p NodeID, r int32) {
+	switch {
+	case r > a.top[p]:
+		a.top[p], a.ties[p] = r, 1
+	case r == a.top[p]:
+		a.ties[p]++
+	}
+}
+
+// rank applies the ranking rule to v's children: 1 for a leaf, the top
+// child rank when one child attains it, one more when several do.
+func (a childRanks) rank(v NodeID) int32 {
+	switch {
+	case a.top[v] == 0:
+		return 1
+	case a.ties[v] >= 2:
+		return a.top[v] + 1
+	}
+	return a.top[v]
 }
 
 // rankFromChildren applies the ranking rule given children's ranks.

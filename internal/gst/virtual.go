@@ -30,22 +30,14 @@ func Stretches(t *Tree) []StretchInfo {
 		info[v] = StretchInfo{Start: -1}
 	}
 	// Process by increasing level so parents are resolved first.
-	maxLevel := t.MaxLevel()
-	byLevel := make([][]NodeID, maxLevel+1)
-	for v := 0; v < n; v++ {
-		if l := t.Level[v]; l >= 0 {
-			byLevel[l] = append(byLevel[l], NodeID(v))
+	_, order := levelOrder(t.Level)
+	for _, v := range order {
+		p := t.Parent[v]
+		if p < 0 || t.Rank[p] != t.Rank[v] {
+			info[v] = StretchInfo{Start: v, Pos: 0}
+			continue
 		}
-	}
-	for l := int32(0); l <= maxLevel; l++ {
-		for _, v := range byLevel[l] {
-			p := t.Parent[v]
-			if p < 0 || t.Rank[p] != t.Rank[v] {
-				info[v] = StretchInfo{Start: v, Pos: 0}
-				continue
-			}
-			info[v] = StretchInfo{Start: info[p].Start, Pos: info[p].Pos + 1}
-		}
+		info[v] = StretchInfo{Start: info[p].Start, Pos: info[p].Pos + 1}
 	}
 	return info
 }

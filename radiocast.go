@@ -372,10 +372,15 @@ type GST struct {
 }
 
 // BuildGST constructs a GST centrally (known topology) and validates
-// it.
+// it. The roots default to node 0. A graph the roots do not span
+// yields a forest over the reachable part, so connectivity is not
+// required.
 func BuildGST(g *Graph, roots ...NodeID) (*GST, error) {
 	if len(roots) == 0 {
 		roots = []NodeID{0}
+	}
+	if err := checkNodes(g, "root", roots...); err != nil {
+		return nil, err
 	}
 	tree := gst.Construct(g, roots...)
 	if err := tree.Validate(); err != nil {
@@ -432,14 +437,25 @@ func RandomMessages(k, l int, seed uint64) []rlnc.Message {
 func (t *GST) ScheduleInfo() []mmv.NodeInfo { return mmv.InfoFromTree(t.Tree) }
 
 func checkGraph(g *Graph, source NodeID) error {
-	if g == nil || g.N() == 0 {
-		return fmt.Errorf("radiocast: empty graph")
-	}
-	if int(source) >= g.N() || source < 0 {
-		return fmt.Errorf("radiocast: source %d out of range [0,%d)", source, g.N())
+	if err := checkNodes(g, "source", source); err != nil {
+		return err
 	}
 	if !graph.IsConnected(g) {
 		return fmt.Errorf("radiocast: graph must be connected")
+	}
+	return nil
+}
+
+// checkNodes rejects a nil or empty graph and any of the named nodes
+// (sources or roots) outside [0, n).
+func checkNodes(g *Graph, what string, nodes ...NodeID) error {
+	if g == nil || g.N() == 0 {
+		return fmt.Errorf("radiocast: empty graph")
+	}
+	for _, v := range nodes {
+		if v < 0 || int(v) >= g.N() {
+			return fmt.Errorf("radiocast: %s %d out of range [0,%d)", what, v, g.N())
+		}
 	}
 	return nil
 }

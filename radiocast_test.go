@@ -2,6 +2,8 @@ package radiocast
 
 import (
 	"testing"
+
+	"radiocast/internal/graph"
 )
 
 func TestFacadeBroadcastKnownTopology(t *testing.T) {
@@ -168,5 +170,40 @@ func TestRandomMessagesReproducible(t *testing.T) {
 		if a[i].String() != b[i].String() {
 			t.Fatal("messages not reproducible")
 		}
+	}
+}
+
+// BuildGST reports bad input as an error instead of panicking inside
+// the construction, and still accepts a graph its roots do not span.
+func TestFacadeBuildGSTRejectsBadInput(t *testing.T) {
+	grid := NewGrid(3, 3)
+	for _, c := range []struct {
+		name  string
+		g     *Graph
+		roots []NodeID
+	}{
+		{"nil graph", nil, nil},
+		{"empty graph", NewPath(0), nil},
+		{"root past n", grid, []NodeID{42}},
+		{"root n", grid, []NodeID{9}},
+		{"negative root", grid, []NodeID{-1}},
+		{"one bad root of two", grid, []NodeID{0, 42}},
+	} {
+		if _, err := BuildGST(c.g, c.roots...); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	// Two disjoint paths: the forest covers the rooted one only.
+	b := graph.NewBuilder(6)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(3, 4)
+	b.AddEdge(4, 5)
+	tree, err := BuildGST(b.Build())
+	if err != nil {
+		t.Fatalf("disconnected graph rejected: %v", err)
+	}
+	if tree.Tree.InTree(4) || !tree.Tree.InTree(2) {
+		t.Fatal("forest membership wrong on a disconnected graph")
 	}
 }
