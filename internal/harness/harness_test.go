@@ -1,6 +1,12 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,10 +14,31 @@ import (
 	"radiocast/internal/graph"
 )
 
+// update regenerates the golden fingerprints instead of checking them:
+// go test ./internal/harness -run TestAllExperimentsQuick -update
+var update = flag.Bool("update", false, "rewrite testdata/golden instead of comparing against it")
+
+// goldenQuick holds the SHA-256 of every experiment's quick
+// single-seed table. The rendered tables carry only reproducible
+// outputs (rounds, completion, coverage), so any change to a digest is
+// a change in simulation behaviour and needs a stated reason.
+var goldenQuick = filepath.Join("testdata", "golden", "quick.json")
+
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
+	want := map[string]string{}
+	if !*update {
+		blob, err := os.ReadFile(goldenQuick)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		if err := json.Unmarshal(blob, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]string{}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -24,7 +51,34 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Fatalf("%s table did not render", e.ID)
 			}
 			t.Logf("\n%s", out)
+			sum := sha256.Sum256([]byte(out))
+			got[e.ID] = hex.EncodeToString(sum[:])
+			if !*update && got[e.ID] != want[e.ID] {
+				t.Fatalf("%s golden digest changed: got %s, want %s", e.ID, got[e.ID], want[e.ID])
+			}
 		})
+	}
+	if *update {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenQuick), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenQuick, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	ids := map[string]bool{}
+	for _, e := range All() {
+		ids[e.ID] = true
+	}
+	for id := range want {
+		if !ids[id] {
+			t.Errorf("golden file lists %s, which is no longer an experiment", id)
+		}
 	}
 }
 
