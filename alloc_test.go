@@ -423,7 +423,7 @@ func TestTheorem13ResetReuseAllocBudget(t *testing.T) {
 	g := graph.Grid(4, 12)
 	d := graph.Eccentricity(g, 0)
 	run := harness.NewTheorem13Run(g, d, 8, 1, 0)
-	wantRounds, wantOK, _ := harness.RunTheorem13(g, d, 8, 1, 3)
+	wantRounds, wantOK, _ := harness.NewTheorem13Run(g, d, 8, 1, 0).Run(nil, 3)
 	if !wantOK {
 		t.Fatal("fresh reference run incomplete")
 	}

@@ -50,7 +50,8 @@ func reportRounds(b *testing.B, fn func(seed uint64) (int64, bool)) {
 func BenchmarkE1_Decay_ClusterChain32x8(b *testing.B) {
 	g := graph.ClusterChain(32, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		return harness.RunDecay(g, seed, 1<<22)
+		rounds, ok, _ := harness.NewDecayRun(g, 0).Run(nil, seed, 1<<22)
+		return rounds, ok
 	})
 }
 
@@ -58,14 +59,16 @@ func BenchmarkE1_CR_ClusterChain32x8(b *testing.B) {
 	g := graph.ClusterChain(32, 8)
 	d := graph.Eccentricity(g, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		return harness.RunCR(g, d, seed, 1<<22)
+		rounds, ok, _ := harness.NewCRRun(g, d, 0).Run(nil, seed, 1<<22)
+		return rounds, ok
 	})
 }
 
 func BenchmarkE1_GSTBroadcast_ClusterChain32x8(b *testing.B) {
 	g := graph.ClusterChain(32, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		return harness.RunGSTSingle(g, false, seed, 1<<22)
+		rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).Run(nil, seed, 1<<22)
+		return rounds, ok
 	})
 }
 
@@ -73,7 +76,7 @@ func BenchmarkE1_Theorem11Full_ClusterChain8x8(b *testing.B) {
 	g := graph.ClusterChain(8, 8)
 	d := graph.Eccentricity(g, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		res := harness.RunTheorem11(g, d, 1, seed)
+		res := harness.NewTheorem11Run(g, d, 1, 0).Run(nil, seed)
 		return res.Rounds, res.Completed
 	})
 }
@@ -83,7 +86,8 @@ func BenchmarkE2_DiameterScaling_GST(b *testing.B) {
 		g := graph.ClusterChain(chain, 8)
 		b.Run(g.Name(), func(b *testing.B) {
 			reportRounds(b, func(seed uint64) (int64, bool) {
-				return harness.RunGSTSingle(g, false, seed, 1<<22)
+				rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).Run(nil, seed, 1<<22)
+				return rounds, ok
 			})
 		})
 	}
@@ -139,7 +143,8 @@ func BenchmarkE7_MultiMessageKnown_Grid8x8(b *testing.B) {
 	for _, k := range []int{4, 16} {
 		b.Run("k="+itoa(k), func(b *testing.B) {
 			reportRounds(b, func(seed uint64) (int64, bool) {
-				return harness.RunGSTMulti(g, k, seed, 1<<22)
+				rounds, ok, _ := harness.NewGSTMultiRun(g, k, 0).Run(nil, seed, 1<<22)
+				return rounds, ok
 			})
 		})
 	}
@@ -150,7 +155,7 @@ func BenchmarkE8_MultiMessageUnknown_Grid4x12(b *testing.B) {
 	g := graph.Grid(4, 12)
 	d := graph.Eccentricity(g, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.RunTheorem13(g, d, 8, 1, seed)
+		rounds, ok, _ := harness.NewTheorem13Run(g, d, 8, 1, 0).Run(nil, seed)
 		return rounds, ok
 	})
 }
@@ -169,7 +174,8 @@ func BenchmarkE9_DecayMMV_Path64(b *testing.B) {
 func BenchmarkE10_MMVGST_Grid8x8(b *testing.B) {
 	g := graph.Grid(8, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		return harness.RunGSTSingle(g, true, seed, 1<<22)
+		rounds, ok, _ := harness.NewGSTSingleRun(g, true, 0).Run(nil, seed, 1<<22)
+		return rounds, ok
 	})
 }
 
@@ -230,7 +236,7 @@ func BenchmarkE15_NoisyCDSweep(b *testing.B) {
 func BenchmarkEngine_LossyChannel_Decay(b *testing.B) {
 	g := graph.ClusterChain(16, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.RunDecayOn(g, ErasureChannel(0.1, seed), seed, 1<<22)
+		rounds, ok, _ := harness.NewDecayRun(g, 0).Run(ErasureChannel(0.1, seed), seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -250,7 +256,8 @@ func BenchmarkA2_CodingVsRouting_Grid6x6(b *testing.B) {
 	g := graph.Grid(6, 6)
 	b.Run("rlnc-k8", func(b *testing.B) {
 		reportRounds(b, func(seed uint64) (int64, bool) {
-			return harness.RunGSTMulti(g, 8, seed, 1<<22)
+			rounds, ok, _ := harness.NewGSTMultiRun(g, 8, 0).Run(nil, seed, 1<<22)
+			return rounds, ok
 		})
 	})
 	b.Run("routing-k8", func(b *testing.B) {
@@ -283,7 +290,8 @@ func BenchmarkA3_RingWidth(b *testing.B) {
 func BenchmarkEngine_DenseRounds_Grid32x32(b *testing.B) {
 	g := graph.Grid(32, 32)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		return harness.RunDecay(g, seed, 1<<22)
+		rounds, ok, _ := harness.NewDecayRun(g, 0).Run(nil, seed, 1<<22)
+		return rounds, ok
 	})
 }
 
@@ -293,7 +301,8 @@ func BenchmarkEngine_DenseRounds_Grid32x32(b *testing.B) {
 func BenchmarkEngine_SleepHeavy_Path256(b *testing.B) {
 	g := graph.Path(256)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		return harness.RunGSTSingle(g, false, seed, 1<<22)
+		rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).Run(nil, seed, 1<<22)
+		return rounds, ok
 	})
 }
 
@@ -324,7 +333,7 @@ func BenchmarkEngine_Theorem13_Fresh_Grid4x12(b *testing.B) {
 	g := graph.Grid(4, 12)
 	d := graph.Eccentricity(g, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.RunTheorem13(g, d, 8, 1, seed)
+		rounds, ok, _ := harness.NewTheorem13Run(g, d, 8, 1, 0).Run(nil, seed)
 		return rounds, ok
 	})
 }

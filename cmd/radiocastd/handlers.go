@@ -94,16 +94,24 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes bounds a POST /v1/jobs body; larger bodies get 413.
+const maxSpecBytes = 1 << 20
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		writeError(w, http.StatusServiceUnavailable, errors.New("draining"))
 		return
 	}
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
 	job, err := s.mgr.Submit(spec)

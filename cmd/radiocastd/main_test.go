@@ -343,6 +343,50 @@ func TestSpecValidation(t *testing.T) {
 			t.Fatalf("%s: status %d, want 400 (%s)", name, resp.StatusCode, body)
 		}
 	}
+	// The unknown-protocol message lists the names in table order, the
+	// same on every submission.
+	const want = `unknown protocol "gossip" (one of decay, cr, gst, k-known, cd, k-cd, ` +
+		`dense-decay, dense-cr, dense-wave, dense-gst)`
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"protocol": "gossip", "graph": {"kind": "path", "n": 8}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Error != want {
+			t.Fatalf("submission %d: error %q, want %q", i, out.Error, want)
+		}
+	}
+}
+
+// TestOversizeSpecRejected pins the request-body bound: a spec larger
+// than maxSpecBytes is refused with 413 before it is decoded in full.
+func TestOversizeSpecRejected(t *testing.T) {
+	ts, _ := newTestServer(t, 1, 4)
+	pad := strings.Repeat(" ", maxSpecBytes)
+	body := `{"protocol": "decay",` + pad + `"graph": {"kind": "path", "n": 8}}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413 (%s)", resp.StatusCode, msg)
+	}
+	// A spec just under the bound is still accepted.
+	id := submit(t, ts, `{"protocol": "decay",`+strings.Repeat(" ", maxSpecBytes-128)+`"graph": {"kind": "path", "n": 8}}`)
+	if st := waitDone(t, ts, id); st.State != StateDone {
+		t.Fatalf("state = %s (err %q)", st.State, st.Error)
+	}
 }
 
 func TestBadGraphFailsJob(t *testing.T) {

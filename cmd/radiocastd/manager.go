@@ -16,17 +16,11 @@ import (
 	"time"
 
 	"radiocast/internal/adapt"
-	"radiocast/internal/beep"
-	"radiocast/internal/cr"
-	"radiocast/internal/decay"
 	"radiocast/internal/geo"
 	"radiocast/internal/graph"
-	"radiocast/internal/gst"
 	"radiocast/internal/harness"
-	"radiocast/internal/mmv"
 	"radiocast/internal/obs"
 	"radiocast/internal/radio"
-	"radiocast/internal/rings"
 	"radiocast/internal/rng"
 )
 
@@ -462,17 +456,11 @@ func (m *Manager) execute(job *Job, ctx *pooledCtx) (res *JobResult, err error) 
 	return resultFrom(rounds, completed, st, epochs, covered, time.Since(start)), nil
 }
 
-// limitOr returns the job's round limit or the open-ended default used
-// by the facade.
-func limitOr(spec *JobSpec) int64 {
-	if spec.RoundLimit > 0 {
-		return spec.RoundLimit
-	}
-	return 1 << 24
-}
-
 // buildCtx constructs the reuse context for a spec — the expensive,
-// once-per-fingerprint step.
+// once-per-fingerprint step. The protocol table builds the stack; a
+// dense stack's per-graph prep (eccentricity, flat GST and MMV
+// schedule) is pooled with the graph, and its SoA protocol and engine
+// are built per job.
 func (m *Manager) buildCtx(spec *JobSpec) (*pooledCtx, error) {
 	var g *graph.Graph
 	var err error
@@ -494,78 +482,48 @@ func (m *Manager) buildCtx(spec *JobSpec) (*pooledCtx, error) {
 		return nil, &specError{fmt.Errorf("source %d out of range [0,%d)", spec.Source, g.N())}
 	}
 	src := graph.NodeID(spec.Source)
+	// validate() resolved the name and checked every capability the spec
+	// asks for. The daemon always gives the wave its lossy-channel
+	// horizon, since a job's channel is not part of the fingerprint.
+	p, _ := harness.LookupProtocol(spec.Protocol)
+	opts := harness.StackOpts{K: spec.k(), LossyHorizon: true}
 
-	if denseProtocol(spec.Protocol) {
-		// The dense engine is rebuilt per job (SoA state is cheap next to
-		// the graph, which IS pooled). CR's schedule and the wave's
-		// horizon hang off the source eccentricity; one BFS per context,
-		// amortized with the graph. The GST broadcast's tree construction
-		// is the expensive step, so the flat arrays and MMV schedule are
-		// pooled too — exactly the build-once/broadcast-many split of the
-		// paper's amortized regime.
-		ecc := 0
-		if spec.Protocol == "dense-cr" || spec.Protocol == "dense-wave" {
-			ecc = graph.Eccentricity(g, src)
-		}
-		var flat *gst.Flat
-		var sched mmv.Schedule
-		if spec.Protocol == "dense-gst" {
-			flat = gst.Flatten(gst.Construct(g, src))
-			sched = mmv.NewSchedule(g.N())
-		}
+	if spec.Adaptive == nil {
+		s := p.Build(g, src, opts)
 		return &pooledCtx{g: g, run: func(job *Job, ch radio.Channel, o obs.RoundObserver, stride int64) (int64, bool, radio.Stats, int, int, error) {
-			cfg := radio.Config{Channel: ch, Workers: job.Spec.Workers}
-			limit := limitOr(&job.Spec)
-			var pr radio.DenseProtocol
-			var done func() bool
-			var covered func() int
-			switch spec.Protocol {
-			case "dense-cr":
-				p := cr.NewDense(g, cr.NewParams(g.N(), ecc), job.Spec.Seed, src)
-				pr, done, covered = p, p.Done, p.InformedCount
-			case "dense-gst":
-				p := mmv.NewDense(g, flat, sched, job.Spec.Seed, src, false)
-				pr, done, covered = p, p.Done, p.InformedCount
-			case "dense-wave":
-				// The wave REQUIRES collision detection on dense layers, so
-				// the daemon forces it on. The 4x-eccentricity horizon (plus
-				// slack) leaves room for lossy channel stacks; the run is
-				// over at the horizon by construction (mirrors harness E20).
-				horizon := 4*int64(ecc) + 64
-				if horizon < limit {
-					limit = horizon
-				}
-				cfg.CollisionDetection = true
-				w := beep.NewDenseWave(g, src, horizon)
-				pr, done, covered = w, w.Done, w.TriggeredCount
-			default: // dense-decay
-				p := decay.NewDense(g, job.Spec.Seed, src)
-				pr, done, covered = p, p.Done, p.InformedCount
+			if w, ok := s.(interface{ SetWorkers(int) }); ok {
+				w.SetWorkers(job.Spec.Workers)
 			}
-			eng := radio.NewDense(g, cfg, pr)
-			defer eng.Close()
-			eng.SetObserver(o, stride)
-			rounds, ok := eng.RunUntil(limit, done)
-			return rounds, ok, eng.Stats(), 0, covered(), nil
+			s.SetObserver(o, stride)
+			defer s.SetObserver(nil, 0)
+			rounds, ok, st := s.RunFrom(nil, ch, job.Spec.Seed, job.Spec.RoundLimit)
+			return rounds, ok, st, 0, s.Coverage(), nil
 		}}, nil
 	}
 
+	var mob MobilitySpec
 	if spec.Mobility != nil {
-		// validate() pinned protocol == decay: the only sparse adaptive
-		// stack that is topology-agnostic (no schedule compiled from the
-		// construction graph), so Retopo between epochs is legal.
-		mob := *spec.Mobility
-		a := harness.NewAdaptiveDecayDynamic(g, nil, spec.Seed, src, mob.Period)
+		mob = *spec.Mobility
+		opts.EpochLimit = mob.Period
+	}
+	a := p.NewAdaptive(g, src, opts, nil, spec.Seed)
+	var initOff []int32
+	var initEdges []radio.NodeID
+	var wp *geo.Waypoint
+	if spec.Mobility != nil {
+		// validate() pinned a retopo-safe protocol: no schedule compiled
+		// from the construction graph, so Retopo between epochs is legal.
 		radius := spec.Graph.geoRadius()
-		initOff, initEdges := g.CSR()
-		var wp *geo.Waypoint
+		initOff, initEdges = g.CSR()
 		a.SetRelayout(func(epoch int) {
 			wp.Advance(int(mob.Period))
 			off, edges := geo.NewDisk(lay, radius).Build().CSR()
 			a.Retopo(off, edges)
 		})
-		maxEpochs := spec.Adaptive.MaxEpochs
-		return &pooledCtx{g: g, run: func(job *Job, ch radio.Channel, o obs.RoundObserver, stride int64) (int64, bool, radio.Stats, int, int, error) {
+	}
+	maxEpochs := spec.Adaptive.MaxEpochs
+	return &pooledCtx{g: g, run: func(job *Job, ch radio.Channel, o obs.RoundObserver, stride int64) (int64, bool, radio.Stats, int, int, error) {
+		if spec.Mobility != nil {
 			// The walk mutates the pooled layout in place, so every job
 			// rewinds it to the deterministic initial point set and Retopos
 			// the runner back to the initial topology before walking again.
@@ -574,116 +532,20 @@ func (m *Manager) buildCtx(spec *JobSpec) (*pooledCtx, error) {
 			copy(lay.Y, fresh.Y)
 			wp = geo.NewWaypoint(lay, mob.Speed, rng.Mix(job.Spec.Seed, 0x3ab7))
 			a.Retopo(initOff, initEdges)
-			a.Reseed(job.Spec.Seed)
-			a.SetChannelFactory(harness.EpochChannel(ch))
-			a.SetObserver(o, stride)
-			defer a.SetObserver(nil, 0)
-			out := adapt.Run(a, adapt.Policy{
-				MaxEpochs:  maxEpochs,
-				EpochLimit: mob.Period,
-				MaxRounds:  job.Spec.RoundLimit,
-				OnEpoch: func(epoch int, rounds int64, covered int, done bool) {
-					job.publish(Event{Type: "epoch", Epoch: epoch,
-						EpochRounds: rounds, Covered: covered, EpochDone: done})
-				},
-			})
-			return out.Rounds, out.Completed, out.Stats, out.Epochs, out.Covered, nil
-		}}, nil
-	}
-
-	if spec.Adaptive != nil {
-		a, err := buildAdaptive(spec, g, src)
-		if err != nil {
-			return nil, err
 		}
-		maxEpochs := spec.Adaptive.MaxEpochs
-		return &pooledCtx{g: g, run: func(job *Job, ch radio.Channel, o obs.RoundObserver, stride int64) (int64, bool, radio.Stats, int, int, error) {
-			a.Reseed(job.Spec.Seed)
-			a.SetChannelFactory(harness.EpochChannel(ch))
-			a.SetObserver(o, stride)
-			defer a.SetObserver(nil, 0)
-			out := adapt.Run(a, adapt.Policy{
-				MaxEpochs: maxEpochs,
-				MaxRounds: job.Spec.RoundLimit,
-				OnEpoch: func(epoch int, rounds int64, covered int, done bool) {
-					job.publish(Event{Type: "epoch", Epoch: epoch,
-						EpochRounds: rounds, Covered: covered, EpochDone: done})
-				},
-			})
-			return out.Rounds, out.Completed, out.Stats, out.Epochs, out.Covered, nil
-		}}, nil
-	}
-
-	run, setObs, coverage, err := buildPlain(spec, g, src)
-	if err != nil {
-		return nil, err
-	}
-	return &pooledCtx{g: g, run: func(job *Job, ch radio.Channel, o obs.RoundObserver, stride int64) (int64, bool, radio.Stats, int, int, error) {
-		setObs(o, stride)
-		defer setObs(nil, 0)
-		rounds, ok, st := run(ch, job.Spec.Seed, limitOr(&job.Spec))
-		return rounds, ok, st, 0, coverage(), nil
+		a.Reseed(job.Spec.Seed)
+		a.SetChannelFactory(harness.EpochChannel(ch))
+		a.SetObserver(o, stride)
+		defer a.SetObserver(nil, 0)
+		out := adapt.Run(a, adapt.Policy{
+			MaxEpochs:  maxEpochs,
+			EpochLimit: mob.Period,
+			MaxRounds:  job.Spec.RoundLimit,
+			OnEpoch: func(epoch int, rounds int64, covered int, done bool) {
+				job.publish(Event{Type: "epoch", Epoch: epoch,
+					EpochRounds: rounds, Covered: covered, EpochDone: done})
+			},
+		})
+		return out.Rounds, out.Completed, out.Stats, out.Epochs, out.Covered, nil
 	}}, nil
-}
-
-// buildAdaptive constructs the adaptive reuse runner for a spec.
-func buildAdaptive(spec *JobSpec, g *graph.Graph, src graph.NodeID) (*harness.AdaptiveRunner, error) {
-	switch spec.Protocol {
-	case "decay":
-		return harness.NewAdaptiveDecay(g, nil, spec.Seed, src), nil
-	case "cr":
-		return harness.NewAdaptiveCR(g, graph.Eccentricity(g, src), nil, spec.Seed, src), nil
-	case "gst":
-		return harness.NewAdaptiveGSTSingle(g, false, nil, spec.Seed, src), nil
-	case "cd":
-		d := graph.Eccentricity(g, src)
-		return harness.NewAdaptiveTheorem11(g, rings.DefaultConfig(g.N(), d, 0, 1), nil, spec.Seed, src), nil
-	case "k-cd":
-		d := graph.Eccentricity(g, src)
-		return harness.NewAdaptiveTheorem13(g, rings.DefaultConfig(g.N(), d, spec.k(), 1), nil, spec.Seed, src), nil
-	default:
-		return nil, &specError{fmt.Errorf("adaptive retry is not supported by %q", spec.Protocol)}
-	}
-}
-
-// buildPlain constructs the non-adaptive reuse context pieces: a run
-// closure, the observer setter, and the coverage reader.
-func buildPlain(spec *JobSpec, g *graph.Graph, src graph.NodeID) (
-	func(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats),
-	func(o obs.RoundObserver, stride int64),
-	func() int, error) {
-	switch spec.Protocol {
-	case "decay":
-		r := harness.NewDecayRun(g, src)
-		return r.Run, r.SetObserver, r.Coverage, nil
-	case "cr":
-		r := harness.NewCRRun(g, graph.Eccentricity(g, src), src)
-		return r.Run, r.SetObserver, r.Coverage, nil
-	case "gst":
-		r := harness.NewGSTSingleRun(g, false, src)
-		return r.Run, r.SetObserver, r.Coverage, nil
-	case "k-known":
-		r := harness.NewGSTMultiRun(g, spec.k(), src)
-		return r.Run, r.SetObserver, r.Coverage, nil
-	case "cd":
-		d := graph.Eccentricity(g, src)
-		r := harness.NewTheorem11RunCfg(g, rings.DefaultConfig(g.N(), d, 0, 1), src)
-		return func(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-			if limit == 1<<24 {
-				limit = 0 // the compiled schedule budget applies
-			}
-			return r.RunFrom(nil, ch, seed, limit)
-		}, r.SetObserver, r.Coverage, nil
-	case "k-cd":
-		d := graph.Eccentricity(g, src)
-		r := harness.NewTheorem13RunCfg(g, rings.DefaultConfig(g.N(), d, spec.k(), 1), src)
-		return func(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-			if limit == 1<<24 {
-				limit = 0
-			}
-			return r.RunFrom(nil, ch, seed, limit)
-		}, r.SetObserver, r.Coverage, nil
-	default:
-		return nil, nil, nil, &specError{fmt.Errorf("unknown protocol %q", spec.Protocol)}
-	}
 }

@@ -15,26 +15,9 @@ import (
 	"radiocast/internal/channel"
 	"radiocast/internal/geo"
 	"radiocast/internal/graph"
+	"radiocast/internal/harness"
 	"radiocast/internal/radio"
 )
-
-// Protocols the daemon can run. The names match the radiosim CLI.
-var protocols = map[string]bool{
-	"decay":       true, // BGI Decay baseline (sparse engine)
-	"cr":          true, // Czumaj–Rytter-shaped baseline
-	"gst":         true, // known-topology single message ([7]-style)
-	"k-known":     true, // Theorem 1.2: k messages, known topology, RLNC
-	"cd":          true, // Theorem 1.1: unknown topology + CD
-	"k-cd":        true, // Theorem 1.3: k messages, unknown topology + CD
-	"dense-decay": true, // SoA Decay on the dense engine (million-node scale)
-	"dense-cr":    true, // SoA CR (FastDecay schedule) on the dense engine
-	"dense-wave":  true, // SoA collision wave on the dense engine (CD forced on)
-	"dense-gst":   true, // structured GST broadcast (flat tree + MMV schedule)
-}
-
-// denseProtocol reports whether name runs on the dense engine (and so
-// accepts Workers but not the sparse-only adaptive layer).
-func denseProtocol(name string) bool { return strings.HasPrefix(name, "dense-") }
 
 // GraphSpec describes the workload graph.
 type GraphSpec struct {
@@ -266,7 +249,7 @@ type MobilitySpec struct {
 
 // JobSpec is the POST /v1/jobs request body.
 type JobSpec struct {
-	// Protocol selects the stack (see the protocols map).
+	// Protocol selects the stack (a harness.Protocols entry).
 	Protocol string    `json:"protocol"`
 	Graph    GraphSpec `json:"graph"`
 	// K is the message count for the k-message protocols (default 1).
@@ -292,23 +275,20 @@ type JobSpec struct {
 
 // validate checks everything that can fail before graph construction.
 func (s *JobSpec) validate() error {
-	if !protocols[s.Protocol] {
-		names := make([]string, 0, len(protocols))
-		for p := range protocols {
-			names = append(names, p)
-		}
-		return fmt.Errorf("unknown protocol %q (one of %s)", s.Protocol, strings.Join(names, ", "))
+	p, ok := harness.LookupProtocol(s.Protocol)
+	if !ok {
+		return fmt.Errorf("unknown protocol %q (one of %s)", s.Protocol, strings.Join(harness.ProtocolNames(nil), ", "))
 	}
 	if s.K < 0 {
 		return fmt.Errorf("k must be >= 0, got %d", s.K)
 	}
-	if s.K > 0 && s.Protocol != "k-known" && s.Protocol != "k-cd" {
-		return fmt.Errorf("k applies only to k-known and k-cd, not %q", s.Protocol)
+	if s.K > 0 && !p.TakesK {
+		return fmt.Errorf("k applies only to %s, not %q", strings.Join(harness.ProtocolNames(takesK), " and "), s.Protocol)
 	}
-	if s.Adaptive != nil && (s.Protocol == "k-known" || denseProtocol(s.Protocol)) {
+	if s.Adaptive != nil && !p.Adaptive {
 		return fmt.Errorf("adaptive retry is not supported by %q", s.Protocol)
 	}
-	if s.Workers != 0 && !denseProtocol(s.Protocol) {
+	if s.Workers != 0 && !p.Dense {
 		return fmt.Errorf("workers applies only to the dense-* protocols")
 	}
 	if s.Source < 0 {
@@ -327,8 +307,9 @@ func (s *JobSpec) validate() error {
 		if s.Adaptive == nil {
 			return fmt.Errorf("mobility requires the adaptive retry layer (it re-executes per re-layout epoch)")
 		}
-		if s.Protocol != "decay" {
-			return fmt.Errorf("mobility is only supported by the topology-agnostic decay protocol, not %q", s.Protocol)
+		if !p.RetopoSafe {
+			return fmt.Errorf("mobility is only supported by the topology-agnostic protocols (%s), not %q",
+				strings.Join(harness.ProtocolNames(retopoSafe), ", "), s.Protocol)
 		}
 		if s.Mobility.Period < 1 {
 			return fmt.Errorf("mobility: period must be >= 1 round, got %d", s.Mobility.Period)
@@ -347,6 +328,9 @@ func (s *JobSpec) validate() error {
 	}
 	return nil
 }
+
+func takesK(p *harness.Protocol) bool     { return p.TakesK }
+func retopoSafe(p *harness.Protocol) bool { return p.RetopoSafe }
 
 // k returns the effective message count.
 func (s *JobSpec) k() int {

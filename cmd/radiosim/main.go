@@ -57,6 +57,7 @@ import (
 
 	"radiocast"
 	"radiocast/internal/graph"
+	"radiocast/internal/harness"
 	"radiocast/internal/obs"
 )
 
@@ -168,43 +169,51 @@ func (cf channelFlags) build(n int, seed uint64, layout *radiocast.Layout) (radi
 // fatalUsage rejects an incoherent flag combination: it prints the
 // reason and the flag usage, then exits 2 (the flag package's own exit
 // code for malformed flags).
-func fatalUsage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "radiosim: "+format+"\n", args...)
+func fatalUsage(err error) {
+	fmt.Fprintf(os.Stderr, "radiosim: %v\n", err)
 	flag.Usage()
 	os.Exit(2)
 }
 
 // validateFlags rejects flag combinations that would otherwise be
 // silently ignored: every flag the run cannot honor is an error, not a
-// no-op.
-func validateFlags(kind, protocol string, pipelined bool, cf channelFlags, adaptive bool, maxEpochs int) {
-	if pipelined && protocol != "cd" && protocol != "k-cd" {
-		fatalUsage("-pipelined only applies to the distributed GST builds of -protocol cd and k-cd (got %q)", protocol)
+// no-op. Protocol capabilities come from the harness protocol table;
+// an unknown protocol is left to the dispatch in main.
+func validateFlags(kind, protocol string, pipelined bool, cf channelFlags, adaptive bool, maxEpochs int) error {
+	p, known := harness.LookupProtocol(protocol)
+	if pipelined && !(known && p.Rings) {
+		return fmt.Errorf("-pipelined only applies to the distributed GST builds of -protocol %s (got %q)",
+			strings.Join(harness.ProtocolNames(func(p *harness.Protocol) bool { return p.Rings }), " and "), protocol)
 	}
 	if cf.band < 1 {
-		fatalUsage("-band must be >= 1 (1 = pure unit disk), got %g", cf.band)
+		return fmt.Errorf("-band must be >= 1 (1 = pure unit disk), got %g", cf.band)
 	}
 	if cf.band > 1 && kind != "geo-uniform" && kind != "geo-cluster" {
-		fatalUsage("-band needs a position-aware workload: use -graph geo-uniform or geo-cluster (got %q)", kind)
+		return fmt.Errorf("-band needs a position-aware workload: use -graph geo-uniform or geo-cluster (got %q)", kind)
 	}
 	if cf.jamAdaptive && cf.jam == 0 {
-		fatalUsage("-jamadaptive needs a jammer: set a -jam budget (negative = unlimited)")
+		return fmt.Errorf("-jamadaptive needs a jammer: set a -jam budget (negative = unlimited)")
 	}
 	if maxEpochs != 0 && !adaptive {
-		fatalUsage("-maxepochs only applies to -adaptive runs")
+		return fmt.Errorf("-maxepochs only applies to -adaptive runs")
 	}
 	if maxEpochs < 0 {
-		fatalUsage("-maxepochs must be >= 0 (0 = retry until done), got %d", maxEpochs)
+		return fmt.Errorf("-maxepochs must be >= 0 (0 = retry until done), got %d", maxEpochs)
 	}
-	if adaptive && protocol == "k-known" {
-		fatalUsage("-adaptive is not supported by -protocol k-known (use k-cd for adaptive k-message broadcast)")
+	if adaptive && known && !p.Adaptive {
+		return fmt.Errorf("-adaptive is not supported by -protocol %s (use k-cd for adaptive k-message broadcast)", protocol)
 	}
+	return nil
 }
+
+// sparse selects the protocol-table entries radiosim dispatches to
+// the facade: the per-node engine stacks.
+func sparse(p *harness.Protocol) bool { return !p.Dense }
 
 func main() {
 	kind := flag.String("graph", "clusterchain", "workload: path, grid, clusterchain, udg, gnp, star, geo-uniform, geo-cluster")
 	n := flag.Int("n", 128, "approximate node count")
-	protocol := flag.String("protocol", "cd", "protocol: decay, cr, gst, cd, k-known, k-cd")
+	protocol := flag.String("protocol", "cd", "protocol: "+strings.Join(harness.ProtocolNames(sparse), ", "))
 	k := flag.Int("k", 8, "message count for k-message protocols")
 	seed := flag.Uint64("seed", 1, "run seed")
 	pipelined := flag.Bool("pipelined", false,
@@ -232,7 +241,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	validateFlags(*kind, *protocol, *pipelined, cf, *adaptive, *maxEpochs)
+	if err := validateFlags(*kind, *protocol, *pipelined, cf, *adaptive, *maxEpochs); err != nil {
+		fatalUsage(err)
+	}
 
 	g, layout, err := buildGraph(*kind, *n, *seed, cf.band)
 	if err != nil {

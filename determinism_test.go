@@ -98,14 +98,14 @@ func TestPipelinedBuildDeterminism(t *testing.T) {
 	g := NewGrid(4, 8)
 	const d = 10 // eccentricity of grid-4x8 from node 0
 	for _, pipelined := range []bool{false, true} {
-		a := harness.RunGSTBuild(g, g.N(), d, 1, pipelined, 7)
-		b := harness.RunGSTBuild(g, g.N(), d, 1, pipelined, 7)
+		a := harness.NewGSTPipelinedRun(g, g.N(), d, 1, pipelined).Run(7)
+		b := harness.NewGSTPipelinedRun(g, g.N(), d, 1, pipelined).Run(7)
 		if a != b {
 			t.Fatalf("pipelined=%v nondeterministic:\n%+v\n%+v", pipelined, a, b)
 		}
 	}
-	seq := harness.RunGSTBuild(g, g.N(), d, 1, false, 7)
-	pipe := harness.RunGSTBuild(g, g.N(), d, 1, true, 7)
+	seq := harness.NewGSTPipelinedRun(g, g.N(), d, 1, false).Run(7)
+	pipe := harness.NewGSTPipelinedRun(g, g.N(), d, 1, true).Run(7)
 	if pipe.Budget >= seq.Budget {
 		t.Fatalf("pipelined budget %d not below sequential %d", pipe.Budget, seq.Budget)
 	}

@@ -55,9 +55,9 @@ func FuzzFromStream(f *testing.F) {
 // same (stream, seed) pair.
 func FuzzBuildConnected(f *testing.F) {
 	f.Add(uint8(1), uint64(0), []byte{})
-	f.Add(uint8(50), uint64(7), []byte{})            // all-isolated: n-1 stitch edges
-	f.Add(uint8(10), uint64(3), []byte{0, 1, 2, 3})  // two islands + isolated rest
-	f.Add(uint8(90), uint64(9), []byte{9, 8, 7, 6})  // stitch order vs component order
+	f.Add(uint8(50), uint64(7), []byte{})           // all-isolated: n-1 stitch edges
+	f.Add(uint8(10), uint64(3), []byte{0, 1, 2, 3}) // two islands + isolated rest
+	f.Add(uint8(90), uint64(9), []byte{9, 8, 7, 6}) // stitch order vs component order
 	f.Fuzz(func(t *testing.T, nRaw uint8, seed uint64, data []byte) {
 		n := int(nRaw)%120 + 1
 		s := fuzzStream{n: n, data: data}

@@ -55,18 +55,26 @@ func EpochChannel(ch radio.Channel) ChannelFactory {
 // randomness. One AdaptiveRunner serves many adaptive runs: epoch 0
 // rewinds the carryover, and Reseed switches the base seed.
 type AdaptiveRunner struct {
+	stack      carrier
 	informed   []bool
 	baseSeed   uint64
 	chf        ChannelFactory
 	epochLimit int64 // default per-epoch cap when the policy passes 0
 	elapsed    int64
+	relayout   func(epoch int)
+}
 
-	exec        func(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats)
-	covered     func() int
-	mark        func(dst []bool)
-	setObserver func(o obs.RoundObserver, stride int64)
-	retopo      func(offsets []int32, edges []radio.NodeID)
-	relayout    func(epoch int)
+// carrier is a Stack whose per-node done state the retry layer
+// harvests after every epoch: the next epoch's carryover sources.
+type carrier interface {
+	Stack
+	mark(dst []bool)
+}
+
+// newAdaptive wraps an n-node context in the retry layer. epochLimit
+// caps every epoch (0 = the stack's own budget).
+func newAdaptive(s carrier, n int, chf ChannelFactory, seed uint64, epochLimit int64) *AdaptiveRunner {
+	return &AdaptiveRunner{stack: s, informed: make([]bool, n), baseSeed: seed, chf: chf, epochLimit: epochLimit}
 }
 
 var _ adapt.Runner = (*AdaptiveRunner)(nil)
@@ -84,7 +92,7 @@ func (a *AdaptiveRunner) SetChannelFactory(chf ChannelFactory) { a.chf = chf }
 // radio.Network.SetObserver); the observer spans every epoch of every
 // subsequent adaptive run until replaced or detached with nil.
 func (a *AdaptiveRunner) SetObserver(o obs.RoundObserver, stride int64) {
-	a.setObserver(o, stride)
+	a.stack.SetObserver(o, stride)
 }
 
 // Retopo swaps the wrapped engine's topology in place
@@ -95,10 +103,13 @@ func (a *AdaptiveRunner) SetObserver(o obs.RoundObserver, stride int64) {
 // out of the construction graph, so a swap would silently run a stale
 // schedule. Those panic here instead.
 func (a *AdaptiveRunner) Retopo(offsets []int32, edges []radio.NodeID) {
-	if a.retopo == nil {
+	r, ok := a.stack.(interface {
+		Retopo(offsets []int32, edges []radio.NodeID)
+	})
+	if !ok {
 		panic("harness: this adaptive stack compiles its schedule from the construction graph and cannot Retopo")
 	}
-	a.retopo(offsets, edges)
+	r.Retopo(offsets, edges)
 }
 
 // SetRelayout installs the mobility hook: before every carryover
@@ -133,14 +144,14 @@ func (a *AdaptiveRunner) RunEpoch(epoch int, limit int64) (int64, bool, radio.St
 	if a.chf != nil {
 		ch = a.chf(epoch, a.elapsed)
 	}
-	rounds, done, st := a.exec(carry, ch, seed, limit)
-	a.mark(a.informed)
+	rounds, done, st := a.stack.RunFrom(carry, ch, seed, limit)
+	a.stack.mark(a.informed)
 	a.elapsed += rounds
 	return rounds, done, st
 }
 
 // Covered implements adapt.Runner.
-func (a *AdaptiveRunner) Covered() int { return a.covered() }
+func (a *AdaptiveRunner) Covered() int { return a.stack.Coverage() }
 
 // baselineEpochBudget is the per-epoch round ceiling for the
 // open-ended baseline stacks (Decay, CR, GST-single), which carry no
@@ -156,72 +167,19 @@ func baselineEpochBudget(g *graph.Graph, d int) int64 {
 // NewAdaptiveDecay wraps a Decay broadcast stack in the retry layer,
 // broadcasting from source.
 func NewAdaptiveDecay(g *graph.Graph, chf ChannelFactory, seed uint64, source graph.NodeID) *AdaptiveRunner {
-	r := NewDecayRun(g, source)
-	d := graph.Eccentricity(g, source)
-	return &AdaptiveRunner{
-		informed:    make([]bool, g.N()),
-		baseSeed:    seed,
-		chf:         chf,
-		epochLimit:  baselineEpochBudget(g, d),
-		exec:        r.RunFrom,
-		covered:     r.Coverage,
-		mark:        r.mark,
-		setObserver: r.SetObserver,
-		retopo:      r.Retopo,
-	}
-}
-
-// NewAdaptiveDecayDynamic is NewAdaptiveDecay with an explicit
-// per-epoch round budget instead of the eccentricity-derived default —
-// for dynamic topologies, where the construction graph may be
-// disconnected (its eccentricity undefined) and is swapped between
-// epochs anyway.
-func NewAdaptiveDecayDynamic(g *graph.Graph, chf ChannelFactory, seed uint64, source graph.NodeID, epochLimit int64) *AdaptiveRunner {
-	r := NewDecayRun(g, source)
-	return &AdaptiveRunner{
-		informed:    make([]bool, g.N()),
-		baseSeed:    seed,
-		chf:         chf,
-		epochLimit:  epochLimit,
-		exec:        r.RunFrom,
-		covered:     r.Coverage,
-		mark:        r.mark,
-		setObserver: r.SetObserver,
-		retopo:      r.Retopo,
-	}
+	return newAdaptive(NewDecayRun(g, source), g.N(), chf, seed, baselineEpochBudget(g, graph.Eccentricity(g, source)))
 }
 
 // NewAdaptiveCR wraps the Czumaj–Rytter-shaped stack in the retry
 // layer.
 func NewAdaptiveCR(g *graph.Graph, d int, chf ChannelFactory, seed uint64, source graph.NodeID) *AdaptiveRunner {
-	r := NewCRRun(g, d, source)
-	return &AdaptiveRunner{
-		informed:    make([]bool, g.N()),
-		baseSeed:    seed,
-		chf:         chf,
-		epochLimit:  baselineEpochBudget(g, d),
-		exec:        r.RunFrom,
-		covered:     r.Coverage,
-		mark:        r.mark,
-		setObserver: r.SetObserver,
-	}
+	return newAdaptive(NewCRRun(g, d, source), g.N(), chf, seed, baselineEpochBudget(g, d))
 }
 
 // NewAdaptiveGSTSingle wraps the known-topology single-message stack
 // in the retry layer.
 func NewAdaptiveGSTSingle(g *graph.Graph, noising bool, chf ChannelFactory, seed uint64, source graph.NodeID) *AdaptiveRunner {
-	r := NewGSTSingleRun(g, noising, source)
-	d := graph.Eccentricity(g, source)
-	return &AdaptiveRunner{
-		informed:    make([]bool, g.N()),
-		baseSeed:    seed,
-		chf:         chf,
-		epochLimit:  baselineEpochBudget(g, d),
-		exec:        r.RunFrom,
-		covered:     r.Coverage,
-		mark:        r.mark,
-		setObserver: r.SetObserver,
-	}
+	return newAdaptive(NewGSTSingleRun(g, noising, source), g.N(), chf, seed, baselineEpochBudget(g, graph.Eccentricity(g, source)))
 }
 
 // NewAdaptiveTheorem11 wraps the full Theorem 1.1 pipeline in the
@@ -229,30 +187,12 @@ func NewAdaptiveGSTSingle(g *graph.Graph, noising bool, chf ChannelFactory, seed
 // informed frontier as sources. The per-epoch cap defaults to the
 // compiled schedule budget.
 func NewAdaptiveTheorem11(g *graph.Graph, cfg rings.Config, chf ChannelFactory, seed uint64, source graph.NodeID) *AdaptiveRunner {
-	r := NewTheorem11RunCfg(g, cfg, source)
-	return &AdaptiveRunner{
-		informed:    make([]bool, g.N()),
-		baseSeed:    seed,
-		chf:         chf,
-		exec:        r.RunFrom,
-		covered:     r.Coverage,
-		mark:        r.mark,
-		setObserver: r.SetObserver,
-	}
+	return newAdaptive(NewTheorem11RunCfg(g, cfg, source), g.N(), chf, seed, 0)
 }
 
 // NewAdaptiveTheorem13 wraps the full Theorem 1.3 pipeline in the
 // retry layer: a node that decoded all k messages re-runs as an
 // additional source with the identical payload set.
 func NewAdaptiveTheorem13(g *graph.Graph, cfg rings.Config, chf ChannelFactory, seed uint64, source graph.NodeID) *AdaptiveRunner {
-	r := NewTheorem13RunCfg(g, cfg, source)
-	return &AdaptiveRunner{
-		informed:    make([]bool, g.N()),
-		baseSeed:    seed,
-		chf:         chf,
-		exec:        r.RunFrom,
-		covered:     r.Coverage,
-		mark:        r.mark,
-		setObserver: r.SetObserver,
-	}
+	return newAdaptive(NewTheorem13RunCfg(g, cfg, source), g.N(), chf, seed, 0)
 }

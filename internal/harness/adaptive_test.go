@@ -19,7 +19,7 @@ func TestAdaptiveEpochZeroMatchesOneShot(t *testing.T) {
 	d := graph.Eccentricity(g, 0)
 	cfg := rings.DefaultConfig(g.N(), d, 0, 1)
 
-	want := RunTheorem11OnCfg(g, cfg, nil, 5, 0)
+	want := NewTheorem11RunCfg(g, cfg, 0).Run(nil, 5)
 	a := NewAdaptiveTheorem11(g, cfg, nil, 5, 0)
 	out := adapt.Run(a, adapt.Policy{})
 	if !out.Completed || out.Epochs != 1 {
@@ -30,7 +30,7 @@ func TestAdaptiveEpochZeroMatchesOneShot(t *testing.T) {
 			out.Rounds, out.Stats, want.Rounds, want.Stats)
 	}
 
-	rounds, ok, st := RunDecayOn(g, nil, 5, 1<<20)
+	rounds, ok, st := NewDecayRun(g, 0).Run(nil, 5, 1<<20)
 	ad := NewAdaptiveDecay(g, nil, 5, 0)
 	dout := adapt.Run(ad, adapt.Policy{})
 	if !dout.Completed || dout.Epochs != 1 || dout.Rounds != rounds || dout.Stats != st || !ok {

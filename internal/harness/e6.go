@@ -77,7 +77,7 @@ func E6Plan(seeds int, quick bool) *exp.Plan {
 					Key:  cse.key(mode, uint64(s)),
 					Cost: cost,
 					Run: func(int64) exp.Result {
-						res := RunGSTBuild(cse.g, cse.nBound, d, cse.c, pipelined, uint64(s))
+						res := NewGSTPipelinedRun(cse.g, cse.nBound, d, cse.c, pipelined).Run(uint64(s))
 						r := exp.Result{Rounds: res.Rounds, Completed: res.Done && res.Valid}
 						if res.Valid {
 							r.Value = 1

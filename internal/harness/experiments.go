@@ -108,14 +108,8 @@ func singleCell(id string, g *graph.Graph, d int, proto string, seed uint64, con
 		RoundLimit: broadcastLimit,
 		Cost:       baselineCost(g, d),
 		Run: func(limit int64) exp.Result {
-			switch proto {
-			case "decay":
-				return exp.Rounds(RunDecay(g, seed, limit))
-			case "cr":
-				return exp.Rounds(RunCR(g, d, seed, limit))
-			default: // "gst"
-				return exp.Rounds(RunGSTSingle(g, false, seed, limit))
-			}
+			r, ok, _ := cellStack(proto, g, d, StackOpts{}).RunFrom(nil, nil, seed, limit)
+			return exp.Rounds(r, ok)
 		},
 	}
 }
@@ -150,7 +144,7 @@ func E1Plan(seeds int, quick bool) *exp.Plan {
 			Key:  exp.Key{Experiment: "E1", Config: fmt.Sprintf("chain=%d/th11", chain), Seed: 1},
 			Cost: budgetCost(g.N(), rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds()),
 			Run: func(int64) exp.Result {
-				res := RunTheorem11(g, d, 1, 1)
+				res := NewTheorem11Run(g, d, 1, 0).Run(nil, 1)
 				return exp.Result{Rounds: res.Rounds, Completed: res.Completed, Payload: res}
 			},
 		})

@@ -34,7 +34,8 @@ func E7Plan(seeds int, quick bool) *exp.Plan {
 				RoundLimit: broadcastLimit,
 				Cost:       baselineCost(g, d) + budgetCost(g.N(), int64(k*l)),
 				Run: func(limit int64) exp.Result {
-					return exp.Rounds(RunGSTMulti(g, k, uint64(s), limit))
+					r, ok, _ := NewGSTMultiRun(g, k, 0).Run(nil, uint64(s), limit)
+					return exp.Rounds(r, ok)
 				},
 			})
 		}
@@ -97,7 +98,7 @@ func E8Plan(seeds int, quick bool) *exp.Plan {
 				Key:  exp.Key{Experiment: "E8", Config: fmt.Sprintf("graph=%s/k=%d", c.g.Name(), c.k), Seed: uint64(s)},
 				Cost: budgetCost(c.g.N(), budget),
 				Run: func(int64) exp.Result {
-					r, ok, _ := RunTheorem13(c.g, d, c.k, 1, uint64(s))
+					r, ok, _ := NewTheorem13Run(c.g, d, c.k, 1, 0).Run(nil, uint64(s))
 					return exp.Rounds(r, ok)
 				},
 			})
@@ -233,7 +234,8 @@ func E10Plan(seeds int, quick bool) *exp.Plan {
 					RoundLimit: broadcastLimit,
 					Cost:       cost,
 					Run: func(limit int64) exp.Result {
-						return exp.Rounds(RunGSTSingle(g, noising, uint64(s), limit))
+						r, ok, _ := NewGSTSingleRun(g, noising, 0).Run(nil, uint64(s), limit)
+						return exp.Rounds(r, ok)
 					},
 				})
 			}
@@ -497,7 +499,8 @@ func A2Plan(seeds int, quick bool) *exp.Plan {
 					Cost:       a2Cost * int64(k),
 					Run: func(limit int64) exp.Result {
 						if coded {
-							return exp.Rounds(RunGSTMulti(g, k, uint64(s), limit))
+							r, ok, _ := NewGSTMultiRun(g, k, 0).Run(nil, uint64(s), limit)
+							return exp.Rounds(r, ok)
 						}
 						return exp.Rounds(RunGSTMultiRouting(g, k, uint64(s), limit))
 					},

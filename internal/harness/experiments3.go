@@ -35,6 +35,19 @@ func meanOrDash(xs []float64) float64 {
 // e13Protocols orders the protocol columns of E13.
 var e13Protocols = []string{"decay", "cr", "th11", "th13"}
 
+// tableEntry maps a robustness column label to its protocol-table
+// entry: th11 and th13 label the ring pipelines cd and k-cd, and every
+// other label is the entry's own name.
+func tableEntry(col string) string {
+	switch col {
+	case "th11":
+		return "cd"
+	case "th13":
+		return "k-cd"
+	}
+	return col
+}
+
 // E13Plan sweeps a per-link erasure rate under all four broadcast
 // stacks. Expected shape: Decay and CR retry forever, so they stay
 // complete with a slowdown growing in 1/(1-p)-ish fashion; the fixed
@@ -64,21 +77,9 @@ func E13Plan(seeds int, quick bool) *exp.Plan {
 					RoundLimit: broadcastLimit,
 					Cost:       costs[proto],
 					Run: func(limit int64) exp.Result {
-						ch := lossChannel(loss, seed)
-						switch proto {
-						case "decay":
-							r, ok, st := RunDecayOn(g, ch, seed, limit)
-							return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
-						case "cr":
-							r, ok, st := RunCROn(g, d, ch, seed, limit)
-							return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
-						case "th11":
-							res := RunTheorem11On(g, d, 1, ch, seed)
-							return exp.RoundsOn(res.Rounds, res.Completed, res.Stats.Dropped, res.Stats.Jammed)
-						default: // "th13"
-							r, ok, _, st := RunTheorem13On(g, d, k, 1, ch, seed)
-							return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
-						}
+						s := cellStack(tableEntry(proto), g, d, StackOpts{K: k})
+						r, ok, st := s.RunFrom(nil, lossChannel(loss, seed), seed, limit)
+						return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
 					},
 				})
 			}
@@ -164,12 +165,8 @@ func E14Plan(seeds int, quick bool) *exp.Plan {
 						Cost:       costs[proto] + budget,
 						Run: func(limit int64) exp.Result {
 							ch := jamChannel(budget, variant == "adaptive", seed)
-							if proto == "decay" {
-								r, ok, st := RunDecayOn(g, ch, seed, limit)
-								return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
-							}
-							res := RunTheorem11On(g, d, 1, ch, seed)
-							return exp.RoundsOn(res.Rounds, res.Completed, res.Stats.Dropped, res.Stats.Jammed)
+							r, ok, st := cellStack(tableEntry(proto), g, d, StackOpts{}).RunFrom(nil, ch, seed, limit)
+							return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
 						},
 					})
 				}
@@ -242,35 +239,32 @@ func E15Plan(seeds int, quick bool) *exp.Plan {
 	}
 	g := robustnessChain()
 	d := graph.Eccentricity(g, 0)
-	variants := []string{"decay", "th11miss", "th11spur"}
 	th11Cost := budgetCost(g.N(), rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds())
+	// Each column runs one table entry under q-scaled miss and spurious
+	// rates. Decay gets the same noisy channel; it never reads ⊤, so its
+	// column must match q=0 exactly.
+	variants := []struct {
+		col, entry     string
+		miss, spurious float64
+		cost           int64
+	}{
+		{"decay", "decay", 1, 1, 4 * baselineCost(g, d)},
+		{"th11miss", "cd", 1, 0, th11Cost},
+		{"th11spur", "cd", 0, 1, th11Cost},
+	}
 	p := &exp.Plan{ID: "E15", Title: "Robustness: unreliable collision detection sweep"}
 	for _, q := range qs {
-		for _, variant := range variants {
+		for _, v := range variants {
 			for s := 0; s < seeds; s++ {
-				q, variant, seed := q, variant, uint64(s)
-				cost := th11Cost
-				if variant == "decay" {
-					cost = 4 * baselineCost(g, d)
-				}
+				q, v, seed := q, v, uint64(s)
 				p.Cells = append(p.Cells, exp.Cell{
-					Key:        exp.Key{Experiment: "E15", Config: fmt.Sprintf("q=%g/%s", q, variant), Seed: seed},
+					Key:        exp.Key{Experiment: "E15", Config: fmt.Sprintf("q=%g/%s", q, v.col), Seed: seed},
 					RoundLimit: broadcastLimit,
-					Cost:       cost,
+					Cost:       v.cost,
 					Run: func(limit int64) exp.Result {
-						switch variant {
-						case "decay":
-							// Same noisy channel; Decay never reads ⊤, so this
-							// column must match q=0 exactly.
-							r, ok, st := RunDecayOn(g, cdChannel(q, q, seed), seed, limit)
-							return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
-						case "th11miss":
-							res := RunTheorem11On(g, d, 1, cdChannel(q, 0, seed), seed)
-							return exp.RoundsOn(res.Rounds, res.Completed, res.Stats.Dropped, res.Stats.Jammed)
-						default: // "th11spur"
-							res := RunTheorem11On(g, d, 1, cdChannel(0, q, seed), seed)
-							return exp.RoundsOn(res.Rounds, res.Completed, res.Stats.Dropped, res.Stats.Jammed)
-						}
+						ch := cdChannel(q*v.miss, q*v.spurious, seed)
+						r, ok, st := cellStack(v.entry, g, d, StackOpts{}).RunFrom(nil, ch, seed, limit)
+						return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
 					},
 				})
 			}

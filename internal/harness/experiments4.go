@@ -119,27 +119,11 @@ func E16Plan(seeds int, quick bool) *exp.Plan {
 // table at the given rate, capped at the shared budget. Value is the
 // coverage fraction.
 func e16Cell(g *graph.Graph, d int, proto, variant string, rate float64, seed uint64, limit int64) exp.Result {
-	ch := faultChannel(g.N(), variant, rate, seed)
-	n := float64(g.N())
-	switch proto {
-	case "decay":
-		r := NewDecayRun(g, 0)
-		rounds, ok, st := r.Run(ch, seed, limit)
-		res := exp.RoundsOn(rounds, ok, st.Dropped, st.Jammed)
-		res.Value = float64(r.Coverage()) / n
-		return res
-	case "cr":
-		r := NewCRRun(g, d, 0)
-		rounds, ok, st := r.Run(ch, seed, limit)
-		res := exp.RoundsOn(rounds, ok, st.Dropped, st.Jammed)
-		res.Value = float64(r.Coverage()) / n
-		return res
-	default: // "th11"
-		r := RunTheorem11On(g, d, 1, ch, seed)
-		res := exp.RoundsOn(r.Rounds, r.Completed, r.Stats.Dropped, r.Stats.Jammed)
-		res.Value = float64(r.Covered) / n
-		return res
-	}
+	s := cellStack(tableEntry(proto), g, d, StackOpts{})
+	rounds, ok, st := s.RunFrom(nil, faultChannel(g.N(), variant, rate, seed), seed, limit)
+	res := exp.RoundsOn(rounds, ok, st.Dropped, st.Jammed)
+	res.Value = float64(s.Coverage()) / float64(g.N())
+	return res
 }
 
 // faultChannel returns a fresh per-run fault table; rate 0 is the

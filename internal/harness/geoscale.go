@@ -75,12 +75,11 @@ func e22Graph(workload string, n int, seed uint64) (*graph.Graph, radio.Channel)
 
 // runGeoCell is runScaleCell over a geometric workload: build the
 // layout + disk CSR inside the heap bracket, then hand off to the
-// shared dense protocol-switch body.
+// shared dense cell body.
 func runGeoCell(proto, workload string, n int, seed uint64, workers int, limit int64) (exp.Result, float64) {
 	before := liveHeap()
 	g, ch := e22Graph(workload, n, seed)
-	cfg := radio.Config{Workers: workers, Channel: ch}
-	return runDenseCell(g, proto, seed, cfg, before, limit)
+	return runDenseCell(g, proto, false, seed, ch, workers, before, limit)
 }
 
 // E22Plan is the geometric scale sweep: the dense SoA catalog on

@@ -1,13 +1,10 @@
 package harness
 
 import (
-	"radiocast/internal/bitvec"
 	"radiocast/internal/graph"
 	"radiocast/internal/gst"
 	"radiocast/internal/gstdist"
 	"radiocast/internal/radio"
-	"radiocast/internal/rings"
-	"radiocast/internal/rlnc"
 	"radiocast/internal/rng"
 )
 
@@ -68,9 +65,6 @@ func NewGSTPipelinedRun(g *graph.Graph, nBound, d, c int, pipelined bool) *GSTPi
 	return r
 }
 
-// Config returns the compiled construction schedule.
-func (r *GSTPipelinedRun) Config() gstdist.Config { return r.cfg }
-
 // Run executes one seeded construction: it measures the round at which
 // every node knows its parent, then finishes the fixed schedule and
 // validates the full GST contract.
@@ -100,74 +94,4 @@ func (r *GSTPipelinedRun) Run(seed uint64) GSTBuildResult {
 		Valid:  tree.Validate() == nil,
 		Budget: budget,
 	}
-}
-
-// RunGSTBuild is the one-shot E6 runner (construct, run once,
-// discard) — what experiment cells use, since cells must share no
-// mutable state across workers.
-func RunGSTBuild(g *graph.Graph, nBound, d, c int, pipelined bool, seed uint64) GSTBuildResult {
-	return NewGSTPipelinedRun(g, nBound, d, c, pipelined).Run(seed)
-}
-
-// ---------------------------------------------------------------------
-// Config-parameterized theorem runners: the facade and E6 build a
-// rings.Config (optionally pipelined via rings.Config.SetPipelined)
-// and run the standard stacks on it.
-
-// NewTheorem11RunCfg builds the reusable Theorem 1.1 stack on an
-// explicit ring configuration, broadcasting from source.
-func NewTheorem11RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *Theorem11Run {
-	n := g.N()
-	r := &Theorem11Run{
-		cfg:    cfg,
-		nw:     radio.New(g, radio.Config{CollisionDetection: true}),
-		protos: make([]*rings.Protocol, n),
-		src:    source,
-	}
-	for v := 0; v < n; v++ {
-		r.protos[v] = rings.New(cfg, graph.NodeID(v), graph.NodeID(v) == source, nil, rng.New())
-		r.protos[v].SingleContent().DoneSet = &r.ds
-	}
-	return r
-}
-
-// RunTheorem11OnCfg executes the Theorem 1.1 pipeline on an explicit
-// ring configuration over an adversarial channel (nil = ideal),
-// broadcasting from source.
-func RunTheorem11OnCfg(g *graph.Graph, cfg rings.Config, ch radio.Channel, seed uint64, source graph.NodeID) Theorem11Result {
-	return NewTheorem11RunCfg(g, cfg, source).Run(ch, seed)
-}
-
-// NewTheorem13RunCfg builds the reusable Theorem 1.3 stack on an
-// explicit ring configuration (cfg.K must be positive), with source
-// holding the k messages.
-func NewTheorem13RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *Theorem13Run {
-	n := g.N()
-	r := &Theorem13Run{
-		cfg:    cfg,
-		nw:     radio.New(g, radio.Config{CollisionDetection: true}),
-		protos: make([]*rings.Protocol, n),
-		msgRng: rng.New(),
-		msgs:   make([]rlnc.Message, cfg.K),
-		src:    source,
-	}
-	for i := range r.msgs {
-		r.msgs[i] = bitvec.New(cfg.PayloadBits)
-	}
-	for v := 0; v < n; v++ {
-		var m []rlnc.Message
-		if graph.NodeID(v) == source {
-			m = r.msgs
-		}
-		r.protos[v] = rings.New(cfg, graph.NodeID(v), graph.NodeID(v) == source, m, rng.New())
-		r.protos[v].Store().SetOnAllDecodable(r.ds.Tick)
-	}
-	return r
-}
-
-// RunTheorem13OnCfg executes the Theorem 1.3 pipeline on an explicit
-// ring configuration over an adversarial channel (nil = ideal), with
-// source holding the k messages.
-func RunTheorem13OnCfg(g *graph.Graph, cfg rings.Config, ch radio.Channel, seed uint64, source graph.NodeID) (rounds int64, completed bool, st radio.Stats) {
-	return NewTheorem13RunCfg(g, cfg, source).Run(ch, seed)
 }

@@ -88,9 +88,9 @@ func TestE1CrossoverShape(t *testing.T) {
 	// Decay and CR baselines.
 	g := graph.ClusterChain(32, 8)
 	d := graph.Eccentricity(g, 0)
-	decayR, ok1 := RunDecay(g, 1, 1<<22)
-	crR, ok2 := RunCR(g, d, 1, 1<<22)
-	gstR, ok3 := RunGSTSingle(g, false, 1, 1<<22)
+	decayR, ok1, _ := NewDecayRun(g, 0).Run(nil, 1, 1<<22)
+	crR, ok2, _ := NewCRRun(g, d, 0).Run(nil, 1, 1<<22)
+	gstR, ok3, _ := NewGSTSingleRun(g, false, 0).Run(nil, 1, 1<<22)
 	if !ok1 || !ok2 || !ok3 {
 		t.Fatal("some protocol incomplete")
 	}
@@ -102,7 +102,7 @@ func TestE1CrossoverShape(t *testing.T) {
 
 func TestRunnersVerifyPayloads(t *testing.T) {
 	g := graph.Grid(5, 5)
-	if _, ok := RunGSTMulti(g, 6, 3, 1<<20); !ok {
+	if _, ok, _ := NewGSTMultiRun(g, 6, 0).Run(nil, 3, 1<<20); !ok {
 		t.Fatal("Theorem 1.2 runner failed")
 	}
 	if _, ok := RunGSTMultiRouting(g, 4, 3, 1<<20); !ok {
@@ -113,7 +113,7 @@ func TestRunnersVerifyPayloads(t *testing.T) {
 func TestTheorem11RunnerDecomposition(t *testing.T) {
 	g := graph.ClusterChain(4, 4)
 	d := graph.Eccentricity(g, 0)
-	res := RunTheorem11(g, d, 1, 2)
+	res := NewTheorem11Run(g, d, 1, 0).Run(nil, 2)
 	if !res.Completed {
 		t.Fatal("Theorem 1.1 incomplete")
 	}

@@ -1,0 +1,264 @@
+package harness
+
+// The protocol table: the paper's six single-engine stacks and the four
+// dense ports, each named, described and built in exactly one place.
+// radiocastd validates and dispatches job specs through it, radiosim
+// reads its capabilities, and the scale sweeps build their dense cells
+// from it.
+
+import (
+	"fmt"
+	"math"
+
+	"radiocast/internal/beep"
+	"radiocast/internal/cr"
+	"radiocast/internal/decay"
+	"radiocast/internal/graph"
+	"radiocast/internal/gst"
+	"radiocast/internal/mmv"
+	"radiocast/internal/obs"
+	"radiocast/internal/radio"
+	"radiocast/internal/rings"
+)
+
+// Stack is the one runner shape of every protocol context.
+type Stack interface {
+	// RunFrom executes one seeded run over ch (nil = ideal). informed
+	// non-nil is an adaptive carryover epoch (see DecayRun.RunFrom);
+	// only adaptive-capable stacks accept it. limit <= 0 runs to the
+	// stack's own budget: the compiled schedule of a ring pipeline, the
+	// wave's horizon, OpenLimit for the open-ended stacks.
+	RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats)
+	// Coverage returns how many nodes were done when the last run
+	// stopped (== n on completed runs).
+	Coverage() int
+	// SetObserver attaches o at the given round stride for every
+	// subsequent run; nil detaches.
+	SetObserver(o obs.RoundObserver, stride int64)
+}
+
+// StackOpts are the build parameters a table entry may read.
+type StackOpts struct {
+	// K is the message count of the k-message stacks (< 1 means 1).
+	K int
+	// Noise turns on the MMV jamming adversary of the GST stacks: every
+	// uninformed member jams its slow slots (Lemma 3.3's regime).
+	Noise bool
+	// LossyHorizon stretches the wave's horizon from the source
+	// eccentricity to 4·ecc+64, room for a lossy channel.
+	LossyHorizon bool
+	// EpochLimit overrides an adaptive runner's per-epoch round budget
+	// (0 = the entry's default; see Protocol.NewAdaptive).
+	EpochLimit int64
+}
+
+// Protocol is one row of the protocol table.
+type Protocol struct {
+	Name string
+	// Dense stacks run on the SoA engine (radio.Dense); their contexts
+	// take a worker count per run (SetWorkers).
+	Dense bool
+	// TakesK stacks broadcast StackOpts.K messages.
+	TakesK bool
+	// Adaptive stacks accept carryover epochs, so NewAdaptive can wrap
+	// them in the retry layer.
+	Adaptive bool
+	// RetopoSafe stacks depend on nothing but n, so the mobility layer
+	// may swap their topology between epochs (AdaptiveRunner.Retopo).
+	RetopoSafe bool
+	// Rings marks the unknown-topology ring pipelines (Theorems 1.1 and
+	// 1.3): their runs are capped by a compiled schedule budget and
+	// their GSTs are built distributedly, so boundary pipelining
+	// applies to them.
+	Rings bool
+
+	build func(b *builder) Stack
+}
+
+// builder carries one build's inputs. ecc memoizes the source
+// eccentricity BFS, so an entry and its adaptive epoch budget run it
+// at most once, and entries that need no eccentricity never do.
+type builder struct {
+	StackOpts
+	g   *graph.Graph
+	src graph.NodeID
+	d   int
+}
+
+func (b *builder) ecc() int {
+	if b.d < 0 {
+		b.d = graph.Eccentricity(b.g, b.src)
+	}
+	return b.d
+}
+
+func (b *builder) k() int { return max(b.K, 1) }
+
+// Protocols is the ordered protocol table.
+var Protocols = []Protocol{
+	{Name: "decay", Adaptive: true, RetopoSafe: true, build: func(b *builder) Stack {
+		return NewDecayRun(b.g, b.src)
+	}},
+	{Name: "cr", Adaptive: true, build: func(b *builder) Stack {
+		return NewCRRun(b.g, b.ecc(), b.src)
+	}},
+	{Name: "gst", Adaptive: true, build: func(b *builder) Stack {
+		return NewGSTSingleRun(b.g, b.Noise, b.src)
+	}},
+	{Name: "k-known", TakesK: true, build: func(b *builder) Stack {
+		return NewGSTMultiRun(b.g, b.k(), b.src)
+	}},
+	{Name: "cd", Adaptive: true, Rings: true, build: func(b *builder) Stack {
+		return NewTheorem11RunCfg(b.g, rings.DefaultConfig(b.g.N(), b.ecc(), 0, 1), b.src)
+	}},
+	{Name: "k-cd", TakesK: true, Adaptive: true, Rings: true, build: func(b *builder) Stack {
+		return NewTheorem13RunCfg(b.g, rings.DefaultConfig(b.g.N(), b.ecc(), b.k(), 1), b.src)
+	}},
+	{Name: "dense-decay", Dense: true, build: func(b *builder) Stack {
+		return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseRun {
+			p := decay.NewDense(b.g, seed, b.src)
+			return denseRun{p, p.Done, p.InformedCount}
+		}}
+	}},
+	{Name: "dense-cr", Dense: true, build: func(b *builder) Stack {
+		params := cr.NewParams(b.g.N(), b.ecc())
+		return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseRun {
+			p := cr.NewDense(b.g, params, seed, b.src)
+			return denseRun{p, p.Done, p.InformedCount}
+		}}
+	}},
+	{Name: "dense-wave", Dense: true, build: func(b *builder) Stack {
+		// The wave is over at its horizon by construction; collision
+		// detection is its correctness assumption, so it is forced on.
+		horizon := int64(b.ecc())
+		if b.LossyHorizon {
+			horizon = 4*horizon + 64
+		}
+		return &denseStack{g: b.g, cd: true, horizon: horizon, newRun: func(uint64) denseRun {
+			w := beep.NewDenseWave(b.g, b.src, horizon)
+			return denseRun{w, w.Done, w.TriggeredCount}
+		}}
+	}},
+	{Name: "dense-gst", Dense: true, build: func(b *builder) Stack {
+		// Tree construction is the expensive step, so the flat arrays and
+		// the MMV schedule are built once per context: the
+		// build-once/broadcast-many split of the paper's amortized regime.
+		flat := gst.Flatten(gst.Construct(b.g, b.src))
+		sched := mmv.NewSchedule(b.g.N())
+		return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseRun {
+			p := mmv.NewDense(b.g, flat, sched, seed, b.src, b.Noise)
+			return denseRun{p, p.Done, p.InformedCount}
+		}}
+	}},
+}
+
+// LookupProtocol returns the table entry named name.
+func LookupProtocol(name string) (*Protocol, bool) {
+	for i := range Protocols {
+		if Protocols[i].Name == name {
+			return &Protocols[i], true
+		}
+	}
+	return nil, false
+}
+
+// ProtocolNames lists the names of the entries keep accepts, in table
+// order (nil keep = every entry).
+func ProtocolNames(keep func(p *Protocol) bool) []string {
+	var names []string
+	for i := range Protocols {
+		if keep == nil || keep(&Protocols[i]) {
+			names = append(names, Protocols[i].Name)
+		}
+	}
+	return names
+}
+
+// cellStack builds the named entry over g from node 0 for an
+// experiment cell, which already knows the source eccentricity d.
+func cellStack(name string, g *graph.Graph, d int, o StackOpts) Stack {
+	p, ok := LookupProtocol(name)
+	if !ok {
+		panic(fmt.Sprintf("harness: no protocol %q in the table", name))
+	}
+	return p.build(&builder{StackOpts: o, g: g, d: d})
+}
+
+// Build constructs p's reusable context over g, broadcasting from src.
+func (p *Protocol) Build(g *graph.Graph, src graph.NodeID, o StackOpts) Stack {
+	return p.build(&builder{StackOpts: o, g: g, src: src, d: -1})
+}
+
+// NewAdaptive builds p's context and wraps it in the retry layer with
+// base seed seed and channel factory chf. The per-epoch budget is
+// o.EpochLimit when positive, the compiled schedule for a ring
+// pipeline, and baselineEpochBudget otherwise. It panics for an entry
+// that is not Adaptive.
+func (p *Protocol) NewAdaptive(g *graph.Graph, src graph.NodeID, o StackOpts, chf ChannelFactory, seed uint64) *AdaptiveRunner {
+	if !p.Adaptive {
+		panic(fmt.Sprintf("harness: %s does not support adaptive retry", p.Name))
+	}
+	b := &builder{StackOpts: o, g: g, src: src, d: -1}
+	s := p.build(b).(carrier)
+	limit := o.EpochLimit
+	if limit <= 0 && !p.Rings {
+		limit = baselineEpochBudget(g, b.ecc())
+	}
+	return newAdaptive(s, g.N(), chf, seed, limit)
+}
+
+// denseRun is one run's SoA protocol with its completion predicate and
+// coverage counter.
+type denseRun struct {
+	proto   radio.DenseProtocol
+	done    func() bool
+	covered func() int
+}
+
+// denseStack is the context of the dense entries. The per-graph prep
+// (eccentricity, flat GST and MMV schedule) runs once at build; every
+// run builds its SoA protocol and engine afresh (dense protocols own
+// all node state, so a fresh build is their reset), with the worker
+// count set per run.
+type denseStack struct {
+	g       *graph.Graph
+	cd      bool  // collision detection (the wave's correctness assumption)
+	horizon int64 // caps every run's limit (the wave's horizon, else MaxInt64)
+	newRun  func(seed uint64) denseRun
+	workers int
+	obs     obs.RoundObserver
+	stride  int64
+	covered int
+	// afterRun, when set, is called while the finished run's engine and
+	// protocol state are still live: the scale cells' heap bracket.
+	afterRun func()
+}
+
+// SetWorkers sets the engine's worker count (radio.Config.Workers) for
+// every subsequent run; results are byte-identical at any setting.
+func (s *denseStack) SetWorkers(w int) { s.workers = w }
+
+// RunFrom implements Stack. The dense stacks have no carryover epochs,
+// so informed must be nil.
+func (s *denseStack) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
+	if informed != nil {
+		panic("harness: the dense stacks have no carryover epochs")
+	}
+	radio.ResetChannel(ch)
+	r := s.newRun(seed)
+	eng := radio.NewDense(s.g, radio.Config{CollisionDetection: s.cd, Channel: ch, Workers: s.workers,
+		Observer: s.obs, ObserverStride: s.stride}, r.proto)
+	defer eng.Close()
+	rounds, ok := eng.RunUntil(min(openLimit(limit), s.horizon), r.done)
+	s.covered = r.covered()
+	if s.afterRun != nil {
+		s.afterRun()
+	}
+	return rounds, ok, eng.Stats()
+}
+
+// Coverage implements Stack.
+func (s *denseStack) Coverage() int { return s.covered }
+
+// SetObserver implements Stack.
+func (s *denseStack) SetObserver(o obs.RoundObserver, stride int64) { s.obs, s.stride = o, stride }

@@ -1,0 +1,55 @@
+package harness
+
+import (
+	"testing"
+
+	"radiocast/internal/graph"
+	"radiocast/internal/radio"
+)
+
+// TestProtocolTableCapabilities checks that every entry's declared
+// capabilities match what its built context can do: Dense contexts
+// take a worker count, RetopoSafe contexts can swap topology, and
+// Adaptive entries build an adaptive runner whose epoch 0 equals the
+// plain context's run with the same seed.
+func TestProtocolTableCapabilities(t *testing.T) {
+	g := graph.ClusterChain(3, 4)
+	seen := map[string]bool{}
+	for i := range Protocols {
+		p := &Protocols[i]
+		if seen[p.Name] {
+			t.Fatalf("duplicate table entry %q", p.Name)
+		}
+		seen[p.Name] = true
+		if q, ok := LookupProtocol(p.Name); !ok || q != p {
+			t.Fatalf("LookupProtocol(%q) does not return its entry", p.Name)
+		}
+		s := p.Build(g, 0, StackOpts{K: 2})
+		_, workers := s.(interface{ SetWorkers(int) })
+		if workers != p.Dense {
+			t.Errorf("%s: Dense=%v but SetWorkers present=%v", p.Name, p.Dense, workers)
+		}
+		_, retopo := s.(interface {
+			Retopo(offsets []int32, edges []radio.NodeID)
+		})
+		if retopo != p.RetopoSafe {
+			t.Errorf("%s: RetopoSafe=%v but Retopo present=%v", p.Name, p.RetopoSafe, retopo)
+		}
+		rounds, ok, st := s.RunFrom(nil, nil, 3, 0)
+		if !ok || s.Coverage() != g.N() {
+			t.Errorf("%s: ideal run incomplete (rounds %d, coverage %d/%d)", p.Name, rounds, s.Coverage(), g.N())
+		}
+		if !p.Adaptive {
+			continue
+		}
+		a := p.NewAdaptive(g, 0, StackOpts{K: 2}, nil, 3)
+		ar, aok, ast := a.RunEpoch(0, 0)
+		if ar != rounds || aok != ok || ast != st {
+			t.Errorf("%s: adaptive epoch 0 (%d,%v,%+v) differs from the plain run (%d,%v,%+v)",
+				p.Name, ar, aok, ast, rounds, ok, st)
+		}
+	}
+	if _, ok := LookupProtocol("gossip"); ok {
+		t.Fatal("LookupProtocol accepted an unknown name")
+	}
+}

@@ -23,7 +23,7 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("decay", func(t *testing.T) {
 		run := NewDecayRun(g, 0)
 		for _, s := range seeds {
-			fr, fok, fst := RunDecayOn(g, nil, s, limit)
+			fr, fok, fst := NewDecayRun(g, 0).Run(nil, s, limit)
 			rr, rok, rst := run.Run(nil, s, limit)
 			if fr != rr || fok != rok || fst != rst {
 				t.Fatalf("seed %d: fresh (%d,%v,%+v) vs reused (%d,%v,%+v)", s, fr, fok, fst, rr, rok, rst)
@@ -33,7 +33,7 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("decay-lossy", func(t *testing.T) {
 		run := NewDecayRun(g, 0)
 		for _, s := range seeds {
-			fr, fok, fst := RunDecayOn(g, channel.NewErasure(0.2, rng.Mix(s, 1)), s, limit)
+			fr, fok, fst := NewDecayRun(g, 0).Run(channel.NewErasure(0.2, rng.Mix(s, 1)), s, limit)
 			rr, rok, rst := run.Run(channel.NewErasure(0.2, rng.Mix(s, 1)), s, limit)
 			if fr != rr || fok != rok || fst != rst {
 				t.Fatalf("seed %d: fresh (%d,%v,%+v) vs reused (%d,%v,%+v)", s, fr, fok, fst, rr, rok, rst)
@@ -43,7 +43,7 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("cr", func(t *testing.T) {
 		run := NewCRRun(g, d, 0)
 		for _, s := range seeds {
-			fr, fok, _ := RunCROn(g, d, nil, s, limit)
+			fr, fok, _ := NewCRRun(g, d, 0).Run(nil, s, limit)
 			rr, rok, _ := run.Run(nil, s, limit)
 			if fr != rr || fok != rok {
 				t.Fatalf("seed %d: fresh (%d,%v) vs reused (%d,%v)", s, fr, fok, rr, rok)
@@ -53,7 +53,7 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("gst-single", func(t *testing.T) {
 		run := NewGSTSingleRun(g, false, 0)
 		for _, s := range seeds {
-			fr, fok, _ := RunGSTSingleOn(g, false, nil, s, limit)
+			fr, fok, _ := NewGSTSingleRun(g, false, 0).Run(nil, s, limit)
 			rr, rok, _ := run.Run(nil, s, limit)
 			if fr != rr || fok != rok {
 				t.Fatalf("seed %d: fresh (%d,%v) vs reused (%d,%v)", s, fr, fok, rr, rok)
@@ -63,7 +63,7 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("gst-multi", func(t *testing.T) {
 		run := NewGSTMultiRun(g, 4, 0)
 		for _, s := range seeds {
-			fr, fok, _ := RunGSTMultiOn(g, 4, nil, s, limit)
+			fr, fok, _ := NewGSTMultiRun(g, 4, 0).Run(nil, s, limit)
 			rr, rok, _ := run.Run(nil, s, limit)
 			if fr != rr || fok != rok {
 				t.Fatalf("seed %d: fresh (%d,%v) vs reused (%d,%v)", s, fr, fok, rr, rok)
@@ -73,7 +73,7 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("theorem11", func(t *testing.T) {
 		run := NewTheorem11Run(g, d, 1, 0)
 		for _, s := range seeds {
-			fresh := RunTheorem11(g, d, 1, s)
+			fresh := NewTheorem11Run(g, d, 1, 0).Run(nil, s)
 			reused := run.Run(nil, s)
 			if fresh != reused {
 				t.Fatalf("seed %d:\nfresh  %+v\nreused %+v", s, fresh, reused)
@@ -87,7 +87,7 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 		for _, pipelined := range []bool{false, true} {
 			run := NewGSTPipelinedRun(g, g.N(), d, 1, pipelined)
 			for _, s := range seeds {
-				fresh := RunGSTBuild(g, g.N(), d, 1, pipelined, s)
+				fresh := NewGSTPipelinedRun(g, g.N(), d, 1, pipelined).Run(s)
 				reused := run.Run(s)
 				if fresh != reused {
 					t.Fatalf("pipelined=%v seed %d:\nfresh  %+v\nreused %+v", pipelined, s, fresh, reused)
@@ -100,7 +100,7 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 		// reuse identically too.
 		run := NewGSTPipelinedRun(g, 1<<10, d, 1, true)
 		for _, s := range seeds[:2] {
-			fresh := RunGSTBuild(g, 1<<10, d, 1, true, s)
+			fresh := NewGSTPipelinedRun(g, 1<<10, d, 1, true).Run(s)
 			reused := run.Run(s)
 			if fresh != reused {
 				t.Fatalf("seed %d:\nfresh  %+v\nreused %+v", s, fresh, reused)
@@ -119,7 +119,7 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 		}
 		run := NewTheorem11RunCfg(g, cfg, 0)
 		for _, s := range seeds {
-			fresh := RunTheorem11OnCfg(g, cfg, nil, s, 0)
+			fresh := NewTheorem11RunCfg(g, cfg, 0).Run(nil, s)
 			reused := run.Run(nil, s)
 			if fresh != reused {
 				t.Fatalf("seed %d:\nfresh  %+v\nreused %+v", s, fresh, reused)
@@ -129,7 +129,7 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("theorem13", func(t *testing.T) {
 		run := NewTheorem13Run(g, d, 4, 1, 0)
 		for _, s := range seeds {
-			fr, fok, _, fst := RunTheorem13On(g, d, 4, 1, nil, s)
+			fr, fok, fst := NewTheorem13Run(g, d, 4, 1, 0).Run(nil, s)
 			rr, rok, rst := run.Run(nil, s)
 			if fr != rr || fok != rok || fst != rst {
 				t.Fatalf("seed %d: fresh (%d,%v,%+v) vs reused (%d,%v,%+v)", s, fr, fok, fst, rr, rok, rst)

@@ -1,20 +1,28 @@
-// Package harness defines every reproduction experiment (E1..E16, plus
+// Package harness defines every reproduction experiment (E1..E23, plus
 // the ablations A1..A3 of DESIGN.md) as a reusable runner producing a
 // stats.Table. The same runners back `go test -bench`, cmd/radiobench,
 // and the examples, so every number in EXPERIMENTS.md can be
 // regenerated three ways.
 //
-// Every protocol stack has two entry points:
+// Every protocol stack is a reusable context with one runner shape,
+// Stack: RunFrom(informed, ch, seed, limit) executes one seeded run,
+// Coverage reports how many nodes were done when it stopped, and
+// SetObserver attaches the engine's round observer. A context is built
+// once per graph (NewDecayRun, NewTheorem13Run, ...) and runs any
+// number of seeds with zero per-seed construction: radio.Network.Reset
+// rewinds the engine, every protocol Reset rewinds in place, and
+// rng.Reseed rewinds the held RNG streams. A context-run is
+// bit-identical to a fresh context's run with the same seed — same RNG
+// streams, same draws, same rounds — so a one-shot run is just
+// New*Run(...).Run(...). informed != nil is the adaptive layer's
+// carryover epoch (AdaptiveRunner); the dense contexts build their SoA
+// protocol and engine per run instead.
 //
-//   - the one-shot Run* functions (construct, run once, discard) —
-//     what experiment cells use, since cells must share no mutable
-//     state across workers;
-//   - a reusable *Run context (NewDecayRun, NewTheorem13Run, ...) that
-//     executes N seeds on one configuration with zero per-seed
-//     construction: radio.Network.Reset rewinds the engine, every
-//     protocol Reset rewinds in place, and rng.Reseed rewinds the held
-//     RNG streams. A context-run is bit-identical to a fresh run with
-//     the same seed — same RNG streams, same draws, same rounds.
+// Protocols lists the stacks a service or CLI can name, in one ordered
+// table: each entry carries its capabilities (dense engine, takes k,
+// adaptive-capable, retopo-safe, ring pipeline) and builds its context.
+// Validation, help text and dispatch read the table, so a protocol is
+// named and constructed in one place.
 //
 // Completion predicates are O(1): each protocol/content layer ticks a
 // radio.DoneSet exactly once on first completion, replacing the
@@ -43,11 +51,22 @@ import (
 // package so every protocol layer can hold one without import cycles).
 type DoneSet = radio.DoneSet
 
+// OpenLimit is the round cap of the open-ended stacks (Decay, CR, the
+// GST broadcasts and the dense catalog) when a run passes limit <= 0.
+const OpenLimit = 1 << 24
+
+func openLimit(limit int64) int64 {
+	if limit <= 0 {
+		return OpenLimit
+	}
+	return limit
+}
+
 // epochSource resolves node v's source flag for a run with carryover:
 // a fresh run (informed == nil) broadcasts from the configured source
 // node; a re-layering epoch broadcasts from every informed radio. All
-// five RunFrom implementations share this so carryover semantics
-// cannot drift between stacks.
+// RunFrom implementations share this so carryover semantics cannot
+// drift between stacks.
 func epochSource(informed []bool, v int, source graph.NodeID) bool {
 	if informed == nil {
 		return graph.NodeID(v) == source
@@ -71,6 +90,56 @@ func initDone(ds *DoneSet, n int, done func(v int) bool) {
 	}
 }
 
+// sparseStack is what every per-node (radio.Network) context shares:
+// the engine, the source node, and the O(1) completion counter.
+type sparseStack struct {
+	nw  *radio.Network
+	src graph.NodeID
+	ds  DoneSet
+	// node is the concrete stack: its per-node completion predicate
+	// seeds the counter and harvests the adaptive carryover.
+	node interface{ nodeDone(v int) bool }
+}
+
+// begin rewinds the engine for one run over ch (nil = ideal). A fresh
+// run (informed == nil) also rewinds the channel's per-run state via
+// radio.ResetChannel, so one channel instance may serve many seeds;
+// carryover epochs deliberately keep it (an adversary's budget spans
+// the whole retried broadcast).
+func (s *sparseStack) begin(informed []bool, ch radio.Channel) {
+	if informed == nil {
+		radio.ResetChannel(ch)
+	}
+	s.nw.Reset()
+	s.nw.SetChannel(ch)
+}
+
+// finish seeds the completion counter from the installed protocols and
+// runs until every node is done or limit rounds elapse.
+func (s *sparseStack) finish(limit int64) (int64, bool, radio.Stats) {
+	initDone(&s.ds, s.nw.Graph().N(), s.node.nodeDone)
+	rounds, ok := s.nw.RunUntil(limit, s.ds.Done)
+	return rounds, ok, s.nw.Stats()
+}
+
+// mark records each node's done state into dst (the adaptive
+// carryover harvest).
+func (s *sparseStack) mark(dst []bool) {
+	for v := range dst {
+		dst[v] = s.node.nodeDone(v)
+	}
+}
+
+// Coverage returns how many nodes were done (held the message, or
+// could decode every message) when the last run stopped (== n on
+// completed runs).
+func (s *sparseStack) Coverage() int { return s.ds.Count() }
+
+// SetObserver attaches o at the given round stride (see
+// radio.Config.ObserverStride); nil detaches. Observers survive the
+// engine's Reset, so one call covers every subsequent seed.
+func (s *sparseStack) SetObserver(o obs.RoundObserver, stride int64) { s.nw.SetObserver(o, stride) }
+
 // ---------------------------------------------------------------------
 // Decay (BGI baseline).
 
@@ -78,16 +147,15 @@ func initDone(ds *DoneSet, n int, done func(v int) bool) {
 // construct once, run any number of seeds with zero per-seed
 // construction.
 type DecayRun struct {
-	nw     *radio.Network
+	sparseStack
 	protos []*decay.Broadcast
-	src    graph.NodeID
-	ds     DoneSet
 }
 
 // NewDecayRun builds the reusable stack broadcasting from source.
 func NewDecayRun(g *graph.Graph, source graph.NodeID) *DecayRun {
 	n := g.N()
-	r := &DecayRun{nw: radio.New(g, radio.Config{}), protos: make([]*decay.Broadcast, n), src: source}
+	r := &DecayRun{sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source}, protos: make([]*decay.Broadcast, n)}
+	r.node = r
 	for v := 0; v < n; v++ {
 		r.protos[v] = decay.NewBroadcast(n, graph.NodeID(v) == source, decay.Message{Data: 1}, rng.New())
 		r.protos[v].DoneSet = &r.ds
@@ -95,9 +163,11 @@ func NewDecayRun(g *graph.Graph, source graph.NodeID) *DecayRun {
 	return r
 }
 
+func (r *DecayRun) nodeDone(v int) bool { return r.protos[v].Has() }
+
 // Run executes one seeded run over ch (nil = ideal; stateful channels
 // are rewound via radio.ResetChannel, so one instance may serve many
-// seeds).
+// seeds). limit <= 0 means OpenLimit.
 func (r *DecayRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
 	return r.RunFrom(nil, ch, seed, limit)
 }
@@ -106,33 +176,15 @@ func (r *DecayRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bool,
 // node v starts holding the message iff informed[v] — the adaptive
 // retry layer's re-layering epoch, where every radio informed by
 // earlier epochs broadcasts as an additional source. informed == nil
-// is a fresh run (broadcasting from the constructor's source) and
-// rewinds the channel's per-run
-// state; carryover epochs deliberately keep it (an adversary's budget
-// spans the whole retried broadcast).
+// is a fresh run broadcasting from the constructor's source.
 func (r *DecayRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	if informed == nil {
-		radio.ResetChannel(ch)
-	}
-	r.nw.Reset()
-	r.nw.SetChannel(ch)
+	r.begin(informed, ch)
 	for v, p := range r.protos {
-		src := epochSource(informed, v, r.src)
-		p.Reset(src, decay.Message{Data: 1})
+		p.Reset(epochSource(informed, v, r.src), decay.Message{Data: 1})
 		rng.Reseed(p.Rng(), seed, 0xd0, uint64(v))
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
-	initDone(&r.ds, len(r.protos), func(v int) bool { return r.protos[v].Has() })
-	rounds, ok := r.nw.RunUntil(limit, r.ds.Done)
-	return rounds, ok, r.nw.Stats()
-}
-
-// mark records each node's informed state into dst (the adaptive
-// carryover harvest).
-func (r *DecayRun) mark(dst []bool) {
-	for v, p := range r.protos {
-		dst[v] = p.Has()
-	}
+	return r.finish(openLimit(limit))
 }
 
 // Retopo swaps the engine's topology in place (radio.Network.Retopo);
@@ -142,32 +194,13 @@ func (r *DecayRun) Retopo(offsets []int32, edges []radio.NodeID) {
 	r.nw.Retopo(offsets, edges)
 }
 
-// Coverage returns how many nodes held the message when the last run
-// stopped (== n on completed runs).
-func (r *DecayRun) Coverage() int { return r.ds.Count() }
-
-// RunDecay measures the classic Decay broadcast (BGI baseline) from
-// node 0. Returns rounds and completion.
-func RunDecay(g *graph.Graph, seed uint64, limit int64) (int64, bool) {
-	rounds, ok, _ := RunDecayOn(g, nil, seed, limit)
-	return rounds, ok
-}
-
-// RunDecayOn is RunDecay over an adversarial channel (nil = ideal),
-// additionally returning the engine counters.
-func RunDecayOn(g *graph.Graph, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	return NewDecayRun(g, 0).Run(ch, seed, limit)
-}
-
 // ---------------------------------------------------------------------
 // CR (Czumaj–Rytter-shaped baseline).
 
 // CRRun is the reusable Czumaj–Rytter-shaped harness.
 type CRRun struct {
-	nw     *radio.Network
+	sparseStack
 	protos []*cr.Broadcast
-	src    graph.NodeID
-	ds     DoneSet
 }
 
 // NewCRRun builds the reusable stack for diameter bound d,
@@ -175,7 +208,8 @@ type CRRun struct {
 func NewCRRun(g *graph.Graph, d int, source graph.NodeID) *CRRun {
 	n := g.N()
 	p := cr.NewParams(n, d)
-	r := &CRRun{nw: radio.New(g, radio.Config{}), protos: make([]*cr.Broadcast, n), src: source}
+	r := &CRRun{sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source}, protos: make([]*cr.Broadcast, n)}
+	r.node = r
 	for v := 0; v < n; v++ {
 		r.protos[v] = cr.NewBroadcast(p, graph.NodeID(v) == source, decay.Message{Data: 1}, rng.New())
 		r.protos[v].DoneSet = &r.ds
@@ -183,49 +217,23 @@ func NewCRRun(g *graph.Graph, d int, source graph.NodeID) *CRRun {
 	return r
 }
 
-// Run executes one seeded run over ch (nil = ideal).
+func (r *CRRun) nodeDone(v int) bool { return r.protos[v].Has() }
+
+// Run executes one seeded run over ch (nil = ideal); limit <= 0 means
+// OpenLimit.
 func (r *CRRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
 	return r.RunFrom(nil, ch, seed, limit)
 }
 
 // RunFrom is Run with per-node carryover (see DecayRun.RunFrom).
 func (r *CRRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	if informed == nil {
-		radio.ResetChannel(ch)
-	}
-	r.nw.Reset()
-	r.nw.SetChannel(ch)
+	r.begin(informed, ch)
 	for v, p := range r.protos {
-		src := epochSource(informed, v, r.src)
-		p.Reset(src, decay.Message{Data: 1})
+		p.Reset(epochSource(informed, v, r.src), decay.Message{Data: 1})
 		rng.Reseed(p.Rng(), seed, 0xc0, uint64(v))
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
-	initDone(&r.ds, len(r.protos), func(v int) bool { return r.protos[v].Has() })
-	rounds, ok := r.nw.RunUntil(limit, r.ds.Done)
-	return rounds, ok, r.nw.Stats()
-}
-
-// mark records each node's informed state into dst.
-func (r *CRRun) mark(dst []bool) {
-	for v, p := range r.protos {
-		dst[v] = p.Has()
-	}
-}
-
-// Coverage returns how many nodes held the message when the last run
-// stopped (== n on completed runs).
-func (r *CRRun) Coverage() int { return r.ds.Count() }
-
-// RunCR measures the Czumaj–Rytter-shaped baseline.
-func RunCR(g *graph.Graph, d int, seed uint64, limit int64) (int64, bool) {
-	rounds, ok, _ := RunCROn(g, d, nil, seed, limit)
-	return rounds, ok
-}
-
-// RunCROn is RunCR over an adversarial channel (nil = ideal).
-func RunCROn(g *graph.Graph, d int, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	return NewCRRun(g, d, 0).Run(ch, seed, limit)
+	return r.finish(openLimit(limit))
 }
 
 // ---------------------------------------------------------------------
@@ -235,12 +243,10 @@ func RunCROn(g *graph.Graph, d int, ch radio.Channel, seed uint64, limit int64) 
 // centralized GST, schedule infos, and protocol objects are built once
 // (they depend only on the graph).
 type GSTSingleRun struct {
-	nw       *radio.Network
+	sparseStack
 	infos    []mmv.NodeInfo
 	protos   []*mmv.Protocol
 	contents []*mmv.SingleMessage
-	src      graph.NodeID
-	ds       DoneSet
 }
 
 // NewGSTSingleRun builds the reusable stack (noising enables the MMV
@@ -251,12 +257,12 @@ func NewGSTSingleRun(g *graph.Graph, noising bool, source graph.NodeID) *GSTSing
 	tree := gst.Construct(g, source)
 	s := mmv.NewSchedule(n)
 	r := &GSTSingleRun{
-		nw:       radio.New(g, radio.Config{}),
-		infos:    mmv.InfoFromTree(tree),
-		protos:   make([]*mmv.Protocol, n),
-		contents: make([]*mmv.SingleMessage, n),
-		src:      source,
+		sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source},
+		infos:       mmv.InfoFromTree(tree),
+		protos:      make([]*mmv.Protocol, n),
+		contents:    make([]*mmv.SingleMessage, n),
 	}
+	r.node = r
 	for v := 0; v < n; v++ {
 		r.contents[v] = mmv.NewSingleMessage(graph.NodeID(v) == source, decay.Message{Data: 1})
 		r.contents[v].DoneSet = &r.ds
@@ -265,7 +271,10 @@ func NewGSTSingleRun(g *graph.Graph, noising bool, source graph.NodeID) *GSTSing
 	return r
 }
 
-// Run executes one seeded run over ch (nil = ideal).
+func (r *GSTSingleRun) nodeDone(v int) bool { return r.contents[v].Done() }
+
+// Run executes one seeded run over ch (nil = ideal); limit <= 0 means
+// OpenLimit.
 func (r *GSTSingleRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
 	return r.RunFrom(nil, ch, seed, limit)
 }
@@ -275,46 +284,14 @@ func (r *GSTSingleRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, b
 // the message, so the re-layered broadcast fills in the radios the
 // previous pass missed.
 func (r *GSTSingleRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	if informed == nil {
-		radio.ResetChannel(ch)
-	}
-	r.nw.Reset()
-	r.nw.SetChannel(ch)
+	r.begin(informed, ch)
 	for v, p := range r.protos {
-		src := epochSource(informed, v, r.src)
-		r.contents[v].Reset(src, decay.Message{Data: 1})
+		r.contents[v].Reset(epochSource(informed, v, r.src), decay.Message{Data: 1})
 		p.Rebind(r.infos[v], r.contents[v])
 		rng.Reseed(p.Rng(), seed, 0xe0, uint64(v))
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
-	initDone(&r.ds, len(r.protos), func(v int) bool { return r.contents[v].Done() })
-	rounds, ok := r.nw.RunUntil(limit, r.ds.Done)
-	return rounds, ok, r.nw.Stats()
-}
-
-// Coverage returns how many nodes held the message when the last run
-// stopped (== n on completed runs).
-func (r *GSTSingleRun) Coverage() int { return r.ds.Count() }
-
-// mark records each node's informed state into dst.
-func (r *GSTSingleRun) mark(dst []bool) {
-	for v, c := range r.contents {
-		dst[v] = c.Done()
-	}
-}
-
-// RunGSTSingle measures the single-message GST broadcast atop a
-// centralized GST (the amortized / known-structure regime), optionally
-// with the MMV noise adversary.
-func RunGSTSingle(g *graph.Graph, noising bool, seed uint64, limit int64) (int64, bool) {
-	rounds, ok, _ := RunGSTSingleOn(g, noising, nil, seed, limit)
-	return rounds, ok
-}
-
-// RunGSTSingleOn is RunGSTSingle over an adversarial channel
-// (nil = ideal).
-func RunGSTSingleOn(g *graph.Graph, noising bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	return NewGSTSingleRun(g, noising, 0).Run(ch, seed, limit)
+	return r.finish(openLimit(limit))
 }
 
 // ---------------------------------------------------------------------
@@ -335,11 +312,9 @@ type Theorem11Result struct {
 
 // Theorem11Run is the reusable full-pipeline harness of Theorem 1.1.
 type Theorem11Run struct {
+	sparseStack
 	cfg    rings.Config
-	nw     *radio.Network
 	protos []*rings.Protocol
-	src    graph.NodeID
-	ds     DoneSet
 }
 
 // NewTheorem11Run builds the reusable stack broadcasting from source.
@@ -347,7 +322,28 @@ func NewTheorem11Run(g *graph.Graph, d, c int, source graph.NodeID) *Theorem11Ru
 	return NewTheorem11RunCfg(g, rings.DefaultConfig(g.N(), d, 0, c), source)
 }
 
-// Run executes one seeded run over ch (nil = ideal).
+// NewTheorem11RunCfg builds the reusable Theorem 1.1 stack on an
+// explicit ring configuration (the facade and E6 build one, optionally
+// pipelined via rings.Config.SetPipelined), broadcasting from source.
+func NewTheorem11RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *Theorem11Run {
+	n := g.N()
+	r := &Theorem11Run{
+		sparseStack: sparseStack{nw: radio.New(g, radio.Config{CollisionDetection: true}), src: source},
+		cfg:         cfg,
+		protos:      make([]*rings.Protocol, n),
+	}
+	r.node = r
+	for v := 0; v < n; v++ {
+		r.protos[v] = rings.New(cfg, graph.NodeID(v), graph.NodeID(v) == source, nil, rng.New())
+		r.protos[v].SingleContent().DoneSet = &r.ds
+	}
+	return r
+}
+
+func (r *Theorem11Run) nodeDone(v int) bool { return r.protos[v].Has() }
+
+// Run executes one seeded run of the whole schedule over ch
+// (nil = ideal).
 func (r *Theorem11Run) Run(ch radio.Channel, seed uint64) Theorem11Result {
 	rounds, ok, st := r.RunFrom(nil, ch, seed, 0)
 	return Theorem11Result{
@@ -371,46 +367,23 @@ func (r *Theorem11Run) Run(ch radio.Channel, seed uint64) Theorem11Result {
 // informed frontier. limit caps the rounds when positive and below the
 // schedule budget.
 func (r *Theorem11Run) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	if informed == nil {
-		radio.ResetChannel(ch)
-	}
-	r.nw.Reset()
-	r.nw.SetChannel(ch)
+	r.begin(informed, ch)
 	for v, p := range r.protos {
-		src := epochSource(informed, v, r.src)
-		p.Reset(src, nil)
+		p.Reset(epochSource(informed, v, r.src), nil)
 		rng.Reseed(p.Rng(), seed, 0x11, uint64(v))
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
-	initDone(&r.ds, len(r.protos), func(v int) bool { return r.protos[v].Has() })
-	budget := r.cfg.TotalRounds()
+	return r.finish(scheduleLimit(r.cfg, limit))
+}
+
+// scheduleLimit is a ring pipeline's round cap: the compiled schedule
+// budget, lowered to limit when that is positive and smaller.
+func scheduleLimit(cfg rings.Config, limit int64) int64 {
+	budget := cfg.TotalRounds()
 	if limit > 0 && limit < budget {
-		budget = limit
+		return limit
 	}
-	rounds, ok := r.nw.RunUntil(budget, r.ds.Done)
-	return rounds, ok, r.nw.Stats()
-}
-
-// Coverage returns how many nodes held the message when the last run
-// stopped.
-func (r *Theorem11Run) Coverage() int { return r.ds.Count() }
-
-// mark records each node's informed state into dst.
-func (r *Theorem11Run) mark(dst []bool) {
-	for v, p := range r.protos {
-		dst[v] = p.Has()
-	}
-}
-
-// RunTheorem11 executes the full unknown-topology CD pipeline.
-func RunTheorem11(g *graph.Graph, d, c int, seed uint64) Theorem11Result {
-	return RunTheorem11On(g, d, c, nil, seed)
-}
-
-// RunTheorem11On is RunTheorem11 over an adversarial channel
-// (nil = ideal).
-func RunTheorem11On(g *graph.Graph, d, c int, ch radio.Channel, seed uint64) Theorem11Result {
-	return NewTheorem11Run(g, d, c, 0).Run(ch, seed)
+	return budget
 }
 
 // ---------------------------------------------------------------------
@@ -421,15 +394,13 @@ const gstMultiPayloadBits = 32
 
 // GSTMultiRun is the reusable Theorem 1.2 harness.
 type GSTMultiRun struct {
-	nw       *radio.Network
+	sparseStack
 	infos    []mmv.NodeInfo
 	protos   []*mmv.Protocol
 	contents []*mmv.RLNC
 	bufs     []*rlnc.Buffer
 	msgRng   *rand.Rand
 	msgs     []rlnc.Message
-	src      graph.NodeID
-	ds       DoneSet
 }
 
 // NewGSTMultiRun builds the reusable stack for k messages. The GST is
@@ -439,15 +410,15 @@ func NewGSTMultiRun(g *graph.Graph, k int, source graph.NodeID) *GSTMultiRun {
 	tree := gst.Construct(g, source)
 	s := mmv.NewSchedule(n)
 	r := &GSTMultiRun{
-		nw:       radio.New(g, radio.Config{}),
-		infos:    mmv.InfoFromTree(tree),
-		protos:   make([]*mmv.Protocol, n),
-		contents: make([]*mmv.RLNC, n),
-		bufs:     make([]*rlnc.Buffer, n),
-		msgRng:   rng.New(),
-		msgs:     make([]rlnc.Message, k),
-		src:      source,
+		sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source},
+		infos:       mmv.InfoFromTree(tree),
+		protos:      make([]*mmv.Protocol, n),
+		contents:    make([]*mmv.RLNC, n),
+		bufs:        make([]*rlnc.Buffer, n),
+		msgRng:      rng.New(),
+		msgs:        make([]rlnc.Message, k),
 	}
+	r.node = r
 	for i := range r.msgs {
 		r.msgs[i] = bitvec.New(gstMultiPayloadBits)
 	}
@@ -460,12 +431,22 @@ func NewGSTMultiRun(g *graph.Graph, k int, source graph.NodeID) *GSTMultiRun {
 	return r
 }
 
+func (r *GSTMultiRun) nodeDone(v int) bool { return r.contents[v].Done() }
+
 // Run executes one seeded run over ch (nil = ideal), verifying decoded
-// payloads on completion.
+// payloads on completion; limit <= 0 means OpenLimit.
 func (r *GSTMultiRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	radio.ResetChannel(ch)
-	r.nw.Reset()
-	r.nw.SetChannel(ch)
+	return r.RunFrom(nil, ch, seed, limit)
+}
+
+// RunFrom is Run in the shared Stack shape. The k-message stack has no
+// carryover epochs (it is not adaptive-capable), so informed must be
+// nil.
+func (r *GSTMultiRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
+	if informed != nil {
+		panic("harness: the Theorem 1.2 stack has no carryover epochs")
+	}
+	r.begin(nil, ch)
 	rng.Reseed(r.msgRng, seed, 0x12)
 	for i := range r.msgs {
 		r.msgs[i].Randomize(r.msgRng.Uint64)
@@ -481,9 +462,7 @@ func (r *GSTMultiRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bo
 		rng.Reseed(p.Rng(), seed, 0x14, uint64(v))
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
-	initDone(&r.ds, len(r.protos), func(v int) bool { return r.contents[v].Done() })
-	rounds, ok := r.nw.RunUntil(limit, r.ds.Done)
-	st := r.nw.Stats()
+	rounds, ok, st := r.finish(openLimit(limit))
 	if !ok {
 		return rounds, false, st
 	}
@@ -501,19 +480,6 @@ func (r *GSTMultiRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bo
 	return rounds, true, st
 }
 
-// RunGSTMulti measures the Theorem 1.2 k-message broadcast (known
-// topology, RLNC atop the MMV schedule). Verifies decoded payloads.
-func RunGSTMulti(g *graph.Graph, k int, seed uint64, limit int64) (int64, bool) {
-	rounds, ok, _ := RunGSTMultiOn(g, k, nil, seed, limit)
-	return rounds, ok
-}
-
-// RunGSTMultiOn is RunGSTMulti over an adversarial channel
-// (nil = ideal).
-func RunGSTMultiOn(g *graph.Graph, k int, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	return NewGSTMultiRun(g, k, 0).Run(ch, seed, limit)
-}
-
 // ---------------------------------------------------------------------
 // Theorem 1.3 (k messages, unknown topology, CD).
 
@@ -521,13 +487,11 @@ func RunGSTMultiOn(g *graph.Graph, k int, ch radio.Channel, seed uint64, limit i
 // the allocation-heaviest stack (per-ring RLNC stores), and therefore
 // the one the Reset-reuse benchmarks guard.
 type Theorem13Run struct {
+	sparseStack
 	cfg    rings.Config
-	nw     *radio.Network
 	protos []*rings.Protocol
 	msgRng *rand.Rand
 	msgs   []rlnc.Message
-	src    graph.NodeID
-	ds     DoneSet
 }
 
 // NewTheorem13Run builds the reusable stack broadcasting from source.
@@ -535,10 +499,37 @@ func NewTheorem13Run(g *graph.Graph, d, k, c int, source graph.NodeID) *Theorem1
 	return NewTheorem13RunCfg(g, rings.DefaultConfig(g.N(), d, k, c), source)
 }
 
-// Config returns the compiled ring configuration.
-func (r *Theorem13Run) Config() rings.Config { return r.cfg }
+// NewTheorem13RunCfg builds the reusable Theorem 1.3 stack on an
+// explicit ring configuration (cfg.K must be positive), with source
+// holding the k messages.
+func NewTheorem13RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *Theorem13Run {
+	n := g.N()
+	r := &Theorem13Run{
+		sparseStack: sparseStack{nw: radio.New(g, radio.Config{CollisionDetection: true}), src: source},
+		cfg:         cfg,
+		protos:      make([]*rings.Protocol, n),
+		msgRng:      rng.New(),
+		msgs:        make([]rlnc.Message, cfg.K),
+	}
+	r.node = r
+	for i := range r.msgs {
+		r.msgs[i] = bitvec.New(cfg.PayloadBits)
+	}
+	for v := 0; v < n; v++ {
+		var m []rlnc.Message
+		if graph.NodeID(v) == source {
+			m = r.msgs
+		}
+		r.protos[v] = rings.New(cfg, graph.NodeID(v), graph.NodeID(v) == source, m, rng.New())
+		r.protos[v].Store().SetOnAllDecodable(r.ds.Tick)
+	}
+	return r
+}
 
-// Run executes one seeded run over ch (nil = ideal).
+func (r *Theorem13Run) nodeDone(v int) bool { return r.protos[v].Store().CanDecodeAll() }
+
+// Run executes one seeded run of the whole schedule over ch
+// (nil = ideal).
 func (r *Theorem13Run) Run(ch radio.Channel, seed uint64) (rounds int64, completed bool, st radio.Stats) {
 	return r.RunFrom(nil, ch, seed, 0)
 }
@@ -552,14 +543,12 @@ func (r *Theorem13Run) Run(ch radio.Channel, seed uint64) (rounds int64, complet
 // the seed; carryover epochs keep them.
 func (r *Theorem13Run) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
 	if informed == nil {
-		radio.ResetChannel(ch)
 		rng.Reseed(r.msgRng, seed, 0x15)
 		for i := range r.msgs {
 			r.msgs[i].Randomize(r.msgRng.Uint64)
 		}
 	}
-	r.nw.Reset()
-	r.nw.SetChannel(ch)
+	r.begin(informed, ch)
 	for v, p := range r.protos {
 		src := epochSource(informed, v, r.src)
 		var m []rlnc.Message
@@ -570,38 +559,7 @@ func (r *Theorem13Run) RunFrom(informed []bool, ch radio.Channel, seed uint64, l
 		rng.Reseed(p.Rng(), seed, 0x16, uint64(v))
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
-	initDone(&r.ds, len(r.protos), func(v int) bool { return r.protos[v].Store().CanDecodeAll() })
-	budget := r.cfg.TotalRounds()
-	if limit > 0 && limit < budget {
-		budget = limit
-	}
-	rounds, completed := r.nw.RunUntil(budget, r.ds.Done)
-	return rounds, completed, r.nw.Stats()
-}
-
-// Coverage returns how many nodes could decode every message when the
-// last run stopped.
-func (r *Theorem13Run) Coverage() int { return r.ds.Count() }
-
-// mark records each node's informed (decode-complete) state into dst.
-func (r *Theorem13Run) mark(dst []bool) {
-	for v, p := range r.protos {
-		dst[v] = p.Store().CanDecodeAll()
-	}
-}
-
-// RunTheorem13 executes the full Theorem 1.3 pipeline.
-func RunTheorem13(g *graph.Graph, d, k, c int, seed uint64) (rounds int64, completed bool, cfg rings.Config) {
-	rounds, completed, cfg, _ = RunTheorem13On(g, d, k, c, nil, seed)
-	return rounds, completed, cfg
-}
-
-// RunTheorem13On is RunTheorem13 over an adversarial channel
-// (nil = ideal).
-func RunTheorem13On(g *graph.Graph, d, k, c int, ch radio.Channel, seed uint64) (rounds int64, completed bool, cfg rings.Config, st radio.Stats) {
-	r := NewTheorem13Run(g, d, k, c, 0)
-	rounds, completed, st = r.Run(ch, seed)
-	return rounds, completed, r.cfg, st
+	return r.finish(scheduleLimit(r.cfg, limit))
 }
 
 // ---------------------------------------------------------------------
@@ -705,33 +663,3 @@ func RunGSTMultiRouting(g *graph.Graph, k int, seed uint64, limit int64) (int64,
 	initDone(&ds, g.N(), func(v int) bool { return contents[v].Done() })
 	return nw.RunUntil(limit, ds.Done)
 }
-
-// ---------------------------------------------------------------------
-// Observability plumbing. Every reusable run context exposes the
-// engine's round observer so callers (the daemon's job workers, the
-// experiment runner) can attach per-run progress without touching the
-// stacks. Observers survive the engine's Reset — one SetObserver call
-// covers every subsequent seed — and nil detaches.
-
-// SetObserver attaches o at the given round stride (see
-// radio.Config.ObserverStride); nil detaches.
-func (r *DecayRun) SetObserver(o obs.RoundObserver, stride int64) { r.nw.SetObserver(o, stride) }
-
-// SetObserver attaches o at the given round stride; nil detaches.
-func (r *CRRun) SetObserver(o obs.RoundObserver, stride int64) { r.nw.SetObserver(o, stride) }
-
-// SetObserver attaches o at the given round stride; nil detaches.
-func (r *GSTSingleRun) SetObserver(o obs.RoundObserver, stride int64) { r.nw.SetObserver(o, stride) }
-
-// SetObserver attaches o at the given round stride; nil detaches.
-func (r *Theorem11Run) SetObserver(o obs.RoundObserver, stride int64) { r.nw.SetObserver(o, stride) }
-
-// SetObserver attaches o at the given round stride; nil detaches.
-func (r *GSTMultiRun) SetObserver(o obs.RoundObserver, stride int64) { r.nw.SetObserver(o, stride) }
-
-// SetObserver attaches o at the given round stride; nil detaches.
-func (r *Theorem13Run) SetObserver(o obs.RoundObserver, stride int64) { r.nw.SetObserver(o, stride) }
-
-// Coverage returns how many nodes had decoded all k messages when the
-// last run stopped (== n on completed runs).
-func (r *GSTMultiRun) Coverage() int { return r.ds.Count() }

@@ -34,13 +34,9 @@ import (
 	"strconv"
 	"strings"
 
-	"radiocast/internal/beep"
 	"radiocast/internal/channel"
-	"radiocast/internal/cr"
-	"radiocast/internal/decay"
 	"radiocast/internal/exp"
 	"radiocast/internal/graph"
-	"radiocast/internal/gst"
 	"radiocast/internal/mmv"
 	"radiocast/internal/radio"
 	"radiocast/internal/rng"
@@ -175,63 +171,33 @@ func liveHeap() int64 {
 // delta brackets everything the cell allocates and keeps live: CSR
 // graph, engine buffers, SoA protocol state. Concurrent cells can
 // perturb it — it is a capacity figure, not a reproducible output.
-//
-// For the wave the effective limit is capped at the horizon (the wave
-// is over by construction; post-horizon rounds are silent no-ops): the
-// source eccentricity on the ideal channel, 4x eccentricity plus slack
-// under a lossy one.
-func runScaleCell(proto, workload string, n int, seed uint64, workers int,
+func runScaleCell(proto string, noise bool, workload string, n int, seed uint64, workers int,
 	mkChannel func() radio.Channel, limit int64) (exp.Result, float64) {
 	before := liveHeap()
 	g := e19Graph(workload, n)
-	cfg := radio.Config{Workers: workers}
+	var ch radio.Channel
 	if mkChannel != nil {
-		cfg.Channel = mkChannel()
+		ch = mkChannel()
 	}
-	return runDenseCell(g, proto, seed, cfg, before, limit)
+	return runDenseCell(g, proto, noise, seed, ch, workers, before, limit)
 }
 
-// runDenseCell is the protocol-switch body shared by the abstract
-// (E19/E20/E21) and geometric (E22) scale sweeps: given an
-// already-built graph and engine config, construct the dense stack,
-// run it, and collect the capacity metrics against the heap mark
-// `before` (taken by the caller before graph construction, so the CSR
-// is inside the bracket).
-func runDenseCell(g *graph.Graph, proto string, seed uint64, cfg radio.Config,
+// runDenseCell is the cell body shared by the abstract (E19/E20/E21)
+// and geometric (E22) scale sweeps: given an already-built graph,
+// build the dense table entry for proto from node 0, run it, and
+// collect the capacity metrics against the heap mark `before` (taken
+// by the caller before graph construction, so the CSR is inside the
+// bracket). The wave's horizon is the source eccentricity on the ideal
+// channel and 4x eccentricity plus slack under a lossy one; noise
+// turns on the GST broadcast's jamming adversary.
+func runDenseCell(g *graph.Graph, proto string, noise bool, seed uint64, ch radio.Channel, workers int,
 	before int64, limit int64) (exp.Result, float64) {
-	var pr radio.DenseProtocol
-	var done func() bool
-	var covered func() int
-	switch proto {
-	case "gst", "gst-noise":
-		f := gst.Flatten(gst.Construct(g, 0))
-		p := mmv.NewDense(g, f, mmv.NewSchedule(g.N()), seed, 0, proto == "gst-noise")
-		pr, done, covered = p, p.Done, p.InformedCount
-	case "cr":
-		d := graph.Eccentricity(g, 0)
-		p := cr.NewDense(g, cr.NewParams(g.N(), d), seed, 0)
-		pr, done, covered = p, p.Done, p.InformedCount
-	case "wave":
-		ecc := int64(graph.Eccentricity(g, 0))
-		horizon := ecc
-		if cfg.Channel != nil {
-			horizon = 4*ecc + 64
-		}
-		if horizon < limit {
-			limit = horizon
-		}
-		cfg.CollisionDetection = true // the wave's correctness assumption
-		w := beep.NewDenseWave(g, 0, horizon)
-		pr, done, covered = w, w.Done, w.TriggeredCount
-	default: // "decay"
-		p := decay.NewDense(g, seed, 0)
-		pr, done, covered = p, p.Done, p.InformedCount
-	}
-	eng := radio.NewDense(g, cfg, pr)
-	defer eng.Close()
-	rounds, ok := eng.RunUntil(limit, done)
-	st := eng.Stats()
-	after := liveHeap()
+	p, _ := LookupProtocol("dense-" + proto)
+	s := p.Build(g, 0, StackOpts{Noise: noise, LossyHorizon: ch != nil}).(*denseStack)
+	s.SetWorkers(workers)
+	var after int64
+	s.afterRun = func() { after = liveHeap() }
+	rounds, ok, st := s.RunFrom(nil, ch, seed, limit)
 	res := exp.Rounds(rounds, ok)
 	res.Value = float64(st.Deliveries)
 	res.BusyRounds = st.BusyRounds
@@ -241,7 +207,7 @@ func runDenseCell(g *graph.Graph, proto string, seed uint64, cfg radio.Config,
 		res.MemBytes = d
 	}
 	res.PeakRSS = peakRSSBytes()
-	return res, float64(covered()) / float64(g.N())
+	return res, float64(s.Coverage()) / float64(g.N())
 }
 
 // E19Plan is the ideal-channel scale sweep: n = 10^3 .. sc.MaxN per
@@ -283,7 +249,7 @@ func E19Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 					RoundLimit: broadcastLimit,
 					Cost:       budgetCost(c.n, e19Rounds(proto, c.workload, c.n)),
 					Run: func(limit int64) exp.Result {
-						res, _ := runScaleCell(proto, c.workload, c.n, seed, workers, nil, limit)
+						res, _ := runScaleCell(proto, false, c.workload, c.n, seed, workers, nil, limit)
 						return res
 					},
 				})
@@ -373,7 +339,7 @@ func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 					mk := func() radio.Channel {
 						return channel.NewErasure(c.rate, rng.Mix(seed, 0xe20))
 					}
-					res, coverage := runScaleCell(c.proto, "gnp", c.n, seed, workers, mk, limit)
+					res, coverage := runScaleCell(c.proto, false, "gnp", c.n, seed, workers, mk, limit)
 					res.Value = coverage
 					return res
 				},
@@ -412,7 +378,10 @@ func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 // e21Modes orders the mode columns of E21: the structured GST
 // broadcast on a quiet tree, and the same schedule with every
 // uninformed member jamming its slow slots (Lemma 3.3's noise regime).
-var e21Modes = []string{"gst", "gst-noise"}
+var e21Modes = []struct {
+	name  string
+	noise bool
+}{{"gst", false}, {"gst-noise", true}}
 
 // e21Rounds estimates a GST-broadcast cell's completion rounds (cost
 // model only): the fast relay pipelines one level per two rounds, and
@@ -461,11 +430,11 @@ func E21Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 			for s := 0; s < seeds; s++ {
 				c, mode, seed := c, mode, uint64(s)
 				p.Cells = append(p.Cells, exp.Cell{
-					Key:        key(mode, c, seed),
+					Key:        key(mode.name, c, seed),
 					RoundLimit: broadcastLimit,
 					Cost:       budgetCost(c.n, e21Rounds(c.workload, c.n)),
 					Run: func(limit int64) exp.Result {
-						res, _ := runScaleCell(mode, c.workload, c.n, seed, workers, nil, limit)
+						res, _ := runScaleCell("gst", mode.noise, c.workload, c.n, seed, workers, nil, limit)
 						return res
 					},
 				})
@@ -487,7 +456,7 @@ func E21Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 			for _, mode := range e21Modes {
 				var rs []float64
 				for s := 0; s < seeds; s++ {
-					r := idx[key(mode, c, uint64(s))]
+					r := idx[key(mode.name, c, uint64(s))]
 					if r.Completed {
 						okCount++
 						rs = append(rs, float64(r.Rounds))

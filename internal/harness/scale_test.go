@@ -87,10 +87,10 @@ func TestE21QuickCompletes(t *testing.T) {
 	for _, mode := range e21Modes {
 		found := false
 		for _, h := range tb.Header {
-			found = found || h == mode
+			found = found || h == mode.name
 		}
 		if !found {
-			t.Errorf("E21 header %v missing mode column %q", tb.Header, mode)
+			t.Errorf("E21 header %v missing mode column %q", tb.Header, mode.name)
 		}
 	}
 }

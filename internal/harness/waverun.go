@@ -13,7 +13,6 @@ package harness
 import (
 	"radiocast/internal/beep"
 	"radiocast/internal/graph"
-	"radiocast/internal/obs"
 	"radiocast/internal/radio"
 )
 
@@ -21,14 +20,12 @@ import (
 // construct once, run any number of epochs or seeds with zero
 // per-run construction. The wave protocol itself is deterministic
 // (its randomness budget is zero — collisions ARE the signal), so the
-// seed parameter of RunFrom exists only to satisfy the shared exec
-// signature.
+// seed parameter of RunFrom exists only to fit the shared Stack
+// shape.
 type WaveRun struct {
-	nw      *radio.Network
+	sparseStack
 	protos  []*beep.Wave
-	src     graph.NodeID
 	horizon int64
-	ds      DoneSet
 }
 
 // NewWaveRun builds the reusable wave stack from source with the
@@ -37,17 +34,19 @@ type WaveRun struct {
 func NewWaveRun(g *graph.Graph, source graph.NodeID, horizon int64) *WaveRun {
 	n := g.N()
 	r := &WaveRun{
-		nw:      radio.New(g, radio.Config{CollisionDetection: true}),
-		protos:  make([]*beep.Wave, n),
-		src:     source,
-		horizon: horizon,
+		sparseStack: sparseStack{nw: radio.New(g, radio.Config{CollisionDetection: true}), src: source},
+		protos:      make([]*beep.Wave, n),
+		horizon:     horizon,
 	}
+	r.node = r
 	for v := 0; v < n; v++ {
 		r.protos[v] = beep.NewWave(graph.NodeID(v) == source, horizon)
 		r.protos[v].DoneSet = &r.ds
 	}
 	return r
 }
+
+func (r *WaveRun) nodeDone(v int) bool { return r.protos[v].Level() >= 0 }
 
 // Retopo swaps the engine's topology in place (radio.Network.Retopo):
 // the node count must be unchanged. The mobility driver calls this at
@@ -68,54 +67,22 @@ func (r *WaveRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bool, 
 // epoch's wave transmits for its own full window and then stops.
 func (r *WaveRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
 	_ = seed // the wave draws no randomness
-	if informed == nil {
-		radio.ResetChannel(ch)
-	}
 	hor := r.horizon
 	if limit > 0 && limit < hor {
 		hor = limit
 	}
-	r.nw.Reset()
-	r.nw.SetChannel(ch)
+	r.begin(informed, ch)
 	for v, p := range r.protos {
 		p.Reset(epochSource(informed, v, r.src), hor)
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
-	initDone(&r.ds, len(r.protos), func(v int) bool { return r.protos[v].Level() >= 0 })
-	rounds, ok := r.nw.RunUntil(hor, r.ds.Done)
-	return rounds, ok, r.nw.Stats()
+	return r.finish(hor)
 }
-
-// mark records each node's triggered state into dst (the adaptive
-// carryover harvest).
-func (r *WaveRun) mark(dst []bool) {
-	for v, p := range r.protos {
-		dst[v] = p.Level() >= 0
-	}
-}
-
-// Coverage returns how many nodes the wave had reached when the last
-// run stopped (== n on completed runs).
-func (r *WaveRun) Coverage() int { return r.ds.Count() }
-
-// SetObserver attaches o at the given round stride; nil detaches.
-func (r *WaveRun) SetObserver(o obs.RoundObserver, stride int64) { r.nw.SetObserver(o, stride) }
 
 // NewAdaptiveWave wraps the collision-wave stack in the retry layer
 // with a per-epoch horizon: each epoch floods for up to epochHorizon
 // rounds from the carried frontier. Pair with SetRelayout to swap
 // topology between epochs — the mobility/churn driver of E23.
 func NewAdaptiveWave(g *graph.Graph, chf ChannelFactory, seed uint64, source graph.NodeID, epochHorizon int64) *AdaptiveRunner {
-	r := NewWaveRun(g, source, epochHorizon)
-	return &AdaptiveRunner{
-		informed:    make([]bool, g.N()),
-		baseSeed:    seed,
-		chf:         chf,
-		epochLimit:  epochHorizon,
-		exec:        r.RunFrom,
-		covered:     r.Coverage,
-		mark:        r.mark,
-		setObserver: r.SetObserver,
-		retopo:      r.Retopo,
-	}
+	return newAdaptive(NewWaveRun(g, source, epochHorizon), g.N(), chf, seed, epochHorizon)
 }

@@ -258,7 +258,7 @@ func BroadcastCD(g *Graph, opts Options) (Result, error) {
 		a := harness.NewAdaptiveTheorem11(g, cfg, harness.EpochChannel(opts.Channel), opts.Seed, opts.Source)
 		return adaptiveResult(adapt.Run(a, opts.policy())), nil
 	}
-	res := harness.RunTheorem11OnCfg(g, cfg, opts.Channel, opts.Seed, opts.Source)
+	res := harness.NewTheorem11RunCfg(g, cfg, opts.Source).Run(opts.Channel, opts.Seed)
 	return Result{Rounds: res.Rounds, Completed: res.Completed,
 		Dropped: res.Stats.Dropped, Jammed: res.Stats.Jammed}, nil
 }
@@ -274,11 +274,7 @@ func BroadcastKnownTopology(g *Graph, opts Options) (Result, error) {
 		a := harness.NewAdaptiveGSTSingle(g, false, harness.EpochChannel(opts.Channel), opts.Seed, opts.Source)
 		return adaptiveResult(adapt.Run(a, opts.policy())), nil
 	}
-	limit := opts.RoundLimit
-	if limit == 0 {
-		limit = 1 << 24
-	}
-	rounds, ok, st := harness.NewGSTSingleRun(g, false, opts.Source).Run(opts.Channel, opts.Seed, limit)
+	rounds, ok, st := harness.NewGSTSingleRun(g, false, opts.Source).Run(opts.Channel, opts.Seed, opts.RoundLimit)
 	return Result{Rounds: rounds, Completed: ok, Dropped: st.Dropped, Jammed: st.Jammed}, nil
 }
 
@@ -294,11 +290,7 @@ func BroadcastK(g *Graph, k int, opts Options) (Result, error) {
 	if opts.Adaptive {
 		return Result{}, fmt.Errorf("radiocast: Options.Adaptive is not supported by BroadcastK (use BroadcastKCD for adaptive k-message broadcast)")
 	}
-	limit := opts.RoundLimit
-	if limit == 0 {
-		limit = 1 << 24
-	}
-	rounds, ok, st := harness.NewGSTMultiRun(g, k, opts.Source).Run(opts.Channel, opts.Seed, limit)
+	rounds, ok, st := harness.NewGSTMultiRun(g, k, opts.Source).Run(opts.Channel, opts.Seed, opts.RoundLimit)
 	return Result{Rounds: rounds, Completed: ok, Dropped: st.Dropped, Jammed: st.Jammed}, nil
 }
 
@@ -319,7 +311,7 @@ func BroadcastKCD(g *Graph, k int, opts Options) (Result, error) {
 		a := harness.NewAdaptiveTheorem13(g, cfg, harness.EpochChannel(opts.Channel), opts.Seed, opts.Source)
 		return adaptiveResult(adapt.Run(a, opts.policy())), nil
 	}
-	rounds, ok, st := harness.RunTheorem13OnCfg(g, cfg, opts.Channel, opts.Seed, opts.Source)
+	rounds, ok, st := harness.NewTheorem13RunCfg(g, cfg, opts.Source).Run(opts.Channel, opts.Seed)
 	return Result{Rounds: rounds, Completed: ok, Dropped: st.Dropped, Jammed: st.Jammed}, nil
 }
 
@@ -333,11 +325,7 @@ func DecayBroadcast(g *Graph, opts Options) (Result, error) {
 		a := harness.NewAdaptiveDecay(g, harness.EpochChannel(opts.Channel), opts.Seed, opts.Source)
 		return adaptiveResult(adapt.Run(a, opts.policy())), nil
 	}
-	limit := opts.RoundLimit
-	if limit == 0 {
-		limit = 1 << 24
-	}
-	rounds, ok, st := harness.NewDecayRun(g, opts.Source).Run(opts.Channel, opts.Seed, limit)
+	rounds, ok, st := harness.NewDecayRun(g, opts.Source).Run(opts.Channel, opts.Seed, opts.RoundLimit)
 	return Result{Rounds: rounds, Completed: ok, Dropped: st.Dropped, Jammed: st.Jammed}, nil
 }
 
@@ -352,11 +340,7 @@ func CRBroadcast(g *Graph, opts Options) (Result, error) {
 		a := harness.NewAdaptiveCR(g, d, harness.EpochChannel(opts.Channel), opts.Seed, opts.Source)
 		return adaptiveResult(adapt.Run(a, opts.policy())), nil
 	}
-	limit := opts.RoundLimit
-	if limit == 0 {
-		limit = 1 << 24
-	}
-	rounds, ok, st := harness.NewCRRun(g, d, opts.Source).Run(opts.Channel, opts.Seed, limit)
+	rounds, ok, st := harness.NewCRRun(g, d, opts.Source).Run(opts.Channel, opts.Seed, opts.RoundLimit)
 	return Result{Rounds: rounds, Completed: ok, Dropped: st.Dropped, Jammed: st.Jammed}, nil
 }
 
