@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"radiocast/internal/exp"
 	"radiocast/internal/graph"
 )
 
@@ -21,8 +22,15 @@ var update = flag.Bool("update", false, "rewrite testdata/golden instead of comp
 // goldenQuick holds the SHA-256 of every experiment's quick
 // single-seed table. The rendered tables carry only reproducible
 // outputs (rounds, completion, coverage), so any change to a digest is
-// a change in simulation behaviour and needs a stated reason.
+// a change in simulation behaviour and needs a stated reason. For the
+// scale sweeps it also holds, under "<ID>/cells", the SHA-256 of the
+// canonical artifact JSON, which pins the per-cell fields the tables
+// leave out (deliveries, busy/silent rounds, max frontier, coverage).
 var goldenQuick = filepath.Join("testdata", "golden", "quick.json")
+
+// goldenCells lists the experiments whose canonical per-cell artifact
+// is pinned alongside the table.
+var goldenCells = map[string]bool{"E19": true, "E20": true, "E21": true, "E22": true}
 
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
@@ -42,7 +50,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tb := e.Run(1, true)
+			p := e.Plan(1, true)
+			tb, results := (&exp.Runner{Parallelism: 1}).RunTable(p)
 			if tb == nil || len(tb.Rows) == 0 {
 				t.Fatalf("%s produced no rows", e.ID)
 			}
@@ -55,6 +64,21 @@ func TestAllExperimentsQuick(t *testing.T) {
 			got[e.ID] = hex.EncodeToString(sum[:])
 			if !*update && got[e.ID] != want[e.ID] {
 				t.Fatalf("%s golden digest changed: got %s, want %s", e.ID, got[e.ID], want[e.ID])
+			}
+			if !goldenCells[e.ID] {
+				return
+			}
+			a := exp.NewArtifact(1, true, 1)
+			a.Add(p, tb, results, 0)
+			blob, err := a.Canonical().JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := e.ID + "/cells"
+			sum = sha256.Sum256(blob)
+			got[cells] = hex.EncodeToString(sum[:])
+			if !*update && got[cells] != want[cells] {
+				t.Fatalf("%s golden cell digest changed: got %s, want %s", e.ID, got[cells], want[cells])
 			}
 		})
 	}
@@ -74,6 +98,9 @@ func TestAllExperimentsQuick(t *testing.T) {
 	ids := map[string]bool{}
 	for _, e := range All() {
 		ids[e.ID] = true
+		if goldenCells[e.ID] {
+			ids[e.ID+"/cells"] = true
+		}
 	}
 	for id := range want {
 		if !ids[id] {
