@@ -27,13 +27,15 @@
 // global pool an experiment has no wall-clock of its own). -timeout
 // and -roundlimit bound each cell's wall clock and simulated rounds.
 // -json writes a machine-readable bench artifact with per-cell rounds
-// and wall times ("-" for stdout). -scalemaxn raises the E19/E20 scale
-// sweeps' largest workload (the acceptance run is
-// "-only E19,E20 -scalemaxn 1000000 -seeds 1 -json BENCH_scale.json")
+// and wall times ("-" for stdout). -scalemaxn raises the largest
+// workload of the E19-E22 scale sweeps (the acceptance run is
+// "-only E19,E20,E21,E22 -scalemaxn 1000000 -seeds 1 -json BENCH_scale.json")
 // and -scaleworkers pins their dense-engine worker count — scale
 // output is byte-identical at any worker setting, only wall times
 // move; both land in a harness.ScaleConfig threaded through
-// harness.AllWithScale. -cpuprofile/-memprofile write
+// harness.AllWithScale. Flag values the run cannot honor (-seeds < 1,
+// an unknown -format or -only id, -scalemaxn < 1, a negative
+// -workers, -scaleworkers or -roundlimit) exit 2 before anything runs. -cpuprofile/-memprofile write
 // runtime/pprof profiles of the sweep so perf work can show profiles
 // instead of guesses. Stderr diagnostics ride the shared internal/obs
 // logger: -logformat json makes them machine-parseable, -loglevel
@@ -47,6 +49,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,6 +57,44 @@ import (
 	"radiocast/internal/harness"
 	"radiocast/internal/obs"
 )
+
+// formats lists the -format values.
+var formats = []string{"text", "csv", "markdown"}
+
+// validateFlags rejects flag values that would otherwise be silently
+// ignored, clamped or rendered as an empty sweep: every flag the run
+// cannot honor is an error, not a no-op. ids are the upper-cased
+// -only/-experiments entries (nil = all experiments).
+func validateFlags(seeds int, format string, ids []string, scaleMaxN, scaleWorkers, workers int, roundLimit int64) error {
+	if seeds < 1 {
+		return fmt.Errorf("-seeds must be >= 1, got %d", seeds)
+	}
+	if !slices.Contains(formats, format) {
+		return fmt.Errorf("-format must be one of %s, got %q", strings.Join(formats, ", "), format)
+	}
+	if scaleMaxN < 1 {
+		return fmt.Errorf("-scalemaxn must be >= 1, got %d", scaleMaxN)
+	}
+	if scaleWorkers < 0 {
+		return fmt.Errorf("-scaleworkers must be >= 0 (0 = min(8, GOMAXPROCS)), got %d", scaleWorkers)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers must be >= 0 (0 with -parallel = GOMAXPROCS), got %d", workers)
+	}
+	if roundLimit < 0 {
+		return fmt.Errorf("-roundlimit must be >= 0 (0 = experiment defaults), got %d", roundLimit)
+	}
+	known := map[string]bool{}
+	for _, e := range harness.All() {
+		known[e.ID] = true
+	}
+	for _, id := range ids {
+		if !known[id] {
+			return fmt.Errorf("unknown experiment id %q in -only", id)
+		}
+	}
+	return nil
+}
 
 func main() {
 	seeds := flag.Int("seeds", 3, "independent seeds per configuration")
@@ -66,8 +107,8 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-cell wall-clock guard (0 = none)")
 	roundLimit := flag.Int64("roundlimit", 0, "per-cell simulated-round cap (0 = experiment defaults)")
 	jsonPath := flag.String("json", "", "write a JSON bench artifact to this file (\"-\" = stdout)")
-	scaleMaxN := flag.Int("scalemaxn", 100_000, "largest workload size of the E19/E20 scale sweeps (acceptance: 1000000)")
-	scaleWorkers := flag.Int("scaleworkers", 0, "dense-engine workers for E19/E20 cells (0 = min(8, GOMAXPROCS); output is identical at any setting)")
+	scaleMaxN := flag.Int("scalemaxn", 100_000, "largest workload size of the E19-E22 scale sweeps (acceptance: 1000000)")
+	scaleWorkers := flag.Int("scaleworkers", 0, "dense-engine workers for E19-E22 cells (0 = min(8, GOMAXPROCS); output is identical at any setting)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (after the sweep) to this file")
 	logFormat := flag.String("logformat", "text", "stderr diagnostics format: text or json")
@@ -83,12 +124,21 @@ func main() {
 	if *only == "" {
 		*only = *experiments
 	}
-	scale := harness.ScaleConfig{MaxN: *scaleMaxN, Workers: *scaleWorkers}
-	want := map[string]bool{}
+	var ids []string
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
+			ids = append(ids, strings.ToUpper(strings.TrimSpace(id)))
 		}
+	}
+	if err := validateFlags(*seeds, *format, ids, *scaleMaxN, *scaleWorkers, *workers, *roundLimit); err != nil {
+		fmt.Fprintf(os.Stderr, "radiobench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	scale := harness.ScaleConfig{MaxN: *scaleMaxN, Workers: *scaleWorkers}
+	want := map[string]bool{}
+	for _, id := range ids {
+		want[id] = true
 	}
 
 	// The CPU profile is stopped (and flushed) explicitly right after
@@ -138,11 +188,6 @@ func main() {
 		}
 		selected = append(selected, e)
 		plans = append(plans, e.Plan(*seeds, *quick))
-	}
-	if len(selected) == 0 {
-		stopCPU()
-		fmt.Fprintf(os.Stderr, "no experiments matched %q\n", *only)
-		os.Exit(1)
 	}
 	start := time.Now()
 	allResults := runner.RunAll(plans)

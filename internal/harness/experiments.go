@@ -43,7 +43,7 @@ func runPlan(p *exp.Plan) *stats.Table {
 func All() []Experiment { return AllWithScale(DefaultScaleConfig()) }
 
 // AllWithScale returns every experiment in EXPERIMENTS.md order,
-// threading sc into the E19/E20 scale sweeps (cmd/radiobench builds sc
+// threading sc into the E19-E22 scale sweeps (cmd/radiobench builds sc
 // from -scalemaxn/-scaleworkers).
 func AllWithScale(sc ScaleConfig) []Experiment {
 	return []Experiment{
@@ -65,14 +65,11 @@ func AllWithScale(sc ScaleConfig) []Experiment {
 		{"E16", "Robustness: radio-fault sweep (late wakeup / crash)", E16Plan},
 		{"E17", "Adaptive retry: loss sweep with re-layering (Thm 1.1/1.3)", E17Plan},
 		{"E18", "Adaptive retry: late-wakeup re-layering (Thm 1.1)", E18Plan},
-		{"E19", "Million-node engine: dense-engine scale sweep (SoA decay/cr/wave)",
-			func(seeds int, quick bool) *exp.Plan { return E19Plan(sc, seeds, quick) }},
+		e19Sweep.experiment(sc),
 		{"E20", "Million-node robustness: dense-engine erasure sweep (gnp)",
 			func(seeds int, quick bool) *exp.Plan { return E20Plan(sc, seeds, quick) }},
-		{"E21", "Million-node structured broadcast: dense GST sweep (flat tree + MMV schedule)",
-			func(seeds int, quick bool) *exp.Plan { return E21Plan(sc, seeds, quick) }},
-		{"E22", "Geometric scale sweep: dense catalog on unit-disk layouts (udg/cluster/qudg)",
-			func(seeds int, quick bool) *exp.Plan { return E22Plan(sc, seeds, quick) }},
+		e21Sweep.experiment(sc),
+		e22Sweep.experiment(sc),
 		{"E23", "Mobility/churn: oneshot vs adaptive wave coverage across re-layout periods", E23Plan},
 		{"A1", "Ablation: virtual-distance vs level-keyed slow slots", A1Plan},
 		{"A2", "Ablation: RLNC vs store-and-forward routing", A2Plan},

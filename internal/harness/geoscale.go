@@ -29,9 +29,6 @@ import (
 // (workload, n) measure the same geometry (the E19 idiom).
 const e22Seed = 0xe22
 
-// e22Workloads orders the workload rows of E22.
-var e22Workloads = []string{"udg", "udg-cluster", "qudg"}
-
 // e22GeoCap bounds the clustered and quasi-unit-disk workloads at
 // 10^5: the QUDG band rides the engine's channel-adverse path (O(n)
 // per round), and the clustered blobs are near-cliques whose edge
@@ -73,101 +70,36 @@ func e22Graph(workload string, n int, seed uint64) (*graph.Graph, radio.Channel)
 	}
 }
 
-// runGeoCell is runScaleCell over a geometric workload: build the
-// layout + disk CSR inside the heap bracket, then hand off to the
-// shared dense cell body.
-func runGeoCell(proto, workload string, n int, seed uint64, workers int, limit int64) (exp.Result, float64) {
-	before := liveHeap()
-	g, ch := e22Graph(workload, n, seed)
-	return runDenseCell(g, proto, false, seed, ch, workers, before, limit)
-}
-
-// E22Plan is the geometric scale sweep: the dense SoA catalog on
-// unit-disk workloads, n = 10^3 .. sc.MaxN (udg only; the clustered
-// and band workloads cap at 10^5). The qudg rows run under
+// e22Sweep is the geometric scale sweep: the dense SoA catalog on
+// unit-disk workloads (udg to sc.MaxN; the clustered and band
+// workloads cap at 10^5). The qudg rows run under
 // channel.RangeErasure — reliable inside the connectivity radius,
 // distance-ramped erasure across the band — so they exercise the
 // adverse engine path exactly like E20's flat erasure, but with loss
-// that is a function of geometry instead of a single rate.
-func E22Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
-	sizes := []int{1_000, 10_000, 100_000, 1_000_000}
-	if quick {
-		sizes = []int{1_000, 10_000}
-	}
-	maxN := sc.maxN()
-	workers := sc.workers()
-	p := &exp.Plan{ID: "E22", Title: "Geometric scale sweep: dense catalog on unit-disk layouts (udg/cluster/qudg)"}
-	type cfg struct {
-		workload string
-		n        int
-	}
-	var cfgs []cfg
-	for _, n := range sizes {
-		if n > maxN {
-			continue
+// that is a function of geometry instead of a single rate. The cost
+// model is the grid's (unit-disk diameter ~ sqrt(n)), doubled for qudg
+// (adverse path: O(n)-per-round listener sweep).
+var e22Sweep = scaleSweep{
+	id:    "E22",
+	title: "Geometric scale sweep: dense catalog on unit-disk layouts (udg/cluster/qudg)",
+	table: "E22: geometric scale sweep (unit-disk layouts, streaming CSR)",
+	comment: "one dense broadcast per (protocol, workload, n) cell over seeded point layouts: udg at the\n" +
+		"connectivity radius, udg-cluster blobs, qudg with distance-ramped band erasure (RangeErasure);\n" +
+		"byte-identical at any worker count; bytes/node, peak RSS, rounds/sec ride the JSON artifact",
+	workloads: []string{"udg", "udg-cluster", "qudg"},
+	caps:      map[string]int{"udg-cluster": e22GeoCap, "qudg": e22GeoCap},
+	cols:      denseCols,
+	build:     e22Graph,
+	rounds: func(proto, workload string, n int) int64 {
+		if workload == "qudg" {
+			return 2 * e19Rounds(proto, "grid", n)
 		}
-		for _, w := range e22Workloads {
-			if w != "udg" && n > e22GeoCap {
-				continue
-			}
-			cfgs = append(cfgs, cfg{w, n})
-		}
-	}
-	key := func(proto string, c cfg, s uint64) exp.Key {
-		return exp.Key{Experiment: "E22", Config: fmt.Sprintf("%s/%s/n=%d", proto, c.workload, c.n), Seed: s}
-	}
-	for _, c := range cfgs {
-		for _, proto := range e19Protocols {
-			for s := 0; s < seeds; s++ {
-				c, proto, seed := c, proto, uint64(s)
-				cost := budgetCost(c.n, e19Rounds(proto, "grid", c.n))
-				if c.workload == "qudg" {
-					cost *= 2 // adverse path: O(n)-per-round listener sweep
-				}
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:        key(proto, c, seed),
-					RoundLimit: broadcastLimit,
-					Cost:       cost,
-					Run: func(limit int64) exp.Result {
-						res, _ := runGeoCell(proto, c.workload, c.n, seed, workers, limit)
-						return res
-					},
-				})
-			}
-		}
-	}
-	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
-		t := &stats.Table{
-			// Worker count stays out of the title (CI byte-compares the
-			// sequential and parallel sweeps).
-			Title: "E22: geometric scale sweep (unit-disk layouts, streaming CSR)",
-			Comment: "one dense broadcast per (protocol, workload, n) cell over seeded point layouts: udg at the\n" +
-				"connectivity radius, udg-cluster blobs, qudg with distance-ramped band erasure (RangeErasure);\n" +
-				"byte-identical at any worker count; bytes/node, peak RSS, rounds/sec ride the JSON artifact",
-			Header: []string{"workload", "n", "ok", "decay", "cr", "wave"},
-		}
-		for _, c := range cfgs {
-			okCount := 0
-			row := []string{c.workload, fmt.Sprintf("%d", c.n), ""}
-			for _, proto := range e19Protocols {
-				var rs []float64
-				for s := 0; s < seeds; s++ {
-					r := idx[key(proto, c, uint64(s))]
-					if r.Completed {
-						okCount++
-						rs = append(rs, float64(r.Rounds))
-					}
-				}
-				row = append(row, stats.F(meanOrDash(rs)))
-			}
-			row[2] = fmt.Sprintf("%d/%d", okCount, len(e19Protocols)*seeds)
-			t.AddRow(row...)
-		}
-		return t
-	}
-	return p
+		return e19Rounds(proto, "grid", n)
+	},
 }
+
+// E22Plan is the geometric scale sweep over e22Sweep.
+func E22Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan { return e22Sweep.plan(sc, seeds, quick) }
 
 // E23 parameters: six blobs of n/6 nodes, blob box 0.04 against a
 // radio range of 0.06 — each blob is internally near-complete and the

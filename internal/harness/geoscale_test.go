@@ -1,84 +1,10 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"radiocast/internal/exp"
 )
-
-// TestE22QuickCompletes runs the quick geometric sweep (n up to 10^4,
-// all three unit-disk workloads) and requires every cell to finish its
-// broadcast and carry the capacity metrics. The qudg rows complete
-// under the distance-ramped band erasure: decay and CR retry, the
-// wave gets the 4x-eccentricity slacked horizon.
-func TestE22QuickCompletes(t *testing.T) {
-	p := E22Plan(DefaultScaleConfig(), 1, true)
-	results := (&exp.Runner{Parallelism: 1}).Run(p)
-	for _, r := range results {
-		if r.Err != "" {
-			t.Fatalf("%s: %s", r.Key, r.Err)
-		}
-		if !r.Completed {
-			t.Errorf("%s: broadcast incomplete after %d rounds", r.Key, r.Rounds)
-		}
-		if r.MemBytes < 0 || r.Value <= 0 {
-			t.Errorf("%s: implausible metrics mem=%d deliveries=%g", r.Key, r.MemBytes, r.Value)
-		}
-	}
-	tb := p.Assemble(results)
-	if len(tb.Rows) == 0 {
-		t.Fatal("E22 produced no rows")
-	}
-	workloads := map[string]bool{}
-	for _, row := range tb.Rows {
-		workloads[row[0]] = true
-	}
-	for _, w := range e22Workloads {
-		if !workloads[w] {
-			t.Errorf("E22 table missing workload row %q", w)
-		}
-	}
-}
-
-// TestE22WorkerInvariance pins the geometric sweep onto the dense
-// engine's determinism contract: the E22 table is byte-identical
-// sequentially and with the parallel delivery pass — including the
-// qudg rows, whose RangeErasure DropLink runs concurrently.
-func TestE22WorkerInvariance(t *testing.T) {
-	run := func(workers int) string {
-		p := E22Plan(ScaleConfig{Workers: workers}, 1, true)
-		tb, _ := (&exp.Runner{Parallelism: 1}).RunTable(p)
-		return tb.String()
-	}
-	seq := run(1)
-	par := run(4)
-	if seq != par {
-		t.Fatalf("E22 tables diverge across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", seq, par)
-	}
-}
-
-// TestE22MaxNCapsSweep pins ScaleConfig.MaxN threading and the
-// per-workload geometry cap: only the plain udg workload scales past
-// 10^5.
-func TestE22MaxNCapsSweep(t *testing.T) {
-	small := E22Plan(ScaleConfig{MaxN: 1_000}, 1, false)
-	big := E22Plan(ScaleConfig{MaxN: 1_000_000}, 1, false)
-	if len(small.Cells) >= len(big.Cells) {
-		t.Fatalf("MaxN=1000 plan has %d cells, MaxN=10^6 has %d; cap not applied",
-			len(small.Cells), len(big.Cells))
-	}
-	for _, c := range small.Cells {
-		if strings.Contains(c.Key.Config, "n=10000") {
-			t.Fatalf("MaxN=1000 plan contains oversized cell %s", c.Key)
-		}
-	}
-	for _, c := range big.Cells {
-		if strings.Contains(c.Key.Config, "n=1000000") && !strings.Contains(c.Key.Config, "/udg/") {
-			t.Fatalf("geometry cap violated: 10^6 cell on a capped workload: %s", c.Key)
-		}
-	}
-}
 
 // TestE23AdaptiveBeatsOneshot is the dynamics layer's acceptance
 // check: under mobility with per-period re-layout, adaptive

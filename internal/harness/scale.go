@@ -1,9 +1,10 @@
 package harness
 
-// E19/E20: the million-node scale sweeps. Every cell drives the dense
-// engine (radio.Dense — structure-of-arrays node state, bitset
-// frontiers) over a streaming-generated CSR workload (graph.FromStream
-// / graph.BuildConnected: no Builder maps, the edge stream lands
+// E19-E21: the million-node scale sweeps (E22, the geometric one, is
+// in geoscale.go). Every cell drives the dense engine (radio.Dense —
+// structure-of-arrays node state, bitset frontiers) over a
+// streaming-generated CSR workload (graph.FromStream /
+// graph.BuildConnected: no Builder maps, the edge stream lands
 // directly in the final arrays), optionally with the deterministic
 // intra-run parallel delivery pass (radio.Config.Workers —
 // byte-identical output at any worker count, so the tables below are
@@ -18,6 +19,9 @@ package harness
 // workload grid, with and without jamming by uninformed members — the
 // steady-state regime of the paper's amortized argument, where the
 // tree is built once and every broadcast rides the fixed MMV schedule.
+// E19, E21 and E22 are rows of one table (scaleSweep), compiled by one
+// plan method; E20's (loss, protocol, n) grid keeps its own plan. All
+// four share one cell body, runDenseCell.
 //
 // The rendered tables hold only reproducible outputs (rounds,
 // completion, coverage). The capacity metrics — live-heap growth of
@@ -44,7 +48,7 @@ import (
 	"radiocast/internal/stats"
 )
 
-// ScaleConfig parameterizes the E19/E20 scale sweeps. The zero value
+// ScaleConfig parameterizes the E19-E22 scale sweeps. The zero value
 // (DefaultScaleConfig) is the CI/test shape; cmd/radiobench builds one
 // from -scalemaxn/-scaleworkers and threads it through AllWithScale —
 // no package-level mutation.
@@ -84,13 +88,6 @@ func (sc ScaleConfig) workers() int {
 // a sweep measures the same graph.
 const e19Seed = 0xe19
 
-// e19Workloads orders the workload rows of E19.
-var e19Workloads = []string{"path", "grid", "gnp", "cluster"}
-
-// e19Protocols orders the protocol columns of E19 (and the protocol
-// rows of E20): the dense SoA catalog.
-var e19Protocols = []string{"decay", "cr", "wave"}
-
 // e19PathCap bounds the path workload: a 10^6-node path needs ~10^7
 // Decay rounds (D log n), which is a different experiment. The other
 // workloads have sublinear diameter and scale to 10^6.
@@ -98,19 +95,20 @@ const e19PathCap = 10_000
 
 // e19Graph builds one workload at size ~n through the streaming
 // generators. Actual node counts are the generator's (grid and cluster
-// round n to their factor shapes).
-func e19Graph(workload string, n int) *graph.Graph {
+// round n to their factor shapes). The workloads are seed-independent
+// and channel-free.
+func e19Graph(workload string, n int, _ uint64) (*graph.Graph, radio.Channel) {
 	switch workload {
 	case "path":
-		return graph.FromStream(graph.StreamPath(n))
+		return graph.FromStream(graph.StreamPath(n)), nil
 	case "grid":
 		side := int(math.Sqrt(float64(n)))
-		return graph.FromStream(graph.StreamGrid(side, side))
+		return graph.FromStream(graph.StreamGrid(side, side)), nil
 	case "gnp":
-		return graph.BuildConnected(graph.StreamGNP(n, 16/float64(n), e19Seed), e19Seed)
+		return graph.BuildConnected(graph.StreamGNP(n, 16/float64(n), e19Seed), e19Seed), nil
 	default: // "cluster"
 		size := int(math.Sqrt(float64(n)))
-		return graph.FromStream(graph.StreamClusterChain(n/size, size))
+		return graph.FromStream(graph.StreamClusterChain(n/size, size)), nil
 	}
 }
 
@@ -166,32 +164,20 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// runScaleCell executes one dense broadcast (or wave) on one workload
-// and returns the result plus the covered-node fraction. The heap
+// runDenseCell is the one cell body of every scale sweep: build the
+// workload (graph and optional channel), build the dense table entry
+// for proto from node 0, run it, and return the result plus the
+// covered-node fraction. The heap mark is taken before build, so the
 // delta brackets everything the cell allocates and keeps live: CSR
 // graph, engine buffers, SoA protocol state. Concurrent cells can
 // perturb it — it is a capacity figure, not a reproducible output.
-func runScaleCell(proto string, noise bool, workload string, n int, seed uint64, workers int,
-	mkChannel func() radio.Channel, limit int64) (exp.Result, float64) {
+// The wave's horizon is the source eccentricity on the ideal channel
+// and 4x eccentricity plus slack under a lossy one; noise turns on the
+// GST broadcast's jamming adversary.
+func runDenseCell(build func() (*graph.Graph, radio.Channel), proto string, noise bool, seed uint64,
+	workers int, limit int64) (exp.Result, float64) {
 	before := liveHeap()
-	g := e19Graph(workload, n)
-	var ch radio.Channel
-	if mkChannel != nil {
-		ch = mkChannel()
-	}
-	return runDenseCell(g, proto, noise, seed, ch, workers, before, limit)
-}
-
-// runDenseCell is the cell body shared by the abstract (E19/E20/E21)
-// and geometric (E22) scale sweeps: given an already-built graph,
-// build the dense table entry for proto from node 0, run it, and
-// collect the capacity metrics against the heap mark `before` (taken
-// by the caller before graph construction, so the CSR is inside the
-// bracket). The wave's horizon is the source eccentricity on the ideal
-// channel and 4x eccentricity plus slack under a lossy one; noise
-// turns on the GST broadcast's jamming adversary.
-func runDenseCell(g *graph.Graph, proto string, noise bool, seed uint64, ch radio.Channel, workers int,
-	before int64, limit int64) (exp.Result, float64) {
+	g, ch := build()
 	p, _ := LookupProtocol("dense-" + proto)
 	s := p.Build(g, 0, StackOpts{Noise: noise, LossyHorizon: ch != nil}).(*denseStack)
 	s.SetWorkers(workers)
@@ -210,17 +196,44 @@ func runDenseCell(g *graph.Graph, proto string, noise bool, seed uint64, ch radi
 	return res, float64(s.Coverage()) / float64(g.N())
 }
 
-// E19Plan is the ideal-channel scale sweep: n = 10^3 .. sc.MaxN per
-// workload (path capped at 10^4), one dense broadcast per
-// (protocol, workload, n, seed) over the full SoA catalog.
-func E19Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
+// scaleSweep is one row of the scale-sweep table: a (workload, n) grid
+// with one dense broadcast per (column, workload, n, seed) cell, and a
+// table of per-column mean completion rounds. E19, E21 and E22 are
+// rows; E20's (loss, protocol, n) grid has its own plan.
+type scaleSweep struct {
+	id, title string // plan id and experiment title
+	// table and comment head the rendered table. The worker count stays
+	// out of both: the table must be byte-identical at any
+	// -scaleworkers setting (CI compares the sweeps with cmp).
+	table, comment string
+	workloads      []string
+	caps           map[string]int // per-workload size cap; absent = sc.MaxN only
+	cols           []scaleCol
+	build          func(workload string, n int, seed uint64) (*graph.Graph, radio.Channel)
+	// rounds estimates a cell's completion rounds (cost model only).
+	rounds func(proto, workload string, n int) int64
+}
+
+// scaleCol is one table column: a dense table entry, optionally under
+// the GST broadcast's jamming adversary.
+type scaleCol struct {
+	name, proto string
+	noise       bool
+}
+
+// denseCols is the dense SoA catalog as columns: decay/cr/wave, quiet.
+var denseCols = []scaleCol{{"decay", "decay", false}, {"cr", "cr", false}, {"wave", "wave", false}}
+
+// plan compiles the sweep: n = 10^3 .. sc.MaxN (10^3 .. 10^4 quick),
+// each workload up to its cap.
+func (sw scaleSweep) plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 	sizes := []int{1_000, 10_000, 100_000, 1_000_000}
 	if quick {
 		sizes = []int{1_000, 10_000}
 	}
 	maxN := sc.maxN()
 	workers := sc.workers()
-	p := &exp.Plan{ID: "E19", Title: "Million-node engine: dense-engine scale sweep (SoA decay/cr/wave)"}
+	p := &exp.Plan{ID: sw.id, Title: sw.title}
 	type cfg struct {
 		workload string
 		n        int
@@ -230,26 +243,27 @@ func E19Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 		if n > maxN {
 			continue
 		}
-		for _, w := range e19Workloads {
-			if w == "path" && n > e19PathCap {
+		for _, w := range sw.workloads {
+			if limit, ok := sw.caps[w]; ok && n > limit {
 				continue
 			}
 			cfgs = append(cfgs, cfg{w, n})
 		}
 	}
-	key := func(proto string, c cfg, s uint64) exp.Key {
-		return exp.Key{Experiment: "E19", Config: fmt.Sprintf("%s/%s/n=%d", proto, c.workload, c.n), Seed: s}
+	key := func(col string, c cfg, s uint64) exp.Key {
+		return exp.Key{Experiment: sw.id, Config: fmt.Sprintf("%s/%s/n=%d", col, c.workload, c.n), Seed: s}
 	}
 	for _, c := range cfgs {
-		for _, proto := range e19Protocols {
+		for _, col := range sw.cols {
 			for s := 0; s < seeds; s++ {
-				c, proto, seed := c, proto, uint64(s)
+				c, col, seed := c, col, uint64(s)
 				p.Cells = append(p.Cells, exp.Cell{
-					Key:        key(proto, c, seed),
+					Key:        key(col.name, c, seed),
 					RoundLimit: broadcastLimit,
-					Cost:       budgetCost(c.n, e19Rounds(proto, c.workload, c.n)),
+					Cost:       budgetCost(c.n, sw.rounds(col.proto, c.workload, c.n)),
 					Run: func(limit int64) exp.Result {
-						res, _ := runScaleCell(proto, false, c.workload, c.n, seed, workers, nil, limit)
+						build := func() (*graph.Graph, radio.Channel) { return sw.build(c.workload, c.n, seed) }
+						res, _ := runDenseCell(build, col.proto, col.noise, seed, workers, limit)
 						return res
 					},
 				})
@@ -258,23 +272,17 @@ func E19Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
 		idx := exp.Index(results)
-		t := &stats.Table{
-			// The worker count stays out of the title: the rendered table
-			// must be byte-identical at any -scaleworkers setting (CI
-			// compares the sequential and parallel sweeps with cmp).
-			Title: "E19: dense-engine scale sweep (SoA decay/cr/wave, streaming CSR)",
-			Comment: "one dense broadcast per (protocol, workload, n) cell; per-protocol mean completion rounds,\n" +
-				"byte-identical at any worker count (the deterministic parallel delivery pass); bytes/node, peak\n" +
-				"RSS, and rounds/sec ride the JSON artifact only (mem_bytes, peak_rss_bytes, wall_us)",
-			Header: []string{"workload", "n", "ok", "decay", "cr", "wave"},
+		t := &stats.Table{Title: sw.table, Comment: sw.comment, Header: []string{"workload", "n", "ok"}}
+		for _, col := range sw.cols {
+			t.Header = append(t.Header, col.name)
 		}
 		for _, c := range cfgs {
 			okCount := 0
 			row := []string{c.workload, fmt.Sprintf("%d", c.n), ""}
-			for _, proto := range e19Protocols {
+			for _, col := range sw.cols {
 				var rs []float64
 				for s := 0; s < seeds; s++ {
-					r := idx[key(proto, c, uint64(s))]
+					r := idx[key(col.name, c, uint64(s))]
 					if r.Completed {
 						okCount++
 						rs = append(rs, float64(r.Rounds))
@@ -282,13 +290,38 @@ func E19Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 				}
 				row = append(row, stats.F(meanOrDash(rs)))
 			}
-			row[2] = fmt.Sprintf("%d/%d", okCount, len(e19Protocols)*seeds)
+			row[2] = fmt.Sprintf("%d/%d", okCount, len(sw.cols)*seeds)
 			t.AddRow(row...)
 		}
 		return t
 	}
 	return p
 }
+
+// experiment binds the sweep to sc as one entry of AllWithScale.
+func (sw scaleSweep) experiment(sc ScaleConfig) Experiment {
+	return Experiment{sw.id, sw.title, func(seeds int, quick bool) *exp.Plan { return sw.plan(sc, seeds, quick) }}
+}
+
+// e19Sweep is the ideal-channel scale sweep: one dense broadcast per
+// (protocol, workload, n, seed) over the full SoA catalog, path capped
+// at 10^4.
+var e19Sweep = scaleSweep{
+	id:    "E19",
+	title: "Million-node engine: dense-engine scale sweep (SoA decay/cr/wave)",
+	table: "E19: dense-engine scale sweep (SoA decay/cr/wave, streaming CSR)",
+	comment: "one dense broadcast per (protocol, workload, n) cell; per-protocol mean completion rounds,\n" +
+		"byte-identical at any worker count (the deterministic parallel delivery pass); bytes/node, peak\n" +
+		"RSS, and rounds/sec ride the JSON artifact only (mem_bytes, peak_rss_bytes, wall_us)",
+	workloads: []string{"path", "grid", "gnp", "cluster"},
+	caps:      map[string]int{"path": e19PathCap},
+	cols:      denseCols,
+	build:     e19Graph,
+	rounds:    e19Rounds,
+}
+
+// E19Plan is the ideal-channel scale sweep over e19Sweep.
+func E19Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan { return e19Sweep.plan(sc, seeds, quick) }
 
 // e20Rates is the erasure loss grid of E20.
 var e20Rates = []float64{0.05, 0.1, 0.2, 0.3}
@@ -316,12 +349,12 @@ func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 	}
 	var cfgs []cfg
 	for _, rate := range e20Rates {
-		for _, proto := range e19Protocols {
+		for _, col := range denseCols {
 			for _, n := range sizes {
 				if n > maxN {
 					continue
 				}
-				cfgs = append(cfgs, cfg{rate, proto, n})
+				cfgs = append(cfgs, cfg{rate, col.proto, n})
 			}
 		}
 	}
@@ -336,10 +369,11 @@ func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 				RoundLimit: broadcastLimit,
 				Cost:       budgetCost(c.n, 2*e19Rounds(c.proto, "gnp", c.n)),
 				Run: func(limit int64) exp.Result {
-					mk := func() radio.Channel {
-						return channel.NewErasure(c.rate, rng.Mix(seed, 0xe20))
+					build := func() (*graph.Graph, radio.Channel) {
+						g, _ := e19Graph("gnp", c.n, seed)
+						return g, channel.NewErasure(c.rate, rng.Mix(seed, 0xe20))
 					}
-					res, coverage := runScaleCell(c.proto, false, "gnp", c.n, seed, workers, mk, limit)
+					res, coverage := runDenseCell(build, c.proto, false, seed, workers, limit)
 					res.Value = coverage
 					return res
 				},
@@ -375,99 +409,35 @@ func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 	return p
 }
 
-// e21Modes orders the mode columns of E21: the structured GST
-// broadcast on a quiet tree, and the same schedule with every
-// uninformed member jamming its slow slots (Lemma 3.3's noise regime).
-var e21Modes = []struct {
-	name  string
-	noise bool
-}{{"gst", false}, {"gst-noise", true}}
-
 // e21Rounds estimates a GST-broadcast cell's completion rounds (cost
 // model only): the fast relay pipelines one level per two rounds, and
 // each of the ≤ log n stretch boundaries on a root-to-leaf path waits
 // O(M log n) expected slow slots, with M = 6(L+2) the schedule period.
-func e21Rounds(workload string, n int) int64 {
+func e21Rounds(_, workload string, n int) int64 {
 	m := int64(mmv.NewSchedule(n).M)
 	return m * e19Rounds("wave", workload, n)
 }
 
-// E21Plan is the structured-broadcast scale sweep: mmv.Dense over
-// flat GST arrays (built once per cell by gst.Construct + gst.Flatten)
-// on the E19 workload grid, n = 10^3 .. sc.MaxN, quiet and noised.
+// e21Sweep is the structured-broadcast scale sweep: mmv.Dense over
+// flat GST arrays (built once per cell by gst.Construct +
+// gst.Flatten) on the E19 workload grid, quiet and with every
+// uninformed member jamming its slow slots (Lemma 3.3's noise regime).
 // Completion rides the fixed MMV schedule only — no retries, no
-// topology knowledge beyond the tree — so the rounds column is the
+// topology knowledge beyond the tree — so the rounds columns are the
 // steady-state per-message cost of the paper's amortized regime.
-func E21Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
-	sizes := []int{1_000, 10_000, 100_000, 1_000_000}
-	if quick {
-		sizes = []int{1_000, 10_000}
-	}
-	maxN := sc.maxN()
-	workers := sc.workers()
-	p := &exp.Plan{ID: "E21", Title: "Million-node structured broadcast: dense GST sweep (flat tree + MMV schedule)"}
-	type cfg struct {
-		workload string
-		n        int
-	}
-	var cfgs []cfg
-	for _, n := range sizes {
-		if n > maxN {
-			continue
-		}
-		for _, w := range e19Workloads {
-			if w == "path" && n > e19PathCap {
-				continue
-			}
-			cfgs = append(cfgs, cfg{w, n})
-		}
-	}
-	key := func(mode string, c cfg, s uint64) exp.Key {
-		return exp.Key{Experiment: "E21", Config: fmt.Sprintf("%s/%s/n=%d", mode, c.workload, c.n), Seed: s}
-	}
-	for _, c := range cfgs {
-		for _, mode := range e21Modes {
-			for s := 0; s < seeds; s++ {
-				c, mode, seed := c, mode, uint64(s)
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:        key(mode.name, c, seed),
-					RoundLimit: broadcastLimit,
-					Cost:       budgetCost(c.n, e21Rounds(c.workload, c.n)),
-					Run: func(limit int64) exp.Result {
-						res, _ := runScaleCell("gst", mode.noise, c.workload, c.n, seed, workers, nil, limit)
-						return res
-					},
-				})
-			}
-		}
-	}
-	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
-		t := &stats.Table{
-			Title: "E21: dense GST broadcast scale sweep (flat tree + MMV schedule)",
-			Comment: "one structured broadcast per (mode, workload, n) cell: gst.Construct + gst.Flatten once, then\n" +
-				"mmv.Dense on the fixed MMV schedule; gst-noise adds slow-slot jamming by every uninformed member;\n" +
-				"byte-identical at any worker count; bytes/node, peak RSS, and rounds/sec ride the JSON artifact",
-			Header: []string{"workload", "n", "ok", "gst", "gst-noise"},
-		}
-		for _, c := range cfgs {
-			okCount := 0
-			row := []string{c.workload, fmt.Sprintf("%d", c.n), ""}
-			for _, mode := range e21Modes {
-				var rs []float64
-				for s := 0; s < seeds; s++ {
-					r := idx[key(mode.name, c, uint64(s))]
-					if r.Completed {
-						okCount++
-						rs = append(rs, float64(r.Rounds))
-					}
-				}
-				row = append(row, stats.F(meanOrDash(rs)))
-			}
-			row[2] = fmt.Sprintf("%d/%d", okCount, len(e21Modes)*seeds)
-			t.AddRow(row...)
-		}
-		return t
-	}
-	return p
+var e21Sweep = scaleSweep{
+	id:    "E21",
+	title: "Million-node structured broadcast: dense GST sweep (flat tree + MMV schedule)",
+	table: "E21: dense GST broadcast scale sweep (flat tree + MMV schedule)",
+	comment: "one structured broadcast per (mode, workload, n) cell: gst.Construct + gst.Flatten once, then\n" +
+		"mmv.Dense on the fixed MMV schedule; gst-noise adds slow-slot jamming by every uninformed member;\n" +
+		"byte-identical at any worker count; bytes/node, peak RSS, and rounds/sec ride the JSON artifact",
+	workloads: e19Sweep.workloads,
+	caps:      e19Sweep.caps,
+	cols:      []scaleCol{{"gst", "gst", false}, {"gst-noise", "gst", true}},
+	build:     e19Graph,
+	rounds:    e21Rounds,
 }
+
+// E21Plan is the structured-broadcast scale sweep over e21Sweep.
+func E21Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan { return e21Sweep.plan(sc, seeds, quick) }

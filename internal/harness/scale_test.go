@@ -1,41 +1,64 @@
 package harness
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"radiocast/internal/exp"
 )
 
-// TestE19QuickCompletes runs the quick scale sweep (n up to 10^4,
-// decay/cr/wave) and requires every cell to finish its broadcast and
-// carry the capacity metrics.
-func TestE19QuickCompletes(t *testing.T) {
-	p := E19Plan(DefaultScaleConfig(), 1, true)
-	results := (&exp.Runner{Parallelism: 1}).Run(p)
-	for _, r := range results {
-		if r.Err != "" {
-			t.Fatalf("%s: %s", r.Key, r.Err)
-		}
-		if !r.Completed {
-			t.Errorf("%s: broadcast incomplete after %d rounds", r.Key, r.Rounds)
-		}
-		if r.MemBytes < 0 || r.Value <= 0 {
-			t.Errorf("%s: implausible metrics mem=%d deliveries=%g", r.Key, r.MemBytes, r.Value)
-		}
-	}
-	tb := p.Assemble(results)
-	if len(tb.Rows) == 0 {
-		t.Fatal("E19 produced no rows")
-	}
-	for _, proto := range e19Protocols {
-		found := false
-		for _, h := range tb.Header {
-			found = found || h == proto
-		}
-		if !found {
-			t.Errorf("E19 header %v missing protocol column %q", tb.Header, proto)
-		}
+// scaleSweeps lists the rows of the scale-sweep table.
+var scaleSweeps = []scaleSweep{e19Sweep, e21Sweep, e22Sweep}
+
+// TestScaleSweepQuickCompletes runs each quick scale sweep (n up to
+// 10^4) and requires every cell to finish its broadcast and carry the
+// capacity metrics: E19's dense catalog on the ideal channel, E21's
+// structured GST broadcast on the fixed MMV schedule (quiet and
+// noised), and E22's unit-disk workloads, whose qudg rows complete
+// under the distance-ramped band erasure (decay and CR retry, the
+// wave gets the 4x-eccentricity slacked horizon). Every column must be
+// in the header and every workload must have a row.
+func TestScaleSweepQuickCompletes(t *testing.T) {
+	for _, sw := range scaleSweeps {
+		sw := sw
+		t.Run(sw.id, func(t *testing.T) {
+			p := sw.plan(DefaultScaleConfig(), 1, true)
+			results := (&exp.Runner{Parallelism: 1}).Run(p)
+			for _, r := range results {
+				if r.Err != "" {
+					t.Fatalf("%s: %s", r.Key, r.Err)
+				}
+				if !r.Completed {
+					t.Errorf("%s: broadcast incomplete after %d rounds", r.Key, r.Rounds)
+				}
+				if r.MemBytes < 0 || r.Value <= 0 {
+					t.Errorf("%s: implausible metrics mem=%d deliveries=%g", r.Key, r.MemBytes, r.Value)
+				}
+			}
+			tb := p.Assemble(results)
+			if len(tb.Rows) == 0 {
+				t.Fatalf("%s produced no rows", sw.id)
+			}
+			header := map[string]bool{}
+			for _, h := range tb.Header {
+				header[h] = true
+			}
+			for _, col := range sw.cols {
+				if !header[col.name] {
+					t.Errorf("%s header %v missing column %q", sw.id, tb.Header, col.name)
+				}
+			}
+			workloads := map[string]bool{}
+			for _, row := range tb.Rows {
+				workloads[row[0]] = true
+			}
+			for _, w := range sw.workloads {
+				if !workloads[w] {
+					t.Errorf("%s table missing workload row %q", sw.id, w)
+				}
+			}
+		})
 	}
 }
 
@@ -58,48 +81,16 @@ func TestE20QuickCompletes(t *testing.T) {
 		}
 	}
 	tb := p.Assemble(results)
-	if len(tb.Rows) != len(e20Rates)*len(e19Protocols) {
-		t.Fatalf("E20 rows = %d, want %d", len(tb.Rows), len(e20Rates)*len(e19Protocols))
-	}
-}
-
-// TestE21QuickCompletes runs the quick structured-broadcast sweep
-// (n up to 10^4, quiet and noised) and requires every cell to finish
-// on the fixed MMV schedule and carry the capacity metrics.
-func TestE21QuickCompletes(t *testing.T) {
-	p := E21Plan(DefaultScaleConfig(), 1, true)
-	results := (&exp.Runner{Parallelism: 1}).Run(p)
-	for _, r := range results {
-		if r.Err != "" {
-			t.Fatalf("%s: %s", r.Key, r.Err)
-		}
-		if !r.Completed {
-			t.Errorf("%s: broadcast incomplete after %d rounds", r.Key, r.Rounds)
-		}
-		if r.MemBytes < 0 || r.Value <= 0 {
-			t.Errorf("%s: implausible metrics mem=%d deliveries=%g", r.Key, r.MemBytes, r.Value)
-		}
-	}
-	tb := p.Assemble(results)
-	if len(tb.Rows) == 0 {
-		t.Fatal("E21 produced no rows")
-	}
-	for _, mode := range e21Modes {
-		found := false
-		for _, h := range tb.Header {
-			found = found || h == mode.name
-		}
-		if !found {
-			t.Errorf("E21 header %v missing mode column %q", tb.Header, mode.name)
-		}
+	if len(tb.Rows) != len(e20Rates)*len(denseCols) {
+		t.Fatalf("E20 rows = %d, want %d", len(tb.Rows), len(e20Rates)*len(denseCols))
 	}
 }
 
 // TestScaleWorkerInvariance pins the sweep-level face of the dense
-// engine's determinism contract: the E19, E20, and E21 tables (and the
-// canonical artifact) are byte-identical whether the engine runs
-// sequentially or with the parallel delivery pass — threaded through
-// ScaleConfig, no package state.
+// engine's determinism contract: the E19-E22 tables are byte-identical
+// whether the engine runs sequentially or with the parallel delivery
+// pass — including E22's qudg rows, whose RangeErasure DropLink runs
+// concurrently — threaded through ScaleConfig, no package state.
 func TestScaleWorkerInvariance(t *testing.T) {
 	for _, plan := range []struct {
 		id string
@@ -108,6 +99,7 @@ func TestScaleWorkerInvariance(t *testing.T) {
 		{"E19", E19Plan},
 		{"E20", E20Plan},
 		{"E21", E21Plan},
+		{"E22", E22Plan},
 	} {
 		run := func(workers int) string {
 			p := plan.fn(ScaleConfig{Workers: workers}, 1, true)
@@ -124,17 +116,40 @@ func TestScaleWorkerInvariance(t *testing.T) {
 }
 
 // TestScaleMaxNCapsSweep pins that ScaleConfig.MaxN actually trims the
-// cell plans (the acceptance run relies on raising it to reach 10^6).
+// cell plans (the acceptance run relies on raising it to reach 10^6)
+// and that every sweep honours its per-workload caps: path at 10^4 in
+// E19 and E21, udg-cluster and qudg at 10^5 in E22. Every cell's n is
+// at most min(MaxN, the workload's cap), and every workload reaches
+// that size.
 func TestScaleMaxNCapsSweep(t *testing.T) {
-	small := E19Plan(ScaleConfig{MaxN: 1_000}, 1, false)
-	big := E19Plan(ScaleConfig{MaxN: 100_000}, 1, false)
-	if len(small.Cells) >= len(big.Cells) {
-		t.Fatalf("MaxN=1000 plan has %d cells, MaxN=100000 has %d; cap not applied",
-			len(small.Cells), len(big.Cells))
+	wantCaps := map[string]map[string]int{
+		"E19": {"path": 10_000},
+		"E21": {"path": 10_000},
+		"E22": {"udg-cluster": 100_000, "qudg": 100_000},
 	}
-	for _, c := range small.Cells {
-		if strings.Contains(c.Key.Config, "n=10000") {
-			t.Fatalf("MaxN=1000 plan contains oversized cell %s", c.Key)
+	for _, sw := range scaleSweeps {
+		for _, maxN := range []int{1_000, 100_000, 1_000_000} {
+			largest := map[string]int{}
+			for _, c := range sw.plan(ScaleConfig{MaxN: maxN}, 1, false).Cells {
+				parts := strings.Split(c.Key.Config, "/")
+				n, err := strconv.Atoi(strings.TrimPrefix(parts[2], "n="))
+				if err != nil {
+					t.Fatalf("%s: unparsable cell key %s", sw.id, c.Key)
+				}
+				if n > largest[parts[1]] {
+					largest[parts[1]] = n
+				}
+			}
+			for _, w := range sw.workloads {
+				limit := maxN
+				if cap, ok := wantCaps[sw.id][w]; ok && cap < limit {
+					limit = cap
+				}
+				if largest[w] != limit {
+					t.Errorf("%s MaxN=%d: largest %s cell has n=%d, want min(MaxN, cap) = %d",
+						sw.id, maxN, w, largest[w], limit)
+				}
+			}
 		}
 	}
 }
