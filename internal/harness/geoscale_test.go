@@ -6,6 +6,30 @@ import (
 	"radiocast/internal/exp"
 )
 
+// TestE22WorkerInvariance pins the geometric sweep onto the dense
+// engine's determinism contract: the E22 table is byte-identical
+// sequentially and with the parallel delivery pass — including the
+// qudg rows, whose RangeErasure DropLink runs concurrently.
+func TestE22WorkerInvariance(t *testing.T) {
+	run := func(workers int) string {
+		p := E22Plan(ScaleConfig{Workers: workers}, 1, true)
+		tb, _ := (&exp.Runner{Parallelism: 1}).RunTable(p)
+		return tb.String()
+	}
+	seq := run(1)
+	par := run(4)
+	if seq != par {
+		t.Fatalf("E22 tables diverge across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", seq, par)
+	}
+}
+
+// TestE22MaxNCapsSweep pins ScaleConfig.MaxN threading and the
+// per-workload geometry cap: udg-cluster and qudg stop at 10^5, and
+// only the plain udg workload scales on to MaxN.
+func TestE22MaxNCapsSweep(t *testing.T) {
+	checkMaxNCaps(t, e22Sweep, map[string]int{"udg-cluster": 100_000, "qudg": 100_000})
+}
+
 // TestE23AdaptiveBeatsOneshot is the dynamics layer's acceptance
 // check: under mobility with per-period re-layout, adaptive
 // informed-set carryover must strictly beat the one-shot schedule's
