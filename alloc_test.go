@@ -27,6 +27,7 @@ import (
 	"radiocast/internal/harness"
 	"radiocast/internal/mmv"
 	"radiocast/internal/radio"
+	"radiocast/internal/rings"
 	"radiocast/internal/rng"
 )
 
@@ -391,10 +392,11 @@ const adaptiveWrapperAllocOverhead = 64
 func TestAdaptiveWrapperAllocOverhead(t *testing.T) {
 	g := graph.ClusterChain(4, 6)
 	plainRun := harness.NewDecayRun(g, 0)
-	plainRun.Run(nil, 3, 1<<20) // warm both paths' scratch
-	plain := testing.AllocsPerRun(5, func() { plainRun.Run(nil, 3, 1<<20) })
+	plainRun.RunFrom(nil, nil, 3, 1<<20) // warm both paths' scratch
+	plain := testing.AllocsPerRun(5, func() { plainRun.RunFrom(nil, nil, 3, 1<<20) })
 
-	ar := harness.NewAdaptiveDecay(g, nil, 3, 0)
+	decayEntry, _ := harness.LookupProtocol("decay")
+	ar := decayEntry.NewAdaptive(g, 0, harness.StackOpts{}, nil, 3)
 	adapt.Run(ar, adapt.Policy{})
 	adaptive := testing.AllocsPerRun(5, func() { adapt.Run(ar, adapt.Policy{}) })
 	if adaptive > plain+adaptiveWrapperAllocOverhead {
@@ -422,15 +424,16 @@ func TestTheorem13ResetReuseAllocBudget(t *testing.T) {
 	}
 	g := graph.Grid(4, 12)
 	d := graph.Eccentricity(g, 0)
-	run := harness.NewTheorem13Run(g, d, 8, 1, 0)
-	wantRounds, wantOK, _ := harness.NewTheorem13Run(g, d, 8, 1, 0).Run(nil, 3)
+	cfg := rings.DefaultConfig(g.N(), d, 8, 1)
+	run := harness.NewTheorem13RunCfg(g, cfg, 0)
+	wantRounds, wantOK, _ := harness.NewTheorem13RunCfg(g, cfg, 0).RunFrom(nil, nil, 3, 0)
 	if !wantOK {
 		t.Fatal("fresh reference run incomplete")
 	}
 	var rounds int64
 	var ok bool
 	allocs := testing.AllocsPerRun(2, func() {
-		rounds, ok, _ = run.Run(nil, 3)
+		rounds, ok, _ = run.RunFrom(nil, nil, 3, 0)
 	})
 	if !ok || rounds != wantRounds {
 		t.Fatalf("reused run diverged: rounds=%d ok=%v, fresh rounds=%d", rounds, ok, wantRounds)

@@ -29,6 +29,24 @@ import (
 	"radiocast/internal/rng"
 )
 
+// benchExperiment runs experiment id's quick single-seed table b.N
+// times.
+func benchExperiment(b *testing.B, id string) {
+	b.Helper()
+	for _, e := range harness.All() {
+		if e.ID != id {
+			continue
+		}
+		for i := 0; i < b.N; i++ {
+			if tb := e.Run(1, true); len(tb.Rows) == 0 {
+				b.Fatal("no rows")
+			}
+		}
+		return
+	}
+	b.Fatalf("no experiment %s", id)
+}
+
 // reportRounds runs fn b.N times and reports the mean simulated
 // rounds per run.
 func reportRounds(b *testing.B, fn func(seed uint64) (int64, bool)) {
@@ -50,7 +68,7 @@ func reportRounds(b *testing.B, fn func(seed uint64) (int64, bool)) {
 func BenchmarkE1_Decay_ClusterChain32x8(b *testing.B) {
 	g := graph.ClusterChain(32, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewDecayRun(g, 0).Run(nil, seed, 1<<22)
+		rounds, ok, _ := harness.NewDecayRun(g, 0).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -59,7 +77,7 @@ func BenchmarkE1_CR_ClusterChain32x8(b *testing.B) {
 	g := graph.ClusterChain(32, 8)
 	d := graph.Eccentricity(g, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewCRRun(g, d, 0).Run(nil, seed, 1<<22)
+		rounds, ok, _ := harness.NewCRRun(g, d, 0).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -67,7 +85,7 @@ func BenchmarkE1_CR_ClusterChain32x8(b *testing.B) {
 func BenchmarkE1_GSTBroadcast_ClusterChain32x8(b *testing.B) {
 	g := graph.ClusterChain(32, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).Run(nil, seed, 1<<22)
+		rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -75,9 +93,10 @@ func BenchmarkE1_GSTBroadcast_ClusterChain32x8(b *testing.B) {
 func BenchmarkE1_Theorem11Full_ClusterChain8x8(b *testing.B) {
 	g := graph.ClusterChain(8, 8)
 	d := graph.Eccentricity(g, 0)
+	cfg := rings.DefaultConfig(g.N(), d, 0, 1)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		res := harness.NewTheorem11Run(g, d, 1, 0).Run(nil, seed)
-		return res.Rounds, res.Completed
+		rounds, ok, _ := harness.NewTheorem11RunCfg(g, cfg, 0).RunFrom(nil, nil, seed, 0)
+		return rounds, ok
 	})
 }
 
@@ -86,7 +105,7 @@ func BenchmarkE2_DiameterScaling_GST(b *testing.B) {
 		g := graph.ClusterChain(chain, 8)
 		b.Run(g.Name(), func(b *testing.B) {
 			reportRounds(b, func(seed uint64) (int64, bool) {
-				rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).Run(nil, seed, 1<<22)
+				rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, seed, 1<<22)
 				return rounds, ok
 			})
 		})
@@ -95,47 +114,17 @@ func BenchmarkE2_DiameterScaling_GST(b *testing.B) {
 
 // E3: distributed GST construction (fixed schedule; rounds are
 // deterministic, wall time measures the simulator).
-func BenchmarkE3_GSTConstruction_Grid4x8(b *testing.B) {
-	tb := harness.E3GSTConstruction(1, true)
-	if len(tb.Rows) == 0 {
-		b.Fatal("no rows")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = harness.E3GSTConstruction(1, true)
-	}
-}
+func BenchmarkE3_GSTConstruction_Grid4x8(b *testing.B) { benchExperiment(b, "E3") }
 
 // E4: recruiting protocol.
-func BenchmarkE4_Recruiting(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := harness.E4Recruiting(1, true)
-		if len(tb.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE4_Recruiting(b *testing.B) { benchExperiment(b, "E4") }
 
 // E5: assignment shrinkage.
-func BenchmarkE5_AssignmentShrinkage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := harness.E5AssignmentShrinkage(1, true)
-		if len(tb.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE5_AssignmentShrinkage(b *testing.B) { benchExperiment(b, "E5") }
 
 // E6: sequential vs pipelined boundary construction (schedule ratio is
 // fixed; wall time measures the simulator on both modes).
-func BenchmarkE6_PipelinedBoundaries(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := harness.E6PipelinedBoundaries(1, true)
-		if len(tb.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE6_PipelinedBoundaries(b *testing.B) { benchExperiment(b, "E6") }
 
 // E7: Theorem 1.2 k-sweep.
 func BenchmarkE7_MultiMessageKnown_Grid8x8(b *testing.B) {
@@ -143,7 +132,7 @@ func BenchmarkE7_MultiMessageKnown_Grid8x8(b *testing.B) {
 	for _, k := range []int{4, 16} {
 		b.Run("k="+itoa(k), func(b *testing.B) {
 			reportRounds(b, func(seed uint64) (int64, bool) {
-				rounds, ok, _ := harness.NewGSTMultiRun(g, k, 0).Run(nil, seed, 1<<22)
+				rounds, ok, _ := harness.NewGSTMultiRun(g, k, 0).RunFrom(nil, nil, seed, 1<<22)
 				return rounds, ok
 			})
 		})
@@ -154,80 +143,39 @@ func BenchmarkE7_MultiMessageKnown_Grid8x8(b *testing.B) {
 func BenchmarkE8_MultiMessageUnknown_Grid4x12(b *testing.B) {
 	g := graph.Grid(4, 12)
 	d := graph.Eccentricity(g, 0)
+	cfg := rings.DefaultConfig(g.N(), d, 8, 1)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewTheorem13Run(g, d, 8, 1, 0).Run(nil, seed)
+		rounds, ok, _ := harness.NewTheorem13RunCfg(g, cfg, 0).RunFrom(nil, nil, seed, 0)
 		return rounds, ok
 	})
 }
 
 // E9: Decay under jamming (Lemma 3.2).
-func BenchmarkE9_DecayMMV_Path64(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := harness.E9DecayMMV(1, true)
-		if len(tb.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE9_DecayMMV_Path64(b *testing.B) { benchExperiment(b, "E9") }
 
 // E10: MMV GST schedule under jamming (Lemma 3.3).
 func BenchmarkE10_MMVGST_Grid8x8(b *testing.B) {
 	g := graph.Grid(8, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewGSTSingleRun(g, true, 0).Run(nil, seed, 1<<22)
+		rounds, ok, _ := harness.NewGSTSingleRun(g, true, 0).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
 
 // E11: Decay progress probability (Lemma 2.2).
-func BenchmarkE11_DecayProgress(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := harness.E11DecayProgress(1, true)
-		if len(tb.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE11_DecayProgress(b *testing.B) { benchExperiment(b, "E11") }
 
 // E12: RLNC infection/decoding (Def 3.8 / Prop 3.9).
-func BenchmarkE12_RLNC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := harness.E12RLNC(1, true)
-		if len(tb.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE12_RLNC(b *testing.B) { benchExperiment(b, "E12") }
 
 // E13: loss-rate robustness sweep (adversarial channel subsystem).
-func BenchmarkE13_LossSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := harness.E13LossSweep(1, true)
-		if len(tb.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE13_LossSweep(b *testing.B) { benchExperiment(b, "E13") }
 
 // E14: jammer-budget robustness sweep.
-func BenchmarkE14_JammerSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := harness.E14JammerSweep(1, true)
-		if len(tb.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE14_JammerSweep(b *testing.B) { benchExperiment(b, "E14") }
 
 // E15: unreliable-CD robustness sweep.
-func BenchmarkE15_NoisyCDSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := harness.E15NoisyCDSweep(1, true)
-		if len(tb.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE15_NoisyCDSweep(b *testing.B) { benchExperiment(b, "E15") }
 
 // BenchmarkEngine_LossyChannel measures the adversarial delivery path
 // (per-link erasure) against the nil-channel fast path on the same
@@ -236,27 +184,20 @@ func BenchmarkE15_NoisyCDSweep(b *testing.B) {
 func BenchmarkEngine_LossyChannel_Decay(b *testing.B) {
 	g := graph.ClusterChain(16, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewDecayRun(g, 0).Run(ErasureChannel(0.1, seed), seed, 1<<22)
+		rounds, ok, _ := harness.NewDecayRun(g, 0).RunFrom(nil, ErasureChannel(0.1, seed), seed, 1<<22)
 		return rounds, ok
 	})
 }
 
 // A1: slow-slot keying ablation.
-func BenchmarkA1_VirtualDistanceAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := harness.A1VirtualDistance(1, true)
-		if len(tb.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkA1_VirtualDistanceAblation(b *testing.B) { benchExperiment(b, "A1") }
 
 // A2: coding vs routing ablation.
 func BenchmarkA2_CodingVsRouting_Grid6x6(b *testing.B) {
 	g := graph.Grid(6, 6)
 	b.Run("rlnc-k8", func(b *testing.B) {
 		reportRounds(b, func(seed uint64) (int64, bool) {
-			rounds, ok, _ := harness.NewGSTMultiRun(g, 8, 0).Run(nil, seed, 1<<22)
+			rounds, ok, _ := harness.NewGSTMultiRun(g, 8, 0).RunFrom(nil, nil, seed, 1<<22)
 			return rounds, ok
 		})
 	})
@@ -268,14 +209,7 @@ func BenchmarkA2_CodingVsRouting_Grid6x6(b *testing.B) {
 }
 
 // A3: ring width ablation.
-func BenchmarkA3_RingWidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := harness.A3RingWidth(1, true)
-		if len(tb.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkA3_RingWidth(b *testing.B) { benchExperiment(b, "A3") }
 
 // Engine fast-path benchmarks: these isolate the simulator hot loop
 // (wake queue + CSR delivery pass) from protocol logic. Run with
@@ -290,7 +224,7 @@ func BenchmarkA3_RingWidth(b *testing.B) {
 func BenchmarkEngine_DenseRounds_Grid32x32(b *testing.B) {
 	g := graph.Grid(32, 32)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewDecayRun(g, 0).Run(nil, seed, 1<<22)
+		rounds, ok, _ := harness.NewDecayRun(g, 0).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -301,7 +235,7 @@ func BenchmarkEngine_DenseRounds_Grid32x32(b *testing.B) {
 func BenchmarkEngine_SleepHeavy_Path256(b *testing.B) {
 	g := graph.Path(256)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).Run(nil, seed, 1<<22)
+		rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -319,9 +253,9 @@ func BenchmarkEngine_SleepHeavy_Path256(b *testing.B) {
 func BenchmarkEngine_Theorem13_Grid4x12(b *testing.B) {
 	g := graph.Grid(4, 12)
 	d := graph.Eccentricity(g, 0)
-	run := harness.NewTheorem13Run(g, d, 8, 1, 0)
+	run := harness.NewTheorem13RunCfg(g, rings.DefaultConfig(g.N(), d, 8, 1), 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := run.Run(nil, seed)
+		rounds, ok, _ := run.RunFrom(nil, nil, seed, 0)
 		return rounds, ok
 	})
 }
@@ -329,11 +263,14 @@ func BenchmarkEngine_Theorem13_Grid4x12(b *testing.B) {
 // BenchmarkEngine_Theorem13_Fresh is the same workload without Reset
 // reuse (construct-per-run): the difference against the benchmark
 // above is the per-seed construction cost the reuse layer eliminates.
+// It builds through the typed constructor, not the protocol table, so
+// the timed construction is the stack alone (a table Build would add
+// the source eccentricity BFS).
 func BenchmarkEngine_Theorem13_Fresh_Grid4x12(b *testing.B) {
 	g := graph.Grid(4, 12)
 	d := graph.Eccentricity(g, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewTheorem13Run(g, d, 8, 1, 0).Run(nil, seed)
+		rounds, ok, _ := harness.NewTheorem13RunCfg(g, rings.DefaultConfig(g.N(), d, 8, 1), 0).RunFrom(nil, nil, seed, 0)
 		return rounds, ok
 	})
 }
@@ -374,7 +311,7 @@ func BenchmarkEngine_DecayReuse_ClusterChain16x8(b *testing.B) {
 	g := graph.ClusterChain(16, 8)
 	run := harness.NewDecayRun(g, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := run.Run(nil, seed, 1<<22)
+		rounds, ok, _ := run.RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -388,7 +325,8 @@ func BenchmarkEngine_DecayReuse_ClusterChain16x8(b *testing.B) {
 // reuse path's zero-rebuild budget.
 func BenchmarkEngine_AdaptiveDecayReuse_ClusterChain16x8(b *testing.B) {
 	g := graph.ClusterChain(16, 8)
-	run := harness.NewAdaptiveDecay(g, nil, 0, 0)
+	decayEntry, _ := harness.LookupProtocol("decay")
+	run := decayEntry.NewAdaptive(g, 0, harness.StackOpts{}, nil, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		run.Reseed(seed)
 		out := adapt.Run(run, adapt.Policy{})
@@ -404,8 +342,8 @@ func BenchmarkEngine_AdaptiveDecayReuse_ClusterChain16x8(b *testing.B) {
 // never with the ~200k simulated rounds.
 func BenchmarkEngine_AdaptiveTheorem11Loss_ClusterChain6x6(b *testing.B) {
 	g := graph.ClusterChain(6, 6)
-	d := graph.Eccentricity(g, 0)
-	run := harness.NewAdaptiveTheorem11(g, rings.DefaultConfig(g.N(), d, 0, 1), nil, 0, 0)
+	cd, _ := harness.LookupProtocol("cd")
+	run := cd.NewAdaptive(g, 0, harness.StackOpts{}, nil, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		run.Reseed(seed)
 		run.SetChannelFactory(harness.EpochChannel(channel.NewErasure(0.3, rng.Mix(seed, 0xe13))))

@@ -20,8 +20,8 @@ func main() {
 	fmt.Printf("multi-message viability on %s (jammers = nodes without the message)\n\n", g.Name())
 
 	// GST schedule, silent vs jammed (Lemma 3.3).
-	silent, ok1, _ := harness.NewGSTSingleRun(g, false, 0).Run(nil, 1, 1<<20)
-	jammed, ok2, _ := harness.NewGSTSingleRun(g, true, 0).Run(nil, 1, 1<<20)
+	silent, ok1, _ := harness.NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, 1, 1<<20)
+	jammed, ok2, _ := harness.NewGSTSingleRun(g, true, 0).RunFrom(nil, nil, 1, 1<<20)
 	if !ok1 || !ok2 {
 		log.Fatal("GST schedule incomplete")
 	}

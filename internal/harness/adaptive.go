@@ -16,7 +16,6 @@ import (
 	"radiocast/internal/graph"
 	"radiocast/internal/obs"
 	"radiocast/internal/radio"
-	"radiocast/internal/rings"
 	"radiocast/internal/rng"
 	"radiocast/internal/sched"
 )
@@ -162,37 +161,4 @@ func (a *AdaptiveRunner) Covered() int { return a.stack.Coverage() }
 func baselineEpochBudget(g *graph.Graph, d int) int64 {
 	l := int64(sched.LogN(g.N()))
 	return 4 * (int64(d)*l + l*l)
-}
-
-// NewAdaptiveDecay wraps a Decay broadcast stack in the retry layer,
-// broadcasting from source.
-func NewAdaptiveDecay(g *graph.Graph, chf ChannelFactory, seed uint64, source graph.NodeID) *AdaptiveRunner {
-	return newAdaptive(NewDecayRun(g, source), g.N(), chf, seed, baselineEpochBudget(g, graph.Eccentricity(g, source)))
-}
-
-// NewAdaptiveCR wraps the Czumaj–Rytter-shaped stack in the retry
-// layer.
-func NewAdaptiveCR(g *graph.Graph, d int, chf ChannelFactory, seed uint64, source graph.NodeID) *AdaptiveRunner {
-	return newAdaptive(NewCRRun(g, d, source), g.N(), chf, seed, baselineEpochBudget(g, d))
-}
-
-// NewAdaptiveGSTSingle wraps the known-topology single-message stack
-// in the retry layer.
-func NewAdaptiveGSTSingle(g *graph.Graph, noising bool, chf ChannelFactory, seed uint64, source graph.NodeID) *AdaptiveRunner {
-	return newAdaptive(NewGSTSingleRun(g, noising, source), g.N(), chf, seed, baselineEpochBudget(g, graph.Eccentricity(g, source)))
-}
-
-// NewAdaptiveTheorem11 wraps the full Theorem 1.1 pipeline in the
-// retry layer: each epoch re-runs wave + build + spread with the
-// informed frontier as sources. The per-epoch cap defaults to the
-// compiled schedule budget.
-func NewAdaptiveTheorem11(g *graph.Graph, cfg rings.Config, chf ChannelFactory, seed uint64, source graph.NodeID) *AdaptiveRunner {
-	return newAdaptive(NewTheorem11RunCfg(g, cfg, source), g.N(), chf, seed, 0)
-}
-
-// NewAdaptiveTheorem13 wraps the full Theorem 1.3 pipeline in the
-// retry layer: a node that decoded all k messages re-runs as an
-// additional source with the identical payload set.
-func NewAdaptiveTheorem13(g *graph.Graph, cfg rings.Config, chf ChannelFactory, seed uint64, source graph.NodeID) *AdaptiveRunner {
-	return newAdaptive(NewTheorem13RunCfg(g, cfg, source), g.N(), chf, seed, 0)
 }

@@ -6,7 +6,6 @@ import (
 	"radiocast/internal/adapt"
 	"radiocast/internal/channel"
 	"radiocast/internal/graph"
-	"radiocast/internal/rings"
 	"radiocast/internal/rng"
 )
 
@@ -17,21 +16,20 @@ import (
 func TestAdaptiveEpochZeroMatchesOneShot(t *testing.T) {
 	g := graph.ClusterChain(4, 6)
 	d := graph.Eccentricity(g, 0)
-	cfg := rings.DefaultConfig(g.N(), d, 0, 1)
 
-	want := NewTheorem11RunCfg(g, cfg, 0).Run(nil, 5)
-	a := NewAdaptiveTheorem11(g, cfg, nil, 5, 0)
+	wantRounds, _, wantStats := cellStack("cd", g, d, StackOpts{}).RunFrom(nil, nil, 5, 0)
+	a := entry("cd").NewAdaptive(g, 0, StackOpts{}, nil, 5)
 	out := adapt.Run(a, adapt.Policy{})
 	if !out.Completed || out.Epochs != 1 {
 		t.Fatalf("ideal-channel adaptive run: %+v, want completion in one epoch", out)
 	}
-	if out.Rounds != want.Rounds || out.Stats != want.Stats {
+	if out.Rounds != wantRounds || out.Stats != wantStats {
 		t.Fatalf("epoch 0 diverged from the one-shot run:\nadaptive %d rounds %+v\noneshot  %d rounds %+v",
-			out.Rounds, out.Stats, want.Rounds, want.Stats)
+			out.Rounds, out.Stats, wantRounds, wantStats)
 	}
 
-	rounds, ok, st := NewDecayRun(g, 0).Run(nil, 5, 1<<20)
-	ad := NewAdaptiveDecay(g, nil, 5, 0)
+	rounds, ok, st := NewDecayRun(g, 0).RunFrom(nil, nil, 5, 1<<20)
+	ad := entry("decay").NewAdaptive(g, 0, StackOpts{}, nil, 5)
 	dout := adapt.Run(ad, adapt.Policy{})
 	if !dout.Completed || dout.Epochs != 1 || dout.Rounds != rounds || dout.Stats != st || !ok {
 		t.Fatalf("adaptive decay epoch 0 diverged: %+v vs %d rounds %+v", dout, rounds, st)
@@ -43,10 +41,9 @@ func TestAdaptiveEpochZeroMatchesOneShot(t *testing.T) {
 // different seed must change something.
 func TestAdaptiveDeterminism(t *testing.T) {
 	g := robustnessChain()
-	d := graph.Eccentricity(g, 0)
 	run := func(seed uint64) adapt.Outcome {
 		chf := EpochChannel(channel.NewErasure(0.3, rng.Mix(seed, 0xe13)))
-		a := NewAdaptiveTheorem11(g, rings.DefaultConfig(g.N(), d, 0, 1), chf, seed, 0)
+		a := entry("cd").NewAdaptive(g, 0, StackOpts{}, chf, seed)
 		return adapt.Run(a, adapt.Policy{MaxEpochs: adaptMaxEpochs})
 	}
 	a, b := run(1), run(1)
@@ -70,15 +67,13 @@ func TestAdaptiveDeterminism(t *testing.T) {
 // to the retry layer).
 func TestAdaptiveRunnerReuse(t *testing.T) {
 	g := robustnessChain()
-	d := graph.Eccentricity(g, 0)
-	cfg := rings.DefaultConfig(g.N(), d, 0, 1)
 	fresh := func(seed uint64) adapt.Outcome {
 		chf := EpochChannel(channel.NewErasure(0.3, rng.Mix(seed, 0xe13)))
-		return adapt.Run(NewAdaptiveTheorem11(g, cfg, chf, seed, 0), adapt.Policy{MaxEpochs: adaptMaxEpochs})
+		return adapt.Run(entry("cd").NewAdaptive(g, 0, StackOpts{}, chf, seed), adapt.Policy{MaxEpochs: adaptMaxEpochs})
 	}
 	// The reused runner needs a per-seed channel too: rebuild the
 	// factory by pointing the runner at a fresh erasure instance.
-	reused := NewAdaptiveTheorem11(g, cfg, nil, 0, 0)
+	reused := entry("cd").NewAdaptive(g, 0, StackOpts{}, nil, 0)
 	runReused := func(seed uint64) adapt.Outcome {
 		reused.Reseed(seed)
 		reused.SetChannelFactory(EpochChannel(channel.NewErasure(0.3, rng.Mix(seed, 0xe13))))
@@ -99,17 +94,16 @@ func TestAdaptiveRunnerReuse(t *testing.T) {
 func TestAdaptiveRecoversLateWakers(t *testing.T) {
 	g := robustnessChain()
 	d := graph.Eccentricity(g, 0)
-	cfg := rings.DefaultConfig(g.N(), d, 0, 1)
 	ch := channel.RandomFaults(g.N(), 0, 0.4, 256, 0, 0, rng.Mix(0, 0xe16))
 
-	oneShot := NewTheorem11RunCfg(g, cfg, 0)
+	oneShot := cellStack("cd", g, d, StackOpts{})
 	_, ok, _ := oneShot.RunFrom(nil, ch, 0, 0)
 	if ok || oneShot.Coverage() == g.N() {
 		t.Fatalf("one-shot run under 40%% late wakeups covered %d/%d; expected a coverage collapse",
 			oneShot.Coverage(), g.N())
 	}
 
-	a := NewAdaptiveTheorem11(g, cfg, EpochChannel(ch), 0, 0)
+	a := entry("cd").NewAdaptive(g, 0, StackOpts{}, EpochChannel(ch), 0)
 	out := adapt.Run(a, adapt.Policy{MaxEpochs: adaptMaxEpochs})
 	if !out.Completed || out.Covered != g.N() {
 		t.Fatalf("adaptive run did not recover the late wakers: %+v", out)
@@ -124,7 +118,7 @@ func TestAdaptiveRecoversLateWakers(t *testing.T) {
 // to finish still completes once the horizon doubles past its needs.
 func TestAdaptiveDoublingHorizonDecay(t *testing.T) {
 	g := graph.ClusterChain(4, 6)
-	a := NewAdaptiveDecay(g, nil, 3, 0)
+	a := entry("decay").NewAdaptive(g, 0, StackOpts{}, nil, 3)
 	// Start with a horizon far too small for any progress to finish
 	// (ideal-channel Decay needs ~60-100 rounds here).
 	out := adapt.Run(a, adapt.Policy{MaxEpochs: 10, EpochLimit: 8, Doubling: true})

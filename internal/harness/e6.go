@@ -122,6 +122,3 @@ func E6Plan(seeds int, quick bool) *exp.Plan {
 	}
 	return p
 }
-
-// E6PipelinedBoundaries runs E6 sequentially (compat wrapper).
-func E6PipelinedBoundaries(seeds int, quick bool) *stats.Table { return runPlan(E6Plan(seeds, quick)) }

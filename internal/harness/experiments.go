@@ -30,11 +30,7 @@ type Experiment struct {
 // the historical single-core path, used by tests and benchmarks.
 // cmd/radiobench drives plans through a shared exp.Runner instead.
 func (e Experiment) Run(seeds int, quick bool) *stats.Table {
-	return runPlan(e.Plan(seeds, quick))
-}
-
-func runPlan(p *exp.Plan) *stats.Table {
-	tb, _ := (&exp.Runner{Parallelism: 1}).RunTable(p)
+	tb, _ := (&exp.Runner{Parallelism: 1}).RunTable(e.Plan(seeds, quick))
 	return tb
 }
 
@@ -125,12 +121,14 @@ func E1Plan(seeds int, quick bool) *exp.Plan {
 	type chainCase struct {
 		chain, d int
 		g        *graph.Graph
+		th11     rings.Config
 	}
 	var cases []chainCase
 	for _, chain := range chains {
 		g := clusterChain(chain)
 		d := graph.Eccentricity(g, 0)
-		cases = append(cases, chainCase{chain, d, g})
+		th11 := rings.DefaultConfig(g.N(), d, 0, 1)
+		cases = append(cases, chainCase{chain, d, g, th11})
 		for _, proto := range protos {
 			for s := 0; s < seeds; s++ {
 				p.Cells = append(p.Cells, singleCell("E1", g, d, proto, uint64(s),
@@ -139,10 +137,10 @@ func E1Plan(seeds int, quick bool) *exp.Plan {
 		}
 		p.Cells = append(p.Cells, exp.Cell{
 			Key:  exp.Key{Experiment: "E1", Config: fmt.Sprintf("chain=%d/th11", chain), Seed: 1},
-			Cost: budgetCost(g.N(), rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds()),
+			Cost: budgetCost(g.N(), th11.TotalRounds()),
 			Run: func(int64) exp.Result {
-				res := NewTheorem11Run(g, d, 1, 0).Run(nil, 1)
-				return exp.Result{Rounds: res.Rounds, Completed: res.Completed, Payload: res}
+				r, ok, _ := cellStack("cd", g, d, StackOpts{}).RunFrom(nil, nil, 1, 0)
+				return exp.Rounds(r, ok)
 			},
 		})
 	}
@@ -169,21 +167,17 @@ func E1Plan(seeds int, quick bool) *exp.Plan {
 				means[proto] = stats.Summarize(rs, 0, 0).Mean
 			}
 			tr := idx[exp.Key{Experiment: "E1", Config: fmt.Sprintf("chain=%d/th11", c.chain), Seed: 1}]
-			th11, _ := tr.Payload.(Theorem11Result)
 			okAll = okAll && tr.Completed
 			t.AddRow(
 				fmt.Sprint(c.g.N()), fmt.Sprint(c.d),
 				stats.F(means["decay"]), stats.F(means["cr"]), stats.F(means["gst"]),
-				fmt.Sprint(th11.Rounds), fmt.Sprint(th11.BuildRounds), fmt.Sprint(okAll),
+				fmt.Sprint(tr.Rounds), fmt.Sprint(c.th11.BuildRounds()), fmt.Sprint(okAll),
 			)
 		}
 		return t
 	}
 	return p
 }
-
-// E1SingleMessage runs E1 sequentially (compat wrapper).
-func E1SingleMessage(seeds int, quick bool) *stats.Table { return runPlan(E1Plan(seeds, quick)) }
 
 // E2Plan fits rounds against D for each protocol; the GST broadcast
 // must have a small constant slope (additive D), the baselines a slope
@@ -239,9 +233,6 @@ func E2Plan(seeds int, quick bool) *exp.Plan {
 	}
 	return p
 }
-
-// E2DiameterScaling runs E2 sequentially (compat wrapper).
-func E2DiameterScaling(seeds int, quick bool) *stats.Table { return runPlan(E2Plan(seeds, quick)) }
 
 // E3Plan measures the distributed construction and validates its
 // output.
@@ -305,9 +296,6 @@ func E3Plan(seeds int, quick bool) *exp.Plan {
 	}
 	return p
 }
-
-// E3GSTConstruction runs E3 sequentially (compat wrapper).
-func E3GSTConstruction(seeds int, quick bool) *stats.Table { return runPlan(E3Plan(seeds, quick)) }
 
 func runConstructionValid(g *graph.Graph, cfg gstdist.Config, seed uint64) bool {
 	nw := radio.New(g, radio.Config{CollisionDetection: true})
@@ -374,9 +362,6 @@ func E4Plan(seeds int, quick bool) *exp.Plan {
 	}
 	return p
 }
-
-// E4Recruiting runs E4 sequentially (compat wrapper).
-func E4Recruiting(seeds int, quick bool) *stats.Table { return runPlan(E4Plan(seeds, quick)) }
 
 func recruitingRun(half int, params recruit.Params, seed uint64) bool {
 	r := rng.New(seed, 0x41)
@@ -510,9 +495,6 @@ func E5Plan(seeds int, quick bool) *exp.Plan {
 	_ = quick
 	return p
 }
-
-// E5AssignmentShrinkage runs E5 sequentially (compat wrapper).
-func E5AssignmentShrinkage(seeds int, quick bool) *stats.Table { return runPlan(E5Plan(seeds, quick)) }
 
 // assignmentMisses runs one boundary (levels 0/1 of g) with an exact
 // per-rank epoch budget and counts unassigned blues.

@@ -34,7 +34,7 @@ func E7Plan(seeds int, quick bool) *exp.Plan {
 				RoundLimit: broadcastLimit,
 				Cost:       baselineCost(g, d) + budgetCost(g.N(), int64(k*l)),
 				Run: func(limit int64) exp.Result {
-					r, ok, _ := NewGSTMultiRun(g, k, 0).Run(nil, uint64(s), limit)
+					r, ok, _ := cellStack("k-known", g, d, StackOpts{K: k}).RunFrom(nil, nil, uint64(s), limit)
 					return exp.Rounds(r, ok)
 				},
 			})
@@ -73,9 +73,6 @@ func E7Plan(seeds int, quick bool) *exp.Plan {
 	return p
 }
 
-// E7MultiMessageKnown runs E7 sequentially (compat wrapper).
-func E7MultiMessageKnown(seeds int, quick bool) *stats.Table { return runPlan(E7Plan(seeds, quick)) }
-
 // E8Plan runs the full Theorem 1.3 stack.
 func E8Plan(seeds int, quick bool) *exp.Plan {
 	type cse struct {
@@ -98,7 +95,7 @@ func E8Plan(seeds int, quick bool) *exp.Plan {
 				Key:  exp.Key{Experiment: "E8", Config: fmt.Sprintf("graph=%s/k=%d", c.g.Name(), c.k), Seed: uint64(s)},
 				Cost: budgetCost(c.g.N(), budget),
 				Run: func(int64) exp.Result {
-					r, ok, _ := NewTheorem13Run(c.g, d, c.k, 1, 0).Run(nil, uint64(s))
+					r, ok, _ := cellStack("k-cd", c.g, d, StackOpts{K: c.k}).RunFrom(nil, nil, uint64(s), 0)
 					return exp.Rounds(r, ok)
 				},
 			})
@@ -132,9 +129,6 @@ func E8Plan(seeds int, quick bool) *exp.Plan {
 	}
 	return p
 }
-
-// E8MultiMessageUnknown runs E8 sequentially (compat wrapper).
-func E8MultiMessageUnknown(seeds int, quick bool) *stats.Table { return runPlan(E8Plan(seeds, quick)) }
 
 // jamModes labels the silent/jammed cell pairs of E9 and E10.
 var jamModes = []string{"silent", "jam"}
@@ -198,9 +192,6 @@ func addJamRow(t *stats.Table, idx map[exp.Key]exp.Result, id, name string, seed
 	t.AddRow(name, stats.F(ms), stats.F(mj), stats.F(mj/ms), fmt.Sprint(okAll))
 }
 
-// E9DecayMMV runs E9 sequentially (compat wrapper).
-func E9DecayMMV(seeds int, quick bool) *stats.Table { return runPlan(E9Plan(seeds, quick)) }
-
 func runDecayMMV(g *graph.Graph, noising bool, seed uint64) (int64, bool) {
 	levels := graph.BFS(g, 0)
 	nw := radio.New(g, radio.Config{})
@@ -225,7 +216,8 @@ func E10Plan(seeds int, quick bool) *exp.Plan {
 	}
 	p := &exp.Plan{ID: "E10", Title: "MMV GST schedule under noise (Lemma 3.3)"}
 	for _, g := range gs {
-		cost := baselineCost(g, graph.Eccentricity(g, 0))
+		d := graph.Eccentricity(g, 0)
+		cost := baselineCost(g, d)
 		for _, mode := range jamModes {
 			noising := mode == "jam"
 			for s := 0; s < seeds; s++ {
@@ -234,7 +226,7 @@ func E10Plan(seeds int, quick bool) *exp.Plan {
 					RoundLimit: broadcastLimit,
 					Cost:       cost,
 					Run: func(limit int64) exp.Result {
-						r, ok, _ := NewGSTSingleRun(g, noising, 0).Run(nil, uint64(s), limit)
+						r, ok, _ := cellStack("gst", g, d, StackOpts{Noise: noising}).RunFrom(nil, nil, uint64(s), limit)
 						return exp.Rounds(r, ok)
 					},
 				})
@@ -255,9 +247,6 @@ func E10Plan(seeds int, quick bool) *exp.Plan {
 	}
 	return p
 }
-
-// E10MMVGST runs E10 sequentially (compat wrapper).
-func E10MMVGST(seeds int, quick bool) *stats.Table { return runPlan(E10Plan(seeds, quick)) }
 
 // e11Block is the number of star trials batched into one E11 cell;
 // cell (deg, s) runs trials [s·block, (s+1)·block), so the union over
@@ -318,9 +307,6 @@ func E11Plan(seeds int, quick bool) *exp.Plan {
 	}
 	return p
 }
-
-// E11DecayProgress runs E11 sequentially (compat wrapper).
-func E11DecayProgress(seeds int, quick bool) *stats.Table { return runPlan(E11Plan(seeds, quick)) }
 
 // rlncMeasure carries one E12 cell's counters to Assemble.
 type rlncMeasure struct {
@@ -392,9 +378,6 @@ func E12Plan(seeds int, quick bool) *exp.Plan {
 	}
 	return p
 }
-
-// E12RLNC runs E12 sequentially (compat wrapper).
-func E12RLNC(seeds int, quick bool) *stats.Table { return runPlan(E12Plan(seeds, quick)) }
 
 // a1Run executes one A1 cell: the MMV broadcast under jamming with
 // either virtual-distance or level-keyed slow slots. The GST and
@@ -476,9 +459,6 @@ func A1Plan(seeds int, quick bool) *exp.Plan {
 	return p
 }
 
-// A1VirtualDistance runs A1 sequentially (compat wrapper).
-func A1VirtualDistance(seeds int, quick bool) *stats.Table { return runPlan(A1Plan(seeds, quick)) }
-
 // A2Plan quantifies the coding advantage ([11]'s gap).
 func A2Plan(seeds int, quick bool) *exp.Plan {
 	ks := []int{4, 8, 16}
@@ -486,7 +466,8 @@ func A2Plan(seeds int, quick bool) *exp.Plan {
 		ks = ks[:2]
 	}
 	g := graph.Grid(6, 6)
-	a2Cost := baselineCost(g, graph.Eccentricity(g, 0))
+	d := graph.Eccentricity(g, 0)
+	a2Cost := baselineCost(g, d)
 	variants := []string{"rlnc", "routing"}
 	p := &exp.Plan{ID: "A2", Title: "Ablation: RLNC vs store-and-forward routing"}
 	for _, k := range ks {
@@ -499,7 +480,7 @@ func A2Plan(seeds int, quick bool) *exp.Plan {
 					Cost:       a2Cost * int64(k),
 					Run: func(limit int64) exp.Result {
 						if coded {
-							r, ok, _ := NewGSTMultiRun(g, k, 0).Run(nil, uint64(s), limit)
+							r, ok, _ := cellStack("k-known", g, d, StackOpts{K: k}).RunFrom(nil, nil, uint64(s), limit)
 							return exp.Rounds(r, ok)
 						}
 						return exp.Rounds(RunGSTMultiRouting(g, k, uint64(s), limit))
@@ -532,9 +513,6 @@ func A2Plan(seeds int, quick bool) *exp.Plan {
 	}
 	return p
 }
-
-// A2CodingVsRouting runs A2 sequentially (compat wrapper).
-func A2CodingVsRouting(seeds int, quick bool) *stats.Table { return runPlan(A2Plan(seeds, quick)) }
 
 // a3Config builds the ring configuration of one A3 width variant.
 func a3Config(g *graph.Graph, d, w int) rings.Config {
@@ -601,6 +579,3 @@ func A3Plan(seeds int, quick bool) *exp.Plan {
 	}
 	return p
 }
-
-// A3RingWidth runs A3 sequentially (compat wrapper).
-func A3RingWidth(seeds int, quick bool) *stats.Table { return runPlan(A3Plan(seeds, quick)) }

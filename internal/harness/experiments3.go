@@ -129,9 +129,6 @@ func lossChannel(loss float64, seed uint64) radio.Channel {
 	return channel.NewErasure(loss, rng.Mix(seed, 0xe13))
 }
 
-// E13LossSweep runs E13 sequentially (compat wrapper).
-func E13LossSweep(seeds int, quick bool) *stats.Table { return runPlan(E13Plan(seeds, quick)) }
-
 // e14Variants orders the jammer policies of E14.
 var e14Variants = []string{"oblivious", "adaptive"}
 
@@ -222,9 +219,6 @@ func jamChannel(budget int64, adaptive bool, seed uint64) radio.Channel {
 	return channel.NewJammer(budget, 0.5, rng.Mix(seed, 0xe14))
 }
 
-// E14JammerSweep runs E14 sequentially (compat wrapper).
-func E14JammerSweep(seeds int, quick bool) *stats.Table { return runPlan(E14Plan(seeds, quick)) }
-
 // E15Plan sweeps unreliable collision detection — the most
 // paper-relevant adversity: Theorem 1.1's collision-wave layering *is*
 // the CD signal, so missed ⊤ (a node joins the wave late) and spurious
@@ -314,6 +308,3 @@ func cdChannel(miss, spurious float64, seed uint64) radio.Channel {
 	}
 	return channel.NewNoisyCD(miss, spurious, rng.Mix(seed, 0xe15))
 }
-
-// E15NoisyCDSweep runs E15 sequentially (compat wrapper).
-func E15NoisyCDSweep(seeds int, quick bool) *stats.Table { return runPlan(E15Plan(seeds, quick)) }

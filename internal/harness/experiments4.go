@@ -137,6 +137,3 @@ func faultChannel(n int, variant string, rate float64, seed uint64) radio.Channe
 	}
 	return channel.RandomFaults(n, 0, 0, 0, rate, e16Horizon, rng.Mix(seed, 0xe16))
 }
-
-// E16FaultSweep runs E16 sequentially (compat wrapper).
-func E16FaultSweep(seeds int, quick bool) *stats.Table { return runPlan(E16Plan(seeds, quick)) }

@@ -64,12 +64,8 @@ func E17Plan(seeds int, quick bool) *exp.Plan {
 						// seed): the rows answer "what would adaptivity have
 						// done for exactly that run".
 						chf := EpochChannel(lossChannel(loss, seed))
-						var a *AdaptiveRunner
-						if proto == "th11" {
-							a = NewAdaptiveTheorem11(g, rings.DefaultConfig(g.N(), d, 0, 1), chf, seed, 0)
-						} else {
-							a = NewAdaptiveTheorem13(g, rings.DefaultConfig(g.N(), d, k, 1), chf, seed, 0)
-						}
+						p, _ := LookupProtocol(tableEntry(proto))
+						a := p.NewAdaptive(g, 0, StackOpts{K: k}, chf, seed)
 						out := adapt.Run(a, adapt.Policy{MaxEpochs: adaptMaxEpochs, MaxRounds: limit})
 						res := exp.RoundsOn(out.Rounds, out.Completed, out.Stats.Dropped, out.Stats.Jammed)
 						res.Value = float64(out.Epochs)
@@ -118,9 +114,6 @@ func E17Plan(seeds int, quick bool) *exp.Plan {
 	return p
 }
 
-// E17AdaptiveLossSweep runs E17 sequentially (compat wrapper).
-func E17AdaptiveLossSweep(seeds int, quick bool) *stats.Table { return runPlan(E17Plan(seeds, quick)) }
-
 // e18Variants orders E18's columns: the one-shot Theorem 1.1 run
 // (E16's collapsing late-wakeup cell, reproduced with the identical
 // fault table) against the adaptive re-layering of the same stack.
@@ -160,17 +153,14 @@ func E18Plan(seeds int, quick bool) *exp.Plan {
 						// (rate, seed): same mix key, late-wakeup only.
 						ch := faultChannel(g.N(), "late", rate, seed)
 						if variant == "oneshot" {
-							lim := budget
-							if limit > 0 && limit < lim {
-								lim = limit
-							}
-							r := NewTheorem11RunCfg(g, rings.DefaultConfig(g.N(), d, 0, 1), 0)
-							rounds, ok, st := r.RunFrom(nil, ch, seed, lim)
+							r := cellStack("cd", g, d, StackOpts{})
+							rounds, ok, st := r.RunFrom(nil, ch, seed, limit)
 							res := exp.RoundsOn(rounds, ok, st.Dropped, st.Jammed)
 							res.Value = float64(r.Coverage()) / n
 							return res
 						}
-						a := NewAdaptiveTheorem11(g, rings.DefaultConfig(g.N(), d, 0, 1), EpochChannel(ch), seed, 0)
+						cd, _ := LookupProtocol("cd")
+						a := cd.NewAdaptive(g, 0, StackOpts{}, EpochChannel(ch), seed)
 						out := adapt.Run(a, adapt.Policy{MaxEpochs: adaptMaxEpochs, MaxRounds: limit})
 						res := exp.RoundsOn(out.Rounds, out.Completed, out.Stats.Dropped, out.Stats.Jammed)
 						res.Value = float64(out.Covered) / n
@@ -218,9 +208,4 @@ func E18Plan(seeds int, quick bool) *exp.Plan {
 		return t
 	}
 	return p
-}
-
-// E18AdaptiveWakeupSweep runs E18 sequentially (compat wrapper).
-func E18AdaptiveWakeupSweep(seeds int, quick bool) *stats.Table {
-	return runPlan(E18Plan(seeds, quick))
 }

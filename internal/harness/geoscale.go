@@ -200,7 +200,7 @@ func runE23Cell(mode string, period, total int64, seed uint64, limit int64) exp.
 	g := graph.FromStream(geo.NewDisk(l, e23Radius))
 	if mode == "oneshot" {
 		wr := NewWaveRun(g, 0, period)
-		rounds, ok, _ := wr.Run(nil, seed, period)
+		rounds, ok, _ := wr.RunFrom(nil, nil, seed, period)
 		res := exp.Rounds(rounds, ok)
 		res.Epochs = 1
 		res.Covered = wr.Coverage()

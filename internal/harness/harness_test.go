@@ -13,6 +13,7 @@ import (
 
 	"radiocast/internal/exp"
 	"radiocast/internal/graph"
+	"radiocast/internal/rings"
 )
 
 // update regenerates the golden fingerprints instead of checking them:
@@ -115,9 +116,9 @@ func TestE1CrossoverShape(t *testing.T) {
 	// Decay and CR baselines.
 	g := graph.ClusterChain(32, 8)
 	d := graph.Eccentricity(g, 0)
-	decayR, ok1, _ := NewDecayRun(g, 0).Run(nil, 1, 1<<22)
-	crR, ok2, _ := NewCRRun(g, d, 0).Run(nil, 1, 1<<22)
-	gstR, ok3, _ := NewGSTSingleRun(g, false, 0).Run(nil, 1, 1<<22)
+	decayR, ok1, _ := NewDecayRun(g, 0).RunFrom(nil, nil, 1, 1<<22)
+	crR, ok2, _ := NewCRRun(g, d, 0).RunFrom(nil, nil, 1, 1<<22)
+	gstR, ok3, _ := NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, 1, 1<<22)
 	if !ok1 || !ok2 || !ok3 {
 		t.Fatal("some protocol incomplete")
 	}
@@ -129,7 +130,7 @@ func TestE1CrossoverShape(t *testing.T) {
 
 func TestRunnersVerifyPayloads(t *testing.T) {
 	g := graph.Grid(5, 5)
-	if _, ok, _ := NewGSTMultiRun(g, 6, 0).Run(nil, 3, 1<<20); !ok {
+	if _, ok, _ := NewGSTMultiRun(g, 6, 0).RunFrom(nil, nil, 3, 1<<20); !ok {
 		t.Fatal("Theorem 1.2 runner failed")
 	}
 	if _, ok := RunGSTMultiRouting(g, 4, 3, 1<<20); !ok {
@@ -140,14 +141,15 @@ func TestRunnersVerifyPayloads(t *testing.T) {
 func TestTheorem11RunnerDecomposition(t *testing.T) {
 	g := graph.ClusterChain(4, 4)
 	d := graph.Eccentricity(g, 0)
-	res := NewTheorem11Run(g, d, 1, 0).Run(nil, 2)
-	if !res.Completed {
-		t.Fatal("Theorem 1.1 incomplete")
-	}
-	if res.WaveRounds+res.BuildRounds+res.SpreadBudget != res.TotalBudget {
+	cfg := rings.DefaultConfig(g.N(), d, 0, 1)
+	if cfg.WaveRounds()+cfg.BuildRounds()+cfg.SpreadRounds() != cfg.TotalRounds() {
 		t.Fatal("budget decomposition inconsistent")
 	}
-	if res.Rounds > res.TotalBudget {
+	rounds, ok, _ := NewTheorem11RunCfg(g, cfg, 0).RunFrom(nil, nil, 2, 0)
+	if !ok {
+		t.Fatal("Theorem 1.1 incomplete")
+	}
+	if rounds > cfg.TotalRounds() {
 		t.Fatal("rounds exceed budget")
 	}
 }

@@ -2,9 +2,10 @@ package harness
 
 // The protocol table: the paper's six single-engine stacks and the four
 // dense ports, each named, described and built in exactly one place.
-// radiocastd validates and dispatches job specs through it, radiosim
-// reads its capabilities, and the scale sweeps build their dense cells
-// from it.
+// The facade builds every broadcast through it, radiocastd validates
+// and dispatches job specs through it, radiosim reads its
+// capabilities, and the experiment cells and scale sweeps build their
+// stacks from it.
 
 import (
 	"fmt"
@@ -50,6 +51,13 @@ type StackOpts struct {
 	// EpochLimit overrides an adaptive runner's per-epoch round budget
 	// (0 = the entry's default; see Protocol.NewAdaptive).
 	EpochLimit int64
+	// Scale multiplies the ring pipelines' Θ(·) schedule constants
+	// (< 1 means 1; see rings.DefaultConfig).
+	Scale int
+	// Pipelined switches the ring pipelines' GST builds to the even/odd
+	// boundary schedule where that shortens them (see
+	// rings.Config.SetPipelined).
+	Pipelined bool
 }
 
 // Protocol is one row of the protocol table.
@@ -94,6 +102,14 @@ func (b *builder) ecc() int {
 
 func (b *builder) k() int { return max(b.K, 1) }
 
+// ringConfig is the schedule of a ring pipeline broadcasting k
+// messages (0 for the single-message pipeline).
+func (b *builder) ringConfig(k int) rings.Config {
+	cfg := rings.DefaultConfig(b.g.N(), b.ecc(), k, b.Scale)
+	cfg.SetPipelined(b.Pipelined)
+	return cfg
+}
+
 // Protocols is the ordered protocol table.
 var Protocols = []Protocol{
 	{Name: "decay", Adaptive: true, RetopoSafe: true, build: func(b *builder) Stack {
@@ -109,10 +125,10 @@ var Protocols = []Protocol{
 		return NewGSTMultiRun(b.g, b.k(), b.src)
 	}},
 	{Name: "cd", Adaptive: true, Rings: true, build: func(b *builder) Stack {
-		return NewTheorem11RunCfg(b.g, rings.DefaultConfig(b.g.N(), b.ecc(), 0, 1), b.src)
+		return NewTheorem11RunCfg(b.g, b.ringConfig(0), b.src)
 	}},
 	{Name: "k-cd", TakesK: true, Adaptive: true, Rings: true, build: func(b *builder) Stack {
-		return NewTheorem13RunCfg(b.g, rings.DefaultConfig(b.g.N(), b.ecc(), b.k(), 1), b.src)
+		return NewTheorem13RunCfg(b.g, b.ringConfig(b.k()), b.src)
 	}},
 	{Name: "dense-decay", Dense: true, build: func(b *builder) Stack {
 		return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseRun {

@@ -7,6 +7,15 @@ import (
 	"radiocast/internal/radio"
 )
 
+// entry returns the named table entry; tests name only real ones.
+func entry(name string) *Protocol {
+	p, ok := LookupProtocol(name)
+	if !ok {
+		panic("no table entry " + name)
+	}
+	return p
+}
+
 // TestProtocolTableCapabilities checks that every entry's declared
 // capabilities match what its built context can do: Dense contexts
 // take a worker count, RetopoSafe contexts can swap topology, and

@@ -23,8 +23,8 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("decay", func(t *testing.T) {
 		run := NewDecayRun(g, 0)
 		for _, s := range seeds {
-			fr, fok, fst := NewDecayRun(g, 0).Run(nil, s, limit)
-			rr, rok, rst := run.Run(nil, s, limit)
+			fr, fok, fst := NewDecayRun(g, 0).RunFrom(nil, nil, s, limit)
+			rr, rok, rst := run.RunFrom(nil, nil, s, limit)
 			if fr != rr || fok != rok || fst != rst {
 				t.Fatalf("seed %d: fresh (%d,%v,%+v) vs reused (%d,%v,%+v)", s, fr, fok, fst, rr, rok, rst)
 			}
@@ -33,8 +33,8 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("decay-lossy", func(t *testing.T) {
 		run := NewDecayRun(g, 0)
 		for _, s := range seeds {
-			fr, fok, fst := NewDecayRun(g, 0).Run(channel.NewErasure(0.2, rng.Mix(s, 1)), s, limit)
-			rr, rok, rst := run.Run(channel.NewErasure(0.2, rng.Mix(s, 1)), s, limit)
+			fr, fok, fst := NewDecayRun(g, 0).RunFrom(nil, channel.NewErasure(0.2, rng.Mix(s, 1)), s, limit)
+			rr, rok, rst := run.RunFrom(nil, channel.NewErasure(0.2, rng.Mix(s, 1)), s, limit)
 			if fr != rr || fok != rok || fst != rst {
 				t.Fatalf("seed %d: fresh (%d,%v,%+v) vs reused (%d,%v,%+v)", s, fr, fok, fst, rr, rok, rst)
 			}
@@ -43,8 +43,8 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("cr", func(t *testing.T) {
 		run := NewCRRun(g, d, 0)
 		for _, s := range seeds {
-			fr, fok, _ := NewCRRun(g, d, 0).Run(nil, s, limit)
-			rr, rok, _ := run.Run(nil, s, limit)
+			fr, fok, _ := NewCRRun(g, d, 0).RunFrom(nil, nil, s, limit)
+			rr, rok, _ := run.RunFrom(nil, nil, s, limit)
 			if fr != rr || fok != rok {
 				t.Fatalf("seed %d: fresh (%d,%v) vs reused (%d,%v)", s, fr, fok, rr, rok)
 			}
@@ -53,8 +53,8 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("gst-single", func(t *testing.T) {
 		run := NewGSTSingleRun(g, false, 0)
 		for _, s := range seeds {
-			fr, fok, _ := NewGSTSingleRun(g, false, 0).Run(nil, s, limit)
-			rr, rok, _ := run.Run(nil, s, limit)
+			fr, fok, _ := NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, s, limit)
+			rr, rok, _ := run.RunFrom(nil, nil, s, limit)
 			if fr != rr || fok != rok {
 				t.Fatalf("seed %d: fresh (%d,%v) vs reused (%d,%v)", s, fr, fok, rr, rok)
 			}
@@ -63,20 +63,20 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	t.Run("gst-multi", func(t *testing.T) {
 		run := NewGSTMultiRun(g, 4, 0)
 		for _, s := range seeds {
-			fr, fok, _ := NewGSTMultiRun(g, 4, 0).Run(nil, s, limit)
-			rr, rok, _ := run.Run(nil, s, limit)
+			fr, fok, _ := NewGSTMultiRun(g, 4, 0).RunFrom(nil, nil, s, limit)
+			rr, rok, _ := run.RunFrom(nil, nil, s, limit)
 			if fr != rr || fok != rok {
 				t.Fatalf("seed %d: fresh (%d,%v) vs reused (%d,%v)", s, fr, fok, rr, rok)
 			}
 		}
 	})
 	t.Run("theorem11", func(t *testing.T) {
-		run := NewTheorem11Run(g, d, 1, 0)
+		run := cellStack("cd", g, d, StackOpts{})
 		for _, s := range seeds {
-			fresh := NewTheorem11Run(g, d, 1, 0).Run(nil, s)
-			reused := run.Run(nil, s)
-			if fresh != reused {
-				t.Fatalf("seed %d:\nfresh  %+v\nreused %+v", s, fresh, reused)
+			fr, fok, fst := cellStack("cd", g, d, StackOpts{}).RunFrom(nil, nil, s, 0)
+			rr, rok, rst := run.RunFrom(nil, nil, s, 0)
+			if fr != rr || fok != rok || fst != rst {
+				t.Fatalf("seed %d: fresh (%d,%v,%+v) vs reused (%d,%v,%+v)", s, fr, fok, fst, rr, rok, rst)
 			}
 		}
 	})
@@ -119,18 +119,18 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 		}
 		run := NewTheorem11RunCfg(g, cfg, 0)
 		for _, s := range seeds {
-			fresh := NewTheorem11RunCfg(g, cfg, 0).Run(nil, s)
-			reused := run.Run(nil, s)
-			if fresh != reused {
-				t.Fatalf("seed %d:\nfresh  %+v\nreused %+v", s, fresh, reused)
+			fr, fok, fst := NewTheorem11RunCfg(g, cfg, 0).RunFrom(nil, nil, s, 0)
+			rr, rok, rst := run.RunFrom(nil, nil, s, 0)
+			if fr != rr || fok != rok || fst != rst {
+				t.Fatalf("seed %d: fresh (%d,%v,%+v) vs reused (%d,%v,%+v)", s, fr, fok, fst, rr, rok, rst)
 			}
 		}
 	})
 	t.Run("theorem13", func(t *testing.T) {
-		run := NewTheorem13Run(g, d, 4, 1, 0)
+		run := cellStack("k-cd", g, d, StackOpts{K: 4})
 		for _, s := range seeds {
-			fr, fok, fst := NewTheorem13Run(g, d, 4, 1, 0).Run(nil, s)
-			rr, rok, rst := run.Run(nil, s)
+			fr, fok, fst := cellStack("k-cd", g, d, StackOpts{K: 4}).RunFrom(nil, nil, s, 0)
+			rr, rok, rst := run.RunFrom(nil, nil, s, 0)
 			if fr != rr || fok != rok || fst != rst {
 				t.Fatalf("seed %d: fresh (%d,%v,%+v) vs reused (%d,%v,%+v)", s, fr, fok, fst, rr, rok, rst)
 			}

@@ -8,21 +8,22 @@
 // Stack: RunFrom(informed, ch, seed, limit) executes one seeded run,
 // Coverage reports how many nodes were done when it stopped, and
 // SetObserver attaches the engine's round observer. A context is built
-// once per graph (NewDecayRun, NewTheorem13Run, ...) and runs any
-// number of seeds with zero per-seed construction: radio.Network.Reset
-// rewinds the engine, every protocol Reset rewinds in place, and
-// rng.Reseed rewinds the held RNG streams. A context-run is
-// bit-identical to a fresh context's run with the same seed — same RNG
-// streams, same draws, same rounds — so a one-shot run is just
-// New*Run(...).Run(...). informed != nil is the adaptive layer's
-// carryover epoch (AdaptiveRunner); the dense contexts build their SoA
-// protocol and engine per run instead.
+// once per graph and runs any number of seeds with zero per-seed
+// construction: radio.Network.Reset rewinds the engine, every protocol
+// Reset rewinds in place, and rng.Reseed rewinds the held RNG streams.
+// A context-run is bit-identical to a fresh context's run with the same
+// seed — same RNG streams, same draws, same rounds — so a one-shot run
+// is just Build(...).RunFrom(nil, ch, seed, limit). informed != nil is
+// the adaptive layer's carryover epoch (AdaptiveRunner); the dense
+// contexts build their SoA protocol and engine per run instead.
 //
-// Protocols lists the stacks a service or CLI can name, in one ordered
-// table: each entry carries its capabilities (dense engine, takes k,
+// Protocols lists every broadcast stack in one ordered table: each
+// entry carries its capabilities (dense engine, takes k,
 // adaptive-capable, retopo-safe, ring pipeline) and builds its context.
-// Validation, help text and dispatch read the table, so a protocol is
-// named and constructed in one place.
+// The facade, radiocastd, radiosim and the experiment cells all build
+// through it (Protocol.Build, Protocol.NewAdaptive, cellStack), so a
+// protocol is named and constructed in one place; only E23's sparse
+// wave, which is not a table entry, has its own constructors.
 //
 // Completion predicates are O(1): each protocol/content layer ticks a
 // radio.DoneSet exactly once on first completion, replacing the
@@ -165,17 +166,12 @@ func NewDecayRun(g *graph.Graph, source graph.NodeID) *DecayRun {
 
 func (r *DecayRun) nodeDone(v int) bool { return r.protos[v].Has() }
 
-// Run executes one seeded run over ch (nil = ideal; stateful channels
-// are rewound via radio.ResetChannel, so one instance may serve many
-// seeds). limit <= 0 means OpenLimit.
-func (r *DecayRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	return r.RunFrom(nil, ch, seed, limit)
-}
-
-// RunFrom is Run with per-node carryover: when informed is non-nil,
-// node v starts holding the message iff informed[v] — the adaptive
-// retry layer's re-layering epoch, where every radio informed by
-// earlier epochs broadcasts as an additional source. informed == nil
+// RunFrom executes one seeded run over ch (nil = ideal; stateful
+// channels are rewound via radio.ResetChannel, so one instance may
+// serve many seeds); limit <= 0 means OpenLimit. When informed is
+// non-nil, node v starts holding the message iff informed[v] — the
+// adaptive retry layer's re-layering epoch, where every radio informed
+// by earlier epochs broadcasts as an additional source. informed == nil
 // is a fresh run broadcasting from the constructor's source.
 func (r *DecayRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
 	r.begin(informed, ch)
@@ -219,13 +215,8 @@ func NewCRRun(g *graph.Graph, d int, source graph.NodeID) *CRRun {
 
 func (r *CRRun) nodeDone(v int) bool { return r.protos[v].Has() }
 
-// Run executes one seeded run over ch (nil = ideal); limit <= 0 means
-// OpenLimit.
-func (r *CRRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	return r.RunFrom(nil, ch, seed, limit)
-}
-
-// RunFrom is Run with per-node carryover (see DecayRun.RunFrom).
+// RunFrom executes one seeded run, with per-node carryover when
+// informed is non-nil (see DecayRun.RunFrom).
 func (r *CRRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
 	r.begin(informed, ch)
 	for v, p := range r.protos {
@@ -273,16 +264,11 @@ func NewGSTSingleRun(g *graph.Graph, noising bool, source graph.NodeID) *GSTSing
 
 func (r *GSTSingleRun) nodeDone(v int) bool { return r.contents[v].Done() }
 
-// Run executes one seeded run over ch (nil = ideal); limit <= 0 means
-// OpenLimit.
-func (r *GSTSingleRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	return r.RunFrom(nil, ch, seed, limit)
-}
-
-// RunFrom is Run with per-node carryover (see DecayRun.RunFrom): the
-// GST schedule is unchanged, but every informed node starts holding
-// the message, so the re-layered broadcast fills in the radios the
-// previous pass missed.
+// RunFrom executes one seeded run, with per-node carryover when
+// informed is non-nil (see DecayRun.RunFrom): the GST schedule is
+// unchanged, but every informed node starts holding the message, so
+// the re-layered broadcast fills in the radios the previous pass
+// missed.
 func (r *GSTSingleRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
 	r.begin(informed, ch)
 	for v, p := range r.protos {
@@ -297,19 +283,6 @@ func (r *GSTSingleRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, l
 // ---------------------------------------------------------------------
 // Theorem 1.1 (single message, unknown topology, CD).
 
-// Theorem11Result decomposes a full Theorem 1.1 run.
-type Theorem11Result struct {
-	Completed                 bool
-	Rounds                    int64
-	WaveRounds, BuildRounds   int64
-	SpreadBudget, TotalBudget int64
-	Rings, Width              int
-	// Covered is how many nodes held the message when the run stopped
-	// (== n when Completed).
-	Covered int
-	Stats   radio.Stats
-}
-
 // Theorem11Run is the reusable full-pipeline harness of Theorem 1.1.
 type Theorem11Run struct {
 	sparseStack
@@ -317,14 +290,9 @@ type Theorem11Run struct {
 	protos []*rings.Protocol
 }
 
-// NewTheorem11Run builds the reusable stack broadcasting from source.
-func NewTheorem11Run(g *graph.Graph, d, c int, source graph.NodeID) *Theorem11Run {
-	return NewTheorem11RunCfg(g, rings.DefaultConfig(g.N(), d, 0, c), source)
-}
-
 // NewTheorem11RunCfg builds the reusable Theorem 1.1 stack on an
-// explicit ring configuration (the facade and E6 build one, optionally
-// pipelined via rings.Config.SetPipelined), broadcasting from source.
+// explicit ring configuration (the table's cd entry builds one,
+// optionally scaled and pipelined), broadcasting from source.
 func NewTheorem11RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *Theorem11Run {
 	n := g.N()
 	r := &Theorem11Run{
@@ -341,24 +309,6 @@ func NewTheorem11RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *
 }
 
 func (r *Theorem11Run) nodeDone(v int) bool { return r.protos[v].Has() }
-
-// Run executes one seeded run of the whole schedule over ch
-// (nil = ideal).
-func (r *Theorem11Run) Run(ch radio.Channel, seed uint64) Theorem11Result {
-	rounds, ok, st := r.RunFrom(nil, ch, seed, 0)
-	return Theorem11Result{
-		Completed:    ok,
-		Rounds:       rounds,
-		WaveRounds:   r.cfg.WaveRounds(),
-		BuildRounds:  r.cfg.BuildRounds(),
-		SpreadBudget: r.cfg.SpreadRounds(),
-		TotalBudget:  r.cfg.TotalRounds(),
-		Rings:        r.cfg.Rings(),
-		Width:        r.cfg.W,
-		Covered:      r.ds.Count(),
-		Stats:        st,
-	}
-}
 
 // RunFrom is one full pipeline execution with per-node carryover (see
 // DecayRun.RunFrom): informed nodes re-run the whole schedule as
@@ -433,15 +383,10 @@ func NewGSTMultiRun(g *graph.Graph, k int, source graph.NodeID) *GSTMultiRun {
 
 func (r *GSTMultiRun) nodeDone(v int) bool { return r.contents[v].Done() }
 
-// Run executes one seeded run over ch (nil = ideal), verifying decoded
-// payloads on completion; limit <= 0 means OpenLimit.
-func (r *GSTMultiRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	return r.RunFrom(nil, ch, seed, limit)
-}
-
-// RunFrom is Run in the shared Stack shape. The k-message stack has no
-// carryover epochs (it is not adaptive-capable), so informed must be
-// nil.
+// RunFrom executes one seeded run over ch (nil = ideal), verifying
+// decoded payloads on completion; limit <= 0 means OpenLimit. The
+// k-message stack has no carryover epochs (it is not adaptive-capable),
+// so informed must be nil.
 func (r *GSTMultiRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
 	if informed != nil {
 		panic("harness: the Theorem 1.2 stack has no carryover epochs")
@@ -494,11 +439,6 @@ type Theorem13Run struct {
 	msgs   []rlnc.Message
 }
 
-// NewTheorem13Run builds the reusable stack broadcasting from source.
-func NewTheorem13Run(g *graph.Graph, d, k, c int, source graph.NodeID) *Theorem13Run {
-	return NewTheorem13RunCfg(g, rings.DefaultConfig(g.N(), d, k, c), source)
-}
-
 // NewTheorem13RunCfg builds the reusable Theorem 1.3 stack on an
 // explicit ring configuration (cfg.K must be positive), with source
 // holding the k messages.
@@ -527,12 +467,6 @@ func NewTheorem13RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *
 }
 
 func (r *Theorem13Run) nodeDone(v int) bool { return r.protos[v].Store().CanDecodeAll() }
-
-// Run executes one seeded run of the whole schedule over ch
-// (nil = ideal).
-func (r *Theorem13Run) Run(ch radio.Channel, seed uint64) (rounds int64, completed bool, st radio.Stats) {
-	return r.RunFrom(nil, ch, seed, 0)
-}
 
 // RunFrom is one full pipeline execution with per-node carryover (see
 // DecayRun.RunFrom): a node that decoded every message in an earlier

@@ -55,7 +55,7 @@ func TestDecaySourceWaveOrigin(t *testing.T) {
 	src := graph.NodeID(100)
 	r := NewDecayRun(g, src)
 	const limit = 12
-	if _, ok, _ := r.Run(nil, 1, limit); ok {
+	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-201 decay completed in 12 rounds; limit too loose")
 	}
 	checkWaveOrigin(t, "decay", g, src, limit, r)
@@ -67,7 +67,7 @@ func TestCRSourceWaveOrigin(t *testing.T) {
 	src := graph.NodeID(100)
 	r := NewCRRun(g, graph.Eccentricity(g, src), src)
 	const limit = 12
-	if _, ok, _ := r.Run(nil, 1, limit); ok {
+	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-201 CR completed in 12 rounds; limit too loose")
 	}
 	checkWaveOrigin(t, "cr", g, src, limit, r)
@@ -80,7 +80,7 @@ func TestGSTSingleSourceWaveOrigin(t *testing.T) {
 	src := graph.NodeID(64)
 	r := NewGSTSingleRun(g, false, src)
 	const limit = 10
-	if _, ok, _ := r.Run(nil, 1, limit); ok {
+	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-129 GST single completed in 10 rounds; limit too loose")
 	}
 	checkWaveOrigin(t, "gst-single", g, src, limit, r)
@@ -90,12 +90,12 @@ func TestGSTSingleSourceWaveOrigin(t *testing.T) {
 func TestTheorem11SourceWaveOrigin(t *testing.T) {
 	g := graph.Path(129)
 	src := graph.NodeID(64)
-	r := NewTheorem11Run(g, graph.Eccentricity(g, src), 1, src)
+	r := entry("cd").Build(g, src, StackOpts{})
 	const limit = 10
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-129 theorem 1.1 completed in 10 rounds; limit too loose")
 	}
-	checkWaveOrigin(t, "th11", g, src, limit, r)
+	checkWaveOrigin(t, "th11", g, src, limit, r.(marker))
 }
 
 // TestTheorem13SourceWaveOrigin pins the Theorem 1.3 pipeline (k = 2
@@ -103,12 +103,12 @@ func TestTheorem11SourceWaveOrigin(t *testing.T) {
 func TestTheorem13SourceWaveOrigin(t *testing.T) {
 	g := graph.Path(65)
 	src := graph.NodeID(32)
-	r := NewTheorem13Run(g, graph.Eccentricity(g, src), 2, 1, src)
+	r := entry("k-cd").Build(g, src, StackOpts{K: 2})
 	const limit = 10
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-65 theorem 1.3 completed in 10 rounds; limit too loose")
 	}
-	checkWaveOrigin(t, "th13", g, src, limit, r)
+	checkWaveOrigin(t, "th13", g, src, limit, r.(marker))
 }
 
 // TestSourceCompletionMatrix runs every protocol from a far-end source
@@ -121,22 +121,22 @@ func TestSourceCompletionMatrix(t *testing.T) {
 	d := graph.Eccentricity(g, src)
 	const limit = 1 << 20
 
-	if _, ok, _ := NewDecayRun(g, src).Run(nil, 7, limit); !ok {
+	if _, ok, _ := NewDecayRun(g, src).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("decay from tail-end source did not complete")
 	}
-	if _, ok, _ := NewCRRun(g, d, src).Run(nil, 7, limit); !ok {
+	if _, ok, _ := NewCRRun(g, d, src).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("cr from tail-end source did not complete")
 	}
-	if _, ok, _ := NewGSTSingleRun(g, false, src).Run(nil, 7, limit); !ok {
+	if _, ok, _ := NewGSTSingleRun(g, false, src).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("gst-single from tail-end source did not complete")
 	}
-	if res := NewTheorem11Run(g, d, 1, src).Run(nil, 7); !res.Completed {
+	if _, ok, _ := entry("cd").Build(g, src, StackOpts{}).RunFrom(nil, nil, 7, 0); !ok {
 		t.Error("theorem 1.1 from tail-end source did not complete")
 	}
-	if _, ok, _ := NewGSTMultiRun(g, 3, src).Run(nil, 7, limit); !ok {
+	if _, ok, _ := NewGSTMultiRun(g, 3, src).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("gst-multi from tail-end source did not complete (decode verified)")
 	}
-	if rounds, ok, _ := NewTheorem13Run(g, d, 2, 1, src).Run(nil, 7); !ok {
+	if rounds, ok, _ := entry("k-cd").Build(g, src, StackOpts{K: 2}).RunFrom(nil, nil, 7, 0); !ok {
 		t.Errorf("theorem 1.3 from tail-end source did not complete (rounds=%d)", rounds)
 	}
 }
@@ -151,19 +151,15 @@ func TestAdaptiveSource(t *testing.T) {
 	src := graph.NodeID(g.N() - 1)
 	chf := func(int, int64) radio.Channel { return nil }
 
-	a := NewAdaptiveDecay(g, chf, 7, src)
+	a := entry("decay").NewAdaptive(g, src, StackOpts{}, chf, 7)
 	out := adapt.Run(a, adapt.Policy{})
 	if !out.Completed {
 		t.Fatal("adaptive decay from tail-end source did not complete")
 	}
 
 	lossy := EpochChannel(channel.NewErasure(0.3, 11))
-	for _, mk := range []func() *AdaptiveRunner{
-		func() *AdaptiveRunner { return NewAdaptiveDecay(g, lossy, 7, src) },
-		func() *AdaptiveRunner { return NewAdaptiveCR(g, graph.Eccentricity(g, src), lossy, 7, src) },
-		func() *AdaptiveRunner { return NewAdaptiveGSTSingle(g, false, lossy, 7, src) },
-	} {
-		if out := adapt.Run(mk(), adapt.Policy{}); !out.Completed {
+	for _, name := range []string{"decay", "cr", "gst"} {
+		if out := adapt.Run(entry(name).NewAdaptive(g, src, StackOpts{}, lossy, 7), adapt.Policy{}); !out.Completed {
 			t.Fatal("adaptive run from tail-end source under 30% loss did not complete")
 		}
 	}
@@ -177,7 +173,7 @@ func TestGSTMultiSourcePayloads(t *testing.T) {
 	src := graph.NodeID(64)
 	r := NewGSTMultiRun(g, 2, src)
 	const limit = 10
-	if _, ok, _ := r.Run(nil, 1, limit); ok {
+	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-129 gst-multi completed in 10 rounds; limit too loose")
 	}
 	dist := graph.BFS(g, src).Dist

@@ -55,14 +55,10 @@ func (r *WaveRun) Retopo(offsets []int32, edges []radio.NodeID) {
 	r.nw.Retopo(offsets, edges)
 }
 
-// Run executes one seeded run over ch (nil = ideal).
-func (r *WaveRun) Run(ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	return r.RunFrom(nil, ch, seed, limit)
-}
-
-// RunFrom is Run with per-node carryover: when informed is non-nil,
-// node v starts triggered iff informed[v], so every radio reached by
-// earlier epochs re-launches the wave. The effective horizon is the
+// RunFrom executes one run over ch (nil = ideal), with per-node
+// carryover when informed is non-nil: node v starts triggered iff
+// informed[v], so every radio reached by earlier epochs re-launches
+// the wave. The effective horizon is the
 // smaller of the construction horizon and a positive limit — each
 // epoch's wave transmits for its own full window and then stops.
 func (r *WaveRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {

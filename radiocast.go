@@ -51,7 +51,6 @@ import (
 	"radiocast/internal/harness"
 	"radiocast/internal/mmv"
 	"radiocast/internal/radio"
-	"radiocast/internal/rings"
 	"radiocast/internal/rlnc"
 	"radiocast/internal/rng"
 )
@@ -175,8 +174,10 @@ type Options struct {
 	// Scale multiplies every Θ(·) schedule constant (default 1; raise
 	// it to push the empirical success probability toward 1 at tiny n).
 	Scale int
-	// RoundLimit caps the simulated rounds (0 = the protocol's own
-	// schedule budget).
+	// RoundLimit caps the simulated rounds of every broadcast; with
+	// Adaptive it caps the total across all epochs. 0 means the
+	// protocol's own budget: the compiled schedule of BroadcastCD and
+	// BroadcastKCD, an open-ended cap for the others.
 	RoundLimit int64
 	// Channel, when non-nil, perturbs every delivery (loss, jamming,
 	// unreliable CD, radio faults). nil is the ideal channel.
@@ -237,110 +238,64 @@ type Result struct {
 	Epochs int
 }
 
-// adaptiveResult folds an adaptive outcome into the facade Result.
-func adaptiveResult(out adapt.Outcome) Result {
-	return Result{Rounds: out.Rounds, Completed: out.Completed,
-		Dropped: out.Stats.Dropped, Jammed: out.Stats.Jammed, Epochs: out.Epochs}
-}
-
 // BroadcastCD runs Theorem 1.1: single-message broadcast over unknown
 // topology using collision detection (collision-wave layering, ring
 // decomposition, distributed GSTs, fast/slow schedule, Decay
 // handoffs).
-func BroadcastCD(g *Graph, opts Options) (Result, error) {
-	if err := checkGraph(g, opts.Source); err != nil {
-		return Result{}, err
-	}
-	d := graph.Eccentricity(g, opts.Source)
-	cfg := rings.DefaultConfig(g.N(), d, 0, opts.scale())
-	cfg.SetPipelined(opts.PipelinedBoundaries)
-	if opts.Adaptive {
-		a := harness.NewAdaptiveTheorem11(g, cfg, harness.EpochChannel(opts.Channel), opts.Seed, opts.Source)
-		return adaptiveResult(adapt.Run(a, opts.policy())), nil
-	}
-	res := harness.NewTheorem11RunCfg(g, cfg, opts.Source).Run(opts.Channel, opts.Seed)
-	return Result{Rounds: res.Rounds, Completed: res.Completed,
-		Dropped: res.Stats.Dropped, Jammed: res.Stats.Jammed}, nil
-}
+func BroadcastCD(g *Graph, opts Options) (Result, error) { return broadcast("cd", g, 0, opts) }
 
 // BroadcastKnownTopology runs the O(D + log^2 n) single-message
 // broadcast atop a centrally constructed GST — the regime in which
 // every node knows the topology ([7], used as the paper's black box).
 func BroadcastKnownTopology(g *Graph, opts Options) (Result, error) {
-	if err := checkGraph(g, opts.Source); err != nil {
-		return Result{}, err
-	}
-	if opts.Adaptive {
-		a := harness.NewAdaptiveGSTSingle(g, false, harness.EpochChannel(opts.Channel), opts.Seed, opts.Source)
-		return adaptiveResult(adapt.Run(a, opts.policy())), nil
-	}
-	rounds, ok, st := harness.NewGSTSingleRun(g, false, opts.Source).Run(opts.Channel, opts.Seed, opts.RoundLimit)
-	return Result{Rounds: rounds, Completed: ok, Dropped: st.Dropped, Jammed: st.Jammed}, nil
+	return broadcast("gst", g, 0, opts)
 }
 
 // BroadcastK runs Theorem 1.2: k-message broadcast with random linear
 // network coding atop the MMV GST schedule, known topology.
 func BroadcastK(g *Graph, k int, opts Options) (Result, error) {
-	if err := checkGraph(g, opts.Source); err != nil {
-		return Result{}, err
-	}
-	if k < 1 {
-		return Result{}, fmt.Errorf("radiocast: k must be positive, got %d", k)
-	}
-	if opts.Adaptive {
-		return Result{}, fmt.Errorf("radiocast: Options.Adaptive is not supported by BroadcastK (use BroadcastKCD for adaptive k-message broadcast)")
-	}
-	rounds, ok, st := harness.NewGSTMultiRun(g, k, opts.Source).Run(opts.Channel, opts.Seed, opts.RoundLimit)
-	return Result{Rounds: rounds, Completed: ok, Dropped: st.Dropped, Jammed: st.Jammed}, nil
+	return broadcast("k-known", g, k, opts)
 }
 
 // BroadcastKCD runs Theorem 1.3: k-message broadcast over unknown
 // topology with collision detection (ring pipeline, per-ring RLNC,
 // fountain handoffs).
 func BroadcastKCD(g *Graph, k int, opts Options) (Result, error) {
-	if err := checkGraph(g, opts.Source); err != nil {
-		return Result{}, err
-	}
-	if k < 1 {
-		return Result{}, fmt.Errorf("radiocast: k must be positive, got %d", k)
-	}
-	d := graph.Eccentricity(g, opts.Source)
-	cfg := rings.DefaultConfig(g.N(), d, k, opts.scale())
-	cfg.SetPipelined(opts.PipelinedBoundaries)
-	if opts.Adaptive {
-		a := harness.NewAdaptiveTheorem13(g, cfg, harness.EpochChannel(opts.Channel), opts.Seed, opts.Source)
-		return adaptiveResult(adapt.Run(a, opts.policy())), nil
-	}
-	rounds, ok, st := harness.NewTheorem13RunCfg(g, cfg, opts.Source).Run(opts.Channel, opts.Seed)
-	return Result{Rounds: rounds, Completed: ok, Dropped: st.Dropped, Jammed: st.Jammed}, nil
+	return broadcast("k-cd", g, k, opts)
 }
 
 // DecayBroadcast runs the classic BGI Decay baseline,
 // O(D log n + log^2 n).
-func DecayBroadcast(g *Graph, opts Options) (Result, error) {
-	if err := checkGraph(g, opts.Source); err != nil {
-		return Result{}, err
-	}
-	if opts.Adaptive {
-		a := harness.NewAdaptiveDecay(g, harness.EpochChannel(opts.Channel), opts.Seed, opts.Source)
-		return adaptiveResult(adapt.Run(a, opts.policy())), nil
-	}
-	rounds, ok, st := harness.NewDecayRun(g, opts.Source).Run(opts.Channel, opts.Seed, opts.RoundLimit)
-	return Result{Rounds: rounds, Completed: ok, Dropped: st.Dropped, Jammed: st.Jammed}, nil
-}
+func DecayBroadcast(g *Graph, opts Options) (Result, error) { return broadcast("decay", g, 0, opts) }
 
 // CRBroadcast runs the Czumaj–Rytter-shaped baseline,
 // O(D log(n/D) + log^2 n).
-func CRBroadcast(g *Graph, opts Options) (Result, error) {
+func CRBroadcast(g *Graph, opts Options) (Result, error) { return broadcast("cr", g, 0, opts) }
+
+// broadcast runs the protocol-table entry name over g from
+// opts.Source: one run of the entry's stack, or the retry layer around
+// it when opts.Adaptive is set. k is the message count of the
+// k-message entries.
+func broadcast(name string, g *Graph, k int, opts Options) (Result, error) {
 	if err := checkGraph(g, opts.Source); err != nil {
 		return Result{}, err
 	}
-	d := graph.Eccentricity(g, opts.Source)
-	if opts.Adaptive {
-		a := harness.NewAdaptiveCR(g, d, harness.EpochChannel(opts.Channel), opts.Seed, opts.Source)
-		return adaptiveResult(adapt.Run(a, opts.policy())), nil
+	p, _ := harness.LookupProtocol(name)
+	if p.TakesK && k < 1 {
+		return Result{}, fmt.Errorf("radiocast: k must be positive, got %d", k)
 	}
-	rounds, ok, st := harness.NewCRRun(g, d, opts.Source).Run(opts.Channel, opts.Seed, opts.RoundLimit)
+	so := harness.StackOpts{K: k, Scale: opts.Scale, Pipelined: opts.PipelinedBoundaries}
+	if opts.Adaptive {
+		// k-known, behind BroadcastK, is the one facade entry without
+		// carryover epochs.
+		if !p.Adaptive {
+			return Result{}, fmt.Errorf("radiocast: Options.Adaptive is not supported by BroadcastK (use BroadcastKCD for adaptive k-message broadcast)")
+		}
+		out := adapt.Run(p.NewAdaptive(g, opts.Source, so, harness.EpochChannel(opts.Channel), opts.Seed), opts.policy())
+		return Result{Rounds: out.Rounds, Completed: out.Completed,
+			Dropped: out.Stats.Dropped, Jammed: out.Stats.Jammed, Epochs: out.Epochs}, nil
+	}
+	rounds, ok, st := p.Build(g, opts.Source, so).RunFrom(nil, opts.Channel, opts.Seed, opts.RoundLimit)
 	return Result{Rounds: rounds, Completed: ok, Dropped: st.Dropped, Jammed: st.Jammed}, nil
 }
 

@@ -207,3 +207,18 @@ func TestFacadeBuildGSTRejectsBadInput(t *testing.T) {
 		t.Fatal("forest membership wrong on a disconnected graph")
 	}
 }
+
+// Options.RoundLimit caps every broadcast, the ring pipelines of
+// BroadcastCD and BroadcastKCD included: no run may outlast it.
+func TestFacadeRoundLimit(t *testing.T) {
+	g := NewClusterChain(6, 6)
+	for name, run := range facadeBroadcasts {
+		res, err := run(g, Options{Seed: 1, RoundLimit: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Rounds > 5 || res.Completed {
+			t.Errorf("%s: RoundLimit 5 gave %+v", name, res)
+		}
+	}
+}
