@@ -2,9 +2,12 @@ package harness
 
 import (
 	"crypto/sha256"
+	"crypto/sha512"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -17,36 +20,85 @@ import (
 )
 
 // update regenerates the golden fingerprints instead of checking them:
-// go test ./internal/harness -run TestAllExperimentsQuick -update
+// go test ./internal/harness -run 'TestAllExperimentsQuick|TestAssembleSyntheticPins' -update
 var update = flag.Bool("update", false, "rewrite testdata/golden instead of comparing against it")
 
 // goldenQuick holds the SHA-256 of every experiment's quick
 // single-seed table. The rendered tables carry only reproducible
 // outputs (rounds, completion, coverage), so any change to a digest is
-// a change in simulation behaviour and needs a stated reason. For the
-// scale sweeps it also holds, under "<ID>/cells", the SHA-256 of the
-// canonical artifact JSON, which pins the per-cell fields the tables
-// leave out (deliveries, busy/silent rounds, max frontier, coverage).
+// a change in simulation behaviour and needs a stated reason. Under
+// "<ID>/cells" it also holds the SHA-256 of each experiment's
+// canonical artifact JSON, which pins the config strings, the cell
+// order and the per-cell fields the tables leave out (deliveries,
+// busy/silent rounds, max frontier, coverage, epochs).
 var goldenQuick = filepath.Join("testdata", "golden", "quick.json")
 
-// goldenCells lists the experiments whose canonical per-cell artifact
-// is pinned alongside the table.
-var goldenCells = map[string]bool{"E19": true, "E20": true, "E21": true, "E22": true}
+// goldenAssemble holds, under "<ID>/quick" and "<ID>/full", the
+// SHA-256 of each plan's ordered (Key, RoundLimit) list at seeds 3 plus
+// the table its Assemble renders from synthetic results: the
+// multi-seed aggregation (means, "-" against 0, k/n columns) that the
+// single-seed quick tables cannot see.
+var goldenAssemble = filepath.Join("testdata", "golden", "assemble.json")
+
+// readGolden loads a golden digest file; under -update it returns an
+// empty map instead.
+func readGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
+	want := map[string]string{}
+	if *update {
+		return want
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// finishGolden writes got to path under -update; otherwise it reports
+// every golden key that is not of the form id+suffix for an experiment
+// id and one of the suffixes.
+func finishGolden(t *testing.T, path string, want, got map[string]string, suffixes ...string) {
+	t.Helper()
+	if *update {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	keys := map[string]bool{}
+	for _, e := range All() {
+		for _, sfx := range suffixes {
+			keys[e.ID+sfx] = true
+		}
+	}
+	for id := range want {
+		if !keys[id] {
+			t.Errorf("%s lists %s, which is no longer an experiment", path, id)
+		}
+	}
+}
+
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
 
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	want := map[string]string{}
-	if !*update {
-		blob, err := os.ReadFile(goldenQuick)
-		if err != nil {
-			t.Fatalf("%v (run with -update to create it)", err)
-		}
-		if err := json.Unmarshal(blob, &want); err != nil {
-			t.Fatal(err)
-		}
-	}
+	want := readGolden(t, goldenQuick)
 	got := map[string]string{}
 	for _, e := range All() {
 		e := e
@@ -61,13 +113,9 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Fatalf("%s table did not render", e.ID)
 			}
 			t.Logf("\n%s", out)
-			sum := sha256.Sum256([]byte(out))
-			got[e.ID] = hex.EncodeToString(sum[:])
+			got[e.ID] = digest([]byte(out))
 			if !*update && got[e.ID] != want[e.ID] {
 				t.Fatalf("%s golden digest changed: got %s, want %s", e.ID, got[e.ID], want[e.ID])
-			}
-			if !goldenCells[e.ID] {
-				return
 			}
 			a := exp.NewArtifact(1, true, 1)
 			a.Add(p, tb, results, 0)
@@ -76,38 +124,67 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Fatal(err)
 			}
 			cells := e.ID + "/cells"
-			sum = sha256.Sum256(blob)
-			got[cells] = hex.EncodeToString(sum[:])
+			got[cells] = digest(blob)
 			if !*update && got[cells] != want[cells] {
 				t.Fatalf("%s golden cell digest changed: got %s, want %s", e.ID, got[cells], want[cells])
 			}
 		})
 	}
-	if *update {
-		blob, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenQuick), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenQuick, append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
+	finishGolden(t, goldenQuick, want, got, "", "/cells")
+}
+
+// syntheticResult derives a cell's result from the SHA-512 of its key,
+// so a plan's Assemble can be pinned without running a simulation.
+// About one configuration in five has no completed seed, which
+// exercises every mean's empty-sample branch. Payload carries the
+// epoch count as an int, the shape E18's cells use.
+func syntheticResult(k exp.Key) exp.Result {
+	cfg := sha256.Sum256([]byte(k.Experiment + "/" + k.Config))
+	h := sha512.Sum512([]byte(k.String()))
+	u := func(i int) uint64 { return binary.LittleEndian.Uint64(h[8*i:]) }
+	epochs := 1 + int(u(4)%4)
+	return exp.Result{
+		Key:       k,
+		Rounds:    int64(1 + u(0)%100_000),
+		Completed: cfg[0]%5 != 0 && u(1)%4 != 0,
+		Value:     float64(u(2)%8) / 4,
+		Dropped:   int64(u(3) % 500),
+		Jammed:    int64(u(5) % 500),
+		Epochs:    epochs,
+		Covered:   int(u(6) % 1000),
+		Payload:   epochs,
 	}
-	ids := map[string]bool{}
-	for _, e := range All() {
-		ids[e.ID] = true
-		if goldenCells[e.ID] {
-			ids[e.ID+"/cells"] = true
+}
+
+// TestAssembleSyntheticPins pins every plan's cell list and multi-seed
+// table assembly at seeds 3, quick and full, against
+// testdata/golden/assemble.json. No simulation runs: each cell's
+// result is syntheticResult of its key.
+func TestAssembleSyntheticPins(t *testing.T) {
+	want := readGolden(t, goldenAssemble)
+	got := map[string]string{}
+	for _, quick := range []bool{true, false} {
+		size := "full"
+		if quick {
+			size = "quick"
+		}
+		for _, e := range All() {
+			p := e.Plan(3, quick)
+			var b strings.Builder
+			results := make([]exp.Result, len(p.Cells))
+			for i, c := range p.Cells {
+				fmt.Fprintf(&b, "%s limit=%d\n", c.Key, c.RoundLimit)
+				results[i] = syntheticResult(c.Key)
+			}
+			b.WriteString(p.Assemble(results).String())
+			id := e.ID + "/" + size
+			got[id] = digest([]byte(b.String()))
+			if !*update && got[id] != want[id] {
+				t.Errorf("%s assembly digest changed: got %s, want %s", id, got[id], want[id])
+			}
 		}
 	}
-	for id := range want {
-		if !ids[id] {
-			t.Errorf("golden file lists %s, which is no longer an experiment", id)
-		}
-	}
+	finishGolden(t, goldenAssemble, want, got, "/quick", "/full")
 }
 
 func TestE1CrossoverShape(t *testing.T) {
