@@ -25,7 +25,8 @@
 // byte-identical to a sequential run; timing diagnostics go to stderr
 // (per-experiment figures are summed cell wall times — under the
 // global pool an experiment has no wall-clock of its own). -timeout
-// and -roundlimit bound each cell's wall clock and simulated rounds.
+// and -roundlimit bound each cell's wall clock and simulated rounds
+// (the fixed-schedule cells of E3-E6, E11 and E12 ignore -roundlimit).
 // -json writes a machine-readable bench artifact with per-cell rounds
 // and wall times ("-" for stdout). -scalemaxn raises the largest
 // workload of the E19-E22 scale sweeps (the acceptance run is
@@ -105,7 +106,7 @@ func main() {
 	parallel := flag.Bool("parallel", false, "fan experiment cells across GOMAXPROCS workers")
 	workers := flag.Int("workers", 0, "worker count; setting it implies -parallel (0 with -parallel = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "per-cell wall-clock guard (0 = none)")
-	roundLimit := flag.Int64("roundlimit", 0, "per-cell simulated-round cap (0 = experiment defaults)")
+	roundLimit := flag.Int64("roundlimit", 0, "per-cell simulated-round cap (0 = experiment defaults; the fixed-schedule cells of E3-E6, E11 and E12 ignore it)")
 	jsonPath := flag.String("json", "", "write a JSON bench artifact to this file (\"-\" = stdout)")
 	scaleMaxN := flag.Int("scalemaxn", 100_000, "largest workload size of the E19-E22 scale sweeps (acceptance: 1000000)")
 	scaleWorkers := flag.Int("scaleworkers", 0, "dense-engine workers for E19-E22 cells (0 = min(8, GOMAXPROCS); output is identical at any setting)")

@@ -1,6 +1,11 @@
 package radiocast
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -153,53 +158,49 @@ func TestSeedsChangeOutcomes(t *testing.T) {
 	}
 }
 
-// TestParallelRunnerMatchesSequential pins the orchestration contract:
-// for every experiment, fanning cells across a worker pool must yield
-// the same table bytes and the same canonical JSON artifact as the
-// sequential run — output is ordered by cell key, never by completion
-// order.
+// TestParallelRunnerMatchesSequential pins the orchestration contract
+// against history: every experiment's quick single-seed plan runs once
+// through one 8-worker pool (Runner.RunAll, what radiobench -parallel
+// runs), and each table and canonical per-cell artifact must match its
+// digest in internal/harness/testdata/golden/quick.json, the file
+// TestAllExperimentsQuick checks the sequential run against. Output is
+// ordered by cell key, never by completion order.
 func TestParallelRunnerMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	// A fast, representative subset: protocol sweeps (E1), the
-	// sequential-vs-pipelined construction pairs (E6), paired jamming
-	// cells (E9), batched micro-trials (E11), payload-carrying cells
-	// (E12), a fixed-schedule ablation (A3), the four
-	// adversarial-channel robustness sweeps (E13-E16) whose cells carry
-	// the Dropped/Jammed counters into the canonical artifact, and the
-	// adaptive-retry sweeps (E17-E18) whose cells run multi-epoch
-	// re-layered broadcasts.
-	ids := map[string]bool{
-		"E1": true, "E6": true, "E9": true, "E11": true, "E12": true, "A3": true,
-		"E13": true, "E14": true, "E15": true, "E16": true,
-		"E17": true, "E18": true,
+	blob, err := os.ReadFile(filepath.Join("internal", "harness", "testdata", "golden", "quick.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range harness.All() {
-		if !ids[e.ID] {
-			continue
-		}
+	var want map[string]string
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	all := harness.All()
+	plans := make([]*exp.Plan, len(all))
+	for i, e := range all {
+		plans[i] = e.Plan(1, true)
+	}
+	results := (&exp.Runner{Parallelism: 8}).RunAll(plans)
+	for i, e := range all {
 		t.Run(e.ID, func(t *testing.T) {
-			run := func(workers int) (string, []byte) {
-				plan := e.Plan(1, true)
-				runner := &exp.Runner{Parallelism: workers}
-				start := time.Now()
-				tb, results := runner.RunTable(plan)
-				a := exp.NewArtifact(1, true, 0) // fixed header: only cell content may differ
-				a.Add(plan, tb, results, time.Since(start))
-				blob, err := a.Canonical().JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return tb.String(), blob
+			tb := plans[i].Assemble(results[i])
+			if got := digest([]byte(tb.String())); got != want[e.ID] {
+				t.Fatalf("parallel table digest %s, golden %s:\n%s", got, want[e.ID], tb)
 			}
-			seqTable, seqJSON := run(1)
-			parTable, parJSON := run(8)
-			if seqTable != parTable {
-				t.Fatalf("tables diverge:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqTable, parTable)
+			a := exp.NewArtifact(1, true, 1) // the golden artifact's header
+			a.Add(plans[i], tb, results[i], 0)
+			blob, err := a.Canonical().JSON()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if string(seqJSON) != string(parJSON) {
-				t.Fatalf("canonical artifacts diverge:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqJSON, parJSON)
+			if got := digest(blob); got != want[e.ID+"/cells"] {
+				t.Fatalf("parallel cells digest %s, golden %s", got, want[e.ID+"/cells"])
 			}
 		})
 	}

@@ -124,15 +124,6 @@ type Plan struct {
 	Assemble func(results []Result) *stats.Table
 }
 
-// Index maps results by key for order-independent lookup in Assemble.
-func Index(results []Result) map[Key]Result {
-	m := make(map[Key]Result, len(results))
-	for _, r := range results {
-		m[r.Key] = r
-	}
-	return m
-}
-
 // Runner executes plans. The zero value runs sequentially with no
 // guards.
 type Runner struct {
@@ -143,7 +134,9 @@ type Runner struct {
 	// that exceeds it yields a Result with Err set (its goroutine is
 	// abandoned; protocol runs are round-limited, so they terminate).
 	Timeout time.Duration
-	// RoundLimit, when positive, lowers every cell's round cap.
+	// RoundLimit, when positive, lowers every cell's round cap. Cells
+	// that run a fixed schedule or a batch of micro-trials ignore it
+	// (in the harness: E3-E6, E11 and E12).
 	RoundLimit int64
 	// Metrics, when non-nil, accumulates per-experiment sweep counters
 	// (cells, errors, rounds, wall-time histogram) under the

@@ -165,14 +165,3 @@ func TestArtifactCanonicalZeroesMem(t *testing.T) {
 		t.Fatalf("canonical artifact kept memory metrics:\n%s", canon)
 	}
 }
-
-func TestIndex(t *testing.T) {
-	results := []Result{
-		{Key: Key{Experiment: "E", Config: "a", Seed: 0}, Rounds: 10},
-		{Key: Key{Experiment: "E", Config: "a", Seed: 1}, Rounds: 20},
-	}
-	idx := Index(results)
-	if idx[Key{Experiment: "E", Config: "a", Seed: 1}].Rounds != 20 {
-		t.Fatal("index lookup failed")
-	}
-}

@@ -30,12 +30,8 @@ func (c e6Case) cfg(pipelined bool) gstdist.Config {
 	return cfg
 }
 
-func (c e6Case) key(mode string, seed uint64) exp.Key {
-	return exp.Key{
-		Experiment: "E6",
-		Config:     fmt.Sprintf("graph=%s/N=%d/c=%d/%s", c.g.Name(), c.nBound, c.c, mode),
-		Seed:       seed,
-	}
+func (c e6Case) config(mode string) string {
+	return fmt.Sprintf("graph=%s/N=%d/c=%d/%s", c.g.Name(), c.nBound, c.c, mode)
 }
 
 func e6Cases(quick bool) []e6Case {
@@ -64,32 +60,19 @@ func e6Cases(quick bool) []e6Case {
 // at MaxRank >= 6), which is every case below.
 func E6Plan(seeds int, quick bool) *exp.Plan {
 	cases := e6Cases(quick)
-	p := &exp.Plan{ID: "E6", Title: "Pipelined even/odd boundary construction (Thm 2.1, §2.2.4)"}
+	p := exp.NewGrid("E6", "Pipelined even/odd boundary construction (Thm 2.1, §2.2.4)", seeds)
 	for _, cse := range cases {
-		cse := cse
 		d := cse.d()
 		for _, mode := range e6Modes {
 			pipelined := mode == "pipe"
-			cost := budgetCost(cse.g.N(), cse.cfg(pipelined).TotalRounds())
-			for s := 0; s < seeds; s++ {
-				s := s
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:  cse.key(mode, uint64(s)),
-					Cost: cost,
-					Run: func(int64) exp.Result {
-						res := NewGSTPipelinedRun(cse.g, cse.nBound, d, cse.c, pipelined).Run(uint64(s))
-						r := exp.Result{Rounds: res.Rounds, Completed: res.Done && res.Valid}
-						if res.Valid {
-							r.Value = 1
-						}
-						return r
-					},
+			p.Add(cse.config(mode), 0, budgetCost(cse.g.N(), cse.cfg(pipelined).TotalRounds()),
+				func(seed uint64, _ int64) exp.Result {
+					res := NewGSTPipelinedRun(cse.g, cse.nBound, d, cse.c, pipelined).Run(seed)
+					return exp.Result{Rounds: res.Rounds, Completed: res.Done && res.Valid, Value: b2f(res.Valid)}
 				})
-			}
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title: "E6: pipelined even/odd boundary construction (Thm 2.1, §2.2.4)",
 			Comment: "segment B only (preset levels); rounds = completion (every node knows its parent), budget = fixed schedule;\n" +
@@ -98,21 +81,18 @@ func E6Plan(seeds int, quick bool) *exp.Plan {
 			Header: []string{"graph", "N", "D", "c", "seq rounds", "pipe rounds", "speedup", "seq budget", "pipe budget", "valid s/p"},
 		}
 		for _, cse := range cases {
-			d := cse.d()
 			means := map[string]float64{}
 			valid := map[string]int{}
 			for _, mode := range e6Modes {
-				var rs []float64
-				for s := 0; s < seeds; s++ {
-					r := idx[cse.key(mode, uint64(s))]
-					rs = append(rs, float64(r.Rounds))
+				runs := p.Runs(results, cse.config(mode))
+				means[mode] = exp.Mean(runs.Each(allRounds))
+				for _, r := range runs {
 					if r.Value > 0 {
 						valid[mode]++
 					}
 				}
-				means[mode] = stats.Summarize(rs, 0, 0).Mean
 			}
-			t.AddRow(cse.g.Name(), fmt.Sprint(cse.nBound), fmt.Sprint(d), fmt.Sprint(cse.c),
+			t.AddRow(cse.g.Name(), fmt.Sprint(cse.nBound), fmt.Sprint(cse.d()), fmt.Sprint(cse.c),
 				stats.F(means["seq"]), stats.F(means["pipe"]),
 				stats.F(means["seq"]/means["pipe"]),
 				fmt.Sprint(cse.cfg(false).TotalRounds()), fmt.Sprint(cse.cfg(true).TotalRounds()),
@@ -120,5 +100,5 @@ func E6Plan(seeds int, quick bool) *exp.Plan {
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }

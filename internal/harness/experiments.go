@@ -93,18 +93,20 @@ func baselineCost(g *graph.Graph, d int) int64 {
 // full round budget.
 func budgetCost(n int, budget int64) int64 { return int64(n) * budget }
 
-// singleCell compiles one baseline broadcast run (decay, cr, or gst)
-// into a cell. The graph is shared read-only across cells.
-func singleCell(id string, g *graph.Graph, d int, proto string, seed uint64, config string) exp.Cell {
-	return exp.Cell{
-		Key:        exp.Key{Experiment: id, Config: config, Seed: seed},
-		RoundLimit: broadcastLimit,
-		Cost:       baselineCost(g, d),
-		Run: func(limit int64) exp.Result {
-			r, ok, _ := cellStack(proto, g, d, StackOpts{}).RunFrom(nil, nil, seed, limit)
-			return exp.Rounds(r, ok)
-		},
+// stackRun runs one protocol-table entry over g on the ideal channel.
+// The stack is built inside every run, so cells share only the
+// read-only graph.
+func stackRun(entry string, g *graph.Graph, d int, o StackOpts) func(seed uint64, limit int64) exp.Result {
+	return func(seed uint64, limit int64) exp.Result {
+		return runOn(cellStack(entry, g, d, o), nil, seed, limit)
 	}
+}
+
+// runOn runs s once over ch and returns its rounds, completion and
+// channel-adversity counters.
+func runOn(s Stack, ch radio.Channel, seed uint64, limit int64) exp.Result {
+	r, ok, st := s.RunFrom(nil, ch, seed, limit)
+	return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
 }
 
 // E1Plan is the headline comparison. The "gst" column is the
@@ -117,66 +119,42 @@ func E1Plan(seeds int, quick bool) *exp.Plan {
 		chains = []int{8, 16}
 	}
 	protos := []string{"decay", "cr", "gst"}
-	p := &exp.Plan{ID: "E1", Title: "Single-message broadcast: Decay vs CR vs GST (Thm 1.1 regime)"}
+	p := exp.NewGrid("E1", "Single-message broadcast: Decay vs CR vs GST (Thm 1.1 regime)", seeds)
 	type chainCase struct {
-		chain, d int
-		g        *graph.Graph
-		th11     rings.Config
+		chain, n, d int
+		th11        rings.Config
 	}
 	var cases []chainCase
 	for _, chain := range chains {
 		g := clusterChain(chain)
 		d := graph.Eccentricity(g, 0)
 		th11 := rings.DefaultConfig(g.N(), d, 0, 1)
-		cases = append(cases, chainCase{chain, d, g, th11})
+		cases = append(cases, chainCase{chain, g.N(), d, th11})
 		for _, proto := range protos {
-			for s := 0; s < seeds; s++ {
-				p.Cells = append(p.Cells, singleCell("E1", g, d, proto, uint64(s),
-					fmt.Sprintf("chain=%d/%s", chain, proto)))
-			}
+			p.Add(fmt.Sprintf("chain=%d/%s", chain, proto), broadcastLimit, baselineCost(g, d), stackRun(proto, g, d, StackOpts{}))
 		}
-		p.Cells = append(p.Cells, exp.Cell{
-			Key:  exp.Key{Experiment: "E1", Config: fmt.Sprintf("chain=%d/th11", chain), Seed: 1},
-			Cost: budgetCost(g.N(), th11.TotalRounds()),
-			Run: func(int64) exp.Result {
-				r, ok, _ := cellStack("cd", g, d, StackOpts{}).RunFrom(nil, nil, 1, 0)
-				return exp.Rounds(r, ok)
-			},
-		})
+		p.AddOne(fmt.Sprintf("chain=%d/th11", chain), 1, 0, budgetCost(g.N(), th11.TotalRounds()), stackRun("cd", g, d, StackOpts{}))
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title:   "E1: single-message broadcast rounds (cluster chains, clique 8)",
 			Comment: "paper: Thm 1.1 O(D+polylog) beats O(D log(n/D)+log^2 n) baselines as D grows",
 			Header:  []string{"n", "D", "decay", "cr", "gst-bcast", "th11-total", "th11-build", "ok"},
 		}
 		for _, c := range cases {
+			row := []string{fmt.Sprint(c.n), fmt.Sprint(c.d)}
 			okAll := true
-			means := map[string]float64{}
 			for _, proto := range protos {
-				var rs []float64
-				for s := 0; s < seeds; s++ {
-					r := idx[exp.Key{Experiment: "E1", Config: fmt.Sprintf("chain=%d/%s", c.chain, proto), Seed: uint64(s)}]
-					if r.Completed {
-						rs = append(rs, float64(r.Rounds))
-					} else {
-						okAll = false
-					}
-				}
-				means[proto] = stats.Summarize(rs, 0, 0).Mean
+				runs := p.Runs(results, fmt.Sprintf("chain=%d/%s", c.chain, proto))
+				okAll = okAll && runs.AllDone()
+				row = append(row, stats.F(exp.Mean(runs.Rounds())))
 			}
-			tr := idx[exp.Key{Experiment: "E1", Config: fmt.Sprintf("chain=%d/th11", c.chain), Seed: 1}]
-			okAll = okAll && tr.Completed
-			t.AddRow(
-				fmt.Sprint(c.g.N()), fmt.Sprint(c.d),
-				stats.F(means["decay"]), stats.F(means["cr"]), stats.F(means["gst"]),
-				fmt.Sprint(tr.Rounds), fmt.Sprint(c.th11.BuildRounds()), fmt.Sprint(okAll),
-			)
+			tr := p.Runs(results, fmt.Sprintf("chain=%d/th11", c.chain))[0]
+			t.AddRow(append(row, fmt.Sprint(tr.Rounds), fmt.Sprint(c.th11.BuildRounds()), fmt.Sprint(okAll && tr.Completed))...)
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // E2Plan fits rounds against D for each protocol; the GST broadcast
@@ -188,50 +166,37 @@ func E2Plan(seeds int, quick bool) *exp.Plan {
 		chains = []int{8, 16, 24}
 	}
 	protos := []string{"decay", "cr", "gst"}
-	p := &exp.Plan{ID: "E2", Title: "Additive diameter dependence (rounds vs D)"}
-	ds := make(map[int]float64, len(chains))
+	p := exp.NewGrid("E2", "Additive diameter dependence (rounds vs D)", seeds)
+	var ds []float64
 	for _, chain := range chains {
 		g := clusterChain(chain)
 		d := graph.Eccentricity(g, 0)
-		ds[chain] = float64(d)
+		ds = append(ds, float64(d))
 		for _, proto := range protos {
-			for s := 0; s < seeds; s++ {
-				p.Cells = append(p.Cells, singleCell("E2", g, d, proto, uint64(s),
-					fmt.Sprintf("chain=%d/%s", chain, proto)))
-			}
+			p.Add(fmt.Sprintf("chain=%d/%s", chain, proto), broadcastLimit, baselineCost(g, d), stackRun(proto, g, d, StackOpts{}))
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
-		means := map[string][]float64{}
-		var xs []float64
-		for _, chain := range chains {
-			xs = append(xs, ds[chain])
-			for _, proto := range protos {
-				var rs []float64
-				for s := 0; s < seeds; s++ {
-					r := idx[exp.Key{Experiment: "E2", Config: fmt.Sprintf("chain=%d/%s", chain, proto), Seed: uint64(s)}]
-					if r.Completed {
-						rs = append(rs, float64(r.Rounds))
-					}
-				}
-				means[proto] = append(means[proto], stats.Summarize(rs, 0, 0).Mean)
-			}
-		}
-		fd := stats.LinearFit(xs, means["decay"])
-		fc := stats.LinearFit(xs, means["cr"])
-		fg := stats.LinearFit(xs, means["gst"])
 		t := &stats.Table{
 			Title:   "E2: rounds-vs-D linear fits (cluster chains)",
 			Comment: "paper: GST broadcast slope is O(1) per layer; Decay/CR slopes carry a log factor",
 			Header:  []string{"protocol", "slope rounds/D", "intercept", "R2"},
 		}
-		t.AddRow("decay", stats.F(fd.Slope), stats.F(fd.Intercept), stats.F(fd.R2))
-		t.AddRow("cr", stats.F(fc.Slope), stats.F(fc.Intercept), stats.F(fc.R2))
-		t.AddRow("gst-bcast", stats.F(fg.Slope), stats.F(fg.Intercept), stats.F(fg.R2))
+		for _, proto := range protos {
+			var means []float64
+			for _, chain := range chains {
+				means = append(means, exp.Mean(p.Runs(results, fmt.Sprintf("chain=%d/%s", chain, proto)).Rounds()))
+			}
+			fit := stats.LinearFit(ds, means)
+			name := proto
+			if proto == "gst" {
+				name = "gst-bcast"
+			}
+			t.AddRow(name, stats.F(fit.Slope), stats.F(fit.Intercept), stats.F(fit.R2))
+		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // E3Plan measures the distributed construction and validates its
@@ -245,29 +210,19 @@ func E3Plan(seeds int, quick bool) *exp.Plan {
 	if !quick {
 		gs = append(gs, graph.Grid(6, 10), graph.GNP(96, 0.07, 4))
 	}
-	p := &exp.Plan{ID: "E3", Title: "Distributed GST construction (Thm 2.1)"}
+	p := exp.NewGrid("E3", "Distributed GST construction (Thm 2.1)", seeds)
 	for _, g := range gs {
 		d := graph.Eccentricity(g, 0)
 		for _, c := range []int{1, 2} {
 			cfg := gstdist.DefaultConfig(g.N(), d, c, gstdist.LayerCD, false)
-			for s := 0; s < seeds; s++ {
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:  exp.Key{Experiment: "E3", Config: fmt.Sprintf("graph=%s/c=%d", g.Name(), c), Seed: uint64(s)},
-					Cost: budgetCost(g.N(), cfg.TotalRounds()),
-					Run: func(int64) exp.Result {
-						valid := runConstructionValid(g, cfg, uint64(s))
-						res := exp.Result{Rounds: cfg.TotalRounds(), Completed: valid}
-						if valid {
-							res.Value = 1
-						}
-						return res
-					},
+			p.Add(fmt.Sprintf("graph=%s/c=%d", g.Name(), c), 0, budgetCost(g.N(), cfg.TotalRounds()),
+				func(seed uint64, _ int64) exp.Result {
+					valid := runConstructionValid(g, cfg, seed)
+					return exp.Result{Rounds: cfg.TotalRounds(), Completed: valid, Value: b2f(valid)}
 				})
-			}
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title: "E3: distributed GST construction (Thm 2.1)",
 			Comment: "rounds are the fixed O(D log^5 n) schedule (sequential boundaries); valid = Tree.Validate;\n" +
@@ -279,22 +234,27 @@ func E3Plan(seeds int, quick bool) *exp.Plan {
 			d := graph.Eccentricity(g, 0)
 			for _, c := range []int{1, 2} {
 				cfg := gstdist.DefaultConfig(g.N(), d, c, gstdist.LayerCD, false)
-				valid := 0
-				for s := 0; s < seeds; s++ {
-					if idx[exp.Key{Experiment: "E3", Config: fmt.Sprintf("graph=%s/c=%d", g.Name(), c), Seed: uint64(s)}].Completed {
-						valid++
-					}
-				}
 				l := float64(sched.LogN(g.N()))
 				norm := float64(cfg.TotalRounds()) / (float64(d+1) * l * l * l * l * l)
 				t.AddRow(g.Name(), fmt.Sprint(g.N()), fmt.Sprint(d), fmt.Sprint(c),
 					fmt.Sprint(cfg.TotalRounds()), stats.F(norm),
-					fmt.Sprintf("%d/%d", valid, seeds))
+					p.Runs(results, fmt.Sprintf("graph=%s/c=%d", g.Name(), c)).OK())
 			}
 		}
 		return t
 	}
-	return p
+	return p.Plan
+}
+
+// allRounds reads a run's rounds, completed or not (exp.Runs.Each).
+func allRounds(r exp.Result) float64 { return float64(r.Rounds) }
+
+// b2f is 1 for true and 0 for false: the Value of a pass/fail cell.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func runConstructionValid(g *graph.Graph, cfg gstdist.Config, seed uint64) bool {
@@ -321,25 +281,15 @@ func E4Plan(seeds int, quick bool) *exp.Plan {
 	if !quick {
 		sizes = append(sizes, 128)
 	}
-	p := &exp.Plan{ID: "E4", Title: "Recruiting protocol (Lemma 2.3)"}
+	p := exp.NewGrid("E4", "Recruiting protocol (Lemma 2.3)", seeds)
 	for _, half := range sizes {
 		params := recruit.DefaultParams(2*half, 2)
-		for s := 0; s < seeds; s++ {
-			p.Cells = append(p.Cells, exp.Cell{
-				Key: exp.Key{Experiment: "E4", Config: fmt.Sprintf("half=%d", half), Seed: uint64(s)},
-				Run: func(int64) exp.Result {
-					ok := recruitingRun(half, params, uint64(s))
-					res := exp.Result{Rounds: params.Rounds(), Completed: ok}
-					if ok {
-						res.Value = 1
-					}
-					return res
-				},
-			})
-		}
+		p.Add(fmt.Sprintf("half=%d", half), 0, 0, func(seed uint64, _ int64) exp.Result {
+			ok := recruitingRun(half, params, seed)
+			return exp.Result{Rounds: params.Rounds(), Completed: ok, Value: b2f(ok)}
+		})
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title:   "E4: recruiting protocol (Lemma 2.3)",
 			Comment: "fixed Θ(log^3 n) schedule; success = properties (a),(b),(c) all hold",
@@ -347,20 +297,14 @@ func E4Plan(seeds int, quick bool) *exp.Plan {
 		}
 		for _, half := range sizes {
 			params := recruit.DefaultParams(2*half, 2)
-			success := 0
-			for s := 0; s < seeds; s++ {
-				if idx[exp.Key{Experiment: "E4", Config: fmt.Sprintf("half=%d", half), Seed: uint64(s)}].Completed {
-					success++
-				}
-			}
 			l := float64(sched.LogN(2 * half))
 			t.AddRow(fmt.Sprint(half), fmt.Sprint(params.Rounds()),
 				stats.F(float64(params.Rounds())/(l*l*l)),
-				fmt.Sprintf("%d/%d", success, seeds))
+				p.Runs(results, fmt.Sprintf("half=%d", half)).OK())
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 func recruitingRun(half int, params recruit.Params, seed uint64) bool {
@@ -456,25 +400,18 @@ type shrinkageCount struct{ miss, total int }
 func E5Plan(seeds int, quick bool) *exp.Plan {
 	budgets := []int{1, 2, 4, 8}
 	sc := newShrinkageCase()
-	repeats := 4 * seeds
-	p := &exp.Plan{ID: "E5", Title: "Assignment shrinkage per epoch budget (Lemma 2.4)"}
+	p := exp.NewGrid("E5", "Assignment shrinkage per epoch budget (Lemma 2.4)", 4*seeds)
 	for _, budget := range budgets {
-		for s := 0; s < repeats; s++ {
-			p.Cells = append(p.Cells, exp.Cell{
-				Key: exp.Key{Experiment: "E5", Config: fmt.Sprintf("epochs=%d", budget), Seed: uint64(s)},
-				Run: func(int64) exp.Result {
-					miss, total := assignmentMisses(sc.g, sc.dist, sc.tree, budget, uint64(s))
-					return exp.Result{
-						Completed: true,
-						Value:     float64(miss) / float64(maxInt(total, 1)),
-						Payload:   shrinkageCount{miss, total},
-					}
-				},
-			})
-		}
+		p.Add(fmt.Sprintf("epochs=%d", budget), 0, 0, func(seed uint64, _ int64) exp.Result {
+			miss, total := assignmentMisses(sc.g, sc.dist, sc.tree, budget, seed)
+			return exp.Result{
+				Completed: true,
+				Value:     float64(miss) / float64(maxInt(total, 1)),
+				Payload:   shrinkageCount{miss, total},
+			}
+		})
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title:   "E5: blues left unassigned vs epoch budget (Lemma 2.4)",
 			Comment: "loner-free complete-bipartite boundary; per-rank epochs = budget (not Θ(log n)); unassigned fraction must collapse",
@@ -482,18 +419,18 @@ func E5Plan(seeds int, quick bool) *exp.Plan {
 		}
 		for _, budget := range budgets {
 			total, miss := 0, 0
-			for s := 0; s < repeats; s++ {
-				c, _ := idx[exp.Key{Experiment: "E5", Config: fmt.Sprintf("epochs=%d", budget), Seed: uint64(s)}].Payload.(shrinkageCount)
+			for _, r := range p.Runs(results, fmt.Sprintf("epochs=%d", budget)) {
+				c, _ := r.Payload.(shrinkageCount)
 				miss += c.miss
 				total += c.total
 			}
 			frac := float64(miss) / float64(maxInt(total, 1))
-			t.AddRow(fmt.Sprint(budget), stats.F(frac), fmt.Sprint(repeats))
+			t.AddRow(fmt.Sprint(budget), stats.F(frac), fmt.Sprint(p.Seeds))
 		}
 		return t
 	}
 	_ = quick
-	return p
+	return p.Plan
 }
 
 // assignmentMisses runs one boundary (levels 0/1 of g) with an exact

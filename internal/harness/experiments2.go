@@ -26,22 +26,12 @@ func E7Plan(seeds int, quick bool) *exp.Plan {
 	g := graph.Grid(8, 8)
 	d := graph.Eccentricity(g, 0)
 	l := sched.LogN(g.N())
-	p := &exp.Plan{ID: "E7", Title: "k-message broadcast, known topology (Thm 1.2)"}
+	p := exp.NewGrid("E7", "k-message broadcast, known topology (Thm 1.2)", seeds)
 	for _, k := range ks {
-		for s := 0; s < seeds; s++ {
-			p.Cells = append(p.Cells, exp.Cell{
-				Key:        exp.Key{Experiment: "E7", Config: fmt.Sprintf("k=%d", k), Seed: uint64(s)},
-				RoundLimit: broadcastLimit,
-				Cost:       baselineCost(g, d) + budgetCost(g.N(), int64(k*l)),
-				Run: func(limit int64) exp.Result {
-					r, ok, _ := cellStack("k-known", g, d, StackOpts{K: k}).RunFrom(nil, nil, uint64(s), limit)
-					return exp.Rounds(r, ok)
-				},
-			})
-		}
+		p.Add(fmt.Sprintf("k=%d", k), broadcastLimit, baselineCost(g, d)+budgetCost(g.N(), int64(k*l)),
+			stackRun("k-known", g, d, StackOpts{K: k}))
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title:   "E7: k-message broadcast, known topology (Thm 1.2)",
 			Comment: fmt.Sprintf("grid-8x8, D=%d, log n=%d; paper: O(D + k log n + log^2 n) — linear in k with slope Θ(log n)", d, l),
@@ -49,20 +39,11 @@ func E7Plan(seeds int, quick bool) *exp.Plan {
 		}
 		var xs, ys []float64
 		for _, k := range ks {
-			var rs []float64
-			okAll := true
-			for s := 0; s < seeds; s++ {
-				r := idx[exp.Key{Experiment: "E7", Config: fmt.Sprintf("k=%d", k), Seed: uint64(s)}]
-				if !r.Completed {
-					okAll = false
-					continue
-				}
-				rs = append(rs, float64(r.Rounds))
-			}
-			m := stats.Summarize(rs, 0, 0).Mean
+			runs := p.Runs(results, fmt.Sprintf("k=%d", k))
+			m := exp.Mean(runs.Rounds())
 			xs = append(xs, float64(k))
 			ys = append(ys, m)
-			t.AddRow(fmt.Sprint(k), stats.F(m), stats.F(m/float64(k)), fmt.Sprint(okAll))
+			t.AddRow(fmt.Sprint(k), stats.F(m), stats.F(m/float64(k)), fmt.Sprint(runs.AllDone()))
 		}
 		fit := stats.LinearFit(xs, ys)
 		t.AddRow("fit", fmt.Sprintf("slope=%s/k", stats.F(fit.Slope)),
@@ -70,7 +51,7 @@ func E7Plan(seeds int, quick bool) *exp.Plan {
 			fmt.Sprintf("R2=%s", stats.F(fit.R2)))
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // E8Plan runs the full Theorem 1.3 stack.
@@ -86,23 +67,14 @@ func E8Plan(seeds int, quick bool) *exp.Plan {
 	if !quick {
 		cases = append(cases, cse{graph.Grid(4, 20), 16})
 	}
-	p := &exp.Plan{ID: "E8", Title: "k-message broadcast, unknown topology + CD (Thm 1.3)"}
+	p := exp.NewGrid("E8", "k-message broadcast, unknown topology + CD (Thm 1.3)", seeds)
 	for _, c := range cases {
 		d := graph.Eccentricity(c.g, 0)
 		budget := rings.DefaultConfig(c.g.N(), d, c.k, 1).TotalRounds()
-		for s := 0; s < seeds; s++ {
-			p.Cells = append(p.Cells, exp.Cell{
-				Key:  exp.Key{Experiment: "E8", Config: fmt.Sprintf("graph=%s/k=%d", c.g.Name(), c.k), Seed: uint64(s)},
-				Cost: budgetCost(c.g.N(), budget),
-				Run: func(int64) exp.Result {
-					r, ok, _ := cellStack("k-cd", c.g, d, StackOpts{K: c.k}).RunFrom(nil, nil, uint64(s), 0)
-					return exp.Rounds(r, ok)
-				},
-			})
-		}
+		p.Add(fmt.Sprintf("graph=%s/k=%d", c.g.Name(), c.k), 0, budgetCost(c.g.N(), budget),
+			stackRun("k-cd", c.g, d, StackOpts{K: c.k}))
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title:   "E8: k-message broadcast, unknown topology + CD (Thm 1.3)",
 			Comment: "full pipeline: wave + parallel ring GSTs + stride-2 batch pipeline with RLNC and fountain handoffs",
@@ -111,23 +83,14 @@ func E8Plan(seeds int, quick bool) *exp.Plan {
 		for _, c := range cases {
 			d := graph.Eccentricity(c.g, 0)
 			cfg := rings.DefaultConfig(c.g.N(), d, c.k, 1)
-			okCount := 0
-			var rs []float64
-			for s := 0; s < seeds; s++ {
-				r := idx[exp.Key{Experiment: "E8", Config: fmt.Sprintf("graph=%s/k=%d", c.g.Name(), c.k), Seed: uint64(s)}]
-				if r.Completed {
-					okCount++
-					rs = append(rs, float64(r.Rounds))
-				}
-			}
+			runs := p.Runs(results, fmt.Sprintf("graph=%s/k=%d", c.g.Name(), c.k))
 			t.AddRow(c.g.Name(), fmt.Sprint(c.g.N()), fmt.Sprint(d), fmt.Sprint(c.k),
 				fmt.Sprint(cfg.Rings()), fmt.Sprint(cfg.Batches()),
-				stats.F(stats.Summarize(rs, 0, 0).Mean), fmt.Sprint(cfg.TotalRounds()),
-				fmt.Sprintf("%d/%d", okCount, seeds))
+				stats.F(exp.Mean(runs.Rounds())), fmt.Sprint(cfg.TotalRounds()), runs.OK())
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // jamModes labels the silent/jammed cell pairs of E9 and E10.
@@ -141,58 +104,50 @@ func E9Plan(seeds int, quick bool) *exp.Plan {
 	if !quick {
 		gs = append(gs, graph.ClusterChain(8, 6))
 	}
-	p := &exp.Plan{ID: "E9", Title: "Decay is MMV (Lemma 3.2)"}
+	p := exp.NewGrid("E9", "Decay is MMV (Lemma 3.2)", seeds)
 	for _, g := range gs {
 		cost := 3 * baselineCost(g, graph.Eccentricity(g, 0))
 		for _, mode := range jamModes {
 			noising := mode == "jam"
-			for s := 0; s < seeds; s++ {
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:  exp.Key{Experiment: "E9", Config: fmt.Sprintf("graph=%s/%s", g.Name(), mode), Seed: uint64(s)},
-					Cost: cost,
-					Run: func(int64) exp.Result {
-						return exp.Rounds(runDecayMMV(g, noising, uint64(s)))
-					},
-				})
-			}
+			p.Add(fmt.Sprintf("graph=%s/%s", g.Name(), mode), 0, cost, func(seed uint64, limit int64) exp.Result {
+				return exp.Rounds(runDecayMMV(g, noising, seed, limit))
+			})
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title:   "E9: Decay is MMV (Lemma 3.2)",
 			Comment: "jamming: nodes without the message transmit noise in their prompted slots",
 			Header:  []string{"graph", "silent rounds", "jammed rounds", "ratio", "ok"},
 		}
 		for _, g := range gs {
-			addJamRow(t, idx, "E9", g.Name(), seeds)
+			addJamRow(t, p, results, g.Name())
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // addJamRow folds one graph's silent/jammed cell pairs into a table
 // row; a seed counts only when both variants completed (E9/E10 share
 // this pairing rule).
-func addJamRow(t *stats.Table, idx map[exp.Key]exp.Result, id, name string, seeds int) {
-	var silent, jammed []float64
-	okAll := true
-	for s := 0; s < seeds; s++ {
-		a := idx[exp.Key{Experiment: id, Config: fmt.Sprintf("graph=%s/silent", name), Seed: uint64(s)}]
-		b := idx[exp.Key{Experiment: id, Config: fmt.Sprintf("graph=%s/jam", name), Seed: uint64(s)}]
-		if !a.Completed || !b.Completed {
-			okAll = false
-			continue
+func addJamRow(t *stats.Table, p *exp.Grid, results []exp.Result, name string) {
+	silent := p.Runs(results, fmt.Sprintf("graph=%s/silent", name))
+	jammed := p.Runs(results, fmt.Sprintf("graph=%s/jam", name))
+	var rs, rj []float64
+	for s, a := range silent {
+		if b := jammed[s]; a.Completed && b.Completed {
+			rs = append(rs, float64(a.Rounds))
+			rj = append(rj, float64(b.Rounds))
 		}
-		silent = append(silent, float64(a.Rounds))
-		jammed = append(jammed, float64(b.Rounds))
 	}
-	ms, mj := stats.Summarize(silent, 0, 0).Mean, stats.Summarize(jammed, 0, 0).Mean
-	t.AddRow(name, stats.F(ms), stats.F(mj), stats.F(mj/ms), fmt.Sprint(okAll))
+	ms, mj := exp.Mean(rs), exp.Mean(rj)
+	t.AddRow(name, stats.F(ms), stats.F(mj), stats.F(mj/ms), fmt.Sprint(len(rs) == len(silent)))
 }
 
-func runDecayMMV(g *graph.Graph, noising bool, seed uint64) (int64, bool) {
+// runDecayMMV runs the level-clocked Decay schedule to completion or
+// its own round cap, lowered to limit when that is positive.
+func runDecayMMV(g *graph.Graph, noising bool, seed uint64, limit int64) (int64, bool) {
 	levels := graph.BFS(g, 0)
 	nw := radio.New(g, radio.Config{})
 	var ds DoneSet
@@ -204,8 +159,7 @@ func runDecayMMV(g *graph.Graph, noising bool, seed uint64) (int64, bool) {
 	}
 	initDone(&ds, g.N(), func(v int) bool { return protos[v].Has() })
 	l := int64(sched.LogN(g.N()))
-	limit := 200 * (int64(levels.MaxDist)*l + l*l)
-	return nw.RunUntil(limit, ds.Done)
+	return nw.RunUntil(lowerLimit(200*(int64(levels.MaxDist)*l+l*l), limit), ds.Done)
 }
 
 // E10Plan reproduces Lemma 3.3: the GST schedule under jamming.
@@ -214,38 +168,26 @@ func E10Plan(seeds int, quick bool) *exp.Plan {
 	if !quick {
 		gs = append(gs, graph.GNP(96, 0.06, 7))
 	}
-	p := &exp.Plan{ID: "E10", Title: "MMV GST schedule under noise (Lemma 3.3)"}
+	p := exp.NewGrid("E10", "MMV GST schedule under noise (Lemma 3.3)", seeds)
 	for _, g := range gs {
 		d := graph.Eccentricity(g, 0)
-		cost := baselineCost(g, d)
 		for _, mode := range jamModes {
-			noising := mode == "jam"
-			for s := 0; s < seeds; s++ {
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:        exp.Key{Experiment: "E10", Config: fmt.Sprintf("graph=%s/%s", g.Name(), mode), Seed: uint64(s)},
-					RoundLimit: broadcastLimit,
-					Cost:       cost,
-					Run: func(limit int64) exp.Result {
-						r, ok, _ := cellStack("gst", g, d, StackOpts{Noise: noising}).RunFrom(nil, nil, uint64(s), limit)
-						return exp.Rounds(r, ok)
-					},
-				})
-			}
+			p.Add(fmt.Sprintf("graph=%s/%s", g.Name(), mode), broadcastLimit, baselineCost(g, d),
+				stackRun("gst", g, d, StackOpts{Noise: mode == "jam"}))
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title:   "E10: MMV GST schedule under noise (Lemma 3.3)",
 			Comment: "same schedule, message-less nodes jam their slots; fast waves stay collision-free (Lemma 3.5 is a test invariant)",
 			Header:  []string{"graph", "silent rounds", "jammed rounds", "ratio", "ok"},
 		}
 		for _, g := range gs {
-			addJamRow(t, idx, "E10", g.Name(), seeds)
+			addJamRow(t, p, results, g.Name())
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // e11Block is the number of star trials batched into one E11 cell;
@@ -260,36 +202,30 @@ func E11Plan(seeds int, quick bool) *exp.Plan {
 	if quick {
 		degrees = []int{1, 4, 32}
 	}
-	p := &exp.Plan{ID: "E11", Title: "Decay phase progress (Lemma 2.2)"}
+	p := exp.NewGrid("E11", "Decay phase progress (Lemma 2.2)", seeds)
 	for _, deg := range degrees {
-		for s := 0; s < seeds; s++ {
-			p.Cells = append(p.Cells, exp.Cell{
-				Key: exp.Key{Experiment: "E11", Config: fmt.Sprintf("deg=%d", deg), Seed: uint64(s)},
-				Run: func(int64) exp.Result {
-					n := deg + 2
-					l := sched.LogN(n)
-					succ := 0
-					for trial := s * e11Block; trial < (s+1)*e11Block; trial++ {
-						g := graph.Star(deg + 1)
-						nw := radio.New(g, radio.Config{})
-						probe := &radio.Silent{}
-						nw.SetProtocol(0, probe)
-						for v := 1; v <= deg; v++ {
-							nw.SetProtocol(graph.NodeID(v),
-								decay.NewBroadcast(n, true, decay.Message{}, rng.New(uint64(trial), 0xb1, uint64(v), uint64(deg))))
-						}
-						nw.Run(int64(l))
-						if probe.Packets > 0 {
-							succ++
-						}
-					}
-					return exp.Value(float64(succ))
-				},
-			})
-		}
+		p.Add(fmt.Sprintf("deg=%d", deg), 0, 0, func(seed uint64, _ int64) exp.Result {
+			n := deg + 2
+			l := sched.LogN(n)
+			succ := 0
+			for trial := seed * e11Block; trial < (seed+1)*e11Block; trial++ {
+				g := graph.Star(deg + 1)
+				nw := radio.New(g, radio.Config{})
+				probe := &radio.Silent{}
+				nw.SetProtocol(0, probe)
+				for v := 1; v <= deg; v++ {
+					nw.SetProtocol(graph.NodeID(v),
+						decay.NewBroadcast(n, true, decay.Message{}, rng.New(trial, 0xb1, uint64(v), uint64(deg))))
+				}
+				nw.Run(int64(l))
+				if probe.Packets > 0 {
+					succ++
+				}
+			}
+			return exp.Value(float64(succ))
+		})
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		trials := e11Block * seeds
 		t := &stats.Table{
 			Title:   "E11: per-phase Decay progress probability (Lemma 2.2)",
@@ -298,14 +234,14 @@ func E11Plan(seeds int, quick bool) *exp.Plan {
 		}
 		for _, deg := range degrees {
 			succ := 0.0
-			for s := 0; s < seeds; s++ {
-				succ += idx[exp.Key{Experiment: "E11", Config: fmt.Sprintf("deg=%d", deg), Seed: uint64(s)}].Value
+			for _, v := range p.Runs(results, fmt.Sprintf("deg=%d", deg)).Values() {
+				succ += v
 			}
 			t.AddRow(fmt.Sprint(deg), stats.F(succ/float64(trials)), fmt.Sprint(trials))
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // rlncMeasure carries one E12 cell's counters to Assemble.
@@ -324,66 +260,63 @@ func E12Plan(seeds int, quick bool) *exp.Plan {
 		ks = []int{4, 8}
 	}
 	const l = 16
-	p := &exp.Plan{ID: "E12", Title: "RLNC infection and decoding (Def 3.8 / Prop 3.9)"}
+	p := exp.NewGrid("E12", "RLNC infection and decoding (Def 3.8 / Prop 3.9)", 1)
 	for _, k := range ks {
-		p.Cells = append(p.Cells, exp.Cell{
-			Key: exp.Key{Experiment: "E12", Config: fmt.Sprintf("k=%d", k), Seed: 0},
-			Run: func(int64) exp.Result {
-				r := rng.New(uint64(k), 0xc2)
-				msgs := make([]rlnc.Message, k)
-				for i := range msgs {
-					msgs[i] = bitvec.RandomVec(l, r.Uint64)
+		p.Add(fmt.Sprintf("k=%d", k), 0, 0, func(uint64, int64) exp.Result {
+			r := rng.New(uint64(k), 0xc2)
+			msgs := make([]rlnc.Message, k)
+			for i := range msgs {
+				msgs[i] = bitvec.RandomVec(l, r.Uint64)
+			}
+			src := rlnc.NewSourceBuffer(0, msgs, l)
+			transfer, trials := 0, 2000*seeds
+			mu := bitvec.RandomNonZeroVec(k, r.Uint64)
+			for i := 0; i < trials; i++ {
+				p, _ := src.RandomPacket(r)
+				if bitvec.Dot(mu, p.Coeff) {
+					transfer++
 				}
-				src := rlnc.NewSourceBuffer(0, msgs, l)
-				transfer, trials := 0, 2000*seeds
-				mu := bitvec.RandomNonZeroVec(k, r.Uint64)
-				for i := 0; i < trials; i++ {
+			}
+			overheadSum, runs := 0, 100*seeds
+			for i := 0; i < runs; i++ {
+				dec := rlnc.NewBuffer(0, k, l)
+				got := 0
+				for !dec.CanDecode() {
 					p, _ := src.RandomPacket(r)
-					if bitvec.Dot(mu, p.Coeff) {
-						transfer++
-					}
+					dec.Add(p)
+					got++
 				}
-				overheadSum, runs := 0, 100*seeds
-				for i := 0; i < runs; i++ {
-					dec := rlnc.NewBuffer(0, k, l)
-					got := 0
-					for !dec.CanDecode() {
-						p, _ := src.RandomPacket(r)
-						dec.Add(p)
-						got++
-					}
-					overheadSum += got - k
-				}
-				return exp.Result{
-					Completed: true,
-					Value:     float64(transfer) / float64(trials),
-					Payload:   rlncMeasure{transfer, trials, overheadSum, runs},
-				}
-			},
+				overheadSum += got - k
+			}
+			return exp.Result{
+				Completed: true,
+				Value:     float64(transfer) / float64(trials),
+				Payload:   rlncMeasure{transfer, trials, overheadSum, runs},
+			}
 		})
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title:   "E12: RLNC infection and decoding (Def 3.8 / Prop 3.9)",
 			Comment: "transfer = P[random packet from an infected sender infects receiver]; overhead = packets beyond k until decode",
 			Header:  []string{"k", "transfer rate", "mean overhead"},
 		}
 		for _, k := range ks {
-			m, _ := idx[exp.Key{Experiment: "E12", Config: fmt.Sprintf("k=%d", k), Seed: 0}].Payload.(rlncMeasure)
+			m, _ := p.Runs(results, fmt.Sprintf("k=%d", k))[0].Payload.(rlncMeasure)
 			t.AddRow(fmt.Sprint(k), stats.F(float64(m.transfer)/float64(m.trials)),
 				stats.F(float64(m.overheadSum)/float64(m.runs)))
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // a1Run executes one A1 cell: the MMV broadcast under jamming with
-// either virtual-distance or level-keyed slow slots. The GST and
+// either virtual-distance or level-keyed slow slots, capped at 2^18
+// rounds or limit when that is positive and smaller. The GST and
 // schedule are rebuilt per cell (deterministic) so cells share nothing
 // mutable.
-func a1Run(g *graph.Graph, levelKeyed bool, seed uint64) (int64, bool) {
+func a1Run(g *graph.Graph, levelKeyed bool, seed uint64, limit int64) (int64, bool) {
 	tree := gst.Construct(g, 0)
 	infos := mmv.InfoFromTree(tree)
 	s := mmv.NewSchedule(g.N())
@@ -402,7 +335,7 @@ func a1Run(g *graph.Graph, levelKeyed bool, seed uint64) (int64, bool) {
 		nw.SetProtocol(graph.NodeID(v), p)
 	}
 	initDone(&ds, g.N(), func(v int) bool { return contents[v].Done() })
-	return nw.RunUntil(1<<18, ds.Done)
+	return nw.RunUntil(lowerLimit(1<<18, limit), ds.Done)
 }
 
 // A1Plan compares the MMV schedule's virtual-distance slow slots
@@ -412,25 +345,17 @@ func A1Plan(seeds int, quick bool) *exp.Plan {
 	if quick {
 		gs = gs[:1]
 	}
-	variants := []string{"vdist", "level"}
-	p := &exp.Plan{ID: "A1", Title: "Ablation: virtual-distance vs level-keyed slow slots"}
+	p := exp.NewGrid("A1", "Ablation: virtual-distance vs level-keyed slow slots", seeds)
 	for _, g := range gs {
 		cost := 2 * baselineCost(g, graph.Eccentricity(g, 0))
-		for _, variant := range variants {
+		for _, variant := range []string{"vdist", "level"} {
 			levelKeyed := variant == "level"
-			for s := 0; s < seeds; s++ {
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:  exp.Key{Experiment: "A1", Config: fmt.Sprintf("graph=%s/%s", g.Name(), variant), Seed: uint64(s)},
-					Cost: cost,
-					Run: func(int64) exp.Result {
-						return exp.Rounds(a1Run(g, levelKeyed, uint64(s)))
-					},
-				})
-			}
+			p.Add(fmt.Sprintf("graph=%s/%s", g.Name(), variant), 0, cost, func(seed uint64, limit int64) exp.Result {
+				return exp.Rounds(a1Run(g, levelKeyed, seed, limit))
+			})
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title: "A1: virtual-distance vs level-keyed slow slots (jamming on)",
 			Comment: "informational: the level-keyed schedule is the [7,19] style whose multi-message correctness was disproved ([22]);\n" +
@@ -438,25 +363,13 @@ func A1Plan(seeds int, quick bool) *exp.Plan {
 			Header: []string{"graph", "vdist rounds", "level rounds", "vdist ok", "level ok"},
 		}
 		for _, g := range gs {
-			var vd, lv []float64
-			vdOK, lvOK := 0, 0
-			for s := 0; s < seeds; s++ {
-				if r := idx[exp.Key{Experiment: "A1", Config: fmt.Sprintf("graph=%s/vdist", g.Name()), Seed: uint64(s)}]; r.Completed {
-					vd = append(vd, float64(r.Rounds))
-					vdOK++
-				}
-				if r := idx[exp.Key{Experiment: "A1", Config: fmt.Sprintf("graph=%s/level", g.Name()), Seed: uint64(s)}]; r.Completed {
-					lv = append(lv, float64(r.Rounds))
-					lvOK++
-				}
-			}
-			t.AddRow(g.Name(),
-				stats.F(stats.Summarize(vd, 0, 0).Mean), stats.F(stats.Summarize(lv, 0, 0).Mean),
-				fmt.Sprintf("%d/%d", vdOK, seeds), fmt.Sprintf("%d/%d", lvOK, seeds))
+			vd := p.Runs(results, fmt.Sprintf("graph=%s/vdist", g.Name()))
+			lv := p.Runs(results, fmt.Sprintf("graph=%s/level", g.Name()))
+			t.AddRow(g.Name(), stats.F(exp.Mean(vd.Rounds())), stats.F(exp.Mean(lv.Rounds())), vd.OK(), lv.OK())
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // A2Plan quantifies the coding advantage ([11]'s gap).
@@ -468,50 +381,27 @@ func A2Plan(seeds int, quick bool) *exp.Plan {
 	g := graph.Grid(6, 6)
 	d := graph.Eccentricity(g, 0)
 	a2Cost := baselineCost(g, d)
-	variants := []string{"rlnc", "routing"}
-	p := &exp.Plan{ID: "A2", Title: "Ablation: RLNC vs store-and-forward routing"}
+	p := exp.NewGrid("A2", "Ablation: RLNC vs store-and-forward routing", seeds)
 	for _, k := range ks {
-		for _, variant := range variants {
-			coded := variant == "rlnc"
-			for s := 0; s < seeds; s++ {
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:        exp.Key{Experiment: "A2", Config: fmt.Sprintf("k=%d/%s", k, variant), Seed: uint64(s)},
-					RoundLimit: broadcastLimit,
-					Cost:       a2Cost * int64(k),
-					Run: func(limit int64) exp.Result {
-						if coded {
-							r, ok, _ := cellStack("k-known", g, d, StackOpts{K: k}).RunFrom(nil, nil, uint64(s), limit)
-							return exp.Rounds(r, ok)
-						}
-						return exp.Rounds(RunGSTMultiRouting(g, k, uint64(s), limit))
-					},
-				})
-			}
-		}
+		p.Add(fmt.Sprintf("k=%d/rlnc", k), broadcastLimit, a2Cost*int64(k), stackRun("k-known", g, d, StackOpts{K: k}))
+		p.Add(fmt.Sprintf("k=%d/routing", k), broadcastLimit, a2Cost*int64(k), func(seed uint64, limit int64) exp.Result {
+			return exp.Rounds(RunGSTMultiRouting(g, k, seed, limit))
+		})
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title:   "A2: RLNC vs store-and-forward routing (grid-6x6)",
 			Comment: "same MMV schedule, coded vs uncoded content; coding removes the coupon-collector tail",
 			Header:  []string{"k", "rlnc rounds", "routing rounds", "routing/rlnc"},
 		}
 		for _, k := range ks {
-			var cod, rou []float64
-			for s := 0; s < seeds; s++ {
-				if r := idx[exp.Key{Experiment: "A2", Config: fmt.Sprintf("k=%d/rlnc", k), Seed: uint64(s)}]; r.Completed {
-					cod = append(cod, float64(r.Rounds))
-				}
-				if r := idx[exp.Key{Experiment: "A2", Config: fmt.Sprintf("k=%d/routing", k), Seed: uint64(s)}]; r.Completed {
-					rou = append(rou, float64(r.Rounds))
-				}
-			}
-			mc, mr := stats.Summarize(cod, 0, 0).Mean, stats.Summarize(rou, 0, 0).Mean
+			mc := exp.Mean(p.Runs(results, fmt.Sprintf("k=%d/rlnc", k)).Rounds())
+			mr := exp.Mean(p.Runs(results, fmt.Sprintf("k=%d/routing", k)).Rounds())
 			t.AddRow(fmt.Sprint(k), stats.F(mc), stats.F(mr), stats.F(mr/mc))
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // a3Config builds the ring configuration of one A3 width variant.
@@ -531,31 +421,23 @@ func A3Plan(seeds int, quick bool) *exp.Plan {
 	if quick {
 		widths = []int{3, d + 1}
 	}
-	p := &exp.Plan{ID: "A3", Title: "Ablation: ring width in Theorem 1.1"}
+	p := exp.NewGrid("A3", "Ablation: ring width in Theorem 1.1", seeds)
 	for _, w := range widths {
-		for s := 0; s < seeds; s++ {
-			p.Cells = append(p.Cells, exp.Cell{
-				Key:  exp.Key{Experiment: "A3", Config: fmt.Sprintf("w=%d", w), Seed: uint64(s)},
-				Cost: budgetCost(g.N(), a3Config(g, d, w).TotalRounds()),
-				Run: func(int64) exp.Result {
-					cfg := a3Config(g, d, w)
-					nw := radio.New(g, radio.Config{CollisionDetection: true})
-					var ds DoneSet
-					protos := make([]*rings.Protocol, g.N())
-					for v := 0; v < g.N(); v++ {
-						protos[v] = rings.New(cfg, graph.NodeID(v), v == 0, nil, rng.New(uint64(s), 0xa3, uint64(v)))
-						protos[v].SingleContent().DoneSet = &ds
-						nw.SetProtocol(graph.NodeID(v), protos[v])
-					}
-					initDone(&ds, g.N(), func(v int) bool { return protos[v].Has() })
-					r, ok := nw.RunUntil(cfg.TotalRounds(), ds.Done)
-					return exp.Rounds(r, ok)
-				},
-			})
-		}
+		p.Add(fmt.Sprintf("w=%d", w), 0, budgetCost(g.N(), a3Config(g, d, w).TotalRounds()), func(seed uint64, limit int64) exp.Result {
+			cfg := a3Config(g, d, w)
+			nw := radio.New(g, radio.Config{CollisionDetection: true})
+			var ds DoneSet
+			protos := make([]*rings.Protocol, g.N())
+			for v := 0; v < g.N(); v++ {
+				protos[v] = rings.New(cfg, graph.NodeID(v), v == 0, nil, rng.New(seed, 0xa3, uint64(v)))
+				protos[v].SingleContent().DoneSet = &ds
+				nw.SetProtocol(graph.NodeID(v), protos[v])
+			}
+			initDone(&ds, g.N(), func(v int) bool { return protos[v].Has() })
+			return exp.Rounds(nw.RunUntil(lowerLimit(cfg.TotalRounds(), limit), ds.Done))
+		})
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title:   fmt.Sprintf("A3: Theorem 1.1 ring width sweep (clusterchain-10x4, D=%d)", d),
 			Comment: "wider rings amortize per-ring log^2 overheads but lengthen the (parallel) construction",
@@ -563,19 +445,11 @@ func A3Plan(seeds int, quick bool) *exp.Plan {
 		}
 		for _, w := range widths {
 			cfg := a3Config(g, d, w)
-			okCount := 0
-			var rs []float64
-			for s := 0; s < seeds; s++ {
-				if r := idx[exp.Key{Experiment: "A3", Config: fmt.Sprintf("w=%d", w), Seed: uint64(s)}]; r.Completed {
-					okCount++
-					rs = append(rs, float64(r.Rounds))
-				}
-			}
+			runs := p.Runs(results, fmt.Sprintf("w=%d", w))
 			t.AddRow(fmt.Sprint(w), fmt.Sprint(cfg.Rings()), fmt.Sprint(cfg.BuildRounds()),
-				fmt.Sprint(cfg.SpreadRounds()), stats.F(stats.Summarize(rs, 0, 0).Mean),
-				fmt.Sprintf("%d/%d", okCount, seeds))
+				fmt.Sprint(cfg.SpreadRounds()), stats.F(exp.Mean(runs.Rounds())), runs.OK())
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }

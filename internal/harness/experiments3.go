@@ -8,7 +8,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 
 	"radiocast/internal/channel"
 	"radiocast/internal/exp"
@@ -24,12 +23,9 @@ import (
 // stay fast enough for a per-loss-rate sweep.
 func robustnessChain() *graph.Graph { return graph.ClusterChain(6, 6) }
 
-// meanOrDash renders the mean of xs, or "-" when nothing completed.
-func meanOrDash(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return stats.Summarize(xs, 0, 0).Mean
+// meanJammed is the mean jammed-observation count of runs (E14/E15).
+func meanJammed(runs exp.Runs) float64 {
+	return exp.Mean(runs.Each(func(r exp.Result) float64 { return float64(r.Jammed) }))
 }
 
 // e13Protocols orders the protocol columns of E13.
@@ -67,26 +63,15 @@ func E13Plan(seeds int, quick bool) *exp.Plan {
 		"th11":  budgetCost(g.N(), rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds()),
 		"th13":  budgetCost(g.N(), rings.DefaultConfig(g.N(), d, k, 1).TotalRounds()),
 	}
-	p := &exp.Plan{ID: "E13", Title: "Robustness: loss-rate sweep (Decay vs CR vs Thm 1.1 vs Thm 1.3)"}
+	p := exp.NewGrid("E13", "Robustness: loss-rate sweep (Decay vs CR vs Thm 1.1 vs Thm 1.3)", seeds)
 	for _, loss := range losses {
 		for _, proto := range e13Protocols {
-			for s := 0; s < seeds; s++ {
-				loss, proto, seed := loss, proto, uint64(s)
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:        exp.Key{Experiment: "E13", Config: fmt.Sprintf("loss=%g/%s", loss, proto), Seed: seed},
-					RoundLimit: broadcastLimit,
-					Cost:       costs[proto],
-					Run: func(limit int64) exp.Result {
-						s := cellStack(tableEntry(proto), g, d, StackOpts{K: k})
-						r, ok, st := s.RunFrom(nil, lossChannel(loss, seed), seed, limit)
-						return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
-					},
-				})
-			}
+			p.Add(fmt.Sprintf("loss=%g/%s", loss, proto), broadcastLimit, costs[proto], func(seed uint64, limit int64) exp.Result {
+				return runOn(cellStack(tableEntry(proto), g, d, StackOpts{K: k}), lossChannel(loss, seed), seed, limit)
+			})
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title: "E13: broadcast under per-link packet loss (clusterchain-6x6)",
 			Comment: "mean rounds over completed seeds; slowdown vs loss=0; retry-forever baselines degrade gracefully,\n" +
@@ -96,27 +81,19 @@ func E13Plan(seeds int, quick bool) *exp.Plan {
 		base := map[string]float64{}
 		for _, loss := range losses {
 			for _, proto := range e13Protocols {
-				var rs, dr []float64
-				okCount := 0
-				for s := 0; s < seeds; s++ {
-					r := idx[exp.Key{Experiment: "E13", Config: fmt.Sprintf("loss=%g/%s", loss, proto), Seed: uint64(s)}]
-					dr = append(dr, float64(r.Dropped))
-					if r.Completed {
-						okCount++
-						rs = append(rs, float64(r.Rounds))
-					}
-				}
-				mean := meanOrDash(rs)
+				runs := p.Runs(results, fmt.Sprintf("loss=%g/%s", loss, proto))
+				mean := exp.MeanOrDash(runs.Rounds())
 				if loss == 0 {
 					base[proto] = mean
 				}
+				dropped := runs.Each(func(r exp.Result) float64 { return float64(r.Dropped) })
 				t.AddRow(stats.F(loss), proto, stats.F(mean), stats.F(mean/base[proto]),
-					stats.F(meanOrDash(dr)), fmt.Sprintf("%d/%d", okCount, seeds))
+					stats.F(exp.MeanOrDash(dropped)), runs.OK())
 			}
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // lossChannel returns a fresh per-run erasure channel; loss 0 is the
@@ -150,28 +127,21 @@ func E14Plan(seeds int, quick bool) *exp.Plan {
 		"decay": 4 * baselineCost(g, d),
 		"th11":  budgetCost(g.N(), rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds()),
 	}
-	p := &exp.Plan{ID: "E14", Title: "Robustness: jammer-budget sweep (oblivious vs adaptive)"}
+	p := exp.NewGrid("E14", "Robustness: jammer-budget sweep (oblivious vs adaptive)", seeds)
+	config := func(budget int64, variant, proto string) string {
+		return fmt.Sprintf("jam=%d/%s/%s", budget, variant, proto)
+	}
 	for _, budget := range budgets {
 		for _, variant := range e14Variants {
 			for _, proto := range protos {
-				for s := 0; s < seeds; s++ {
-					budget, variant, proto, seed := budget, variant, proto, uint64(s)
-					p.Cells = append(p.Cells, exp.Cell{
-						Key:        exp.Key{Experiment: "E14", Config: fmt.Sprintf("jam=%d/%s/%s", budget, variant, proto), Seed: seed},
-						RoundLimit: broadcastLimit,
-						Cost:       costs[proto] + budget,
-						Run: func(limit int64) exp.Result {
-							ch := jamChannel(budget, variant == "adaptive", seed)
-							r, ok, st := cellStack(tableEntry(proto), g, d, StackOpts{}).RunFrom(nil, ch, seed, limit)
-							return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
-						},
-					})
-				}
+				p.Add(config(budget, variant, proto), broadcastLimit, costs[proto]+budget, func(seed uint64, limit int64) exp.Result {
+					ch := jamChannel(budget, variant == "adaptive", seed)
+					return runOn(cellStack(tableEntry(proto), g, d, StackOpts{}), ch, seed, limit)
+				})
 			}
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title: "E14: broadcast under a budgeted jammer (grid-8x8)",
 			Comment: "oblivious jams each round w.p. 1/2 until the budget is spent; adaptive jams every slot with\n" +
@@ -180,31 +150,17 @@ func E14Plan(seeds int, quick bool) *exp.Plan {
 		}
 		for _, budget := range budgets {
 			for _, variant := range e14Variants {
-				cell := func(proto string) ([]float64, int, float64) {
-					var rs []float64
-					okCount := 0
-					jam := 0.0
-					for s := 0; s < seeds; s++ {
-						r := idx[exp.Key{Experiment: "E14", Config: fmt.Sprintf("jam=%d/%s/%s", budget, variant, proto), Seed: uint64(s)}]
-						jam += float64(r.Jammed)
-						if r.Completed {
-							okCount++
-							rs = append(rs, float64(r.Rounds))
-						}
-					}
-					return rs, okCount, jam / float64(seeds)
-				}
-				dr, dok, djam := cell("decay")
-				tr, tok, tjam := cell("th11")
+				dr := p.Runs(results, config(budget, variant, "decay"))
+				tr := p.Runs(results, config(budget, variant, "th11"))
 				t.AddRow(fmt.Sprint(budget), variant,
-					stats.F(meanOrDash(dr)), fmt.Sprintf("%d/%d", dok, seeds),
-					stats.F(meanOrDash(tr)), fmt.Sprintf("%d/%d", tok, seeds),
-					stats.F(djam+tjam))
+					stats.F(exp.MeanOrDash(dr.Rounds())), dr.OK(),
+					stats.F(exp.MeanOrDash(tr.Rounds())), tr.OK(),
+					stats.F(meanJammed(dr)+meanJammed(tr)))
 			}
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // jamChannel returns a fresh per-run jammer; budget 0 is the ideal
@@ -246,26 +202,16 @@ func E15Plan(seeds int, quick bool) *exp.Plan {
 		{"th11miss", "cd", 1, 0, th11Cost},
 		{"th11spur", "cd", 0, 1, th11Cost},
 	}
-	p := &exp.Plan{ID: "E15", Title: "Robustness: unreliable collision detection sweep"}
+	p := exp.NewGrid("E15", "Robustness: unreliable collision detection sweep", seeds)
 	for _, q := range qs {
 		for _, v := range variants {
-			for s := 0; s < seeds; s++ {
-				q, v, seed := q, v, uint64(s)
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:        exp.Key{Experiment: "E15", Config: fmt.Sprintf("q=%g/%s", q, v.col), Seed: seed},
-					RoundLimit: broadcastLimit,
-					Cost:       v.cost,
-					Run: func(limit int64) exp.Result {
-						ch := cdChannel(q*v.miss, q*v.spurious, seed)
-						r, ok, st := cellStack(v.entry, g, d, StackOpts{}).RunFrom(nil, ch, seed, limit)
-						return exp.RoundsOn(r, ok, st.Dropped, st.Jammed)
-					},
-				})
-			}
+			p.Add(fmt.Sprintf("q=%g/%s", q, v.col), broadcastLimit, v.cost, func(seed uint64, limit int64) exp.Result {
+				ch := cdChannel(q*v.miss, q*v.spurious, seed)
+				return runOn(cellStack(v.entry, g, d, StackOpts{}), ch, seed, limit)
+			})
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title: "E15: broadcast under unreliable collision detection (clusterchain-6x6)",
 			Comment: "miss: true ⊤ observed as silence w.p. q; spur: silence observed as ⊤ w.p. q; Decay ignores ⊤\n" +
@@ -273,31 +219,17 @@ func E15Plan(seeds int, quick bool) *exp.Plan {
 			Header: []string{"q", "decay rounds", "miss rounds", "miss ok", "spur rounds", "spur ok", "jammed obs"},
 		}
 		for _, q := range qs {
-			collect := func(variant string) ([]float64, int, float64) {
-				var rs []float64
-				okCount := 0
-				jam := 0.0
-				for s := 0; s < seeds; s++ {
-					r := idx[exp.Key{Experiment: "E15", Config: fmt.Sprintf("q=%g/%s", q, variant), Seed: uint64(s)}]
-					jam += float64(r.Jammed)
-					if r.Completed {
-						okCount++
-						rs = append(rs, float64(r.Rounds))
-					}
-				}
-				return rs, okCount, jam / float64(seeds)
-			}
-			dr, _, _ := collect("decay")
-			mr, mok, mjam := collect("th11miss")
-			sr, sok, sjam := collect("th11spur")
-			t.AddRow(stats.F(q), stats.F(meanOrDash(dr)),
-				stats.F(meanOrDash(mr)), fmt.Sprintf("%d/%d", mok, seeds),
-				stats.F(meanOrDash(sr)), fmt.Sprintf("%d/%d", sok, seeds),
-				stats.F(mjam+sjam))
+			dr := p.Runs(results, fmt.Sprintf("q=%g/decay", q))
+			mr := p.Runs(results, fmt.Sprintf("q=%g/th11miss", q))
+			sr := p.Runs(results, fmt.Sprintf("q=%g/th11spur", q))
+			t.AddRow(stats.F(q), stats.F(exp.MeanOrDash(dr.Rounds())),
+				stats.F(exp.MeanOrDash(mr.Rounds())), mr.OK(),
+				stats.F(exp.MeanOrDash(sr.Rounds())), sr.OK(),
+				stats.F(meanJammed(mr)+meanJammed(sr)))
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // cdChannel returns a fresh per-run unreliable-CD channel; q=0 on both

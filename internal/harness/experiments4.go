@@ -59,26 +59,20 @@ func E16Plan(seeds int, quick bool) *exp.Plan {
 		"cr":    4 * baselineCost(g, d),
 		"th11":  budgetCost(g.N(), budget),
 	}
-	p := &exp.Plan{ID: "E16", Title: "Robustness: radio-fault sweep (late wakeup / crash)"}
+	p := exp.NewGrid("E16", "Robustness: radio-fault sweep (late wakeup / crash)", seeds)
+	config := func(rate float64, variant, proto string) string {
+		return fmt.Sprintf("fault=%g/%s/%s", rate, variant, proto)
+	}
 	for _, rate := range rates {
 		for _, variant := range e16Variants {
 			for _, proto := range e16Protocols {
-				for s := 0; s < seeds; s++ {
-					rate, variant, proto, seed := rate, variant, proto, uint64(s)
-					p.Cells = append(p.Cells, exp.Cell{
-						Key:        exp.Key{Experiment: "E16", Config: fmt.Sprintf("fault=%g/%s/%s", rate, variant, proto), Seed: seed},
-						RoundLimit: budget,
-						Cost:       costs[proto],
-						Run: func(limit int64) exp.Result {
-							return e16Cell(g, d, proto, variant, rate, seed, limit)
-						},
-					})
-				}
+				p.Add(config(rate, variant, proto), budget, costs[proto], func(seed uint64, limit int64) exp.Result {
+					return e16Cell(g, d, proto, variant, rate, seed, limit)
+				})
 			}
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title: "E16: broadcast under radio faults (clusterchain-6x6, shared round budget)",
 			Comment: fmt.Sprintf("late: radios dead until uniform wake in [1,%d]; crash: radios die at uniform round in [1,%d];\n"+
@@ -89,30 +83,17 @@ func E16Plan(seeds int, quick bool) *exp.Plan {
 		}
 		for _, variant := range e16Variants {
 			for _, rate := range rates {
-				collect := func(proto string) (cov float64, rounds []float64, okCount int) {
-					var covs []float64
-					for s := 0; s < seeds; s++ {
-						r := idx[exp.Key{Experiment: "E16", Config: fmt.Sprintf("fault=%g/%s/%s", rate, variant, proto), Seed: uint64(s)}]
-						covs = append(covs, r.Value)
-						if r.Completed {
-							okCount++
-							rounds = append(rounds, float64(r.Rounds))
-						}
-					}
-					return stats.Summarize(covs, 0, 0).Mean, rounds, okCount
-				}
-				dcov, drounds, _ := collect("decay")
-				ccov, _, _ := collect("cr")
-				tcov, _, tok := collect("th11")
+				dr := p.Runs(results, config(rate, variant, "decay"))
+				cr := p.Runs(results, config(rate, variant, "cr"))
+				tr := p.Runs(results, config(rate, variant, "th11"))
 				t.AddRow(variant, stats.F(rate),
-					stats.F(dcov), stats.F(meanOrDash(drounds)),
-					stats.F(ccov), stats.F(tcov),
-					fmt.Sprintf("%d/%d", tok, seeds))
+					stats.F(exp.Mean(dr.Values())), stats.F(exp.MeanOrDash(dr.Rounds())),
+					stats.F(exp.Mean(cr.Values())), stats.F(exp.Mean(tr.Values())), tr.OK())
 			}
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // e16Cell executes one fault cell: proto under the variant's fault

@@ -18,6 +18,7 @@ import (
 	"radiocast/internal/adapt"
 	"radiocast/internal/exp"
 	"radiocast/internal/graph"
+	"radiocast/internal/radio"
 	"radiocast/internal/rings"
 	"radiocast/internal/stats"
 )
@@ -50,35 +51,21 @@ func E17Plan(seeds int, quick bool) *exp.Plan {
 		"th11": rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds(),
 		"th13": rings.DefaultConfig(g.N(), d, k, 1).TotalRounds(),
 	}
-	p := &exp.Plan{ID: "E17", Title: "Adaptive retry: loss sweep with re-layering (Thm 1.1/1.3)"}
+	p := exp.NewGrid("E17", "Adaptive retry: loss sweep with re-layering (Thm 1.1/1.3)", seeds)
 	for _, loss := range losses {
 		for _, proto := range e17Protocols {
-			for s := 0; s < seeds; s++ {
-				loss, proto, seed := loss, proto, uint64(s)
-				p.Cells = append(p.Cells, exp.Cell{
-					Key: exp.Key{Experiment: "E17", Config: fmt.Sprintf("loss=%g/%s", loss, proto), Seed: seed},
-					// ~3 epochs of the one-shot schedule at the cliff.
-					Cost: 3 * budgetCost(g.N(), budgets[proto]),
-					Run: func(limit int64) exp.Result {
-						// Same erasure stream as the E13 cell of this (loss,
-						// seed): the rows answer "what would adaptivity have
-						// done for exactly that run".
-						chf := EpochChannel(lossChannel(loss, seed))
-						p, _ := LookupProtocol(tableEntry(proto))
-						a := p.NewAdaptive(g, 0, StackOpts{K: k}, chf, seed)
-						out := adapt.Run(a, adapt.Policy{MaxEpochs: adaptMaxEpochs, MaxRounds: limit})
-						res := exp.RoundsOn(out.Rounds, out.Completed, out.Stats.Dropped, out.Stats.Jammed)
-						res.Value = float64(out.Epochs)
-						res.Epochs = out.Epochs
-						res.Covered = out.Covered
-						return res
-					},
-				})
-			}
+			// ~3 epochs of the one-shot schedule at the cliff.
+			p.Add(fmt.Sprintf("loss=%g/%s", loss, proto), 0, 3*budgetCost(g.N(), budgets[proto]), func(seed uint64, limit int64) exp.Result {
+				// Same erasure stream as the E13 cell of this (loss,
+				// seed): the rows answer "what would adaptivity have
+				// done for exactly that run".
+				res := adaptiveRun(tableEntry(proto), g, StackOpts{K: k}, lossChannel(loss, seed), seed, limit)
+				res.Value = float64(res.Epochs)
+				return res
+			})
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title: "E17: adaptive re-layering under per-link packet loss (clusterchain-6x6)",
 			Comment: "each epoch re-runs the full one-shot schedule with every informed radio as an additional source;\n" +
@@ -88,36 +75,43 @@ func E17Plan(seeds int, quick bool) *exp.Plan {
 		}
 		for _, loss := range losses {
 			for _, proto := range e17Protocols {
-				var rs, es []float64
-				okCount, oneEpoch := 0, 0
-				for s := 0; s < seeds; s++ {
-					r := idx[exp.Key{Experiment: "E17", Config: fmt.Sprintf("loss=%g/%s", loss, proto), Seed: uint64(s)}]
-					es = append(es, r.Value)
-					if r.Completed {
-						okCount++
-						rs = append(rs, float64(r.Rounds))
-						if r.Value == 1 {
-							oneEpoch++
-						}
+				runs := p.Runs(results, fmt.Sprintf("loss=%g/%s", loss, proto))
+				oneEpoch := 0
+				for _, r := range runs {
+					if r.Completed && r.Value == 1 {
+						oneEpoch++
 					}
 				}
-				mean := meanOrDash(rs)
-				t.AddRow(stats.F(loss), proto,
-					fmt.Sprintf("%d/%d", okCount, seeds),
+				mean := exp.MeanOrDash(runs.Rounds())
+				t.AddRow(stats.F(loss), proto, runs.OK(),
 					fmt.Sprintf("%d/%d", oneEpoch, seeds),
-					stats.F(meanOrDash(es)), stats.F(mean),
+					stats.F(exp.MeanOrDash(runs.Values())), stats.F(mean),
 					stats.F(mean/float64(budgets[proto])))
 			}
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
-// e18Variants orders E18's columns: the one-shot Theorem 1.1 run
-// (E16's collapsing late-wakeup cell, reproduced with the identical
-// fault table) against the adaptive re-layering of the same stack.
-var e18Variants = []string{"oneshot", "adaptive"}
+// adaptiveRun runs a table entry's stack from node 0 in the retry
+// layer (at most adaptMaxEpochs epochs and limit rounds) over ch's
+// continuous epoch timeline.
+func adaptiveRun(entry string, g *graph.Graph, o StackOpts, ch radio.Channel, seed uint64, limit int64) exp.Result {
+	p, _ := LookupProtocol(entry)
+	a := p.NewAdaptive(g, 0, o, EpochChannel(ch), seed)
+	return adaptResult(adapt.Run(a, adapt.Policy{MaxEpochs: adaptMaxEpochs, MaxRounds: limit}))
+}
+
+// adaptResult is the cell result of an adaptive run: rounds,
+// completion and adversity counters summed over epochs, plus the
+// epoch count and final coverage.
+func adaptResult(out adapt.Outcome) exp.Result {
+	res := exp.RoundsOn(out.Rounds, out.Completed, out.Stats.Dropped, out.Stats.Jammed)
+	res.Epochs = out.Epochs
+	res.Covered = out.Covered
+	return res
+}
 
 // E18Plan re-runs E16's late-wakeup rows with the Theorem 1.1 pipeline
 // wrapped in the adaptive retry layer. Expected shape: the one-shot
@@ -135,46 +129,21 @@ func E18Plan(seeds int, quick bool) *exp.Plan {
 	g := robustnessChain()
 	d := graph.Eccentricity(g, 0)
 	budget := rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds()
-	p := &exp.Plan{ID: "E18", Title: "Adaptive retry: late-wakeup re-layering (Thm 1.1)"}
+	p := exp.NewGrid("E18", "Adaptive retry: late-wakeup re-layering (Thm 1.1)", seeds)
+	cost := budgetCost(g.N(), budget)
 	for _, rate := range rates {
-		for _, variant := range e18Variants {
-			for s := 0; s < seeds; s++ {
-				rate, variant, seed := rate, variant, uint64(s)
-				cost := budgetCost(g.N(), budget)
-				if variant == "adaptive" {
-					cost *= 2 // ~2 epochs
-				}
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:  exp.Key{Experiment: "E18", Config: fmt.Sprintf("late=%g/%s", rate, variant), Seed: seed},
-					Cost: cost,
-					Run: func(limit int64) exp.Result {
-						n := float64(g.N())
-						// Identical fault table to E16's late/th11 cell at this
-						// (rate, seed): same mix key, late-wakeup only.
-						ch := faultChannel(g.N(), "late", rate, seed)
-						if variant == "oneshot" {
-							r := cellStack("cd", g, d, StackOpts{})
-							rounds, ok, st := r.RunFrom(nil, ch, seed, limit)
-							res := exp.RoundsOn(rounds, ok, st.Dropped, st.Jammed)
-							res.Value = float64(r.Coverage()) / n
-							return res
-						}
-						cd, _ := LookupProtocol("cd")
-						a := cd.NewAdaptive(g, 0, StackOpts{}, EpochChannel(ch), seed)
-						out := adapt.Run(a, adapt.Policy{MaxEpochs: adaptMaxEpochs, MaxRounds: limit})
-						res := exp.RoundsOn(out.Rounds, out.Completed, out.Stats.Dropped, out.Stats.Jammed)
-						res.Value = float64(out.Covered) / n
-						res.Payload = out.Epochs
-						res.Epochs = out.Epochs
-						res.Covered = out.Covered
-						return res
-					},
-				})
-			}
-		}
+		// Both columns use E16's late/th11 fault table at this (rate,
+		// seed): the one-shot column is that very cell.
+		p.Add(fmt.Sprintf("late=%g/oneshot", rate), 0, cost, func(seed uint64, limit int64) exp.Result {
+			return e16Cell(g, d, "th11", "late", rate, seed, limit)
+		})
+		p.Add(fmt.Sprintf("late=%g/adaptive", rate), 0, 2*cost, func(seed uint64, limit int64) exp.Result { // ~2 epochs
+			res := adaptiveRun("cd", g, StackOpts{}, faultChannel(g.N(), "late", rate, seed), seed, limit)
+			res.Value = float64(res.Covered) / float64(g.N())
+			return res
+		})
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title: "E18: late-wakeup coverage, one-shot vs adaptive re-layering (clusterchain-6x6)",
 			Comment: fmt.Sprintf("radios dead until a uniform wake round in [1,%d] with probability rate (E16's fault tables);\n"+
@@ -183,29 +152,15 @@ func E18Plan(seeds int, quick bool) *exp.Plan {
 			Header: []string{"rate", "oneshot cov", "oneshot ok", "adaptive cov", "adaptive ok", "epochs", "adaptive rounds"},
 		}
 		for _, rate := range rates {
-			collect := func(variant string) (cov float64, okCount int, epochs, rounds float64) {
-				var covs, es, rs []float64
-				for s := 0; s < seeds; s++ {
-					r := idx[exp.Key{Experiment: "E18", Config: fmt.Sprintf("late=%g/%s", rate, variant), Seed: uint64(s)}]
-					covs = append(covs, r.Value)
-					rs = append(rs, float64(r.Rounds))
-					if e, ok := r.Payload.(int); ok {
-						es = append(es, float64(e))
-					}
-					if r.Completed {
-						okCount++
-					}
-				}
-				return stats.Summarize(covs, 0, 0).Mean, okCount, meanOrDash(es), stats.Summarize(rs, 0, 0).Mean
-			}
-			ocov, ook, _, _ := collect("oneshot")
-			acov, aok, aep, arounds := collect("adaptive")
+			one := p.Runs(results, fmt.Sprintf("late=%g/oneshot", rate))
+			ad := p.Runs(results, fmt.Sprintf("late=%g/adaptive", rate))
+			epochs := ad.Each(func(r exp.Result) float64 { return float64(r.Epochs) })
 			t.AddRow(stats.F(rate),
-				stats.F(ocov), fmt.Sprintf("%d/%d", ook, seeds),
-				stats.F(acov), fmt.Sprintf("%d/%d", aok, seeds),
-				stats.F(aep), stats.F(arounds))
+				stats.F(exp.Mean(one.Values())), one.OK(),
+				stats.F(exp.Mean(ad.Values())), ad.OK(),
+				stats.F(exp.MeanOrDash(epochs)), stats.F(exp.Mean(ad.Each(allRounds))))
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }

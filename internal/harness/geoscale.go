@@ -137,7 +137,7 @@ func E23Plan(seeds int, quick bool) *exp.Plan {
 		periods = []int64{64, 256}
 		total = 1024
 	}
-	p := &exp.Plan{ID: "E23", Title: "Mobility/churn: oneshot vs adaptive wave coverage across re-layout periods"}
+	p := exp.NewGrid("E23", "Mobility/churn: oneshot vs adaptive wave coverage across re-layout periods", seeds)
 	type cfg struct {
 		mode   string
 		period int64
@@ -148,24 +148,13 @@ func E23Plan(seeds int, quick bool) *exp.Plan {
 			cfgs = append(cfgs, cfg{mode, period})
 		}
 	}
-	key := func(c cfg, s uint64) exp.Key {
-		return exp.Key{Experiment: "E23", Config: fmt.Sprintf("%s/T=%d", c.mode, c.period), Seed: s}
-	}
+	config := func(c cfg) string { return fmt.Sprintf("%s/T=%d", c.mode, c.period) }
 	for _, c := range cfgs {
-		for s := 0; s < seeds; s++ {
-			c, seed := c, uint64(s)
-			p.Cells = append(p.Cells, exp.Cell{
-				Key:        key(c, seed),
-				RoundLimit: total,
-				Cost:       budgetCost(e23N, total),
-				Run: func(limit int64) exp.Result {
-					return runE23Cell(c.mode, c.period, total, seed, limit)
-				},
-			})
-		}
+		p.Add(config(c), total, budgetCost(e23N, total), func(seed uint64, limit int64) exp.Result {
+			return runE23Cell(c.mode, c.period, total, seed, limit)
+		})
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title: "E23: mobility/churn — oneshot vs adaptive wave coverage under re-layout",
 			Comment: "clustered layout (6 blobs, mutually disconnected at t=0), random-waypoint motion, topology\n" +
@@ -174,19 +163,14 @@ func E23Plan(seeds int, quick bool) *exp.Plan {
 			Header: []string{"T", "mode", "coverage", "epochs", "rounds"},
 		}
 		for _, c := range cfgs {
-			var cov, eps, rs []float64
-			for s := 0; s < seeds; s++ {
-				r := idx[key(c, uint64(s))]
-				cov = append(cov, r.Value)
-				eps = append(eps, float64(r.Epochs))
-				rs = append(rs, float64(r.Rounds))
-			}
-			t.AddRow(fmt.Sprintf("%d", c.period), c.mode,
-				stats.F(meanOrDash(cov)), stats.F(meanOrDash(eps)), stats.F(meanOrDash(rs)))
+			runs := p.Runs(results, config(c))
+			epochs := runs.Each(func(r exp.Result) float64 { return float64(r.Epochs) })
+			t.AddRow(fmt.Sprintf("%d", c.period), c.mode, stats.F(exp.MeanOrDash(runs.Values())),
+				stats.F(exp.MeanOrDash(epochs)), stats.F(exp.MeanOrDash(runs.Each(allRounds))))
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // runE23Cell executes one mobility cell. Randomness enters only
@@ -215,10 +199,7 @@ func runE23Cell(mode string, period, total int64, seed uint64, limit int64) exp.
 		off, edges := ng.CSR()
 		ar.Retopo(off, edges)
 	})
-	out := adapt.Run(ar, adapt.Policy{MaxEpochs: int(total / period), EpochLimit: period})
-	res := exp.Rounds(out.Rounds, out.Completed)
-	res.Epochs = out.Epochs
-	res.Covered = out.Covered
-	res.Value = float64(out.Covered) / float64(e23N)
+	res := adaptResult(adapt.Run(ar, adapt.Policy{MaxEpochs: int(total / period), EpochLimit: period}))
+	res.Value = float64(res.Covered) / float64(e23N)
 	return res
 }

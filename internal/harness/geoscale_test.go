@@ -40,12 +40,13 @@ func TestE22MaxNCapsSweep(t *testing.T) {
 func TestE23AdaptiveBeatsOneshot(t *testing.T) {
 	p := E23Plan(2, true)
 	results := (&exp.Runner{Parallelism: 1}).Run(p)
-	idx := exp.Index(results)
+	idx := map[exp.Key]exp.Result{}
 	anyStrict := false
 	for _, r := range results {
 		if r.Err != "" {
 			t.Fatalf("%s: %s", r.Key, r.Err)
 		}
+		idx[r.Key] = r
 	}
 	for _, key := range []string{"T=64", "T=256"} {
 		for s := uint64(0); s < 2; s++ {

@@ -187,6 +187,25 @@ func TestAssembleSyntheticPins(t *testing.T) {
 	finishGolden(t, goldenAssemble, want, got, "/quick", "/full")
 }
 
+// TestRoundLimitReachesEveryBroadcastCell pins that Runner.RoundLimit
+// caps every broadcast cell, including the ones whose own cap is a
+// compiled schedule (E1's th11 column, E8, A3) or is computed inside
+// the cell (E9, A1).
+func TestRoundLimitReachesEveryBroadcastCell(t *testing.T) {
+	const limit = 50
+	ids := map[string]bool{"E1": true, "E8": true, "E9": true, "A1": true, "A3": true}
+	for _, e := range All() {
+		if !ids[e.ID] {
+			continue
+		}
+		for _, r := range (&exp.Runner{Parallelism: 1, RoundLimit: limit}).Run(e.Plan(1, true)) {
+			if r.Err != "" || r.Rounds > limit {
+				t.Errorf("%s: %d rounds (err %q), want at most %d", r.Key, r.Rounds, r.Err, limit)
+			}
+		}
+	}
+}
+
 func TestE1CrossoverShape(t *testing.T) {
 	// The headline claim at reproduction scale: on high-diameter
 	// cluster chains, the GST broadcast (structure in place) beats the

@@ -323,17 +323,17 @@ func (r *Theorem11Run) RunFrom(informed []bool, ch radio.Channel, seed uint64, l
 		rng.Reseed(p.Rng(), seed, 0x11, uint64(v))
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
-	return r.finish(scheduleLimit(r.cfg, limit))
+	return r.finish(lowerLimit(r.cfg.TotalRounds(), limit))
 }
 
-// scheduleLimit is a ring pipeline's round cap: the compiled schedule
-// budget, lowered to limit when that is positive and smaller.
-func scheduleLimit(cfg rings.Config, limit int64) int64 {
-	budget := cfg.TotalRounds()
-	if limit > 0 && limit < budget {
+// lowerLimit is a run's round cap: its own cap (a ring pipeline's
+// compiled schedule budget, say), lowered to limit when that is
+// positive and smaller.
+func lowerLimit(own, limit int64) int64 {
+	if limit > 0 && limit < own {
 		return limit
 	}
-	return budget
+	return own
 }
 
 // ---------------------------------------------------------------------
@@ -493,7 +493,7 @@ func (r *Theorem13Run) RunFrom(informed []bool, ch radio.Channel, seed uint64, l
 		rng.Reseed(p.Rng(), seed, 0x16, uint64(v))
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
-	return r.finish(scheduleLimit(r.cfg, limit))
+	return r.finish(lowerLimit(r.cfg.TotalRounds(), limit))
 }
 
 // ---------------------------------------------------------------------

@@ -233,7 +233,7 @@ func (sw scaleSweep) plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 	}
 	maxN := sc.maxN()
 	workers := sc.workers()
-	p := &exp.Plan{ID: sw.id, Title: sw.title}
+	p := exp.NewGrid(sw.id, sw.title, seeds)
 	type cfg struct {
 		workload string
 		n        int
@@ -250,52 +250,36 @@ func (sw scaleSweep) plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 			cfgs = append(cfgs, cfg{w, n})
 		}
 	}
-	key := func(col string, c cfg, s uint64) exp.Key {
-		return exp.Key{Experiment: sw.id, Config: fmt.Sprintf("%s/%s/n=%d", col, c.workload, c.n), Seed: s}
-	}
+	config := func(col string, c cfg) string { return fmt.Sprintf("%s/%s/n=%d", col, c.workload, c.n) }
 	for _, c := range cfgs {
 		for _, col := range sw.cols {
-			for s := 0; s < seeds; s++ {
-				c, col, seed := c, col, uint64(s)
-				p.Cells = append(p.Cells, exp.Cell{
-					Key:        key(col.name, c, seed),
-					RoundLimit: broadcastLimit,
-					Cost:       budgetCost(c.n, sw.rounds(col.proto, c.workload, c.n)),
-					Run: func(limit int64) exp.Result {
-						build := func() (*graph.Graph, radio.Channel) { return sw.build(c.workload, c.n, seed) }
-						res, _ := runDenseCell(build, col.proto, col.noise, seed, workers, limit)
-						return res
-					},
+			p.Add(config(col.name, c), broadcastLimit, budgetCost(c.n, sw.rounds(col.proto, c.workload, c.n)),
+				func(seed uint64, limit int64) exp.Result {
+					build := func() (*graph.Graph, radio.Channel) { return sw.build(c.workload, c.n, seed) }
+					res, _ := runDenseCell(build, col.proto, col.noise, seed, workers, limit)
+					return res
 				})
-			}
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{Title: sw.table, Comment: sw.comment, Header: []string{"workload", "n", "ok"}}
 		for _, col := range sw.cols {
 			t.Header = append(t.Header, col.name)
 		}
 		for _, c := range cfgs {
-			okCount := 0
+			var all exp.Runs
 			row := []string{c.workload, fmt.Sprintf("%d", c.n), ""}
 			for _, col := range sw.cols {
-				var rs []float64
-				for s := 0; s < seeds; s++ {
-					r := idx[key(col.name, c, uint64(s))]
-					if r.Completed {
-						okCount++
-						rs = append(rs, float64(r.Rounds))
-					}
-				}
-				row = append(row, stats.F(meanOrDash(rs)))
+				runs := p.Runs(results, config(col.name, c))
+				all = append(all, runs...)
+				row = append(row, stats.F(exp.MeanOrDash(runs.Rounds())))
 			}
-			row[2] = fmt.Sprintf("%d/%d", okCount, len(sw.cols)*seeds)
+			row[2] = all.OK()
 			t.AddRow(row...)
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // experiment binds the sweep to sc as one entry of AllWithScale.
@@ -341,7 +325,7 @@ func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 	}
 	maxN := sc.maxN()
 	workers := sc.workers()
-	p := &exp.Plan{ID: "E20", Title: "Million-node robustness: dense-engine erasure sweep (gnp)"}
+	p := exp.NewGrid("E20", "Million-node robustness: dense-engine erasure sweep (gnp)", seeds)
 	type cfg struct {
 		rate  float64
 		proto string
@@ -358,30 +342,19 @@ func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 			}
 		}
 	}
-	key := func(c cfg, s uint64) exp.Key {
-		return exp.Key{Experiment: "E20", Config: fmt.Sprintf("loss=%g/%s/n=%d", c.rate, c.proto, c.n), Seed: s}
-	}
+	config := func(c cfg) string { return fmt.Sprintf("loss=%g/%s/n=%d", c.rate, c.proto, c.n) }
 	for _, c := range cfgs {
-		for s := 0; s < seeds; s++ {
-			c, seed := c, uint64(s)
-			p.Cells = append(p.Cells, exp.Cell{
-				Key:        key(c, seed),
-				RoundLimit: broadcastLimit,
-				Cost:       budgetCost(c.n, 2*e19Rounds(c.proto, "gnp", c.n)),
-				Run: func(limit int64) exp.Result {
-					build := func() (*graph.Graph, radio.Channel) {
-						g, _ := e19Graph("gnp", c.n, seed)
-						return g, channel.NewErasure(c.rate, rng.Mix(seed, 0xe20))
-					}
-					res, coverage := runDenseCell(build, c.proto, false, seed, workers, limit)
-					res.Value = coverage
-					return res
-				},
-			})
-		}
+		p.Add(config(c), broadcastLimit, budgetCost(c.n, 2*e19Rounds(c.proto, "gnp", c.n)), func(seed uint64, limit int64) exp.Result {
+			build := func() (*graph.Graph, radio.Channel) {
+				g, _ := e19Graph("gnp", c.n, seed)
+				return g, channel.NewErasure(c.rate, rng.Mix(seed, 0xe20))
+			}
+			res, coverage := runDenseCell(build, c.proto, false, seed, workers, limit)
+			res.Value = coverage
+			return res
+		})
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
-		idx := exp.Index(results)
 		t := &stats.Table{
 			Title: "E20: dense-engine erasure sweep (gnp, streaming CSR)",
 			Comment: "per-link erasure drives the engine's adverse path (per-listener hear counts, O(n)/round);\n" +
@@ -390,23 +363,13 @@ func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 			Header: []string{"loss", "protocol", "n", "ok", "rounds", "coverage"},
 		}
 		for _, c := range cfgs {
-			okCount := 0
-			var rs, cov []float64
-			for s := 0; s < seeds; s++ {
-				r := idx[key(c, uint64(s))]
-				if r.Completed {
-					okCount++
-					rs = append(rs, float64(r.Rounds))
-				}
-				cov = append(cov, r.Value)
-			}
-			t.AddRow(fmt.Sprintf("%g", c.rate), c.proto, fmt.Sprintf("%d", c.n),
-				fmt.Sprintf("%d/%d", okCount, seeds),
-				stats.F(meanOrDash(rs)), stats.F(meanOrDash(cov)))
+			runs := p.Runs(results, config(c))
+			t.AddRow(fmt.Sprintf("%g", c.rate), c.proto, fmt.Sprintf("%d", c.n), runs.OK(),
+				stats.F(exp.MeanOrDash(runs.Rounds())), stats.F(exp.MeanOrDash(runs.Values())))
 		}
 		return t
 	}
-	return p
+	return p.Plan
 }
 
 // e21Rounds estimates a GST-broadcast cell's completion rounds (cost
