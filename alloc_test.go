@@ -41,7 +41,7 @@ func TestSteadyStateRoundLoopAllocsZero(t *testing.T) {
 	nw := radio.New(g, radio.Config{})
 	for v := 0; v < g.N(); v++ {
 		nw.SetProtocol(graph.NodeID(v),
-			decay.NewBroadcast(g.N(), v == 0, decay.Message{Data: 1}, rng.New(7, uint64(v))))
+			decay.NewBroadcast(decay.PlainSchedule(g.N()), v == 0, decay.Message{Data: 1}, rng.New(7, uint64(v))))
 	}
 	nw.Run(64) // warm: scratch sized, packets boxed, message spread
 	allocs := testing.AllocsPerRun(100, func() { nw.Step() })
@@ -60,7 +60,7 @@ func TestSteadyStateRoundLoopAllocsZeroCD(t *testing.T) {
 		// Every node holds the message: the clique interiors collide
 		// every phase, exercising ⊤ delivery.
 		nw.SetProtocol(graph.NodeID(v),
-			decay.NewBroadcast(g.N(), true, decay.Message{Data: 1}, rng.New(7, uint64(v))))
+			decay.NewBroadcast(decay.PlainSchedule(g.N()), true, decay.Message{Data: 1}, rng.New(7, uint64(v))))
 	}
 	nw.Run(64)
 	allocs := testing.AllocsPerRun(100, func() { nw.Step() })
@@ -136,9 +136,10 @@ func TestDenseSteadyStateAllocsZero(t *testing.T) {
 }
 
 // TestDenseCatalogSteadyStateAllocsZero extends the 0-alloc guard to
-// the rest of the SoA catalog — cr.Dense (keyed FastDecay draws) and
-// beep.DenseWave (deterministic frontier pulses) — sequentially, with
-// the parallel delivery pass, and on the channel-adverse engine path
+// the rest of the SoA catalog — decay.Dense on the CR schedule
+// (cr.NewDense: keyed FastDecay draws) and beep.DenseWave
+// (deterministic frontier pulses) — sequentially, with the parallel
+// delivery pass, and on the channel-adverse engine path
 // (per-link erasure forces the per-listener hear-count sweep, which
 // must be in-place too). Warm-ups are sized so the measured window
 // never crosses completion.
@@ -282,7 +283,7 @@ func TestRetopoSteadyStateAllocsZero(t *testing.T) {
 		nw := radio.New(pathG, radio.Config{})
 		protos := make([]*decay.Broadcast, pathG.N())
 		for v := range protos {
-			protos[v] = decay.NewBroadcast(pathG.N(), v == 0, decay.Message{Data: 1}, rng.New(7, uint64(v)))
+			protos[v] = decay.NewBroadcast(decay.PlainSchedule(pathG.N()), v == 0, decay.Message{Data: 1}, rng.New(7, uint64(v)))
 			nw.SetProtocol(graph.NodeID(v), protos[v])
 		}
 		nw.Run(64) // warm on the path topology
@@ -391,11 +392,11 @@ const adaptiveWrapperAllocOverhead = 64
 // reintroduce per-round allocation.
 func TestAdaptiveWrapperAllocOverhead(t *testing.T) {
 	g := graph.ClusterChain(4, 6)
-	plainRun := harness.NewDecayRun(g, 0)
+	decayEntry, _ := harness.LookupProtocol("decay")
+	plainRun := decayEntry.Build(g, 0, harness.StackOpts{})
 	plainRun.RunFrom(nil, nil, 3, 1<<20) // warm both paths' scratch
 	plain := testing.AllocsPerRun(5, func() { plainRun.RunFrom(nil, nil, 3, 1<<20) })
 
-	decayEntry, _ := harness.LookupProtocol("decay")
 	ar := decayEntry.NewAdaptive(g, 0, harness.StackOpts{}, nil, 3)
 	adapt.Run(ar, adapt.Policy{})
 	adaptive := testing.AllocsPerRun(5, func() { adapt.Run(ar, adapt.Policy{}) })

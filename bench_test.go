@@ -49,6 +49,12 @@ func benchExperiment(b *testing.B, id string) {
 
 // reportRounds runs fn b.N times and reports the mean simulated
 // rounds per run.
+// buildStack builds the named protocol table entry over g from node 0.
+func buildStack(name string, g *graph.Graph) harness.Stack {
+	p, _ := harness.LookupProtocol(name)
+	return p.Build(g, 0, harness.StackOpts{})
+}
+
 func reportRounds(b *testing.B, fn func(seed uint64) (int64, bool)) {
 	b.Helper()
 	var total int64
@@ -68,16 +74,15 @@ func reportRounds(b *testing.B, fn func(seed uint64) (int64, bool)) {
 func BenchmarkE1_Decay_ClusterChain32x8(b *testing.B) {
 	g := graph.ClusterChain(32, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewDecayRun(g, 0).RunFrom(nil, nil, seed, 1<<22)
+		rounds, ok, _ := buildStack("decay", g).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
 
 func BenchmarkE1_CR_ClusterChain32x8(b *testing.B) {
 	g := graph.ClusterChain(32, 8)
-	d := graph.Eccentricity(g, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewCRRun(g, d, 0).RunFrom(nil, nil, seed, 1<<22)
+		rounds, ok, _ := buildStack("cr", g).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -184,7 +189,7 @@ func BenchmarkE15_NoisyCDSweep(b *testing.B) { benchExperiment(b, "E15") }
 func BenchmarkEngine_LossyChannel_Decay(b *testing.B) {
 	g := graph.ClusterChain(16, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewDecayRun(g, 0).RunFrom(nil, ErasureChannel(0.1, seed), seed, 1<<22)
+		rounds, ok, _ := buildStack("decay", g).RunFrom(nil, ErasureChannel(0.1, seed), seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -224,7 +229,7 @@ func BenchmarkA3_RingWidth(b *testing.B) { benchExperiment(b, "A3") }
 func BenchmarkEngine_DenseRounds_Grid32x32(b *testing.B) {
 	g := graph.Grid(32, 32)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewDecayRun(g, 0).RunFrom(nil, nil, seed, 1<<22)
+		rounds, ok, _ := buildStack("decay", g).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -309,7 +314,7 @@ func BenchmarkEngine_GSTSequentialBuild_Grid4x8(b *testing.B) {
 // plus reseeding, nothing else.
 func BenchmarkEngine_DecayReuse_ClusterChain16x8(b *testing.B) {
 	g := graph.ClusterChain(16, 8)
-	run := harness.NewDecayRun(g, 0)
+	run := buildStack("decay", g)
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		rounds, ok, _ := run.RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok

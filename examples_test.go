@@ -50,9 +50,6 @@ func TestExampleOutputPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}

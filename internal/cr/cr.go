@@ -6,34 +6,26 @@
 // Substitution note (DESIGN.md): the published algorithms are built
 // from intricate selector sequences; what the paper uses is only their
 // round complexity. We implement the standard simplification that
-// achieves the same shape on the evaluated workloads: a Decay variant
-// whose phases interleave short sweeps of length ⌈log(n/D)⌉+2 (the
-// expected per-layer contention when n nodes spread over D layers is
-// n/D) with occasional full-length sweeps of ⌈log n⌉ rounds (so dense
-// neighborhoods still resolve, preserving the additive log^2 n term).
-// One in every SparseEvery phases is full-length.
+// achieves the same shape on the evaluated workloads: Decay on another
+// phase schedule (FastDecay), whose phases interleave short sweeps of
+// length ⌈log(n/D)⌉+2 (the expected per-layer contention when n nodes
+// spread over D layers is n/D) with occasional full-length sweeps of
+// ⌈log n⌉ rounds (so dense neighborhoods still resolve, preserving the
+// additive log^2 n term). One in every SparseEvery phases is
+// full-length. The protocol itself is decay.Broadcast (per-node engine)
+// and decay.Dense (SoA engine) on that schedule.
 package cr
 
 import (
-	"math/rand"
-
 	"radiocast/internal/decay"
-	"radiocast/internal/radio"
+	"radiocast/internal/graph"
+	"radiocast/internal/rng"
 	"radiocast/internal/sched"
 )
 
-// Params fixes the FastDecay schedule.
-type Params struct {
-	// ShortLen is the short-phase length, ⌈log(n/D)⌉+2.
-	ShortLen int
-	// FullLen is the full-phase length, ⌈log n⌉.
-	FullLen int
-	// SparseEvery makes every SparseEvery-th phase full-length.
-	SparseEvery int
-}
-
-// NewParams derives the schedule from n and a diameter bound d.
-func NewParams(n, d int) Params {
+// NewParams derives the FastDecay schedule from n and a diameter bound
+// d.
+func NewParams(n, d int) decay.Schedule {
 	if d < 1 {
 		d = 1
 	}
@@ -41,93 +33,16 @@ func NewParams(n, d int) Params {
 	if ratio < 2 {
 		ratio = 2
 	}
-	return Params{
-		ShortLen:    sched.CeilLog2(ratio) + 2,
-		FullLen:     sched.LogN(n),
-		SparseEvery: 4,
-	}
+	return decay.NewSchedule(sched.CeilLog2(ratio)+2, sched.LogN(n), 4)
 }
 
-// cycleLen returns the length of one short+...+full phase cycle.
-func (p Params) cycleLen() int64 {
-	return int64(p.SparseEvery-1)*int64(p.ShortLen) + int64(p.FullLen)
-}
+// DenseKey derives the keyed-draw seed of a dense CR run; exported so
+// byte-identity twins (sparse protocols replaying the same coins) can
+// share it.
+func DenseKey(seed uint64) uint64 { return rng.Mix(seed, 0xc4) }
 
-// slot maps a round to the Decay slot of its current phase.
-func (p Params) slot(r int64) int {
-	off := r % p.cycleLen()
-	for i := 0; i < p.SparseEvery-1; i++ {
-		if off < int64(p.ShortLen) {
-			return int(off)
-		}
-		off -= int64(p.ShortLen)
-	}
-	return int(off)
-}
-
-// Broadcast is the FastDecay single-message broadcast protocol.
-type Broadcast struct {
-	params Params
-	rng    *rand.Rand
-
-	has       bool
-	msg       decay.Message
-	pkt       radio.Packet // msg boxed once, reused every transmission
-	RecvRound int64
-
-	// DoneSet, when non-nil, is ticked on the first reception.
-	DoneSet *radio.DoneSet
-}
-
-var _ radio.Protocol = (*Broadcast)(nil)
-
-// NewBroadcast creates the protocol for one node.
-func NewBroadcast(p Params, source bool, msg decay.Message, rng *rand.Rand) *Broadcast {
-	b := &Broadcast{params: p, rng: rng}
-	b.Reset(source, msg)
-	return b
-}
-
-// Reset rewinds the protocol for a new run with the same schedule.
-// The RNG binding is unchanged; reseeding it is the caller's job.
-func (b *Broadcast) Reset(source bool, msg decay.Message) {
-	b.has = source
-	b.msg = msg
-	b.RecvRound = -1
-	if source {
-		b.pkt = msg
-	} else {
-		b.pkt = nil
-	}
-}
-
-// Has reports whether the node holds the message.
-func (b *Broadcast) Has() bool { return b.has }
-
-// Rng exposes the protocol's RNG so reuse harnesses can reseed it.
-func (b *Broadcast) Rng() *rand.Rand { return b.rng }
-
-// Act implements radio.Protocol.
-func (b *Broadcast) Act(r int64) radio.Action {
-	if !b.has {
-		return radio.Listen
-	}
-	if b.rng.Float64() < decay.TransmitProb(b.params.slot(r)) {
-		return radio.Transmit(b.pkt)
-	}
-	return radio.Listen
-}
-
-// Observe implements radio.Protocol.
-func (b *Broadcast) Observe(r int64, out radio.Outcome) {
-	if b.has || out.Packet == nil {
-		return
-	}
-	if m, ok := out.Packet.(decay.Message); ok {
-		b.has = true
-		b.msg = m
-		b.pkt = out.Packet
-		b.RecvRound = r
-		b.DoneSet.Tick()
-	}
+// NewDense creates the SoA CR broadcast on g from source under
+// schedule p, with transmit coins keyed on DenseKey(seed).
+func NewDense(g *graph.Graph, p decay.Schedule, seed uint64, source graph.NodeID) *decay.Dense {
+	return decay.NewDenseSchedule(g, p, DenseKey(seed), source)
 }

@@ -14,9 +14,9 @@ func runCR(g *graph.Graph, seed uint64, limit int64) (int64, bool) {
 	d := graph.Eccentricity(g, 0)
 	p := NewParams(g.N(), d)
 	nw := radio.New(g, radio.Config{})
-	protos := make([]*Broadcast, g.N())
+	protos := make([]*decay.Broadcast, g.N())
 	for v := 0; v < g.N(); v++ {
-		protos[v] = NewBroadcast(p, v == 0, decay.Message{Data: 5}, rng.New(seed, uint64(v)))
+		protos[v] = decay.NewBroadcast(p, v == 0, decay.Message{Data: 5}, rng.New(seed, uint64(v)))
 		nw.SetProtocol(graph.NodeID(v), protos[v])
 	}
 	return nw.RunUntil(limit, func() bool {
@@ -59,7 +59,7 @@ func TestCRBeatsDecayOnSparseHighDiameter(t *testing.T) {
 	nw := radio.New(g, radio.Config{})
 	protos := make([]*decay.Broadcast, g.N())
 	for v := 0; v < g.N(); v++ {
-		protos[v] = decay.NewBroadcast(g.N(), v == 0, decay.Message{}, rng.New(3, uint64(v)))
+		protos[v] = decay.NewBroadcast(decay.PlainSchedule(g.N()), v == 0, decay.Message{}, rng.New(3, uint64(v)))
 		nw.SetProtocol(graph.NodeID(v), protos[v])
 	}
 	decayRounds, ok := nw.RunUntil(1<<22, func() bool {
@@ -90,8 +90,8 @@ func TestParamsShape(t *testing.T) {
 	}
 	// Slots sweep 0..ShortLen-1 then eventually 0..FullLen-1.
 	seen := map[int]bool{}
-	for r := int64(0); r < p.cycleLen(); r++ {
-		seen[p.slot(r)] = true
+	for r := int64(0); r < p.CycleLen(); r++ {
+		seen[p.Slot(r)] = true
 	}
 	for i := 0; i < p.FullLen; i++ {
 		if !seen[i] {
@@ -104,5 +104,24 @@ func TestParamsDegenerate(t *testing.T) {
 	p := NewParams(16, 0) // d clamped to 1
 	if p.ShortLen < 2 {
 		t.Fatalf("ShortLen = %d", p.ShortLen)
+	}
+}
+
+// TestDenseSlotSchedule pins that NewParams is the FastDecay schedule,
+// not plain Decay: a full-length phase must appear once per cycle
+// (slots past ShortLen only occur there).
+func TestDenseSlotSchedule(t *testing.T) {
+	p := NewParams(4096, 64) // ShortLen = log2(64)+2 = 8, FullLen = 12
+	if p.FullLen <= p.ShortLen {
+		t.Fatalf("degenerate schedule: full %d <= short %d", p.FullLen, p.ShortLen)
+	}
+	deep := 0
+	for r := int64(0); r < p.CycleLen(); r++ {
+		if p.Slot(r) >= p.ShortLen {
+			deep++
+		}
+	}
+	if deep != p.FullLen-p.ShortLen {
+		t.Fatalf("deep slots per cycle = %d, want %d", deep, p.FullLen-p.ShortLen)
 	}
 }

@@ -1,8 +1,10 @@
 // Package decay implements the Decay protocol of Bar-Yehuda, Goldreich
 // and Itai [2] and its derivatives used throughout the paper:
 //
-//   - Broadcast: the classic single-message Decay broadcast,
-//     O(D log n + log^2 n) rounds w.h.p. (the paper's baseline).
+//   - Broadcast: the single-message Decay broadcast on a phase
+//     Schedule: classic BGI Decay, O(D log n + log^2 n) rounds w.h.p.
+//     (the paper's baseline), or the FastDecay schedule of the
+//     Czumaj–Rytter / Kowalski–Pelc baseline (package cr).
 //   - MMV: the level-clocked Decay schedule of Lemma 3.2, which remains
 //     correct when nodes lacking the message jam their scheduled slots
 //     with noise (the multi-message-viable property, Definition 3.1).
@@ -39,12 +41,54 @@ func TransmitProb(slot int) float64 {
 	return 1 / float64(int64(2)<<uint(slot))
 }
 
-// Broadcast is the classic BGI Decay broadcast protocol for a single
-// message: a node that has the message participates in every Decay
-// phase; nodes without it stay silent (contrast with MMV below).
+// Schedule is a Decay phase schedule: the lengths of the phases a
+// participating node sweeps, in slot i of each transmitting with
+// probability TransmitProb(i). Every SparseEvery-th phase is full-length
+// (FullLen = ⌈log n⌉ slots, so dense neighborhoods still resolve); the
+// phases between are short (ShortLen slots). Plain BGI Decay is the
+// special case SparseEvery = 1 (PlainSchedule); the Czumaj–Rytter /
+// Kowalski–Pelc baseline is another schedule of the same protocol
+// (cr.NewParams). Build one with NewSchedule or PlainSchedule, which
+// precompute the cycle length.
+type Schedule struct {
+	ShortLen    int
+	FullLen     int
+	SparseEvery int
+	cycle       int64 // (SparseEvery-1)·ShortLen + FullLen
+}
+
+// NewSchedule returns the schedule of SparseEvery-1 short phases of
+// shortLen slots followed by one full phase of fullLen slots.
+func NewSchedule(shortLen, fullLen, sparseEvery int) Schedule {
+	return Schedule{ShortLen: shortLen, FullLen: fullLen, SparseEvery: sparseEvery,
+		cycle: int64(sparseEvery-1)*int64(shortLen) + int64(fullLen)}
+}
+
+// PlainSchedule is BGI Decay on n nodes: every phase full-length, so
+// round r is in slot r mod ⌈log n⌉.
+func PlainSchedule(n int) Schedule { return NewSchedule(0, sched.LogN(n), 1) }
+
+// CycleLen returns the length of one short+...+full phase cycle.
+func (s Schedule) CycleLen() int64 { return s.cycle }
+
+// Slot maps round r to the Decay slot of its current phase.
+func (s Schedule) Slot(r int64) int {
+	off := r % s.cycle
+	for i := 1; i < s.SparseEvery; i++ {
+		if off < int64(s.ShortLen) {
+			return int(off)
+		}
+		off -= int64(s.ShortLen)
+	}
+	return int(off)
+}
+
+// Broadcast is the single-message Decay broadcast protocol: a node that
+// has the message participates in every phase of its schedule; nodes
+// without it stay silent (contrast with MMV below).
 type Broadcast struct {
-	rng *rand.Rand
-	l   int // phase length
+	sched Schedule
+	rng   *rand.Rand
 
 	has       bool
 	msg       Message
@@ -59,15 +103,15 @@ type Broadcast struct {
 
 var _ radio.Protocol = (*Broadcast)(nil)
 
-// NewBroadcast creates the protocol for one node. The source holds the
-// message from the start.
-func NewBroadcast(n int, source bool, msg Message, rng *rand.Rand) *Broadcast {
-	b := &Broadcast{rng: rng, l: sched.LogN(n)}
+// NewBroadcast creates the protocol for one node on schedule s. The
+// source holds the message from the start.
+func NewBroadcast(s Schedule, source bool, msg Message, rng *rand.Rand) *Broadcast {
+	b := &Broadcast{sched: s, rng: rng}
 	b.Reset(source, msg)
 	return b
 }
 
-// Reset rewinds the protocol for a new run on the same network size,
+// Reset rewinds the protocol for a new run on the same schedule,
 // allocation-free except for re-boxing the source's message. The RNG
 // binding is unchanged; reseeding it is the caller's job.
 func (b *Broadcast) Reset(source bool, msg Message) {
@@ -92,8 +136,7 @@ func (b *Broadcast) Act(r int64) radio.Action {
 	if !b.has {
 		return radio.Listen // must keep listening every round
 	}
-	_, slot := sched.Cycle(r, int64(b.l))
-	if b.rng.Float64() < TransmitProb(int(slot)) {
+	if b.rng.Float64() < TransmitProb(b.sched.Slot(r)) {
 		return radio.Transmit(b.pkt)
 	}
 	return radio.Listen

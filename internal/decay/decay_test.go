@@ -16,7 +16,7 @@ func runBroadcast(g *graph.Graph, seed uint64, limit int64) (int64, bool) {
 	nw := radio.New(g, radio.Config{})
 	protos := make([]*Broadcast, g.N())
 	for v := 0; v < g.N(); v++ {
-		protos[v] = NewBroadcast(g.N(), v == 0, Message{Data: 7}, rng.New(seed, uint64(v)))
+		protos[v] = NewBroadcast(PlainSchedule(g.N()), v == 0, Message{Data: 7}, rng.New(seed, uint64(v)))
 		nw.SetProtocol(graph.NodeID(v), protos[v])
 	}
 	return nw.RunUntil(limit, func() bool {
@@ -98,7 +98,7 @@ func TestDecayProgressLemma(t *testing.T) {
 				nw.SetProtocol(0, probe)
 				for v := 1; v <= deg; v++ {
 					nw.SetProtocol(graph.NodeID(v),
-						NewBroadcast(n, true, Message{}, rng.New(uint64(trial), uint64(v), uint64(deg))))
+						NewBroadcast(PlainSchedule(n), true, Message{}, rng.New(uint64(trial), uint64(v), uint64(deg))))
 				}
 				nw.Run(int64(l)) // exactly one phase
 				if probe.Packets > 0 {

@@ -1,24 +1,29 @@
 package decay
 
 // Dense is the structure-of-arrays Decay broadcast for the
-// radio.Dense engine: one value holds every node's state in bitsets
-// and flat arrays, so a million-node run costs ~25 bytes/node instead
-// of one Broadcast object + one rand.Rand per node.
+// radio.Dense engine, on any phase Schedule (plain Decay via NewDense,
+// the CR baseline via cr.NewDense): one value holds every node's state
+// in bitsets and flat arrays, so a million-node run costs ~25
+// bytes/node instead of one Broadcast object + one rand.Rand per node.
 //
-// Differences from the per-node Broadcast (same Decay schedule, same
+// Differences from the per-node Broadcast (same schedule, same
 // delivery semantics, different randomness plumbing):
 //
 //   - Coin flips are keyed draws Mix3(key, node, round) instead of
 //     per-node xoshiro streams, so AppendTransmitters needs no mutable
 //     RNG state and partitions can draw concurrently. Runs are NOT
-//     byte-comparable with Broadcast runs — the determinism claim is
-//     Dense(Workers=a) == Dense(Workers=b), at any a, b.
+//     byte-comparable with Broadcast runs; they ARE byte-comparable
+//     with a sparse protocol that draws the same keyed coins (the twin
+//     fixture in dense_test.go), and Dense(Workers=a) == Dense(Workers=b)
+//     at any a, b.
 //   - Only frontier nodes (informed, with at least one uninformed
 //     neighbor) flip coins. A retired informed node's transmission
 //     could only reach informed neighbors, which never listen, so the
 //     informed-set dynamics are provably identical to "all informed
-//     participate" under the same draws; Transmissions and collision
-//     counts are lower.
+//     participate" under the same draws — including under per-link
+//     erasure, whose drops are keyed by (round, link) and therefore
+//     unaffected by which other links carry transmissions.
+//     Transmissions and collision counts are lower.
 //   - All uninformed nodes listen every round (the engine masks
 //     transmitters out).
 
@@ -29,7 +34,6 @@ import (
 	"radiocast/internal/graph"
 	"radiocast/internal/radio"
 	"radiocast/internal/rng"
-	"radiocast/internal/sched"
 )
 
 // DenseKey derives the keyed-draw seed for the dense Decay
@@ -39,9 +43,9 @@ func DenseKey(seed uint64) uint64 { return rng.Mix(seed, 0xdd) }
 
 // Dense implements radio.DenseProtocol for single-message Decay.
 type Dense struct {
-	g   *graph.Graph
-	l   int64  // phase length ⌈log2 n⌉
-	key uint64 // keyed-draw seed for transmit coins
+	g     *graph.Graph
+	sched Schedule
+	key   uint64 // keyed-draw seed for transmit coins
 
 	informed bitvec.Vec // has the message
 	frontier bitvec.Vec // informed with >= 1 uninformed neighbor
@@ -58,14 +62,21 @@ type Dense struct {
 
 var _ radio.DenseProtocol = (*Dense)(nil)
 
-// NewDense creates the SoA Decay broadcast on g from source, with
-// transmit coins keyed on seed.
+// NewDense creates the SoA plain Decay broadcast on g from source, with
+// transmit coins keyed on DenseKey(seed).
 func NewDense(g *graph.Graph, seed uint64, source graph.NodeID) *Dense {
+	return NewDenseSchedule(g, PlainSchedule(g.N()), DenseKey(seed), source)
+}
+
+// NewDenseSchedule creates the SoA Decay broadcast on g from source on
+// schedule s, with transmit coins keyed on key (the schedule owner's
+// derivation of the run seed, e.g. DenseKey or cr.DenseKey).
+func NewDenseSchedule(g *graph.Graph, s Schedule, key uint64, source graph.NodeID) *Dense {
 	n := g.N()
 	d := &Dense{
 		g:             g,
-		l:             int64(sched.LogN(n)),
-		key:           DenseKey(seed),
+		sched:         s,
+		key:           key,
 		informed:      bitvec.New(n),
 		frontier:      bitvec.New(n),
 		newly:         bitvec.New(n),
@@ -110,7 +121,7 @@ func (d *Dense) inform(v graph.NodeID, r int64) {
 // 2^-(i+1), decided by one keyed draw — a 64-bit uniform is below
 // 2^(63-i) with exactly that probability.
 func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.NodeID) []radio.NodeID {
-	_, slot := sched.Cycle(r, d.l)
+	slot := d.sched.Slot(r)
 	threshold := uint64(1) << (63 - uint(slot))
 	words := d.frontier.Words()
 	for wi := int(lo) >> 6; wi<<6 < int(hi); wi++ {
@@ -168,9 +179,6 @@ func (d *Dense) InformedCount() int { return d.informedCount }
 
 // Informed reports whether v has the message.
 func (d *Dense) Informed(v graph.NodeID) bool { return d.informed.Get(int(v)) }
-
-// InformedSet exposes the informed bitset (read-only by convention).
-func (d *Dense) InformedSet() bitvec.Vec { return d.informed }
 
 // RecvRound returns the round v first received the message (-1 for
 // the source or a still-uninformed node).

@@ -1,19 +1,26 @@
 package decay_test
 
-// Dense-vs-sparse twin identity for the SoA Decay port, on the shared
-// radiotest substrate. decay.Dense's keyed draws make dense runs
-// incomparable with the per-node-RNG Broadcast, so the twin is a
-// sparse radio.Protocol replaying the IDENTICAL keyed coins (same
-// DenseKey, same Mix3(key, node, round) draw, same Decay slot) on the
-// per-node engine. Frontier pruning aside — which provably cannot
-// change informed-set dynamics, see dense.go — the two engines must
-// produce the same broadcast: same reception round for every node.
+// Dense-vs-sparse twin identity for the SoA Decay port on both of its
+// phase schedules — plain Decay (decay.NewDense) and the CR baseline's
+// FastDecay (cr.NewDense) — on the shared radiotest substrate. Dense's
+// keyed draws make dense runs incomparable with the per-node-RNG
+// Broadcast, so the twin is a sparse radio.Protocol replaying the
+// IDENTICAL keyed coins (same key derivation, same Mix3(key, node,
+// round) draw, same schedule slot) on the per-node engine. Frontier
+// pruning aside — which provably cannot change informed-set dynamics,
+// see dense.go — the two engines must produce the same broadcast: same
+// reception round for every node, same completion round. Checked on the
+// ideal channel and under per-link erasure (whose drops are keyed by
+// (round, link) and therefore agree across engines), with CD on and
+// off, from node 0 and from a mid-graph source.
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"radiocast/internal/channel"
+	"radiocast/internal/cr"
 	"radiocast/internal/decay"
 	"radiocast/internal/graph"
 	"radiocast/internal/radio"
@@ -22,12 +29,31 @@ import (
 	"radiocast/internal/sched"
 )
 
+// schedule is one phase schedule under test: its constructor's
+// schedule and key derivation (what the twin replays) and the
+// production dense constructor.
+type schedule struct {
+	name  string
+	sched func(g *graph.Graph) decay.Schedule
+	key   func(seed uint64) uint64
+	dense func(g *graph.Graph, seed uint64, src graph.NodeID) *decay.Dense
+}
+
+func crParams(g *graph.Graph) decay.Schedule { return cr.NewParams(g.N(), graph.Eccentricity(g, 0)) }
+
+var schedules = []schedule{
+	{"decay", func(g *graph.Graph) decay.Schedule { return decay.PlainSchedule(g.N()) }, decay.DenseKey, decay.NewDense},
+	{"cr", crParams, cr.DenseKey, func(g *graph.Graph, seed uint64, src graph.NodeID) *decay.Dense {
+		return cr.NewDense(g, crParams(g), seed, src)
+	}},
+}
+
 // keyedSparse is the sparse twin: a per-node radio.Protocol drawing
-// the dense engine's keyed coins on the plain Decay schedule.
+// the dense engine's keyed coins on the same schedule.
 type keyedSparse struct {
-	l   int64
-	key uint64
-	id  graph.NodeID
+	sched decay.Schedule
+	key   uint64
+	id    graph.NodeID
 
 	has  bool
 	pkt  radio.Packet
@@ -40,8 +66,7 @@ func (b *keyedSparse) Act(r int64) radio.Action {
 	if !b.has {
 		return radio.Listen
 	}
-	_, slot := sched.Cycle(r, b.l)
-	if rng.Mix3(b.key, uint64(b.id), uint64(r)) < uint64(1)<<(63-uint(slot)) {
+	if rng.Mix3(b.key, uint64(b.id), uint64(r)) < uint64(1)<<(63-uint(b.sched.Slot(r))) {
 		return radio.Transmit(b.pkt)
 	}
 	return radio.Listen
@@ -58,9 +83,9 @@ func (b *keyedSparse) Observe(r int64, out radio.Outcome) {
 	}
 }
 
-// denseDecayCase builds the radiotest case: state is the reception
-// round for informed nodes, -2 for uninformed ones.
-func denseDecayCase(g *graph.Graph, seed uint64, src graph.NodeID,
+// denseCase builds the radiotest case: state is the reception round
+// for informed nodes, -2 for uninformed ones.
+func denseCase(s schedule, g *graph.Graph, seed uint64, src graph.NodeID,
 	cd bool, mk func() radio.Channel) radiotest.DenseCase {
 	return radiotest.DenseCase{
 		Graph:         g,
@@ -69,7 +94,7 @@ func denseDecayCase(g *graph.Graph, seed uint64, src graph.NodeID,
 		Channel:       mk,
 		Limit:         1 << 18,
 		Build: func() (radio.DenseProtocol, func() bool, func(graph.NodeID) int64) {
-			pr := decay.NewDense(g, seed, src)
+			pr := s.dense(g, seed, src)
 			return pr, pr.Done, func(v graph.NodeID) int64 {
 				if !pr.Informed(v) {
 					return -2
@@ -80,46 +105,93 @@ func denseDecayCase(g *graph.Graph, seed uint64, src graph.NodeID,
 	}
 }
 
-// TestDenseMatchesKeyedSparseTwin: on shared seeds the dense run and
-// the keyed sparse twin agree on every node's reception round, ideal
-// and under erasure, CD on and off.
+// TestDenseMatchesKeyedSparseTwin is the byte-identity acceptance
+// property: on shared seeds the dense run and the keyed sparse twin
+// agree on every node's reception round, for both schedules, ideal and
+// under erasure, CD on and off, from two sources.
 func TestDenseMatchesKeyedSparseTwin(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.ClusterChain(8, 8),
 		graph.FromStream(graph.StreamGrid(13, 17)),
 		graph.BuildConnected(graph.StreamGNP(300, 0.03, 11), 11),
 	}
-	for _, g := range graphs {
-		l := int64(sched.LogN(g.N()))
-		for _, cd := range []bool{false, true} {
-			for _, loss := range []float64{0, 0.15} {
-				var mk func() radio.Channel
-				if loss > 0 {
-					loss := loss
-					mk = func() radio.Channel { return channel.NewErasure(loss, 77) }
+	for _, s := range schedules {
+		t.Run(s.name, func(t *testing.T) {
+			for _, g := range graphs {
+				sc := s.sched(g)
+				for _, src := range []graph.NodeID{0, graph.NodeID(g.N() / 2)} {
+					for _, cd := range []bool{false, true} {
+						for _, loss := range []float64{0, 0.15} {
+							var mk func() radio.Channel
+							if loss > 0 {
+								mk = func() radio.Channel { return channel.NewErasure(loss, 77) }
+							}
+							label := fmt.Sprintf("%s src=%d cd=%v loss=%g", g.Name(), src, cd, loss)
+							c := denseCase(s, g, 42, src, cd, mk)
+							radiotest.Twin(t, label, c, func(nw *radio.Network, rounds int64) func(graph.NodeID) int64 {
+								twins := make([]*keyedSparse, g.N())
+								for v := 0; v < g.N(); v++ {
+									tw := &keyedSparse{sched: sc, key: s.key(42), id: graph.NodeID(v), recv: -1}
+									if graph.NodeID(v) == src {
+										tw.has = true
+										tw.pkt = decay.Message{Data: int64(src)}
+									}
+									twins[v] = tw
+									nw.SetProtocol(graph.NodeID(v), tw)
+								}
+								nw.Run(rounds)
+								return func(v graph.NodeID) int64 {
+									if !twins[v].has {
+										return -2
+									}
+									return twins[v].recv
+								}
+							})
+						}
+					}
 				}
-				label := fmt.Sprintf("%s cd=%v loss=%g", g.Name(), cd, loss)
-				c := denseDecayCase(g, 42, 0, cd, mk)
-				radiotest.Twin(t, label, c, func(nw *radio.Network, rounds int64) func(graph.NodeID) int64 {
-					twins := make([]*keyedSparse, g.N())
-					for v := 0; v < g.N(); v++ {
-						tw := &keyedSparse{l: l, key: decay.DenseKey(42), id: graph.NodeID(v), recv: -1}
-						if v == 0 {
-							tw.has = true
-							tw.pkt = decay.Message{Data: 0}
-						}
-						twins[v] = tw
-						nw.SetProtocol(graph.NodeID(v), tw)
-					}
-					nw.Run(rounds)
-					return func(v graph.NodeID) int64 {
-						if !twins[v].has {
-							return -2
-						}
-						return twins[v].recv
-					}
-				})
 			}
+		})
+	}
+}
+
+// TestDenseSeedSensitivity guards against the keyed draws collapsing:
+// on either schedule, different seeds must produce different runs on a
+// workload with real contention.
+func TestDenseSeedSensitivity(t *testing.T) {
+	g := graph.ClusterChain(8, 8)
+	for _, s := range schedules {
+		t.Run(s.name, func(t *testing.T) {
+			a, b := denseCase(s, g, 1, 0, false, nil).Run(), denseCase(s, g, 2, 0, false, nil).Run()
+			if a.Rounds == b.Rounds && a.Stats == b.Stats {
+				t.Fatal("seeds 1 and 2 produced identical runs; keyed draws look degenerate")
+			}
+		})
+	}
+}
+
+// TestPlainScheduleIsDecayCycle pins the identity that lets one
+// implementation serve both schedules: the plain schedule's slot is
+// r mod ⌈log n⌉, the classic Decay phase clock, from round 0 through
+// several phases and at rounds near the int64 limit.
+func TestPlainScheduleIsDecayCycle(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 64, 100, 1000, 1 << 20} {
+		s := decay.PlainSchedule(n)
+		l := int64(sched.LogN(n))
+		if s.CycleLen() != l {
+			t.Fatalf("n=%d: cycle %d, want %d", n, s.CycleLen(), l)
+		}
+		check := func(r int64) {
+			if got, want := s.Slot(r), int(r%l); got != want {
+				t.Fatalf("n=%d r=%d: slot %d, want %d", n, r, got, want)
+			}
+		}
+		for r := int64(0); r < 4*l; r++ {
+			check(r)
+		}
+		for k := int64(0); k < 2*l; k++ {
+			check(1<<40 + k)
+			check(math.MaxInt64 - k)
 		}
 	}
 }

@@ -59,6 +59,7 @@ type AdaptiveRunner struct {
 	baseSeed   uint64
 	chf        ChannelFactory
 	epochLimit int64 // default per-epoch cap when the policy passes 0
+	retopoSafe bool  // the stack may swap topology (see Retopo)
 	elapsed    int64
 	relayout   func(epoch int)
 }
@@ -71,9 +72,10 @@ type carrier interface {
 }
 
 // newAdaptive wraps an n-node context in the retry layer. epochLimit
-// caps every epoch (0 = the stack's own budget).
-func newAdaptive(s carrier, n int, chf ChannelFactory, seed uint64, epochLimit int64) *AdaptiveRunner {
-	return &AdaptiveRunner{stack: s, informed: make([]bool, n), baseSeed: seed, chf: chf, epochLimit: epochLimit}
+// caps every epoch (0 = the stack's own budget); retopoSafe admits
+// Retopo.
+func newAdaptive(s carrier, n int, chf ChannelFactory, seed uint64, epochLimit int64, retopoSafe bool) *AdaptiveRunner {
+	return &AdaptiveRunner{stack: s, informed: make([]bool, n), baseSeed: seed, chf: chf, epochLimit: epochLimit, retopoSafe: retopoSafe}
 }
 
 var _ adapt.Runner = (*AdaptiveRunner)(nil)
@@ -96,19 +98,20 @@ func (a *AdaptiveRunner) SetObserver(o obs.RoundObserver, stride int64) {
 
 // Retopo swaps the wrapped engine's topology in place
 // (radio.Network.Retopo). Only the topology-agnostic stacks support
-// it — Decay and the collision wave, whose per-node protocols depend
-// on nothing but n; the schedule-compiled stacks (CR, GST, the
-// Theorem pipelines) bake eccentricity or per-node transmission plans
-// out of the construction graph, so a swap would silently run a stale
-// schedule. Those panic here instead.
+// it — plain Decay (the RetopoSafe table entry) and the collision wave,
+// whose per-node protocols depend on nothing but n; the
+// schedule-compiled stacks (CR, GST, the Theorem pipelines) bake
+// eccentricity or per-node transmission plans out of the construction
+// graph, so a swap would silently run a stale schedule. Those panic
+// here instead, even where the context type could swap (CR shares
+// Decay's DecayRun).
 func (a *AdaptiveRunner) Retopo(offsets []int32, edges []radio.NodeID) {
-	r, ok := a.stack.(interface {
-		Retopo(offsets []int32, edges []radio.NodeID)
-	})
-	if !ok {
+	if !a.retopoSafe {
 		panic("harness: this adaptive stack compiles its schedule from the construction graph and cannot Retopo")
 	}
-	r.Retopo(offsets, edges)
+	a.stack.(interface {
+		Retopo(offsets []int32, edges []radio.NodeID)
+	}).Retopo(offsets, edges)
 }
 
 // SetRelayout installs the mobility hook: before every carryover

@@ -28,7 +28,7 @@ func TestAdaptiveEpochZeroMatchesOneShot(t *testing.T) {
 			out.Rounds, out.Stats, wantRounds, wantStats)
 	}
 
-	rounds, ok, st := NewDecayRun(g, 0).RunFrom(nil, nil, 5, 1<<20)
+	rounds, ok, st := entry("decay").Build(g, 0, StackOpts{}).RunFrom(nil, nil, 5, 1<<20)
 	ad := entry("decay").NewAdaptive(g, 0, StackOpts{}, nil, 5)
 	dout := adapt.Run(ad, adapt.Policy{})
 	if !dout.Completed || dout.Epochs != 1 || dout.Rounds != rounds || dout.Stats != st || !ok {

@@ -205,8 +205,7 @@ func E11Plan(seeds int, quick bool) *exp.Plan {
 	p := exp.NewGrid("E11", "Decay phase progress (Lemma 2.2)", seeds)
 	for _, deg := range degrees {
 		p.Add(fmt.Sprintf("deg=%d", deg), 0, 0, func(seed uint64, _ int64) exp.Result {
-			n := deg + 2
-			l := sched.LogN(n)
+			s := decay.PlainSchedule(deg + 2)
 			succ := 0
 			for trial := seed * e11Block; trial < (seed+1)*e11Block; trial++ {
 				g := graph.Star(deg + 1)
@@ -215,9 +214,9 @@ func E11Plan(seeds int, quick bool) *exp.Plan {
 				nw.SetProtocol(0, probe)
 				for v := 1; v <= deg; v++ {
 					nw.SetProtocol(graph.NodeID(v),
-						decay.NewBroadcast(n, true, decay.Message{}, rng.New(trial, 0xb1, uint64(v), uint64(deg))))
+						decay.NewBroadcast(s, true, decay.Message{}, rng.New(trial, 0xb1, uint64(v), uint64(deg))))
 				}
-				nw.Run(int64(l))
+				nw.Run(int64(s.FullLen))
 				if probe.Packets > 0 {
 					succ++
 				}

@@ -212,8 +212,8 @@ func TestE1CrossoverShape(t *testing.T) {
 	// Decay and CR baselines.
 	g := graph.ClusterChain(32, 8)
 	d := graph.Eccentricity(g, 0)
-	decayR, ok1, _ := NewDecayRun(g, 0).RunFrom(nil, nil, 1, 1<<22)
-	crR, ok2, _ := NewCRRun(g, d, 0).RunFrom(nil, nil, 1, 1<<22)
+	decayR, ok1, _ := cellStack("decay", g, d, StackOpts{}).RunFrom(nil, nil, 1, 1<<22)
+	crR, ok2, _ := cellStack("cr", g, d, StackOpts{}).RunFrom(nil, nil, 1, 1<<22)
 	gstR, ok3, _ := NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, 1, 1<<22)
 	if !ok1 || !ok2 || !ok3 {
 		t.Fatal("some protocol incomplete")

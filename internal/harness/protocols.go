@@ -72,7 +72,8 @@ type Protocol struct {
 	// them in the retry layer.
 	Adaptive bool
 	// RetopoSafe stacks depend on nothing but n, so the mobility layer
-	// may swap their topology between epochs (AdaptiveRunner.Retopo).
+	// may swap their topology between epochs; AdaptiveRunner.Retopo
+	// admits only these.
 	RetopoSafe bool
 	// Rings marks the unknown-topology ring pipelines (Theorems 1.1 and
 	// 1.3): their runs are capped by a compiled schedule budget and
@@ -112,12 +113,8 @@ func (b *builder) ringConfig(k int) rings.Config {
 
 // Protocols is the ordered protocol table.
 var Protocols = []Protocol{
-	{Name: "decay", Adaptive: true, RetopoSafe: true, build: func(b *builder) Stack {
-		return NewDecayRun(b.g, b.src)
-	}},
-	{Name: "cr", Adaptive: true, build: func(b *builder) Stack {
-		return NewCRRun(b.g, b.ecc(), b.src)
-	}},
+	{Name: "decay", Adaptive: true, RetopoSafe: true, build: plainDecay.sparse},
+	{Name: "cr", Adaptive: true, build: fastDecay.sparse},
 	{Name: "gst", Adaptive: true, build: func(b *builder) Stack {
 		return NewGSTSingleRun(b.g, b.Noise, b.src)
 	}},
@@ -130,19 +127,8 @@ var Protocols = []Protocol{
 	{Name: "k-cd", TakesK: true, Adaptive: true, Rings: true, build: func(b *builder) Stack {
 		return NewTheorem13RunCfg(b.g, b.ringConfig(b.k()), b.src)
 	}},
-	{Name: "dense-decay", Dense: true, build: func(b *builder) Stack {
-		return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseRun {
-			p := decay.NewDense(b.g, seed, b.src)
-			return denseRun{p, p.Done, p.InformedCount}
-		}}
-	}},
-	{Name: "dense-cr", Dense: true, build: func(b *builder) Stack {
-		params := cr.NewParams(b.g.N(), b.ecc())
-		return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseRun {
-			p := cr.NewDense(b.g, params, seed, b.src)
-			return denseRun{p, p.Done, p.InformedCount}
-		}}
-	}},
+	{Name: "dense-decay", Dense: true, build: plainDecay.dense},
+	{Name: "dense-cr", Dense: true, build: fastDecay.dense},
 	{Name: "dense-wave", Dense: true, build: func(b *builder) Stack {
 		// The wave is over at its horizon by construction; collision
 		// detection is its correctness assumption, so it is forced on.
@@ -166,6 +152,32 @@ var Protocols = []Protocol{
 			return denseRun{p, p.Done, p.InformedCount}
 		}}
 	}},
+}
+
+// decayFlavor is one Decay phase schedule of the table with its RNG
+// derivations: plain BGI Decay and the CR baseline's FastDecay run the
+// same protocol (decay.Broadcast, decay.Dense) and differ only here.
+type decayFlavor struct {
+	schedule func(b *builder) decay.Schedule
+	tag      uint64                   // sparse per-node reseed tag
+	key      func(seed uint64) uint64 // dense keyed-draw seed
+}
+
+var (
+	plainDecay = decayFlavor{func(b *builder) decay.Schedule { return decay.PlainSchedule(b.g.N()) }, 0xd0, decay.DenseKey}
+	fastDecay  = decayFlavor{func(b *builder) decay.Schedule { return cr.NewParams(b.g.N(), b.ecc()) }, 0xc0, cr.DenseKey}
+)
+
+func (f decayFlavor) sparse(b *builder) Stack {
+	return NewDecayRun(b.g, f.schedule(b), f.tag, b.src)
+}
+
+func (f decayFlavor) dense(b *builder) Stack {
+	s := f.schedule(b)
+	return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseRun {
+		p := decay.NewDenseSchedule(b.g, s, f.key(seed), b.src)
+		return denseRun{p, p.Done, p.InformedCount}
+	}}
 }
 
 // LookupProtocol returns the table entry named name.
@@ -220,7 +232,7 @@ func (p *Protocol) NewAdaptive(g *graph.Graph, src graph.NodeID, o StackOpts, ch
 	if limit <= 0 && !p.Rings {
 		limit = baselineEpochBudget(g, b.ecc())
 	}
-	return newAdaptive(s, g.N(), chf, seed, limit)
+	return newAdaptive(s, g.N(), chf, seed, limit, p.RetopoSafe)
 }
 
 // denseRun is one run's SoA protocol with its completion predicate and

@@ -41,8 +41,8 @@ func TestProtocolTableCapabilities(t *testing.T) {
 		_, retopo := s.(interface {
 			Retopo(offsets []int32, edges []radio.NodeID)
 		})
-		if retopo != p.RetopoSafe {
-			t.Errorf("%s: RetopoSafe=%v but Retopo present=%v", p.Name, p.RetopoSafe, retopo)
+		if p.RetopoSafe && !retopo {
+			t.Errorf("%s: RetopoSafe but the context has no Retopo", p.Name)
 		}
 		rounds, ok, st := s.RunFrom(nil, nil, 3, 0)
 		if !ok || s.Coverage() != g.N() {
@@ -60,5 +60,27 @@ func TestProtocolTableCapabilities(t *testing.T) {
 	}
 	if _, ok := LookupProtocol("gossip"); ok {
 		t.Fatal("LookupProtocol accepted an unknown name")
+	}
+}
+
+// TestAdaptiveRetopoGuard pins the mobility guard: the retry layer's
+// Retopo admits only the RetopoSafe entries. CR runs on the same
+// context type as Decay (which can swap topology), so the guard must
+// come from the table capability, not from the context's method set.
+func TestAdaptiveRetopoGuard(t *testing.T) {
+	g := graph.ClusterChain(3, 4)
+	off, edges := graph.ClusterChain(3, 4).CSR()
+	retopo := func(name string) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		entry(name).NewAdaptive(g, 0, StackOpts{}, nil, 1).Retopo(off, edges)
+		return false
+	}
+	for _, name := range []string{"cr", "gst", "cd"} {
+		if !retopo(name) {
+			t.Errorf("%s: Retopo succeeded; its schedule is compiled from the construction graph", name)
+		}
+	}
+	if retopo("decay") {
+		t.Error("decay: Retopo panicked; plain Decay depends on nothing but n")
 	}
 }

@@ -21,9 +21,9 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 	seeds := []uint64{0, 1, 2, 5}
 
 	t.Run("decay", func(t *testing.T) {
-		run := NewDecayRun(g, 0)
+		run := cellStack("decay", g, d, StackOpts{})
 		for _, s := range seeds {
-			fr, fok, fst := NewDecayRun(g, 0).RunFrom(nil, nil, s, limit)
+			fr, fok, fst := cellStack("decay", g, d, StackOpts{}).RunFrom(nil, nil, s, limit)
 			rr, rok, rst := run.RunFrom(nil, nil, s, limit)
 			if fr != rr || fok != rok || fst != rst {
 				t.Fatalf("seed %d: fresh (%d,%v,%+v) vs reused (%d,%v,%+v)", s, fr, fok, fst, rr, rok, rst)
@@ -31,9 +31,9 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 		}
 	})
 	t.Run("decay-lossy", func(t *testing.T) {
-		run := NewDecayRun(g, 0)
+		run := cellStack("decay", g, d, StackOpts{})
 		for _, s := range seeds {
-			fr, fok, fst := NewDecayRun(g, 0).RunFrom(nil, channel.NewErasure(0.2, rng.Mix(s, 1)), s, limit)
+			fr, fok, fst := cellStack("decay", g, d, StackOpts{}).RunFrom(nil, channel.NewErasure(0.2, rng.Mix(s, 1)), s, limit)
 			rr, rok, rst := run.RunFrom(nil, channel.NewErasure(0.2, rng.Mix(s, 1)), s, limit)
 			if fr != rr || fok != rok || fst != rst {
 				t.Fatalf("seed %d: fresh (%d,%v,%+v) vs reused (%d,%v,%+v)", s, fr, fok, fst, rr, rok, rst)
@@ -41,9 +41,9 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 		}
 	})
 	t.Run("cr", func(t *testing.T) {
-		run := NewCRRun(g, d, 0)
+		run := cellStack("cr", g, d, StackOpts{})
 		for _, s := range seeds {
-			fr, fok, _ := NewCRRun(g, d, 0).RunFrom(nil, nil, s, limit)
+			fr, fok, _ := cellStack("cr", g, d, StackOpts{}).RunFrom(nil, nil, s, limit)
 			rr, rok, _ := run.RunFrom(nil, nil, s, limit)
 			if fr != rr || fok != rok {
 				t.Fatalf("seed %d: fresh (%d,%v) vs reused (%d,%v)", s, fr, fok, rr, rok)

@@ -35,7 +35,6 @@ import (
 	"math/rand"
 
 	"radiocast/internal/bitvec"
-	"radiocast/internal/cr"
 	"radiocast/internal/decay"
 	"radiocast/internal/graph"
 	"radiocast/internal/gst"
@@ -142,7 +141,7 @@ func (s *sparseStack) Coverage() int { return s.ds.Count() }
 func (s *sparseStack) SetObserver(o obs.RoundObserver, stride int64) { s.nw.SetObserver(o, stride) }
 
 // ---------------------------------------------------------------------
-// Decay (BGI baseline).
+// Decay (the BGI baseline and, on the FastDecay schedule, CR).
 
 // DecayRun is a reusable Decay broadcast harness over one graph:
 // construct once, run any number of seeds with zero per-seed
@@ -150,15 +149,17 @@ func (s *sparseStack) SetObserver(o obs.RoundObserver, stride int64) { s.nw.SetO
 type DecayRun struct {
 	sparseStack
 	protos []*decay.Broadcast
+	tag    uint64 // per-node RNG reseed tag of the schedule's stream
 }
 
-// NewDecayRun builds the reusable stack broadcasting from source.
-func NewDecayRun(g *graph.Graph, source graph.NodeID) *DecayRun {
+// NewDecayRun builds the reusable stack on schedule s broadcasting
+// from source; node v's RNG is reseeded from (seed, tag, v) every run.
+func NewDecayRun(g *graph.Graph, s decay.Schedule, tag uint64, source graph.NodeID) *DecayRun {
 	n := g.N()
-	r := &DecayRun{sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source}, protos: make([]*decay.Broadcast, n)}
+	r := &DecayRun{sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source}, protos: make([]*decay.Broadcast, n), tag: tag}
 	r.node = r
 	for v := 0; v < n; v++ {
-		r.protos[v] = decay.NewBroadcast(n, graph.NodeID(v) == source, decay.Message{Data: 1}, rng.New())
+		r.protos[v] = decay.NewBroadcast(s, graph.NodeID(v) == source, decay.Message{Data: 1}, rng.New())
 		r.protos[v].DoneSet = &r.ds
 	}
 	return r
@@ -177,54 +178,19 @@ func (r *DecayRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit
 	r.begin(informed, ch)
 	for v, p := range r.protos {
 		p.Reset(epochSource(informed, v, r.src), decay.Message{Data: 1})
-		rng.Reseed(p.Rng(), seed, 0xd0, uint64(v))
+		rng.Reseed(p.Rng(), seed, r.tag, uint64(v))
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
 	return r.finish(openLimit(limit))
 }
 
-// Retopo swaps the engine's topology in place (radio.Network.Retopo);
-// Decay protocols depend on nothing but n, so the stack runs
-// unchanged on the new adjacency. The mobility driver's hook.
+// Retopo swaps the engine's topology in place (radio.Network.Retopo).
+// It is sound only on a schedule that depends on nothing but n (plain
+// Decay): the FastDecay schedule bakes in the construction graph's
+// eccentricity. The table marks only the plain entry RetopoSafe, and
+// AdaptiveRunner.Retopo gates on that. The mobility driver's hook.
 func (r *DecayRun) Retopo(offsets []int32, edges []radio.NodeID) {
 	r.nw.Retopo(offsets, edges)
-}
-
-// ---------------------------------------------------------------------
-// CR (Czumaj–Rytter-shaped baseline).
-
-// CRRun is the reusable Czumaj–Rytter-shaped harness.
-type CRRun struct {
-	sparseStack
-	protos []*cr.Broadcast
-}
-
-// NewCRRun builds the reusable stack for diameter bound d,
-// broadcasting from source.
-func NewCRRun(g *graph.Graph, d int, source graph.NodeID) *CRRun {
-	n := g.N()
-	p := cr.NewParams(n, d)
-	r := &CRRun{sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source}, protos: make([]*cr.Broadcast, n)}
-	r.node = r
-	for v := 0; v < n; v++ {
-		r.protos[v] = cr.NewBroadcast(p, graph.NodeID(v) == source, decay.Message{Data: 1}, rng.New())
-		r.protos[v].DoneSet = &r.ds
-	}
-	return r
-}
-
-func (r *CRRun) nodeDone(v int) bool { return r.protos[v].Has() }
-
-// RunFrom executes one seeded run, with per-node carryover when
-// informed is non-nil (see DecayRun.RunFrom).
-func (r *CRRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	r.begin(informed, ch)
-	for v, p := range r.protos {
-		p.Reset(epochSource(informed, v, r.src), decay.Message{Data: 1})
-		rng.Reseed(p.Rng(), seed, 0xc0, uint64(v))
-		r.nw.SetProtocol(graph.NodeID(v), p)
-	}
-	return r.finish(openLimit(limit))
 }
 
 // ---------------------------------------------------------------------

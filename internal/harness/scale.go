@@ -10,11 +10,12 @@ package harness
 // byte-identical output at any worker count, so the tables below are
 // CI-comparable across worker settings).
 //
-// E19 sweeps the dense protocol catalog — decay.Dense, cr.Dense, and
-// beep.DenseWave — on the ideal channel up to n = 10^6. E20 reruns the
-// catalog on the gnp workload under per-link erasure (the
-// channel-adverse engine path: per-listener hear counts instead of the
-// collect/scatter fast path) across a loss grid. E21 runs the
+// E19 sweeps the dense protocol catalog — decay.Dense on the plain
+// Decay and CR FastDecay schedules, and beep.DenseWave — on the ideal
+// channel up to n = 10^6. E20 reruns the catalog on the gnp workload
+// under per-link erasure (the channel-adverse engine path:
+// per-listener hear counts instead of the collect/scatter fast path)
+// across a loss grid. E21 runs the
 // structured GST broadcast (mmv.Dense over gst.Flat) through the same
 // workload grid, with and without jamming by uninformed members — the
 // steady-state regime of the paper's amortized argument, where the

@@ -53,7 +53,7 @@ func checkWaveOrigin(t *testing.T, label string, g *graph.Graph, src graph.NodeI
 func TestDecaySourceWaveOrigin(t *testing.T) {
 	g := graph.Path(201)
 	src := graph.NodeID(100)
-	r := NewDecayRun(g, src)
+	r := entry("decay").Build(g, src, StackOpts{}).(carrier)
 	const limit = 12
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-201 decay completed in 12 rounds; limit too loose")
@@ -65,7 +65,7 @@ func TestDecaySourceWaveOrigin(t *testing.T) {
 func TestCRSourceWaveOrigin(t *testing.T) {
 	g := graph.Path(201)
 	src := graph.NodeID(100)
-	r := NewCRRun(g, graph.Eccentricity(g, src), src)
+	r := entry("cr").Build(g, src, StackOpts{}).(carrier)
 	const limit = 12
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-201 CR completed in 12 rounds; limit too loose")
@@ -118,13 +118,12 @@ func TestTheorem13SourceWaveOrigin(t *testing.T) {
 func TestSourceCompletionMatrix(t *testing.T) {
 	g := graph.Lollipop(12, 20)
 	src := graph.NodeID(g.N() - 1) // far tail end
-	d := graph.Eccentricity(g, src)
 	const limit = 1 << 20
 
-	if _, ok, _ := NewDecayRun(g, src).RunFrom(nil, nil, 7, limit); !ok {
+	if _, ok, _ := entry("decay").Build(g, src, StackOpts{}).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("decay from tail-end source did not complete")
 	}
-	if _, ok, _ := NewCRRun(g, d, src).RunFrom(nil, nil, 7, limit); !ok {
+	if _, ok, _ := entry("cr").Build(g, src, StackOpts{}).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("cr from tail-end source did not complete")
 	}
 	if _, ok, _ := NewGSTSingleRun(g, false, src).RunFrom(nil, nil, 7, limit); !ok {

@@ -80,5 +80,5 @@ func (r *WaveRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit 
 // rounds from the carried frontier. Pair with SetRelayout to swap
 // topology between epochs — the mobility/churn driver of E23.
 func NewAdaptiveWave(g *graph.Graph, chf ChannelFactory, seed uint64, source graph.NodeID, epochHorizon int64) *AdaptiveRunner {
-	return newAdaptive(NewWaveRun(g, source, epochHorizon), g.N(), chf, seed, epochHorizon)
+	return newAdaptive(NewWaveRun(g, source, epochHorizon), g.N(), chf, seed, epochHorizon, true)
 }

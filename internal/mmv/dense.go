@@ -3,8 +3,8 @@ package mmv
 // Dense is the structure-of-arrays GST broadcast for the radio.Dense
 // engine: the single-message MMV schedule (fast/slow slots over a
 // gathering spanning tree) with every node's state held in bitsets and
-// flat arrays — the structured counterpart of decay.Dense and
-// cr.Dense.
+// flat arrays — the structured counterpart of decay.Dense (plain Decay
+// and the CR schedule).
 //
 // Differences from the per-node Protocol (same schedule, same delivery
 // semantics, different randomness plumbing):

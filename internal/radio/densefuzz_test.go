@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"radiocast/internal/channel"
+	"radiocast/internal/cr"
 	"radiocast/internal/decay"
 	"radiocast/internal/graph"
 	"radiocast/internal/gst"
@@ -20,12 +21,14 @@ import (
 	"radiocast/internal/radio/radiotest"
 )
 
-// fuzzWorkload pairs a graph with its precomputed GST flat arrays so
-// each fuzz execution pays only for the run, not the construction.
+// fuzzWorkload pairs a graph with its precomputed GST flat arrays and
+// CR schedule so each fuzz execution pays only for the run, not the
+// construction.
 type fuzzWorkload struct {
-	g *graph.Graph
-	f *gst.Flat
-	s mmv.Schedule
+	g  *graph.Graph
+	f  *gst.Flat
+	s  mmv.Schedule
+	cr decay.Schedule
 }
 
 var fuzzWorkloads = func() []fuzzWorkload {
@@ -36,7 +39,8 @@ var fuzzWorkloads = func() []fuzzWorkload {
 	}
 	ws := make([]fuzzWorkload, len(graphs))
 	for i, g := range graphs {
-		ws[i] = fuzzWorkload{g: g, f: gst.Flatten(gst.Construct(g, 0)), s: mmv.NewSchedule(g.N())}
+		ws[i] = fuzzWorkload{g: g, f: gst.Flatten(gst.Construct(g, 0)), s: mmv.NewSchedule(g.N()),
+			cr: cr.NewParams(g.N(), graph.Eccentricity(g, 0))}
 	}
 	return ws
 }()
@@ -72,16 +76,20 @@ func fuzzChannel(mask uint8, n int, seed uint64) func() radio.Channel {
 
 // FuzzDenseTwinIdentity: for any (protocol, graph, channel stack, CD,
 // seed, workers) the fuzzer picks, the parallel dense run must be
-// byte-identical to the sequential one.
+// byte-identical to the sequential one. An odd pick runs the dense GST
+// broadcast (mask bit 32: noising); an even pick runs dense Decay, on
+// the CR schedule when mask bit 64 is set.
 func FuzzDenseTwinIdentity(f *testing.F) {
 	f.Add(uint64(42), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(1), uint8(3), uint8(1), uint8(17))   // erasure+jammer, gst on grid
 	f.Add(uint64(7), uint8(15), uint8(2), uint8(100)) // full stack, decay on gnp
 	f.Add(uint64(9), uint8(48), uint8(5), uint8(3))   // CD+noising, gst on gnp
+	f.Add(uint64(5), uint8(81), uint8(0), uint8(4))   // erasure+CD, cr on clusterchain
 	f.Fuzz(func(t *testing.T, seed uint64, chanMask, pick, workersRaw uint8) {
 		w := fuzzWorkloads[int(pick)%len(fuzzWorkloads)]
 		cd := chanMask&16 != 0
 		useGST := pick%2 == 1
+		useCR := !useGST && chanMask&64 != 0
 		workers := 2 + int(workersRaw)%7
 		c := radiotest.DenseCase{
 			Graph:         w.g,
@@ -94,11 +102,16 @@ func FuzzDenseTwinIdentity(f *testing.F) {
 					pr := mmv.NewDense(w.g, w.f, w.s, seed, 0, chanMask&32 != 0)
 					return pr, pr.Done, recvState(pr.Informed, pr.RecvRound)
 				}
-				pr := decay.NewDense(w.g, seed, 0)
+				var pr *decay.Dense
+				if useCR {
+					pr = cr.NewDense(w.g, w.cr, seed, 0)
+				} else {
+					pr = decay.NewDense(w.g, seed, 0)
+				}
 				return pr, pr.Done, recvState(pr.Informed, pr.RecvRound)
 			},
 		}
-		label := fmt.Sprintf("seed=%d mask=%#x pick=%d gst=%v", seed, chanMask, pick, useGST)
+		label := fmt.Sprintf("seed=%d mask=%#x pick=%d gst=%v cr=%v", seed, chanMask, pick, useGST, useCR)
 		radiotest.WorkerInvariant(t, label, c, workers)
 	})
 }

@@ -42,7 +42,7 @@ func runSparseDecay(nw *radio.Network, n int, seed uint64, limit int64) (int64, 
 	var ds radio.DoneSet
 	ds.Reset(n)
 	for v := 0; v < n; v++ {
-		protos[v] = decay.NewBroadcast(n, v == 0, decay.Message{Data: 1}, rng.New())
+		protos[v] = decay.NewBroadcast(decay.PlainSchedule(n), v == 0, decay.Message{Data: 1}, rng.New())
 		rng.Reseed(protos[v].Rng(), seed, 0xd0, uint64(v))
 		protos[v].DoneSet = &ds
 		nw.SetProtocol(radio.NodeID(v), protos[v])
@@ -116,7 +116,7 @@ func TestNetworkRetopoMidRun(t *testing.T) {
 	nw := radio.New(empty, radio.Config{})
 	protos := [2]*decay.Broadcast{}
 	for v := 0; v < 2; v++ {
-		protos[v] = decay.NewBroadcast(2, v == 0, decay.Message{Data: 1}, rng.New(1, uint64(v)))
+		protos[v] = decay.NewBroadcast(decay.PlainSchedule(2), v == 0, decay.Message{Data: 1}, rng.New(1, uint64(v)))
 		nw.SetProtocol(radio.NodeID(v), protos[v])
 	}
 	nw.Run(64)
