@@ -170,21 +170,25 @@ func TestAssembleSyntheticPins(t *testing.T) {
 		}
 		for _, e := range All() {
 			p := e.Plan(3, quick)
-			var b strings.Builder
+			var b, costs strings.Builder
 			results := make([]exp.Result, len(p.Cells))
 			for i, c := range p.Cells {
 				fmt.Fprintf(&b, "%s limit=%d\n", c.Key, c.RoundLimit)
+				fmt.Fprintf(&costs, "%s cost=%d\n", c.Key, c.Cost)
 				results[i] = syntheticResult(c.Key)
 			}
 			b.WriteString(p.Assemble(results).String())
 			id := e.ID + "/" + size
 			got[id] = digest([]byte(b.String()))
-			if !*update && got[id] != want[id] {
-				t.Errorf("%s assembly digest changed: got %s, want %s", id, got[id], want[id])
+			got[id+"/costs"] = digest([]byte(costs.String()))
+			for _, k := range []string{id, id + "/costs"} {
+				if !*update && got[k] != want[k] {
+					t.Errorf("%s digest changed: got %s, want %s", k, got[k], want[k])
+				}
 			}
 		}
 	}
-	finishGolden(t, goldenAssemble, want, got, "/quick", "/full")
+	finishGolden(t, goldenAssemble, want, got, "/quick", "/full", "/quick/costs", "/full/costs")
 }
 
 // TestRoundLimitReachesEveryBroadcastCell pins that Runner.RoundLimit
