@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -97,15 +98,22 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // maxSpecBytes bounds a POST /v1/jobs body; larger bodies get 413.
 const maxSpecBytes = 1 << 20
 
+// decodeSpec reads one job spec, rejecting unknown fields.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		writeError(w, http.StatusServiceUnavailable, errors.New("draining"))
 		return
 	}
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

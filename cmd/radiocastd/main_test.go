@@ -332,6 +332,20 @@ func TestSpecValidation(t *testing.T) {
 		"geo-uniform clusters": `{"protocol": "decay", "graph": {"kind": "geo-uniform", "n": 8, "clusters": 3}}`,
 		"channel n mismatch": `{"protocol": "decay", "graph": {"kind": "grid", "rows": 3, "cols": 3},
 			"channel": [{"kind": "faults", "n": 8, "late_frac": 0.1, "max_delay": 4, "horizon": 64}]}`,
+		"negative workers": `{"protocol": "dense-decay", "workers": -1, "graph": {"kind": "path", "n": 8}}`,
+		"workers over cap": `{"protocol": "dense-decay", "workers": 1048576, "graph": {"kind": "grid", "rows": 500, "cols": 500}}`,
+		"noisycd miss > 1": `{"protocol": "cd", "graph": {"kind": "path", "n": 8}, "channel": [{"kind": "noisycd", "miss": 1.5}]}`,
+		"noisycd spurious < 0": `{"protocol": "cd", "graph": {"kind": "path", "n": 8},
+			"channel": [{"kind": "noisycd", "spurious": -0.1}]}`,
+		"jammer rate > 1": `{"protocol": "decay", "graph": {"kind": "path", "n": 8}, "channel": [{"kind": "jammer", "budget": 8, "rate": 2}]}`,
+		"faults late_frac > 1": `{"protocol": "decay", "graph": {"kind": "path", "n": 8},
+			"channel": [{"kind": "faults", "late_frac": 1.1, "max_delay": 4}]}`,
+		"faults crash_frac < 0": `{"protocol": "decay", "graph": {"kind": "path", "n": 8},
+			"channel": [{"kind": "faults", "crash_frac": -1, "horizon": 4}]}`,
+		"faults negative max_delay": `{"protocol": "decay", "graph": {"kind": "path", "n": 8},
+			"channel": [{"kind": "faults", "late_frac": 0.1, "max_delay": -4}]}`,
+		"faults negative horizon": `{"protocol": "decay", "graph": {"kind": "path", "n": 8},
+			"channel": [{"kind": "faults", "crash_frac": 0.1, "horizon": -1}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
 		if err != nil {

@@ -199,6 +199,18 @@ func (c ChannelSpec) check() error {
 	default:
 		return fmt.Errorf("unknown channel kind %q (erasure, noisycd, jammer, adaptive-jammer, faults)", c.Kind)
 	}
+	rates := []struct {
+		name string
+		v    float64
+	}{{"miss", c.Miss}, {"spurious", c.Spurious}, {"rate", c.Rate}, {"late_frac", c.LateFrac}, {"crash_frac", c.CrashFrac}}
+	for _, r := range rates {
+		if !(r.v >= 0 && r.v <= 1) {
+			return fmt.Errorf("%s: %s must be in [0,1], got %g", c.Kind, r.name, r.v)
+		}
+	}
+	if c.MaxDelay < 0 || c.Horizon < 0 {
+		return fmt.Errorf("%s: max_delay and horizon must be >= 0, got %d/%d", c.Kind, c.MaxDelay, c.Horizon)
+	}
 	return nil
 }
 
@@ -247,6 +259,13 @@ type MobilitySpec struct {
 	Speed float64 `json:"speed"`
 }
 
+// maxJobWorkers caps JobSpec.Workers. The dense engine clamps the
+// worker count only to n/64 and builds a parts × parts bucket matrix
+// plus a goroutine per part on every job, so an unbounded count is a
+// memory and goroutine bomb; 64 is well above any useful intra-run
+// parallelism.
+const maxJobWorkers = 64
+
 // JobSpec is the POST /v1/jobs request body.
 type JobSpec struct {
 	// Protocol selects the stack (a harness.Protocols entry).
@@ -260,7 +279,8 @@ type JobSpec struct {
 	Source int64 `json:"source,omitempty"`
 	// RoundLimit caps simulated rounds (0 = the protocol's own budget).
 	RoundLimit int64 `json:"round_limit,omitempty"`
-	// Workers is the dense engine's worker count (dense-* protocols only).
+	// Workers is the dense engine's worker count (dense-* protocols
+	// only, at most maxJobWorkers).
 	Workers int `json:"workers,omitempty"`
 	// Channel stacks adversity layers (empty = ideal channel).
 	Channel []ChannelSpec `json:"channel,omitempty"`
@@ -290,6 +310,9 @@ func (s *JobSpec) validate() error {
 	}
 	if s.Workers != 0 && !p.Dense {
 		return fmt.Errorf("workers applies only to the dense-* protocols")
+	}
+	if s.Workers < 0 || s.Workers > maxJobWorkers {
+		return fmt.Errorf("workers must be in [0,%d], got %d", maxJobWorkers, s.Workers)
 	}
 	if s.Source < 0 {
 		return fmt.Errorf("source must be >= 0, got %d", s.Source)

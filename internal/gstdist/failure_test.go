@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"radiocast/internal/graph"
-	"radiocast/internal/gst"
 	"radiocast/internal/radio"
 	"radiocast/internal/rng"
 )
@@ -27,13 +26,7 @@ func TestStarvedScheduleFailsDetectably(t *testing.T) {
 			nw.SetProtocol(graph.NodeID(v), protos[v])
 		}
 		nw.Run(cfg.TotalRounds())
-		tree := gst.NewTree(g, []graph.NodeID{0})
-		for v := 0; v < g.N(); v++ {
-			res := protos[v].Result()
-			tree.Level[v] = res.Level
-			tree.Parent[v] = res.Parent
-			tree.Rank[v] = res.Rank
-		}
+		tree, _ := Harvest(g, 0, protos)
 		if err := tree.Validate(); err != nil {
 			detected++
 		} else {

@@ -6,6 +6,8 @@ import (
 	"radiocast/internal/assign"
 	"radiocast/internal/beep"
 	"radiocast/internal/decay"
+	"radiocast/internal/graph"
+	"radiocast/internal/gst"
 	"radiocast/internal/radio"
 )
 
@@ -186,6 +188,22 @@ func (p *Protocol) Result() Result {
 		Vdist:         p.vdist,
 		SameRankChild: p.sameRank,
 	}
+}
+
+// Harvest collects a finished construction over g, protos[v] running
+// at node v, into the GST rooted at root and the per-node virtual
+// distances (all zero unless the config computed them).
+func Harvest(g *graph.Graph, root graph.NodeID, protos []*Protocol) (*gst.Tree, []int32) {
+	tree := gst.NewTree(g, []graph.NodeID{root})
+	vdist := make([]int32, len(protos))
+	for v, p := range protos {
+		res := p.Result()
+		tree.Level[v] = res.Level
+		tree.Parent[v] = res.Parent
+		tree.Rank[v] = res.Rank
+		vdist[v] = res.Vdist
+	}
+	return tree, vdist
 }
 
 // Informed reports whether the node knows its parent (roots start

@@ -13,11 +13,9 @@ package harness
 import (
 	"radiocast/internal/adapt"
 	"radiocast/internal/channel"
-	"radiocast/internal/graph"
 	"radiocast/internal/obs"
 	"radiocast/internal/radio"
 	"radiocast/internal/rng"
-	"radiocast/internal/sched"
 )
 
 // ChannelFactory supplies the channel for each epoch of an adaptive
@@ -154,14 +152,3 @@ func (a *AdaptiveRunner) RunEpoch(epoch int, limit int64) (int64, bool, radio.St
 
 // Covered implements adapt.Runner.
 func (a *AdaptiveRunner) Covered() int { return a.stack.Coverage() }
-
-// baselineEpochBudget is the per-epoch round ceiling for the
-// open-ended baseline stacks (Decay, CR, GST-single), which carry no
-// schedule budget of their own: four times the O(D log n + log^2 n)
-// w.h.p. completion bound leaves room for channel-adversity slowdown
-// while keeping a stalled epoch from consuming the whole retry budget
-// (RunEpoch clamps any larger policy limit down to it).
-func baselineEpochBudget(g *graph.Graph, d int) int64 {
-	l := int64(sched.LogN(g.N()))
-	return 4 * (int64(d)*l + l*l)
-}

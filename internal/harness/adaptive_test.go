@@ -7,6 +7,7 @@ import (
 	"radiocast/internal/channel"
 	"radiocast/internal/graph"
 	"radiocast/internal/rng"
+	"radiocast/internal/sched"
 )
 
 // On the ideal channel an adaptive run completes in its first epoch,
@@ -18,7 +19,7 @@ func TestAdaptiveEpochZeroMatchesOneShot(t *testing.T) {
 	d := graph.Eccentricity(g, 0)
 
 	wantRounds, _, wantStats := cellStack("cd", g, d, StackOpts{}).RunFrom(nil, nil, 5, 0)
-	a := entry("cd").NewAdaptive(g, 0, StackOpts{}, nil, 5)
+	a := mustProtocol("cd").NewAdaptive(g, 0, StackOpts{}, nil, 5)
 	out := adapt.Run(a, adapt.Policy{})
 	if !out.Completed || out.Epochs != 1 {
 		t.Fatalf("ideal-channel adaptive run: %+v, want completion in one epoch", out)
@@ -28,8 +29,8 @@ func TestAdaptiveEpochZeroMatchesOneShot(t *testing.T) {
 			out.Rounds, out.Stats, wantRounds, wantStats)
 	}
 
-	rounds, ok, st := entry("decay").Build(g, 0, StackOpts{}).RunFrom(nil, nil, 5, 1<<20)
-	ad := entry("decay").NewAdaptive(g, 0, StackOpts{}, nil, 5)
+	rounds, ok, st := mustProtocol("decay").Build(g, 0, StackOpts{}).RunFrom(nil, nil, 5, 1<<20)
+	ad := mustProtocol("decay").NewAdaptive(g, 0, StackOpts{}, nil, 5)
 	dout := adapt.Run(ad, adapt.Policy{})
 	if !dout.Completed || dout.Epochs != 1 || dout.Rounds != rounds || dout.Stats != st || !ok {
 		t.Fatalf("adaptive decay epoch 0 diverged: %+v vs %d rounds %+v", dout, rounds, st)
@@ -43,7 +44,7 @@ func TestAdaptiveDeterminism(t *testing.T) {
 	g := robustnessChain()
 	run := func(seed uint64) adapt.Outcome {
 		chf := EpochChannel(channel.NewErasure(0.3, rng.Mix(seed, 0xe13)))
-		a := entry("cd").NewAdaptive(g, 0, StackOpts{}, chf, seed)
+		a := mustProtocol("cd").NewAdaptive(g, 0, StackOpts{}, chf, seed)
 		return adapt.Run(a, adapt.Policy{MaxEpochs: adaptMaxEpochs})
 	}
 	a, b := run(1), run(1)
@@ -69,11 +70,11 @@ func TestAdaptiveRunnerReuse(t *testing.T) {
 	g := robustnessChain()
 	fresh := func(seed uint64) adapt.Outcome {
 		chf := EpochChannel(channel.NewErasure(0.3, rng.Mix(seed, 0xe13)))
-		return adapt.Run(entry("cd").NewAdaptive(g, 0, StackOpts{}, chf, seed), adapt.Policy{MaxEpochs: adaptMaxEpochs})
+		return adapt.Run(mustProtocol("cd").NewAdaptive(g, 0, StackOpts{}, chf, seed), adapt.Policy{MaxEpochs: adaptMaxEpochs})
 	}
 	// The reused runner needs a per-seed channel too: rebuild the
 	// factory by pointing the runner at a fresh erasure instance.
-	reused := entry("cd").NewAdaptive(g, 0, StackOpts{}, nil, 0)
+	reused := mustProtocol("cd").NewAdaptive(g, 0, StackOpts{}, nil, 0)
 	runReused := func(seed uint64) adapt.Outcome {
 		reused.Reseed(seed)
 		reused.SetChannelFactory(EpochChannel(channel.NewErasure(0.3, rng.Mix(seed, 0xe13))))
@@ -103,7 +104,7 @@ func TestAdaptiveRecoversLateWakers(t *testing.T) {
 			oneShot.Coverage(), g.N())
 	}
 
-	a := entry("cd").NewAdaptive(g, 0, StackOpts{}, EpochChannel(ch), 0)
+	a := mustProtocol("cd").NewAdaptive(g, 0, StackOpts{}, EpochChannel(ch), 0)
 	out := adapt.Run(a, adapt.Policy{MaxEpochs: adaptMaxEpochs})
 	if !out.Completed || out.Covered != g.N() {
 		t.Fatalf("adaptive run did not recover the late wakers: %+v", out)
@@ -118,7 +119,7 @@ func TestAdaptiveRecoversLateWakers(t *testing.T) {
 // to finish still completes once the horizon doubles past its needs.
 func TestAdaptiveDoublingHorizonDecay(t *testing.T) {
 	g := graph.ClusterChain(4, 6)
-	a := entry("decay").NewAdaptive(g, 0, StackOpts{}, nil, 3)
+	a := mustProtocol("decay").NewAdaptive(g, 0, StackOpts{}, nil, 3)
 	// Start with a horizon far too small for any progress to finish
 	// (ideal-channel Decay needs ~60-100 rounds here).
 	out := adapt.Run(a, adapt.Policy{MaxEpochs: 10, EpochLimit: 8, Doubling: true})
@@ -127,5 +128,44 @@ func TestAdaptiveDoublingHorizonDecay(t *testing.T) {
 	}
 	if out.Epochs < 2 {
 		t.Fatalf("completed in %d epoch(s); the 8-round initial horizon should have been too short", out.Epochs)
+	}
+}
+
+// TestAdaptiveEpochBudget pins the default per-epoch round budget of
+// every adaptive entry: four times d·L + L² (d the source
+// eccentricity, L = log n) for the open-ended entries, none for the
+// ring pipelines, whose compiled schedule caps each epoch, and
+// StackOpts.EpochLimit whenever it is set.
+func TestAdaptiveEpochBudget(t *testing.T) {
+	cases := []struct {
+		g   *graph.Graph
+		src graph.NodeID
+	}{
+		{graph.ClusterChain(4, 6), 0},
+		{graph.Grid(5, 7), 17},
+	}
+	for _, c := range cases {
+		l := int64(sched.LogN(c.g.N()))
+		d := int64(graph.Eccentricity(c.g, c.src))
+		want := map[string]int64{
+			"decay": 4 * (d*l + l*l),
+			"cr":    4 * (d*l + l*l),
+			"gst":   4 * (d*l + l*l),
+			"cd":    0,
+			"k-cd":  0,
+		}
+		for _, name := range ProtocolNames(func(p *Protocol) bool { return p.Adaptive }) {
+			w, ok := want[name]
+			if !ok {
+				t.Fatalf("adaptive entry %s has no pinned budget", name)
+			}
+			p := mustProtocol(name)
+			if got := p.NewAdaptive(c.g, c.src, StackOpts{}, nil, 1).epochLimit; got != w {
+				t.Errorf("%s from %d on %s: epoch budget %d, want %d", name, c.src, c.g.Name(), got, w)
+			}
+			if got := p.NewAdaptive(c.g, c.src, StackOpts{EpochLimit: 99}, nil, 1).epochLimit; got != 99 {
+				t.Errorf("%s from %d on %s with EpochLimit 99: epoch budget %d", name, c.src, c.g.Name(), got)
+			}
+		}
 	}
 }

@@ -81,14 +81,6 @@ func clusterChain(chain int) *graph.Graph { return graph.ClusterChain(chain, 8) 
 // budgets).
 const broadcastLimit = 1 << 22
 
-// baselineCost estimates a baseline broadcast cell's work: n nodes
-// polled for roughly O(D log n + log^2 n) rounds. Only the relative
-// order against the budgeted theorem cells matters for scheduling.
-func baselineCost(g *graph.Graph, d int) int64 {
-	l := int64(sched.LogN(g.N()))
-	return int64(g.N()) * (int64(d)*l + l*l)
-}
-
 // budgetCost estimates a fixed-schedule cell's work: n nodes over its
 // full round budget.
 func budgetCost(n int, budget int64) int64 { return int64(n) * budget }
@@ -131,9 +123,9 @@ func E1Plan(seeds int, quick bool) *exp.Plan {
 		th11 := rings.DefaultConfig(g.N(), d, 0, 1)
 		cases = append(cases, chainCase{chain, g.N(), d, th11})
 		for _, proto := range protos {
-			p.Add(fmt.Sprintf("chain=%d/%s", chain, proto), broadcastLimit, baselineCost(g, d), stackRun(proto, g, d, StackOpts{}))
+			p.Add(fmt.Sprintf("chain=%d/%s", chain, proto), broadcastLimit, cellCost(proto, g, d, StackOpts{}), stackRun(proto, g, d, StackOpts{}))
 		}
-		p.AddOne(fmt.Sprintf("chain=%d/th11", chain), 1, 0, budgetCost(g.N(), th11.TotalRounds()), stackRun("cd", g, d, StackOpts{}))
+		p.AddOne(fmt.Sprintf("chain=%d/th11", chain), 1, 0, cellCost("cd", g, d, StackOpts{}), stackRun("cd", g, d, StackOpts{}))
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
 		t := &stats.Table{
@@ -173,7 +165,7 @@ func E2Plan(seeds int, quick bool) *exp.Plan {
 		d := graph.Eccentricity(g, 0)
 		ds = append(ds, float64(d))
 		for _, proto := range protos {
-			p.Add(fmt.Sprintf("chain=%d/%s", chain, proto), broadcastLimit, baselineCost(g, d), stackRun(proto, g, d, StackOpts{}))
+			p.Add(fmt.Sprintf("chain=%d/%s", chain, proto), broadcastLimit, cellCost(proto, g, d, StackOpts{}), stackRun(proto, g, d, StackOpts{}))
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
@@ -265,13 +257,7 @@ func runConstructionValid(g *graph.Graph, cfg gstdist.Config, seed uint64) bool 
 		nw.SetProtocol(graph.NodeID(v), protos[v])
 	}
 	nw.Run(cfg.TotalRounds())
-	tree := gst.NewTree(g, []graph.NodeID{0})
-	for v := 0; v < g.N(); v++ {
-		res := protos[v].Result()
-		tree.Level[v] = res.Level
-		tree.Parent[v] = res.Parent
-		tree.Rank[v] = res.Rank
-	}
+	tree, _ := gstdist.Harvest(g, 0, protos)
 	return tree.Validate() == nil
 }
 

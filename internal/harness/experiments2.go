@@ -28,8 +28,8 @@ func E7Plan(seeds int, quick bool) *exp.Plan {
 	l := sched.LogN(g.N())
 	p := exp.NewGrid("E7", "k-message broadcast, known topology (Thm 1.2)", seeds)
 	for _, k := range ks {
-		p.Add(fmt.Sprintf("k=%d", k), broadcastLimit, baselineCost(g, d)+budgetCost(g.N(), int64(k*l)),
-			stackRun("k-known", g, d, StackOpts{K: k}))
+		o := StackOpts{K: k}
+		p.Add(fmt.Sprintf("k=%d", k), broadcastLimit, cellCost("k-known", g, d, o), stackRun("k-known", g, d, o))
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
 		t := &stats.Table{
@@ -70,9 +70,8 @@ func E8Plan(seeds int, quick bool) *exp.Plan {
 	p := exp.NewGrid("E8", "k-message broadcast, unknown topology + CD (Thm 1.3)", seeds)
 	for _, c := range cases {
 		d := graph.Eccentricity(c.g, 0)
-		budget := rings.DefaultConfig(c.g.N(), d, c.k, 1).TotalRounds()
-		p.Add(fmt.Sprintf("graph=%s/k=%d", c.g.Name(), c.k), 0, budgetCost(c.g.N(), budget),
-			stackRun("k-cd", c.g, d, StackOpts{K: c.k}))
+		o := StackOpts{K: c.k}
+		p.Add(fmt.Sprintf("graph=%s/k=%d", c.g.Name(), c.k), 0, cellCost("k-cd", c.g, d, o), stackRun("k-cd", c.g, d, o))
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
 		t := &stats.Table{
@@ -106,7 +105,8 @@ func E9Plan(seeds int, quick bool) *exp.Plan {
 	}
 	p := exp.NewGrid("E9", "Decay is MMV (Lemma 3.2)", seeds)
 	for _, g := range gs {
-		cost := 3 * baselineCost(g, graph.Eccentricity(g, 0))
+		// The level-clocked Decay schedule is costed as the decay entry.
+		cost := 3 * cellCost("decay", g, graph.Eccentricity(g, 0), StackOpts{})
 		for _, mode := range jamModes {
 			noising := mode == "jam"
 			p.Add(fmt.Sprintf("graph=%s/%s", g.Name(), mode), 0, cost, func(seed uint64, limit int64) exp.Result {
@@ -146,7 +146,8 @@ func addJamRow(t *stats.Table, p *exp.Grid, results []exp.Result, name string) {
 }
 
 // runDecayMMV runs the level-clocked Decay schedule to completion or
-// its own round cap, lowered to limit when that is positive.
+// its own round cap (200 times the decay entry's estimate), lowered to
+// limit when that is positive.
 func runDecayMMV(g *graph.Graph, noising bool, seed uint64, limit int64) (int64, bool) {
 	levels := graph.BFS(g, 0)
 	nw := radio.New(g, radio.Config{})
@@ -158,8 +159,8 @@ func runDecayMMV(g *graph.Graph, noising bool, seed uint64, limit int64) (int64,
 		nw.SetProtocol(graph.NodeID(v), protos[v])
 	}
 	initDone(&ds, g.N(), func(v int) bool { return protos[v].Has() })
-	l := int64(sched.LogN(g.N()))
-	return nw.RunUntil(lowerLimit(200*(int64(levels.MaxDist)*l+l*l), limit), ds.Done)
+	own := 200 * mustProtocol("decay").Rounds(g.N(), int(levels.MaxDist), StackOpts{})
+	return nw.RunUntil(lowerLimit(own, limit), ds.Done)
 }
 
 // E10Plan reproduces Lemma 3.3: the GST schedule under jamming.
@@ -172,8 +173,8 @@ func E10Plan(seeds int, quick bool) *exp.Plan {
 	for _, g := range gs {
 		d := graph.Eccentricity(g, 0)
 		for _, mode := range jamModes {
-			p.Add(fmt.Sprintf("graph=%s/%s", g.Name(), mode), broadcastLimit, baselineCost(g, d),
-				stackRun("gst", g, d, StackOpts{Noise: mode == "jam"}))
+			o := StackOpts{Noise: mode == "jam"}
+			p.Add(fmt.Sprintf("graph=%s/%s", g.Name(), mode), broadcastLimit, cellCost("gst", g, d, o), stackRun("gst", g, d, o))
 		}
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {
@@ -346,7 +347,8 @@ func A1Plan(seeds int, quick bool) *exp.Plan {
 	}
 	p := exp.NewGrid("A1", "Ablation: virtual-distance vs level-keyed slow slots", seeds)
 	for _, g := range gs {
-		cost := 2 * baselineCost(g, graph.Eccentricity(g, 0))
+		// Both slow-slot variants run the gst entry's MMV schedule.
+		cost := 2 * cellCost("gst", g, graph.Eccentricity(g, 0), StackOpts{})
 		for _, variant := range []string{"vdist", "level"} {
 			levelKeyed := variant == "level"
 			p.Add(fmt.Sprintf("graph=%s/%s", g.Name(), variant), 0, cost, func(seed uint64, limit int64) exp.Result {
@@ -379,11 +381,12 @@ func A2Plan(seeds int, quick bool) *exp.Plan {
 	}
 	g := graph.Grid(6, 6)
 	d := graph.Eccentricity(g, 0)
-	a2Cost := baselineCost(g, d)
 	p := exp.NewGrid("A2", "Ablation: RLNC vs store-and-forward routing", seeds)
 	for _, k := range ks {
-		p.Add(fmt.Sprintf("k=%d/rlnc", k), broadcastLimit, a2Cost*int64(k), stackRun("k-known", g, d, StackOpts{K: k}))
-		p.Add(fmt.Sprintf("k=%d/routing", k), broadcastLimit, a2Cost*int64(k), func(seed uint64, limit int64) exp.Result {
+		// Both columns ride the gst entry's MMV schedule once per message.
+		cost := int64(k) * cellCost("gst", g, d, StackOpts{})
+		p.Add(fmt.Sprintf("k=%d/rlnc", k), broadcastLimit, cost, stackRun("k-known", g, d, StackOpts{K: k}))
+		p.Add(fmt.Sprintf("k=%d/routing", k), broadcastLimit, cost, func(seed uint64, limit int64) exp.Result {
 			return exp.Rounds(RunGSTMultiRouting(g, k, seed, limit))
 		})
 	}

@@ -13,7 +13,6 @@ import (
 	"radiocast/internal/exp"
 	"radiocast/internal/graph"
 	"radiocast/internal/radio"
-	"radiocast/internal/rings"
 	"radiocast/internal/rng"
 	"radiocast/internal/stats"
 )
@@ -56,18 +55,13 @@ func E13Plan(seeds int, quick bool) *exp.Plan {
 	}
 	g := robustnessChain()
 	d := graph.Eccentricity(g, 0)
-	const k = 4
-	costs := map[string]int64{
-		"decay": 4 * baselineCost(g, d),
-		"cr":    4 * baselineCost(g, d),
-		"th11":  budgetCost(g.N(), rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds()),
-		"th13":  budgetCost(g.N(), rings.DefaultConfig(g.N(), d, k, 1).TotalRounds()),
-	}
+	o := StackOpts{K: 4}
 	p := exp.NewGrid("E13", "Robustness: loss-rate sweep (Decay vs CR vs Thm 1.1 vs Thm 1.3)", seeds)
 	for _, loss := range losses {
 		for _, proto := range e13Protocols {
-			p.Add(fmt.Sprintf("loss=%g/%s", loss, proto), broadcastLimit, costs[proto], func(seed uint64, limit int64) exp.Result {
-				return runOn(cellStack(tableEntry(proto), g, d, StackOpts{K: k}), lossChannel(loss, seed), seed, limit)
+			entry := tableEntry(proto)
+			p.Add(fmt.Sprintf("loss=%g/%s", loss, proto), broadcastLimit, adverseCost(entry, g, d, o), func(seed uint64, limit int64) exp.Result {
+				return runOn(cellStack(entry, g, d, o), lossChannel(loss, seed), seed, limit)
 			})
 		}
 	}
@@ -123,10 +117,6 @@ func E14Plan(seeds int, quick bool) *exp.Plan {
 	g := graph.Grid(8, 8)
 	d := graph.Eccentricity(g, 0)
 	protos := []string{"decay", "th11"}
-	costs := map[string]int64{
-		"decay": 4 * baselineCost(g, d),
-		"th11":  budgetCost(g.N(), rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds()),
-	}
 	p := exp.NewGrid("E14", "Robustness: jammer-budget sweep (oblivious vs adaptive)", seeds)
 	config := func(budget int64, variant, proto string) string {
 		return fmt.Sprintf("jam=%d/%s/%s", budget, variant, proto)
@@ -134,9 +124,10 @@ func E14Plan(seeds int, quick bool) *exp.Plan {
 	for _, budget := range budgets {
 		for _, variant := range e14Variants {
 			for _, proto := range protos {
-				p.Add(config(budget, variant, proto), broadcastLimit, costs[proto]+budget, func(seed uint64, limit int64) exp.Result {
+				entry := tableEntry(proto)
+				p.Add(config(budget, variant, proto), broadcastLimit, adverseCost(entry, g, d, StackOpts{})+budget, func(seed uint64, limit int64) exp.Result {
 					ch := jamChannel(budget, variant == "adaptive", seed)
-					return runOn(cellStack(tableEntry(proto), g, d, StackOpts{}), ch, seed, limit)
+					return runOn(cellStack(entry, g, d, StackOpts{}), ch, seed, limit)
 				})
 			}
 		}
@@ -189,23 +180,21 @@ func E15Plan(seeds int, quick bool) *exp.Plan {
 	}
 	g := robustnessChain()
 	d := graph.Eccentricity(g, 0)
-	th11Cost := budgetCost(g.N(), rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds())
 	// Each column runs one table entry under q-scaled miss and spurious
 	// rates. Decay gets the same noisy channel; it never reads ⊤, so its
 	// column must match q=0 exactly.
 	variants := []struct {
 		col, entry     string
 		miss, spurious float64
-		cost           int64
 	}{
-		{"decay", "decay", 1, 1, 4 * baselineCost(g, d)},
-		{"th11miss", "cd", 1, 0, th11Cost},
-		{"th11spur", "cd", 0, 1, th11Cost},
+		{"decay", "decay", 1, 1},
+		{"th11miss", "cd", 1, 0},
+		{"th11spur", "cd", 0, 1},
 	}
 	p := exp.NewGrid("E15", "Robustness: unreliable collision detection sweep", seeds)
 	for _, q := range qs {
 		for _, v := range variants {
-			p.Add(fmt.Sprintf("q=%g/%s", q, v.col), broadcastLimit, v.cost, func(seed uint64, limit int64) exp.Result {
+			p.Add(fmt.Sprintf("q=%g/%s", q, v.col), broadcastLimit, adverseCost(v.entry, g, d, StackOpts{}), func(seed uint64, limit int64) exp.Result {
 				ch := cdChannel(q*v.miss, q*v.spurious, seed)
 				return runOn(cellStack(v.entry, g, d, StackOpts{}), ch, seed, limit)
 			})

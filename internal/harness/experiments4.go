@@ -12,7 +12,6 @@ import (
 	"radiocast/internal/exp"
 	"radiocast/internal/graph"
 	"radiocast/internal/radio"
-	"radiocast/internal/rings"
 	"radiocast/internal/rng"
 	"radiocast/internal/stats"
 )
@@ -53,12 +52,7 @@ func E16Plan(seeds int, quick bool) *exp.Plan {
 	}
 	g := robustnessChain()
 	d := graph.Eccentricity(g, 0)
-	budget := rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds()
-	costs := map[string]int64{
-		"decay": 4 * baselineCost(g, d),
-		"cr":    4 * baselineCost(g, d),
-		"th11":  budgetCost(g.N(), budget),
-	}
+	budget := mustProtocol("cd").Rounds(g.N(), d, StackOpts{})
 	p := exp.NewGrid("E16", "Robustness: radio-fault sweep (late wakeup / crash)", seeds)
 	config := func(rate float64, variant, proto string) string {
 		return fmt.Sprintf("fault=%g/%s/%s", rate, variant, proto)
@@ -66,7 +60,7 @@ func E16Plan(seeds int, quick bool) *exp.Plan {
 	for _, rate := range rates {
 		for _, variant := range e16Variants {
 			for _, proto := range e16Protocols {
-				p.Add(config(rate, variant, proto), budget, costs[proto], func(seed uint64, limit int64) exp.Result {
+				p.Add(config(rate, variant, proto), budget, adverseCost(tableEntry(proto), g, d, StackOpts{}), func(seed uint64, limit int64) exp.Result {
 					return e16Cell(g, d, proto, variant, rate, seed, limit)
 				})
 			}

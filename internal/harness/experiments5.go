@@ -19,7 +19,6 @@ import (
 	"radiocast/internal/exp"
 	"radiocast/internal/graph"
 	"radiocast/internal/radio"
-	"radiocast/internal/rings"
 	"radiocast/internal/stats"
 )
 
@@ -46,20 +45,16 @@ func E17Plan(seeds int, quick bool) *exp.Plan {
 	}
 	g := robustnessChain()
 	d := graph.Eccentricity(g, 0)
-	const k = 4
-	budgets := map[string]int64{
-		"th11": rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds(),
-		"th13": rings.DefaultConfig(g.N(), d, k, 1).TotalRounds(),
-	}
+	o := StackOpts{K: 4}
 	p := exp.NewGrid("E17", "Adaptive retry: loss sweep with re-layering (Thm 1.1/1.3)", seeds)
 	for _, loss := range losses {
 		for _, proto := range e17Protocols {
 			// ~3 epochs of the one-shot schedule at the cliff.
-			p.Add(fmt.Sprintf("loss=%g/%s", loss, proto), 0, 3*budgetCost(g.N(), budgets[proto]), func(seed uint64, limit int64) exp.Result {
+			p.Add(fmt.Sprintf("loss=%g/%s", loss, proto), 0, 3*cellCost(tableEntry(proto), g, d, o), func(seed uint64, limit int64) exp.Result {
 				// Same erasure stream as the E13 cell of this (loss,
 				// seed): the rows answer "what would adaptivity have
 				// done for exactly that run".
-				res := adaptiveRun(tableEntry(proto), g, StackOpts{K: k}, lossChannel(loss, seed), seed, limit)
+				res := adaptiveRun(tableEntry(proto), g, o, lossChannel(loss, seed), seed, limit)
 				res.Value = float64(res.Epochs)
 				return res
 			})
@@ -83,10 +78,11 @@ func E17Plan(seeds int, quick bool) *exp.Plan {
 					}
 				}
 				mean := exp.MeanOrDash(runs.Rounds())
+				budget := mustProtocol(tableEntry(proto)).Rounds(g.N(), d, o)
 				t.AddRow(stats.F(loss), proto, runs.OK(),
 					fmt.Sprintf("%d/%d", oneEpoch, seeds),
 					stats.F(exp.MeanOrDash(runs.Values())), stats.F(mean),
-					stats.F(mean/float64(budgets[proto])))
+					stats.F(mean/float64(budget)))
 			}
 		}
 		return t
@@ -128,9 +124,8 @@ func E18Plan(seeds int, quick bool) *exp.Plan {
 	}
 	g := robustnessChain()
 	d := graph.Eccentricity(g, 0)
-	budget := rings.DefaultConfig(g.N(), d, 0, 1).TotalRounds()
 	p := exp.NewGrid("E18", "Adaptive retry: late-wakeup re-layering (Thm 1.1)", seeds)
-	cost := budgetCost(g.N(), budget)
+	cost := cellCost("cd", g, d, StackOpts{})
 	for _, rate := range rates {
 		// Both columns use E16's late/th11 fault table at this (rate,
 		// seed): the one-shot column is that very cell.

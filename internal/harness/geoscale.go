@@ -76,9 +76,10 @@ func e22Graph(workload string, n int, seed uint64) (*graph.Graph, radio.Channel)
 // channel.RangeErasure — reliable inside the connectivity radius,
 // distance-ramped erasure across the band — so they exercise the
 // adverse engine path exactly like E20's flat erasure, but with loss
-// that is a function of geometry instead of a single rate. The cost
-// model is the grid's (unit-disk diameter ~ sqrt(n)), doubled for qudg
-// (adverse path: O(n)-per-round listener sweep).
+// that is a function of geometry instead of a single rate. Every
+// workload's diameter shape is the grid's (unit-disk diameter ~ √n);
+// qudg cells weigh double (adverse path: O(n)-per-round listener
+// sweep).
 var e22Sweep = scaleSweep{
 	id:    "E22",
 	title: "Geometric scale sweep: dense catalog on unit-disk layouts (udg/cluster/qudg)",
@@ -90,12 +91,8 @@ var e22Sweep = scaleSweep{
 	caps:      map[string]int{"udg-cluster": e22GeoCap, "qudg": e22GeoCap},
 	cols:      denseCols,
 	build:     e22Graph,
-	rounds: func(proto, workload string, n int) int64 {
-		if workload == "qudg" {
-			return 2 * e19Rounds(proto, "grid", n)
-		}
-		return e19Rounds(proto, "grid", n)
-	},
+	diameter:  func(_ string, n int) int { return e19Diameter("grid", n) },
+	weight:    map[string]int64{"qudg": 2},
 }
 
 // E22Plan is the geometric scale sweep over e22Sweep.

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"radiocast/internal/graph"
-	"radiocast/internal/gst"
 	"radiocast/internal/gstdist"
 	"radiocast/internal/radio"
 	"radiocast/internal/rng"
@@ -81,13 +80,7 @@ func (r *GSTPipelinedRun) Run(seed uint64) GSTBuildResult {
 	// Ranks and mop-up broadcasts continue past the completion round;
 	// validation needs the full schedule.
 	r.nw.Run(budget)
-	tree := gst.NewTree(r.g, []graph.NodeID{0})
-	for v := 0; v < r.g.N(); v++ {
-		res := r.protos[v].Result()
-		tree.Level[v] = res.Level
-		tree.Parent[v] = res.Parent
-		tree.Rank[v] = res.Rank
-	}
+	tree, _ := gstdist.Harvest(r.g, 0, r.protos)
 	return GSTBuildResult{
 		Rounds: rounds,
 		Done:   done,

@@ -5,7 +5,8 @@ package harness
 // The facade builds every broadcast through it, radiocastd validates
 // and dispatches job specs through it, radiosim reads its
 // capabilities, and the experiment cells and scale sweeps build their
-// stacks from it.
+// stacks from it. Each entry also owns its round estimate (Rounds),
+// which every cell cost and every default round budget reads.
 
 import (
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"radiocast/internal/obs"
 	"radiocast/internal/radio"
 	"radiocast/internal/rings"
+	"radiocast/internal/sched"
 )
 
 // Stack is the one runner shape of every protocol context.
@@ -82,14 +84,19 @@ type Protocol struct {
 	Rings bool
 
 	build func(b *builder) Stack
+	// rounds is the entry's completion estimate from its paper bound;
+	// it reads only b's n, d and StackOpts (see Rounds).
+	rounds func(b *builder) int64
 }
 
 // builder carries one build's inputs. ecc memoizes the source
 // eccentricity BFS, so an entry and its adaptive epoch budget run it
-// at most once, and entries that need no eccentricity never do.
+// at most once, and entries that need no eccentricity never do. An
+// estimate's builder has no graph: n and d are given.
 type builder struct {
 	StackOpts
 	g   *graph.Graph
+	n   int
 	src graph.NodeID
 	d   int
 }
@@ -106,29 +113,42 @@ func (b *builder) k() int { return max(b.K, 1) }
 // ringConfig is the schedule of a ring pipeline broadcasting k
 // messages (0 for the single-message pipeline).
 func (b *builder) ringConfig(k int) rings.Config {
-	cfg := rings.DefaultConfig(b.g.N(), b.ecc(), k, b.Scale)
+	cfg := rings.DefaultConfig(b.n, b.ecc(), k, b.Scale)
 	cfg.SetPipelined(b.Pipelined)
 	return cfg
 }
 
+// decayRounds is the Decay bound O(D log n + log^2 n), the estimate of
+// every randomized-broadcast entry (Decay, CR and the GST broadcast).
+func decayRounds(b *builder) int64 {
+	l := int64(sched.LogN(b.n))
+	return int64(b.ecc())*l + l*l
+}
+
+// waveRounds is the collision wave's O(D + log n).
+func waveRounds(b *builder) int64 { return int64(b.ecc()) + int64(sched.LogN(b.n)) }
+
 // Protocols is the ordered protocol table.
 var Protocols = []Protocol{
-	{Name: "decay", Adaptive: true, RetopoSafe: true, build: plainDecay.sparse},
-	{Name: "cr", Adaptive: true, build: fastDecay.sparse},
+	{Name: "decay", Adaptive: true, RetopoSafe: true, build: plainDecay.sparse, rounds: decayRounds},
+	{Name: "cr", Adaptive: true, build: fastDecay.sparse, rounds: decayRounds},
 	{Name: "gst", Adaptive: true, build: func(b *builder) Stack {
 		return NewGSTSingleRun(b.g, b.Noise, b.src)
-	}},
+	}, rounds: decayRounds},
 	{Name: "k-known", TakesK: true, build: func(b *builder) Stack {
 		return NewGSTMultiRun(b.g, b.k(), b.src)
+	}, rounds: func(b *builder) int64 {
+		// Theorem 1.2 adds k log n for the k messages.
+		return decayRounds(b) + int64(b.k()*sched.LogN(b.n))
 	}},
 	{Name: "cd", Adaptive: true, Rings: true, build: func(b *builder) Stack {
 		return NewTheorem11RunCfg(b.g, b.ringConfig(0), b.src)
-	}},
+	}, rounds: func(b *builder) int64 { return b.ringConfig(0).TotalRounds() }},
 	{Name: "k-cd", TakesK: true, Adaptive: true, Rings: true, build: func(b *builder) Stack {
 		return NewTheorem13RunCfg(b.g, b.ringConfig(b.k()), b.src)
-	}},
-	{Name: "dense-decay", Dense: true, build: plainDecay.dense},
-	{Name: "dense-cr", Dense: true, build: fastDecay.dense},
+	}, rounds: func(b *builder) int64 { return b.ringConfig(b.k()).TotalRounds() }},
+	{Name: "dense-decay", Dense: true, build: plainDecay.dense, rounds: decayRounds},
+	{Name: "dense-cr", Dense: true, build: fastDecay.dense, rounds: decayRounds},
 	{Name: "dense-wave", Dense: true, build: func(b *builder) Stack {
 		// The wave is over at its horizon by construction; collision
 		// detection is its correctness assumption, so it is forced on.
@@ -140,17 +160,23 @@ var Protocols = []Protocol{
 			w := beep.NewDenseWave(b.g, b.src, horizon)
 			return denseRun{w, w.Done, w.TriggeredCount}
 		}}
-	}},
+	}, rounds: waveRounds},
 	{Name: "dense-gst", Dense: true, build: func(b *builder) Stack {
 		// Tree construction is the expensive step, so the flat arrays and
 		// the MMV schedule are built once per context: the
 		// build-once/broadcast-many split of the paper's amortized regime.
 		flat := gst.Flatten(gst.Construct(b.g, b.src))
-		sched := mmv.NewSchedule(b.g.N())
+		schedule := mmv.NewSchedule(b.n)
 		return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseRun {
-			p := mmv.NewDense(b.g, flat, sched, seed, b.src, b.Noise)
+			p := mmv.NewDense(b.g, flat, schedule, seed, b.src, b.Noise)
 			return denseRun{p, p.Done, p.InformedCount}
 		}}
+	}, rounds: func(b *builder) int64 {
+		// The fast relay pipelines one level per two rounds, and each of
+		// the <= log n stretch boundaries on a root-to-leaf path waits
+		// O(M log n) expected slow slots, with M = 6(L+2) the schedule
+		// period: M times the wave's bound.
+		return int64(mmv.NewSchedule(b.n).M) * waveRounds(b)
 	}},
 }
 
@@ -164,8 +190,8 @@ type decayFlavor struct {
 }
 
 var (
-	plainDecay = decayFlavor{func(b *builder) decay.Schedule { return decay.PlainSchedule(b.g.N()) }, 0xd0, decay.DenseKey}
-	fastDecay  = decayFlavor{func(b *builder) decay.Schedule { return cr.NewParams(b.g.N(), b.ecc()) }, 0xc0, cr.DenseKey}
+	plainDecay = decayFlavor{func(b *builder) decay.Schedule { return decay.PlainSchedule(b.n) }, 0xd0, decay.DenseKey}
+	fastDecay  = decayFlavor{func(b *builder) decay.Schedule { return cr.NewParams(b.n, b.ecc()) }, 0xc0, cr.DenseKey}
 )
 
 func (f decayFlavor) sparse(b *builder) Stack {
@@ -202,35 +228,78 @@ func ProtocolNames(keep func(p *Protocol) bool) []string {
 	return names
 }
 
-// cellStack builds the named entry over g from node 0 for an
-// experiment cell, which already knows the source eccentricity d.
-func cellStack(name string, g *graph.Graph, d int, o StackOpts) Stack {
+// mustProtocol returns the named entry for an experiment cell, which
+// names only entries the table has.
+func mustProtocol(name string) *Protocol {
 	p, ok := LookupProtocol(name)
 	if !ok {
 		panic(fmt.Sprintf("harness: no protocol %q in the table", name))
 	}
-	return p.build(&builder{StackOpts: o, g: g, d: d})
+	return p
+}
+
+// cellStack builds the named entry over g from node 0 for an
+// experiment cell, which already knows the source eccentricity d.
+func cellStack(name string, g *graph.Graph, d int, o StackOpts) Stack {
+	return mustProtocol(name).build(&builder{StackOpts: o, g: g, n: g.N(), d: d})
+}
+
+// cellCost is the longest-first scheduler weight of an experiment
+// cell that runs the named entry over g once: n nodes over its
+// estimate.
+func cellCost(name string, g *graph.Graph, d int, o StackOpts) int64 {
+	return budgetCost(g.N(), mustProtocol(name).Rounds(g.N(), d, o))
+}
+
+// adverseCost is cellCost on an adverse channel: n nodes over the
+// entry's ceiling.
+func adverseCost(name string, g *graph.Graph, d int, o StackOpts) int64 {
+	return budgetCost(g.N(), mustProtocol(name).ceiling(g.N(), d, o))
+}
+
+// Rounds estimates p's completion rounds on an n-node graph whose
+// source eccentricity is d, from the entry's paper bound (L = log n):
+// d·L + L² for Decay, CR and the GST broadcasts, plus k·L for k-known;
+// the compiled schedule for a ring pipeline; d + L for the collision
+// wave; M·(d + L) for the dense MMV schedule of period M. It needs no
+// graph, so the scale sweeps can cost their cells before one exists.
+func (p *Protocol) Rounds(n, d int, o StackOpts) int64 {
+	return p.rounds(&builder{StackOpts: o, n: n, d: d})
+}
+
+// ceiling is p's per-run round ceiling on an adverse channel. A ring
+// pipeline's compiled schedule caps every run, so its ceiling is its
+// estimate. An open-ended entry gets four times its estimate: room for
+// channel-adversity slowdown that still keeps a stalled epoch from
+// consuming a whole retry budget.
+func (p *Protocol) ceiling(n, d int, o StackOpts) int64 {
+	r := p.Rounds(n, d, o)
+	if !p.Rings {
+		r *= 4
+	}
+	return r
 }
 
 // Build constructs p's reusable context over g, broadcasting from src.
 func (p *Protocol) Build(g *graph.Graph, src graph.NodeID, o StackOpts) Stack {
-	return p.build(&builder{StackOpts: o, g: g, src: src, d: -1})
+	return p.build(&builder{StackOpts: o, g: g, n: g.N(), src: src, d: -1})
 }
 
 // NewAdaptive builds p's context and wraps it in the retry layer with
 // base seed seed and channel factory chf. The per-epoch budget is
-// o.EpochLimit when positive, the compiled schedule for a ring
-// pipeline, and baselineEpochBudget otherwise. It panics for an entry
+// o.EpochLimit when positive, none for a ring pipeline (its compiled
+// schedule caps each epoch), and p's ceiling otherwise; RunEpoch
+// clamps any larger policy limit down to it. It panics for an entry
 // that is not Adaptive.
 func (p *Protocol) NewAdaptive(g *graph.Graph, src graph.NodeID, o StackOpts, chf ChannelFactory, seed uint64) *AdaptiveRunner {
 	if !p.Adaptive {
 		panic(fmt.Sprintf("harness: %s does not support adaptive retry", p.Name))
 	}
-	b := &builder{StackOpts: o, g: g, src: src, d: -1}
+	b := &builder{StackOpts: o, g: g, n: g.N(), src: src, d: -1}
 	s := p.build(b).(carrier)
 	limit := o.EpochLimit
 	if limit <= 0 && !p.Rings {
-		limit = baselineEpochBudget(g, b.ecc())
+		limit = p.ceiling(g.N(), b.ecc(), o)
 	}
 	return newAdaptive(s, g.N(), chf, seed, limit, p.RetopoSafe)
 }

@@ -7,22 +7,16 @@ import (
 	"radiocast/internal/radio"
 )
 
-// entry returns the named table entry; tests name only real ones.
-func entry(name string) *Protocol {
-	p, ok := LookupProtocol(name)
-	if !ok {
-		panic("no table entry " + name)
-	}
-	return p
-}
-
 // TestProtocolTableCapabilities checks that every entry's declared
 // capabilities match what its built context can do: Dense contexts
 // take a worker count, RetopoSafe contexts can swap topology, and
 // Adaptive entries build an adaptive runner whose epoch 0 equals the
-// plain context's run with the same seed.
+// plain context's run with the same seed. Every entry has a positive
+// round estimate, and a ring pipeline's run fits in it (the estimate
+// is the compiled schedule the run is capped at).
 func TestProtocolTableCapabilities(t *testing.T) {
 	g := graph.ClusterChain(3, 4)
+	d := graph.Eccentricity(g, 0)
 	seen := map[string]bool{}
 	for i := range Protocols {
 		p := &Protocols[i]
@@ -48,6 +42,9 @@ func TestProtocolTableCapabilities(t *testing.T) {
 		if !ok || s.Coverage() != g.N() {
 			t.Errorf("%s: ideal run incomplete (rounds %d, coverage %d/%d)", p.Name, rounds, s.Coverage(), g.N())
 		}
+		if est := p.Rounds(g.N(), d, StackOpts{K: 2}); est <= 0 || p.Rings && rounds > est {
+			t.Errorf("%s: estimate %d rounds, ideal run took %d", p.Name, est, rounds)
+		}
 		if !p.Adaptive {
 			continue
 		}
@@ -72,7 +69,7 @@ func TestAdaptiveRetopoGuard(t *testing.T) {
 	off, edges := graph.ClusterChain(3, 4).CSR()
 	retopo := func(name string) (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		entry(name).NewAdaptive(g, 0, StackOpts{}, nil, 1).Retopo(off, edges)
+		mustProtocol(name).NewAdaptive(g, 0, StackOpts{}, nil, 1).Retopo(off, edges)
 		return false
 	}
 	for _, name := range []string{"cr", "gst", "cd"} {

@@ -22,7 +22,10 @@ package harness
 // tree is built once and every broadcast rides the fixed MMV schedule.
 // E19, E21 and E22 are rows of one table (scaleSweep), compiled by one
 // plan method; E20's (loss, protocol, n) grid keeps its own plan. All
-// four share one cell body, runDenseCell.
+// four share one cell body, runDenseCell. A row names only what belongs
+// to its workloads (generator, size caps, diameter shape, cost weight):
+// a cell's scheduler cost is its dense table entry's round estimate
+// (Protocol.Rounds) at the workload's diameter shape.
 //
 // The rendered tables hold only reproducible outputs (rounds,
 // completion, coverage). The capacity metrics — live-heap growth of
@@ -42,7 +45,6 @@ import (
 	"radiocast/internal/channel"
 	"radiocast/internal/exp"
 	"radiocast/internal/graph"
-	"radiocast/internal/mmv"
 	"radiocast/internal/radio"
 	"radiocast/internal/rng"
 	"radiocast/internal/sched"
@@ -113,24 +115,25 @@ func e19Graph(workload string, n int, _ uint64) (*graph.Graph, radio.Channel) {
 	}
 }
 
-// e19Rounds estimates a protocol's completion rounds on a workload
-// (cost model only): the wave finishes in ~D rounds, the randomized
-// broadcasts in ~D log n + log^2 n on the generator's diameter shape.
-func e19Rounds(proto, workload string, n int) int64 {
-	l := int64(sched.LogN(n))
-	var d int64
+// e19Diameter is a workload's diameter shape at size ~n, the d a
+// cell's cost reads from the table's estimate before any graph exists:
+// n for the path, 2√n for the grid and the cluster chain, log n for gnp
+// (p = 16/n).
+func e19Diameter(workload string, n int) int {
 	switch workload {
 	case "path":
-		d = int64(n)
+		return n
 	case "grid", "cluster":
-		d = 2 * int64(math.Sqrt(float64(n)))
-	default: // gnp, p = 16/n
-		d = l
+		return 2 * int(math.Sqrt(float64(n)))
 	}
-	if proto == "wave" {
-		return d + l
-	}
-	return d*l + l*l
+	return sched.LogN(n)
+}
+
+// denseCost is the longest-first scheduler weight of a scale cell
+// running proto's dense table entry on an n-node workload of diameter
+// shape d: n nodes over the entry's estimate.
+func denseCost(proto string, n, d int) int64 {
+	return budgetCost(n, mustProtocol("dense-"+proto).Rounds(n, d, StackOpts{}))
 }
 
 // peakRSSBytes reads the process high-water resident set (VmHWM) from
@@ -179,8 +182,7 @@ func runDenseCell(build func() (*graph.Graph, radio.Channel), proto string, nois
 	workers int, limit int64) (exp.Result, float64) {
 	before := liveHeap()
 	g, ch := build()
-	p, _ := LookupProtocol("dense-" + proto)
-	s := p.Build(g, 0, StackOpts{Noise: noise, LossyHorizon: ch != nil}).(*denseStack)
+	s := mustProtocol("dense-"+proto).Build(g, 0, StackOpts{Noise: noise, LossyHorizon: ch != nil}).(*denseStack)
 	s.SetWorkers(workers)
 	var after int64
 	s.afterRun = func() { after = liveHeap() }
@@ -211,8 +213,11 @@ type scaleSweep struct {
 	caps           map[string]int // per-workload size cap; absent = sc.MaxN only
 	cols           []scaleCol
 	build          func(workload string, n int, seed uint64) (*graph.Graph, radio.Channel)
-	// rounds estimates a cell's completion rounds (cost model only).
-	rounds func(proto, workload string, n int) int64
+	// diameter is a workload's diameter shape at size n (see
+	// e19Diameter), and weight multiplies a workload's cell costs
+	// (absent = 1): both feed the scheduler only.
+	diameter func(workload string, n int) int
+	weight   map[string]int64
 }
 
 // scaleCol is one table column: a dense table entry, optionally under
@@ -254,7 +259,8 @@ func (sw scaleSweep) plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 	config := func(col string, c cfg) string { return fmt.Sprintf("%s/%s/n=%d", col, c.workload, c.n) }
 	for _, c := range cfgs {
 		for _, col := range sw.cols {
-			p.Add(config(col.name, c), broadcastLimit, budgetCost(c.n, sw.rounds(col.proto, c.workload, c.n)),
+			cost := max(sw.weight[c.workload], 1) * denseCost(col.proto, c.n, sw.diameter(c.workload, c.n))
+			p.Add(config(col.name, c), broadcastLimit, cost,
 				func(seed uint64, limit int64) exp.Result {
 					build := func() (*graph.Graph, radio.Channel) { return sw.build(c.workload, c.n, seed) }
 					res, _ := runDenseCell(build, col.proto, col.noise, seed, workers, limit)
@@ -302,7 +308,7 @@ var e19Sweep = scaleSweep{
 	caps:      map[string]int{"path": e19PathCap},
 	cols:      denseCols,
 	build:     e19Graph,
-	rounds:    e19Rounds,
+	diameter:  e19Diameter,
 }
 
 // E19Plan is the ideal-channel scale sweep over e19Sweep.
@@ -345,7 +351,7 @@ func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 	}
 	config := func(c cfg) string { return fmt.Sprintf("loss=%g/%s/n=%d", c.rate, c.proto, c.n) }
 	for _, c := range cfgs {
-		p.Add(config(c), broadcastLimit, budgetCost(c.n, 2*e19Rounds(c.proto, "gnp", c.n)), func(seed uint64, limit int64) exp.Result {
+		p.Add(config(c), broadcastLimit, 2*denseCost(c.proto, c.n, e19Diameter("gnp", c.n)), func(seed uint64, limit int64) exp.Result {
 			build := func() (*graph.Graph, radio.Channel) {
 				g, _ := e19Graph("gnp", c.n, seed)
 				return g, channel.NewErasure(c.rate, rng.Mix(seed, 0xe20))
@@ -373,15 +379,6 @@ func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 	return p.Plan
 }
 
-// e21Rounds estimates a GST-broadcast cell's completion rounds (cost
-// model only): the fast relay pipelines one level per two rounds, and
-// each of the ≤ log n stretch boundaries on a root-to-leaf path waits
-// O(M log n) expected slow slots, with M = 6(L+2) the schedule period.
-func e21Rounds(_, workload string, n int) int64 {
-	m := int64(mmv.NewSchedule(n).M)
-	return m * e19Rounds("wave", workload, n)
-}
-
 // e21Sweep is the structured-broadcast scale sweep: mmv.Dense over
 // flat GST arrays (built once per cell by gst.Construct +
 // gst.Flatten) on the E19 workload grid, quiet and with every
@@ -400,7 +397,7 @@ var e21Sweep = scaleSweep{
 	caps:      e19Sweep.caps,
 	cols:      []scaleCol{{"gst", "gst", false}, {"gst-noise", "gst", true}},
 	build:     e19Graph,
-	rounds:    e21Rounds,
+	diameter:  e19Diameter,
 }
 
 // E21Plan is the structured-broadcast scale sweep over e21Sweep.

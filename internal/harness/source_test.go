@@ -53,7 +53,7 @@ func checkWaveOrigin(t *testing.T, label string, g *graph.Graph, src graph.NodeI
 func TestDecaySourceWaveOrigin(t *testing.T) {
 	g := graph.Path(201)
 	src := graph.NodeID(100)
-	r := entry("decay").Build(g, src, StackOpts{}).(carrier)
+	r := mustProtocol("decay").Build(g, src, StackOpts{}).(carrier)
 	const limit = 12
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-201 decay completed in 12 rounds; limit too loose")
@@ -65,7 +65,7 @@ func TestDecaySourceWaveOrigin(t *testing.T) {
 func TestCRSourceWaveOrigin(t *testing.T) {
 	g := graph.Path(201)
 	src := graph.NodeID(100)
-	r := entry("cr").Build(g, src, StackOpts{}).(carrier)
+	r := mustProtocol("cr").Build(g, src, StackOpts{}).(carrier)
 	const limit = 12
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-201 CR completed in 12 rounds; limit too loose")
@@ -90,7 +90,7 @@ func TestGSTSingleSourceWaveOrigin(t *testing.T) {
 func TestTheorem11SourceWaveOrigin(t *testing.T) {
 	g := graph.Path(129)
 	src := graph.NodeID(64)
-	r := entry("cd").Build(g, src, StackOpts{})
+	r := mustProtocol("cd").Build(g, src, StackOpts{})
 	const limit = 10
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-129 theorem 1.1 completed in 10 rounds; limit too loose")
@@ -103,7 +103,7 @@ func TestTheorem11SourceWaveOrigin(t *testing.T) {
 func TestTheorem13SourceWaveOrigin(t *testing.T) {
 	g := graph.Path(65)
 	src := graph.NodeID(32)
-	r := entry("k-cd").Build(g, src, StackOpts{K: 2})
+	r := mustProtocol("k-cd").Build(g, src, StackOpts{K: 2})
 	const limit = 10
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-65 theorem 1.3 completed in 10 rounds; limit too loose")
@@ -120,22 +120,22 @@ func TestSourceCompletionMatrix(t *testing.T) {
 	src := graph.NodeID(g.N() - 1) // far tail end
 	const limit = 1 << 20
 
-	if _, ok, _ := entry("decay").Build(g, src, StackOpts{}).RunFrom(nil, nil, 7, limit); !ok {
+	if _, ok, _ := mustProtocol("decay").Build(g, src, StackOpts{}).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("decay from tail-end source did not complete")
 	}
-	if _, ok, _ := entry("cr").Build(g, src, StackOpts{}).RunFrom(nil, nil, 7, limit); !ok {
+	if _, ok, _ := mustProtocol("cr").Build(g, src, StackOpts{}).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("cr from tail-end source did not complete")
 	}
 	if _, ok, _ := NewGSTSingleRun(g, false, src).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("gst-single from tail-end source did not complete")
 	}
-	if _, ok, _ := entry("cd").Build(g, src, StackOpts{}).RunFrom(nil, nil, 7, 0); !ok {
+	if _, ok, _ := mustProtocol("cd").Build(g, src, StackOpts{}).RunFrom(nil, nil, 7, 0); !ok {
 		t.Error("theorem 1.1 from tail-end source did not complete")
 	}
 	if _, ok, _ := NewGSTMultiRun(g, 3, src).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("gst-multi from tail-end source did not complete (decode verified)")
 	}
-	if rounds, ok, _ := entry("k-cd").Build(g, src, StackOpts{K: 2}).RunFrom(nil, nil, 7, 0); !ok {
+	if rounds, ok, _ := mustProtocol("k-cd").Build(g, src, StackOpts{K: 2}).RunFrom(nil, nil, 7, 0); !ok {
 		t.Errorf("theorem 1.3 from tail-end source did not complete (rounds=%d)", rounds)
 	}
 }
@@ -150,7 +150,7 @@ func TestAdaptiveSource(t *testing.T) {
 	src := graph.NodeID(g.N() - 1)
 	chf := func(int, int64) radio.Channel { return nil }
 
-	a := entry("decay").NewAdaptive(g, src, StackOpts{}, chf, 7)
+	a := mustProtocol("decay").NewAdaptive(g, src, StackOpts{}, chf, 7)
 	out := adapt.Run(a, adapt.Policy{})
 	if !out.Completed {
 		t.Fatal("adaptive decay from tail-end source did not complete")
@@ -158,7 +158,7 @@ func TestAdaptiveSource(t *testing.T) {
 
 	lossy := EpochChannel(channel.NewErasure(0.3, 11))
 	for _, name := range []string{"decay", "cr", "gst"} {
-		if out := adapt.Run(entry(name).NewAdaptive(g, src, StackOpts{}, lossy, 7), adapt.Policy{}); !out.Completed {
+		if out := adapt.Run(mustProtocol(name).NewAdaptive(g, src, StackOpts{}, lossy, 7), adapt.Policy{}); !out.Completed {
 			t.Fatal("adaptive run from tail-end source under 30% loss did not complete")
 		}
 	}

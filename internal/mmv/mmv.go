@@ -55,28 +55,20 @@ func (ni NodeInfo) IsStretchStart() bool {
 }
 
 // InfoFromTree extracts NodeInfo for every node from a centralized GST
-// (the known-topology setting of Theorem 1.2).
+// (the known-topology setting of Theorem 1.2), copying the fields of
+// its flat arrays (gst.Flatten).
 func InfoFromTree(t *gst.Tree) []NodeInfo {
-	vdist := gst.VirtualDistances(t)
-	children := t.Children()
-	isRoot := make(map[radio.NodeID]bool, len(t.Roots))
-	for _, r := range t.Roots {
-		isRoot[r] = true
-	}
-	infos := make([]NodeInfo, t.G.N())
-	for v := 0; v < t.G.N(); v++ {
-		pr := int32(0)
-		if p := t.Parent[v]; p >= 0 {
-			pr = t.Rank[p]
-		}
+	f := gst.Flatten(t)
+	infos := make([]NodeInfo, f.N())
+	for v := range infos {
 		infos[v] = NodeInfo{
-			Level:         t.Level[v],
-			Rank:          t.Rank[v],
-			Vdist:         vdist[v],
-			Parent:        t.Parent[v],
-			ParentRank:    pr,
-			SameRankChild: gst.SameRankChild(t, children, radio.NodeID(v)) >= 0,
-			IsRoot:        isRoot[radio.NodeID(v)],
+			Level:         f.Level[v],
+			Rank:          f.Rank[v],
+			Vdist:         f.Vdist[v],
+			Parent:        f.Parent[v],
+			ParentRank:    f.ParentRank[v],
+			SameRankChild: f.SameRankChild[v],
+			IsRoot:        f.Root[v],
 		}
 	}
 	return infos

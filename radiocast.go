@@ -346,15 +346,7 @@ func BuildGSTDistributed(g *Graph, opts Options) (*GST, error) {
 		nw.SetProtocol(NodeID(v), protos[v])
 	}
 	nw.Run(cfg.TotalRounds())
-	tree := gst.NewTree(g, []NodeID{opts.Source})
-	vdist := make([]int32, g.N())
-	for v := 0; v < g.N(); v++ {
-		res := protos[v].Result()
-		tree.Level[v] = res.Level
-		tree.Parent[v] = res.Parent
-		tree.Rank[v] = res.Rank
-		vdist[v] = res.Vdist
-	}
+	tree, vdist := gstdist.Harvest(g, opts.Source, protos)
 	if err := tree.Validate(); err != nil {
 		return nil, fmt.Errorf("radiocast: distributed GST invalid (raise Options.Scale): %w", err)
 	}
