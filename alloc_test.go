@@ -135,14 +135,25 @@ func TestDenseSteadyStateAllocsZero(t *testing.T) {
 	}
 }
 
+// The dense 0-alloc cases' erasure channels (stateless, so shared):
+// bare erasure is link-only and rides collect/scatter/merge; behind
+// struct{ radio.Channel } the capability is hidden and the engine runs
+// the per-listener Observe sweep.
+var (
+	denseErasure      radio.Channel = channel.NewErasure(0.1, 99)
+	denseErasureSweep radio.Channel = struct{ radio.Channel }{denseErasure}
+)
+
 // TestDenseCatalogSteadyStateAllocsZero extends the 0-alloc guard to
 // the rest of the SoA catalog — decay.Dense on the CR schedule
 // (cr.NewDense: keyed FastDecay draws) and beep.DenseWave
 // (deterministic frontier pulses) — sequentially, with the parallel
-// delivery pass, and on the channel-adverse engine path
-// (per-link erasure forces the per-listener hear-count sweep, which
-// must be in-place too). Warm-ups are sized so the measured window
-// never crosses completion.
+// delivery pass, and under per-link erasure on both channel paths:
+// bare erasure is link-only and stays on collect/scatter/merge, while
+// the same erasure behind a struct{ radio.Channel } wrapper hides that
+// capability and forces the per-listener hear-count sweep, which must
+// be in-place too. Warm-ups are sized so the measured window never
+// crosses completion.
 func TestDenseCatalogSteadyStateAllocsZero(t *testing.T) {
 	grid := func() *graph.Graph { return graph.FromStream(graph.StreamGrid(192, 192)) }
 	path := func() *graph.Graph { return graph.FromStream(graph.StreamPath(2048)) }
@@ -162,23 +173,22 @@ func TestDenseCatalogSteadyStateAllocsZero(t *testing.T) {
 		mk      func(*graph.Graph) (radio.DenseProtocol, func() bool)
 		workers int
 		cd      bool
-		erasure bool
+		ch      radio.Channel
 		warm    int64
 	}{
-		{"cr-sequential-path2048", path(), mkCR, 1, false, false, 512},
-		{"cr-parallel-grid192x192", grid(), mkCR, 4, false, false, 1000},
-		{"cr-erasure-grid192x192", grid(), mkCR, 4, false, true, 1000},
-		{"wave-sequential-path2048", path(), mkWave, 1, true, false, 512},
-		{"wave-parallel-grid192x192", grid(), mkWave, 4, true, false, 128},
-		{"wave-erasure-grid192x192", grid(), mkWave, 4, true, true, 128},
+		{"cr-sequential-path2048", path(), mkCR, 1, false, nil, 512},
+		{"cr-parallel-grid192x192", grid(), mkCR, 4, false, nil, 1000},
+		{"cr-erasure-grid192x192", grid(), mkCR, 4, false, denseErasure, 1000},
+		{"cr-erasure-sweep-grid192x192", grid(), mkCR, 4, false, denseErasureSweep, 1000},
+		{"wave-sequential-path2048", path(), mkWave, 1, true, nil, 512},
+		{"wave-parallel-grid192x192", grid(), mkWave, 4, true, nil, 128},
+		{"wave-erasure-grid192x192", grid(), mkWave, 4, true, denseErasure, 128},
+		{"wave-erasure-sweep-grid192x192", grid(), mkWave, 4, true, denseErasureSweep, 128},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := radio.Config{Workers: tc.workers, CollisionDetection: tc.cd}
-			if tc.erasure {
-				cfg.Channel = channel.NewErasure(0.1, 99)
-			}
+			cfg := radio.Config{Workers: tc.workers, CollisionDetection: tc.cd, Channel: tc.ch}
 			pr, done := tc.mk(tc.g)
 			eng := radio.NewDense(tc.g, cfg, pr)
 			defer eng.Close()
@@ -203,7 +213,8 @@ func TestDenseCatalogSteadyStateAllocsZero(t *testing.T) {
 // the relay arming/clearing must all run in place — sequentially, with
 // the parallel delivery pass (the 192x192 grid keeps hundreds of
 // fast-slot transmitters per even round, past the parallel gate), and
-// on the channel-adverse erasure path. Warm-ups stop well short of the
+// under erasure on both channel paths (link-only merge and the forced
+// listener sweep). Warm-ups stop well short of the
 // deepest tree level (a fast wave moves at most one level per two
 // rounds), so the measured window stays mid-broadcast.
 func TestDenseGSTSteadyStateAllocsZero(t *testing.T) {
@@ -216,20 +227,18 @@ func TestDenseGSTSteadyStateAllocsZero(t *testing.T) {
 		name    string
 		g       *graph.Graph
 		workers int
-		erasure bool
+		ch      radio.Channel
 		warm    int64
 	}{
-		{"sequential-path2048", graph.FromStream(graph.StreamPath(2048)), 1, false, 512},
-		{"parallel-grid192x192", graph.FromStream(graph.StreamGrid(192, 192)), 4, false, 512},
-		{"erasure-grid192x192", graph.FromStream(graph.StreamGrid(192, 192)), 4, true, 512},
+		{"sequential-path2048", graph.FromStream(graph.StreamPath(2048)), 1, nil, 512},
+		{"parallel-grid192x192", graph.FromStream(graph.StreamGrid(192, 192)), 4, nil, 512},
+		{"erasure-grid192x192", graph.FromStream(graph.StreamGrid(192, 192)), 4, denseErasure, 512},
+		{"erasure-sweep-grid192x192", graph.FromStream(graph.StreamGrid(192, 192)), 4, denseErasureSweep, 512},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := radio.Config{Workers: tc.workers}
-			if tc.erasure {
-				cfg.Channel = channel.NewErasure(0.1, 99)
-			}
+			cfg := radio.Config{Workers: tc.workers, Channel: tc.ch}
 			pr, done := build(tc.g)
 			eng := radio.NewDense(tc.g, cfg, pr)
 			defer eng.Close()

@@ -374,6 +374,23 @@ func BenchmarkEngine_DenseDecay_GNP100k(b *testing.B) {
 	})
 }
 
+// BenchmarkEngine_DenseDecayErasure_GNP100k is the E20 cell shape: the
+// same broadcast over the same graph under 10% per-link erasure. The
+// erasure model is link-only, so the engine stays on collect/scatter/
+// merge with the loss applied in scatter; a regression to the O(n)
+// per-round listener sweep shows up here as ns/op, never as
+// rounds/op, which the loss draws alone determine.
+func BenchmarkEngine_DenseDecayErasure_GNP100k(b *testing.B) {
+	const n = 100_000
+	g := graph.BuildConnected(graph.StreamGNP(n, 16.0/n, 0xe19), 0xe19)
+	reportRounds(b, func(seed uint64) (int64, bool) {
+		pr := decay.NewDense(g, seed, 0)
+		eng := radio.NewDense(g, radio.Config{Channel: channel.NewErasure(0.1, rng.Mix(seed, 0xe20))}, pr)
+		defer eng.Close()
+		return eng.RunUntil(1<<20, pr.Done)
+	})
+}
+
 // BenchmarkEngine_DenseDecayParallel_GNP100k is the same workload with
 // the deterministic parallel delivery pass (Workers = 4): identical
 // rounds/op by the byte-identity contract; the allocs/op delta against

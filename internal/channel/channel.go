@@ -43,7 +43,9 @@ func linkKey(from, to radio.NodeID) uint64 {
 }
 
 // Nop is an embeddable no-op Channel: every hook passes through.
-// Models embed it and override only the hooks they perturb.
+// Models embed it and override only the hooks they perturb. Nop does
+// not implement radio.LinkOnlyChannel, because models that embed it may
+// override Observe; a model that keeps Nop's Observe opts in itself.
 type Nop struct{}
 
 var _ radio.Channel = Nop{}
@@ -83,6 +85,12 @@ func NewErasure(p float64, seed uint64) *Erasure {
 func (e *Erasure) DropLink(r int64, from, to radio.NodeID) bool {
 	return chance(e.P, e.seed, 0xe7a5, uint64(r), linkKey(from, to))
 }
+
+// LinkOnly implements radio.LinkOnlyChannel: erasure acts only through
+// DropLink.
+func (*Erasure) LinkOnly() bool { return true }
+
+var _ radio.LinkOnlyChannel = (*Erasure)(nil)
 
 // NoisyCD models unreliable collision detection: a true collision
 // symbol is missed — downgraded to silence — with probability Miss,
@@ -349,6 +357,19 @@ func (s Stack) Observe(r int64, to radio.NodeID, count int, out radio.Outcome, o
 	return out, ok
 }
 
+// LinkOnly implements radio.LinkOnlyChannel: a stack is link-only when
+// it is non-empty and every member is.
+func (s Stack) LinkOnly() bool {
+	for _, m := range s {
+		if !radio.IsLinkOnly(m) {
+			return false
+		}
+	}
+	return len(s) > 0
+}
+
+var _ radio.LinkOnlyChannel = Stack(nil)
+
 // Reset implements radio.ResettableChannel by forwarding to every
 // stacked model that is itself resettable, so a stack holding a
 // Jammer is reusable across runs exactly like a bare Jammer.
@@ -405,3 +426,9 @@ func (o *Offset) DropLink(r int64, from, to radio.NodeID) bool {
 func (o *Offset) Observe(r int64, to radio.NodeID, count int, out radio.Outcome, ok bool) (radio.Outcome, bool) {
 	return o.Inner.Observe(r+o.Base, to, count, out, ok)
 }
+
+// LinkOnly implements radio.LinkOnlyChannel by forwarding Inner's
+// answer: shifting the round clock never changes what Observe does.
+func (o *Offset) LinkOnly() bool { return radio.IsLinkOnly(o.Inner) }
+
+var _ radio.LinkOnlyChannel = (*Offset)(nil)

@@ -416,3 +416,42 @@ func TestChanceBounds(t *testing.T) {
 		t.Fatalf("p=0.3 hit rate %d/10000", hits)
 	}
 }
+
+// TestLinkOnlyCapability pins every stock model's radio.IsLinkOnly
+// answer. Only the models whose Observe is the identity opt in: the
+// dense engine skips their Observe sweep, so a wrong true would
+// silently drop a model's observation rewrites. Stacks are link-only
+// when non-empty with every member link-only; Offset forwards.
+func TestLinkOnlyCapability(t *testing.T) {
+	rangeErasure := NewRangeErasure([]float64{0, 1}, []float64{0, 0}, 0.5, 1.5, 3)
+	models := []struct {
+		name string
+		ch   radio.Channel
+		want bool
+	}{
+		{"nop", Nop{}, false},
+		{"erasure", NewErasure(0.1, 1), true},
+		{"range-erasure", rangeErasure, true},
+		{"noisy-cd", NewNoisyCD(0.1, 0.1, 1), false},
+		{"jammer", NewJammer(4, 0.5, 1), false},
+		{"adaptive-jammer", NewAdaptiveJammer(4, 1, 1), false},
+		{"faults", NewFaults(2), false},
+		{"empty-stack", Stack{}, false},
+		{"nil-stack", Stack(nil), false},
+		{"erasure-stack", Stack{NewErasure(0.1, 1), rangeErasure}, true},
+		{"mixed-stack", Stack{NewErasure(0.1, 1), NewNoisyCD(0.1, 0.1, 1)}, false},
+		{"faults-last-stack", Stack{NewErasure(0.1, 1), NewFaults(2)}, false},
+		{"nested-stack", Stack{Stack{NewErasure(0.1, 1)}, NewOffset(rangeErasure, 5)}, true},
+	}
+	for _, m := range models {
+		if got := radio.IsLinkOnly(m.ch); got != m.want {
+			t.Errorf("%s: IsLinkOnly = %v, want %v", m.name, got, m.want)
+		}
+		if got := radio.IsLinkOnly(NewOffset(m.ch, 7)); got != m.want {
+			t.Errorf("offset over %s: IsLinkOnly = %v, want %v", m.name, got, m.want)
+		}
+	}
+	if radio.IsLinkOnly(nil) {
+		t.Error("nil channel reports link-only")
+	}
+}

@@ -62,3 +62,9 @@ func (c *RangeErasure) DropLink(r int64, from, to radio.NodeID) bool {
 	p := (math.Sqrt(d2) - c.Inner) / (c.Outer - c.Inner)
 	return chance(p, c.seed, 0xd157, uint64(r), linkKey(from, to))
 }
+
+// LinkOnly implements radio.LinkOnlyChannel: the band loss acts only
+// through DropLink.
+func (*RangeErasure) LinkOnly() bool { return true }
+
+var _ radio.LinkOnlyChannel = (*RangeErasure)(nil)

@@ -30,10 +30,10 @@ import (
 const e22Seed = 0xe22
 
 // e22GeoCap bounds the clustered and quasi-unit-disk workloads at
-// 10^5: the QUDG band rides the engine's channel-adverse path (O(n)
-// per round), and the clustered blobs are near-cliques whose edge
-// count grows superlinearly. Only the plain unit-disk workload runs
-// to 10^6.
+// 10^5: the clustered blobs are near-cliques whose edge count grows
+// superlinearly, and the QUDG graph, built at 1.6x the radius, carries
+// ~2.6x the unit-disk edge count. Only the plain unit-disk workload
+// runs to 10^6.
 const e22GeoCap = 100_000
 
 // e22QUDGBand stretches the QUDG outer radius to 1.6x the reliable
@@ -74,12 +74,13 @@ func e22Graph(workload string, n int, seed uint64) (*graph.Graph, radio.Channel)
 // unit-disk workloads (udg to sc.MaxN; the clustered and band
 // workloads cap at 10^5). The qudg rows run under
 // channel.RangeErasure — reliable inside the connectivity radius,
-// distance-ramped erasure across the band — so they exercise the
-// adverse engine path exactly like E20's flat erasure, but with loss
-// that is a function of geometry instead of a single rate. Every
-// workload's diameter shape is the grid's (unit-disk diameter ~ √n);
-// qudg cells weigh double (adverse path: O(n)-per-round listener
-// sweep).
+// distance-ramped erasure across the band — a link-only channel like
+// E20's flat erasure, so it stays on the engine's collect/scatter/merge
+// path, but with loss that is a function of geometry instead of a
+// single rate. Every workload's diameter shape is the grid's
+// (unit-disk diameter ~ √n); qudg cells weigh double, a weight set
+// when the band still rode the O(n)-per-round listener sweep and kept
+// because cell costs are pinned outputs.
 var e22Sweep = scaleSweep{
 	id:    "E22",
 	title: "Geometric scale sweep: dense catalog on unit-disk layouts (udg/cluster/qudg)",

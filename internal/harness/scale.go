@@ -13,9 +13,9 @@ package harness
 // E19 sweeps the dense protocol catalog — decay.Dense on the plain
 // Decay and CR FastDecay schedules, and beep.DenseWave — on the ideal
 // channel up to n = 10^6. E20 reruns the catalog on the gnp workload
-// under per-link erasure (the channel-adverse engine path:
-// per-listener hear counts instead of the collect/scatter fast path)
-// across a loss grid. E21 runs the
+// under per-link erasure across a loss grid (erasure is a link-only
+// channel, so the engine stays on collect/scatter/merge with the loss
+// applied in scatter). E21 runs the
 // structured GST broadcast (mmv.Dense over gst.Flat) through the same
 // workload grid, with and without jamming by uninformed members — the
 // steady-state regime of the paper's amortized argument, where the
@@ -318,10 +318,13 @@ func E19Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan { return e19Sweep.
 var e20Rates = []float64{0.05, 0.1, 0.2, 0.3}
 
 // E20Plan is the channel-adverse scale sweep: the dense catalog on the
-// gnp workload under per-link erasure, n = 10^4 .. sc.MaxN. Any
-// channel forces the engine off the collect/scatter fast path onto the
-// O(n)-per-round listener sweep, so this is the capacity trial of the
-// adverse path. Decay and CR retry until coverage; the wave runs a
+// gnp workload under per-link erasure, n = 10^4 .. sc.MaxN. Erasure is
+// link-only (radio.LinkOnlyChannel): it acts only through DropLink, so
+// the engine keeps its O(frontier + deliveries) collect/scatter/merge
+// path and skips the O(n)-per-round listener sweep that an
+// observation-rewriting channel needs. The table comment's "adverse
+// path, O(n)/round" wording predates that and is a pinned output.
+// Decay and CR retry until coverage; the wave runs a
 // single lossy pass inside its slacked horizon, so its coverage
 // (Value) may be < 1 at high loss — exactly the fragility E13 measures
 // at small n.

@@ -40,6 +40,12 @@ package radio
 //   - Deliver/Observe touch disjoint per-listener state by contract,
 //     and per-partition stats are summed in partition order.
 //
+// Merge delivers in first-touch order; the Observe sweep, which only a
+// channel that can rewrite observations needs, delivers in ascending
+// node order. Deliver is order-independent by contract, so a link-only
+// channel (LinkOnlyChannel) takes the merge path and yields exactly
+// what the sweep would.
+//
 // The parallel gate (previous round's transmitter count >= denseParGate)
 // depends only on deterministic state, so the sequential fallback — the
 // exact same partition loops, run inline — kicks in at the same rounds
@@ -125,6 +131,10 @@ type Dense struct {
 	g     *graph.Graph
 	cfg   Config
 	proto DenseProtocol
+	// sweep is set when the channel may rewrite observations (non-nil
+	// and not link-only): such a round merges counts only and then
+	// sweeps every listener through Observe.
+	sweep bool
 
 	offsets []int32
 	edges   []NodeID
@@ -165,9 +175,9 @@ type Dense struct {
 const (
 	phaseCollect = iota
 	phaseScatter
-	phaseMerge   // ideal path: merge buckets + deliver
-	phaseCount   // adverse path: merge buckets only
-	phaseObserve // adverse path: channel-mediated sweep of all listeners
+	phaseMerge   // no channel or a link-only one: merge buckets + deliver
+	phaseCount   // observation-rewriting channel: merge buckets only
+	phaseObserve // observation-rewriting channel: sweep of all listeners
 )
 
 // NewDense creates a dense engine for proto over g. cfg.Workers > 1
@@ -186,17 +196,25 @@ func NewDense(g *graph.Graph, cfg Config, proto DenseProtocol) *Dense {
 	if nWords == 0 {
 		parts = 1
 	}
+	wordsPerPart := (nWords + parts - 1) / parts
+	if wordsPerPart > 0 {
+		// Rounding up can leave trailing partitions without a word (5
+		// words over 4 workers split 2+2+1+0); drop them, so every
+		// partition starts on a word boundary below n.
+		parts = (nWords + wordsPerPart - 1) / wordsPerPart
+	}
 	offsets, edges := g.CSR()
 	d := &Dense{
 		g:            g,
 		cfg:          cfg,
 		proto:        proto,
+		sweep:        cfg.Channel != nil && !IsLinkOnly(cfg.Channel),
 		offsets:      offsets,
 		edges:        edges,
 		n:            n,
 		nWords:       nWords,
 		parts:        parts,
-		wordsPerPart: (nWords + parts - 1) / parts,
+		wordsPerPart: wordsPerPart,
 		txWords:      make([]uint64, nWords),
 		txLists:      make([][]NodeID, parts),
 		hearStamp:    make([]int64, n),
@@ -290,9 +308,6 @@ func (d *Dense) Stats() Stats { return d.stats }
 func (d *Dense) partNodeRange(p int) (NodeID, NodeID) {
 	lo := p * d.wordsPerPart * 64
 	hi := (p + 1) * d.wordsPerPart * 64
-	if lo > d.n {
-		lo = d.n
-	}
 	if hi > d.n {
 		hi = d.n
 	}
@@ -411,9 +426,10 @@ func (d *Dense) execScatter(r int64, w int) {
 
 // execMerge folds owner partition w's buckets (in scatter-worker
 // order, reconstructing ascending transmitter order) into the stamped
-// per-listener count/sender scratch. On the ideal path (deliver=true)
-// it then resolves each first-touched listener: unique sender →
-// packet, >=2 with CD → ⊤.
+// per-listener count/sender scratch. On the merge path (deliver=true:
+// no channel, or a link-only one whose DropLink already ran in
+// scatter) it then resolves each first-touched listener: unique
+// sender → packet, >=2 with CD → ⊤.
 func (d *Dense) execMerge(r int64, w int, deliver bool) {
 	touched := d.touched[w][:0]
 	for sw := 0; sw < d.parts; sw++ {
@@ -451,12 +467,12 @@ func (d *Dense) execMerge(r int64, w int, deliver bool) {
 	}
 }
 
-// execObserve is the channel-mediated finalization for owner partition
-// w: every listener in its word range — not only neighbors of
-// transmitters — is swept in ascending node order so the channel can
-// inject observations into silent receptions, mirroring
-// Network.deliverAdverse (over all listeners rather than awake ones:
-// dense nodes are always awake).
+// execObserve is the finalization for owner partition w under a
+// channel that may rewrite observations: every listener in its word
+// range — not only neighbors of transmitters — is swept in ascending
+// node order so the channel can inject observations into silent
+// receptions, mirroring Network.deliverAdverse (over all listeners
+// rather than awake ones: dense nodes are always awake).
 func (d *Dense) execObserve(r int64, w int) {
 	ch := d.cfg.Channel
 	st := &d.perPart[w]
@@ -567,11 +583,11 @@ func (d *Dense) Step() {
 	}
 
 	d.runPhase(phaseScatter, r, par)
-	if ch == nil {
-		d.runPhase(phaseMerge, r, par)
-	} else {
+	if d.sweep {
 		d.runPhase(phaseCount, r, par)
 		d.runPhase(phaseObserve, r, par)
+	} else {
+		d.runPhase(phaseMerge, r, par)
 	}
 
 	for p := range d.perPart {

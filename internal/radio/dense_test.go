@@ -250,3 +250,16 @@ func TestDenseReclosable(t *testing.T) {
 	eng2.RunUntil(1<<16, pr2.Done)
 	eng2.Close()
 }
+
+// TestDenseTrailingPartitionDropped: 300 nodes fill 5 words, which 4
+// workers split 2+2+1+0. The empty fourth partition used to get the
+// unaligned node range [300, 300), and a protocol scanning from word
+// 300/64 reported nodes below it. NewDense now drops partitions that
+// would own no word.
+func TestDenseTrailingPartitionDropped(t *testing.T) {
+	g := graph.FromStream(graph.StreamGrid(15, 20))
+	base := radiotest.WorkerInvariant(t, "grid15x20", decayCase(g, false, nil), 4, 5)
+	if !base.Completed {
+		t.Fatal("grid15x20: run did not complete")
+	}
+}

@@ -132,6 +132,25 @@ type Channel interface {
 	Observe(r int64, to NodeID, count int, out Outcome, ok bool) (Outcome, bool)
 }
 
+// LinkOnlyChannel is the optional capability of a Channel that acts
+// only through SuppressTransmit, RoundStart and DropLink: when LinkOnly
+// reports true, Observe must return (out, ok) unchanged on every call.
+// The dense engine reads the capability once, in NewDense, and then
+// runs such a channel on its ideal collect/scatter/merge path with the
+// link loss applied in scatter, skipping the per-listener Observe
+// sweep. Results are identical either way; only the cost differs.
+type LinkOnlyChannel interface {
+	Channel
+	LinkOnly() bool
+}
+
+// IsLinkOnly reports whether ch promises an identity Observe. A nil
+// channel, or one without the method, is not link-only.
+func IsLinkOnly(ch Channel) bool {
+	lo, ok := ch.(LinkOnlyChannel)
+	return ok && lo.LinkOnly()
+}
+
 // ResettableChannel is the optional reuse extension of Channel: models
 // carrying per-run mutable state (jammer budgets) implement Reset to
 // rewind it, so one instance can serve many runs. Harness runners call
@@ -166,8 +185,10 @@ type Config struct {
 	// Tracer, when non-nil, observes every round.
 	Tracer Tracer
 	// Channel, when non-nil, mediates every delivery (loss, jamming,
-	// unreliable CD, radio faults). nil is the ideal channel and keeps
-	// the zero-allocation delivery fast path.
+	// unreliable CD, radio faults). nil is the ideal channel. The dense
+	// engine keeps a nil or link-only channel (see LinkOnlyChannel) on
+	// its collect/scatter/merge path; any other channel adds the
+	// O(n)-per-round listener sweep through Observe.
 	Channel Channel
 	// Workers, when greater than one, partitions the dense engine's
 	// per-round passes across that many goroutines. Results are
