@@ -35,18 +35,34 @@ import (
 // one round at a time: after the first few rounds have sized the
 // scratch buffers and boxed the message packets, stepping must be
 // allocation-free — the engine's ring wake buckets, stamp arrays, and
-// reused pop buffer do all per-round work in place.
+// reused pop buffer do all per-round work in place. It runs on the
+// ideal channel, under erasure (link-only: first-touch resolve with
+// DropLink in scatter), and under noisy CD (the awake-listener Observe
+// sweep).
 func TestSteadyStateRoundLoopAllocsZero(t *testing.T) {
-	g := graph.ClusterChain(4, 6)
-	nw := radio.New(g, radio.Config{})
-	for v := 0; v < g.N(); v++ {
-		nw.SetProtocol(graph.NodeID(v),
-			decay.NewBroadcast(decay.PlainSchedule(g.N()), v == 0, decay.Message{Data: 1}, rng.New(7, uint64(v))))
+	cases := []struct {
+		name string
+		ch   radio.Channel
+	}{
+		{"ideal", nil},
+		{"erasure", channel.NewErasure(0.1, 99)},
+		{"noisycd-sweep", channel.NewNoisyCD(0.05, 0.05, 99)},
 	}
-	nw.Run(64) // warm: scratch sized, packets boxed, message spread
-	allocs := testing.AllocsPerRun(100, func() { nw.Step() })
-	if allocs != 0 {
-		t.Fatalf("steady-state round loop allocates %.1f objects/round, want 0", allocs)
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.ClusterChain(4, 6)
+			nw := radio.New(g, radio.Config{Channel: tc.ch})
+			for v := 0; v < g.N(); v++ {
+				nw.SetProtocol(graph.NodeID(v),
+					decay.NewBroadcast(decay.PlainSchedule(g.N()), v == 0, decay.Message{Data: 1}, rng.New(7, uint64(v))))
+			}
+			nw.Run(64) // warm: scratch sized, packets boxed, message spread
+			allocs := testing.AllocsPerRun(100, func() { nw.Step() })
+			if allocs != 0 {
+				t.Fatalf("steady-state round loop allocates %.1f objects/round, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -182,10 +182,10 @@ func BenchmarkE14_JammerSweep(b *testing.B) { benchExperiment(b, "E14") }
 // E15: unreliable-CD robustness sweep.
 func BenchmarkE15_NoisyCDSweep(b *testing.B) { benchExperiment(b, "E15") }
 
-// BenchmarkEngine_LossyChannel measures the adversarial delivery path
-// (per-link erasure) against the nil-channel fast path on the same
-// workload — the adverse path allocates only in the channel's keyed
-// draws, never per round.
+// BenchmarkEngine_LossyChannel_Decay measures the sparse engine under
+// per-link erasure, a link-only channel: it runs the same first-touch
+// delivery path as the nil channel, with DropLink applied in scatter
+// and no per-listener Observe sweep, and allocates nothing per round.
 func BenchmarkEngine_LossyChannel_Decay(b *testing.B) {
 	g := graph.ClusterChain(16, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {

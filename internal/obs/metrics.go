@@ -42,9 +42,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// SetInt stores an integer value.
-func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
 // Add adds delta (compare-and-swap loop; gauges move both ways).
 func (g *Gauge) Add(delta float64) {
 	for {

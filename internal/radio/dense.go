@@ -17,7 +17,10 @@ package radio
 // exactly one neighbor's transmission survives the channel, CD turns
 // >=2 survivors into the ⊤ symbol, transmitters never receive — with
 // the deviations documented on Dense (polling, Polls/ActiveRounds
-// accounting, packet-size checks at delivery).
+// accounting, packet-size checks at delivery). The channel rules and
+// the round close live in core (core.go), which both engines embed:
+// source suppression, the Observe rewrite, the sweep rule and the
+// busy/silent/frontier close.
 //
 // Determinism at any worker count. Every pass either partitions
 // disjoint state or accumulates commutative effects that are merged in
@@ -41,10 +44,10 @@ package radio
 //     and per-partition stats are summed in partition order.
 //
 // Merge delivers in first-touch order; the Observe sweep, which only a
-// channel that can rewrite observations needs, delivers in ascending
-// node order. Deliver is order-independent by contract, so a link-only
-// channel (LinkOnlyChannel) takes the merge path and yields exactly
-// what the sweep would.
+// channel that can rewrite observations needs (core.sweep), delivers
+// in ascending node order. Deliver is order-independent by contract,
+// so a link-only channel (LinkOnlyChannel) takes the merge path and
+// yields exactly what the sweep would.
 //
 // The parallel gate (previous round's transmitter count >= denseParGate)
 // depends only on deterministic state, so the sequential fallback — the
@@ -57,7 +60,6 @@ import (
 	"sync"
 
 	"radiocast/internal/graph"
-	"radiocast/internal/obs"
 )
 
 // DenseProtocol is the bulk, structure-of-arrays counterpart of
@@ -128,30 +130,19 @@ type partStats struct {
 // Config.Tracer is ignored; MaxPacketBits is enforced on delivered
 // packets rather than at transmission.
 type Dense struct {
-	g     *graph.Graph
-	cfg   Config
-	proto DenseProtocol
-	// sweep is set when the channel may rewrite observations (non-nil
-	// and not link-only): such a round merges counts only and then
-	// sweeps every listener through Observe.
-	sweep bool
-
-	offsets []int32
-	edges   []NodeID
-	n       int
-	nWords  int
+	core
+	proto  DenseProtocol
+	n      int
+	nWords int
 
 	parts        int // partition/worker count (>= 1)
 	wordsPerPart int // words per partition (last may be short)
 
-	round  int64
-	stats  Stats
 	lastTx int // previous round's transmitter count (parallel gate)
 
 	txWords   []uint64   // current round's transmitter bitset
 	txLists   [][]NodeID // per-partition transmitter lists (ascending)
 	allTx     []NodeID   // concatenation, ascending node order
-	keptTx    []NodeID   // channel path: survivors of source suppression
 	listenW   []uint64   // this round's listener words (protocol-owned)
 	effTx     []NodeID   // scatter input: allTx or keptTx
 	hearStamp []int64    // round-stamped per-listener scratch
@@ -203,14 +194,9 @@ func NewDense(g *graph.Graph, cfg Config, proto DenseProtocol) *Dense {
 		// partition starts on a word boundary below n.
 		parts = (nWords + wordsPerPart - 1) / wordsPerPart
 	}
-	offsets, edges := g.CSR()
 	d := &Dense{
-		g:            g,
-		cfg:          cfg,
+		core:         newCore(g, cfg),
 		proto:        proto,
-		sweep:        cfg.Channel != nil && !IsLinkOnly(cfg.Channel),
-		offsets:      offsets,
-		edges:        edges,
 		n:            n,
 		nWords:       nWords,
 		parts:        parts,
@@ -246,9 +232,6 @@ func (d *Dense) Close() {
 	}
 }
 
-// Graph returns the underlying graph.
-func (d *Dense) Graph() *graph.Graph { return d.g }
-
 // Reset rewinds the engine to its post-NewDense state — round counter,
 // statistics, transmitter bitset and lists, stamps, the parallel gate —
 // and installs proto for the next run, without reallocating any scratch
@@ -275,34 +258,6 @@ func (d *Dense) Reset(proto DenseProtocol) {
 		d.hearStamp[i] = -1
 	}
 }
-
-// Retopo swaps the engine's topology in place: the scatter pass
-// immediately follows the new CSR while partitioning, buckets, stamps,
-// the worker pool, and the bound protocol are untouched. The node
-// count must be unchanged (len(offsets) == n+1) — that is what keeps
-// the word partitioning and per-node scratch valid; pass the arrays of
-// graph.Graph.CSR on a same-n graph.
-//
-// Retopo composes with Reset in either order (Reset rewinds run state,
-// Retopo swaps adjacency) and is legal mid-run. Note that dense
-// protocols typically hold their own adjacency-derived state (degrees,
-// trees); a topology swap usually pairs with Reset and a protocol
-// built on the new graph. Graph() keeps returning the construction-
-// time graph.
-func (d *Dense) Retopo(offsets []int32, edges []NodeID) {
-	if len(offsets) != len(d.offsets) {
-		panic(fmt.Sprintf("radio: Retopo with %d offsets, want %d (node count must be unchanged)",
-			len(offsets), len(d.offsets)))
-	}
-	d.offsets = offsets
-	d.edges = edges
-}
-
-// Round returns the current round number (the next round to execute).
-func (d *Dense) Round() int64 { return d.round }
-
-// Stats returns a copy of the run counters.
-func (d *Dense) Stats() Stats { return d.stats }
 
 // partNodeRange returns partition p's node range [lo, hi).
 func (d *Dense) partNodeRange(p int) (NodeID, NodeID) {
@@ -470,11 +425,10 @@ func (d *Dense) execMerge(r int64, w int, deliver bool) {
 // execObserve is the finalization for owner partition w under a
 // channel that may rewrite observations: every listener in its word
 // range — not only neighbors of transmitters — is swept in ascending
-// node order so the channel can inject observations into silent
-// receptions, mirroring Network.deliverAdverse (over all listeners
-// rather than awake ones: dense nodes are always awake).
+// node order through core.rewrite, so the channel can inject
+// observations into silent receptions (over all listeners rather than
+// awake ones: dense nodes are always awake).
 func (d *Dense) execObserve(r int64, w int) {
-	ch := d.cfg.Channel
 	st := &d.perPart[w]
 	wLo := w * d.wordsPerPart
 	wHi := wLo + d.wordsPerPart
@@ -490,38 +444,25 @@ func (d *Dense) execObserve(r int64, w int) {
 			if d.hearStamp[u] == r {
 				count = int(d.hearCount[u])
 			}
-			var out Outcome
-			ok := false
-			switch {
-			case count == 1:
-				from := d.hearFrom[u]
-				out = Outcome{Packet: d.proto.Packet(r, from), From: from}
-				ok = true
-			case count >= 2 && d.cfg.CollisionDetection:
-				out = Outcome{Collision: true}
-				ok = true
+			from := d.hearFrom[u]
+			var pkt Packet
+			if count == 1 {
+				pkt = d.proto.Packet(r, from)
 			}
-			ideal := outcomeClass(out, ok)
-			fin, fok := ch.Observe(r, u, count, out, ok)
-			if fok && fin.Collision && !d.cfg.CollisionDetection {
-				fin, fok = Outcome{}, false // ⊤ is unobservable without CD
-			}
-			if fok && !fin.Collision && fin.Packet == nil {
-				fin, fok = Outcome{}, false // no payload and no symbol: silence
-			}
-			if outcomeClass(fin, fok) != ideal {
+			out, ok, jammed := d.rewrite(r, u, count, from, pkt)
+			if jammed {
 				st.jammed++
 			}
-			if !fok {
+			if !ok {
 				continue
 			}
-			if fin.Collision {
+			if out.Collision {
 				st.collisions++
 			} else {
-				d.checkBits(u, fin.Packet)
+				d.checkBits(u, out.Packet)
 				st.deliveries++
 			}
-			d.proto.Deliver(r, u, fin)
+			d.proto.Deliver(r, u, out)
 		}
 	}
 }
@@ -550,38 +491,19 @@ func (d *Dense) Step() {
 	}
 	d.runPhase(phaseCollect, r, par)
 
-	totalTx := 0
-	for _, lst := range d.txLists {
-		totalTx += len(lst)
-	}
 	d.allTx = d.allTx[:0]
 	for _, lst := range d.txLists {
 		d.allTx = append(d.allTx, lst...)
 	}
+	totalTx := len(d.allTx)
 	d.stats.Transmissions += int64(totalTx)
 	if totalTx > 0 {
 		d.stats.ActiveRounds++
 	}
 
-	d.effTx = d.allTx
-	ch := d.cfg.Channel
-	if ch != nil {
-		// Source suppression first, THEN RoundStart with the surviving
-		// set, exactly as in Network.deliverAdverse. Both run
-		// sequentially in ascending node order at any worker count.
-		kept := d.keptTx[:0]
-		for _, t := range d.allTx {
-			if ch.SuppressTransmit(r, t) {
-				d.stats.Dropped++
-				continue
-			}
-			kept = append(kept, t)
-		}
-		d.keptTx = kept
-		ch.RoundStart(r, kept)
-		d.effTx = kept
-	}
-
+	// Suppression and RoundStart run on the stepping goroutine over the
+	// ascending transmitter list, at any worker count.
+	d.effTx = d.survivors(r, d.allTx)
 	d.runPhase(phaseScatter, r, par)
 	if d.sweep {
 		d.runPhase(phaseCount, r, par)
@@ -601,41 +523,11 @@ func (d *Dense) Step() {
 
 	d.proto.EndRound(r)
 	d.lastTx = totalTx
-	d.round = r + 1
-	d.stats.Rounds = d.round
-	// Frontier accounting mirrors Network.finishRound and runs on the
-	// stepping goroutine from the already-merged global survivor list,
-	// so it is deterministic at any worker count.
-	surv := int64(len(d.effTx))
-	if surv > 0 {
-		d.stats.BusyRounds++
-		if surv > d.stats.MaxFrontier {
-			d.stats.MaxFrontier = surv
-		}
-	} else {
-		d.stats.SilentRounds++
-	}
-	if o := d.cfg.Observer; o != nil {
-		stride := d.cfg.ObserverStride
-		if stride < 1 || r%stride == 0 {
-			o.OnRound(d.stats.snapshot(r))
-		}
-	}
-}
-
-// SetObserver installs (or clears) the round observer and its stride;
-// the same contract as Network.SetObserver.
-func (d *Dense) SetObserver(o obs.RoundObserver, stride int64) {
-	d.cfg.Observer = o
-	d.cfg.ObserverStride = stride
+	d.closeRound(r, len(d.effTx))
 }
 
 // Run executes rounds until the round counter reaches limit.
-func (d *Dense) Run(limit int64) {
-	for d.round < limit {
-		d.Step()
-	}
-}
+func (d *Dense) Run(limit int64) { d.RunUntil(limit, never) }
 
 // RunUntil executes rounds until pred returns true (checked after
 // every round) or the counter reaches limit; it reports the round

@@ -117,16 +117,19 @@ func FuzzDenseTwinIdentity(f *testing.F) {
 }
 
 // FuzzDenseLinkOnlyTwin: for any (seed, loss, graph, protocol, CD,
-// workers) the fuzzer picks, a per-link erasure channel on the
+// workers) the fuzzer picks, a per-link erasure channel on the dense
 // engine's link-only merge path must reproduce the Observe sweep's run
-// byte for byte (see linkOnlyTwin).
+// byte for byte (see linkOnlyTwin), and so must sparse Decay on
+// Network's first-touch path, on the same (seed, loss, graph, CD) and
+// on the CR schedule when the pick is cr (see networkLinkOnlyTwin).
 func FuzzDenseLinkOnlyTwin(f *testing.F) {
 	f.Add(uint64(42), uint8(26), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(1), uint8(77), uint8(1), uint8(3), uint8(3))     // loss 0.3, wave on grid
 	f.Add(uint64(7), uint8(128), uint8(2), uint8(4), uint8(7))    // loss 0.5, mmv on gnp
 	f.Add(uint64(9), uint8(255), uint8(2), uint8(0x82), uint8(1)) // total loss, cr+CD on gnp
 	f.Fuzz(func(t *testing.T, seed uint64, lossRaw, pick, protoRaw, workersRaw uint8) {
-		g := fuzzWorkloads[int(pick)%len(fuzzWorkloads)].g
+		w := fuzzWorkloads[int(pick)%len(fuzzWorkloads)]
+		g := w.g
 		p := linkTwinProtos[int(protoRaw&0x7f)%len(linkTwinProtos)]
 		loss := float64(lossRaw) / 255
 		c := p.mk(g)
@@ -137,5 +140,10 @@ func FuzzDenseLinkOnlyTwin(f *testing.F) {
 		mk := func() radio.Channel { return channel.NewErasure(loss, seed) }
 		label := fmt.Sprintf("seed=%d loss=%g pick=%d %s cd=%v", seed, loss, pick, p.name, c.CD)
 		linkOnlyTwin(t, label, c, mk, 1, 1+int(workersRaw)%8)
+		s := decay.PlainSchedule(g.N())
+		if p.name == "cr" {
+			s = w.cr
+		}
+		networkLinkOnlyTwin(t, "sparse "+label, g, s, c.CD, mk, seed, c.Limit)
 	})
 }

@@ -87,7 +87,10 @@ type Tracer interface {
 	// OnRound fires after actions are collected, before delivery.
 	// transmitters aliases engine storage: copy to retain.
 	OnRound(r int64, transmitters []NodeID)
-	// OnDeliver fires for every Observe delivered.
+	// OnDeliver fires for every Observe delivered: in first-touch
+	// order (listeners as transmissions first reach them) on the ideal
+	// channel and under a link-only one, in awake order under a
+	// channel that may rewrite observations.
 	OnDeliver(r int64, to NodeID, out Outcome)
 }
 
@@ -135,10 +138,12 @@ type Channel interface {
 // LinkOnlyChannel is the optional capability of a Channel that acts
 // only through SuppressTransmit, RoundStart and DropLink: when LinkOnly
 // reports true, Observe must return (out, ok) unchanged on every call.
-// The dense engine reads the capability once, in NewDense, and then
-// runs such a channel on its ideal collect/scatter/merge path with the
-// link loss applied in scatter, skipping the per-listener Observe
-// sweep. Results are identical either way; only the cost differs.
+// Both engines read the capability when the channel is installed (New,
+// NewDense, Network.SetChannel) and then run such a channel on their
+// ideal path — Network's first-touch resolve, Dense's
+// collect/scatter/merge — with the link loss applied in scatter,
+// skipping the per-listener Observe sweep. Results are identical
+// either way; only the cost differs.
 type LinkOnlyChannel interface {
 	Channel
 	LinkOnly() bool
@@ -185,10 +190,10 @@ type Config struct {
 	// Tracer, when non-nil, observes every round.
 	Tracer Tracer
 	// Channel, when non-nil, mediates every delivery (loss, jamming,
-	// unreliable CD, radio faults). nil is the ideal channel. The dense
-	// engine keeps a nil or link-only channel (see LinkOnlyChannel) on
-	// its collect/scatter/merge path; any other channel adds the
-	// O(n)-per-round listener sweep through Observe.
+	// unreliable CD, radio faults). nil is the ideal channel. Both
+	// engines keep a nil or link-only channel (see LinkOnlyChannel) on
+	// their ideal path; any other channel adds the per-round sweep of
+	// every awake listener through Observe.
 	Channel Channel
 	// Workers, when greater than one, partitions the dense engine's
 	// per-round passes across that many goroutines. Results are
@@ -280,13 +285,8 @@ func (s *Stats) snapshot(r int64) obs.RoundSnapshot {
 
 // Network is a synchronous radio network simulation over a fixed graph.
 type Network struct {
-	g       *graph.Graph
-	cfg     Config
-	proto   []Protocol
-	offsets []int32 // CSR aliases, hoisted out of the delivery loop
-	edges   []NodeID
-
-	round int64
+	core
+	proto []Protocol
 	wake  wakeQueue
 
 	// Per-round scratch, stamped by round number to avoid clearing.
@@ -297,22 +297,15 @@ type Network struct {
 	hearPkt     []Packet
 	touched     []NodeID
 	transmitter []NodeID
-	keptTx      []NodeID // channel path: transmitters surviving source suppression
-
-	stats Stats
 }
 
 // New creates a network over g. All nodes start with a nil protocol;
 // nil-protocol nodes are permanently silent and asleep.
 func New(g *graph.Graph, cfg Config) *Network {
 	n := g.N()
-	offsets, edges := g.CSR()
 	nw := &Network{
-		g:           g,
-		cfg:         cfg,
+		core:        newCore(g, cfg),
 		proto:       make([]Protocol, n),
-		offsets:     offsets,
-		edges:       edges,
 		listenStamp: make([]int64, n),
 		hearCount:   make([]int32, n),
 		hearStamp:   make([]int64, n),
@@ -356,7 +349,7 @@ func (nw *Network) Reset() {
 	nw.round = 0
 	nw.stats = Stats{}
 	nw.wake.reset()
-	nw.cfg.Channel = nil
+	nw.setChannel(nil)
 	for i := range nw.proto {
 		nw.proto[i] = nil
 		nw.listenStamp[i] = -1
@@ -371,54 +364,12 @@ func (nw *Network) Reset() {
 // SetChannel installs (or clears) the channel adversity model for the
 // next run. Channel models carry per-run mutable state, so a reused
 // network needs a fresh instance after every Reset.
-func (nw *Network) SetChannel(ch Channel) { nw.cfg.Channel = ch }
-
-// Retopo swaps the network's topology in place: delivery immediately
-// follows the new CSR while every other piece of engine state — round
-// counter, wake queue, stamps, scratch, installed protocols — is left
-// untouched. The node count must be unchanged (len(offsets) == n+1),
-// which is what keeps the per-node scratch valid; pass the arrays of
-// graph.Graph.CSR on a same-n graph.
-//
-// Retopo composes with Reset in either order: Reset rewinds the run
-// state without touching the CSR, Retopo swaps the CSR without
-// touching the run state. Swapping mid-run is legal too (the mobility
-// driver's case) — deliveries of round r simply fan out over the new
-// adjacency. Graph() keeps returning the construction-time graph; a
-// caller that swaps topologies owns the mapping to graph objects.
-func (nw *Network) Retopo(offsets []int32, edges []NodeID) {
-	if len(offsets) != len(nw.offsets) {
-		panic(fmt.Sprintf("radio: Retopo with %d offsets, want %d (node count must be unchanged)",
-			len(offsets), len(nw.offsets)))
-	}
-	nw.offsets = offsets
-	nw.edges = edges
-}
-
-// SetObserver installs (or clears) the round observer and its stride.
-// Unlike channels, observers carry no per-run simulation state, so —
-// like the tracer — an installed observer survives Reset; pass nil to
-// detach and restore the observer-free hot path.
-func (nw *Network) SetObserver(o obs.RoundObserver, stride int64) {
-	nw.cfg.Observer = o
-	nw.cfg.ObserverStride = stride
-}
-
-// Graph returns the underlying graph.
-func (nw *Network) Graph() *graph.Graph { return nw.g }
-
-// Round returns the current round number (the next round to execute).
-func (nw *Network) Round() int64 { return nw.round }
-
-// Stats returns a copy of the run counters.
-func (nw *Network) Stats() Stats { return nw.stats }
+func (nw *Network) SetChannel(ch Channel) { nw.setChannel(ch) }
 
 // Step executes exactly one round. If every node sleeps beyond the
 // current round the engine still advances one round (the round is
 // idle); use Run/RunUntil for fast-forwarding.
-func (nw *Network) Step() { nw.step() }
-
-func (nw *Network) step() {
+func (nw *Network) Step() {
 	r := nw.round
 	nw.transmitter = nw.transmitter[:0]
 	awake := nw.wake.popAt(r)
@@ -455,19 +406,20 @@ func (nw *Network) step() {
 	if nw.cfg.Tracer != nil {
 		nw.cfg.Tracer.OnRound(r, nw.transmitter)
 	}
-	if nw.cfg.Channel != nil {
-		nw.deliverAdverse(r, awake)
-		nw.finishRound(r, int64(len(nw.keptTx)))
-		return
-	}
-	// Delivery: count transmitting neighbors of each awake listener,
-	// iterating the CSR arrays directly.
+	// Delivery: count the surviving transmitting neighbors of each
+	// awake listener, iterating the CSR arrays directly.
+	tx := nw.survivors(r, nw.transmitter)
+	ch := nw.cfg.Channel
 	nw.touched = nw.touched[:0]
-	for _, t := range nw.transmitter {
+	for _, t := range tx {
 		pkt := nw.hearPkt[t]
 		for _, u := range nw.edges[nw.offsets[t]:nw.offsets[t+1]] {
 			if nw.listenStamp[u] != r {
 				continue // transmitting, sleeping, or protocol-less
+			}
+			if ch != nil && ch.DropLink(r, t, u) {
+				nw.stats.Dropped++
+				continue
 			}
 			if nw.hearStamp[u] != r {
 				nw.hearStamp[u] = r
@@ -481,6 +433,18 @@ func (nw *Network) step() {
 			}
 		}
 	}
+	if nw.sweep {
+		nw.sweepListeners(r, awake)
+	} else {
+		nw.resolve(r)
+	}
+	nw.closeRound(r, len(tx))
+}
+
+// resolve finalizes the listeners a surviving transmission reached, in
+// first-touch order: a unique sender is a packet, two or more are ⊤
+// under CD and silence without it.
+func (nw *Network) resolve(r int64) {
 	for _, u := range nw.touched {
 		var out Outcome
 		switch {
@@ -493,83 +457,17 @@ func (nw *Network) step() {
 		default:
 			continue // collision without CD: indistinguishable from silence
 		}
-		nw.proto[u].Observe(r, out)
-		if nw.cfg.Tracer != nil {
-			nw.cfg.Tracer.OnDeliver(r, u, out)
-		}
-	}
-	nw.finishRound(r, int64(len(nw.transmitter)))
-}
-
-// finishRound closes out executed round r: advances the round counter
-// and folds the surviving-transmitter count surv (post channel
-// suppression; every transmitter on the ideal path) into the frontier
-// counters, then fires the stride-gated observer. Both delivery paths
-// funnel through here so the busy/silent split and MaxFrontier mean the
-// same thing with and without a channel.
-func (nw *Network) finishRound(r, surv int64) {
-	nw.round = r + 1
-	nw.stats.Rounds = nw.round
-	if surv > 0 {
-		nw.stats.BusyRounds++
-		if surv > nw.stats.MaxFrontier {
-			nw.stats.MaxFrontier = surv
-		}
-	} else {
-		nw.stats.SilentRounds++
-	}
-	if o := nw.cfg.Observer; o != nil {
-		stride := nw.cfg.ObserverStride
-		if stride < 1 || r%stride == 0 {
-			o.OnRound(nw.stats.snapshot(r))
-		}
+		nw.deliver(r, u, out)
 	}
 }
 
-// deliverAdverse is the Channel-mediated delivery pass. It mirrors the
-// ideal pass but consults the channel at every stage, and its Observe
-// sweep visits every awake listener — not only neighbors of
-// transmitters — so the channel can inject observations (spurious ⊤,
-// jamming) into silent receptions. Listener order follows the awake
-// slice, which is deterministic; robust models additionally key their
-// draws by (round, node/link) so ordering never matters.
-func (nw *Network) deliverAdverse(r int64, awake []NodeID) {
-	ch := nw.cfg.Channel
-	// Source suppression first, THEN RoundStart with the surviving set:
-	// an adaptive jammer snooping the traffic must not see (and spend
-	// budget on) transmissions a fault model already erased at the
-	// source.
-	kept := nw.keptTx[:0]
-	for _, t := range nw.transmitter {
-		if ch.SuppressTransmit(r, t) {
-			nw.stats.Dropped++
-			continue
-		}
-		kept = append(kept, t)
-	}
-	nw.keptTx = kept
-	ch.RoundStart(r, kept)
-	for _, t := range kept {
-		pkt := nw.hearPkt[t]
-		for _, u := range nw.edges[nw.offsets[t]:nw.offsets[t+1]] {
-			if nw.listenStamp[u] != r {
-				continue // transmitting, sleeping, or protocol-less
-			}
-			if ch.DropLink(r, t, u) {
-				nw.stats.Dropped++
-				continue
-			}
-			if nw.hearStamp[u] != r {
-				nw.hearStamp[u] = r
-				nw.hearCount[u] = 0
-			}
-			nw.hearCount[u]++
-			if nw.hearCount[u] == 1 {
-				nw.hearFrom[u] = t
-				nw.hearPkt[u] = pkt
-			}
-		}
-	}
+// sweepListeners finalizes every awake listener — not only neighbors
+// of transmitters — through the channel's Observe, so the channel can
+// inject observations (spurious ⊤, jamming) into silent receptions.
+// Listener order follows the awake slice, which is deterministic;
+// robust models additionally key their draws by (round, node/link) so
+// ordering never matters.
+func (nw *Network) sweepListeners(r int64, awake []NodeID) {
 	for _, u := range awake {
 		if nw.listenStamp[u] != r {
 			continue
@@ -578,102 +476,54 @@ func (nw *Network) deliverAdverse(r int64, awake []NodeID) {
 		if nw.hearStamp[u] == r {
 			count = int(nw.hearCount[u])
 		}
-		var out Outcome
-		ok := false
-		switch {
-		case count == 1:
-			out = Outcome{Packet: nw.hearPkt[u], From: nw.hearFrom[u]}
-			ok = true
-		case count >= 2 && nw.cfg.CollisionDetection:
-			out = Outcome{Collision: true}
-			ok = true
-		}
-		ideal := outcomeClass(out, ok)
-		fin, fok := ch.Observe(r, u, count, out, ok)
-		if fok && fin.Collision && !nw.cfg.CollisionDetection {
-			fin, fok = Outcome{}, false // ⊤ is unobservable without CD
-		}
-		if fok && !fin.Collision && fin.Packet == nil {
-			fin, fok = Outcome{}, false // no payload and no symbol: silence
-		}
-		if outcomeClass(fin, fok) != ideal {
+		out, ok, jammed := nw.rewrite(r, u, count, nw.hearFrom[u], nw.hearPkt[u])
+		if jammed {
 			nw.stats.Jammed++
 		}
-		if !fok {
+		if !ok {
 			continue
 		}
-		if fin.Collision {
+		if out.Collision {
 			nw.stats.CollisionObs++
 		} else {
 			nw.stats.Deliveries++
 		}
-		nw.proto[u].Observe(r, fin)
-		if nw.cfg.Tracer != nil {
-			nw.cfg.Tracer.OnDeliver(r, u, fin)
-		}
+		nw.deliver(r, u, out)
 	}
 }
 
-// outcomeClass buckets an observation for Jammed accounting:
-// 0 silence, 1 packet, 2 collision symbol.
-func outcomeClass(out Outcome, ok bool) int {
-	switch {
-	case !ok:
-		return 0
-	case out.Collision:
-		return 2
-	default:
-		return 1
+func (nw *Network) deliver(r int64, u NodeID, out Outcome) {
+	nw.proto[u].Observe(r, out)
+	if nw.cfg.Tracer != nil {
+		nw.cfg.Tracer.OnDeliver(r, u, out)
 	}
 }
 
 // Run executes rounds until the round counter reaches limit,
 // fast-forwarding through globally idle windows. It returns early if
 // no node will ever wake again.
-func (nw *Network) Run(limit int64) {
-	for nw.round < limit {
-		next, ok := nw.wake.nextWake()
-		if !ok {
-			// No node will ever act again; account the idle tail.
-			nw.round = limit
-			nw.stats.Rounds = nw.round
-			return
-		}
-		if next > nw.round {
-			if next >= limit {
-				nw.round = limit
-				nw.stats.Rounds = nw.round
-				return
-			}
-			nw.round = next // fast-forward: rounds in between are idle
-		}
-		nw.step()
-	}
-}
+func (nw *Network) Run(limit int64) { nw.RunUntil(limit, never) }
 
 // RunUntil executes rounds until pred returns true (checked after
-// every executed round) or the round counter reaches limit. It reports
-// the round count at stop and whether pred was satisfied.
+// every executed round) or the round counter reaches limit,
+// fast-forwarding through globally idle windows. It reports the round
+// count at stop and whether pred was satisfied.
 func (nw *Network) RunUntil(limit int64, pred func() bool) (int64, bool) {
 	if pred() {
 		return nw.round, true
 	}
 	for nw.round < limit {
 		next, ok := nw.wake.nextWake()
-		if !ok {
+		if !ok || next >= limit {
+			// No node acts again before the limit; account the idle tail.
 			nw.round = limit
 			nw.stats.Rounds = nw.round
 			return nw.round, pred()
 		}
 		if next > nw.round {
-			if next >= limit {
-				nw.round = limit
-				nw.stats.Rounds = nw.round
-				return nw.round, pred()
-			}
-			nw.round = next
+			nw.round = next // fast-forward: rounds in between are idle
 		}
-		nw.step()
+		nw.Step()
 		if pred() {
 			return nw.round, true
 		}

@@ -1,72 +1,13 @@
-// Package sched provides hierarchical round-clock arithmetic.
+// Package sched provides the round-clock arithmetic shared by the
+// protocols.
 //
 // Every protocol in the paper is globally clocked: all schedule lengths
 // are fixed functions of n and D, so each node can derive its current
-// (phase, epoch, stage, slot, ...) position purely from the round
-// number. This package centralizes that arithmetic so protocols stay
-// readable and the decompositions are tested once.
+// position purely from the round number. This package holds the two
+// pieces every schedule uses — the decomposition of a round into
+// (iteration, offset) of a repeating block, and the ⌈log2 n⌉ schedule
+// parameter — so they are tested once.
 package sched
-
-import "fmt"
-
-// Segment is a named contiguous block of rounds inside a Layout.
-type Segment struct {
-	Name string
-	Len  int64
-}
-
-// Layout is a fixed sequence of segments. Locate maps an offset within
-// the layout to (segment index, offset within segment).
-type Layout struct {
-	segs   []Segment
-	starts []int64
-	total  int64
-}
-
-// NewLayout builds a layout from segments. Every segment must have a
-// positive length.
-func NewLayout(segs ...Segment) Layout {
-	l := Layout{segs: segs, starts: make([]int64, len(segs))}
-	for i, s := range segs {
-		if s.Len <= 0 {
-			panic(fmt.Sprintf("sched: segment %q has non-positive length %d", s.Name, s.Len))
-		}
-		l.starts[i] = l.total
-		l.total += s.Len
-	}
-	return l
-}
-
-// Total returns the layout's total length in rounds.
-func (l Layout) Total() int64 { return l.total }
-
-// NumSegments returns the number of segments.
-func (l Layout) NumSegments() int { return len(l.segs) }
-
-// Segment returns the i-th segment.
-func (l Layout) Segment(i int) Segment { return l.segs[i] }
-
-// Start returns the offset at which segment i begins.
-func (l Layout) Start(i int) int64 { return l.starts[i] }
-
-// Locate maps an offset in [0, Total()) to its segment and in-segment
-// offset. Panics if off is out of range.
-func (l Layout) Locate(off int64) (seg int, rem int64) {
-	if off < 0 || off >= l.total {
-		panic(fmt.Sprintf("sched: offset %d out of layout range [0,%d)", off, l.total))
-	}
-	// Binary search over starts.
-	lo, hi := 0, len(l.segs)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if l.starts[mid] <= off {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, off - l.starts[lo]
-}
 
 // Cycle decomposes a round into (iteration, offset) for an infinitely
 // repeating block of the given period.
@@ -101,11 +42,4 @@ func LogN(n int) int {
 		return 1
 	}
 	return l
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

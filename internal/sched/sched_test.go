@@ -1,81 +1,6 @@
 package sched
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestLayoutLocate(t *testing.T) {
-	l := NewLayout(
-		Segment{Name: "a", Len: 3},
-		Segment{Name: "b", Len: 1},
-		Segment{Name: "c", Len: 5},
-	)
-	if l.Total() != 9 {
-		t.Fatalf("Total = %d", l.Total())
-	}
-	cases := []struct {
-		off  int64
-		seg  int
-		rem  int64
-		name string
-	}{
-		{0, 0, 0, "a"}, {2, 0, 2, "a"},
-		{3, 1, 0, "b"},
-		{4, 2, 0, "c"}, {8, 2, 4, "c"},
-	}
-	for _, c := range cases {
-		seg, rem := l.Locate(c.off)
-		if seg != c.seg || rem != c.rem {
-			t.Errorf("Locate(%d) = (%d,%d), want (%d,%d)", c.off, seg, rem, c.seg, c.rem)
-		}
-		if l.Segment(seg).Name != c.name {
-			t.Errorf("Locate(%d) segment name %q, want %q", c.off, l.Segment(seg).Name, c.name)
-		}
-	}
-}
-
-func TestLayoutLocateRoundTrip(t *testing.T) {
-	l := NewLayout(
-		Segment{Name: "x", Len: 7},
-		Segment{Name: "y", Len: 13},
-		Segment{Name: "z", Len: 2},
-	)
-	f := func(raw int64) bool {
-		off := raw % l.Total()
-		if off < 0 {
-			off += l.Total()
-		}
-		seg, rem := l.Locate(off)
-		return l.Start(seg)+rem == off && rem >= 0 && rem < l.Segment(seg).Len
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLayoutPanicsOutOfRange(t *testing.T) {
-	l := NewLayout(Segment{Name: "a", Len: 2})
-	for _, off := range []int64{-1, 2, 100} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Locate(%d) did not panic", off)
-				}
-			}()
-			l.Locate(off)
-		}()
-	}
-}
-
-func TestLayoutRejectsEmptySegment(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero-length segment")
-		}
-	}()
-	NewLayout(Segment{Name: "bad", Len: 0})
-}
+import "testing"
 
 func TestCycle(t *testing.T) {
 	iter, off := Cycle(17, 5)
