@@ -462,8 +462,9 @@ func BenchmarkEngine_DenseGST_GNP100k(b *testing.B) {
 }
 
 // BenchmarkEngine_StreamCSR_GNP100k isolates the streaming graph
-// build (no Builder maps: degree pass + fill pass + per-row dedup) —
-// the construction half of every E19 cell.
+// build (no Builder maps: one run of the generator, the upper parts of
+// the rows transposed into the lower parts, per-row dedup, and the
+// connectivity sweep) — the construction half of every E19 cell.
 func BenchmarkEngine_StreamCSR_GNP100k(b *testing.B) {
 	const n = 100_000
 	for i := 0; i < b.N; i++ {

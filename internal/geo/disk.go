@@ -105,9 +105,10 @@ func (d *Disk) Name() string {
 	return fmt.Sprintf("udg(%s,r=%.4g)", d.l.name, d.radius)
 }
 
-// Edges emits each unit-disk edge once (u < v). The order is a pure
-// function of the precomputed bucketing, satisfying the EdgeStream
-// contract that both FromStream passes see the same sequence.
+// Edges emits each unit-disk edge once (u < v), u ascending, so
+// FromStream assembles the graph from one run. The order is a pure
+// function of the precomputed bucketing, as the EdgeStream contract
+// requires.
 func (d *Disk) Edges(emit func(u, v graph.NodeID)) {
 	n := d.l.N()
 	r2 := d.radius * d.radius

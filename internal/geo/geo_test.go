@@ -157,6 +157,33 @@ func TestDiskStreamStable(t *testing.T) {
 	}
 }
 
+// runCounter counts the runs of the stream it wraps.
+type runCounter struct {
+	graph.EdgeStream
+	runs int
+}
+
+func (c *runCounter) Edges(emit func(u, v graph.NodeID)) {
+	c.runs++
+	c.EdgeStream.Edges(emit)
+}
+
+// TestDiskBuildRunsOnce pins that the unit-disk stream, whose smaller
+// endpoints never decrease, is run once by BuildConnected, also when
+// the sample has to be stitched.
+func TestDiskBuildRunsOnce(t *testing.T) {
+	l := Uniform(400, 5)
+	for _, r := range []float64{ConnectivityRadius(400), 0.02} {
+		c := &runCounter{EdgeStream: NewDisk(l, r)}
+		if g := graph.BuildConnected(c, 1); !graph.IsConnected(g) {
+			t.Fatalf("r=%g: not connected", r)
+		}
+		if c.runs != 1 {
+			t.Errorf("r=%g: stream ran %d times, want 1", r, c.runs)
+		}
+	}
+}
+
 func TestWaypointStaysInBoundsAndDeterministic(t *testing.T) {
 	la := Uniform(200, 21)
 	lb := Uniform(200, 21)

@@ -9,6 +9,8 @@ package graph
 // blocks); the fuzzer mutates from there.
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 )
 
@@ -30,9 +32,31 @@ func (s fuzzStream) Edges(emit func(u, v NodeID)) {
 	}
 }
 
+// canonicalStream emits fuzzStream's pairs as (min, max), sorted,
+// duplicates and self-loops kept.
+type canonicalStream fuzzStream
+
+func (s canonicalStream) N() int       { return s.n }
+func (s canonicalStream) Name() string { return "fuzz" }
+
+func (s canonicalStream) Edges(emit func(u, v NodeID)) {
+	var pairs [][2]NodeID
+	fuzzStream(s).Edges(func(u, v NodeID) {
+		pairs = append(pairs, [2]NodeID{min(u, v), max(u, v)})
+	})
+	slices.SortFunc(pairs, func(a, b [2]NodeID) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	for _, p := range pairs {
+		emit(p[0], p[1])
+	}
+}
+
 // FuzzFromStream: streamed CSR assembly vs the Builder twin on the
 // same emission sequence — offsets, edges, and name must match
-// byte-for-byte, and the result must pass structural validation.
+// byte-for-byte, and the result must pass structural validation. Each
+// input is fed raw (usually the replay path) and in canonical form
+// (the one-run path).
 func FuzzFromStream(f *testing.F) {
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(2), []byte{0, 1})
@@ -47,12 +71,21 @@ func FuzzFromStream(f *testing.F) {
 			t.Fatalf("FromStream produced invalid graph: %v", err)
 		}
 		sameGraph(t, got, buildViaBuilder(s), "fuzz stream")
+		// The canonical form of the same input is source-monotone, so
+		// it is assembled from one run of the stream.
+		c := canonicalStream{n: n, data: data}
+		runs := 0
+		got = FromStream(countingStream{c, &runs})
+		if runs != 1 {
+			t.Fatalf("canonical stream ran %d times, want 1", runs)
+		}
+		sameGraph(t, got, buildViaBuilder(c), "canonical fuzz stream")
 	})
 }
 
 // FuzzBuildConnected: the stitched graph must validate, be connected,
-// contain the sampled edges, and rebuild byte-identically from the
-// same (stream, seed) pair.
+// contain the sampled edges, rebuild byte-identically from the same
+// (stream, seed) pair, and equal the reference full rebuild.
 func FuzzBuildConnected(f *testing.F) {
 	f.Add(uint8(1), uint64(0), []byte{})
 	f.Add(uint8(50), uint64(7), []byte{})           // all-isolated: n-1 stitch edges
@@ -75,5 +108,6 @@ func FuzzBuildConnected(f *testing.F) {
 			}
 		})
 		sameGraph(t, BuildConnected(s, seed), g, "rebuild")
+		sameGraph(t, g, buildConnectedRebuild(s, seed), "splice vs full rebuild")
 	})
 }

@@ -202,17 +202,52 @@ func IsConnected(g *Graph) bool {
 	if g.n <= 1 {
 		return true
 	}
-	return BFS(g, 0).Reached == g.n
+	_, reached, _ := sweep(g, 0)
+	return len(reached) == g.n
 }
 
 // Eccentricity returns the maximum distance from v to any node.
 // Panics if the graph is disconnected from v.
 func Eccentricity(g *Graph, v NodeID) int {
-	res := BFS(g, v)
-	if res.Reached != g.n {
+	_, reached, ecc := sweep(g, v)
+	if len(reached) != g.n {
 		panic("graph: Eccentricity on disconnected graph")
 	}
-	return int(res.MaxDist)
+	return ecc
+}
+
+// sweep is the breadth-first search for callers that need no distances:
+// it returns the one-bit-per-node visited set, the nodes reached from
+// src in visiting order, and src's eccentricity within them. The set is
+// raw words rather than a bitvec.Vec, whose signed-index Get and Set
+// made this loop about a third slower.
+func sweep(g *Graph, src NodeID) (seen []uint64, reached []NodeID, ecc int) {
+	seen = make([]uint64, (g.n+63)/64)
+	reached, ecc = reach(g, seen, make([]NodeID, 0, g.n), src)
+	return seen, reached, ecc
+}
+
+// reach searches breadth-first from src over the nodes not yet set in
+// seen, setting each one it reaches. It returns queue with those nodes
+// appended in visiting order, and the depth of the search.
+func reach(g *Graph, seen []uint64, queue []NodeID, src NodeID) ([]NodeID, int) {
+	seen[src>>6] |= 1 << (src & 63)
+	queue = append(queue, src)
+	depth := 0
+	for head, end := len(queue)-1, len(queue); ; depth++ {
+		for ; head < end; head++ {
+			for _, u := range g.Neighbors(queue[head]) {
+				if seen[u>>6]&(1<<(u&63)) == 0 {
+					seen[u>>6] |= 1 << (u & 63)
+					queue = append(queue, u)
+				}
+			}
+		}
+		if end == len(queue) {
+			return queue, depth
+		}
+		end = len(queue)
+	}
 }
 
 // Diameter computes the exact diameter with n BFS traversals. Intended

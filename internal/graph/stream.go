@@ -4,9 +4,10 @@ package graph
 // Builder keeps one map per node (hundreds of bytes of overhead per
 // edge), which is fine at experiment scale (n <= 2^10) and hopeless at
 // n = 10^6. An EdgeStream instead re-emits its edge sequence on
-// demand, and FromStream materializes CSR directly with two counting
-// passes over the stream — no edge list, no maps, no per-node
-// allocation beyond the final arrays.
+// demand, and FromStream materializes CSR directly — no edge list, no
+// maps, no per-node allocation beyond the final arrays. Every stock
+// generator is source-monotone (see FromStream), so FromStream runs it
+// once; any other stream is run twice.
 //
 // The streaming-CSR contract: for any EdgeStream, FromStream(s) is
 // byte-identical (offsets, edges, name) to feeding the same emissions
@@ -24,10 +25,10 @@ import (
 )
 
 // EdgeStream is a deterministic edge generator: Edges must emit the
-// identical sequence on every invocation (FromStream iterates it
-// twice — once to count degrees, once to fill). Emitting a self-loop
-// or a duplicate edge is allowed; both are dropped during assembly,
-// exactly like Builder.AddEdge.
+// identical sequence on every invocation, because FromStream runs it a
+// second time when the emissions are not source-monotone. Emitting a
+// self-loop or a duplicate edge is allowed; both are dropped during
+// assembly, exactly like Builder.AddEdge.
 type EdgeStream interface {
 	// N returns the node count of the generated graph.
 	N() int
@@ -37,135 +38,205 @@ type EdgeStream interface {
 	Edges(emit func(u, v NodeID))
 }
 
-// FromStream materializes a stream into CSR form: pass one counts
-// degrees, pass two fills the edge array in place, then each row is
-// sorted and deduplicated with forward compaction. Peak memory is the
-// final CSR plus one int32 per node.
+// FromStream materializes a stream into CSR form. A node's row is its
+// lower part (neighbours below it) followed by its upper part
+// (neighbours above it), and the assembly only ever places upper parts:
+//
+//  1. One run of the stream counts each node's lower and upper degree.
+//     While the emissions stay source-monotone — the smaller endpoint
+//     never decreases from one emission to the next — it also keeps the
+//     larger endpoints in emission order, which is every upper part in
+//     node order.
+//  2. Walking the nodes in ascending order, each upper part is copied
+//     from what was kept (or, if the order broke, from a second run of
+//     the stream made before the walk), sorted unless it is already
+//     ascending, and transposed into the lower parts of its members,
+//     which therefore come out sorted. The finished row is deduplicated
+//     by forward compaction.
+//
+// Peak memory is the final CSR plus two int32 per node and, on the
+// one-run path, the kept endpoints: one int32 per edge, plus at most
+// half as much again in unfilled chunk space.
 func FromStream(s EdgeStream) *Graph {
 	n := s.N()
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	g := &Graph{n: n, name: s.Name(), offsets: make([]int32, n+1)}
-	deg := make([]int32, n)
-	s.Edges(func(u, v NodeID) {
-		if u == v {
-			return
-		}
-		if u < 0 || v < 0 || int(u) >= n || int(v) >= n {
-			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
-		}
-		deg[u]++
-		deg[v]++
-	})
+	a := &assembly{n: n, offsets: make([]int32, n+1), low: make([]int32, n), monotone: true}
+	s.Edges(a.count)
+	a.full[a.k] = a.tail
+	offsets, low := a.offsets, a.low
 	total := int32(0)
 	for v := 0; v < n; v++ {
-		g.offsets[v] = total
-		total += deg[v]
-		deg[v] = 0 // reuse as the pass-two fill cursor
+		lower, upper := low[v], offsets[v+1]
+		offsets[v] = total
+		low[v] = total + lower // where v's upper part starts
+		total += lower + upper
 	}
-	g.offsets[n] = total
-	g.edges = make([]NodeID, total)
-	s.Edges(func(u, v NodeID) {
-		if u == v {
-			return
-		}
-		g.edges[g.offsets[u]+deg[u]] = v
-		deg[u]++
-		g.edges[g.offsets[v]+deg[v]] = u
-		deg[v]++
-	})
-	// Sort + dedup each row, compacting forward. The write cursor never
-	// passes the current row's start (compaction only shrinks), so rows
-	// are read before they are overwritten.
-	w := int32(0)
-	for v := 0; v < n; v++ {
-		start, end := g.offsets[v], g.offsets[v+1]
-		row := g.edges[start:end]
-		slices.Sort(row)
-		g.offsets[v] = w
-		prev := NodeID(-1)
-		for _, u := range row {
-			if u == prev {
-				continue
+	offsets[n] = total
+	edges := make([]NodeID, total)
+	if !a.monotone {
+		s.Edges(func(u, v NodeID) {
+			if u == v {
+				return
 			}
-			prev = u
-			g.edges[w] = u
-			w++
+			if u > v {
+				u, v = v, u
+			}
+			edges[low[u]] = v
+			low[u]++
+		})
+	}
+	copy(low, offsets) // low[v] is now the fill cursor of v's lower part
+	kept, src := a.full[:], []NodeID(nil)
+	w := int32(0)
+	for u := 0; u < n; u++ {
+		// Every lower neighbour of u is below u and already walked, so
+		// the cursor low[u] has reached the start of u's upper part.
+		start, end := offsets[u], offsets[u+1]
+		upper := edges[low[u]:end]
+		if a.monotone {
+			for dst := upper; len(dst) > 0; {
+				if len(src) == 0 {
+					src, kept = kept[0], kept[1:]
+				}
+				c := copy(dst, src)
+				dst, src = dst[c:], src[c:]
+			}
+		}
+		if !slices.IsSorted(upper) {
+			slices.Sort(upper)
+		}
+		for _, v := range upper {
+			edges[low[v]] = NodeID(u)
+			low[v]++
+		}
+		// The write cursor never passes the row's start (compaction only
+		// shrinks), so rows are read before they are overwritten.
+		offsets[u] = w
+		prev := NodeID(-1)
+		for _, v := range edges[start:end] {
+			if v != prev {
+				prev = v
+				edges[w] = v
+				w++
+			}
 		}
 	}
-	g.offsets[n] = w
-	g.edges = g.edges[:w]
-	return g
+	offsets[n] = w
+	return &Graph{n: n, name: s.Name(), offsets: offsets, edges: edges[:w]}
+}
+
+// assembly is FromStream's counting state.
+type assembly struct {
+	n       int
+	offsets []int32 // offsets[u+1] counts u's upper neighbours
+	low     []int32 // low[v] counts v's lower neighbours
+	// monotone holds while no emission's smaller endpoint has been
+	// below its predecessor's (last). Until it breaks, full[:k] and then
+	// tail keep the larger endpoints in emission order, in chunks that
+	// start at 2n entries and grow by half (a chunk is zeroed, and so
+	// resident, in full when it is made).
+	monotone bool
+	last     NodeID
+	tail     []NodeID
+	k        int
+	full     [48][]NodeID
+}
+
+func (a *assembly) count(u, v NodeID) {
+	if u == v {
+		return
+	}
+	if u < 0 || v < 0 || int(u) >= a.n || int(v) >= a.n {
+		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, a.n))
+	}
+	if u > v {
+		u, v = v, u
+	}
+	a.offsets[u+1]++
+	a.low[v]++
+	if !a.monotone {
+		return
+	}
+	if u < a.last {
+		a.monotone, a.tail, a.full = false, nil, [48][]NodeID{}
+		return
+	}
+	a.last = u
+	if len(a.tail) == cap(a.tail) {
+		a.grow()
+	}
+	a.tail = append(a.tail, v)
+}
+
+// grow files the full tail chunk and starts the next one.
+func (a *assembly) grow() {
+	size := max(2*a.n, 256)
+	if a.tail != nil {
+		a.full[a.k] = a.tail
+		a.k++
+		size = cap(a.tail) + cap(a.tail)/2
+	}
+	a.tail = make([]NodeID, 0, size)
 }
 
 // BuildConnected materializes a stream and stitches connectivity: if
 // the sample is disconnected, each secondary component (in ascending
 // min-node order) is joined to node 0's component by one random edge,
 // mirroring the legacy stitchConnected semantics at streaming scale
-// (one component scan instead of a BFS per added edge).
+// (one component scan instead of a BFS per added edge). The stitch
+// edges are spliced into the built CSR; the stream runs no extra time.
 func BuildConnected(s EdgeStream, seed uint64) *Graph {
 	g := FromStream(s)
 	if g.n == 0 {
 		return g
 	}
-	res := BFS(g, 0)
-	if res.Reached == g.n {
+	seen, reached, _ := sweep(g, 0)
+	if len(reached) == g.n {
 		return g
 	}
+	slices.Sort(reached)
 	r := rng.New(seed, 0x737469) // "sti"
-	reached := make([]NodeID, 0, res.Reached)
+	var comp, us, vs []NodeID
 	for v := 0; v < g.n; v++ {
-		if res.Dist[v] >= 0 {
-			reached = append(reached, NodeID(v))
-		}
-	}
-	visited := res.Dist // -1 = not yet in node 0's component
-	var queue, extraU, extraV []NodeID
-	for v := 0; v < g.n; v++ {
-		if visited[v] >= 0 {
+		if seen[v>>6]&(1<<(v&63)) != 0 {
 			continue
 		}
 		// Collect this component, pick a random member, stitch it to a
 		// random node of the main component.
-		comp := queue[:0]
-		visited[v] = 0
-		comp = append(comp, NodeID(v))
-		for head := 0; head < len(comp); head++ {
-			for _, u := range g.Neighbors(comp[head]) {
-				if visited[u] < 0 {
-					visited[u] = 0
-					comp = append(comp, u)
-				}
-			}
-		}
-		queue = comp
-		extraU = append(extraU, reached[r.Intn(len(reached))])
-		extraV = append(extraV, comp[r.Intn(len(comp))])
+		comp, _ = reach(g, seen, comp[:0], NodeID(v))
+		us = append(us, reached[r.Intn(len(reached))])
+		vs = append(vs, comp[r.Intn(len(comp))])
 	}
-	return FromStream(&augmentedStream{g: g, extraU: extraU, extraV: extraV})
+	return g.splice(us, vs)
 }
 
-// augmentedStream re-emits a built graph's edges plus stitch edges.
-type augmentedStream struct {
-	g              *Graph
-	extraU, extraV []NodeID
-}
-
-func (a *augmentedStream) N() int       { return a.g.n }
-func (a *augmentedStream) Name() string { return a.g.name }
-
-func (a *augmentedStream) Edges(emit func(u, v NodeID)) {
-	for v := 0; v < a.g.n; v++ {
-		for _, u := range a.g.Neighbors(NodeID(v)) {
-			if u > NodeID(v) {
-				emit(NodeID(v), u)
-			}
+// splice returns g plus the undirected edges {us[i], vs[i]}, merged
+// into the sorted rows in one pass. Each edge must be absent from g and
+// appear once in the list.
+func (g *Graph) splice(us, vs []NodeID) *Graph {
+	arcs := make([]uint64, 0, 2*len(us)) // from<<32 | to
+	for i, u := range us {
+		v := vs[i]
+		arcs = append(arcs, uint64(u)<<32|uint64(v), uint64(v)<<32|uint64(u))
+	}
+	slices.Sort(arcs)
+	out := &Graph{n: g.n, name: g.name, offsets: make([]int32, g.n+1)}
+	out.edges = make([]NodeID, 0, len(g.edges)+len(arcs))
+	for v := 0; v < g.n; v++ {
+		out.offsets[v] = int32(len(out.edges))
+		row := g.Neighbors(NodeID(v))
+		for ; len(arcs) > 0 && arcs[0]>>32 == uint64(v); arcs = arcs[1:] {
+			to := NodeID(uint32(arcs[0]))
+			i, _ := slices.BinarySearch(row, to)
+			out.edges = append(append(out.edges, row[:i]...), to)
+			row = row[i:]
 		}
+		out.edges = append(out.edges, row...)
 	}
-	for i := range a.extraU {
-		emit(a.extraU[i], a.extraV[i])
-	}
+	out.offsets[g.n] = int32(len(out.edges))
+	return out
 }
 
 // ---------------------------------------------------------------------

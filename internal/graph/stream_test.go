@@ -133,6 +133,201 @@ func TestFromStreamValid(t *testing.T) {
 	}
 }
 
+// buildConnectedRebuild is the reference for BuildConnected's splice:
+// the stitch edges are chosen from full BFS results, and the graph is
+// assembled again by FromStream over its own edges plus the stitch
+// edges.
+func buildConnectedRebuild(s EdgeStream, seed uint64) *Graph {
+	g := FromStream(s)
+	if g.n == 0 {
+		return g
+	}
+	res := BFS(g, 0)
+	if res.Reached == g.n {
+		return g
+	}
+	r := rng.New(seed, 0x737469) // "sti"
+	var reached []NodeID
+	for v := 0; v < g.n; v++ {
+		if res.Dist[v] >= 0 {
+			reached = append(reached, NodeID(v))
+		}
+	}
+	visited := res.Dist
+	var extra [][2]NodeID
+	for v := 0; v < g.n; v++ {
+		if visited[v] >= 0 {
+			continue
+		}
+		comp := []NodeID{NodeID(v)}
+		visited[v] = 0
+		for head := 0; head < len(comp); head++ {
+			for _, u := range g.Neighbors(comp[head]) {
+				if visited[u] < 0 {
+					visited[u] = 0
+					comp = append(comp, u)
+				}
+			}
+		}
+		main := reached[r.Intn(len(reached))]
+		extra = append(extra, [2]NodeID{main, comp[r.Intn(len(comp))]})
+	}
+	return FromStream(&augmentedStream{g: g, extra: extra})
+}
+
+// augmentedStream re-emits a built graph's edges plus extra edges.
+type augmentedStream struct {
+	g     *Graph
+	extra [][2]NodeID
+}
+
+func (a *augmentedStream) N() int       { return a.g.n }
+func (a *augmentedStream) Name() string { return a.g.name }
+
+func (a *augmentedStream) Edges(emit func(u, v NodeID)) {
+	for v := 0; v < a.g.n; v++ {
+		for _, u := range a.g.Neighbors(NodeID(v)) {
+			if u > NodeID(v) {
+				emit(NodeID(v), u)
+			}
+		}
+	}
+	for _, e := range a.extra {
+		emit(e[0], e[1])
+	}
+}
+
+// TestBuildConnectedSpliceMatchesRebuild pins the splice of stitch
+// edges into the built CSR byte-identical to the full rebuild, on
+// G(n,p) samples from far below to around the connectivity threshold.
+func TestBuildConnectedSpliceMatchesRebuild(t *testing.T) {
+	stitched := 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, n := range []int{2, 40, 300, 2000} {
+			for _, c := range []float64{0, 0.5, 1, 3, 6} {
+				s := StreamGNP(n, c/float64(n), seed)
+				g := BuildConnected(s, seed)
+				if g.M() != FromStream(s).M() {
+					stitched++
+				}
+				sameGraph(t, g, buildConnectedRebuild(s, seed), fmt.Sprintf("%s seed %d", s.Name(), seed))
+			}
+		}
+	}
+	if stitched == 0 {
+		t.Fatal("no sample needed stitching")
+	}
+}
+
+// countingStream counts the runs of the stream it wraps.
+type countingStream struct {
+	EdgeStream
+	runs *int
+}
+
+func (c countingStream) Edges(emit func(u, v NodeID)) {
+	*c.runs++
+	c.EdgeStream.Edges(emit)
+}
+
+// TestStreamRuns pins how often the assembly runs each generator:
+// once for the source-monotone ones, also when BuildConnected has to
+// stitch the sample, and twice for the stub-pairing regular sampler,
+// whose emissions are in shuffled order.
+func TestStreamRuns(t *testing.T) {
+	for _, c := range []struct {
+		s    EdgeStream
+		runs int
+	}{
+		{StreamPath(500), 1},
+		{StreamGrid(20, 30), 1},
+		{StreamClusterChain(12, 9), 1},
+		{StreamGNP(2000, 16.0/2000, 3), 1},
+		{StreamGNP(2000, 1.0/2000, 3), 1}, // disconnected: stitched
+		{StreamGNP(40, 1, 3), 1},
+		{StreamRandomRegular(1000, 4, 3), 2},
+	} {
+		runs := 0
+		g := BuildConnected(countingStream{c.s, &runs}, 9)
+		if runs != c.runs {
+			t.Errorf("%s: stream ran %d times, want %d", c.s.Name(), runs, c.runs)
+		}
+		if !IsConnected(g) {
+			t.Errorf("%s: not connected", c.s.Name())
+		}
+	}
+}
+
+// orderBreakStream emits a path in ascending order, then, after
+// emission at, an edge whose smaller endpoint goes back, then the
+// rest of the path and a duplicate.
+type orderBreakStream struct{ n, at int }
+
+func (s orderBreakStream) N() int       { return s.n }
+func (s orderBreakStream) Name() string { return fmt.Sprintf("break-%d-%d", s.n, s.at) }
+
+func (s orderBreakStream) Edges(emit func(u, v NodeID)) {
+	for v := 0; v+1 < s.n; v++ {
+		if v == s.at {
+			emit(NodeID(s.n-1), 1)
+		}
+		emit(NodeID(v), NodeID(v+1))
+	}
+	emit(2, 3)
+}
+
+// TestFromStreamOrderBreak covers the switch from keeping the upper
+// endpoints to replaying the stream when the order breaks late.
+func TestFromStreamOrderBreak(t *testing.T) {
+	for _, at := range []int{0, 1, 4000, 9998} {
+		s := orderBreakStream{n: 10000, at: at}
+		runs := 0
+		g := FromStream(countingStream{s, &runs})
+		if runs != 2 {
+			t.Errorf("%s: stream ran %d times, want 2", s.Name(), runs)
+		}
+		sameGraph(t, g, buildViaBuilder(s), s.Name())
+	}
+}
+
+// TestSweepMatchesBFS checks the bit-sweep Eccentricity and IsConnected
+// against BFS on every stream generator and on random edge sequences.
+func TestSweepMatchesBFS(t *testing.T) {
+	graphs := []*Graph{
+		FromStream(StreamPath(1)),
+		FromStream(StreamPath(77)),
+		FromStream(StreamGrid(9, 14)),
+		FromStream(StreamClusterChain(7, 5)),
+		FromStream(StreamGNP(150, 0.02, 4)),
+		BuildConnected(StreamGNP(150, 0.005, 4), 4),
+		FromStream(StreamRandomRegular(120, 3, 4)),
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed, 0x737770) // "swp"
+		data := make([]byte, r.Intn(300))
+		for i := range data {
+			data[i] = byte(r.Intn(256))
+		}
+		graphs = append(graphs, FromStream(fuzzStream{n: 1 + r.Intn(60), data: data}))
+	}
+	for _, g := range graphs {
+		if got, want := IsConnected(g), BFS(g, 0).Reached == g.n; got != want {
+			t.Fatalf("%s: IsConnected = %v, BFS says %v", g.Name(), got, want)
+		}
+		for v := 0; v < g.n; v++ {
+			res := BFS(g, NodeID(v))
+			_, reached, ecc := sweep(g, NodeID(v))
+			if len(reached) != res.Reached || ecc != int(res.MaxDist) {
+				t.Fatalf("%s from %d: sweep reached %d ecc %d, BFS %d and %d",
+					g.Name(), v, len(reached), ecc, res.Reached, res.MaxDist)
+			}
+			if res.Reached == g.n && Eccentricity(g, NodeID(v)) != int(res.MaxDist) {
+				t.Fatalf("%s: Eccentricity(%d) != BFS MaxDist %d", g.Name(), v, res.MaxDist)
+			}
+		}
+	}
+}
+
 // TestBuildConnectedStitches pins that BuildConnected yields one
 // component without disturbing already-connected samples, and is
 // deterministic in (stream, seed).
@@ -155,8 +350,8 @@ func TestBuildConnectedStitches(t *testing.T) {
 }
 
 // TestStreamReiteration pins the EdgeStream determinism requirement
-// FromStream's two-pass assembly depends on: building twice from the
-// same stream value yields byte-identical graphs.
+// FromStream's replay path depends on: building twice from the same
+// stream value yields byte-identical graphs.
 func TestStreamReiteration(t *testing.T) {
 	for _, s := range []EdgeStream{
 		StreamGNP(200, 0.05, 3),
