@@ -491,3 +491,43 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Skip("queue never filled (machine too fast); back-pressure path not exercised")
 	}
 }
+
+// TestFinishedJobsEvicted: the index holds at most maxFinishedJobs
+// finished jobs. Finishing one more drops the oldest finished job, so
+// its status and events answer 404 while the newer ones still answer.
+func TestFinishedJobsEvicted(t *testing.T) {
+	old := maxFinishedJobs
+	t.Cleanup(func() { maxFinishedJobs = old })
+	maxFinishedJobs = 2
+	ts, _ := newTestServer(t, 1, 16)
+	code := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	var ids []string
+	for seed := 1; seed <= maxFinishedJobs+2; seed++ {
+		id := submit(t, ts, fmt.Sprintf(decaySpec, seed))
+		if st := waitDone(t, ts, id); st.State != StateDone {
+			t.Fatalf("job %s: state %s (err %q)", id, st.State, st.Error)
+		}
+		ids = append(ids, id)
+		evicted := max(0, len(ids)-maxFinishedJobs)
+		for i, j := range ids {
+			want := http.StatusOK
+			if i < evicted {
+				want = http.StatusNotFound
+			}
+			for _, path := range []string{"/v1/jobs/" + j, "/v1/jobs/" + j + "/events"} {
+				if got := code(path); got != want {
+					t.Fatalf("after %d jobs: GET %s = %d, want %d", len(ids), path, got, want)
+				}
+			}
+		}
+	}
+}

@@ -36,6 +36,12 @@ const (
 // are dropped first (SSE replay starts from what is kept).
 const maxEventHistory = 4096
 
+// maxFinishedJobs caps how many finished (done or failed) jobs the
+// index keeps. Past it the oldest finished job is dropped, and its id
+// answers 404; queued and running jobs are never dropped. A variable
+// only so tests can lower it.
+var maxFinishedJobs = 1024
+
 // maxPoolContexts caps one worker's reuse-context cache. Contexts hold
 // full protocol stacks, so an unbounded cache is a memory leak shaped
 // like a feature; on overflow the cache is dropped wholesale and
@@ -239,9 +245,10 @@ type Manager struct {
 	log     *slog.Logger
 	metrics *obs.Registry
 
-	mu   sync.Mutex
-	jobs map[string]*Job
-	next int64
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	finished []string // ids of finished jobs still indexed, oldest first
+	next     int64
 
 	queue  chan *Job
 	wg     sync.WaitGroup
@@ -331,7 +338,8 @@ func (m *Manager) Get(id string) *Job {
 	return m.jobs[id]
 }
 
-// Jobs lists all jobs (newest last).
+// Jobs lists the indexed jobs: every queued or running job and the
+// newest maxFinishedJobs finished ones, in no particular order.
 func (m *Manager) Jobs() []JobStatus {
 	m.mu.Lock()
 	jobs := make([]*Job, 0, len(m.jobs))
@@ -390,6 +398,7 @@ func (m *Manager) worker(id int) {
 		wall := time.Since(start)
 		m.wall.Observe(wall.Seconds())
 		m.running.Dec()
+		m.retire(job)
 		if err != nil {
 			job.mu.Lock()
 			job.err = err.Error()
@@ -413,6 +422,20 @@ func (m *Manager) worker(id int) {
 				"rounds", res.Rounds, "completed", res.Completed, "wall_us", res.WallMicros)
 		}
 		job.closeSubs()
+	}
+}
+
+// retire records job as finished and drops the oldest finished jobs
+// past maxFinishedJobs. The worker calls it before publishing the
+// terminal state, so a client that sees a job finish already sees the
+// index trimmed.
+func (m *Manager) retire(job *Job) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.finished = append(m.finished, job.ID)
+	for len(m.finished) > maxFinishedJobs {
+		delete(m.jobs, m.finished[0])
+		m.finished = m.finished[1:]
 	}
 }
 

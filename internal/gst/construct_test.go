@@ -141,7 +141,7 @@ func checkTwin(t *testing.T, label string, g *graph.Graph, roots ...NodeID) {
 }
 
 // mismatch returns the first index where a and b differ, or -1.
-func mismatch(a, b []int32) int {
+func mismatch[T comparable](a, b []T) int {
 	if len(a) != len(b) {
 		return min(len(a), len(b))
 	}
@@ -201,11 +201,11 @@ func TestConstructMatchesReference(t *testing.T) {
 	checkTwin(t, "disconnected forest", split, 3, 50)
 }
 
-// FuzzConstructTwin: Construct vs constructReference on a
-// fuzzer-chosen small graph (byte pairs are edges mod n) and root set
-// (bytes mod n; node 0 when empty). Disconnected inputs are expected —
+// fuzzForest seeds f with a small corpus and decodes every input into
+// a small graph (byte pairs are edges mod n) and a root set (bytes mod
+// n; node 0 when empty) for check. Disconnected inputs are expected —
 // the forest then leaves the unreached nodes out.
-func FuzzConstructTwin(f *testing.F) {
+func fuzzForest(f *testing.F, check func(t *testing.T, g *graph.Graph, roots []NodeID)) {
 	f.Add(uint8(1), []byte{}, []byte{})
 	f.Add(uint8(6), []byte{0}, []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5})
 	f.Add(uint8(8), []byte{0, 7}, []byte{0, 1, 0, 2, 1, 3, 2, 3, 3, 4, 4, 5, 6, 7})
@@ -224,6 +224,14 @@ func FuzzConstructTwin(f *testing.F) {
 				roots = append(roots, NodeID(int(r)%n))
 			}
 		}
-		checkTwin(t, "fuzz", b.Build(), roots...)
+		check(t, b.Build(), roots)
+	})
+}
+
+// FuzzConstructTwin: Construct vs constructReference on fuzzer-chosen
+// small graphs and root sets (see fuzzForest).
+func FuzzConstructTwin(f *testing.F) {
+	fuzzForest(f, func(t *testing.T, g *graph.Graph, roots []NodeID) {
+		checkTwin(t, "fuzz", g, roots...)
 	})
 }

@@ -1,20 +1,21 @@
 package gst
 
-// Flat is the structure-of-arrays snapshot of a Tree for the dense
-// engine: everything a node needs to run the MMV schedule (level, rank,
-// virtual distance, parent linkage, stretch role), in per-node flat
-// arrays with no per-node structs and no maps. Derived once from a
-// centralized Tree by Flatten; read-only afterwards.
+// Flat is the one per-node view of a GST that the MMV schedule reads:
+// level, rank, virtual distance, parent linkage and stretch role, in
+// per-node flat arrays with no per-node structs and no maps. Row v is
+// node v's knowledge. A centralized Tree fills every row at once
+// (Flatten); in the distributed constructions each node writes only
+// its own row once it has learned it (gstdist.Result.Put).
 //
 // Non-members (Level < 0) and members unreachable in the virtual graph
-// (Vdist < 0) carry the same sentinels as the sparse representation, so
-// a dense port can apply the exact "not part of the structure" guard of
-// mmv.Protocol.Act.
+// (Vdist < 0) carry sentinels, so both engines apply the same "not
+// part of the structure" guard (Member).
 type Flat struct {
 	// Parent is the tree parent (-1 for roots and non-members).
 	Parent []NodeID
-	// Level, Rank, Vdist mirror Tree.Level, Tree.Rank and
-	// VirtualDistances (-1 / 0 / -1 sentinels for non-members).
+	// Level, Rank, Vdist are the BFS level, the GST rank and the
+	// virtual distance d(v) of Lemma 3.4 (-1 / 0 / -1 for
+	// non-members).
 	Level []int32
 	Rank  []int32
 	Vdist []int32
@@ -24,26 +25,15 @@ type Flat struct {
 	// transmitters of the DESIGN.md fast-slot rule.
 	SameRankChild []bool
 	// StretchStart marks roots and nodes whose parent has a different
-	// rank (IsStretchStart of the sparse NodeInfo).
+	// rank: the nodes that send fresh content in their fast slot.
 	StretchStart []bool
 	// Root marks the forest roots.
 	Root []bool
 }
 
-// N returns the node count.
-func (f *Flat) N() int { return len(f.Parent) }
-
-// Member reports whether v participates in the schedule (the guard of
-// mmv.Protocol.Act: in the forest and reachable in G').
-func (f *Flat) Member(v NodeID) bool { return f.Level[v] >= 0 && f.Vdist[v] >= 0 }
-
-// Flatten extracts the flat arrays from a centralized Tree. It is
-// map-free: the virtual-distance BFS replaces VirtualDistances' fast
-// edge map with a two-pass CSR over stretch starts, so flattening a
-// million-node tree costs O(n + m) with a handful of flat allocations.
-func Flatten(t *Tree) *Flat {
-	n := t.G.N()
-	f := &Flat{
+// NewFlat allocates an n-row Flat with every row zero.
+func NewFlat(n int) *Flat {
+	return &Flat{
 		Parent:        make([]NodeID, n),
 		Level:         make([]int32, n),
 		Rank:          make([]int32, n),
@@ -53,6 +43,22 @@ func Flatten(t *Tree) *Flat {
 		StretchStart:  make([]bool, n),
 		Root:          make([]bool, n),
 	}
+}
+
+// N returns the node count.
+func (f *Flat) N() int { return len(f.Parent) }
+
+// Member reports whether v participates in the schedule (the guard of
+// the MMV schedule: in the forest and reachable in G').
+func (f *Flat) Member(v NodeID) bool { return f.Level[v] >= 0 && f.Vdist[v] >= 0 }
+
+// Flatten extracts the flat arrays from a centralized Tree. It is
+// map-free: the virtual-distance BFS keeps the fast edges in a
+// two-pass CSR over stretch starts, so flattening a million-node tree
+// costs O(n + m) with a handful of flat allocations.
+func Flatten(t *Tree) *Flat {
+	n := t.G.N()
+	f := NewFlat(n)
 	copy(f.Parent, t.Parent)
 	copy(f.Level, t.Level)
 	copy(f.Rank, t.Rank)

@@ -136,7 +136,7 @@ func TestVirtualDistanceBound(t *testing.T) {
 	// Lemma 3.4: d(u) <= 2⌈log2 n⌉ for every node.
 	for _, g := range families() {
 		tree := Construct(g, 0)
-		vdist := VirtualDistances(tree)
+		vdist := Flatten(tree).Vdist
 		bound := int32(2 * (sched.LogN(g.N()) + 1))
 		for v := 0; v < g.N(); v++ {
 			if vdist[v] < 0 {
@@ -157,7 +157,7 @@ func TestVirtualDistanceStretchIsOneHop(t *testing.T) {
 	// start, so d(node) <= d(start) + 1.
 	g := graph.Path(30)
 	tree := Construct(g, 0)
-	vdist := VirtualDistances(tree)
+	vdist := Flatten(tree).Vdist
 	// Path: single stretch from root; every node at virtual distance 1
 	// (fast edge from root), root at 0.
 	for v := 1; v < 30; v++ {
@@ -170,7 +170,7 @@ func TestVirtualDistanceStretchIsOneHop(t *testing.T) {
 func TestHeights(t *testing.T) {
 	g := graph.Grid(5, 5)
 	tree := Construct(g, 0)
-	vdist := VirtualDistances(tree)
+	vdist := Flatten(tree).Vdist
 	logN := int32(sched.LogN(g.N()))
 	h := Heights(tree, vdist, logN)
 	if h[0] != 0 {

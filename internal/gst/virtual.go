@@ -42,71 +42,6 @@ func Stretches(t *Tree) []StretchInfo {
 	return info
 }
 
-// IsStretchStart reports whether v begins a fast stretch (is a root or
-// has a parent of different rank).
-func IsStretchStart(t *Tree, v NodeID) bool {
-	p := t.Parent[v]
-	return t.InTree(v) && (p < 0 || t.Rank[p] != t.Rank[v])
-}
-
-// SameRankChild returns v's unique child of equal rank, or -1. The
-// ranking rule guarantees uniqueness.
-func SameRankChild(t *Tree, children [][]NodeID, v NodeID) NodeID {
-	for _, c := range children[v] {
-		if t.Rank[c] == t.Rank[v] {
-			return c
-		}
-	}
-	return -1
-}
-
-// VirtualDistances computes d(v) for every forest member: BFS from the
-// roots over G' = (member-induced G, both directions) ∪ (fast edges
-// from each stretch start to every node of its stretch). Non-members
-// get -1.
-func VirtualDistances(t *Tree) []int32 {
-	n := t.G.N()
-	info := Stretches(t)
-	// Fast edge targets per stretch start.
-	fast := make(map[NodeID][]NodeID)
-	for v := 0; v < n; v++ {
-		if !t.InTree(NodeID(v)) {
-			continue
-		}
-		s := info[v].Start
-		if s != NodeID(v) {
-			fast[s] = append(fast[s], NodeID(v))
-		}
-	}
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]NodeID, 0, n)
-	for _, r := range t.Roots {
-		if dist[r] < 0 {
-			dist[r] = 0
-			queue = append(queue, r)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		push := func(u NodeID) {
-			if t.InTree(u) && dist[u] < 0 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-		for _, u := range t.G.Neighbors(v) {
-			push(u)
-		}
-		for _, u := range fast[v] {
-			push(u)
-		}
-	}
-	return dist
-}
-
 // Heights computes the potential h(v) = d(v)·⌈log2 n⌉ + level(v) used
 // by the backwards analysis (proof of Lemma 3.3) and by the strip
 // decomposition of Section 3.4. logN is ⌈log2 n⌉.
@@ -129,13 +64,7 @@ func Heights(t *Tree, vdist []int32, logN int32) []int32 {
 // the number of (receiver, interferer) violations (0 for a valid GST
 // with the fast-slot rule of DESIGN.md).
 func FastEdgesCollisionFree(t *Tree) int {
-	children := t.Children()
-	transmitsFast := make([]bool, t.G.N()) // has a same-rank child
-	for v := 0; v < t.G.N(); v++ {
-		if t.InTree(NodeID(v)) && SameRankChild(t, children, NodeID(v)) >= 0 {
-			transmitsFast[v] = true
-		}
-	}
+	transmitsFast := Flatten(t).SameRankChild
 	violations := 0
 	for u := 0; u < t.G.N(); u++ {
 		p := t.Parent[u]

@@ -66,7 +66,7 @@ func verifyConstruction(t *testing.T, g *graph.Graph, results []Result) {
 	}
 	// Knowledge checks: each node's believed parent rank must match the
 	// parent's actual rank, and SameRankChild must reflect the tree.
-	children := tree.Children()
+	sameRank := gst.Flatten(tree).SameRankChild
 	for v := 0; v < g.N(); v++ {
 		if p := results[v].Parent; p >= 0 {
 			if results[v].ParentRank != results[p].Rank {
@@ -74,8 +74,7 @@ func verifyConstruction(t *testing.T, g *graph.Graph, results []Result) {
 					v, results[v].ParentRank, results[p].Rank)
 			}
 		}
-		want := gst.SameRankChild(tree, children, graph.NodeID(v)) >= 0
-		if results[v].SameRankChild != want {
+		if want := sameRank[v]; results[v].SameRankChild != want {
 			t.Fatalf("node %d same-rank-child belief %v, want %v",
 				v, results[v].SameRankChild, want)
 		}
@@ -179,7 +178,7 @@ func TestPipelinedVirtualDistances(t *testing.T) {
 			results, _ := runConstruction(t, g, cfg, true, 6)
 			verifyConstruction(t, g, results)
 			tree := toTree(g, results, 0)
-			want := gst.VirtualDistances(tree)
+			want := gst.Flatten(tree).Vdist
 			for v := 0; v < g.N(); v++ {
 				if results[v].Vdist != want[v] {
 					t.Fatalf("node %d vdist %d, want %d", v, results[v].Vdist, want[v])
@@ -210,7 +209,7 @@ func TestVirtualDistancesMatchCentralized(t *testing.T) {
 			// Reconstruct the tree and compare vdist to the exact BFS
 			// over G'.
 			tree := toTree(g, results, 0)
-			want := gst.VirtualDistances(tree)
+			want := gst.Flatten(tree).Vdist
 			for v := 0; v < g.N(); v++ {
 				if results[v].Vdist != want[v] {
 					t.Fatalf("node %d vdist %d, want %d", v, results[v].Vdist, want[v])

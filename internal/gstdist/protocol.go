@@ -44,6 +44,20 @@ type Result struct {
 	SameRankChild bool
 }
 
+// Put writes r as node v's row of f — the only row v writes; root
+// marks a forest root. The stretch role follows from what v learned:
+// a root or a node whose parent has a different rank starts a stretch.
+func (r Result) Put(f *gst.Flat, v graph.NodeID, root bool) {
+	f.Parent[v] = r.Parent
+	f.Level[v] = r.Level
+	f.Rank[v] = r.Rank
+	f.Vdist[v] = r.Vdist
+	f.ParentRank[v] = r.ParentRank
+	f.SameRankChild[v] = r.SameRankChild
+	f.StretchStart[v] = root || r.ParentRank != r.Rank
+	f.Root[v] = root
+}
+
 // Protocol is the per-node distributed GST construction state machine.
 type Protocol struct {
 	cfg     Config

@@ -317,8 +317,7 @@ func E12Plan(seeds int, quick bool) *exp.Plan {
 // schedule are rebuilt per cell (deterministic) so cells share nothing
 // mutable.
 func a1Run(g *graph.Graph, levelKeyed bool, seed uint64, limit int64) (int64, bool) {
-	tree := gst.Construct(g, 0)
-	infos := mmv.InfoFromTree(tree)
+	f := gst.Flatten(gst.Construct(g, 0))
 	s := mmv.NewSchedule(g.N())
 	nw := radio.New(g, radio.Config{})
 	var ds DoneSet
@@ -328,9 +327,9 @@ func a1Run(g *graph.Graph, levelKeyed bool, seed uint64, limit int64) (int64, bo
 		contents[v].DoneSet = &ds
 		var p *mmv.Protocol
 		if levelKeyed {
-			p = mmv.NewLevelKeyed(s, infos[v], contents[v], true, rng.New(seed, 0xa1, uint64(v)))
+			p = mmv.NewLevelKeyed(s, f, graph.NodeID(v), contents[v], true, rng.New(seed, 0xa1, uint64(v)))
 		} else {
-			p = mmv.New(s, infos[v], contents[v], true, rng.New(seed, 0xa1, uint64(v)))
+			p = mmv.New(s, f, graph.NodeID(v), contents[v], true, rng.New(seed, 0xa1, uint64(v)))
 		}
 		nw.SetProtocol(graph.NodeID(v), p)
 	}
@@ -430,8 +429,9 @@ func A3Plan(seeds int, quick bool) *exp.Plan {
 			nw := radio.New(g, radio.Config{CollisionDetection: true})
 			var ds DoneSet
 			protos := make([]*rings.Protocol, g.N())
+			f := gst.NewFlat(g.N())
 			for v := 0; v < g.N(); v++ {
-				protos[v] = rings.New(cfg, graph.NodeID(v), v == 0, nil, rng.New(seed, 0xa3, uint64(v)))
+				protos[v] = rings.New(cfg, f, graph.NodeID(v), v == 0, nil, rng.New(seed, 0xa3, uint64(v)))
 				protos[v].SingleContent().DoneSet = &ds
 				nw.SetProtocol(graph.NodeID(v), protos[v])
 			}

@@ -197,11 +197,10 @@ func (r *DecayRun) Retopo(offsets []int32, edges []radio.NodeID) {
 // GST single-message broadcast (known topology).
 
 // GSTSingleRun is the reusable single-message GST harness: the
-// centralized GST, schedule infos, and protocol objects are built once
+// centralized GST, its flat view, and protocol objects are built once
 // (they depend only on the graph).
 type GSTSingleRun struct {
 	sparseStack
-	infos    []mmv.NodeInfo
 	protos   []*mmv.Protocol
 	contents []*mmv.SingleMessage
 }
@@ -211,11 +210,10 @@ type GSTSingleRun struct {
 // the message.
 func NewGSTSingleRun(g *graph.Graph, noising bool, source graph.NodeID) *GSTSingleRun {
 	n := g.N()
-	tree := gst.Construct(g, source)
+	f := gst.Flatten(gst.Construct(g, source))
 	s := mmv.NewSchedule(n)
 	r := &GSTSingleRun{
 		sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source},
-		infos:       mmv.InfoFromTree(tree),
 		protos:      make([]*mmv.Protocol, n),
 		contents:    make([]*mmv.SingleMessage, n),
 	}
@@ -223,7 +221,7 @@ func NewGSTSingleRun(g *graph.Graph, noising bool, source graph.NodeID) *GSTSing
 	for v := 0; v < n; v++ {
 		r.contents[v] = mmv.NewSingleMessage(graph.NodeID(v) == source, decay.Message{Data: 1})
 		r.contents[v].DoneSet = &r.ds
-		r.protos[v] = mmv.New(s, r.infos[v], r.contents[v], noising, rng.New())
+		r.protos[v] = mmv.New(s, f, graph.NodeID(v), r.contents[v], noising, rng.New())
 	}
 	return r
 }
@@ -239,7 +237,7 @@ func (r *GSTSingleRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, l
 	r.begin(informed, ch)
 	for v, p := range r.protos {
 		r.contents[v].Reset(epochSource(informed, v, r.src), decay.Message{Data: 1})
-		p.Rebind(r.infos[v], r.contents[v])
+		p.Rebind(r.contents[v])
 		rng.Reseed(p.Rng(), seed, 0xe0, uint64(v))
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
@@ -258,9 +256,11 @@ type Theorem11Run struct {
 
 // NewTheorem11RunCfg builds the reusable Theorem 1.1 stack on an
 // explicit ring configuration (the table's cd entry builds one,
-// optionally scaled and pipelined), broadcasting from source.
+// optionally scaled and pipelined), broadcasting from source. Its nodes
+// share one GST view, each writing its own row as it learns it.
 func NewTheorem11RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *Theorem11Run {
 	n := g.N()
+	f := gst.NewFlat(n)
 	r := &Theorem11Run{
 		sparseStack: sparseStack{nw: radio.New(g, radio.Config{CollisionDetection: true}), src: source},
 		cfg:         cfg,
@@ -268,7 +268,7 @@ func NewTheorem11RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *
 	}
 	r.node = r
 	for v := 0; v < n; v++ {
-		r.protos[v] = rings.New(cfg, graph.NodeID(v), graph.NodeID(v) == source, nil, rng.New())
+		r.protos[v] = rings.New(cfg, f, graph.NodeID(v), graph.NodeID(v) == source, nil, rng.New())
 		r.protos[v].SingleContent().DoneSet = &r.ds
 	}
 	return r
@@ -311,7 +311,6 @@ const gstMultiPayloadBits = 32
 // GSTMultiRun is the reusable Theorem 1.2 harness.
 type GSTMultiRun struct {
 	sparseStack
-	infos    []mmv.NodeInfo
 	protos   []*mmv.Protocol
 	contents []*mmv.RLNC
 	bufs     []*rlnc.Buffer
@@ -323,11 +322,10 @@ type GSTMultiRun struct {
 // rooted at source, which holds all k messages.
 func NewGSTMultiRun(g *graph.Graph, k int, source graph.NodeID) *GSTMultiRun {
 	n := g.N()
-	tree := gst.Construct(g, source)
+	f := gst.Flatten(gst.Construct(g, source))
 	s := mmv.NewSchedule(n)
 	r := &GSTMultiRun{
 		sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source},
-		infos:       mmv.InfoFromTree(tree),
 		protos:      make([]*mmv.Protocol, n),
 		contents:    make([]*mmv.RLNC, n),
 		bufs:        make([]*rlnc.Buffer, n),
@@ -342,7 +340,7 @@ func NewGSTMultiRun(g *graph.Graph, k int, source graph.NodeID) *GSTMultiRun {
 		r.bufs[v] = rlnc.NewBuffer(0, k, gstMultiPayloadBits)
 		r.bufs[v].SetOnFull(r.ds.Tick)
 		r.contents[v] = mmv.NewRLNC(r.bufs[v], rng.New())
-		r.protos[v] = mmv.New(s, r.infos[v], r.contents[v], false, rng.New())
+		r.protos[v] = mmv.New(s, f, graph.NodeID(v), r.contents[v], false, rng.New())
 	}
 	return r
 }
@@ -369,7 +367,7 @@ func (r *GSTMultiRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, li
 			r.bufs[v].Reset()
 		}
 		rng.Reseed(r.contents[v].Rng(), seed, 0x13, uint64(v))
-		p.Rebind(r.infos[v], r.contents[v])
+		p.Rebind(r.contents[v])
 		rng.Reseed(p.Rng(), seed, 0x14, uint64(v))
 		r.nw.SetProtocol(graph.NodeID(v), p)
 	}
@@ -407,9 +405,11 @@ type Theorem13Run struct {
 
 // NewTheorem13RunCfg builds the reusable Theorem 1.3 stack on an
 // explicit ring configuration (cfg.K must be positive), with source
-// holding the k messages.
+// holding the k messages. Like Theorem 1.1's, its nodes share one GST
+// view.
 func NewTheorem13RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *Theorem13Run {
 	n := g.N()
+	f := gst.NewFlat(n)
 	r := &Theorem13Run{
 		sparseStack: sparseStack{nw: radio.New(g, radio.Config{CollisionDetection: true}), src: source},
 		cfg:         cfg,
@@ -426,7 +426,7 @@ func NewTheorem13RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *
 		if graph.NodeID(v) == source {
 			m = r.msgs
 		}
-		r.protos[v] = rings.New(cfg, graph.NodeID(v), graph.NodeID(v) == source, m, rng.New())
+		r.protos[v] = rings.New(cfg, f, graph.NodeID(v), graph.NodeID(v) == source, m, rng.New())
 		r.protos[v].Store().SetOnAllDecodable(r.ds.Tick)
 	}
 	return r
@@ -543,8 +543,7 @@ func (ps *PlainStore) Done() bool { return len(ps.order) == ps.K }
 // RunGSTMultiRouting is the A2 baseline: k messages with plain
 // store-and-forward routing on the same schedule.
 func RunGSTMultiRouting(g *graph.Graph, k int, seed uint64, limit int64) (int64, bool) {
-	tree := gst.Construct(g, 0)
-	infos := mmv.InfoFromTree(tree)
+	f := gst.Flatten(gst.Construct(g, 0))
 	s := mmv.NewSchedule(g.N())
 	nw := radio.New(g, radio.Config{})
 	var ds DoneSet
@@ -558,7 +557,7 @@ func RunGSTMultiRouting(g *graph.Graph, k int, seed uint64, limit int64) (int64,
 			}
 		}
 		nw.SetProtocol(graph.NodeID(v),
-			mmv.New(s, infos[v], contents[v], false, rng.New(seed, 0x18, uint64(v))))
+			mmv.New(s, f, graph.NodeID(v), contents[v], false, rng.New(seed, 0x18, uint64(v))))
 	}
 	initDone(&ds, g.N(), func(v int) bool { return contents[v].Done() })
 	return nw.RunUntil(limit, ds.Done)

@@ -30,7 +30,7 @@ import (
 // logic with the dense engine's keyed coins in place of rand.Rand.
 type keyedTwin struct {
 	s       mmv.Schedule
-	info    mmv.NodeInfo
+	f       *gst.Flat
 	key     uint64
 	id      graph.NodeID
 	noising bool
@@ -44,15 +44,16 @@ type keyedTwin struct {
 var _ radio.Protocol = (*keyedTwin)(nil)
 
 func (p *keyedTwin) Act(t int64) radio.Action {
-	if p.info.Level < 0 || p.info.Vdist < 0 {
+	f, v := p.f, p.id
+	if !f.Member(v) {
 		return radio.Listen // not part of the structure
 	}
 	if t%2 == 0 {
-		if !p.s.FastSlot(t, p.info.Level, p.info.Rank) || !p.info.SameRankChild {
+		if !p.s.FastSlot(t, f.Level[v], f.Rank[v]) || !f.SameRankChild[v] {
 			return radio.Listen
 		}
 		var pkt radio.Packet
-		if p.info.IsStretchStart() {
+		if f.StretchStart[v] {
 			if p.has {
 				pkt = p.pkt
 			}
@@ -69,7 +70,7 @@ func (p *keyedTwin) Act(t int64) radio.Action {
 			return radio.Listen
 		}
 	}
-	base := 1 + 2*int64(p.info.Vdist)
+	base := 1 + 2*int64(f.Vdist[v])
 	if t < base || (t-base)%6 != 0 {
 		return radio.Listen
 	}
@@ -100,8 +101,9 @@ func (p *keyedTwin) Observe(t int64, out radio.Outcome) {
 		p.recv = t
 	}
 	// Buffer the parent's fast wave for relaying two rounds later.
-	if p.info.Parent == out.From && p.info.ParentRank == p.info.Rank &&
-		p.s.FastSlot(t, p.info.Level-1, p.info.Rank) {
+	f, v := p.f, p.id
+	if f.Parent[v] == out.From && f.ParentRank[v] == f.Rank[v] &&
+		p.s.FastSlot(t, f.Level[v]-1, f.Rank[v]) {
 		p.relay = out.Packet
 	}
 }
@@ -145,7 +147,6 @@ func TestDenseMatchesKeyedSparseTwin(t *testing.T) {
 	for _, g := range twinGraphs() {
 		tr := gst.Construct(g, 0)
 		f := gst.Flatten(tr)
-		infos := mmv.InfoFromTree(tr)
 		s := mmv.NewSchedule(g.N())
 		for _, cd := range []bool{false, true} {
 			for _, loss := range []float64{0, 0.15} {
@@ -161,7 +162,7 @@ func TestDenseMatchesKeyedSparseTwin(t *testing.T) {
 						twins := make([]*keyedTwin, g.N())
 						for v := 0; v < g.N(); v++ {
 							tw := &keyedTwin{
-								s: s, info: infos[v], key: mmv.DenseKey(42),
+								s: s, f: f, key: mmv.DenseKey(42),
 								id: graph.NodeID(v), noising: noising, recv: -1,
 							}
 							if graph.NodeID(v) == 0 {

@@ -30,62 +30,10 @@ import (
 	"math/rand"
 
 	"radiocast/internal/gst"
-	"radiocast/internal/gstdist"
 	"radiocast/internal/radio"
 	"radiocast/internal/rlnc"
 	"radiocast/internal/sched"
 )
-
-// NodeInfo is the GST knowledge a node needs to run the schedule —
-// exactly what the distributed construction (Theorem 2.1 + Lemma 3.10)
-// provides.
-type NodeInfo struct {
-	Level         int32
-	Rank          int32
-	Vdist         int32
-	Parent        radio.NodeID // -1 for roots
-	ParentRank    int32
-	SameRankChild bool
-	IsRoot        bool
-}
-
-// IsStretchStart reports whether the node begins a fast stretch.
-func (ni NodeInfo) IsStretchStart() bool {
-	return ni.IsRoot || ni.ParentRank != ni.Rank
-}
-
-// InfoFromTree extracts NodeInfo for every node from a centralized GST
-// (the known-topology setting of Theorem 1.2), copying the fields of
-// its flat arrays (gst.Flatten).
-func InfoFromTree(t *gst.Tree) []NodeInfo {
-	f := gst.Flatten(t)
-	infos := make([]NodeInfo, f.N())
-	for v := range infos {
-		infos[v] = NodeInfo{
-			Level:         f.Level[v],
-			Rank:          f.Rank[v],
-			Vdist:         f.Vdist[v],
-			Parent:        f.Parent[v],
-			ParentRank:    f.ParentRank[v],
-			SameRankChild: f.SameRankChild[v],
-			IsRoot:        f.Root[v],
-		}
-	}
-	return infos
-}
-
-// InfoFromResult converts a distributed construction result.
-func InfoFromResult(res gstdist.Result, isRoot bool) NodeInfo {
-	return NodeInfo{
-		Level:         res.Level,
-		Rank:          res.Rank,
-		Vdist:         res.Vdist,
-		Parent:        res.Parent,
-		ParentRank:    res.ParentRank,
-		SameRankChild: res.SameRankChild,
-		IsRoot:        isRoot,
-	}
-}
 
 // Schedule fixes the timing parameters.
 type Schedule struct {
@@ -130,10 +78,14 @@ type Content interface {
 	Done() bool
 }
 
-// Protocol runs the schedule for one node.
+// Protocol runs the schedule for one node. Its GST knowledge is row v
+// of a shared gst.Flat — filled centrally by gst.Flatten (Theorem 1.2)
+// or by the node itself after the distributed construction (Theorems
+// 1.1 and 1.3); the protocol reads no other row.
 type Protocol struct {
 	sched   Schedule
-	info    NodeInfo
+	f       *gst.Flat
+	v       radio.NodeID
 	content Content
 	rng     *rand.Rand
 	// Noising makes the node jam scheduled slots when content is nil —
@@ -155,15 +107,15 @@ type Protocol struct {
 
 var _ radio.Protocol = (*Protocol)(nil)
 
-// New creates the schedule protocol for a node.
-func New(s Schedule, info NodeInfo, content Content, noising bool, rng *rand.Rand) *Protocol {
-	return &Protocol{sched: s, info: info, content: content, rng: rng, noising: noising}
+// New creates the schedule protocol for node v, reading its row of f.
+func New(s Schedule, f *gst.Flat, v radio.NodeID, content Content, noising bool, rng *rand.Rand) *Protocol {
+	return &Protocol{sched: s, f: f, v: v, content: content, rng: rng, noising: noising}
 }
 
 // NewLevelKeyed creates the ablation variant whose slow slots are
 // keyed by level, as in the pre-MMV schedules of [7, 19].
-func NewLevelKeyed(s Schedule, info NodeInfo, content Content, noising bool, rng *rand.Rand) *Protocol {
-	p := New(s, info, content, noising, rng)
+func NewLevelKeyed(s Schedule, f *gst.Flat, v radio.NodeID, content Content, noising bool, rng *rand.Rand) *Protocol {
+	p := New(s, f, v, content, noising, rng)
 	p.levelKeyedSlow = true
 	return p
 }
@@ -175,11 +127,11 @@ func (p *Protocol) Content() Content { return p.content }
 func (p *Protocol) Rng() *rand.Rand { return p.rng }
 
 // Rebind reconfigures the protocol in place for a new run (or a new
-// epoch of a ring pipeline): fresh GST knowledge and content layer,
-// relay state cleared, no allocation. The schedule, noising flag, and
-// RNG binding are unchanged; reseeding the RNG is the caller's job.
-func (p *Protocol) Rebind(info NodeInfo, content Content) {
-	p.info = info
+// epoch of a ring pipeline): fresh content layer, relay state cleared,
+// no allocation. The GST row is re-read on every Act, so a row the
+// node rewrote since is picked up as is. The schedule, noising flag,
+// and RNG binding are unchanged; reseeding the RNG is the caller's job.
+func (p *Protocol) Rebind(content Content) {
 	p.content = content
 	p.relay = nil
 }
@@ -205,15 +157,16 @@ func (p *Protocol) retain(pkt radio.Packet) radio.Packet {
 
 // Act implements radio.Protocol.
 func (p *Protocol) Act(t int64) radio.Action {
-	if p.info.Level < 0 || p.info.Vdist < 0 {
+	f, v := p.f, p.v
+	if !f.Member(v) {
 		return radio.Listen // not part of the structure (failed setup)
 	}
 	if t%2 == 0 {
-		if !p.sched.FastSlot(t, p.info.Level, p.info.Rank) || !p.info.SameRankChild {
+		if !p.sched.FastSlot(t, f.Level[v], f.Rank[v]) || !f.SameRankChild[v] {
 			return radio.Listen
 		}
 		var pkt radio.Packet
-		if p.info.IsStretchStart() {
+		if f.StretchStart[v] {
 			pkt = p.content.Fresh()
 		} else {
 			pkt = p.relay
@@ -228,9 +181,9 @@ func (p *Protocol) Act(t int64) radio.Action {
 			return radio.Listen
 		}
 	}
-	slowKey := p.info.Vdist
+	slowKey := f.Vdist[v]
 	if p.levelKeyedSlow {
-		slowKey = p.info.Level
+		slowKey = f.Level[v]
 	}
 	prob := p.sched.SlowProb(t, slowKey)
 	if prob == 0 || p.rng.Float64() >= prob {
@@ -255,8 +208,9 @@ func (p *Protocol) Observe(t int64, out radio.Outcome) {
 	}
 	p.content.OnReceive(out.Packet, out.From)
 	// Buffer the parent's fast wave for relaying two rounds later.
-	if p.info.Parent == out.From && p.info.ParentRank == p.info.Rank &&
-		p.sched.FastSlot(t, p.info.Level-1, p.info.Rank) {
+	f, v := p.f, p.v
+	if f.Parent[v] == out.From && f.ParentRank[v] == f.Rank[v] &&
+		p.sched.FastSlot(t, f.Level[v]-1, f.Rank[v]) {
 		p.relay = p.retain(out.Packet)
 	}
 }

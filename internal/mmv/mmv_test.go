@@ -18,14 +18,14 @@ import (
 // (rounds, completed).
 func runSingle(g *graph.Graph, noising bool, seed uint64, limit int64) (int64, bool) {
 	tree := gst.Construct(g, 0)
-	infos := InfoFromTree(tree)
+	f := gst.Flatten(tree)
 	s := NewSchedule(g.N())
 	nw := radio.New(g, radio.Config{})
 	contents := make([]*SingleMessage, g.N())
 	for v := 0; v < g.N(); v++ {
 		contents[v] = NewSingleMessage(v == 0, decay.Message{Data: 99})
 		nw.SetProtocol(graph.NodeID(v),
-			New(s, infos[v], contents[v], noising, rng.New(seed, uint64(v))))
+			New(s, f, graph.NodeID(v), contents[v], noising, rng.New(seed, uint64(v))))
 	}
 	return nw.RunUntil(limit, func() bool {
 		for _, c := range contents {
@@ -86,7 +86,7 @@ func TestSingleMessageBroadcastUnderNoise(t *testing.T) {
 // its rank never observes a collision in its parent's fast slot.
 type fastCollisionTracer struct {
 	s          Schedule
-	infos      []NodeInfo
+	f          *gst.Flat
 	violations int
 }
 
@@ -95,8 +95,8 @@ func (tr *fastCollisionTracer) OnDeliver(t int64, to radio.NodeID, out radio.Out
 	if !out.Collision || t%2 != 0 {
 		return
 	}
-	ni := tr.infos[to]
-	if ni.Parent >= 0 && ni.ParentRank == ni.Rank && tr.s.FastSlot(t, ni.Level-1, ni.Rank) {
+	f := tr.f
+	if f.Parent[to] >= 0 && f.ParentRank[to] == f.Rank[to] && tr.s.FastSlot(t, f.Level[to]-1, f.Rank[to]) {
 		tr.violations++
 	}
 }
@@ -108,13 +108,13 @@ func TestFastWavesCollisionFree(t *testing.T) {
 		g := g
 		t.Run(g.Name(), func(t *testing.T) {
 			tree := gst.Construct(g, 0)
-			infos := InfoFromTree(tree)
+			f := gst.Flatten(tree)
 			s := NewSchedule(g.N())
-			tr := &fastCollisionTracer{s: s, infos: infos}
+			tr := &fastCollisionTracer{s: s, f: f}
 			nw := radio.New(g, radio.Config{CollisionDetection: true, Tracer: tr})
 			for v := 0; v < g.N(); v++ {
 				nw.SetProtocol(graph.NodeID(v),
-					New(s, infos[v], NewSingleMessage(v == 0, decay.Message{}), true, rng.New(5, uint64(v))))
+					New(s, f, graph.NodeID(v), NewSingleMessage(v == 0, decay.Message{}), true, rng.New(5, uint64(v))))
 			}
 			nw.Run(4000)
 			if tr.violations != 0 {
@@ -134,7 +134,7 @@ func runRLNC(t *testing.T, g *graph.Graph, k int, seed uint64, limit int64) (int
 		msgs[i] = bitvec.RandomVec(l, r.Uint64)
 	}
 	tree := gst.Construct(g, 0)
-	infos := InfoFromTree(tree)
+	f := gst.Flatten(tree)
 	s := NewSchedule(g.N())
 	nw := radio.New(g, radio.Config{})
 	contents := make([]*RLNC, g.N())
@@ -147,7 +147,7 @@ func runRLNC(t *testing.T, g *graph.Graph, k int, seed uint64, limit int64) (int
 		}
 		contents[v] = NewRLNC(buf, rng.New(seed, uint64(v)))
 		nw.SetProtocol(graph.NodeID(v),
-			New(s, infos[v], contents[v], false, rng.New(seed, 0xdd, uint64(v))))
+			New(s, f, graph.NodeID(v), contents[v], false, rng.New(seed, 0xdd, uint64(v))))
 	}
 	rounds, ok := nw.RunUntil(limit, func() bool {
 		for _, c := range contents {
@@ -225,7 +225,7 @@ func TestMultiRootBroadcast(t *testing.T) {
 		roots[i] = graph.NodeID(i)
 	}
 	tree := gst.Construct(g, roots...)
-	infos := InfoFromTree(tree)
+	f := gst.Flatten(tree)
 	s := NewSchedule(g.N())
 	nw := radio.New(g, radio.Config{})
 	contents := make([]*SingleMessage, g.N())
@@ -233,7 +233,7 @@ func TestMultiRootBroadcast(t *testing.T) {
 		isRoot := v < 8
 		contents[v] = NewSingleMessage(isRoot, decay.Message{Data: 5})
 		nw.SetProtocol(graph.NodeID(v),
-			New(s, infos[v], contents[v], false, rng.New(8, uint64(v))))
+			New(s, f, graph.NodeID(v), contents[v], false, rng.New(8, uint64(v))))
 	}
 	rounds, ok := nw.RunUntil(1<<18, func() bool {
 		for _, c := range contents {
@@ -289,14 +289,14 @@ func TestLevelKeyedAblationStillWorksWithoutNoise(t *testing.T) {
 	// must still complete (it only loses the MMV property).
 	g := graph.Grid(6, 6)
 	tree := gst.Construct(g, 0)
-	infos := InfoFromTree(tree)
+	f := gst.Flatten(tree)
 	s := NewSchedule(g.N())
 	nw := radio.New(g, radio.Config{})
 	contents := make([]*SingleMessage, g.N())
 	for v := 0; v < g.N(); v++ {
 		contents[v] = NewSingleMessage(v == 0, decay.Message{})
 		nw.SetProtocol(graph.NodeID(v),
-			NewLevelKeyed(s, infos[v], contents[v], false, rng.New(3, uint64(v))))
+			NewLevelKeyed(s, f, graph.NodeID(v), contents[v], false, rng.New(3, uint64(v))))
 	}
 	_, ok := nw.RunUntil(1<<18, func() bool {
 		for _, c := range contents {

@@ -5,6 +5,7 @@ import (
 
 	"radiocast/internal/beep"
 	"radiocast/internal/decay"
+	"radiocast/internal/gst"
 	"radiocast/internal/gstdist"
 	"radiocast/internal/mmv"
 	"radiocast/internal/radio"
@@ -28,10 +29,10 @@ type Protocol struct {
 
 	// Segment B.
 	gp      *gstdist.Protocol
-	gpRing  int  // ring gp was built for (its config bakes in the tag)
-	gpFresh bool // gp is reset/new for the current run
-	info    mmv.NodeInfo
-	done    bool // info harvested
+	gpRing  int       // ring gp was built for (its config bakes in the tag)
+	gpFresh bool      // gp is reset/new for the current run
+	flat    *gst.Flat // shared by the run's nodes; this node writes only row id
+	done    bool      // row id written
 
 	sched mmv.Schedule
 
@@ -49,12 +50,15 @@ type Protocol struct {
 
 var _ radio.Protocol = (*Protocol)(nil)
 
-// New creates the protocol for one node. For Theorem 1.3 runs
-// (cfg.K > 0), msgs supplies the source's messages and must be nil on
-// every other node.
-func New(cfg Config, id radio.NodeID, isSource bool, msgs []rlnc.Message, rng *rand.Rand) *Protocol {
+// New creates the protocol for one node. f is the run's shared GST
+// view (gst.NewFlat over all n nodes): the node writes its own row once
+// segment B has built it, and its segment-C schedule reads that row.
+// For Theorem 1.3 runs (cfg.K > 0), msgs supplies the source's
+// messages and must be nil on every other node.
+func New(cfg Config, f *gst.Flat, id radio.NodeID, isSource bool, msgs []rlnc.Message, rng *rand.Rand) *Protocol {
 	p := &Protocol{
 		cfg:      cfg,
+		flat:     f,
 		loc:      cfg.Locator(),
 		id:       id,
 		isSource: isSource,
@@ -92,7 +96,7 @@ func (p *Protocol) Reset(isSource bool, msgs []rlnc.Message) {
 	p.local = 0
 	p.gpFresh = false
 	p.done = false
-	p.info = mmv.NodeInfo{}
+	gstdist.Result{}.Put(p.flat, p.id, false)
 	p.bcEpoch = -1
 	p.curGen = -1
 	if p.cfg.K > 0 {
@@ -122,9 +126,6 @@ func (p *Protocol) SingleContent() *mmv.SingleMessage { return p.single }
 // Layer returns the global BFS layer learned by the wave.
 func (p *Protocol) Layer() int32 { return p.layer }
 
-// Info returns the node's GST knowledge (valid after segment B).
-func (p *Protocol) Info() mmv.NodeInfo { return p.info }
-
 // finishWave harvests segment A.
 func (p *Protocol) finishWave() {
 	if p.layer >= 0 || p.wave == nil {
@@ -143,7 +144,7 @@ func (p *Protocol) finishBuild() {
 		return
 	}
 	p.done = true
-	p.info = mmv.InfoFromResult(p.gp.Result(), p.local == 0)
+	p.gp.Result().Put(p.flat, p.id, p.local == 0)
 }
 
 // isOuter reports whether the node sits on its ring's outer border.
@@ -270,9 +271,9 @@ func (p *Protocol) singleSpreadAct(r int64, pos Pos) radio.Action {
 	case !pos.Handoff && pos.Epoch == p.ring:
 		if p.bcEpoch != pos.Epoch {
 			if p.bc == nil {
-				p.bc = mmv.New(p.sched, p.info, p.single, false, p.rng)
+				p.bc = mmv.New(p.sched, p.flat, p.id, p.single, false, p.rng)
 			} else {
-				p.bc.Rebind(p.info, p.single)
+				p.bc.Rebind(p.single)
 			}
 			p.bcEpoch = pos.Epoch
 		}
@@ -337,9 +338,9 @@ func (p *Protocol) multiSpreadAct(r int64, pos Pos) radio.Action {
 				p.curRLNC.SetBuffer(p.store.Buffer(b))
 			}
 			if p.bc == nil {
-				p.bc = mmv.New(p.sched, p.info, p.curRLNC, false, p.rng)
+				p.bc = mmv.New(p.sched, p.flat, p.id, p.curRLNC, false, p.rng)
 			} else {
-				p.bc.Rebind(p.info, p.curRLNC)
+				p.bc.Rebind(p.curRLNC)
 			}
 			p.bcEpoch = pos.Epoch
 		}

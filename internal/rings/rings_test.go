@@ -6,6 +6,8 @@ import (
 
 	"radiocast/internal/bitvec"
 	"radiocast/internal/graph"
+	"radiocast/internal/gst"
+	"radiocast/internal/gstdist"
 	"radiocast/internal/radio"
 	"radiocast/internal/rlnc"
 	"radiocast/internal/rng"
@@ -16,8 +18,9 @@ func runSingle(t *testing.T, g *graph.Graph, cfg Config, seed uint64) ([]*Protoc
 	t.Helper()
 	nw := radio.New(g, radio.Config{CollisionDetection: true})
 	protos := make([]*Protocol, g.N())
+	f := gst.NewFlat(g.N())
 	for v := 0; v < g.N(); v++ {
-		protos[v] = New(cfg, graph.NodeID(v), v == 0, nil, rng.New(seed, uint64(v)))
+		protos[v] = New(cfg, f, graph.NodeID(v), v == 0, nil, rng.New(seed, uint64(v)))
 		nw.SetProtocol(graph.NodeID(v), protos[v])
 	}
 	rounds, ok := nw.RunUntil(cfg.TotalRounds(), func() bool {
@@ -166,12 +169,13 @@ func runMulti(t *testing.T, g *graph.Graph, k int, cfg Config, seed uint64) (int
 	}
 	nw := radio.New(g, radio.Config{CollisionDetection: true})
 	protos := make([]*Protocol, g.N())
+	f := gst.NewFlat(g.N())
 	for v := 0; v < g.N(); v++ {
 		var m []rlnc.Message
 		if v == 0 {
 			m = msgs
 		}
-		protos[v] = New(cfg, graph.NodeID(v), v == 0, m, rng.New(seed, uint64(v)))
+		protos[v] = New(cfg, f, graph.NodeID(v), v == 0, m, rng.New(seed, uint64(v)))
 		nw.SetProtocol(graph.NodeID(v), protos[v])
 	}
 	rounds, ok := nw.RunUntil(cfg.TotalRounds(), func() bool {
@@ -226,6 +230,88 @@ func TestTheorem13MultiRingPipeline(t *testing.T) {
 	}
 	t.Logf("D=%d W=%d rings=%d batches=%d epochs=%d rounds=%d",
 		d, cfg.W, cfg.Rings(), cfg.Batches(), cfg.Epochs(), rounds)
+}
+
+// flatRow is node v's row of f, in gstdist.Result shape plus the two
+// flags the writer derives.
+func flatRow(f *gst.Flat, v graph.NodeID) (res gstdist.Result, root, stretchStart bool) {
+	res = gstdist.Result{
+		Level: f.Level[v], Rank: f.Rank[v], Parent: f.Parent[v],
+		ParentRank: f.ParentRank[v], Vdist: f.Vdist[v], SameRankChild: f.SameRankChild[v],
+	}
+	return res, f.Root[v], f.StretchStart[v]
+}
+
+// TestFlatRowIsBuildResult pins the distributed row write of Theorems
+// 1.1 and 1.3, fresh and Reset-reused: before the build every row is
+// zero; after it, each node's row of the shared Flat is its own
+// gstdist.Result verbatim, with Root = (local level 0) and
+// StretchStart = Root || ParentRank != Rank. Rows are harvested in
+// reverse node order (children before their parents), so a row that
+// borrowed anything from another node's row would show it. The run
+// then finishes the broadcast off those rows.
+func TestFlatRowIsBuildResult(t *testing.T) {
+	g := graph.ClusterChain(6, 6)
+	d := graph.Eccentricity(g, 0)
+	for _, k := range []int{0, 4} {
+		cfg := DefaultConfig(g.N(), d, k, 1)
+		cfg.W = 4 // several rings, so inner rings have local roots
+		cfg.GST.DBound = cfg.W - 1
+		msgs := make([]rlnc.Message, k)
+		for i := range msgs {
+			msgs[i] = bitvec.New(cfg.PayloadBits)
+		}
+		sourceMsgs := func(v int) []rlnc.Message {
+			if v == 0 && k > 0 {
+				return msgs
+			}
+			return nil
+		}
+		f := gst.NewFlat(g.N())
+		nw := radio.New(g, radio.Config{CollisionDetection: true})
+		protos := make([]*Protocol, g.N())
+		for v := range protos {
+			protos[v] = New(cfg, f, graph.NodeID(v), v == 0, sourceMsgs(v), rng.New(9, uint64(v)))
+		}
+		for run := 0; run < 2; run++ {
+			label := fmt.Sprintf("k=%d run=%d", k, run)
+			nw.Reset()
+			for v, p := range protos {
+				if run > 0 {
+					p.Reset(v == 0, sourceMsgs(v))
+					rng.Reseed(p.Rng(), uint64(run), uint64(v))
+				}
+				if res, root, ss := flatRow(f, graph.NodeID(v)); res != (gstdist.Result{}) || root || ss {
+					t.Fatalf("%s: node %d row before the build %+v root=%v stretch=%v, want zero", label, v, res, root, ss)
+				}
+				nw.SetProtocol(graph.NodeID(v), p)
+			}
+			nw.Run(protos[0].spreadStart())
+			for v := len(protos) - 1; v >= 0; v-- {
+				protos[v].finishBuild()
+			}
+			for v, p := range protos {
+				want := p.gp.Result()
+				wantRoot := p.local == 0
+				res, root, ss := flatRow(f, graph.NodeID(v))
+				if res != want || root != wantRoot || ss != (wantRoot || want.ParentRank != want.Rank) {
+					t.Fatalf("%s: node %d row %+v root=%v stretch=%v, want %+v root=%v",
+						label, v, res, root, ss, want, wantRoot)
+				}
+			}
+			_, ok := nw.RunUntil(cfg.TotalRounds(), func() bool {
+				for _, p := range protos {
+					if (k == 0 && !p.Has()) || (k > 0 && !p.Store().CanDecodeAll()) {
+						return false
+					}
+				}
+				return true
+			})
+			if !ok {
+				t.Fatalf("%s: broadcast incomplete within %d rounds", label, cfg.TotalRounds())
+			}
+		}
+	}
 }
 
 func TestConfigGeometry(t *testing.T) {
@@ -299,8 +385,9 @@ func BenchmarkTheorem11Path36(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nw := radio.New(g, radio.Config{CollisionDetection: true})
 		protos := make([]*Protocol, g.N())
+		f := gst.NewFlat(g.N())
 		for v := 0; v < g.N(); v++ {
-			protos[v] = New(cfg, graph.NodeID(v), v == 0, nil, rng.New(uint64(i), uint64(v)))
+			protos[v] = New(cfg, f, graph.NodeID(v), v == 0, nil, rng.New(uint64(i), uint64(v)))
 			nw.SetProtocol(graph.NodeID(v), protos[v])
 		}
 		if _, ok := nw.RunUntil(cfg.TotalRounds(), func() bool {

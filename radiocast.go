@@ -49,7 +49,6 @@ import (
 	"radiocast/internal/gst"
 	"radiocast/internal/gstdist"
 	"radiocast/internal/harness"
-	"radiocast/internal/mmv"
 	"radiocast/internal/radio"
 	"radiocast/internal/rlnc"
 	"radiocast/internal/rng"
@@ -325,7 +324,7 @@ func BuildGST(g *Graph, roots ...NodeID) (*GST, error) {
 	if err := tree.Validate(); err != nil {
 		return nil, fmt.Errorf("radiocast: constructed GST invalid: %w", err)
 	}
-	return &GST{Tree: tree, VirtualDistance: gst.VirtualDistances(tree)}, nil
+	return &GST{Tree: tree, VirtualDistance: gst.Flatten(tree).Vdist}, nil
 }
 
 // BuildGSTDistributed runs the Theorem 2.1 distributed construction
@@ -364,8 +363,10 @@ func RandomMessages(k, l int, seed uint64) []rlnc.Message {
 	return msgs
 }
 
-// ScheduleInfo exposes the per-node MMV schedule inputs of a GST.
-func (t *GST) ScheduleInfo() []mmv.NodeInfo { return mmv.InfoFromTree(t.Tree) }
+// ScheduleInfo exposes the per-node MMV schedule inputs of a GST: the
+// flat view whose row v the schedule at node v reads (level, rank,
+// virtual distance, parent linkage and stretch role).
+func (t *GST) ScheduleInfo() *gst.Flat { return gst.Flatten(t.Tree) }
 
 func checkGraph(g *Graph, source NodeID) error {
 	if err := checkNodes(g, "source", source); err != nil {

@@ -1,6 +1,7 @@
 package radiocast
 
 import (
+	"slices"
 	"testing"
 
 	"radiocast/internal/graph"
@@ -65,8 +66,8 @@ func TestFacadeBuildGST(t *testing.T) {
 	if len(tree.VirtualDistance) != g.N() {
 		t.Fatal("vdist missing")
 	}
-	if len(tree.ScheduleInfo()) != g.N() {
-		t.Fatal("schedule info missing")
+	if info := tree.ScheduleInfo(); info.N() != g.N() || !slices.Equal(info.Vdist, tree.VirtualDistance) {
+		t.Fatal("schedule info missing or disagrees with VirtualDistance")
 	}
 }
 
