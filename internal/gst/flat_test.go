@@ -84,6 +84,7 @@ func checkFlatTwin(t *testing.T, label string, tr *Tree) {
 	if f.N() != n {
 		t.Fatalf("%s: N=%d want %d", label, f.N(), n)
 	}
+	vdist := virtualDistancesReference(tr)
 	parentRank := make([]int32, n)
 	sameRank := make([]bool, n)
 	stretchStart := make([]bool, n)
@@ -97,6 +98,9 @@ func checkFlatTwin(t *testing.T, label string, tr *Tree) {
 		sameRank[v] = sameRankChildReference(tr, children, id) >= 0
 		stretchStart[v] = stretchStartReference(tr, id)
 		root[v] = slices.Contains(tr.Roots, id)
+		if want := tr.InTree(id) && vdist[v] >= 0; f.Member(id) != want {
+			t.Fatalf("%s roots %v: Flat.Member(%d)=%v, want %v", label, tr.Roots, v, !want, want)
+		}
 	}
 	for _, c := range []struct {
 		name string
@@ -105,7 +109,7 @@ func checkFlatTwin(t *testing.T, label string, tr *Tree) {
 		{"Parent", mismatch(f.Parent, tr.Parent)},
 		{"Level", mismatch(f.Level, tr.Level)},
 		{"Rank", mismatch(f.Rank, tr.Rank)},
-		{"Vdist", mismatch(f.Vdist, virtualDistancesReference(tr))},
+		{"Vdist", mismatch(f.Vdist, vdist)},
 		{"ParentRank", mismatch(f.ParentRank, parentRank)},
 		{"SameRankChild", mismatch(f.SameRankChild, sameRank)},
 		{"StretchStart", mismatch(f.StretchStart, stretchStart)},

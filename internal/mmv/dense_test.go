@@ -45,7 +45,7 @@ var _ radio.Protocol = (*keyedTwin)(nil)
 
 func (p *keyedTwin) Act(t int64) radio.Action {
 	f, v := p.f, p.id
-	if !f.Member(v) {
+	if f.Level[v] < 0 || f.Vdist[v] < 0 {
 		return radio.Listen // not part of the structure
 	}
 	if t%2 == 0 {

@@ -162,7 +162,9 @@ func (p *Protocol) Act(t int64) radio.Action {
 		return radio.Listen // not part of the structure (failed setup)
 	}
 	if t%2 == 0 {
-		if !p.sched.FastSlot(t, f.Level[v], f.Rank[v]) || !f.SameRankChild[v] {
+		// The row's bool first: FastSlot's two divisions are skipped
+		// for the nodes that never transmit fast.
+		if !f.SameRankChild[v] || !p.sched.FastSlot(t, f.Level[v], f.Rank[v]) {
 			return radio.Listen
 		}
 		var pkt radio.Packet

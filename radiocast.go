@@ -307,6 +307,8 @@ type GST struct {
 	VirtualDistance []int32
 	// ConstructionRounds is 0 for centralized construction.
 	ConstructionRounds int64
+
+	flat *gst.Flat // the schedule view VirtualDistance aliases
 }
 
 // BuildGST constructs a GST centrally (known topology) and validates
@@ -324,7 +326,8 @@ func BuildGST(g *Graph, roots ...NodeID) (*GST, error) {
 	if err := tree.Validate(); err != nil {
 		return nil, fmt.Errorf("radiocast: constructed GST invalid: %w", err)
 	}
-	return &GST{Tree: tree, VirtualDistance: gst.Flatten(tree).Vdist}, nil
+	f := gst.Flatten(tree)
+	return &GST{Tree: tree, VirtualDistance: f.Vdist, flat: f}, nil
 }
 
 // BuildGSTDistributed runs the Theorem 2.1 distributed construction
@@ -345,11 +348,15 @@ func BuildGSTDistributed(g *Graph, opts Options) (*GST, error) {
 		nw.SetProtocol(NodeID(v), protos[v])
 	}
 	nw.Run(cfg.TotalRounds())
-	tree, vdist := gstdist.Harvest(g, opts.Source, protos)
+	tree, _ := gstdist.Harvest(g, opts.Source, protos)
 	if err := tree.Validate(); err != nil {
 		return nil, fmt.Errorf("radiocast: distributed GST invalid (raise Options.Scale): %w", err)
 	}
-	return &GST{Tree: tree, VirtualDistance: vdist, ConstructionRounds: cfg.TotalRounds()}, nil
+	f := gst.NewFlat(g.N())
+	for v, p := range protos {
+		p.Result().Put(f, NodeID(v), NodeID(v) == opts.Source)
+	}
+	return &GST{Tree: tree, VirtualDistance: f.Vdist, ConstructionRounds: cfg.TotalRounds(), flat: f}, nil
 }
 
 // RandomMessages generates k reproducible l-bit payloads (for use with
@@ -365,8 +372,10 @@ func RandomMessages(k, l int, seed uint64) []rlnc.Message {
 
 // ScheduleInfo exposes the per-node MMV schedule inputs of a GST: the
 // flat view whose row v the schedule at node v reads (level, rank,
-// virtual distance, parent linkage and stretch role).
-func (t *GST) ScheduleInfo() *gst.Flat { return gst.Flatten(t.Tree) }
+// virtual distance, parent linkage and stretch role). A centralized
+// GST returns the flattened tree; a distributed one returns the rows
+// the nodes wrote from what they learned. VirtualDistance is its Vdist.
+func (t *GST) ScheduleInfo() *gst.Flat { return t.flat }
 
 func checkGraph(g *Graph, source NodeID) error {
 	if err := checkNodes(g, "source", source); err != nil {

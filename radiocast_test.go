@@ -80,6 +80,10 @@ func TestFacadeBuildGSTDistributed(t *testing.T) {
 	if tree.ConstructionRounds <= 0 {
 		t.Fatal("construction rounds not reported")
 	}
+	if info := tree.ScheduleInfo(); info.N() != g.N() || !slices.Equal(info.Vdist, tree.VirtualDistance) ||
+		!slices.Equal(info.Parent, tree.Tree.Parent) || !slices.Equal(info.Rank, tree.Tree.Rank) {
+		t.Fatal("schedule info missing or disagrees with the harvested tree")
+	}
 }
 
 func TestFacadeValidation(t *testing.T) {
