@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -527,6 +528,45 @@ func TestFinishedJobsEvicted(t *testing.T) {
 				if got := code(path); got != want {
 					t.Fatalf("after %d jobs: GET %s = %d, want %d", len(ids), path, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestJobsListOldestFirst: GET /v1/jobs lists the indexed jobs in
+// submission order, on every call, before and after a retention
+// eviction drops the oldest finished job.
+func TestJobsListOldestFirst(t *testing.T) {
+	old := maxFinishedJobs
+	t.Cleanup(func() { maxFinishedJobs = old })
+	maxFinishedJobs = 3
+	ts, _ := newTestServer(t, 1, 16)
+	list := func() []string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct{ Jobs []JobStatus }
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, len(body.Jobs))
+		for i, st := range body.Jobs {
+			ids[i] = st.ID
+		}
+		return ids
+	}
+	var ids []string
+	for seed := 1; seed <= maxFinishedJobs+1; seed++ {
+		id := submit(t, ts, fmt.Sprintf(decaySpec, seed))
+		waitDone(t, ts, id)
+		ids = append(ids, id)
+		want := ids[max(0, len(ids)-maxFinishedJobs):]
+		for call := 0; call < 8; call++ {
+			if got := list(); !slices.Equal(got, want) {
+				t.Fatalf("after %d jobs, list call %d: %v, want %v", len(ids), call, got, want)
 			}
 		}
 	}

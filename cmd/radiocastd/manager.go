@@ -9,8 +9,10 @@ package main
 // history with live subscribers — the SSE endpoint's source of truth.
 
 import (
+	"cmp"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,6 +115,7 @@ type Job struct {
 	Spec    JobSpec   `json:"spec"`
 	Created time.Time `json:"created"`
 
+	num      int64 // submission order: 1 for the daemon's first job
 	mu       sync.Mutex
 	state    string
 	err      string
@@ -305,6 +308,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	m.next++
 	job := &Job{
 		ID:      fmt.Sprintf("j%06d", m.next),
+		num:     m.next,
 		Spec:    spec,
 		Created: time.Now(),
 		state:   StateQueued,
@@ -338,8 +342,9 @@ func (m *Manager) Get(id string) *Job {
 	return m.jobs[id]
 }
 
-// Jobs lists the indexed jobs: every queued or running job and the
-// newest maxFinishedJobs finished ones, in no particular order.
+// Jobs lists the indexed jobs — every queued or running job and the
+// newest maxFinishedJobs finished ones — oldest first, in submission
+// order.
 func (m *Manager) Jobs() []JobStatus {
 	m.mu.Lock()
 	jobs := make([]*Job, 0, len(m.jobs))
@@ -347,6 +352,8 @@ func (m *Manager) Jobs() []JobStatus {
 		jobs = append(jobs, j)
 	}
 	m.mu.Unlock()
+	// By number, not by id: "j%06d" ids stop sorting past j999999.
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(a.num, b.num) })
 	out := make([]JobStatus, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, j.Status())

@@ -62,7 +62,7 @@ func runBoundary(t *testing.T, sub *graph.Graph, isRed []bool, blueRank []int32,
 			role = Red
 		}
 		nodes[v] = NewNode(p, graph.NodeID(v), role, blueRank[v], rng.New(seed, uint64(v)))
-		nw.SetProtocol(graph.NodeID(v), &BoundaryProtocol{N: nodes[v]})
+		nw.SetProtocol(graph.NodeID(v), nodes[v])
 	}
 	nw.Run(p.BoundaryRounds())
 	return nodes

@@ -2,8 +2,9 @@ package beep
 
 // DenseWave is the structure-of-arrays collision wave for the
 // radio.Dense engine: Theorem 1.1's BFS layering primitive at
-// million-node scale. Per-node state is one int32 level plus bitset
-// membership — no RNG at all, the wave is deterministic.
+// million-node scale. Per-node state is the shared radio.Spread (the
+// level is the first-reception round plus one) — no RNG at all, the
+// wave is deterministic.
 //
 // Semantics match Wave exactly: the source (level 0) transmits the
 // 1-bit Pulse in rounds [0, horizon); a node first hearing a signal —
@@ -40,21 +41,11 @@ import (
 // DenseWave implements radio.DenseProtocol for the collision-wave
 // layering.
 type DenseWave struct {
-	g       *graph.Graph
+	radio.Spread // triggered set, frontier, listeners; Done, EndRound
+
 	horizon int64
-
-	triggered bitvec.Vec // wave arrived (level >= 0)
-	frontier  bitvec.Vec // triggered with >= 1 untriggered neighbor
-	newly     bitvec.Vec // heard a signal this round; promoted in EndRound
-	listen    bitvec.Vec // complement of triggered (maintained incrementally)
-	silent    bitvec.Vec // all-zero listener words for rounds >= horizon
-
-	untriggeredDeg []int32 // per-node count of untriggered neighbors
-	level          []int32 // BFS level; -1 until the wave arrives
-	triggeredCount int
-
-	pkt radio.Packet // Pulse{}, boxed once
-	src graph.NodeID
+	silent  bitvec.Vec   // all-zero listener words for rounds >= horizon
+	pkt     radio.Packet // Pulse{}, boxed once
 }
 
 var _ radio.DenseProtocol = (*DenseWave)(nil)
@@ -64,47 +55,11 @@ var _ radio.DenseProtocol = (*DenseWave)(nil)
 // on the ideal channel (the wave then completes in exactly that many
 // rounds); lossy channels need slack on top.
 func NewDenseWave(g *graph.Graph, source graph.NodeID, horizon int64) *DenseWave {
-	n := g.N()
-	w := &DenseWave{
-		g:              g,
-		horizon:        horizon,
-		triggered:      bitvec.New(n),
-		frontier:       bitvec.New(n),
-		newly:          bitvec.New(n),
-		listen:         bitvec.New(n),
-		silent:         bitvec.New(n),
-		untriggeredDeg: make([]int32, n),
-		level:          make([]int32, n),
-		pkt:            Pulse{},
-		src:            source,
-	}
-	w.listen.Ones()
-	for v := 0; v < n; v++ {
-		w.untriggeredDeg[v] = int32(g.Degree(graph.NodeID(v)))
-		w.level[v] = -1
-	}
-	if n > 0 {
-		w.trigger(source, 0)
-	}
-	return w
-}
-
-// trigger flips v to triggered at BFS level lvl, maintaining the
-// listen complement, the neighbors' untriggered-degree counts, and the
-// frontier on both sides.
-func (w *DenseWave) trigger(v graph.NodeID, lvl int32) {
-	w.triggered.Set(int(v))
-	w.listen.Clear(int(v))
-	w.level[v] = lvl
-	w.triggeredCount++
-	for _, u := range w.g.Neighbors(v) {
-		w.untriggeredDeg[u]--
-		if w.untriggeredDeg[u] == 0 {
-			w.frontier.Clear(int(u)) // no-op for untriggered u
-		}
-	}
-	if w.untriggeredDeg[v] > 0 {
-		w.frontier.Set(int(v))
+	return &DenseWave{
+		Spread:  radio.NewSpread(g, source, bitvec.Vec{}),
+		horizon: horizon,
+		silent:  bitvec.New(g.N()),
+		pkt:     Pulse{},
 	}
 }
 
@@ -114,7 +69,7 @@ func (w *DenseWave) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio
 	if r >= w.horizon {
 		return dst
 	}
-	words := w.frontier.Words()
+	words := w.FrontierWords()
 	for wi := int(lo) >> 6; wi<<6 < int(hi); wi++ {
 		word := words[wi]
 		for word != 0 {
@@ -131,7 +86,7 @@ func (w *DenseWave) ListenWords(r int64) []uint64 {
 	if r >= w.horizon {
 		return w.silent.Words()
 	}
-	return w.listen.Words()
+	return w.Spread.ListenWords(r)
 }
 
 // Packet implements radio.DenseProtocol: every pulse is the 1-bit
@@ -143,33 +98,22 @@ func (w *DenseWave) Packet(int64, graph.NodeID) radio.Packet { return w.pkt }
 // (which touches neighbors) waits for EndRound.
 func (w *DenseWave) Deliver(_ int64, v graph.NodeID, out radio.Outcome) {
 	if out.Collision || out.Packet != nil {
-		w.newly.Set(int(v))
+		w.Hear(v)
 	}
 }
-
-// EndRound implements radio.DenseProtocol: promote this round's
-// receivers to level r+1 in ascending node order.
-func (w *DenseWave) EndRound(r int64) {
-	words := w.newly.Words()
-	for wi, word := range words {
-		for word != 0 {
-			v := graph.NodeID(wi<<6 + bits.TrailingZeros64(word))
-			word &= word - 1
-			w.trigger(v, int32(r+1))
-		}
-		words[wi] = 0
-	}
-}
-
-// Done reports whether the wave has reached every node.
-func (w *DenseWave) Done() bool { return w.triggeredCount == w.g.N() }
 
 // TriggeredCount returns the number of nodes the wave has reached.
-func (w *DenseWave) TriggeredCount() int { return w.triggeredCount }
+func (w *DenseWave) TriggeredCount() int { return w.InformedCount() }
 
-// Level returns v's learned BFS level, or -1 if the wave has not
+// Level returns v's learned BFS level — one more than the round it
+// first heard a signal, 0 at the source — or -1 if the wave has not
 // arrived (matching Wave.Level).
-func (w *DenseWave) Level(v graph.NodeID) int { return int(w.level[v]) }
+func (w *DenseWave) Level(v graph.NodeID) int {
+	if !w.Informed(v) {
+		return -1
+	}
+	return int(w.RecvRound(v)) + 1
+}
 
 // Horizon returns the configured wave horizon.
 func (w *DenseWave) Horizon() int64 { return w.horizon }

@@ -43,21 +43,11 @@ func DenseKey(seed uint64) uint64 { return rng.Mix(seed, 0xdd) }
 
 // Dense implements radio.DenseProtocol for single-message Decay.
 type Dense struct {
-	g     *graph.Graph
+	radio.Spread // informed set, frontier, listeners; Done, InformedCount, EndRound
+
 	sched Schedule
-	key   uint64 // keyed-draw seed for transmit coins
-
-	informed bitvec.Vec // has the message
-	frontier bitvec.Vec // informed with >= 1 uninformed neighbor
-	newly    bitvec.Vec // received this round; promoted in EndRound
-	listen   bitvec.Vec // complement of informed (maintained incrementally)
-
-	uninformedDeg []int32 // per-node count of uninformed neighbors
-	recvRound     []int64 // round of first reception (-1 for the source)
-	informedCount int
-
-	pkt radio.Packet // the message, boxed once
-	src graph.NodeID
+	key   uint64       // keyed-draw seed for transmit coins
+	pkt   radio.Packet // the message, boxed once
 }
 
 var _ radio.DenseProtocol = (*Dense)(nil)
@@ -72,47 +62,11 @@ func NewDense(g *graph.Graph, seed uint64, source graph.NodeID) *Dense {
 // schedule s, with transmit coins keyed on key (the schedule owner's
 // derivation of the run seed, e.g. DenseKey or cr.DenseKey).
 func NewDenseSchedule(g *graph.Graph, s Schedule, key uint64, source graph.NodeID) *Dense {
-	n := g.N()
-	d := &Dense{
-		g:             g,
-		sched:         s,
-		key:           key,
-		informed:      bitvec.New(n),
-		frontier:      bitvec.New(n),
-		newly:         bitvec.New(n),
-		listen:        bitvec.New(n),
-		uninformedDeg: make([]int32, n),
-		recvRound:     make([]int64, n),
-		pkt:           Message{Data: int64(source)},
-		src:           source,
-	}
-	d.listen.Ones()
-	for v := 0; v < n; v++ {
-		d.uninformedDeg[v] = int32(g.Degree(graph.NodeID(v)))
-		d.recvRound[v] = -1
-	}
-	if n > 0 {
-		d.inform(source, -1)
-	}
-	return d
-}
-
-// inform flips v to informed (received in round r; -1 for the source),
-// maintaining the listen complement, the neighbors' uninformed-degree
-// counts, and the frontier on both sides.
-func (d *Dense) inform(v graph.NodeID, r int64) {
-	d.informed.Set(int(v))
-	d.listen.Clear(int(v))
-	d.recvRound[v] = r
-	d.informedCount++
-	for _, u := range d.g.Neighbors(v) {
-		d.uninformedDeg[u]--
-		if d.uninformedDeg[u] == 0 {
-			d.frontier.Clear(int(u)) // no-op for uninformed u
-		}
-	}
-	if d.uninformedDeg[v] > 0 {
-		d.frontier.Set(int(v))
+	return &Dense{
+		Spread: radio.NewSpread(g, source, bitvec.Vec{}),
+		sched:  s,
+		key:    key,
+		pkt:    Message{Data: int64(source)},
 	}
 }
 
@@ -123,7 +77,7 @@ func (d *Dense) inform(v graph.NodeID, r int64) {
 func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.NodeID) []radio.NodeID {
 	slot := d.sched.Slot(r)
 	threshold := uint64(1) << (63 - uint(slot))
-	words := d.frontier.Words()
+	words := d.FrontierWords()
 	for wi := int(lo) >> 6; wi<<6 < int(hi); wi++ {
 		w := words[wi]
 		for w != 0 {
@@ -137,10 +91,6 @@ func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.Nod
 	return dst
 }
 
-// ListenWords implements radio.DenseProtocol: every uninformed node
-// listens every round.
-func (d *Dense) ListenWords(int64) []uint64 { return d.listen.Words() }
-
 // Packet implements radio.DenseProtocol: every transmitter sends the
 // one broadcast message.
 func (d *Dense) Packet(int64, graph.NodeID) radio.Packet { return d.pkt }
@@ -153,33 +103,6 @@ func (d *Dense) Deliver(_ int64, v graph.NodeID, out radio.Outcome) {
 		return // ⊤ or channel noise: Decay ignores collisions
 	}
 	if _, ok := out.Packet.(Message); ok {
-		d.newly.Set(int(v))
+		d.Hear(v)
 	}
 }
-
-// EndRound implements radio.DenseProtocol: promote this round's
-// receivers in ascending node order.
-func (d *Dense) EndRound(r int64) {
-	words := d.newly.Words()
-	for wi, w := range words {
-		for w != 0 {
-			v := graph.NodeID(wi<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-			d.inform(v, r)
-		}
-		words[wi] = 0
-	}
-}
-
-// Done reports whether every node is informed.
-func (d *Dense) Done() bool { return d.informedCount == d.g.N() }
-
-// InformedCount returns the number of informed nodes.
-func (d *Dense) InformedCount() int { return d.informedCount }
-
-// Informed reports whether v has the message.
-func (d *Dense) Informed(v graph.NodeID) bool { return d.informed.Get(int(v)) }
-
-// RecvRound returns the round v first received the message (-1 for
-// the source or a still-uninformed node).
-func (d *Dense) RecvRound(v graph.NodeID) int64 { return d.recvRound[v] }

@@ -221,29 +221,6 @@ func TestSameRankChildUnique(t *testing.T) {
 	}
 }
 
-func TestRingExtraction(t *testing.T) {
-	g := graph.Path(20)
-	bfs := graph.BFS(g, 0)
-	sub, l2g, roots := Ring(g, bfs.Dist, 5, 12)
-	if sub.N() != 7 {
-		t.Fatalf("ring size %d, want 7", sub.N())
-	}
-	if len(roots) != 1 {
-		t.Fatalf("roots %v, want one node (layer 5)", roots)
-	}
-	if l2g[roots[0]] != 5 {
-		t.Fatalf("root maps to %d, want 5", l2g[roots[0]])
-	}
-	if sub.M() != 6 {
-		t.Fatalf("ring edges %d, want 6", sub.M())
-	}
-	// GST of the ring validates.
-	tree := Construct(sub, roots...)
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := graph.Grid(4, 4)
 	tree := Construct(g, 0)

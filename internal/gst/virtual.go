@@ -1,7 +1,5 @@
 package gst
 
-import "radiocast/internal/graph"
-
 // Fast stretches and the virtual graph G' (Section 3.2).
 //
 // A fast stretch is a maximal root-ward path in T on which every node
@@ -81,32 +79,4 @@ func FastEdgesCollisionFree(t *Tree) int {
 		}
 	}
 	return violations
-}
-
-// Ring extracts the subgraph induced by the nodes whose global BFS
-// layer lies in [lo, hi), re-indexed as a standalone graph, together
-// with the mapping back to global ids and the list of local roots
-// (nodes at layer lo). Used by the ring decomposition of Theorems 1.1
-// and 1.3.
-func Ring(g *graph.Graph, layer []int32, lo, hi int32) (sub *graph.Graph, local2global []NodeID, roots []NodeID) {
-	global2local := make(map[NodeID]NodeID)
-	for v := 0; v < g.N(); v++ {
-		if layer[v] >= lo && layer[v] < hi {
-			global2local[NodeID(v)] = NodeID(len(local2global))
-			local2global = append(local2global, NodeID(v))
-		}
-	}
-	b := graph.NewBuilder(len(local2global))
-	for _, gv := range local2global {
-		lv := global2local[gv]
-		for _, gu := range g.Neighbors(gv) {
-			if lu, ok := global2local[gu]; ok {
-				b.AddEdge(lv, lu)
-			}
-		}
-		if layer[gv] == lo {
-			roots = append(roots, lv)
-		}
-	}
-	return b.Build(), local2global, roots
 }

@@ -310,11 +310,11 @@ func recruitingRun(half int, params recruit.Params, seed uint64) bool {
 	blues := make([]*recruit.Blue, half)
 	for v := 0; v < half; v++ {
 		reds[v] = recruit.NewRed(params, graph.NodeID(v), rng.New(seed, 0x42, uint64(v)))
-		nw.SetProtocol(graph.NodeID(v), &recruit.RedProtocol{R: reds[v]})
+		nw.SetProtocol(graph.NodeID(v), reds[v])
 	}
 	for u := 0; u < half; u++ {
 		blues[u] = recruit.NewBlue(params, graph.NodeID(half+u), rng.New(seed, 0x43, uint64(u)))
-		nw.SetProtocol(graph.NodeID(half+u), &recruit.BlueProtocol{B: blues[u]})
+		nw.SetProtocol(graph.NodeID(half+u), blues[u])
 	}
 	nw.Run(params.Rounds())
 	children := map[radio.NodeID]int{}
@@ -458,7 +458,7 @@ func assignmentMisses(g *graph.Graph, dist []int32, tree *gst.Tree, epochs int, 
 			role = assign.Red
 		}
 		nodes[v] = assign.NewNode(params, graph.NodeID(v), role, blueRank[v], rng.New(seed, 0x51, uint64(v)))
-		nw.SetProtocol(graph.NodeID(v), &assign.BoundaryProtocol{N: nodes[v]})
+		nw.SetProtocol(graph.NodeID(v), nodes[v])
 	}
 	nw.Run(params.BoundaryRounds())
 	for v, nd := range nodes {

@@ -156,9 +156,8 @@ var Protocols = []Protocol{
 		if b.LossyHorizon {
 			horizon = 4*horizon + 64
 		}
-		return &denseStack{g: b.g, cd: true, horizon: horizon, newRun: func(uint64) denseRun {
-			w := beep.NewDenseWave(b.g, b.src, horizon)
-			return denseRun{w, w.Done, w.TriggeredCount}
+		return &denseStack{g: b.g, cd: true, horizon: horizon, newRun: func(uint64) denseProto {
+			return beep.NewDenseWave(b.g, b.src, horizon)
 		}}
 	}, rounds: waveRounds},
 	{Name: "dense-gst", Dense: true, build: func(b *builder) Stack {
@@ -167,9 +166,8 @@ var Protocols = []Protocol{
 		// build-once/broadcast-many split of the paper's amortized regime.
 		flat := gst.Flatten(gst.Construct(b.g, b.src))
 		schedule := mmv.NewSchedule(b.n)
-		return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseRun {
-			p := mmv.NewDense(b.g, flat, schedule, seed, b.src, b.Noise)
-			return denseRun{p, p.Done, p.InformedCount}
+		return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseProto {
+			return mmv.NewDense(b.g, flat, schedule, seed, b.src, b.Noise)
 		}}
 	}, rounds: func(b *builder) int64 {
 		// The fast relay pipelines one level per two rounds, and each of
@@ -200,9 +198,8 @@ func (f decayFlavor) sparse(b *builder) Stack {
 
 func (f decayFlavor) dense(b *builder) Stack {
 	s := f.schedule(b)
-	return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseRun {
-		p := decay.NewDenseSchedule(b.g, s, f.key(seed), b.src)
-		return denseRun{p, p.Done, p.InformedCount}
+	return &denseStack{g: b.g, horizon: math.MaxInt64, newRun: func(seed uint64) denseProto {
+		return decay.NewDenseSchedule(b.g, s, f.key(seed), b.src)
 	}}
 }
 
@@ -304,12 +301,13 @@ func (p *Protocol) NewAdaptive(g *graph.Graph, src graph.NodeID, o StackOpts, ch
 	return newAdaptive(s, g.N(), chf, seed, limit, p.RetopoSafe)
 }
 
-// denseRun is one run's SoA protocol with its completion predicate and
-// coverage counter.
-type denseRun struct {
-	proto   radio.DenseProtocol
-	done    func() bool
-	covered func() int
+// denseProto is one run's SoA protocol: every dense entry spreads one
+// message through a radio.Spread, which answers completion and
+// coverage.
+type denseProto interface {
+	radio.DenseProtocol
+	Done() bool
+	InformedCount() int
 }
 
 // denseStack is the context of the dense entries. The per-graph prep
@@ -321,7 +319,7 @@ type denseStack struct {
 	g       *graph.Graph
 	cd      bool  // collision detection (the wave's correctness assumption)
 	horizon int64 // caps every run's limit (the wave's horizon, else MaxInt64)
-	newRun  func(seed uint64) denseRun
+	newRun  func(seed uint64) denseProto
 	workers int
 	obs     obs.RoundObserver
 	stride  int64
@@ -342,12 +340,12 @@ func (s *denseStack) RunFrom(informed []bool, ch radio.Channel, seed uint64, lim
 		panic("harness: the dense stacks have no carryover epochs")
 	}
 	radio.ResetChannel(ch)
-	r := s.newRun(seed)
+	p := s.newRun(seed)
 	eng := radio.NewDense(s.g, radio.Config{CollisionDetection: s.cd, Channel: ch, Workers: s.workers,
-		Observer: s.obs, ObserverStride: s.stride}, r.proto)
+		Observer: s.obs, ObserverStride: s.stride}, p)
 	defer eng.Close()
-	rounds, ok := eng.RunUntil(min(openLimit(limit), s.horizon), r.done)
-	s.covered = r.covered()
+	rounds, ok := eng.RunUntil(min(openLimit(limit), s.horizon), p.Done)
+	s.covered = p.InformedCount()
 	if s.afterRun != nil {
 		s.afterRun()
 	}

@@ -52,24 +52,18 @@ func DenseKey(seed uint64) uint64 { return rng.Mix(seed, 0x67) }
 // Dense implements radio.DenseProtocol for the single-message MMV
 // schedule over a flattened GST.
 type Dense struct {
-	g       *graph.Graph
+	// Spread keeps the informed set, the frontier and the listeners
+	// (uninformed ∪ fastListen); Done, InformedCount, ListenWords.
+	radio.Spread
+
 	f       *gst.Flat
 	s       Schedule
 	key     uint64
 	noising bool
-	src     graph.NodeID
 
-	informed bitvec.Vec // has the message
-	newly    bitvec.Vec // received this round; promoted in EndRound
-	armed    bitvec.Vec // relay bit: parent's fast wave buffered
-	listen   bitvec.Vec // uninformed ∪ fastListen (maintained incrementally)
-	frontier bitvec.Vec // informed members with >= 1 uninformed neighbor
-	uninf    bitvec.Vec // uninformed members (noising slow candidates)
-	noiseTx  bitvec.Vec // this round's transmitters that send noise, stamped at collect
+	armed   bitvec.Vec // relay bit: parent's fast wave buffered
+	noiseTx bitvec.Vec // this round's transmitters that send noise, stamped at collect
 
-	// fastListen marks interior stretch nodes with a same-rank child —
-	// the nodes whose relay bit matters; they listen forever (static).
-	fastListen bitvec.Vec
 	// slowBucket partitions members by Vdist mod 3: the odd round t
 	// is a slow slot of exactly the bucket ((t-1)/2) mod 3.
 	slowBucket [3]bitvec.Vec
@@ -79,10 +73,6 @@ type Dense struct {
 	// armSlot is the residue of the parent's fast slot for interior
 	// stretch nodes (the only nodes that buffer a relay), else -1.
 	armSlot []int32
-
-	uninformedDeg []int32 // per-node count of uninformed neighbors
-	recvRound     []int64 // round of first reception (-1 for the source)
-	informedCount int
 
 	pkt   radio.Packet // the message, boxed once
 	noise radio.Packet // NoisePacket, boxed once
@@ -97,45 +87,34 @@ var _ radio.DenseProtocol = (*Dense)(nil)
 func NewDense(g *graph.Graph, f *gst.Flat, s Schedule, seed uint64, source graph.NodeID, noising bool) *Dense {
 	n := g.N()
 	d := &Dense{
-		g:             g,
-		f:             f,
-		s:             s,
-		key:           DenseKey(seed),
-		noising:       noising,
-		src:           source,
-		informed:      bitvec.New(n),
-		newly:         bitvec.New(n),
-		armed:         bitvec.New(n),
-		listen:        bitvec.New(n),
-		frontier:      bitvec.New(n),
-		uninf:         bitvec.New(n),
-		noiseTx:       bitvec.New(n),
-		fastListen:    bitvec.New(n),
-		fastList:      make([][]graph.NodeID, s.M),
-		armSlot:       make([]int32, n),
-		uninformedDeg: make([]int32, n),
-		recvRound:     make([]int64, n),
-		pkt:           decay.Message{Data: int64(source)},
-		noise:         radio.NoisePacket{},
+		f:        f,
+		s:        s,
+		key:      DenseKey(seed),
+		noising:  noising,
+		armed:    bitvec.New(n),
+		noiseTx:  bitvec.New(n),
+		fastList: make([][]graph.NodeID, s.M),
+		armSlot:  make([]int32, n),
+		pkt:      decay.Message{Data: int64(source)},
+		noise:    radio.NoisePacket{},
 	}
+	// fastListen marks interior stretch nodes with a same-rank child —
+	// the nodes whose relay bit matters; they listen forever.
+	fastListen := bitvec.New(n)
 	for i := range d.slowBucket {
 		d.slowBucket[i] = bitvec.New(n)
 	}
-	d.listen.Ones()
 	for v := 0; v < n; v++ {
-		d.uninformedDeg[v] = int32(g.Degree(graph.NodeID(v)))
-		d.recvRound[v] = -1
 		d.armSlot[v] = -1
 		if !f.Member(graph.NodeID(v)) {
 			continue
 		}
-		d.uninf.Set(v)
 		d.slowBucket[int(f.Vdist[v])%3].Set(v)
 		if f.SameRankChild[v] {
 			res := (2 * (int64(f.Level[v]) + 3*int64(f.Rank[v]))) % s.M
 			d.fastList[res] = append(d.fastList[res], graph.NodeID(v))
 			if !f.StretchStart[v] {
-				d.fastListen.Set(v)
+				fastListen.Set(v)
 			}
 		}
 		if !f.StretchStart[v] {
@@ -144,39 +123,15 @@ func NewDense(g *graph.Graph, f *gst.Flat, s Schedule, seed uint64, source graph
 			d.armSlot[v] = int32((2 * (int64(f.Level[v]) - 1 + 3*int64(f.Rank[v]))) % s.M)
 		}
 	}
-	if n > 0 {
-		d.inform(source, -1)
-	}
+	d.Spread = radio.NewSpread(g, source, fastListen)
 	return d
-}
-
-// inform flips v to informed (received in round r; -1 for the source),
-// maintaining the listen set, the noising candidates, the neighbors'
-// uninformed-degree counts, and the frontier on both sides.
-func (d *Dense) inform(v graph.NodeID, r int64) {
-	d.informed.Set(int(v))
-	d.uninf.Clear(int(v))
-	if !d.fastListen.Get(int(v)) {
-		d.listen.Clear(int(v))
-	}
-	d.recvRound[v] = r
-	d.informedCount++
-	for _, u := range d.g.Neighbors(v) {
-		d.uninformedDeg[u]--
-		if d.uninformedDeg[u] == 0 {
-			d.frontier.Clear(int(u)) // no-op for uninformed u
-		}
-	}
-	if d.uninformedDeg[v] > 0 && d.f.Member(v) {
-		d.frontier.Set(int(v))
-	}
 }
 
 // fastContent reports whether fast transmitter v holds content this
 // round: stretch starts send fresh content, interior nodes relay.
 func (d *Dense) fastContent(v graph.NodeID) bool {
 	if d.f.StretchStart[v] {
-		return d.informed.Get(int(v))
+		return d.Informed(v)
 	}
 	return d.armed.Get(int(v))
 }
@@ -184,7 +139,8 @@ func (d *Dense) fastContent(v graph.NodeID) bool {
 // AppendTransmitters implements radio.DenseProtocol. Even rounds walk
 // the round's fast residue class; odd rounds walk the round's slow
 // bucket masked by the frontier (plus, when noising, the uninformed
-// members). The per-transmitter payload kind (content vs noise) is
+// nodes; the bucket holds members only, so non-members in the frontier
+// or the uninformed set never transmit). The per-transmitter payload kind (content vs noise) is
 // stamped into noiseTx here — at collect time — so Packet reads a
 // round-stable bit even while deliveries arm relays concurrently.
 func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.NodeID) []radio.NodeID {
@@ -214,15 +170,15 @@ func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.Nod
 		return dst
 	}
 	bw := d.slowBucket[((r-1)/2)%3].Words()
-	fw := d.frontier.Words()
-	var uw []uint64
+	fw := d.FrontierWords()
+	var iw []uint64
 	if d.noising {
-		uw = d.uninf.Words()
+		iw = d.InformedWords()
 	}
 	for wi := int(lo) >> 6; wi<<6 < int(hi); wi++ {
 		w := bw[wi] & fw[wi]
-		if uw != nil {
-			w = bw[wi] & (fw[wi] | uw[wi])
+		if iw != nil {
+			w = bw[wi] & (fw[wi] | ^iw[wi])
 		}
 		for w != 0 {
 			v := graph.NodeID(wi<<6 + bits.TrailingZeros64(w))
@@ -235,7 +191,7 @@ func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.Nod
 				rng.Mix3(d.key, uint64(v), uint64(r)) >= uint64(1)<<(64-uint(exp)) {
 				continue
 			}
-			if d.informed.Get(int(v)) {
+			if d.Informed(v) {
 				d.noiseTx.Clear(int(v))
 			} else {
 				d.noiseTx.Set(int(v)) // noising: jam the won slot
@@ -245,11 +201,6 @@ func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.Nod
 	}
 	return dst
 }
-
-// ListenWords implements radio.DenseProtocol: every uninformed node
-// listens (to get the message), and every interior stretch node with a
-// same-rank child listens forever (to keep the relay wave alive).
-func (d *Dense) ListenWords(int64) []uint64 { return d.listen.Words() }
 
 // Packet implements radio.DenseProtocol.
 func (d *Dense) Packet(_ int64, v graph.NodeID) radio.Packet {
@@ -270,9 +221,7 @@ func (d *Dense) Deliver(r int64, v graph.NodeID, out radio.Outcome) {
 	if _, ok := out.Packet.(decay.Message); !ok {
 		return // channel noise / jamming
 	}
-	if !d.informed.Get(int(v)) {
-		d.newly.Set(int(v))
-	}
+	d.Hear(v)
 	// Buffer the parent's fast wave for relaying two rounds later.
 	if s := d.armSlot[v]; s >= 0 && int64(s) == r%d.s.M && out.From == d.f.Parent[v] {
 		d.armed.Set(int(v))
@@ -293,26 +242,5 @@ func (d *Dense) EndRound(r int64) {
 			}
 		}
 	}
-	words := d.newly.Words()
-	for wi, w := range words {
-		for w != 0 {
-			v := graph.NodeID(wi<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-			d.inform(v, r)
-		}
-		words[wi] = 0
-	}
+	d.Spread.EndRound(r)
 }
-
-// Done reports whether every node is informed.
-func (d *Dense) Done() bool { return d.informedCount == d.g.N() }
-
-// InformedCount returns the number of informed nodes.
-func (d *Dense) InformedCount() int { return d.informedCount }
-
-// Informed reports whether v has the message.
-func (d *Dense) Informed(v graph.NodeID) bool { return d.informed.Get(int(v)) }
-
-// RecvRound returns the round v first received the message (-1 for
-// the source or a still-uninformed node).
-func (d *Dense) RecvRound(v graph.NodeID) int64 { return d.recvRound[v] }

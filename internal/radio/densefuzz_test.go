@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"testing"
 
+	"radiocast/internal/beep"
 	"radiocast/internal/channel"
 	"radiocast/internal/cr"
 	"radiocast/internal/decay"
@@ -21,14 +22,15 @@ import (
 	"radiocast/internal/radio/radiotest"
 )
 
-// fuzzWorkload pairs a graph with its precomputed GST flat arrays and
-// CR schedule so each fuzz execution pays only for the run, not the
-// construction.
+// fuzzWorkload pairs a graph with its precomputed GST flat arrays, CR
+// schedule and source eccentricity so each fuzz execution pays only
+// for the run, not the construction.
 type fuzzWorkload struct {
-	g  *graph.Graph
-	f  *gst.Flat
-	s  mmv.Schedule
-	cr decay.Schedule
+	g   *graph.Graph
+	f   *gst.Flat
+	s   mmv.Schedule
+	cr  decay.Schedule
+	ecc int
 }
 
 var fuzzWorkloads = func() []fuzzWorkload {
@@ -39,8 +41,9 @@ var fuzzWorkloads = func() []fuzzWorkload {
 	}
 	ws := make([]fuzzWorkload, len(graphs))
 	for i, g := range graphs {
+		ecc := graph.Eccentricity(g, 0)
 		ws[i] = fuzzWorkload{g: g, f: gst.Flatten(gst.Construct(g, 0)), s: mmv.NewSchedule(g.N()),
-			cr: cr.NewParams(g.N(), graph.Eccentricity(g, 0))}
+			cr: cr.NewParams(g.N(), ecc), ecc: ecc}
 	}
 	return ws
 }()
@@ -77,19 +80,23 @@ func fuzzChannel(mask uint8, n int, seed uint64) func() radio.Channel {
 // FuzzDenseTwinIdentity: for any (protocol, graph, channel stack, CD,
 // seed, workers) the fuzzer picks, the parallel dense run must be
 // byte-identical to the sequential one. An odd pick runs the dense GST
-// broadcast (mask bit 32: noising); an even pick runs dense Decay, on
-// the CR schedule when mask bit 64 is set.
+// broadcast (mask bit 32: noising); an even pick runs the collision
+// wave when mask bit 128 is set (horizon 4·ecc+64, the lossy-channel
+// slack of the protocol table), else dense Decay, on the CR schedule
+// when mask bit 64 is set.
 func FuzzDenseTwinIdentity(f *testing.F) {
 	f.Add(uint64(42), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(1), uint8(3), uint8(1), uint8(17))   // erasure+jammer, gst on grid
 	f.Add(uint64(7), uint8(15), uint8(2), uint8(100)) // full stack, decay on gnp
 	f.Add(uint64(9), uint8(48), uint8(5), uint8(3))   // CD+noising, gst on gnp
 	f.Add(uint64(5), uint8(81), uint8(0), uint8(4))   // erasure+CD, cr on clusterchain
+	f.Add(uint64(11), uint8(145), uint8(2), uint8(5)) // erasure+CD, wave on gnp
 	f.Fuzz(func(t *testing.T, seed uint64, chanMask, pick, workersRaw uint8) {
 		w := fuzzWorkloads[int(pick)%len(fuzzWorkloads)]
 		cd := chanMask&16 != 0
 		useGST := pick%2 == 1
-		useCR := !useGST && chanMask&64 != 0
+		useWave := !useGST && chanMask&128 != 0
+		useCR := !useGST && !useWave && chanMask&64 != 0
 		workers := 2 + int(workersRaw)%7
 		c := radiotest.DenseCase{
 			Graph:         w.g,
@@ -102,6 +109,10 @@ func FuzzDenseTwinIdentity(f *testing.F) {
 					pr := mmv.NewDense(w.g, w.f, w.s, seed, 0, chanMask&32 != 0)
 					return pr, pr.Done, recvState(pr.Informed, pr.RecvRound)
 				}
+				if useWave {
+					pr := beep.NewDenseWave(w.g, 0, 4*int64(w.ecc)+64)
+					return pr, pr.Done, recvState(pr.Informed, pr.RecvRound)
+				}
 				var pr *decay.Dense
 				if useCR {
 					pr = cr.NewDense(w.g, w.cr, seed, 0)
@@ -111,7 +122,7 @@ func FuzzDenseTwinIdentity(f *testing.F) {
 				return pr, pr.Done, recvState(pr.Informed, pr.RecvRound)
 			},
 		}
-		label := fmt.Sprintf("seed=%d mask=%#x pick=%d gst=%v cr=%v", seed, chanMask, pick, useGST, useCR)
+		label := fmt.Sprintf("seed=%d mask=%#x pick=%d gst=%v wave=%v cr=%v", seed, chanMask, pick, useGST, useWave, useCR)
 		radiotest.WorkerInvariant(t, label, c, workers)
 	})
 }

@@ -36,11 +36,11 @@ func runRecruiting(t *testing.T, g *graph.Graph, nRed int, params Params, seed u
 	blues := make([]*Blue, g.N()-nRed)
 	for v := 0; v < nRed; v++ {
 		reds[v] = NewRed(params, graph.NodeID(v), rng.New(seed, 0xed, uint64(v)))
-		nw.SetProtocol(graph.NodeID(v), &RedProtocol{R: reds[v]})
+		nw.SetProtocol(graph.NodeID(v), reds[v])
 	}
 	for u := nRed; u < g.N(); u++ {
 		blues[u-nRed] = NewBlue(params, graph.NodeID(u), rng.New(seed, 0xb1e, uint64(u)))
-		nw.SetProtocol(graph.NodeID(u), &BlueProtocol{B: blues[u-nRed]})
+		nw.SetProtocol(graph.NodeID(u), blues[u-nRed])
 	}
 	nw.Run(params.Rounds())
 	return reds, blues
@@ -240,10 +240,10 @@ func BenchmarkRecruiting30x30(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nw := radio.New(g, radio.Config{})
 		for v := 0; v < 30; v++ {
-			nw.SetProtocol(graph.NodeID(v), &RedProtocol{R: NewRed(params, graph.NodeID(v), rng.New(uint64(i), uint64(v)))})
+			nw.SetProtocol(graph.NodeID(v), NewRed(params, graph.NodeID(v), rng.New(uint64(i), uint64(v))))
 		}
 		for u := 30; u < 60; u++ {
-			nw.SetProtocol(graph.NodeID(u), &BlueProtocol{B: NewBlue(params, graph.NodeID(u), rng.New(uint64(i), 999, uint64(u)))})
+			nw.SetProtocol(graph.NodeID(u), NewBlue(params, graph.NodeID(u), rng.New(uint64(i), 999, uint64(u))))
 		}
 		nw.Run(params.Rounds())
 	}
