@@ -10,6 +10,7 @@ package graph
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"testing"
 )
@@ -110,4 +111,129 @@ func FuzzBuildConnected(f *testing.F) {
 		sameGraph(t, BuildConnected(s, seed), g, "rebuild")
 		sameGraph(t, g, buildConnectedRebuild(s, seed), "splice vs full rebuild")
 	})
+}
+
+// sweepStream is FuzzSweepTwin's graph on core+tail+extra nodes: a
+// G(core, p) sample on the first core nodes, a path of tail nodes hung
+// from node core-1, and the pairs of data read as fuzzStream reads
+// them. Nodes that neither the sample, the path nor the pairs reach
+// stay isolated.
+type sweepStream struct {
+	core, tail, extra int
+	p                 float64
+	seed              uint64
+	data              []byte
+}
+
+func (s sweepStream) N() int       { return s.core + s.tail + s.extra }
+func (s sweepStream) Name() string { return "sweep" }
+
+func (s sweepStream) Edges(emit func(u, v NodeID)) {
+	StreamGNP(s.core, s.p, s.seed).Edges(emit)
+	for v := s.core; v < s.core+s.tail; v++ {
+		emit(NodeID(v-1), NodeID(v))
+	}
+	fuzzStream{n: s.N(), data: s.data}.Edges(emit)
+}
+
+// sweepSeeds are FuzzSweepTwin's corpus: a dense sample that the sweep
+// finishes bottom-up, the same with a long tail that turns it top-down
+// again, a star entered from a leaf, a sparse sample with a separate
+// island, and a search from the end of a tail.
+var sweepSeeds = []struct {
+	s   sweepStream
+	src int
+}{
+	{sweepStream{core: 200, p: 128.0 / 255, seed: 1}, 0},
+	{sweepStream{core: 120, tail: 60, p: 128.0 / 255, seed: 2}, 3},
+	{sweepStream{core: 1, extra: 80, data: starData(80)}, 7},
+	{sweepStream{core: 150, extra: 40, p: 5.0 / 255, seed: 4, data: []byte{160, 170, 170, 180, 151, 189}}, 5},
+	{sweepStream{core: 60, tail: 40, p: 77.0 / 255, seed: 5}, 99},
+}
+
+// starData pairs node 0 with each of the nodes 1..k.
+func starData(k int) []byte {
+	var d []byte
+	for v := 1; v <= k; v++ {
+		d = append(d, 0, byte(v))
+	}
+	return d
+}
+
+// FuzzSweepTwin: the direction-optimizing sweep from a fuzzer-chosen
+// source must reach exactly the nodes BFS reaches (count and set) and
+// report BFS's largest distance as its depth, on sparse, dense,
+// star-shaped and disconnected graphs.
+func FuzzSweepTwin(f *testing.F) {
+	for _, c := range sweepSeeds {
+		s := c.s
+		f.Add(uint8(s.core-1), uint8(math.Round(s.p*255)), uint8(s.tail), uint8(s.extra), uint16(c.src), s.seed, s.data)
+	}
+	f.Fuzz(func(t *testing.T, coreRaw, pRaw, tailRaw, extraRaw uint8, srcRaw uint16, seed uint64, data []byte) {
+		s := sweepStream{
+			core: int(coreRaw)%200 + 1, tail: int(tailRaw) % 100, extra: int(extraRaw) % 100,
+			p: float64(pRaw) / 255, seed: seed, data: data,
+		}
+		g := FromStream(s)
+		checkSweep(t, g, NodeID(int(srcRaw)%g.N()))
+	})
+}
+
+// checkSweep compares sweep from src with BFS.
+func checkSweep(t *testing.T, g *Graph, src NodeID) {
+	t.Helper()
+	res := BFS(g, src)
+	seen, count, depth := sweep(g, src)
+	if count != res.Reached || depth != int(res.MaxDist) {
+		t.Fatalf("%s: sweep from %d reached %d at depth %d, BFS %d at %d", g.Name(), src, count, depth, res.Reached, res.MaxDist)
+	}
+	if len(seen) != (g.N()+63)/64 {
+		t.Fatalf("sweep set has %d words for %d nodes", len(seen), g.N())
+	}
+	for i, w := range seen {
+		for b := 0; b < 64; b++ {
+			v := i<<6 | b
+			if in := w&(1<<b) != 0; in != (v < g.N() && res.Dist[v] >= 0) {
+				t.Fatalf("sweep from %d: node %d in set = %v, BFS distance %d", src, v, in, res.Dist[min(v, g.N()-1)])
+			}
+		}
+	}
+}
+
+// TestSweepSeedsSwitchDirection replays sweepBottomUp over the BFS
+// levels of each FuzzSweepTwin seed, as sweep calls it, and checks
+// that the corpus turns the sweep bottom-up and back top-down.
+func TestSweepSeedsSwitchDirection(t *testing.T) {
+	toUp, toDown := 0, 0
+	for _, c := range sweepSeeds {
+		g := FromStream(c.s)
+		checkSweep(t, g, NodeID(c.src))
+		res := BFS(g, NodeID(c.src))
+		levels := make([][]NodeID, res.MaxDist+2) // the last one is empty
+		for v, d := range res.Dist {
+			if d >= 0 {
+				levels[d] = append(levels[d], NodeID(v))
+			}
+		}
+		unexplored := int64(2 * g.M())
+		up, prev := false, 0
+		for _, level := range levels {
+			edges := int64(0)
+			for _, v := range level {
+				edges += int64(g.Degree(v))
+			}
+			unexplored -= edges
+			next := sweepBottomUp(up, edges, unexplored, len(level), prev, g.N())
+			if next && !up {
+				toUp++
+			}
+			if up && !next {
+				toDown++
+			}
+			up, prev = next, len(level)
+		}
+	}
+	if toUp == 0 || toDown == 0 {
+		t.Fatalf("the seeds turn the sweep bottom-up %d times and top-down %d times", toUp, toDown)
+	}
 }

@@ -7,6 +7,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -202,29 +203,109 @@ func IsConnected(g *Graph) bool {
 	if g.n <= 1 {
 		return true
 	}
-	_, reached, _ := sweep(g, 0)
-	return len(reached) == g.n
+	_, count, _ := sweep(g, 0)
+	return count == g.n
 }
 
 // Eccentricity returns the maximum distance from v to any node.
 // Panics if the graph is disconnected from v.
 func Eccentricity(g *Graph, v NodeID) int {
-	_, reached, ecc := sweep(g, v)
-	if len(reached) != g.n {
+	_, count, ecc := sweep(g, v)
+	if count != g.n {
 		panic("graph: Eccentricity on disconnected graph")
 	}
 	return ecc
 }
 
 // sweep is the breadth-first search for callers that need no distances:
-// it returns the one-bit-per-node visited set, the nodes reached from
-// src in visiting order, and src's eccentricity within them. The set is
-// raw words rather than a bitvec.Vec, whose signed-index Get and Set
-// made this loop about a third slower.
-func sweep(g *Graph, src NodeID) (seen []uint64, reached []NodeID, ecc int) {
+// it returns the one-bit-per-node set of the nodes reached from src,
+// their count, and src's eccentricity within them. The set is raw words
+// rather than a bitvec.Vec, whose signed-index Get and Set made this
+// loop about a third slower.
+//
+// The search is direction-optimizing (Beamer, Asanović and Patterson,
+// SC'12). A top-down step scans the frontier's rows for unvisited
+// nodes. A bottom-up step scans the rows of the unvisited nodes and
+// stops at the first visited neighbour: on a large frontier most
+// unvisited nodes find one early, so it reads a fraction of the edges
+// a top-down step would. Every visited neighbour of a node unvisited
+// before a step is on the frontier (one from an earlier level would
+// have found it already), so "visited" stands in for "on the frontier"
+// as long as the step's own finds are marked only when it ends.
+// sweepBottomUp picks the direction of each step. Each level is
+// appended to one n-entry queue, whichever way it was found.
+func sweep(g *Graph, src NodeID) (seen []uint64, count, depth int) {
 	seen = make([]uint64, (g.n+63)/64)
-	reached, ecc = reach(g, seen, make([]NodeID, 0, g.n), src)
-	return seen, reached, ecc
+	queue := make([]NodeID, 1, g.n)
+	queue[0] = src
+	seen[src>>6] |= 1 << (src & 63)
+	off := g.offsets
+	frontierEdges := int64(off[src+1] - off[src])
+	unexplored := int64(len(g.edges)) - frontierEdges // the unvisited nodes' row lengths
+	up, prev := false, 0
+	for head := 0; head < len(queue); {
+		frontier := queue[head:]
+		head = len(queue)
+		up = sweepBottomUp(up, frontierEdges, unexplored, len(frontier), prev, g.n)
+		prev, frontierEdges = len(frontier), 0
+		if up {
+			last := len(seen) - 1
+			for i, w := range seen {
+				w = ^w
+				if i == last && g.n&63 != 0 {
+					w &= 1<<(g.n&63) - 1
+				}
+				for ; w != 0; w &= w - 1 {
+					v := i<<6 | bits.TrailingZeros64(w)
+					for _, u := range g.edges[off[v]:off[v+1]] {
+						if seen[u>>6]&(1<<(u&63)) != 0 {
+							queue = append(queue, NodeID(v))
+							frontierEdges += int64(off[v+1] - off[v])
+							break
+						}
+					}
+				}
+			}
+			for _, v := range queue[head:] {
+				seen[v>>6] |= 1 << (v & 63)
+			}
+		} else {
+			for _, v := range frontier {
+				for _, u := range g.edges[off[v]:off[v+1]] {
+					if seen[u>>6]&(1<<(u&63)) == 0 {
+						seen[u>>6] |= 1 << (u & 63)
+						queue = append(queue, u)
+						frontierEdges += int64(off[u+1] - off[u])
+					}
+				}
+			}
+		}
+		unexplored -= frontierEdges
+		if len(queue) > head {
+			depth++
+		}
+	}
+	return seen, len(queue), depth
+}
+
+// The direction-optimizing constants of Beamer et al.: a sweep turns
+// bottom-up once the frontier's rows hold more than 1/sweepAlpha of the
+// unvisited nodes' row entries, and top-down again once the frontier
+// shrinks below n/sweepBeta nodes.
+const (
+	sweepAlpha = 14
+	sweepBeta  = 24
+)
+
+// sweepBottomUp reports whether sweep expands its frontier bottom-up,
+// given the direction of the previous step (up), the frontier's row
+// entries and node count, the unvisited nodes' row entries, the
+// previous frontier's node count and the node count n.
+func sweepBottomUp(up bool, frontierEdges, unexplored int64, frontier, prev, n int) bool {
+	if up {
+		return frontier >= prev || frontier > n/sweepBeta
+	}
+	return frontierEdges > unexplored/sweepAlpha
 }
 
 // reach searches breadth-first from src over the nodes not yet set in

@@ -19,6 +19,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"radiocast/internal/rng"
@@ -28,7 +29,10 @@ import (
 // identical sequence on every invocation, because FromStream runs it a
 // second time when the emissions are not source-monotone. Emitting a
 // self-loop or a duplicate edge is allowed; both are dropped during
-// assembly, exactly like Builder.AddEdge.
+// assembly, exactly like Builder.AddEdge. FromStream makes the first
+// run on a goroutine of its own and waits for it to end, so Edges must
+// not depend on running on the caller's goroutine (a test stream must
+// not call t.Fatal, for one).
 type EdgeStream interface {
 	// N returns the node count of the generated graph.
 	N() int
@@ -42,8 +46,10 @@ type EdgeStream interface {
 // lower part (neighbours below it) followed by its upper part
 // (neighbours above it), and the assembly only ever places upper parts:
 //
-//  1. One run of the stream counts each node's lower and upper degree.
-//     While the emissions stay source-monotone — the smaller endpoint
+//  1. One run of the stream, on a producer goroutine that hands its
+//     emissions over in batches (countPipelined), counts each node's
+//     lower and upper degree on the calling goroutine. While the
+//     emissions stay source-monotone — the smaller endpoint
 //     never decreases from one emission to the next — it also keeps the
 //     larger endpoints in emission order, which is every upper part in
 //     node order.
@@ -56,14 +62,15 @@ type EdgeStream interface {
 //
 // Peak memory is the final CSR plus two int32 per node and, on the
 // one-run path, the kept endpoints: one int32 per edge, plus at most
-// half as much again in unfilled chunk space.
+// half as much again in unfilled chunk space; the batches in flight add
+// a fixed 64 KiB.
 func FromStream(s EdgeStream) *Graph {
 	n := s.N()
 	if n < 0 {
 		panic("graph: negative node count")
 	}
 	a := &assembly{n: n, offsets: make([]int32, n+1), low: make([]int32, n), monotone: true}
-	s.Edges(a.count)
+	a.countPipelined(s)
 	a.full[a.k] = a.tail
 	offsets, low := a.offsets, a.low
 	total := int32(0)
@@ -125,6 +132,81 @@ func FromStream(s EdgeStream) *Graph {
 	}
 	offsets[n] = w
 	return &Graph{n: n, name: s.Name(), offsets: offsets, edges: edges[:w]}
+}
+
+// The first run of FromStream's stream is pipelined: a producer
+// goroutine runs the stream and hands its emissions, two NodeIDs each
+// and in emission order, to the counter on the calling goroutine in
+// batches of batchLen NodeIDs. batchCount batches circulate, so the
+// producer is at most that many batches ahead of the counter, and a
+// send of a filled batch never blocks.
+const (
+	batchLen   = 1 << 12
+	batchCount = 4
+)
+
+// stopped unwinds a producer whose counter has panicked.
+type stopped struct{}
+
+// pipe is one pipelined counting run: the batches' storage, the two
+// channels they circulate on, and the producer's state.
+type pipe struct {
+	full    chan []NodeID // filled batches, closed when the producer ends
+	free    chan []NodeID // batches to fill, closed when the counter ends
+	batch   []NodeID      // the batch the producer is filling
+	failure any           // the stream's panic, read once full is closed
+	buf     [batchCount * batchLen]NodeID
+}
+
+// countPipelined counts every emission of one run of s. A panic of
+// s.Edges is raised again on the calling goroutine, and a panic of
+// the counter stops the producer; either way the producer has finished
+// when countPipelined returns or panics.
+func (a *assembly) countPipelined(s EdgeStream) {
+	p := &pipe{full: make(chan []NodeID, batchCount), free: make(chan []NodeID, batchCount)}
+	for i := 0; i < batchCount; i++ {
+		p.free <- p.buf[i*batchLen : i*batchLen : (i+1)*batchLen]
+	}
+	go p.produce(s)
+	defer func() {
+		close(p.free) // stops a producer that waits for a batch
+		for range p.full {
+		}
+	}()
+	for c := range p.full {
+		for i := 0; i < len(c); i += 2 {
+			a.count(c[i], c[i+1])
+		}
+		p.free <- c[:0]
+	}
+	if p.failure != nil {
+		panic(p.failure)
+	}
+}
+
+// produce runs s on the producer goroutine.
+func (p *pipe) produce(s EdgeStream) {
+	defer close(p.full)
+	defer func() {
+		if r := recover(); r != nil && r != (stopped{}) {
+			p.failure = r
+		}
+	}()
+	p.batch = <-p.free
+	s.Edges(p.emit)
+	p.full <- p.batch
+}
+
+// emit files one emission, handing the batch over when it is full.
+func (p *pipe) emit(u, v NodeID) {
+	if len(p.batch) == cap(p.batch) {
+		p.full <- p.batch
+		var ok bool
+		if p.batch, ok = <-p.free; !ok {
+			panic(stopped{})
+		}
+	}
+	p.batch = append(p.batch, u, v)
 }
 
 // assembly is FromStream's counting state.
@@ -192,11 +274,16 @@ func BuildConnected(s EdgeStream, seed uint64) *Graph {
 	if g.n == 0 {
 		return g
 	}
-	seen, reached, _ := sweep(g, 0)
-	if len(reached) == g.n {
+	seen, count, _ := sweep(g, 0)
+	if count == g.n {
 		return g
 	}
-	slices.Sort(reached)
+	reached := make([]NodeID, 0, count) // node 0's component, ascending
+	for i, w := range seen {
+		for ; w != 0; w &= w - 1 {
+			reached = append(reached, NodeID(i<<6|bits.TrailingZeros64(w)))
+		}
+	}
 	r := rng.New(seed, 0x737469) // "sti"
 	var comp, us, vs []NodeID
 	for v := 0; v < g.n; v++ {
@@ -348,14 +435,19 @@ func (s gnpStream) Edges(emit func(u, v NodeID)) {
 	}
 	r := rng.New(s.seed, 0x6e7073) // "nps"
 	logq := math.Log1p(-s.p)       // ln(1-p) < 0
-	k := int64(-1)                 // linear index of the last emitted pair
+	inv, end := 1/logq, float64(total)
+	k := int64(-1) // linear index of the last emitted pair
 	u := int64(0)
 	base := int64(0) // linear index of pair (u, u+1)
 	for {
 		// skip ~ Geometric(p): non-edges before the next edge. 1-F is
 		// uniform on (0, 1], so Log1p(-F) is finite.
-		skipF := math.Log1p(-r.Float64()) / logq
-		if skipF >= float64(total) {
+		f := r.Float64()
+		skipF, ok := fastSkip(f, inv, end)
+		if !ok {
+			skipF = math.Log1p(-f) / logq
+		}
+		if skipF >= end {
 			return
 		}
 		k += 1 + int64(skipF)
@@ -368,6 +460,35 @@ func (s gnpStream) Edges(emit func(u, v NodeID)) {
 		}
 		emit(NodeID(u), NodeID(u+1+(k-base)))
 	}
+}
+
+// skipBand is fastSkip's relative guard band. It is about a thousand
+// times the few ulps by which fastSkip's quotient and Log1p(-f)/logq
+// can differ, and so narrow that fastSkip declines a draw of quotient
+// q with probability about q·2^-39.
+const skipBand = 0x1p-40
+
+// fastSkip computes gnpStream's skip Log1p(-f)/logq through math.Log,
+// which is assembly on amd64 where Log1p is not, and a multiplication
+// by inv = 1/logq in place of the division. The uniform f keeps 53
+// significant bits but, below 1/2, at a finer scale than 2^-53, so 1-f
+// rounds to h; the rounding error l is exact (Fast2Sum) and is added
+// back: ln(1-f) = ln(h+l) = ln h + l/h + O(l²), and l stands in for l/h
+// to within 2^-54 of the result. The quotient q thus differs from the
+// Log1p one by a few ulps. fastSkip reports ok only when every value
+// within skipBand of q truncates to the same integer and lies on the
+// same side of end as q, so the caller's int64(skip) and skip >= end
+// read exactly as they would for the Log1p quotient; otherwise the
+// caller computes that quotient.
+func fastSkip(f, inv, end float64) (skip float64, ok bool) {
+	h := 1 - f
+	l := (1 - h) - f // 1-f = h+l exactly, for 0 <= f < 1
+	q := (math.Log(h) + l) * inv
+	lo, hi := q-q*skipBand, q+q*skipBand
+	if hi >= end {
+		return q, lo >= end
+	}
+	return q, int64(lo) == int64(hi)
 }
 
 // regularStream samples the pairing model of RandomRegular without the

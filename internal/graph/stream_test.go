@@ -2,7 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"radiocast/internal/rng"
 )
@@ -315,12 +318,8 @@ func TestSweepMatchesBFS(t *testing.T) {
 			t.Fatalf("%s: IsConnected = %v, BFS says %v", g.Name(), got, want)
 		}
 		for v := 0; v < g.n; v++ {
+			checkSweep(t, g, NodeID(v))
 			res := BFS(g, NodeID(v))
-			_, reached, ecc := sweep(g, NodeID(v))
-			if len(reached) != res.Reached || ecc != int(res.MaxDist) {
-				t.Fatalf("%s from %d: sweep reached %d ecc %d, BFS %d and %d",
-					g.Name(), v, len(reached), ecc, res.Reached, res.MaxDist)
-			}
 			if res.Reached == g.n && Eccentricity(g, NodeID(v)) != int(res.MaxDist) {
 				t.Fatalf("%s: Eccentricity(%d) != BFS MaxDist %d", g.Name(), v, res.MaxDist)
 			}
@@ -360,4 +359,172 @@ func TestStreamReiteration(t *testing.T) {
 	} {
 		sameGraph(t, FromStream(s), FromStream(s), s.Name())
 	}
+}
+
+// TestFastSkipMatchesLog1p checks the guarded skip draw against the
+// Log1p quotient it stands in for: wherever fastSkip accepts its own
+// quotient, that quotient must truncate to the same skip and fall on
+// the same side of the pair count. The uniforms are the sampler's own
+// draws and, to reach the small f where 1-f rounds, the same draws
+// scaled down by up to 2^-63.
+func TestFastSkipMatchesLog1p(t *testing.T) {
+	for i, p := range []float64{16.0 / 200000, 3.0 / 1000, 0.3, 0.5, 0.999} {
+		logq := math.Log1p(-p)
+		end := float64(int64(1000) * 999 / 2)
+		r := rng.New(uint64(i), 0x736b70) // "skp"
+		declined := 0
+		for j := 0; j < 1<<20; j++ {
+			f := r.Float64()
+			if j&1 == 1 {
+				f = math.Ldexp(f, -r.Intn(64))
+			}
+			q, ok := fastSkip(f, 1/logq, end)
+			if !ok {
+				declined++
+				continue
+			}
+			ref := math.Log1p(-f) / logq
+			if int64(q) != int64(ref) || (q >= end) != (ref >= end) {
+				t.Fatalf("p=%g f=%v: fast skip %v, Log1p skip %v", p, f, q, ref)
+			}
+		}
+		if declined > 1<<10 {
+			t.Errorf("p=%g: fastSkip declined %d of %d draws", p, declined, 1<<20)
+		}
+	}
+}
+
+// TestFastSkipFallsBack crafts quotients on an integer: with p = 1/2,
+// f = 1-2^-j gives ln(1-f)/ln(1-p) = j, and fastSkip must decline
+// both when j is a skip and when j is the pair count.
+func TestFastSkipFallsBack(t *testing.T) {
+	inv := 1 / math.Log1p(-0.5)
+	for j := 1; j <= 53; j++ {
+		f := 1 - math.Ldexp(1, -j)
+		if _, ok := fastSkip(f, inv, math.Inf(1)); ok {
+			t.Errorf("j=%d: fastSkip accepted a quotient on the integer %d", j, j)
+		}
+		if _, ok := fastSkip(f, inv, float64(j)); ok {
+			t.Errorf("j=%d: fastSkip accepted a quotient on the pair count %d", j, j)
+		}
+	}
+}
+
+// log1pGNP is the G(n, p) skip sampler with every skip drawn as
+// Log1p(-F)/ln(1-p): the reference gnpStream's guarded draw must
+// reproduce edge for edge.
+type log1pGNP gnpStream
+
+func (s log1pGNP) N() int       { return s.n }
+func (s log1pGNP) Name() string { return gnpStream(s).Name() }
+
+func (s log1pGNP) Edges(emit func(u, v NodeID)) {
+	n := int64(s.n)
+	total := n * (n - 1) / 2
+	r := rng.New(s.seed, 0x6e7073) // "nps"
+	logq := math.Log1p(-s.p)
+	k, u, base := int64(-1), int64(0), int64(0)
+	for {
+		skipF := math.Log1p(-r.Float64()) / logq
+		if skipF >= float64(total) {
+			return
+		}
+		if k += 1 + int64(skipF); k >= total {
+			return
+		}
+		for k >= base+(n-1-u) {
+			base += n - 1 - u
+			u++
+		}
+		emit(NodeID(u), NodeID(u+1+(k-base)))
+	}
+}
+
+// TestGNPMatchesLog1pSampler pins StreamGNP's emissions, in order, to
+// the Log1p-only sampler, from sparse to dense p.
+func TestGNPMatchesLog1pSampler(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, c := range []struct {
+			n int
+			p float64
+		}{{20000, 16.0 / 20000}, {3000, 0.01}, {400, 0.5}, {60, 0.97}} {
+			var got, want [][2]NodeID
+			StreamGNP(c.n, c.p, seed).Edges(func(u, v NodeID) { got = append(got, [2]NodeID{u, v}) })
+			log1pGNP{n: c.n, p: c.p, seed: seed}.Edges(func(u, v NodeID) { want = append(want, [2]NodeID{u, v}) })
+			if len(got) != len(want) {
+				t.Fatalf("n=%d p=%g seed %d: %d edges, Log1p sampler %d", c.n, c.p, seed, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d p=%g seed %d: edge %d is %v, Log1p sampler %v", c.n, c.p, seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// brokenStream emits the path 0-1-...-n-1 over and over. After `at`
+// emissions it either panics (bad == false) or emits the out-of-range
+// edge (0, n); with forever set it then keeps emitting, so only a
+// stopped producer returns.
+type brokenStream struct {
+	n, at        int
+	bad, forever bool
+}
+
+func (s brokenStream) N() int       { return s.n }
+func (s brokenStream) Name() string { return "broken" }
+
+func (s brokenStream) Edges(emit func(u, v NodeID)) {
+	for i := 0; ; i++ {
+		switch {
+		case i == s.at && !s.bad:
+			panic("broken stream")
+		case i == s.at:
+			emit(0, NodeID(s.n))
+		case i > s.at && !s.forever:
+			return
+		default:
+			emit(NodeID(i%(s.n-1)), NodeID(i%(s.n-1)+1))
+		}
+	}
+}
+
+// TestFromStreamFailures checks the pipeline's failure paths: a panic
+// in the stream and an out-of-range emission each make FromStream
+// panic on the calling goroutine with the stream's value or the range
+// check's message, early, at a batch boundary and with every batch in
+// flight, and leave no producer goroutine behind.
+func TestFromStreamFailures(t *testing.T) {
+	const n = 100
+	for _, at := range []int{0, 7, batchLen / 2, batchLen/2 - 1, 3 * batchLen, 40 * batchLen} {
+		for _, s := range []brokenStream{
+			{n: n, at: at},
+			{n: n, at: at, bad: true},
+			{n: n, at: at, bad: true, forever: true},
+		} {
+			want := any("broken stream")
+			if s.bad {
+				want = fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", 0, n, n)
+			}
+			before := runtime.NumGoroutine()
+			if got := panicOf(func() { FromStream(s) }); got != want {
+				t.Fatalf("%+v: FromStream panicked with %v, want %v", s, got, want)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%+v: %d goroutines after the panic, %d before", s, runtime.NumGoroutine(), before)
+				}
+				runtime.Gosched()
+			}
+		}
+	}
+}
+
+// panicOf runs f on the calling goroutine and returns what it panicked
+// with (nil if it returned).
+func panicOf(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
 }
