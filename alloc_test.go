@@ -37,7 +37,7 @@ import (
 // allocation-free — the engine's ring wake buckets, stamp arrays, and
 // reused pop buffer do all per-round work in place. It runs on the
 // ideal channel, under erasure (link-only: first-touch resolve with
-// DropLink in scatter), and under noisy CD (the awake-listener Observe
+// DropLink in the delivery pass), and under noisy CD (the awake-listener Observe
 // sweep).
 func TestSteadyStateRoundLoopAllocsZero(t *testing.T) {
 	cases := []struct {
@@ -115,8 +115,8 @@ func TestSteadyStateRoundLoopAllocsZeroPipelined(t *testing.T) {
 }
 
 // TestDenseSteadyStateAllocsZero pins the dense engine's core scale
-// property: after warm-up has sized the transmitter lists, scatter
-// buckets, and touched-listener scratch, stepping allocates nothing —
+// property: after warm-up has sized the transmitter lists and the
+// touched-listener scratch, stepping allocates nothing —
 // sequentially and with the parallel delivery pass engaged (the
 // clusterchain's clique floods push the transmitter count past the
 // parallel gate, so the fan-out path is genuinely exercised).
@@ -152,7 +152,7 @@ func TestDenseSteadyStateAllocsZero(t *testing.T) {
 }
 
 // The dense 0-alloc cases' erasure channels (stateless, so shared):
-// bare erasure is link-only and rides collect/scatter/merge; behind
+// bare erasure is link-only and rides the ideal collect/deliver path; behind
 // struct{ radio.Channel } the capability is hidden and the engine runs
 // the per-listener Observe sweep.
 var (
@@ -165,7 +165,7 @@ var (
 // (cr.NewDense: keyed FastDecay draws) and beep.DenseWave
 // (deterministic frontier pulses) — sequentially, with the parallel
 // delivery pass, and under per-link erasure on both channel paths:
-// bare erasure is link-only and stays on collect/scatter/merge, while
+// bare erasure is link-only and stays on the ideal collect/deliver path, while
 // the same erasure behind a struct{ radio.Channel } wrapper hides that
 // capability and forces the per-listener hear-count sweep, which must
 // be in-place too. Warm-ups are sized so the measured window never
@@ -229,33 +229,46 @@ func TestDenseCatalogSteadyStateAllocsZero(t *testing.T) {
 // the relay arming/clearing must all run in place — sequentially, with
 // the parallel delivery pass (the 192x192 grid keeps hundreds of
 // fast-slot transmitters per even round, past the parallel gate), and
-// under erasure on both channel paths (link-only merge and the forced
+// under erasure on both channel paths (link-only resolve and the forced
 // listener sweep). Warm-ups stop well short of the
 // deepest tree level (a fast wave moves at most one level per two
-// rounds), so the measured window stays mid-broadcast.
+// rounds), so the measured window stays mid-broadcast. The noised
+// cluster-chain cases cover the pulled delivery: uninformed members
+// flood their cliques, and the direction rule pulls in round 71, inside
+// the measured rounds 64-128, on the ideal, link-only and sweep paths.
+// Their fault table crashes a fifth of the nodes within 256 rounds, so
+// that round also reads the bitset of the transmitters that survive
+// suppression.
 func TestDenseGSTSteadyStateAllocsZero(t *testing.T) {
-	build := func(g *graph.Graph) (radio.DenseProtocol, func() bool) {
+	build := func(g *graph.Graph, noise bool) (radio.DenseProtocol, func() bool) {
 		f := gst.Flatten(gst.Construct(g, 0))
-		p := mmv.NewDense(g, f, mmv.NewSchedule(g.N()), 7, 0, false)
+		p := mmv.NewDense(g, f, mmv.NewSchedule(g.N()), 7, 0, noise)
 		return p, p.Done
 	}
+	grid := graph.FromStream(graph.StreamGrid(192, 192))
+	cluster := graph.ClusterChain(40, 40)
+	faults := channel.RandomFaults(cluster.N(), 0, 0.1, 40, 0.2, 256, 5)
 	cases := []struct {
 		name    string
 		g       *graph.Graph
 		workers int
 		ch      radio.Channel
 		warm    int64
+		noise   bool
 	}{
-		{"sequential-path2048", graph.FromStream(graph.StreamPath(2048)), 1, nil, 512},
-		{"parallel-grid192x192", graph.FromStream(graph.StreamGrid(192, 192)), 4, nil, 512},
-		{"erasure-grid192x192", graph.FromStream(graph.StreamGrid(192, 192)), 4, denseErasure, 512},
-		{"erasure-sweep-grid192x192", graph.FromStream(graph.StreamGrid(192, 192)), 4, denseErasureSweep, 512},
+		{"sequential-path2048", graph.FromStream(graph.StreamPath(2048)), 1, nil, 512, false},
+		{"parallel-grid192x192", grid, 4, nil, 512, false},
+		{"erasure-grid192x192", grid, 4, denseErasure, 512, false},
+		{"erasure-sweep-grid192x192", grid, 4, denseErasureSweep, 512, false},
+		{"noise-cluster40x40", cluster, 4, nil, 64, true},
+		{"noise-erasure-cluster40x40", cluster, 4, denseErasure, 64, true},
+		{"noise-faults-cluster40x40", cluster, 4, faults, 64, true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := radio.Config{Workers: tc.workers, Channel: tc.ch}
-			pr, done := build(tc.g)
+			pr, done := build(tc.g, tc.noise)
 			eng := radio.NewDense(tc.g, cfg, pr)
 			defer eng.Close()
 			eng.Run(tc.warm)
@@ -278,7 +291,7 @@ func TestDenseGSTSteadyStateAllocsZero(t *testing.T) {
 	// perpetual-wave regime must be allocation-free too.
 	t.Run("post-completion-cluster12x16", func(t *testing.T) {
 		g := graph.ClusterChain(12, 16)
-		pr, done := build(g)
+		pr, done := build(g, false)
 		eng := radio.NewDense(g, radio.Config{}, pr)
 		defer eng.Close()
 		if _, ok := eng.RunUntil(1<<18, done); !ok {

@@ -184,10 +184,11 @@ func BenchmarkE15_NoisyCDSweep(b *testing.B) { benchExperiment(b, "E15") }
 
 // BenchmarkEngine_LossyChannel_Decay measures the sparse engine under
 // per-link erasure, a link-only channel: it runs the same first-touch
-// delivery path as the nil channel, with DropLink applied in scatter
-// and no per-listener Observe sweep, and allocates nothing per round.
+// delivery path as the nil channel, with DropLink applied in the
+// delivery pass and no per-listener Observe sweep, and allocates nothing per round.
 func BenchmarkEngine_LossyChannel_Decay(b *testing.B) {
 	g := graph.ClusterChain(16, 8)
+	b.ResetTimer()
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		rounds, ok, _ := buildStack("decay", g).RunFrom(nil, ErasureChannel(0.1, seed), seed, 1<<22)
 		return rounds, ok
@@ -221,13 +222,16 @@ func BenchmarkA3_RingWidth(b *testing.B) { benchExperiment(b, "A3") }
 // -benchmem: the steady-state round loop must not allocate — the ring
 // wake buckets, reused pop buffer, and stamped hear/listen scratch
 // replaced the historical map+heap queue (which allocated a bucket
-// slice and a boxed heap key per round).
+// slice and a boxed heap key per round). Every row that builds its
+// graph outside the loop resets the timer after that build, so
+// allocs/op counts the measured op alone, not set-up spread over b.N.
 
 // BenchmarkEngine_DenseRounds drives every node of a dense graph every
 // round (the worst case for the wake queue: n pushes and one bucket
 // drain per round).
 func BenchmarkEngine_DenseRounds_Grid32x32(b *testing.B) {
 	g := graph.Grid(32, 32)
+	b.ResetTimer()
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		rounds, ok, _ := buildStack("decay", g).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
@@ -239,6 +243,7 @@ func BenchmarkEngine_DenseRounds_Grid32x32(b *testing.B) {
 // ring window and the far heap.
 func BenchmarkEngine_SleepHeavy_Path256(b *testing.B) {
 	g := graph.Path(256)
+	b.ResetTimer()
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
@@ -258,6 +263,7 @@ func BenchmarkEngine_SleepHeavy_Path256(b *testing.B) {
 func BenchmarkEngine_Theorem13_Grid4x12(b *testing.B) {
 	g := graph.Grid(4, 12)
 	d := graph.Eccentricity(g, 0)
+	b.ResetTimer()
 	run := harness.NewTheorem13RunCfg(g, rings.DefaultConfig(g.N(), d, 8, 1), 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		rounds, ok, _ := run.RunFrom(nil, nil, seed, 0)
@@ -274,6 +280,7 @@ func BenchmarkEngine_Theorem13_Grid4x12(b *testing.B) {
 func BenchmarkEngine_Theorem13_Fresh_Grid4x12(b *testing.B) {
 	g := graph.Grid(4, 12)
 	d := graph.Eccentricity(g, 0)
+	b.ResetTimer()
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		rounds, ok, _ := harness.NewTheorem13RunCfg(g, rings.DefaultConfig(g.N(), d, 8, 1), 0).RunFrom(nil, nil, seed, 0)
 		return rounds, ok
@@ -289,6 +296,7 @@ func BenchmarkEngine_Theorem13_Fresh_Grid4x12(b *testing.B) {
 func BenchmarkEngine_GSTPipelinedBuild_Grid4x8(b *testing.B) {
 	g := graph.Grid(4, 8)
 	d := graph.Eccentricity(g, 0)
+	b.ResetTimer()
 	run := harness.NewGSTPipelinedRun(g, g.N(), d, 1, true)
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		res := run.Run(seed)
@@ -302,6 +310,7 @@ func BenchmarkEngine_GSTPipelinedBuild_Grid4x8(b *testing.B) {
 func BenchmarkEngine_GSTSequentialBuild_Grid4x8(b *testing.B) {
 	g := graph.Grid(4, 8)
 	d := graph.Eccentricity(g, 0)
+	b.ResetTimer()
 	run := harness.NewGSTPipelinedRun(g, g.N(), d, 1, false)
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		res := run.Run(seed)
@@ -314,6 +323,7 @@ func BenchmarkEngine_GSTSequentialBuild_Grid4x8(b *testing.B) {
 // plus reseeding, nothing else.
 func BenchmarkEngine_DecayReuse_ClusterChain16x8(b *testing.B) {
 	g := graph.ClusterChain(16, 8)
+	b.ResetTimer()
 	run := buildStack("decay", g)
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		rounds, ok, _ := run.RunFrom(nil, nil, seed, 1<<22)
@@ -330,6 +340,7 @@ func BenchmarkEngine_DecayReuse_ClusterChain16x8(b *testing.B) {
 // reuse path's zero-rebuild budget.
 func BenchmarkEngine_AdaptiveDecayReuse_ClusterChain16x8(b *testing.B) {
 	g := graph.ClusterChain(16, 8)
+	b.ResetTimer()
 	decayEntry, _ := harness.LookupProtocol("decay")
 	run := decayEntry.NewAdaptive(g, 0, harness.StackOpts{}, nil, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
@@ -347,6 +358,7 @@ func BenchmarkEngine_AdaptiveDecayReuse_ClusterChain16x8(b *testing.B) {
 // never with the ~200k simulated rounds.
 func BenchmarkEngine_AdaptiveTheorem11Loss_ClusterChain6x6(b *testing.B) {
 	g := graph.ClusterChain(6, 6)
+	b.ResetTimer()
 	cd, _ := harness.LookupProtocol("cd")
 	run := cd.NewAdaptive(g, 0, harness.StackOpts{}, nil, 0)
 	reportRounds(b, func(seed uint64) (int64, bool) {
@@ -366,6 +378,7 @@ func BenchmarkEngine_AdaptiveTheorem11Loss_ClusterChain6x6(b *testing.B) {
 func BenchmarkEngine_DenseDecay_GNP100k(b *testing.B) {
 	const n = 100_000
 	g := graph.BuildConnected(graph.StreamGNP(n, 16.0/n, 0xe19), 0xe19)
+	b.ResetTimer()
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		pr := decay.NewDense(g, seed, 0)
 		eng := radio.NewDense(g, radio.Config{}, pr)
@@ -376,13 +389,14 @@ func BenchmarkEngine_DenseDecay_GNP100k(b *testing.B) {
 
 // BenchmarkEngine_DenseDecayErasure_GNP100k is the E20 cell shape: the
 // same broadcast over the same graph under 10% per-link erasure. The
-// erasure model is link-only, so the engine stays on collect/scatter/
-// merge with the loss applied in scatter; a regression to the O(n)
+// erasure model is link-only, so the engine stays on its ideal
+// collect/deliver path with the loss applied while counting; a regression to the O(n)
 // per-round listener sweep shows up here as ns/op, never as
 // rounds/op, which the loss draws alone determine.
 func BenchmarkEngine_DenseDecayErasure_GNP100k(b *testing.B) {
 	const n = 100_000
 	g := graph.BuildConnected(graph.StreamGNP(n, 16.0/n, 0xe19), 0xe19)
+	b.ResetTimer()
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		pr := decay.NewDense(g, seed, 0)
 		eng := radio.NewDense(g, radio.Config{Channel: channel.NewErasure(0.1, rng.Mix(seed, 0xe20))}, pr)
@@ -394,11 +408,12 @@ func BenchmarkEngine_DenseDecayErasure_GNP100k(b *testing.B) {
 // BenchmarkEngine_DenseDecayParallel_GNP100k is the same workload with
 // the deterministic parallel delivery pass (Workers = 4): identical
 // rounds/op by the byte-identity contract; the allocs/op delta against
-// the sequential benchmark is the worker pool + per-partition buffers,
-// a constant.
+// the sequential benchmark is the worker pool and the per-partition
+// transmitter and touched-listener lists, a constant.
 func BenchmarkEngine_DenseDecayParallel_GNP100k(b *testing.B) {
 	const n = 100_000
 	g := graph.BuildConnected(graph.StreamGNP(n, 16.0/n, 0xe19), 0xe19)
+	b.ResetTimer()
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		pr := decay.NewDense(g, seed, 0)
 		eng := radio.NewDense(g, radio.Config{Workers: 4}, pr)
@@ -416,6 +431,7 @@ func BenchmarkEngine_DenseCR_GNP100k(b *testing.B) {
 	const n = 100_000
 	g := graph.BuildConnected(graph.StreamGNP(n, 16.0/n, 0xe19), 0xe19)
 	p := cr.NewParams(n, graph.Eccentricity(g, 0))
+	b.ResetTimer()
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		pr := cr.NewDense(g, p, seed, 0)
 		eng := radio.NewDense(g, radio.Config{}, pr)
@@ -433,6 +449,7 @@ func BenchmarkEngine_DenseWave_GNP100k(b *testing.B) {
 	const n = 100_000
 	g := graph.BuildConnected(graph.StreamGNP(n, 16.0/n, 0xe19), 0xe19)
 	ecc := int64(graph.Eccentricity(g, 0))
+	b.ResetTimer()
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		pr := beep.NewDenseWave(g, 0, ecc)
 		eng := radio.NewDense(g, radio.Config{CollisionDetection: true}, pr)

@@ -260,9 +260,8 @@ type MobilitySpec struct {
 }
 
 // maxJobWorkers caps JobSpec.Workers. The dense engine clamps the
-// worker count only to n/64 and builds a parts × parts bucket matrix
-// plus a goroutine per part on every job, so an unbounded count is a
-// memory and goroutine bomb; 64 is well above any useful intra-run
+// worker count only to n/64 and builds per-part lists plus a goroutine
+// per part on every job, so an unbounded count is a goroutine bomb; 64 is well above any useful intra-run
 // parallelism.
 const maxJobWorkers = 64
 

@@ -75,7 +75,7 @@ func e22Graph(workload string, n int, seed uint64) (*graph.Graph, radio.Channel)
 // workloads cap at 10^5). The qudg rows run under
 // channel.RangeErasure — reliable inside the connectivity radius,
 // distance-ramped erasure across the band — a link-only channel like
-// E20's flat erasure, so it stays on the engine's collect/scatter/merge
+// E20's flat erasure, so it stays on the engine's ideal collect/deliver
 // path, but with loss that is a function of geometry instead of a
 // single rate. Every workload's diameter shape is the grid's
 // (unit-disk diameter ~ √n); qudg cells weigh double, a weight set

@@ -14,8 +14,8 @@ package harness
 // Decay and CR FastDecay schedules, and beep.DenseWave — on the ideal
 // channel up to n = 10^6. E20 reruns the catalog on the gnp workload
 // under per-link erasure across a loss grid (erasure is a link-only
-// channel, so the engine stays on collect/scatter/merge with the loss
-// applied in scatter). E21 runs the
+// channel, so the engine stays on its ideal collect/deliver path with
+// the loss applied while counting). E21 runs the
 // structured GST broadcast (mmv.Dense over gst.Flat) through the same
 // workload grid, with and without jamming by uninformed members — the
 // steady-state regime of the paper's amortized argument, where the
@@ -320,7 +320,7 @@ var e20Rates = []float64{0.05, 0.1, 0.2, 0.3}
 // E20Plan is the channel-adverse scale sweep: the dense catalog on the
 // gnp workload under per-link erasure, n = 10^4 .. sc.MaxN. Erasure is
 // link-only (radio.LinkOnlyChannel): it acts only through DropLink, so
-// the engine keeps its O(frontier + deliveries) collect/scatter/merge
+// the engine keeps its O(frontier + deliveries) collect/deliver
 // path and skips the O(n)-per-round listener sweep that an
 // observation-rewriting channel needs. The table comment's "adverse
 // path, O(n)/round" wording predates that and is a pinned output.

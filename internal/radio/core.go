@@ -65,6 +65,9 @@ func (c *core) SetObserver(o obs.RoundObserver, stride int64) {
 // the worker pool — is left untouched. The node count must be
 // unchanged (len(offsets) == n+1), which is what keeps the per-node
 // scratch valid; pass the arrays of graph.Graph.CSR on a same-n graph.
+// Dense needs what that CSR guarantees: sorted rows (a pushed round
+// with several partitions binary-searches them) and symmetry (a pulled
+// round finds a listener's transmitters in the listener's own row).
 //
 // Retopo composes with Reset in either order: Reset rewinds the run
 // state without touching the CSR, Retopo swaps the CSR without

@@ -23,31 +23,46 @@ package radio
 // busy/silent/frontier close.
 //
 // Determinism at any worker count. Every pass either partitions
-// disjoint state or accumulates commutative effects that are merged in
-// a fixed order:
+// disjoint state or accumulates commutative effects, so no pass has a
+// merge order to keep:
 //
 //   - Collect: partitions are word-aligned node ranges; each writes
 //     only its own transmitter-bitset words and its own list.
 //   - The round's transmitter list is the in-order concatenation of the
 //     per-partition lists — ascending node order regardless of the
 //     partition count — and source suppression walks it sequentially.
-//   - Scatter: workers take contiguous chunks of that list and route
-//     each surviving (transmitter, listener) hit into a bucket indexed
-//     by (scatter worker, listener's owner partition). Channel DropLink
-//     draws are keyed by (round, link), so evaluation order is
-//     irrelevant (see Config.Workers for the concurrency contract).
-//   - Merge: each owner folds its buckets in scatter-worker order,
-//     which reconstructs ascending transmitter order. Per-listener
-//     counts are sums; the recorded sender is only consulted when the
-//     final count is 1, in which case it is the unique contributor.
-//   - Deliver/Observe touch disjoint per-listener state by contract,
-//     and per-partition stats are summed in partition order.
+//   - Deliver: each partition owns the listeners of its node range and
+//     counts the surviving hits on them itself, into its own slots of
+//     the stamped count/sender scratch. A count is a sum, and the
+//     recorded sender is read only when the count is 1, when it is the
+//     unique contributor; so the order in which hits arrive is
+//     irrelevant. Channel DropLink draws are keyed by (round, link), so
+//     evaluation order is irrelevant to them too (see Config.Workers
+//     for the concurrency contract).
+//   - Deliver/Observe touch disjoint per-listener state by contract and
+//     are order-independent, and per-partition stats are summed in
+//     partition order.
 //
-// Merge delivers in first-touch order; the Observe sweep, which only a
-// channel that can rewrite observations needs (core.sweep), delivers
-// in ascending node order. Deliver is order-independent by contract,
-// so a link-only channel (LinkOnlyChannel) takes the merge path and
-// yields exactly what the sweep would.
+// Two counting directions give the same counts. Push walks each
+// surviving transmitter's CSR row, restricted to the partition's node
+// range (rows are sorted, so one binary search finds the start when
+// there is more than one partition). Pull walks each eligible
+// listener's own row against the survivors bitset; without a channel
+// it stops at the second hit, and with any channel it calls DropLink
+// on every hit, so Stats.Dropped and the count handed to Observe are
+// exactly push's. The direction is chosen per round on the stepping
+// goroutine from deterministic state alone (pullRound): push unless
+// the surviving transmitters' degree sum reaches 2m/pullShare and
+// exceeds the estimated cost of pulling (the eligible listeners times
+// the average degree, or, without a channel, times the expected walk
+// to a second hit when that is shorter).
+//
+// A pushed round resolves the listeners it touched, in first-touch
+// order; a pulled round and the Observe sweep, which only a channel
+// that can rewrite observations needs (core.sweep), resolve in
+// ascending node order. Deliver is order-independent by contract, so
+// either direction, and a link-only channel (LinkOnlyChannel) on the
+// ideal path, yield exactly what the sweep would.
 //
 // The parallel gate (previous round's transmitter count >= denseParGate)
 // depends only on deterministic state, so the sequential fallback — the
@@ -57,6 +72,7 @@ package radio
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"radiocast/internal/graph"
@@ -106,13 +122,28 @@ type DenseProtocol interface {
 // loops run inline (identical results, no synchronization cost).
 const denseParGate = 64
 
-// hearEvt is one surviving transmission reaching one listener.
-type hearEvt struct {
-	to, from NodeID
-}
+// pullShare gates the direction rule: a round whose surviving
+// transmitters' degree sum is below 2m/pullShare pushes without
+// looking further. At or above it, the popcount of the eligible
+// listeners (n/64 words) costs at most 1/(average degree) of the push
+// it may replace (at least 2m/64 edge visits).
+const pullShare = 64
 
-// partStats accumulates one partition's (or scatter worker's) counter
-// deltas for the current round; summed into Stats in index order.
+// Counting directions for denseDirection.
+const (
+	dirAuto = iota // the per-round rule (pullRound)
+	dirPush
+	dirPull
+)
+
+// denseDirection forces every round's counting direction. It is a test
+// seam, not configuration: production code never sets it, and both
+// forced directions must reproduce the automatic rule's runs byte for
+// byte.
+var denseDirection = dirAuto
+
+// partStats accumulates one partition's counter deltas for the current
+// round; summed into Stats in index order.
 type partStats struct {
 	deliveries int64
 	collisions int64
@@ -144,13 +175,20 @@ type Dense struct {
 	txLists   [][]NodeID // per-partition transmitter lists (ascending)
 	allTx     []NodeID   // concatenation, ascending node order
 	listenW   []uint64   // this round's listener words (protocol-owned)
-	effTx     []NodeID   // scatter input: allTx or keptTx
-	hearStamp []int64    // round-stamped per-listener scratch
+	effTx     []NodeID   // surviving transmitters: allTx or keptTx
+	hearStamp []int64    // round-stamped per-listener scratch (push)
 	hearCount []int32
 	hearFrom  []NodeID
-	buckets   [][]hearEvt // [scatterWorker*parts + ownerPartition]
-	touched   [][]NodeID  // per-owner listeners first heard this round
+	touched   [][]NodeID // per-owner listeners first heard this round (push)
 	perPart   []partStats
+
+	// pull is this round's counting direction. A pulled round reads the
+	// surviving transmitters from survW: txWords, or survWords (built
+	// from effTx, cleared after the round) when suppression dropped one.
+	pull      bool
+	survW     []uint64
+	survWords []uint64
+	pulls     int64 // rounds counted by pull since NewDense/Reset
 
 	// Worker pool: spawned lazily on the first parallel round. Phase
 	// dispatch is one channel send per worker per phase and one
@@ -165,10 +203,7 @@ type Dense struct {
 
 const (
 	phaseCollect = iota
-	phaseScatter
-	phaseMerge   // no channel or a link-only one: merge buckets + deliver
-	phaseCount   // observation-rewriting channel: merge buckets only
-	phaseObserve // observation-rewriting channel: sweep of all listeners
+	phaseDeliver // count the surviving hits, then resolve or sweep
 )
 
 // NewDense creates a dense engine for proto over g. cfg.Workers > 1
@@ -206,9 +241,9 @@ func NewDense(g *graph.Graph, cfg Config, proto DenseProtocol) *Dense {
 		hearStamp:    make([]int64, n),
 		hearCount:    make([]int32, n),
 		hearFrom:     make([]NodeID, n),
-		buckets:      make([][]hearEvt, parts*parts),
 		touched:      make([][]NodeID, parts),
 		perPart:      make([]partStats, parts),
+		survWords:    make([]uint64, nWords),
 	}
 	for i := range d.hearStamp {
 		d.hearStamp[i] = -1
@@ -244,6 +279,7 @@ func (d *Dense) Reset(proto DenseProtocol) {
 	d.round = 0
 	d.stats = Stats{}
 	d.lastTx = 0
+	d.pulls = 0
 	for i := range d.txWords {
 		d.txWords[i] = 0
 	}
@@ -269,19 +305,8 @@ func (d *Dense) partNodeRange(p int) (NodeID, NodeID) {
 	return NodeID(lo), NodeID(hi)
 }
 
-// owner returns the partition owning node u's word.
-func (d *Dense) owner(u NodeID) int { return int(u>>6) / d.wordsPerPart }
-
-// evenChunk returns chunk w of total split into parts contiguous
-// near-equal pieces.
-func evenChunk(total, parts, w int) (int, int) {
-	lo := total * w / parts
-	hi := total * (w + 1) / parts
-	return lo, hi
-}
-
-// ensureWorkers lazily spawns the pool (parts-1 goroutines; chunk 0 of
-// every phase runs on the stepping goroutine).
+// ensureWorkers lazily spawns the pool (parts-1 goroutines; partition 0
+// of every phase runs on the stepping goroutine).
 func (d *Dense) ensureWorkers() {
 	if d.started {
 		return
@@ -322,18 +347,11 @@ func (d *Dense) runPhase(phase int, r int64, parallel bool) {
 }
 
 func (d *Dense) exec(phase int, r int64, w int) {
-	switch phase {
-	case phaseCollect:
+	if phase == phaseCollect {
 		d.execCollect(r, w)
-	case phaseScatter:
-		d.execScatter(r, w)
-	case phaseMerge:
-		d.execMerge(r, w, true)
-	case phaseCount:
-		d.execMerge(r, w, false)
-	case phaseObserve:
-		d.execObserve(r, w)
+		return
 	}
+	d.execDeliver(r, w)
 }
 
 // execCollect clears partition w's previous transmitter bits and
@@ -357,114 +375,171 @@ func (d *Dense) execCollect(r int64, w int) {
 	d.txLists[w] = lst
 }
 
-// execScatter routes chunk w of the surviving transmitter list's
-// neighborhood hits into per-owner buckets.
-func (d *Dense) execScatter(r int64, w int) {
-	ch := d.cfg.Channel
+// execDeliver is owner partition w's whole delivery: it counts the
+// surviving hits on its listeners and finalizes them. A pushed round
+// counts into the stamped scratch first, then resolves the touched
+// listeners (no channel, or a link-only one whose DropLink ran while
+// counting) or sweeps every listener through Observe. A pulled round
+// counts each listener as the listener sweep reaches it.
+func (d *Dense) execDeliver(r int64, w int) {
 	st := &d.perPart[w]
-	lo, hi := evenChunk(len(d.effTx), d.parts, w)
-	base := w * d.parts
-	for _, t := range d.effTx[lo:hi] {
-		for _, u := range d.edges[d.offsets[t]:d.offsets[t+1]] {
-			if (d.listenW[u>>6]&^d.txWords[u>>6])&(1<<(uint(u)&63)) == 0 {
+	if d.pull {
+		d.execSweep(r, w, st)
+		return
+	}
+	d.execPush(r, w, st)
+	if d.sweep {
+		d.execSweep(r, w, st)
+		return
+	}
+	for _, u := range d.touched[w] {
+		d.resolve(r, u, int(d.hearCount[u]), d.hearFrom[u], st)
+	}
+}
+
+// execPush counts, for owner partition w, every surviving
+// (transmitter, listener) hit on its node range into the stamped
+// per-listener count/sender scratch, and records the listeners it
+// touched first.
+func (d *Dense) execPush(r int64, w int, st *partStats) {
+	ch := d.cfg.Channel
+	lo, hi := d.partNodeRange(w)
+	split := d.parts > 1
+	offsets, edges := d.offsets, d.edges
+	listen, tx := d.listenW, d.txWords
+	stamp, count, from := d.hearStamp, d.hearCount, d.hearFrom
+	touched := d.touched[w][:0]
+	for _, t := range d.effTx {
+		row := edges[offsets[t]:offsets[t+1]]
+		if split {
+			if len(row) == 0 || row[len(row)-1] < lo || row[0] >= hi {
+				continue
+			}
+			i, _ := slices.BinarySearch(row, lo)
+			row = row[i:]
+		}
+		for _, u := range row {
+			if u >= hi {
+				break
+			}
+			if (listen[u>>6]&^tx[u>>6])&(1<<(uint(u)&63)) == 0 {
 				continue // transmitting or not listening
 			}
 			if ch != nil && ch.DropLink(r, t, u) {
 				st.dropped++
 				continue
 			}
-			o := d.owner(u)
-			d.buckets[base+o] = append(d.buckets[base+o], hearEvt{to: u, from: t})
-		}
-	}
-}
-
-// execMerge folds owner partition w's buckets (in scatter-worker
-// order, reconstructing ascending transmitter order) into the stamped
-// per-listener count/sender scratch. On the merge path (deliver=true:
-// no channel, or a link-only one whose DropLink already ran in
-// scatter) it then resolves each first-touched listener: unique
-// sender → packet, >=2 with CD → ⊤.
-func (d *Dense) execMerge(r int64, w int, deliver bool) {
-	touched := d.touched[w][:0]
-	for sw := 0; sw < d.parts; sw++ {
-		b := d.buckets[sw*d.parts+w]
-		for _, e := range b {
-			if d.hearStamp[e.to] != r {
-				d.hearStamp[e.to] = r
-				d.hearCount[e.to] = 0
-				touched = append(touched, e.to)
+			if stamp[u] != r {
+				stamp[u], count[u], from[u] = r, 1, t
+				touched = append(touched, u)
+				continue
 			}
-			d.hearCount[e.to]++
-			if d.hearCount[e.to] == 1 {
-				d.hearFrom[e.to] = e.from
-			}
+			count[u]++
 		}
-		d.buckets[sw*d.parts+w] = b[:0]
 	}
 	d.touched[w] = touched
-	if !deliver {
-		return
-	}
-	st := &d.perPart[w]
-	for _, u := range touched {
-		switch {
-		case d.hearCount[u] == 1:
-			from := d.hearFrom[u]
-			pkt := d.proto.Packet(r, from)
-			d.checkBits(u, pkt)
-			d.proto.Deliver(r, u, Outcome{Packet: pkt, From: from})
-			st.deliveries++
-		case d.cfg.CollisionDetection:
-			d.proto.Deliver(r, u, Outcome{Collision: true})
-			st.collisions++
-		}
-	}
 }
 
-// execObserve is the finalization for owner partition w under a
-// channel that may rewrite observations: every listener in its word
-// range — not only neighbors of transmitters — is swept in ascending
-// node order through core.rewrite, so the channel can inject
-// observations into silent receptions (over all listeners rather than
-// awake ones: dense nodes are always awake).
-func (d *Dense) execObserve(r int64, w int) {
-	st := &d.perPart[w]
+// pullHits counts the surviving transmissions reaching listener u by
+// walking u's own row against the survivors bitset, and returns the
+// first sender. Without a channel it stops at the second hit (only
+// 0, 1 and >= 2 matter); with one it visits every hit, calling DropLink
+// as push does, so Dropped and the exact count seen by Observe match.
+func (d *Dense) pullHits(r int64, u NodeID, st *partStats) (count int, from NodeID) {
+	ch := d.cfg.Channel
+	surv := d.survW
+	for _, t := range d.edges[d.offsets[u]:d.offsets[u+1]] {
+		if surv[t>>6]&(1<<(uint(t)&63)) == 0 {
+			continue
+		}
+		if ch != nil {
+			if ch.DropLink(r, t, u) {
+				st.dropped++
+				continue
+			}
+		} else if count == 1 {
+			return 2, from
+		}
+		if count == 0 {
+			from = t
+		}
+		count++
+	}
+	return count, from
+}
+
+// execSweep walks owner partition w's eligible listeners (listening
+// and not transmitting) in ascending node order, counting each one's
+// hits by pull or reading push's stamped scratch, and finalizes it:
+// through core.rewrite under a channel that may rewrite observations —
+// every eligible listener, not only neighbors of transmitters, so the
+// channel can inject observations into silent receptions (over all
+// listeners rather than awake ones: dense nodes are always awake) —
+// else by resolve.
+func (d *Dense) execSweep(r int64, w int, st *partStats) {
 	wLo := w * d.wordsPerPart
 	wHi := wLo + d.wordsPerPart
 	if wHi > d.nWords {
 		wHi = d.nWords
 	}
+	listen, tx := d.listenW, d.txWords
 	for wi := wLo; wi < wHi; wi++ {
-		wordBits := d.listenW[wi] &^ d.txWords[wi]
+		wordBits := listen[wi] &^ tx[wi]
 		for wordBits != 0 {
 			u := NodeID(wi<<6 + bits.TrailingZeros64(wordBits))
 			wordBits &= wordBits - 1
-			count := 0
-			if d.hearStamp[u] == r {
-				count = int(d.hearCount[u])
+			count, from := 0, NodeID(0)
+			switch {
+			case d.pull:
+				count, from = d.pullHits(r, u, st)
+			case d.hearStamp[u] == r:
+				count, from = int(d.hearCount[u]), d.hearFrom[u]
 			}
-			from := d.hearFrom[u]
-			var pkt Packet
-			if count == 1 {
-				pkt = d.proto.Packet(r, from)
-			}
-			out, ok, jammed := d.rewrite(r, u, count, from, pkt)
-			if jammed {
-				st.jammed++
-			}
-			if !ok {
-				continue
-			}
-			if out.Collision {
-				st.collisions++
+			if d.sweep {
+				d.observe(r, u, count, from, st)
 			} else {
-				d.checkBits(u, out.Packet)
-				st.deliveries++
+				d.resolve(r, u, count, from, st)
 			}
-			d.proto.Deliver(r, u, out)
 		}
 	}
+}
+
+// resolve delivers listener u's ideal observation for count surviving
+// hits: the packet of the unique sender from, or ⊤ for >= 2 under CD.
+func (d *Dense) resolve(r int64, u NodeID, count int, from NodeID, st *partStats) {
+	switch {
+	case count == 1:
+		pkt := d.proto.Packet(r, from)
+		d.checkBits(u, pkt)
+		d.proto.Deliver(r, u, Outcome{Packet: pkt, From: from})
+		st.deliveries++
+	case count >= 2 && d.cfg.CollisionDetection:
+		d.proto.Deliver(r, u, Outcome{Collision: true})
+		st.collisions++
+	}
+}
+
+// observe finalizes listener u's observation through the channel's
+// Observe rewrite (core.rewrite) and delivers it.
+func (d *Dense) observe(r int64, u NodeID, count int, from NodeID, st *partStats) {
+	var pkt Packet
+	if count == 1 {
+		pkt = d.proto.Packet(r, from)
+	}
+	out, ok, jammed := d.rewrite(r, u, count, from, pkt)
+	if jammed {
+		st.jammed++
+	}
+	if !ok {
+		return
+	}
+	if out.Collision {
+		st.collisions++
+	} else {
+		d.checkBits(u, out.Packet)
+		st.deliveries++
+	}
+	d.proto.Deliver(r, u, out)
 }
 
 func (d *Dense) checkBits(u NodeID, pkt Packet) {
@@ -472,6 +547,37 @@ func (d *Dense) checkBits(u NodeID, pkt Packet) {
 		panic(fmt.Sprintf("radio: packet %T of %d bits delivered to node %d exceeds budget %d",
 			pkt, pkt.Bits(), u, d.cfg.MaxPacketBits))
 	}
+}
+
+// pullRound is the per-round direction rule. It reads only the round's
+// deterministic state, so every worker count picks the same direction.
+// Push costs the surviving transmitters' degree sum. Pull walks the
+// eligible listeners' rows: the average degree 2m/n each with a
+// channel, and without one only to the second hit, which a listener
+// meets after about 2n/|tx| neighbors when the transmitters are spread
+// evenly. Rounds whose degree sum is below 2m/pullShare push at once,
+// paying only the sum.
+func (d *Dense) pullRound() bool {
+	switch denseDirection {
+	case dirPush:
+		return false
+	case dirPull:
+		return true
+	}
+	var deg int64
+	for _, t := range d.effTx {
+		deg += int64(d.offsets[t+1] - d.offsets[t])
+	}
+	twoM := int64(d.offsets[d.n])
+	if deg == 0 || deg*pullShare < twoM {
+		return false
+	}
+	var eligible int64
+	for i, lw := range d.listenW {
+		eligible += int64(bits.OnesCount64(lw &^ d.txWords[i]))
+	}
+	n, tx := int64(d.n), int64(len(d.effTx))
+	return eligible*twoM < deg*n || (d.cfg.Channel == nil && eligible*2*n < deg*tx)
 }
 
 // Step executes exactly one round.
@@ -501,15 +607,27 @@ func (d *Dense) Step() {
 		d.stats.ActiveRounds++
 	}
 
-	// Suppression and RoundStart run on the stepping goroutine over the
-	// ascending transmitter list, at any worker count.
+	// Suppression, RoundStart and the direction rule run on the
+	// stepping goroutine over the ascending transmitter list, at any
+	// worker count.
 	d.effTx = d.survivors(r, d.allTx)
-	d.runPhase(phaseScatter, r, par)
-	if d.sweep {
-		d.runPhase(phaseCount, r, par)
-		d.runPhase(phaseObserve, r, par)
-	} else {
-		d.runPhase(phaseMerge, r, par)
+	d.pull = d.pullRound()
+	d.survW = d.txWords
+	suppressed := d.pull && len(d.effTx) < totalTx
+	if d.pull {
+		d.pulls++
+	}
+	if suppressed {
+		for _, t := range d.effTx {
+			d.survWords[t>>6] |= 1 << (uint(t) & 63)
+		}
+		d.survW = d.survWords
+	}
+	d.runPhase(phaseDeliver, r, par)
+	if suppressed {
+		for _, t := range d.effTx {
+			d.survWords[t>>6] = 0
+		}
 	}
 
 	for p := range d.perPart {

@@ -78,12 +78,15 @@ func fuzzChannel(mask uint8, n int, seed uint64) func() radio.Channel {
 }
 
 // FuzzDenseTwinIdentity: for any (protocol, graph, channel stack, CD,
-// seed, workers) the fuzzer picks, the parallel dense run must be
-// byte-identical to the sequential one. An odd pick runs the dense GST
-// broadcast (mask bit 32: noising); an even pick runs the collision
-// wave when mask bit 128 is set (horizon 4·ecc+64, the lossy-channel
-// slack of the protocol table), else dense Decay, on the CR schedule
-// when mask bit 64 is set.
+// seed, workers, counting direction) the fuzzer picks, the parallel
+// dense run must be byte-identical to the sequential one. An odd pick
+// runs the dense GST broadcast (mask bit 32: noising); an even pick
+// runs the collision wave when mask bit 128 is set (horizon 4·ecc+64,
+// the lossy-channel slack of the protocol table), else dense Decay, on
+// the CR schedule when mask bit 64 is set. The bit the protocol leaves
+// free — 64 for GST, 32 otherwise — forces every round to count by
+// pull, and the pulled runs must also match the automatic rule's
+// sequential run.
 func FuzzDenseTwinIdentity(f *testing.F) {
 	f.Add(uint64(42), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(1), uint8(3), uint8(1), uint8(17))   // erasure+jammer, gst on grid
@@ -91,12 +94,18 @@ func FuzzDenseTwinIdentity(f *testing.F) {
 	f.Add(uint64(9), uint8(48), uint8(5), uint8(3))   // CD+noising, gst on gnp
 	f.Add(uint64(5), uint8(81), uint8(0), uint8(4))   // erasure+CD, cr on clusterchain
 	f.Add(uint64(11), uint8(145), uint8(2), uint8(5)) // erasure+CD, wave on gnp
+	f.Add(uint64(3), uint8(104), uint8(3), uint8(2))  // faults+noising, pulled gst on clusterchain
 	f.Fuzz(func(t *testing.T, seed uint64, chanMask, pick, workersRaw uint8) {
 		w := fuzzWorkloads[int(pick)%len(fuzzWorkloads)]
 		cd := chanMask&16 != 0
 		useGST := pick%2 == 1
 		useWave := !useGST && chanMask&128 != 0
 		useCR := !useGST && !useWave && chanMask&64 != 0
+		dirBit := uint8(32) // the mask bit this protocol leaves free
+		if useGST {
+			dirBit = 64
+		}
+		pull := chanMask&dirBit != 0
 		workers := 2 + int(workersRaw)%7
 		c := radiotest.DenseCase{
 			Graph:         w.g,
@@ -122,8 +131,15 @@ func FuzzDenseTwinIdentity(f *testing.F) {
 				return pr, pr.Done, recvState(pr.Informed, pr.RecvRound)
 			},
 		}
-		label := fmt.Sprintf("seed=%d mask=%#x pick=%d gst=%v wave=%v cr=%v", seed, chanMask, pick, useGST, useWave, useCR)
-		radiotest.WorkerInvariant(t, label, c, workers)
+		label := fmt.Sprintf("seed=%d mask=%#x pick=%d gst=%v wave=%v cr=%v pull=%v", seed, chanMask, pick, useGST, useWave, useCR, pull)
+		if !pull {
+			radiotest.WorkerInvariant(t, label, c, workers)
+			return
+		}
+		auto := c.Run()
+		restore := radio.SetDenseDirection(radio.DirPull)
+		defer restore()
+		radiotest.Equal(t, label+" vs auto", radiotest.WorkerInvariant(t, label, c, workers), auto)
 	})
 }
 

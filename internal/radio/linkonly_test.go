@@ -2,8 +2,8 @@ package radio_test
 
 // Twin identity for both engines' link-only path: a channel that
 // reports radio.LinkOnlyChannel runs on the ideal path — Dense's
-// collect/scatter/merge, Network's first-touch resolve — with its link
-// loss applied in scatter, and must yield exactly what the
+// collect/deliver resolve, Network's first-touch resolve — with its
+// link loss applied while counting, and must yield exactly what the
 // per-listener Observe sweep yields for the same channel. The sweep
 // twin wraps the channel in struct{ radio.Channel }, which hides the
 // capability; the fast twin wraps it in observeGuard, which counts

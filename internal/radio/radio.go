@@ -140,8 +140,8 @@ type Channel interface {
 // reports true, Observe must return (out, ok) unchanged on every call.
 // Both engines read the capability when the channel is installed (New,
 // NewDense, Network.SetChannel) and then run such a channel on their
-// ideal path — Network's first-touch resolve, Dense's
-// collect/scatter/merge — with the link loss applied in scatter,
+// ideal path — Network's first-touch resolve, Dense's resolve of the
+// listeners it counted — with the link loss applied while counting,
 // skipping the per-listener Observe sweep. Results are identical
 // either way; only the cost differs.
 type LinkOnlyChannel interface {
