@@ -444,6 +444,30 @@ func TestAdaptiveWrapperAllocOverhead(t *testing.T) {
 	}
 }
 
+// streamBuildAllocs is the exact object count of one
+// BuildConnected(StreamGNP(1e5, 16/n)), read by testing.AllocsPerRun
+// (go1.24, linux/amd64): the assembly state and its two degree arrays,
+// the kept-endpoint chunks, the pipe, its two channels and its batch
+// storage (which the walk reuses for its cursors), the producer's
+// closure and the method value the stream emits through, the stream's
+// RNG, the CSR's edges, the high half's closure and result channel, the
+// sweep's bitset and queue, the Graph, the boxed stream and its name
+// (with what fmt allocates for it after a collection).
+const streamBuildAllocs = 28
+
+// TestStreamBuildAllocs pins the allocations of the streaming G(n,p)
+// build of every E19 cell exactly: a new object per build (or one that
+// comes and goes with the host's goroutine reuse) shows here, where
+// BenchmarkEngine_StreamCSR_GNP100k at -benchtime 3x reads a spread.
+func TestStreamBuildAllocs(t *testing.T) {
+	const n = 100_000
+	build := func() { graph.BuildConnected(graph.StreamGNP(n, 16.0/n, 0xe19), 0xe19) }
+	build() // warm: the producer and walk goroutines exist to be reused
+	if allocs := testing.AllocsPerRun(5, build); allocs != streamBuildAllocs {
+		t.Fatalf("BuildConnected(StreamGNP(1e5, 16/n)) allocates %.0f objects, want exactly %d", allocs, streamBuildAllocs)
+	}
+}
+
 // theorem13ReuseAllocBudget is the per-run allocation ceiling for a
 // Reset-reused Theorem 1.3 run on grid-4x12/k=8. The measured
 // steady-state cost is ~1.5k objects (per-boundary assign/recruit

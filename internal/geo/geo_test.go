@@ -184,6 +184,49 @@ func TestDiskBuildRunsOnce(t *testing.T) {
 	}
 }
 
+// TestStockStreamsEmissionOrder pins the emission order that lets
+// graph.FromStream assemble every stock generator from one run: each
+// edge comes as (u, v) with u < v, and u never decreases. The graph
+// package's generators also emit every upper row (the v of one u)
+// strictly ascending, so FromStream sorts none of their rows. Disk's
+// rows are the concatenation of up to nine ascending cell lists and are
+// sorted by FromStream: a merge of the cell lists in Disk.Edges made
+// the E22 sweep slower, because the stream runs on one core and the
+// sort in FromStream's walk on two.
+func TestStockStreamsEmissionOrder(t *testing.T) {
+	l := Uniform(3000, 3)
+	for _, c := range []struct {
+		s         graph.EdgeStream
+		ascending bool
+	}{
+		{graph.StreamPath(300), true},
+		{graph.StreamGrid(17, 23), true},
+		{graph.StreamClusterChain(11, 9), true},
+		{graph.StreamGNP(3000, 16.0/3000, 3), true},
+		{graph.StreamGNP(200, 0.5, 3), true},
+		{graph.StreamGNP(40, 1, 3), true},
+		{NewDisk(l, ConnectivityRadius(3000)), false},
+		{NewDisk(Clustered(3000, 55, 0.02, 3), ConnectivityRadius(3000)), false},
+	} {
+		prevU, prevV, emissions := graph.NodeID(-1), graph.NodeID(-1), 0
+		c.s.Edges(func(u, v graph.NodeID) {
+			emissions++
+			switch {
+			case u >= v:
+				t.Fatalf("%s: edge (%d,%d) not emitted with u < v", c.s.Name(), u, v)
+			case u < prevU:
+				t.Fatalf("%s: u went back from %d to %d", c.s.Name(), prevU, u)
+			case c.ascending && u == prevU && v <= prevV:
+				t.Fatalf("%s: row %d not strictly ascending (%d after %d)", c.s.Name(), u, v, prevV)
+			}
+			prevU, prevV = u, v
+		})
+		if emissions == 0 {
+			t.Fatalf("%s: no emission", c.s.Name())
+		}
+	}
+}
+
 func TestWaypointStaysInBoundsAndDeterministic(t *testing.T) {
 	la := Uniform(200, 21)
 	lb := Uniform(200, 21)

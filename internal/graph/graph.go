@@ -23,6 +23,10 @@ type Graph struct {
 	offsets []int32  // len n+1
 	edges   []NodeID // concatenated sorted adjacency lists
 	name    string
+	// ecc0 is 1 + the eccentricity of node 0 when the graph is
+	// connected and its builder swept it from node 0 (BuildConnected),
+	// and 0 when that is not known.
+	ecc0 int
 }
 
 // N returns the number of nodes.
@@ -200,7 +204,7 @@ func BFS(g *Graph, sources ...NodeID) *BFSResult {
 // IsConnected reports whether g is connected (true for the empty and
 // single-node graph).
 func IsConnected(g *Graph) bool {
-	if g.n <= 1 {
+	if g.n <= 1 || g.ecc0 > 0 {
 		return true
 	}
 	_, count, _ := sweep(g, 0)
@@ -210,6 +214,9 @@ func IsConnected(g *Graph) bool {
 // Eccentricity returns the maximum distance from v to any node.
 // Panics if the graph is disconnected from v.
 func Eccentricity(g *Graph, v NodeID) int {
+	if v == 0 && g.ecc0 > 0 {
+		return g.ecc0 - 1
+	}
 	_, count, ecc := sweep(g, v)
 	if count != g.n {
 		panic("graph: Eccentricity on disconnected graph")

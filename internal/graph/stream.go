@@ -53,17 +53,30 @@ type EdgeStream interface {
 //     never decreases from one emission to the next — it also keeps the
 //     larger endpoints in emission order, which is every upper part in
 //     node order.
-//  2. Walking the nodes in ascending order, each upper part is copied
-//     from what was kept (or, if the order broke, from a second run of
-//     the stream made before the walk), sorted unless it is already
-//     ascending, and transposed into the lower parts of its members,
-//     which therefore come out sorted. The finished row is deduplicated
-//     by forward compaction.
+//  2. The nodes are split into two ranges, [0, h) and [h, n), that hold
+//     about half the upper entries each, and the two halves are walked
+//     at once (walkLow, walkHigh). Each copies its upper parts from what was kept
+//     (or, if the order broke, from a second run of the stream made
+//     before the walk), sorts each one unless it is already ascending,
+//     and transposes them into the lower parts of their members. The
+//     low half goes through its nodes in ascending order and fills each
+//     lower part forward from its start; the high half goes through its
+//     nodes in descending order and fills each lower part backward from
+//     its end. The two meet exactly, and every lower part comes out
+//     sorted with no sort, holding what a walk of all nodes in
+//     ascending order would write.
+//  3. Only when a row held a duplicate emission, forward compaction
+//     drops the duplicates in one more pass.
+//
+// The halves run concurrently above walkParGate upper entries and one
+// after the other, on the calling goroutine, below it.
 //
 // Peak memory is the final CSR plus two int32 per node and, on the
 // one-run path, the kept endpoints: one int32 per edge, plus at most
-// half as much again in unfilled chunk space; the batches in flight add
-// a fixed 64 KiB.
+// half as much again in unfilled chunk space. The batches' storage,
+// which the walk reuses for the low half's cursors, comes on top: 32
+// bytes per node, at least 4 KiB and at most 1 MiB, and never less than
+// one int32 per node.
 func FromStream(s EdgeStream) *Graph {
 	n := s.N()
 	if n < 0 {
@@ -73,16 +86,22 @@ func FromStream(s EdgeStream) *Graph {
 	a.countPipelined(s)
 	a.full[a.k] = a.tail
 	offsets, low := a.offsets, a.low
-	total := int32(0)
-	for v := 0; v < n; v++ {
+	total, h, skip := int32(0), n, 0
+	for v, up := 0, 0; v < n; v++ {
 		lower, upper := low[v], offsets[v+1]
+		if h == n && 2*up >= a.m {
+			h, skip = v, up
+		}
+		up += int(upper)
 		offsets[v] = total
 		low[v] = total + lower // where v's upper part starts
 		total += lower + upper
 	}
 	offsets[n] = total
-	edges := make([]NodeID, total)
+	edges, fwd := make([]NodeID, total), a.fwd
+	a.edges = edges
 	if !a.monotone {
+		copy(fwd, low)
 		s.Edges(func(u, v NodeID) {
 			if u == v {
 				return
@@ -90,18 +109,54 @@ func FromStream(s EdgeStream) *Graph {
 			if u > v {
 				u, v = v, u
 			}
-			edges[low[u]] = v
-			low[u]++
+			edges[fwd[u]] = v
+			fwd[u]++
 		})
 	}
-	copy(low, offsets) // low[v] is now the fill cursor of v's lower part
+	copy(fwd, offsets) // fwd[v] is the forward fill cursor of v's lower part
+	var dup bool
+	if a.m >= walkParGate || walkConcurrent {
+		high := make(chan bool, 1) // the high half never waits to finish
+		go func() { high <- a.walkHigh(h, skip) }()
+		dup = a.walkLow(h)
+		dup = <-high || dup
+	} else {
+		dup = a.walkLow(h)
+		dup = a.walkHigh(h, skip) || dup
+	}
+	if dup {
+		total = a.compact()
+	}
+	return &Graph{n: n, name: s.Name(), offsets: offsets, edges: edges[:total]}
+}
+
+// walkParGate is the least number of upper entries for which
+// FromStream walks its two halves concurrently; below it the high
+// half runs after the low one on the calling goroutine (identical
+// results, no goroutine).
+const walkParGate = 1 << 15
+
+// walkConcurrent forces FromStream to walk its two halves concurrently
+// at any size. It is a test seam, not configuration: production code
+// never sets it, and the concurrent walk must reproduce the inline one
+// byte for byte.
+var walkConcurrent = false
+
+// place copies the upper parts of the nodes in [lo, hi) from the kept
+// chunks, skipping the first skip entries, when the stream was
+// source-monotone, and sorts each one unless it is already ascending.
+// It reports whether a part holds a duplicate.
+func (a *assembly) place(lo, hi, skip int) (dup bool) {
 	kept, src := a.full[:], []NodeID(nil)
-	w := int32(0)
-	for u := 0; u < n; u++ {
-		// Every lower neighbour of u is below u and already walked, so
-		// the cursor low[u] has reached the start of u's upper part.
-		start, end := offsets[u], offsets[u+1]
-		upper := edges[low[u]:end]
+	for ; a.monotone && skip > 0; kept = kept[1:] {
+		if c := kept[0]; skip < len(c) {
+			src, skip = c[skip:], 0
+		} else {
+			skip -= len(c)
+		}
+	}
+	for u := lo; u < hi; u++ {
+		upper := a.edges[a.low[u]:a.offsets[u+1]]
 		if a.monotone {
 			for dst := upper; len(dst) > 0; {
 				if len(src) == 0 {
@@ -111,15 +166,55 @@ func FromStream(s EdgeStream) *Graph {
 				dst, src = dst[c:], src[c:]
 			}
 		}
-		if !slices.IsSorted(upper) {
-			slices.Sort(upper)
+		if sortRow(upper) {
+			dup = true
 		}
-		for _, v := range upper {
+	}
+	return dup
+}
+
+// walkLow walks the nodes below h: it places their upper parts and
+// transposes them, in ascending node order, into the lower parts of
+// their members from the front (fwd).
+func (a *assembly) walkLow(h int) (dup bool) {
+	dup = a.place(0, h, 0)
+	edges, offsets, low, fwd := a.edges, a.offsets, a.low, a.fwd
+	for u := 0; u < h; u++ {
+		for _, v := range edges[low[u]:offsets[u+1]] {
+			edges[fwd[v]] = NodeID(u)
+			fwd[v]++
+		}
+	}
+	return dup
+}
+
+// walkHigh walks the nodes from h on, whose upper parts start skip entries
+// into the kept chunks: it places their upper parts and transposes
+// them, in descending node order, into the lower parts of their members
+// from the back, using low as the cursor. Only nodes below u move
+// low[u], and they come after u, so low[u] still marks the start of
+// u's upper part when u is transposed.
+func (a *assembly) walkHigh(h, skip int) (dup bool) {
+	dup = a.place(h, a.n, skip)
+	edges, offsets, low := a.edges, a.offsets, a.low
+	for u := a.n - 1; u >= h; u-- {
+		for _, v := range edges[low[u]:offsets[u+1]] {
+			low[v]--
 			edges[low[v]] = NodeID(u)
-			low[v]++
 		}
-		// The write cursor never passes the row's start (compaction only
-		// shrinks), so rows are read before they are overwritten.
+	}
+	return dup
+}
+
+// compact drops the duplicates from every row by forward compaction
+// and returns the entries left. The write cursor never passes a row's
+// start (compaction only shrinks), so rows are read before they are
+// overwritten.
+func (a *assembly) compact() int32 {
+	offsets, edges := a.offsets, a.edges
+	w := int32(0)
+	for u := 0; u < a.n; u++ {
+		start, end := offsets[u], offsets[u+1]
 		offsets[u] = w
 		prev := NodeID(-1)
 		for _, v := range edges[start:end] {
@@ -130,32 +225,57 @@ func FromStream(s EdgeStream) *Graph {
 			}
 		}
 	}
-	offsets[n] = w
-	return &Graph{n: n, name: s.Name(), offsets: offsets, edges: edges[:w]}
+	offsets[a.n] = w
+	return w
+}
+
+// sortRow sorts row unless it is already ascending and reports whether
+// it holds a duplicate.
+func sortRow(row []NodeID) (dup bool) {
+	for i := 1; i < len(row); i++ {
+		switch {
+		case row[i-1] > row[i]:
+			slices.Sort(row)
+			for i := 1; i < len(row); i++ {
+				if row[i-1] == row[i] {
+					return true
+				}
+			}
+			return false
+		case row[i-1] == row[i]:
+			dup = true
+		}
+	}
+	return dup
 }
 
 // The first run of FromStream's stream is pipelined: a producer
 // goroutine runs the stream and hands its emissions, two NodeIDs each
 // and in emission order, to the counter on the calling goroutine in
-// batches of batchLen NodeIDs. batchCount batches circulate, so the
+// batches of batchSize(n) NodeIDs. batchCount batches circulate, so the
 // producer is at most that many batches ahead of the counter, and a
 // send of a filled batch never blocks.
 const (
-	batchLen   = 1 << 12
+	batchLen   = 1 << 16 // the largest batch, in NodeIDs
 	batchCount = 4
 )
+
+// batchSize is the length of the batches of a stream on n nodes, even
+// so that a batch fills with whole emissions: two NodeIDs per node, at
+// least 256 and at most batchLen, so a small build keeps its batches
+// small.
+func batchSize(n int) int { return min(batchLen, max(2*n, 256)) }
 
 // stopped unwinds a producer whose counter has panicked.
 type stopped struct{}
 
-// pipe is one pipelined counting run: the batches' storage, the two
-// channels they circulate on, and the producer's state.
+// pipe is one pipelined counting run: the two channels the batches
+// circulate on, and the producer's state.
 type pipe struct {
 	full    chan []NodeID // filled batches, closed when the producer ends
 	free    chan []NodeID // batches to fill, closed when the counter ends
 	batch   []NodeID      // the batch the producer is filling
 	failure any           // the stream's panic, read once full is closed
-	buf     [batchCount * batchLen]NodeID
 }
 
 // countPipelined counts every emission of one run of s. A panic of
@@ -164,8 +284,13 @@ type pipe struct {
 // when countPipelined returns or panics.
 func (a *assembly) countPipelined(s EdgeStream) {
 	p := &pipe{full: make(chan []NodeID, batchCount), free: make(chan []NodeID, batchCount)}
+	// The batches' storage, free once the count is done, is then the
+	// walk's fwd; it holds at least one int32 per node for that.
+	size := batchSize(a.n)
+	buf := make([]NodeID, max(batchCount*size, a.n))
+	a.fwd = buf[:a.n]
 	for i := 0; i < batchCount; i++ {
-		p.free <- p.buf[i*batchLen : i*batchLen : (i+1)*batchLen]
+		p.free <- buf[i*size : i*size : (i+1)*size]
 	}
 	go p.produce(s)
 	defer func() {
@@ -209,11 +334,18 @@ func (p *pipe) emit(u, v NodeID) {
 	p.batch = append(p.batch, u, v)
 }
 
-// assembly is FromStream's counting state.
+// assembly is FromStream's state. During the count, offsets[u+1] counts
+// u's upper neighbours and low[v] v's lower neighbours; during the walk,
+// offsets[u] is the start of u's row in edges, low[u] the start of its
+// upper part (the high half's backward cursor of u's lower part) and
+// fwd[u] the low half's forward cursor of u's lower part.
 type assembly struct {
 	n       int
-	offsets []int32 // offsets[u+1] counts u's upper neighbours
-	low     []int32 // low[v] counts v's lower neighbours
+	m       int // the emissions counted, self-loops excluded
+	offsets []int32
+	low     []int32
+	edges   []NodeID
+	fwd     []int32
 	// monotone holds while no emission's smaller endpoint has been
 	// below its predecessor's (last). Until it breaks, full[:k] and then
 	// tail keep the larger endpoints in emission order, in chunks that
@@ -236,6 +368,7 @@ func (a *assembly) count(u, v NodeID) {
 	if u > v {
 		u, v = v, u
 	}
+	a.m++
 	a.offsets[u+1]++
 	a.low[v]++
 	if !a.monotone {
@@ -269,13 +402,17 @@ func (a *assembly) grow() {
 // mirroring the legacy stitchConnected semantics at streaming scale
 // (one component scan instead of a BFS per added edge). The stitch
 // edges are spliced into the built CSR; the stream runs no extra time.
+// A sample that is connected already keeps the depth of the sweep
+// that found it so, which Eccentricity(g, 0) then returns without a
+// sweep of its own.
 func BuildConnected(s EdgeStream, seed uint64) *Graph {
 	g := FromStream(s)
 	if g.n == 0 {
 		return g
 	}
-	seen, count, _ := sweep(g, 0)
+	seen, count, depth := sweep(g, 0)
 	if count == g.n {
+		g.ecc0 = depth + 1
 		return g
 	}
 	reached := make([]NodeID, 0, count) // node 0's component, ascending

@@ -120,6 +120,93 @@ func TestFromStreamMatchesBuilder(t *testing.T) {
 	}
 }
 
+// emissions counts a stream's emissions that are not self-loops.
+func emissions(s EdgeStream) int {
+	m := 0
+	s.Edges(func(u, v NodeID) {
+		if u != v {
+			m++
+		}
+	})
+	return m
+}
+
+// TestFromStreamConcurrentWalk is the streaming-CSR contract for the
+// concurrent walk: above walkParGate, FromStream walks its two halves
+// at once, and the CSR must still equal the Builder's on monotone
+// generators (GNP, a grid, a cluster chain), on the shuffled and
+// duplicate-bearing stub-pairing sampler, and on a random stream with
+// duplicates and self-loops. The small streams of
+// TestFromStreamMatchesBuilder are walked concurrently through the
+// seam.
+func TestFromStreamConcurrentWalk(t *testing.T) {
+	for _, s := range []EdgeStream{
+		StreamGNP(20000, 8.0/20000, 5),
+		StreamGrid(200, 200),
+		StreamClusterChain(100, 30),
+		StreamRandomRegular(20000, 4, 5),
+		randomStream{n: 2000, m: 60000, seed: 5},
+	} {
+		if m := emissions(s); m < walkParGate {
+			t.Fatalf("%s: %d emissions, below the gate %d", s.Name(), m, walkParGate)
+		}
+		got, want := FromStream(s), buildViaBuilder(s)
+		sameGraph(t, got, want, s.Name())
+		if _, dup := s.(randomStream); dup && 2*got.M() == emissions(s) {
+			t.Fatalf("%s: no duplicate emission", s.Name())
+		}
+	}
+	prev := walkConcurrent
+	walkConcurrent = true
+	defer func() { walkConcurrent = prev }()
+	for seed := uint64(1); seed <= 8; seed++ {
+		n := 2 + int(rng.Mix(seed, 0xa)%200)
+		for _, s := range []EdgeStream{
+			randomStream{n: n, m: int(rng.Mix(seed, 0xb) % 2000), seed: seed},
+			StreamGNP(n, 0.3, seed),
+			StreamRandomRegular(n, 1+int(seed%5), seed),
+			StreamClusterChain(1+int(seed), 7),
+		} {
+			sameGraph(t, FromStream(s), buildViaBuilder(s), s.Name()+" (forced concurrent)")
+		}
+	}
+}
+
+// TestEccentricityReuse checks Eccentricity(g, 0) against BFS on
+// graphs that BuildConnected found connected (which keep the depth of
+// its sweep), on stitched ones (which keep nothing) and on graphs that
+// FromStream built alone.
+func TestEccentricityReuse(t *testing.T) {
+	for _, c := range []struct {
+		g    *Graph
+		kept bool
+	}{
+		{BuildConnected(StreamGNP(3000, 16.0/3000, 2), 2), true},
+		{BuildConnected(StreamPath(300), 1), true},
+		{BuildConnected(StreamClusterChain(9, 7), 1), true},
+		{BuildConnected(StreamPath(1), 1), true},
+		{BuildConnected(StreamGNP(3000, 1.0/3000, 2), 2), false},
+		{BuildConnected(StreamGNP(50, 0, 2), 2), false},
+		{FromStream(StreamGrid(20, 30)), false},
+		{FromStream(StreamGNP(2000, 16.0/2000, 3)), false},
+	} {
+		g := c.g
+		if kept := g.ecc0 > 0; kept != c.kept {
+			t.Fatalf("%s (m=%d): keeps an eccentricity = %v, want %v", g.Name(), g.M(), kept, c.kept)
+		}
+		res := BFS(g, 0)
+		if res.Reached != g.N() {
+			continue // disconnected: Eccentricity panics
+		}
+		if ecc := Eccentricity(g, 0); ecc != int(res.MaxDist) {
+			t.Fatalf("%s: Eccentricity(g, 0) = %d, BFS says %d", g.Name(), ecc, res.MaxDist)
+		}
+		if !IsConnected(g) {
+			t.Fatalf("%s: IsConnected = false on a connected graph", g.Name())
+		}
+	}
+}
+
 // TestFromStreamValid runs the structural validator over streamed
 // graphs: symmetric, sorted, deduplicated, loop-free rows.
 func TestFromStreamValid(t *testing.T) {
@@ -497,7 +584,8 @@ func (s brokenStream) Edges(emit func(u, v NodeID)) {
 // flight, and leave no producer goroutine behind.
 func TestFromStreamFailures(t *testing.T) {
 	const n = 100
-	for _, at := range []int{0, 7, batchLen / 2, batchLen/2 - 1, 3 * batchLen, 40 * batchLen} {
+	b := batchSize(n)
+	for _, at := range []int{0, 7, b / 2, b/2 - 1, 3 * b, 40 * b} {
 		for _, s := range []brokenStream{
 			{n: n, at: at},
 			{n: n, at: at, bad: true},
@@ -517,6 +605,19 @@ func TestFromStreamFailures(t *testing.T) {
 				}
 				runtime.Gosched()
 			}
+		}
+	}
+}
+
+// TestBatchSize checks the pipeline's batch length: even, so a batch
+// fills with whole emissions (an odd one would never read as full and
+// would grow by append instead), between 256 and batchLen, and no
+// longer than two NodeIDs per node beyond the 256 floor.
+func TestBatchSize(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 1023, 22500, 22501, 32767, 100_001, 1 << 20} {
+		b := batchSize(n)
+		if b%2 != 0 || b < 256 || b > batchLen || b > max(2*n, 256) {
+			t.Errorf("n=%d: batch length %d", n, b)
 		}
 	}
 }
