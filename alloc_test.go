@@ -444,27 +444,38 @@ func TestAdaptiveWrapperAllocOverhead(t *testing.T) {
 	}
 }
 
-// streamBuildAllocs is the exact object count of one
-// BuildConnected(StreamGNP(1e5, 16/n)), read by testing.AllocsPerRun
-// (go1.24, linux/amd64): the assembly state and its two degree arrays,
+// streamBuildAllocs caps the objects of one
+// BuildConnected(StreamGNP(1e5, 16/n)) under a fixed name, read by
+// testing.AllocsPerRun: the assembly state and its two degree arrays,
 // the kept-endpoint chunks, the pipe, its two channels and its batch
 // storage (which the walk reuses for its cursors), the producer's
 // closure and the method value the stream emits through, the stream's
 // RNG, the CSR's edges, the high half's closure and result channel, the
-// sweep's bitset and queue, the Graph, the boxed stream and its name
-// (with what fmt allocates for it after a collection).
-const streamBuildAllocs = 28
+// sweep's bitset and queue, the Graph, and the stream boxed twice (the
+// generator in the wrapper, the wrapper as an EdgeStream). The producer
+// and walk goroutines reuse the descriptors of the warm-up's dead ones.
+// It reads exactly 24 with go1.24 on linux/amd64; it is a ceiling, so a
+// toolchain that allocates less passes, and only a new object fails.
+const streamBuildAllocs = 24
+
+// fixedNameStream hides a stream's Name behind a constant, so that the
+// pin counts what FromStream and BuildConnected allocate and not what
+// fmt does to format a generator's name.
+type fixedNameStream struct{ graph.EdgeStream }
+
+func (fixedNameStream) Name() string { return "gnp" }
 
 // TestStreamBuildAllocs pins the allocations of the streaming G(n,p)
-// build of every E19 cell exactly: a new object per build (or one that
-// comes and goes with the host's goroutine reuse) shows here, where
+// build of every E19 cell: a new object per build shows here, where
 // BenchmarkEngine_StreamCSR_GNP100k at -benchtime 3x reads a spread.
 func TestStreamBuildAllocs(t *testing.T) {
 	const n = 100_000
-	build := func() { graph.BuildConnected(graph.StreamGNP(n, 16.0/n, 0xe19), 0xe19) }
+	build := func() {
+		graph.BuildConnected(fixedNameStream{graph.StreamGNP(n, 16.0/n, 0xe19)}, 0xe19)
+	}
 	build() // warm: the producer and walk goroutines exist to be reused
-	if allocs := testing.AllocsPerRun(5, build); allocs != streamBuildAllocs {
-		t.Fatalf("BuildConnected(StreamGNP(1e5, 16/n)) allocates %.0f objects, want exactly %d", allocs, streamBuildAllocs)
+	if allocs := testing.AllocsPerRun(5, build); allocs > streamBuildAllocs {
+		t.Fatalf("BuildConnected(StreamGNP(1e5, 16/n)) allocates %.0f objects, want at most %d", allocs, streamBuildAllocs)
 	}
 }
 

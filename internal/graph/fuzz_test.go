@@ -53,32 +53,19 @@ func (s canonicalStream) Edges(emit func(u, v NodeID)) {
 	}
 }
 
-// forceConcurrentWalk sets the walkConcurrent seam for the rest of t
-// from the one bit of a fuzz input that fuzzStream does not read, the
-// parity of len(data) (an odd trailing byte is no pair): an odd length
-// makes FromStream walk its two halves concurrently, so fuzzed streams
-// of any size reach the concurrent walk.
-func forceConcurrentWalk(t *testing.T, data []byte) {
-	prev := walkConcurrent
-	walkConcurrent = len(data)%2 == 1
-	t.Cleanup(func() { walkConcurrent = prev })
-}
-
 // FuzzFromStream: streamed CSR assembly vs the Builder twin on the
 // same emission sequence — offsets, edges, and name must match
 // byte-for-byte, and the result must pass structural validation. Each
 // input is fed raw (usually the replay path) and in canonical form
-// (the one-run path), with the two halves of the walk concurrent when
-// the input has odd length.
+// (the one-run path).
 func FuzzFromStream(f *testing.F) {
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(2), []byte{0, 1})
 	f.Add(uint8(5), []byte{0, 0, 1, 1, 2, 2}) // self-loops only
 	f.Add(uint8(7), []byte{0, 1, 0, 1, 1, 0, 3, 4, 4, 3, 3, 4})
 	f.Add(uint8(200), []byte("the quick brown fox jumps over the lazy dog"))
-	f.Add(uint8(9), []byte{0, 8, 1, 8, 0, 8, 7, 2, 3, 2, 8, 6, 0}) // concurrent, duplicates
+	f.Add(uint8(9), []byte{0, 8, 1, 8, 0, 8, 7, 2, 3, 2, 8, 6, 0}) // duplicates
 	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
-		forceConcurrentWalk(t, data)
 		n := int(nRaw)%200 + 1
 		s := fuzzStream{n: n, data: data}
 		got := FromStream(s)
@@ -101,17 +88,15 @@ func FuzzFromStream(f *testing.F) {
 // FuzzBuildConnected: the stitched graph must validate, be connected,
 // contain the sampled edges, rebuild byte-identically from the same
 // (stream, seed) pair, and equal the reference full rebuild; node 0's
-// eccentricity must be BFS's. An odd-length input walks the two halves
-// of FromStream concurrently.
+// eccentricity must be BFS's.
 func FuzzBuildConnected(f *testing.F) {
 	f.Add(uint8(1), uint64(0), []byte{})
 	f.Add(uint8(50), uint64(7), []byte{})                           // all-isolated: n-1 stitch edges
 	f.Add(uint8(10), uint64(3), []byte{0, 1, 2, 3})                 // two islands + isolated rest
 	f.Add(uint8(90), uint64(9), []byte{9, 8, 7, 6})                 // stitch order vs component order
-	f.Add(uint8(2), uint64(5), []byte{0, 1, 1, 2, 2, 0, 1})         // connected, concurrent
-	f.Add(uint8(12), uint64(4), []byte{5, 1, 1, 5, 2, 3, 3, 2, 11}) // stitched, concurrent
+	f.Add(uint8(2), uint64(5), []byte{0, 1, 1, 2, 2, 0, 1})         // connected: node 0's kept eccentricity
+	f.Add(uint8(12), uint64(4), []byte{5, 1, 1, 5, 2, 3, 3, 2, 11}) // stitched, duplicates
 	f.Fuzz(func(t *testing.T, nRaw uint8, seed uint64, data []byte) {
-		forceConcurrentWalk(t, data)
 		n := int(nRaw)%120 + 1
 		s := fuzzStream{n: n, data: data}
 		g := BuildConnected(s, seed)

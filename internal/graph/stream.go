@@ -68,8 +68,8 @@ type EdgeStream interface {
 //  3. Only when a row held a duplicate emission, forward compaction
 //     drops the duplicates in one more pass.
 //
-// The halves run concurrently above walkParGate upper entries and one
-// after the other, on the calling goroutine, below it.
+// The high half runs on a goroutine of its own while the calling
+// goroutine walks the low half, at every size.
 //
 // Peak memory is the final CSR plus two int32 per node and, on the
 // one-run path, the kept endpoints: one int32 per edge, plus at most
@@ -113,34 +113,16 @@ func FromStream(s EdgeStream) *Graph {
 			fwd[u]++
 		})
 	}
-	copy(fwd, offsets) // fwd[v] is the forward fill cursor of v's lower part
-	var dup bool
-	if a.m >= walkParGate || walkConcurrent {
-		high := make(chan bool, 1) // the high half never waits to finish
-		go func() { high <- a.walkHigh(h, skip) }()
-		dup = a.walkLow(h)
-		dup = <-high || dup
-	} else {
-		dup = a.walkLow(h)
-		dup = a.walkHigh(h, skip) || dup
-	}
-	if dup {
+	// fwd[v] is the forward fill cursor of v's lower part.
+	copy(fwd, offsets)
+	high := make(chan bool, 1) // room for the answer: the high half never waits
+	go func() { high <- a.walkHigh(h, skip) }()
+	dup := a.walkLow(h)
+	if <-high || dup {
 		total = a.compact()
 	}
 	return &Graph{n: n, name: s.Name(), offsets: offsets, edges: edges[:total]}
 }
-
-// walkParGate is the least number of upper entries for which
-// FromStream walks its two halves concurrently; below it the high
-// half runs after the low one on the calling goroutine (identical
-// results, no goroutine).
-const walkParGate = 1 << 15
-
-// walkConcurrent forces FromStream to walk its two halves concurrently
-// at any size. It is a test seam, not configuration: production code
-// never sets it, and the concurrent walk must reproduce the inline one
-// byte for byte.
-var walkConcurrent = false
 
 // place copies the upper parts of the nodes in [lo, hi) from the kept
 // chunks, skipping the first skip entries, when the stream was
