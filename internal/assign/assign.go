@@ -201,10 +201,6 @@ func (ly layout) locate(off int64) Pos {
 	return Pos{Rank: rank, Epoch: epoch, Win: WinMop, Off: rem}
 }
 
-// Locate maps a boundary-local offset to its schedule position. Hot
-// paths (Node) cache the layout instead of re-deriving it per call.
-func (p Params) Locate(off int64) Pos { return p.layout().locate(off) }
-
 // Packets.
 //
 // Every boundary packet carries a 2-bit Tag: the transmitter's BFS

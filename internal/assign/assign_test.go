@@ -254,8 +254,9 @@ func TestLocateCoversBoundary(t *testing.T) {
 	p := DefaultParams(64, 1)
 	counts := map[Window]int64{}
 	var prev Pos
+	ly := p.layout()
 	for off := int64(0); off < p.BoundaryRounds(); off++ {
-		pos := p.Locate(off)
+		pos := ly.locate(off)
 		counts[pos.Win]++
 		if off > 0 && pos.Rank > prev.Rank {
 			t.Fatal("rank increased over time; must be decreasing")

@@ -1,109 +1,5 @@
 package bitvec
 
-// Basis maintains a row-reduced basis of a subspace of F_2^n under
-// incremental insertion. It answers, in O(n/64) per pivot:
-//
-//   - Add(v): does v extend the span? (the RLNC receiver test)
-//   - Rank(): current dimension
-//   - InSpan(v): membership
-//   - Full(): span == F_2^n, i.e. a receiver can decode (Prop. 3.9)
-//
-// Rows are kept in reduced row-echelon form keyed by pivot column, so
-// Add is the online Gaussian elimination step.
-type Basis struct {
-	n      int
-	pivots map[int]Vec // pivot column -> row with leading 1 at that column
-}
-
-// NewBasis returns an empty basis of subspaces of F_2^n.
-func NewBasis(n int) *Basis {
-	return &Basis{n: n, pivots: make(map[int]Vec)}
-}
-
-// N returns the ambient dimension.
-func (b *Basis) N() int { return b.n }
-
-// Rank returns the dimension of the current span.
-func (b *Basis) Rank() int { return len(b.pivots) }
-
-// Full reports whether the span is all of F_2^n.
-func (b *Basis) Full() bool { return len(b.pivots) == b.n }
-
-// reduce fully eliminates v against the stored rows, returning the
-// residual (which has a zero at every existing pivot column). The input
-// vector is not modified.
-func (b *Basis) reduce(v Vec) Vec {
-	r := v.Clone()
-	for p := r.LowestSetBit(); p >= 0; {
-		row, ok := b.pivots[p]
-		if !ok {
-			p = r.NextSetBit(p + 1)
-			continue
-		}
-		// row's lowest set bit is p, so the XOR clears bit p and only
-		// touches bits above p.
-		r.XorInPlace(row)
-		p = r.NextSetBit(p + 1)
-	}
-	return r
-}
-
-// InSpan reports whether v is in the current span.
-func (b *Basis) InSpan(v Vec) bool { return b.reduce(v).IsZero() }
-
-// Add inserts v into the basis. It returns true iff v increased the
-// rank (v was linearly independent of the prior rows).
-func (b *Basis) Add(v Vec) bool {
-	if v.Len() != b.n {
-		panic("bitvec: Basis.Add dimension mismatch")
-	}
-	r := b.reduce(v)
-	p := r.LowestSetBit()
-	if p < 0 {
-		return false
-	}
-	// Back-substitute so stored rows stay fully reduced.
-	for col, row := range b.pivots {
-		if row.Get(p) {
-			row.XorInPlace(r)
-			b.pivots[col] = row
-		}
-	}
-	b.pivots[p] = r
-	return true
-}
-
-// Rows returns a copy of the basis rows (order unspecified).
-func (b *Basis) Rows() []Vec {
-	out := make([]Vec, 0, len(b.pivots))
-	for _, row := range b.pivots {
-		out = append(out, row.Clone())
-	}
-	return out
-}
-
-// Row returns the reduced row with pivot at column p, if any.
-func (b *Basis) Row(p int) (Vec, bool) {
-	row, ok := b.pivots[p]
-	if !ok {
-		return Vec{}, false
-	}
-	return row.Clone(), true
-}
-
-// Rank computes the rank of an arbitrary set of vectors without
-// mutating them.
-func Rank(vs []Vec) int {
-	if len(vs) == 0 {
-		return 0
-	}
-	b := NewBasis(vs[0].Len())
-	for _, v := range vs {
-		b.Add(v)
-	}
-	return b.Rank()
-}
-
 // Solver performs paired Gaussian elimination over GF(2): each inserted
 // row is a (coefficient, payload) pair, and once the coefficient rows
 // span F_2^k the payload of every unit coefficient vector can be read

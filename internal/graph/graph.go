@@ -339,7 +339,7 @@ func reach(g *Graph, seen []uint64, queue []NodeID, src NodeID) ([]NodeID, int) 
 }
 
 // Diameter computes the exact diameter with n BFS traversals. Intended
-// for test-scale graphs; use DiameterApprox for large inputs.
+// for test-scale graphs.
 func Diameter(g *Graph) int {
 	if g.n == 0 {
 		return 0
@@ -351,23 +351,6 @@ func Diameter(g *Graph) int {
 		}
 	}
 	return max
-}
-
-// DiameterApprox returns a 2-approximation of the diameter (the double
-// sweep lower bound, which is exact on trees and very tight in
-// practice): ecc(u) for u the farthest node from node 0.
-func DiameterApprox(g *Graph) int {
-	if g.n == 0 {
-		return 0
-	}
-	first := BFS(g, 0)
-	far := NodeID(0)
-	for v := 0; v < g.n; v++ {
-		if first.Dist[v] > first.Dist[far] {
-			far = NodeID(v)
-		}
-	}
-	return Eccentricity(g, far)
 }
 
 // Validate checks internal consistency (sorted unique adjacency,

@@ -234,20 +234,6 @@ func TestBFSParentsFormTree(t *testing.T) {
 	}
 }
 
-func TestDiameterApproxBounds(t *testing.T) {
-	f := func(seed uint64) bool {
-		g := GNP(50, 0.1, seed)
-		exact := Diameter(g)
-		approx := DiameterApprox(g)
-		// Double sweep is a lower bound on the diameter and at least
-		// half of it.
-		return approx <= exact && 2*approx >= exact
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBFSDistanceTriangleProperty(t *testing.T) {
 	// For every edge (u,v): |dist(u) - dist(v)| <= 1.
 	f := func(seed uint64) bool {

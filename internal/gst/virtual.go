@@ -39,44 +39,3 @@ func Stretches(t *Tree) []StretchInfo {
 	}
 	return info
 }
-
-// Heights computes the potential h(v) = d(v)·⌈log2 n⌉ + level(v) used
-// by the backwards analysis (proof of Lemma 3.3) and by the strip
-// decomposition of Section 3.4. logN is ⌈log2 n⌉.
-func Heights(t *Tree, vdist []int32, logN int32) []int32 {
-	h := make([]int32, t.G.N())
-	for v := range h {
-		if !t.InTree(NodeID(v)) || vdist[v] < 0 {
-			h[v] = -1
-			continue
-		}
-		h[v] = vdist[v]*logN + t.Level[v]
-	}
-	return h
-}
-
-// FastEdgesCollisionFree verifies the implementation invariant behind
-// Lemma 3.5 for a given tree: for every node u with a same-rank parent
-// (a fast-wave receiver), u has exactly one neighbor w at level-1 with
-// rank(w) = rank(u) that has a same-rank child — its parent. Returns
-// the number of (receiver, interferer) violations (0 for a valid GST
-// with the fast-slot rule of DESIGN.md).
-func FastEdgesCollisionFree(t *Tree) int {
-	transmitsFast := Flatten(t).SameRankChild
-	violations := 0
-	for u := 0; u < t.G.N(); u++ {
-		p := t.Parent[u]
-		if p < 0 || t.Rank[u] != t.Rank[p] {
-			continue // not a fast-wave receiver
-		}
-		for _, w := range t.G.Neighbors(NodeID(u)) {
-			if w == p || !t.InTree(w) {
-				continue
-			}
-			if t.Level[w] == t.Level[u]-1 && t.Rank[w] == t.Rank[u] && transmitsFast[w] {
-				violations++
-			}
-		}
-	}
-	return violations
-}

@@ -297,10 +297,6 @@ func (l Locator) Locate(r int64) Pos {
 	return Pos{Seg: SegDone}
 }
 
-// Locate maps a global round to a schedule position. Hot paths should
-// cache a Locator instead of re-deriving it per call.
-func (c Config) Locate(r int64) Pos { return c.Locator().Locate(r) }
-
 // BlueLevel returns the blue level of boundary index b: boundaries are
 // processed deepest-first.
 func (c Config) BlueLevel(b int) int { return c.DBound - b }

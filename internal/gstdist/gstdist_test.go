@@ -234,7 +234,7 @@ func TestScheduleShape(t *testing.T) {
 		cfg.TotalRounds() - 1, cfg.TotalRounds()}
 	want := []Segment{SegLayer, SegLayer, SegBoundary, SegBoundary, SegVdist, SegVdist, SegDone}
 	for i, r := range edges {
-		if got := cfg.Locate(r).Seg; got != want[i] {
+		if got := cfg.Locator().Locate(r).Seg; got != want[i] {
 			t.Fatalf("Locate(%d).Seg = %d, want %d", r, got, want[i])
 		}
 	}

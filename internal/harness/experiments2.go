@@ -151,7 +151,7 @@ func addJamRow(t *stats.Table, p *exp.Grid, results []exp.Result, name string) {
 func runDecayMMV(g *graph.Graph, noising bool, seed uint64, limit int64) (int64, bool) {
 	levels := graph.BFS(g, 0)
 	nw := radio.New(g, radio.Config{})
-	var ds DoneSet
+	var ds radio.DoneSet
 	protos := make([]*decay.MMV, g.N())
 	for v := 0; v < g.N(); v++ {
 		protos[v] = decay.NewMMV(g.N(), int(levels.Dist[v]), noising, decay.Message{Data: 2}, rng.New(seed, 0x91, uint64(v)))
@@ -320,7 +320,7 @@ func a1Run(g *graph.Graph, levelKeyed bool, seed uint64, limit int64) (int64, bo
 	f := gst.Flatten(gst.Construct(g, 0))
 	s := mmv.NewSchedule(g.N())
 	nw := radio.New(g, radio.Config{})
-	var ds DoneSet
+	var ds radio.DoneSet
 	contents := make([]*mmv.SingleMessage, g.N())
 	for v := 0; v < g.N(); v++ {
 		contents[v] = mmv.NewSingleMessage(v == 0, decay.Message{})
@@ -427,7 +427,7 @@ func A3Plan(seeds int, quick bool) *exp.Plan {
 		p.Add(fmt.Sprintf("w=%d", w), 0, budgetCost(g.N(), a3Config(g, d, w).TotalRounds()), func(seed uint64, limit int64) exp.Result {
 			cfg := a3Config(g, d, w)
 			nw := radio.New(g, radio.Config{CollisionDetection: true})
-			var ds DoneSet
+			var ds radio.DoneSet
 			protos := make([]*rings.Protocol, g.N())
 			f := gst.NewFlat(g.N())
 			for v := 0; v < g.N(); v++ {

@@ -35,7 +35,7 @@ type GSTPipelinedRun struct {
 	nw     *radio.Network
 	protos []*gstdist.Protocol
 	levels []int32
-	ds     DoneSet
+	ds     radio.DoneSet
 }
 
 // NewGSTPipelinedRun builds the reusable stack. nBound is the schedule

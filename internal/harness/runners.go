@@ -46,11 +46,6 @@ import (
 	"radiocast/internal/rng"
 )
 
-// DoneSet is the O(1) completion counter protocols tick on first
-// completion (alias of radio.DoneSet, which lives in the engine
-// package so every protocol layer can hold one without import cycles).
-type DoneSet = radio.DoneSet
-
 // OpenLimit is the round cap of the open-ended stacks (Decay, CR, the
 // GST broadcasts and the dense catalog) when a run passes limit <= 0.
 const OpenLimit = 1 << 24
@@ -81,7 +76,7 @@ func epochSource(informed []bool, v int, source graph.NodeID) bool {
 // initial completion. From here on, protocols tick only on their
 // not-done -> done transition, so RunUntil predicates are one integer
 // compare.
-func initDone(ds *DoneSet, n int, done func(v int) bool) {
+func initDone(ds *radio.DoneSet, n int, done func(v int) bool) {
 	ds.Reset(n)
 	for v := 0; v < n; v++ {
 		if done(v) {
@@ -95,7 +90,7 @@ func initDone(ds *DoneSet, n int, done func(v int) bool) {
 type sparseStack struct {
 	nw  *radio.Network
 	src graph.NodeID
-	ds  DoneSet
+	ds  radio.DoneSet
 	// node is the concrete stack: its per-node completion predicate
 	// seeds the counter and harvests the adaptive carryover.
 	node interface{ nodeDone(v int) bool }
@@ -546,7 +541,7 @@ func RunGSTMultiRouting(g *graph.Graph, k int, seed uint64, limit int64) (int64,
 	f := gst.Flatten(gst.Construct(g, 0))
 	s := mmv.NewSchedule(g.N())
 	nw := radio.New(g, radio.Config{})
-	var ds DoneSet
+	var ds radio.DoneSet
 	contents := make([]*PlainStore, g.N())
 	for v := 0; v < g.N(); v++ {
 		contents[v] = NewPlainStore(k, rng.New(seed, 0x17, uint64(v)))

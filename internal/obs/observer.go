@@ -35,8 +35,3 @@ type ObserverFunc func(s RoundSnapshot)
 
 // OnRound implements RoundObserver.
 func (f ObserverFunc) OnRound(s RoundSnapshot) { f(s) }
-
-// EpochObserver receives adaptive-retry epoch transitions (the
-// internal/adapt layer's per-epoch hook, surfaced as structured log
-// events and SSE progress by the daemon).
-type EpochObserver func(epoch int, rounds int64, covered int, done bool)

@@ -29,11 +29,6 @@ type DoneSet struct {
 	target int
 }
 
-// NewDoneSet returns a set expecting target completions.
-func NewDoneSet(target int) *DoneSet {
-	return &DoneSet{target: target}
-}
-
 // Reset rewinds the counter for a new run over target nodes.
 func (d *DoneSet) Reset(target int) {
 	d.done = 0
@@ -53,9 +48,6 @@ func (d *DoneSet) Done() bool { return d.done >= d.target }
 
 // Count returns the completions recorded so far.
 func (d *DoneSet) Count() int { return d.done }
-
-// Target returns the expected completion count.
-func (d *DoneSet) Target() int { return d.target }
 
 // Spread is the informed-set state of a single-message dense broadcast:
 // Decay (and CR on its schedule), the collision wave and the MMV

@@ -136,12 +136,13 @@ var linkTwinProtos = []linkTwinProto{
 // with each node's reception round (-1 for the source, -2 uninformed).
 func sparseDecayRun(g *graph.Graph, s decay.Schedule, cd bool, ch radio.Channel, seed uint64, limit int64) radiotest.Fingerprint {
 	nw := radio.New(g, radio.Config{CollisionDetection: cd, MaxPacketBits: 64, Channel: ch})
-	done := radio.NewDoneSet(g.N())
+	var done radio.DoneSet
+	done.Reset(g.N())
 	done.Tick() // the source starts informed
 	protos := make([]*decay.Broadcast, g.N())
 	for v := range protos {
 		protos[v] = decay.NewBroadcast(s, v == 0, decay.Message{Data: 1}, rng.New(seed, uint64(v)))
-		protos[v].DoneSet = done
+		protos[v].DoneSet = &done
 		nw.SetProtocol(graph.NodeID(v), protos[v])
 	}
 	rounds, ok := nw.RunUntil(limit, done.Done)

@@ -74,13 +74,14 @@ func TestNetworkResetAllowsReinstall(t *testing.T) {
 func TestDoneSet(t *testing.T) {
 	var nilSet *DoneSet
 	nilSet.Tick() // must not panic
-	ds := NewDoneSet(2)
+	var ds DoneSet
+	ds.Reset(2)
 	if ds.Done() {
 		t.Fatal("empty set done")
 	}
 	ds.Tick()
 	ds.Tick()
-	if !ds.Done() || ds.Count() != 2 || ds.Target() != 2 {
+	if !ds.Done() || ds.Count() != 2 {
 		t.Fatalf("unexpected state: %+v", ds)
 	}
 	ds.Reset(1)

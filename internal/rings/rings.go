@@ -275,7 +275,3 @@ func (l Locator) Locate(r int64) Pos {
 	}
 	return Pos{Seg: SegDone}
 }
-
-// Locate maps a global round to a position. Hot paths (Protocol)
-// cache a Locator instead of re-deriving it per call.
-func (c Config) Locate(r int64) Pos { return c.Locator().Locate(r) }

@@ -335,7 +335,7 @@ func TestConfigGeometry(t *testing.T) {
 	var seen [4]bool
 	for _, r := range []int64{0, cfg.WaveRounds(), cfg.WaveRounds() + cfg.BuildRounds(),
 		cfg.TotalRounds() - 1} {
-		switch cfg.Locate(r).Seg {
+		switch cfg.Locator().Locate(r).Seg {
 		case SegWave:
 			seen[0] = true
 		case SegBuild:

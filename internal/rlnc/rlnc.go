@@ -235,24 +235,3 @@ func (b *Buffer) InfectedBy(mu bitvec.Vec) bool {
 	}
 	return false
 }
-
-// EncodeAll computes the payload for an explicit coefficient vector
-// over the full message set; used by tests and by centralized
-// verification.
-func EncodeAll(coeff bitvec.Vec, msgs []Message, l int) bitvec.Vec {
-	payload := bitvec.New(l)
-	for i := range msgs {
-		if coeff.Get(i) {
-			payload.XorInPlace(msgs[i])
-		}
-	}
-	return payload
-}
-
-// VerifyPacket checks that a packet's payload is consistent with the
-// ground-truth messages; used to assert end-to-end integrity in tests
-// and failure-injection experiments.
-func VerifyPacket(p Packet, msgs []Message, l int) bool {
-	want := EncodeAll(p.Coeff, msgs, l)
-	return bitvec.Equal(p.Payload, want)
-}

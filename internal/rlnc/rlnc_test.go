@@ -16,6 +16,19 @@ func randMessages(r *rand.Rand, k, l int) []Message {
 	return msgs
 }
 
+// verifyPacket reports whether p's payload is the XOR of the
+// ground-truth messages its coefficient vector selects: the end-to-end
+// integrity check every relayed RLNC packet must pass.
+func verifyPacket(p Packet, msgs []Message, l int) bool {
+	want := bitvec.New(l)
+	for i := range msgs {
+		if p.Coeff.Get(i) {
+			want.XorInPlace(msgs[i])
+		}
+	}
+	return bitvec.Equal(p.Payload, want)
+}
+
 func TestSourceBufferDecodesImmediately(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	msgs := randMessages(r, 8, 32)
@@ -106,7 +119,7 @@ func TestPacketsAreConsistent(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if !VerifyPacket(p, msgs, l) {
+		if !verifyPacket(p, msgs, l) {
 			t.Fatalf("iteration %d: inconsistent packet", i)
 		}
 		bufs[r.Intn(3)].Add(p)

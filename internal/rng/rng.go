@@ -106,27 +106,3 @@ func New(keys ...uint64) *rand.Rand {
 func Reseed(r *rand.Rand, keys ...uint64) {
 	r.Seed(int64(Mix(keys...)))
 }
-
-// Stream identifies a derived randomness stream. The zero value is a
-// valid (if boring) stream.
-type Stream struct {
-	seed uint64
-}
-
-// NewStream creates a root stream from a run seed.
-func NewStream(seed uint64) Stream { return Stream{seed: seed} }
-
-// Derive returns a child stream keyed by the given values. Deriving is
-// cheap and purely functional: the parent stream is unaffected.
-func (st Stream) Derive(keys ...uint64) Stream {
-	all := make([]uint64, 0, len(keys)+1)
-	all = append(all, st.seed)
-	all = append(all, keys...)
-	return Stream{seed: Mix(all...)}
-}
-
-// Rand materializes the stream as a *rand.Rand.
-func (st Stream) Rand() *rand.Rand { return rand.New(NewSource(st.seed)) }
-
-// Seed exposes the stream's derived seed (for logging/reproduction).
-func (st Stream) Seed() uint64 { return st.seed }

@@ -48,20 +48,6 @@ func TestMixDeterministic(t *testing.T) {
 	}
 }
 
-func TestStreamDeriveIndependence(t *testing.T) {
-	root := NewStream(7)
-	a := root.Derive(1, 100)
-	b := root.Derive(1, 101)
-	if a.Seed() == b.Seed() {
-		t.Fatal("sibling streams share a seed")
-	}
-	// Deriving a child must not change the parent.
-	again := root.Derive(1, 100)
-	if a.Seed() != again.Seed() {
-		t.Fatal("Derive is not purely functional")
-	}
-}
-
 func TestUniformityCoarse(t *testing.T) {
 	// Coarse chi-squared sanity check on 16 buckets.
 	r := New(123)

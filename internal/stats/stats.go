@@ -105,19 +105,6 @@ func LinearFit(x, y []float64) Fit {
 	return f
 }
 
-// PowerFit fits y = a·x^b via a log-log linear fit and returns
-// (exponent b, R2 of the log-log fit). All inputs must be positive.
-func PowerFit(x, y []float64) (exponent, r2 float64) {
-	lx := make([]float64, len(x))
-	ly := make([]float64, len(y))
-	for i := range x {
-		lx[i] = math.Log(x[i])
-		ly[i] = math.Log(y[i])
-	}
-	f := LinearFit(lx, ly)
-	return f.Slope, f.R2
-}
-
 // Table is a rendered experiment table.
 type Table struct {
 	Title   string

@@ -65,19 +65,6 @@ func TestLinearFitRecoversRandomLine(t *testing.T) {
 	}
 }
 
-func TestPowerFit(t *testing.T) {
-	// y = 3 x^2.
-	x := []float64{1, 2, 4, 8, 16}
-	y := make([]float64, len(x))
-	for i := range x {
-		y[i] = 3 * x[i] * x[i]
-	}
-	exp, r2 := PowerFit(x, y)
-	if math.Abs(exp-2) > 1e-9 || r2 < 0.999 {
-		t.Fatalf("exp=%f r2=%f", exp, r2)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Title: "demo", Header: []string{"a", "bbbb"}}
 	tb.AddRow("1", "2")
