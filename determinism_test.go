@@ -160,11 +160,12 @@ func TestSeedsChangeOutcomes(t *testing.T) {
 
 // TestParallelRunnerMatchesSequential pins the orchestration contract
 // against history: every experiment's quick single-seed plan runs once
-// through one 8-worker pool (Runner.RunAll, what radiobench -parallel
-// runs), and each table and canonical per-cell artifact must match its
-// digest in internal/harness/testdata/golden/quick.json, the file
-// TestAllExperimentsQuick checks the sequential run against. Output is
-// ordered by cell key, never by completion order.
+// through one 8-worker pool with a 120 s per-cell timeout (Runner.RunAll
+// with a goroutine and a timer per cell, what radiobench -parallel
+// -timeout 120s runs), and each table and canonical per-cell artifact
+// must match its digest in internal/harness/testdata/golden/quick.json,
+// the file TestAllExperimentsQuick checks the sequential run against.
+// Output is ordered by cell key, never by completion order.
 func TestParallelRunnerMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
@@ -186,7 +187,7 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 	for i, e := range all {
 		plans[i] = e.Plan(1, true)
 	}
-	results := (&exp.Runner{Parallelism: 8}).RunAll(plans)
+	results := (&exp.Runner{Parallelism: 8, Timeout: 120 * time.Second}).RunAll(plans)
 	for i, e := range all {
 		t.Run(e.ID, func(t *testing.T) {
 			tb := plans[i].Assemble(results[i])
