@@ -141,30 +141,25 @@ func (c Config) BoundariesRounds() int64 {
 }
 
 // PipelinedPhases returns the number of rank-length phases of the
-// pipelined segment B: boundary b occupies phases 3b .. 3b +
-// 2(MaxRank-1), so the schedule spans 3·DBound + 2·MaxRank - 4 phases.
+// pipelined segment B: it ends with the last boundary's window, so the
+// schedule spans 3·DBound + 2·MaxRank - 4 phases.
 func (c Config) PipelinedPhases() int {
 	if c.DBound <= 0 {
 		return 0
 	}
-	return 3*c.DBound + 2*c.Assign.MaxRank() - 4
+	_, end := pipeWindow(c.DBound-1, c.Assign.MaxRank())
+	return end + 1
 }
 
-// PhaseOfRank returns the phase in which boundary b processes rank i
-// under the pipelined schedule (ranks descend from MaxRank to 1).
-func (c Config) PhaseOfRank(b, rank int) int {
-	return 3*b + 2*(c.Assign.MaxRank()-rank)
-}
-
-// BoundaryActiveInPhase reports whether boundary b performs work in
-// phase p: b must be a real boundary, share p's parity (3b ≡ b mod 2),
-// and be inside its MaxRank-phase processing window.
-func (c Config) BoundaryActiveInPhase(b, p int) bool {
-	if b < 0 || b >= c.DBound {
-		return false
-	}
-	d := p - 3*b
-	return d >= 0 && d <= 2*(c.Assign.MaxRank()-1) && d%2 == 0
+// pipeWindow returns the first and last phase of boundary b's window in
+// the pipelined segment B, whose ranks run from maxRank down to 1. The
+// window opens at phase 3b (the dependency skew documented on
+// PipelinedBoundaries) and processes one rank every second phase, so
+// rank i falls in phase start + 2(maxRank-i) and the window shares
+// b's parity.
+func pipeWindow(b, maxRank int) (start, end int) {
+	start = 3 * b
+	return start, start + 2*(maxRank-1)
 }
 
 // LevelTag returns the level-mod-4 boundary packet tag of a node at

@@ -49,19 +49,12 @@ type role struct {
 	blue     bool
 }
 
-// activeRole replicates the protocol's per-phase role resolution from
-// the exported schedule arithmetic: a node at the given construction
-// level serves its red boundary or its blue boundary (never both — the
-// test asserts that separately).
+// activeRole is the protocol's per-phase role resolution: a node at the
+// given construction level serves its red boundary or its blue boundary
+// (never both — the test asserts that separately).
 func activeRole(cfg gstdist.Config, level, phase int) (role, bool) {
-	bBlue := cfg.DBound - level
-	if cfg.BoundaryActiveInPhase(bBlue-1, phase) {
-		return role{boundary: bBlue - 1}, true
-	}
-	if cfg.BoundaryActiveInPhase(bBlue, phase) {
-		return role{boundary: bBlue, blue: true}, true
-	}
-	return role{}, false
+	b, blue, ok := gstdist.PipeRole(cfg, level, phase)
+	return role{boundary: b, blue: blue}, ok
 }
 
 // ownTag is the tag a node at level l stamps on its transmissions;
@@ -95,10 +88,23 @@ func checkPhaseArithmetic(t *testing.T, cfg gstdist.Config) {
 	if cfg.DBound >= 4 && cfg.BoundariesRounds() >= seq.BoundariesRounds() {
 		t.Fatalf("D=%d: pipelined %d not strictly below sequential %d", cfg.DBound, cfg.BoundariesRounds(), seq.BoundariesRounds())
 	}
+	// phaseOf[b][i] is the phase in which boundary b processes rank i
+	// (-1 until seen).
+	phaseOf := make([][]int, cfg.DBound)
+	for b := range phaseOf {
+		phaseOf[b] = make([]int, maxRank+1)
+		for i := range phaseOf[b] {
+			phaseOf[b][i] = -1
+		}
+	}
 	for p := 0; p < phases; p++ {
 		var active []int
 		for b := 0; b < cfg.DBound; b++ {
-			if cfg.BoundaryActiveInPhase(b, p) {
+			if i := gstdist.PipeRank(cfg, b, p); i > 0 {
+				if phaseOf[b][i] >= 0 {
+					t.Fatalf("boundary %d processes rank %d twice", b, i)
+				}
+				phaseOf[b][i] = p
 				active = append(active, b)
 			}
 		}
@@ -114,16 +120,27 @@ func checkPhaseArithmetic(t *testing.T, cfg gstdist.Config) {
 			}
 		}
 	}
+	// Every boundary processes every rank, from MaxRank down to 1.
+	for b := 0; b < cfg.DBound; b++ {
+		for i := 1; i <= maxRank; i++ {
+			if phaseOf[b][i] < 0 {
+				t.Fatalf("boundary %d never processes rank %d", b, i)
+			}
+			if i < maxRank && phaseOf[b][i] <= phaseOf[b][i+1] {
+				t.Fatalf("boundary %d processes rank %d before rank %d", b, i, i+1)
+			}
+		}
+	}
 	// Dependency skew (part 3): every rank window at boundary b opens
 	// after the windows at b-1 that can produce that rank — rank i
 	// directly, and rank i via promotion at the rank-(i-1) window.
 	for b := 1; b < cfg.DBound; b++ {
 		for i := 1; i <= maxRank; i++ {
-			if cfg.PhaseOfRank(b, i) <= cfg.PhaseOfRank(b-1, i) {
+			if phaseOf[b][i] <= phaseOf[b-1][i] {
 				t.Fatalf("boundary %d rank %d opens at phase %d, not after boundary %d's phase %d",
-					b, i, cfg.PhaseOfRank(b, i), b-1, cfg.PhaseOfRank(b-1, i))
+					b, i, phaseOf[b][i], b-1, phaseOf[b-1][i])
 			}
-			if i >= 2 && cfg.PhaseOfRank(b, i) <= cfg.PhaseOfRank(b-1, i-1) {
+			if i >= 2 && phaseOf[b][i] <= phaseOf[b-1][i-1] {
 				t.Fatalf("boundary %d rank %d opens before boundary %d's promoting rank-%d window",
 					b, i, b-1, i-1)
 			}
@@ -158,7 +175,7 @@ func checkGraphConflicts(t *testing.T, g *graph.Graph, cfg gstdist.Config, level
 		for v := 0; v < g.N(); v++ {
 			lv := int(levels[v])
 			bBlue := cfg.DBound - lv
-			if cfg.BoundaryActiveInPhase(bBlue, p) && cfg.BoundaryActiveInPhase(bBlue-1, p) {
+			if gstdist.PipeRank(cfg, bBlue, p) > 0 && gstdist.PipeRank(cfg, bBlue-1, p) > 0 {
 				t.Fatalf("phase %d: node %d (level %d) active in both roles", p, v, lv)
 			}
 			rv, okv := activeRole(cfg, lv, p)

@@ -332,36 +332,42 @@ func (p *Protocol) syncBoundary(pos Pos) {
 // at most one role per phase, but both machines stay live across the
 // interleaving.
 
-// pipeRole returns the boundary the node serves in the given phase and
-// whether it plays the blue role there.
-func (p *Protocol) pipeRole(phase int) (b int, isBlue, ok bool) {
-	bBlue := p.cfg.DBound - int(p.level)
-	if p.cfg.BoundaryActiveInPhase(bBlue-1, phase) {
-		return bBlue - 1, false, true
+// pipeRank returns the rank boundary b processes in the given phase,
+// or 0 when b is not a boundary or the phase is outside b's window or
+// of the other parity.
+func (p *Protocol) pipeRank(b, phase int) int {
+	start, end := pipeWindow(b, p.maxRank)
+	if b < 0 || b >= p.cfg.DBound || phase < start || phase > end || (phase-start)%2 != 0 {
+		return 0
 	}
-	if p.cfg.BoundaryActiveInPhase(bBlue, phase) {
-		return bBlue, true, true
-	}
-	return 0, false, false
+	return p.maxRank - (phase-start)/2
 }
 
-// pipePhaseEnd returns the last phase of boundary b's window.
-func (p *Protocol) pipePhaseEnd(b int) int { return 3*b + 2*(p.maxRank-1) }
+// pipeRole returns the rank the node processes in the given phase (0
+// if it serves no boundary there) and whether it plays the blue role,
+// at boundary DBound-level, rather than the red one at DBound-level-1.
+func (p *Protocol) pipeRole(phase int) (rank int, isBlue bool) {
+	bBlue := p.cfg.DBound - int(p.level)
+	if rank := p.pipeRank(bBlue-1, phase); rank > 0 {
+		return rank, false
+	}
+	return p.pipeRank(bBlue, phase), true
+}
 
 // pipeSync harvests pipelined machines whose windows have passed. The
 // red machine must be harvested (or consulted live — see ownRank)
 // before the blue role needs the node's rank; harvesting on the first
 // Act after the window closes preserves that order.
 func (p *Protocol) pipeSync(phase int) {
+	bBlue := p.cfg.DBound - int(p.level)
 	if p.bRed != nil {
-		bBlue := p.cfg.DBound - int(p.level)
-		if phase > p.pipePhaseEnd(bBlue-1) {
+		if _, end := pipeWindow(bBlue-1, p.maxRank); phase > end {
 			p.harvestRed(p.bRed)
 			p.bRed = nil
 		}
 	}
 	if p.bBlue != nil {
-		if phase > p.pipePhaseEnd(p.cfg.DBound-int(p.level)) {
+		if _, end := pipeWindow(bBlue, p.maxRank); phase > end {
 			p.harvestBlue(p.bBlue)
 			p.bBlue = nil
 		}
@@ -390,14 +396,14 @@ func (p *Protocol) pipeAct(pos Pos) radio.Action {
 		return radio.Sleep(p.loc.layer + p.loc.boundaries)
 	}
 	p.pipeSync(pos.Phase)
-	b, isBlue, ok := p.pipeRole(pos.Phase)
-	if !ok {
+	rank, isBlue := p.pipeRole(pos.Phase)
+	if rank == 0 {
 		return radio.Sleep(p.pipeNextWake(pos.Phase))
 	}
-	off := int64((pos.Phase-3*b)/2)*p.loc.rankLen + pos.Off
+	off := int64(p.maxRank-rank)*p.loc.rankLen + pos.Off
 	if isBlue {
 		if p.bBlue == nil {
-			if pos.Off != 0 || pos.Phase != 3*b {
+			if off != 0 {
 				return radio.Listen // window already running; cannot join
 			}
 			p.bBlue = assign.NewTaggedNode(p.cfg.Assign, p.id, assign.Blue, p.ownRank(), p.rng,
@@ -414,7 +420,7 @@ func (p *Protocol) pipeAct(pos Pos) radio.Action {
 		return act
 	}
 	if p.bRed == nil {
-		if pos.Off != 0 || pos.Phase != 3*b {
+		if off != 0 {
 			return radio.Listen
 		}
 		p.bRed = assign.NewTaggedNode(p.cfg.Assign, p.id, assign.Red, 0, p.rng,
@@ -428,11 +434,11 @@ func (p *Protocol) pipeObserve(pos Pos, out radio.Outcome) {
 	if p.level < 0 {
 		return
 	}
-	b, isBlue, ok := p.pipeRole(pos.Phase)
-	if !ok {
+	rank, isBlue := p.pipeRole(pos.Phase)
+	if rank == 0 {
 		return
 	}
-	off := int64((pos.Phase-3*b)/2)*p.loc.rankLen + pos.Off
+	off := int64(p.maxRank-rank)*p.loc.rankLen + pos.Off
 	if isBlue {
 		if p.bBlue != nil {
 			p.bBlue.Observe(off, out)
@@ -455,18 +461,13 @@ func (p *Protocol) pipeNextWake(phase int) int64 {
 		if b < 0 || b >= p.cfg.DBound {
 			continue
 		}
-		start, end := 3*b, p.pipePhaseEnd(b)
-		q := phase + 1
-		switch {
-		case q < start:
-			q = start
-		case q > end:
+		start, end := pipeWindow(b, p.maxRank)
+		q := max(phase+1, start)
+		if p.pipeRank(b, q) == 0 {
+			q++ // the other parity, or past the window
+		}
+		if q > end {
 			continue
-		case (q-start)%2 != 0:
-			q++
-			if q > end {
-				continue
-			}
 		}
 		if r := p.loc.layer + int64(q)*p.loc.rankLen; r < next {
 			next = r
