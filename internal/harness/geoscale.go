@@ -78,9 +78,11 @@ func e22Graph(workload string, n int, seed uint64) (*graph.Graph, radio.Channel)
 // E20's flat erasure, so it stays on the engine's ideal collect/deliver
 // path, but with loss that is a function of geometry instead of a
 // single rate. Every workload's diameter shape is the grid's
-// (unit-disk diameter ~ √n); qudg cells weigh double, a weight set
-// when the band still rode the O(n)-per-round listener sweep and kept
-// because cell costs are pinned outputs.
+// (unit-disk diameter ~ √n). qudg cells weigh double: the 1.6x-radius
+// band graph carries ~2.6x the unit-disk edges, and a qudg cell at
+// n = 10^4..10^5 takes 2.3-2.9x the wall time of the udg cell of the
+// same protocol and n (radiobench -only E22 -seeds 1 -scalemaxn 100000,
+// 2 vCPUs, go1.24).
 var e22Sweep = scaleSweep{
 	id:    "E22",
 	title: "Geometric scale sweep: dense catalog on unit-disk layouts (udg/cluster/qudg)",

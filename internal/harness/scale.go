@@ -322,12 +322,10 @@ var e20Rates = []float64{0.05, 0.1, 0.2, 0.3}
 // link-only (radio.LinkOnlyChannel): it acts only through DropLink, so
 // the engine keeps its O(frontier + deliveries) collect/deliver
 // path and skips the O(n)-per-round listener sweep that an
-// observation-rewriting channel needs. The table comment's "adverse
-// path, O(n)/round" wording predates that and is a pinned output.
-// Decay and CR retry until coverage; the wave runs a
-// single lossy pass inside its slacked horizon, so its coverage
-// (Value) may be < 1 at high loss — exactly the fragility E13 measures
-// at small n.
+// observation-rewriting channel needs. Decay and CR retry until
+// coverage; the wave runs a single lossy pass inside its slacked
+// horizon, so its coverage (Value) may be < 1 at high loss — exactly
+// the fragility E13 measures at small n.
 func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 	sizes := []int{10_000, 100_000, 1_000_000}
 	if quick {
@@ -367,7 +365,7 @@ func E20Plan(sc ScaleConfig, seeds int, quick bool) *exp.Plan {
 	p.Assemble = func(results []exp.Result) *stats.Table {
 		t := &stats.Table{
 			Title: "E20: dense-engine erasure sweep (gnp, streaming CSR)",
-			Comment: "per-link erasure drives the engine's adverse path (per-listener hear counts, O(n)/round);\n" +
+			Comment: "per-link erasure is link-only: links drop on the engine's ideal collect/deliver path, no listener sweep;\n" +
 				"decay/cr retry to full coverage, the wave gets one lossy pass in a 4x-eccentricity horizon;\n" +
 				"rounds and coverage are byte-identical at any worker count",
 			Header: []string{"loss", "protocol", "n", "ok", "rounds", "coverage"},
