@@ -151,7 +151,7 @@ func (g GraphSpec) build() (*graph.Graph, error) {
 	case "geo-uniform", "geo-cluster":
 		return graph.BuildConnected(geo.NewDisk(g.geoLayout(), g.geoRadius()), g.Seed), nil
 	default: // unitdisk; check() rejected everything else
-		return graph.UnitDisk(g.N, g.Radius, g.Seed), nil
+		return geo.UnitDisk(g.N, g.Radius, g.Seed), nil
 	}
 }
 

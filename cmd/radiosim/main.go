@@ -83,7 +83,7 @@ func buildGraph(kind string, n int, seed uint64, band float64) (*radiocast.Graph
 		}
 		return radiocast.NewClusterChain(chain, clique), nil, nil
 	case "udg":
-		return radiocast.NewUnitDisk(n, graph.ConnectivityRadius(n), seed), nil, nil
+		return radiocast.NewUnitDisk(n, radiocast.GeoConnectivityRadius(n), seed), nil, nil
 	case "gnp":
 		p := 4 * math.Log(float64(n)) / float64(n)
 		return radiocast.NewGNP(n, p, seed), nil, nil

@@ -17,7 +17,7 @@ func main() {
 	fmt.Println("(radius at the connectivity threshold; source at node 0)")
 	fmt.Printf("\n%8s %6s %6s %10s %10s %12s\n", "sensors", "D", "deg", "decay", "cr", "gst-bcast")
 	for _, n := range []int{100, 200, 400} {
-		g := radiocast.NewUnitDisk(n, graph.ConnectivityRadius(n), 7)
+		g := radiocast.NewUnitDisk(n, radiocast.GeoConnectivityRadius(n), 7)
 		d := graph.Eccentricity(g, 0)
 		opts := radiocast.Options{Seed: 11}
 

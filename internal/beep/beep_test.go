@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"radiocast/internal/geo"
 	"radiocast/internal/graph"
 	"radiocast/internal/radio"
 )
@@ -87,7 +88,7 @@ func TestWaveHorizonTooShortLeavesUnreached(t *testing.T) {
 
 func TestWavePropertyRandomGraphs(t *testing.T) {
 	f := func(seed uint64) bool {
-		g := graph.UnitDisk(70, graph.ConnectivityRadius(70), seed)
+		g := geo.UnitDisk(70, geo.ConnectivityRadius(70), seed)
 		want := graph.BFS(g, 0)
 		nw := radio.New(g, radio.Config{CollisionDetection: true})
 		levels := RunLayering(nw, 0, int64(want.MaxDist)+1)

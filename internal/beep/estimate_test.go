@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"radiocast/internal/geo"
 	"radiocast/internal/graph"
 	"radiocast/internal/radio"
 )
@@ -93,7 +94,7 @@ func TestEstimateRoundsLinearInD(t *testing.T) {
 
 func TestEstimatePropertyRandomGraphs(t *testing.T) {
 	f := func(seed uint64) bool {
-		g := graph.UnitDisk(40, graph.ConnectivityRadius(40), seed)
+		g := geo.UnitDisk(40, geo.ConnectivityRadius(40), seed)
 		ecc := int64(graph.Eccentricity(g, 0))
 		nw := radio.New(g, radio.Config{CollisionDetection: true})
 		protos := make([]*Estimate, g.N())

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"radiocast/internal/graph"
+	"radiocast/internal/rng"
 )
 
 // Disk is a graph.EdgeStream for the unit-disk graph of a layout:
@@ -151,3 +152,26 @@ func (d *Disk) Edges(emit func(u, v graph.NodeID)) {
 
 // Build materialises the unit-disk graph through graph.FromStream.
 func (d *Disk) Build() *graph.Graph { return graph.FromStream(d) }
+
+// UnitDisk places n points uniformly in the unit square, drawing each
+// point's X and then its Y from one seeded stream, and connects the
+// pairs within Euclidean distance radius — the standard model of a
+// wireless sensor field. graph.StitchConnected then joins the
+// components with further draws from the same stream.
+func UnitDisk(n int, radius float64, seed uint64) *graph.Graph {
+	r := rng.New(seed, 0x7564) // "ud"
+	l := &Layout{X: make([]float64, n), Y: make([]float64, n)}
+	for i := range l.X {
+		l.X[i], l.Y[i] = r.Float64(), r.Float64()
+	}
+	d := namedDisk{NewDisk(l, radius), fmt.Sprintf("udg-%d-r%.3f", n, radius)}
+	return graph.StitchConnected(graph.FromStream(d), r)
+}
+
+// namedDisk is a Disk under another workload name.
+type namedDisk struct {
+	*Disk
+	name string
+}
+
+func (d namedDisk) Name() string { return d.name }

@@ -104,8 +104,7 @@ func clamp01(v float64) float64 {
 // ConnectivityRadius is the classical random-geometric-graph
 // connectivity threshold sqrt(2 ln n / n) with a 1.2x safety factor —
 // the radius at which a Uniform layout's unit-disk graph is connected
-// w.h.p. (mirrors graph.ConnectivityRadius, restated here so geometric
-// workloads need no graph-package import for parameter selection).
+// w.h.p.
 func ConnectivityRadius(n int) float64 {
 	if n < 2 {
 		return 1

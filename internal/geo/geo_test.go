@@ -3,6 +3,7 @@ package geo
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"radiocast/internal/graph"
 )
@@ -261,10 +262,32 @@ func TestWaypointActuallyMoves(t *testing.T) {
 	}
 }
 
-func TestConnectivityRadiusMatchesGraphPackage(t *testing.T) {
-	for _, n := range []int{2, 100, 10_000, 1_000_000} {
-		if got, want := ConnectivityRadius(n), graph.ConnectivityRadius(n); got != want {
-			t.Fatalf("ConnectivityRadius(%d): geo %g vs graph %g", n, got, want)
+func TestUnitDiskConnected(t *testing.T) {
+	g := UnitDisk(200, ConnectivityRadius(200), 3)
+	if !graph.IsConnected(g) {
+		t.Fatal("UDG not connected after stitching")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBFSDistanceTriangleProperty(t *testing.T) {
+	// For every edge (u,v): |dist(u) - dist(v)| <= 1.
+	f := func(seed uint64) bool {
+		g := UnitDisk(80, ConnectivityRadius(80), seed)
+		res := graph.BFS(g, 0)
+		for v := 0; v < g.N(); v++ {
+			for _, u := range g.Neighbors(graph.NodeID(v)) {
+				d := res.Dist[v] - res.Dist[u]
+				if d < -1 || d > 1 {
+					return false
+				}
+			}
 		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
 	}
 }

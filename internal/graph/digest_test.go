@@ -41,8 +41,8 @@ func pinnedGraphs() map[string]*graph.Graph {
 	for n := 0; n <= 2; n++ {
 		add(graph.GNP(n, 0.5, 1), "GNP(%d,0.5,1)", n)
 		add(graph.RandomRegular(n, 1, 1), "RandomRegular(%d,1,1)", n)
-		add(graph.UnitDisk(n, 0.5, 1), "UnitDisk(%d,0.5,1)", n)
-		add(graph.UnitDisk(n, 0.001, 1), "UnitDisk(%d,0.001,1)", n)
+		add(geo.UnitDisk(n, 0.5, 1), "UnitDisk(%d,0.5,1)", n)
+		add(geo.UnitDisk(n, 0.001, 1), "UnitDisk(%d,0.001,1)", n)
 		add(graph.Cycle(n), "Cycle(%d)", n)
 		add(graph.Star(n), "Star(%d)", n)
 		add(graph.Complete(n), "Complete(%d)", n)
@@ -59,15 +59,15 @@ func pinnedGraphs() map[string]*graph.Graph {
 		add(graph.GNP(60, 0, s), "GNP(60,0,%d)", s)
 		add(graph.RandomRegular(200, 3, s), "RandomRegular(200,3,%d)", s)
 		add(graph.RandomRegular(301, 1, s), "RandomRegular(301,1,%d)", s)
-		add(graph.UnitDisk(80, geo.ConnectivityRadius(80), s), "UnitDisk(80,rc,%d)", s)
-		add(graph.UnitDisk(300, 0.04, s), "UnitDisk(300,0.04,%d)", s)
+		add(geo.UnitDisk(80, geo.ConnectivityRadius(80), s), "UnitDisk(80,rc,%d)", s)
+		add(geo.UnitDisk(300, 0.04, s), "UnitDisk(300,0.04,%d)", s)
 	}
 	add(graph.GNP(80, 0.05, 7), "GNP(80,0.05,7)")
 	add(graph.GNP(30, 1, 1), "GNP(30,1,1)")
 	add(graph.RandomRegular(100, 6, 11), "RandomRegular(100,6,11)")
-	add(graph.UnitDisk(200, geo.ConnectivityRadius(200), 3), "UnitDisk(200,rc,3)")
-	add(graph.UnitDisk(400, 0.001, 2), "UnitDisk(400,0.001,2)")
-	add(graph.UnitDisk(150, 1.5, 4), "UnitDisk(150,1.5,4)")
+	add(geo.UnitDisk(200, geo.ConnectivityRadius(200), 3), "UnitDisk(200,rc,3)")
+	add(geo.UnitDisk(400, 0.001, 2), "UnitDisk(400,0.001,2)")
+	add(geo.UnitDisk(150, 1.5, 4), "UnitDisk(150,1.5,4)")
 	add(graph.Cycle(10), "Cycle(10)")
 	add(graph.Star(50), "Star(50)")
 	add(graph.Complete(12), "Complete(12)")

@@ -1,10 +1,11 @@
 package graph
 
 // Native fuzz targets for the streaming-CSR contract: FromStream must
-// be byte-identical to the legacy Builder on ARBITRARY edge sequences
+// be byte-identical to the map-based reference assembly on ARBITRARY
+// edge sequences
 // (duplicates, self-loops, skewed degree sequences — whatever the
-// fuzzer invents), and BuildConnected must always hand back a valid,
-// connected, deterministically reproducible graph. The corpus seeds
+// fuzzer invents), and BuildConnected and StitchConnected must always
+// hand back a valid, connected, deterministically reproducible graph. The corpus seeds
 // cover the interesting shapes (empty, single-edge, dense duplicate
 // blocks); the fuzzer mutates from there.
 
@@ -13,6 +14,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"radiocast/internal/rng"
 )
 
 // fuzzStream decodes an arbitrary byte string into an edge stream on n
@@ -53,7 +56,7 @@ func (s canonicalStream) Edges(emit func(u, v NodeID)) {
 	}
 }
 
-// FuzzFromStream: streamed CSR assembly vs the Builder twin on the
+// FuzzFromStream: streamed CSR assembly vs the map-based reference on the
 // same emission sequence — offsets, edges, and name must match
 // byte-for-byte, and the result must pass structural validation. Each
 // input is fed raw (usually the replay path) and in canonical form
@@ -72,7 +75,7 @@ func FuzzFromStream(f *testing.F) {
 		if err := got.Validate(); err != nil {
 			t.Fatalf("FromStream produced invalid graph: %v", err)
 		}
-		sameGraph(t, got, buildViaBuilder(s), "fuzz stream")
+		sameGraph(t, got, buildViaMaps(s), "fuzz stream")
 		// The canonical form of the same input is source-monotone, so
 		// it is assembled from one run of the stream.
 		c := canonicalStream{n: n, data: data}
@@ -81,14 +84,16 @@ func FuzzFromStream(f *testing.F) {
 		if runs != 1 {
 			t.Fatalf("canonical stream ran %d times, want 1", runs)
 		}
-		sameGraph(t, got, buildViaBuilder(c), "canonical fuzz stream")
+		sameGraph(t, got, buildViaMaps(c), "canonical fuzz stream")
 	})
 }
 
 // FuzzBuildConnected: the stitched graph must validate, be connected,
 // contain the sampled edges, rebuild byte-identically from the same
 // (stream, seed) pair, and equal the reference full rebuild; node 0's
-// eccentricity must be BFS's.
+// eccentricity must be BFS's. StitchConnected on the same sample, with
+// a generator keyed by the same seed, must equal stitchRebuild, which
+// assembles and searches the graph again after every stitch edge.
 func FuzzBuildConnected(f *testing.F) {
 	f.Add(uint8(1), uint64(0), []byte{})
 	f.Add(uint8(50), uint64(7), []byte{})                           // all-isolated: n-1 stitch edges
@@ -117,6 +122,8 @@ func FuzzBuildConnected(f *testing.F) {
 		if ecc, want := Eccentricity(g, 0), BFS(g, 0).MaxDist; ecc != int(want) {
 			t.Fatalf("Eccentricity(g, 0) = %d, BFS says %d", ecc, want)
 		}
+		st := StitchConnected(FromStream(s), rng.New(seed))
+		sameGraph(t, st, stitchRebuild(FromStream(s), rng.New(seed)), "stitch vs rebuild and search")
 	})
 }
 

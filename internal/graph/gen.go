@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"radiocast/internal/rng"
@@ -17,8 +16,8 @@ import (
 //   - Star / Complete: degenerate low-diameter, high-contention
 //     topologies exercising the polylog terms and the Decay analysis.
 //   - GNP / RandomRegular: low-diameter expanders.
-//   - UnitDisk: the geometric model most practical radio deployments
-//     resemble (sensor fields).
+//   - geo.UnitDisk, stitched by StitchConnected like GNP: the geometric
+//     model most practical radio deployments resemble (sensor fields).
 //   - ClusterChain ("caterpillar of cliques"): the canonical hard case
 //     for Decay-style protocols — large diameter AND large degree, so
 //     D·log n is maximally worse than D + polylog.
@@ -119,8 +118,7 @@ func GNP(n int, p float64, seed uint64) *Graph {
 			}
 		}
 	}
-	stitchConnected(b, r)
-	return b.Build()
+	return StitchConnected(b.Build(), r)
 }
 
 // RandomRegular returns an (approximately) d-regular random graph via
@@ -140,54 +138,7 @@ func RandomRegular(n, d int, seed uint64) *Graph {
 	for i := 0; i+1 < len(stubs); i += 2 {
 		b.AddEdge(stubs[i], stubs[i+1])
 	}
-	stitchConnected(b, r)
-	return b.Build()
-}
-
-// UnitDisk places n points uniformly in the unit square and connects
-// pairs within Euclidean distance radius — the standard model of a
-// wireless sensor field. Stitched to be connected.
-func UnitDisk(n int, radius float64, seed uint64) *Graph {
-	r := rng.New(seed, 0x7564) // "ud"
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := 0; i < n; i++ {
-		xs[i] = r.Float64()
-		ys[i] = r.Float64()
-	}
-	b := NewBuilder(n)
-	b.SetName(fmt.Sprintf("udg-%d-r%.3f", n, radius))
-	// Grid hashing: only compare points in neighboring cells.
-	cell := radius
-	if cell <= 0 {
-		panic("graph: UnitDisk radius must be positive")
-	}
-	cols := int(1/cell) + 1
-	buckets := make(map[int][]int)
-	key := func(x, y float64) (int, int) { return int(x / cell), int(y / cell) }
-	for i := 0; i < n; i++ {
-		cx, cy := key(xs[i], ys[i])
-		buckets[cx*cols*4+cy] = append(buckets[cx*cols*4+cy], i)
-	}
-	r2 := radius * radius
-	for i := 0; i < n; i++ {
-		cx, cy := key(xs[i], ys[i])
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range buckets[(cx+dx)*cols*4+(cy+dy)] {
-					if j <= i {
-						continue
-					}
-					ddx, ddy := xs[i]-xs[j], ys[i]-ys[j]
-					if ddx*ddx+ddy*ddy <= r2 {
-						b.AddEdge(NodeID(i), NodeID(j))
-					}
-				}
-			}
-		}
-	}
-	stitchConnected(b, r)
-	return b.Build()
+	return StitchConnected(b.Build(), r)
 }
 
 // ClusterChain returns a chain of `chain` cliques of size `clique`,
@@ -236,36 +187,36 @@ func Caterpillar(spineLen, legs int) *Graph {
 	return b.Build()
 }
 
-// stitchConnected adds random edges from each secondary component to
-// the component of node 0 until the builder's graph is connected.
-func stitchConnected(b *Builder, r *rand.Rand) {
-	if b.n == 0 {
-		return
+// StitchConnected returns g joined into one component: while some node
+// is not in node 0's component, it draws a random node of that
+// component, then a random node outside it (each from the ascending
+// list of such nodes), and joins them, which merges the second node's
+// component. The edges are spliced in at the end; a connected g is
+// returned as it is.
+func StitchConnected(g *Graph, r *rand.Rand) *Graph {
+	if g.n == 0 {
+		return g
 	}
+	seen, count, _ := sweep(g, 0)
+	if count == g.n {
+		return g
+	}
+	var reached, unreached, comp, us, vs []NodeID
 	for {
-		g := b.Build()
-		res := BFS(g, 0)
-		if res.Reached == g.n {
-			return
-		}
-		// Pick a random reached node and a random unreached node.
-		var reached, unreached []NodeID
+		reached, unreached = reached[:0], unreached[:0]
 		for v := 0; v < g.n; v++ {
-			if res.Dist[v] >= 0 {
+			if seen[v>>6]&(1<<(v&63)) != 0 {
 				reached = append(reached, NodeID(v))
 			} else {
 				unreached = append(unreached, NodeID(v))
 			}
 		}
-		b.AddEdge(reached[r.Intn(len(reached))], unreached[r.Intn(len(unreached))])
+		if len(unreached) == 0 {
+			return g.splice(us, vs)
+		}
+		u := reached[r.Intn(len(reached))]
+		v := unreached[r.Intn(len(unreached))]
+		us, vs = append(us, u), append(vs, v)
+		comp, _ = reach(g, seen, comp[:0], v)
 	}
-}
-
-// ConnectivityRadius returns a radius at which a UnitDisk graph on n
-// nodes is connected w.h.p.: sqrt(2 ln n / n), with a safety factor.
-func ConnectivityRadius(n int) float64 {
-	if n < 2 {
-		return 1
-	}
-	return 1.2 * math.Sqrt(2*math.Log(float64(n))/float64(n))
 }

@@ -1,8 +1,8 @@
 // Package graph provides the undirected-graph substrate for the radio
 // network simulator: a compact adjacency representation, traversals
 // (BFS layerings, diameter), and the workload generators used by the
-// paper's experiments (paths, grids, random graphs, unit-disk graphs,
-// cluster chains, ...).
+// paper's experiments (paths, grids, random graphs, cluster chains,
+// ...; the unit-disk graphs are in internal/geo).
 package graph
 
 import (
@@ -16,8 +16,8 @@ type NodeID = int32
 
 // Graph is a simple undirected graph with nodes 0..N-1 stored in CSR
 // (compressed sparse row) form for cache-friendly neighbor iteration.
-// Graphs are immutable after construction; build them with a Builder
-// or a generator.
+// Graphs are immutable after construction; FromStream builds every
+// one, from a generator's stream, a Builder or a geo.Disk.
 type Graph struct {
 	n       int
 	offsets []int32  // len n+1
@@ -76,12 +76,13 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Builder accumulates edges and produces an immutable Graph.
-// Duplicate edges and self-loops are silently dropped.
+// Builder records edges and produces an immutable Graph through
+// FromStream, so duplicate edges are dropped and rows come out sorted.
+// It is the EdgeStream of the edges added so far.
 type Builder struct {
-	n    int
-	adj  []map[NodeID]struct{}
-	name string
+	nodes  int
+	label  string
+	us, vs []NodeID
 }
 
 // NewBuilder returns a builder for a graph on n nodes.
@@ -89,62 +90,38 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Builder{n: n, adj: make([]map[NodeID]struct{}, n)}
+	return &Builder{nodes: n}
 }
 
 // SetName records the workload name carried by the built graph.
-func (b *Builder) SetName(name string) { b.name = name }
+func (b *Builder) SetName(name string) { b.label = name }
 
-// AddEdge inserts the undirected edge {u, v}. Self-loops are ignored.
+// AddEdge records the undirected edge {u, v}. Self-loops are ignored.
 func (b *Builder) AddEdge(u, v NodeID) {
 	if u == v {
 		return
 	}
-	if int(u) >= b.n || int(v) >= b.n || u < 0 || v < 0 {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
+	if int(u) >= b.nodes || int(v) >= b.nodes || u < 0 || v < 0 {
+		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.nodes))
 	}
-	if b.adj[u] == nil {
-		b.adj[u] = make(map[NodeID]struct{})
-	}
-	if b.adj[v] == nil {
-		b.adj[v] = make(map[NodeID]struct{})
-	}
-	b.adj[u][v] = struct{}{}
-	b.adj[v][u] = struct{}{}
+	b.us, b.vs = append(b.us, u), append(b.vs, v)
 }
 
-// HasEdge reports whether the builder already contains {u, v}.
-func (b *Builder) HasEdge(u, v NodeID) bool {
-	if b.adj[u] == nil {
-		return false
+// N returns the node count.
+func (b *Builder) N() int { return b.nodes }
+
+// Name returns the name set by SetName.
+func (b *Builder) Name() string { return b.label }
+
+// Edges emits the recorded edges in the order they were added.
+func (b *Builder) Edges(emit func(u, v NodeID)) {
+	for i, u := range b.us {
+		emit(u, b.vs[i])
 	}
-	_, ok := b.adj[u][v]
-	return ok
 }
 
-// Build freezes the builder into an immutable Graph.
-func (b *Builder) Build() *Graph {
-	g := &Graph{n: b.n, offsets: make([]int32, b.n+1), name: b.name}
-	total := 0
-	for _, m := range b.adj {
-		total += len(m)
-	}
-	g.edges = make([]NodeID, 0, total)
-	for v := 0; v < b.n; v++ {
-		g.offsets[v] = int32(len(g.edges))
-		if b.adj[v] == nil {
-			continue
-		}
-		start := len(g.edges)
-		for u := range b.adj[v] {
-			g.edges = append(g.edges, u)
-		}
-		row := g.edges[start:]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-	}
-	g.offsets[b.n] = int32(len(g.edges))
-	return g
-}
+// Build freezes the recorded edges into an immutable Graph.
+func (b *Builder) Build() *Graph { return FromStream(b) }
 
 // BFSResult holds a breadth-first layering from a set of sources.
 type BFSResult struct {

@@ -1,20 +1,21 @@
 package graph
 
-// Streaming graph generation: the million-node path. The legacy
-// Builder keeps one map per node (hundreds of bytes of overhead per
-// edge), which is fine at experiment scale (n <= 2^10) and hopeless at
-// n = 10^6. An EdgeStream instead re-emits its edge sequence on
-// demand, and FromStream materializes CSR directly — no edge list, no
-// maps, no per-node allocation beyond the final arrays. Every stock
-// generator is source-monotone (see FromStream), so FromStream runs it
-// once; any other stream is run twice.
+// Streaming graph assembly: FromStream is the one code path that turns
+// edges into a Graph, from the million-node sweeps down to a Builder
+// (an EdgeStream over the edges recorded in it). An EdgeStream
+// re-emits its edge sequence on demand, and FromStream materializes
+// CSR directly — no edge list, no maps, no per-node allocation beyond
+// the final arrays. Every stock streaming generator is source-monotone
+// (see FromStream), so FromStream runs it once; any other stream is run
+// twice.
 //
-// The streaming-CSR contract: for any EdgeStream, FromStream(s) is
-// byte-identical (offsets, edges, name) to feeding the same emissions
-// through a Builder — duplicates dropped, self-loops dropped, rows
-// sorted. Property tests enforce this on randomized small/medium
-// streams, which is what validates the big-n path: the assembly is the
-// same code at every n.
+// The streaming-CSR contract: for any EdgeStream, FromStream(s) is the
+// canonical CSR (offsets, edges, name) of its emissions — duplicates
+// dropped, self-loops dropped, rows sorted — byte-identical to a
+// map-per-node assembly of the same emissions. Property tests enforce
+// this against such an assembly on randomized small/medium streams,
+// which is what validates the big-n path: the assembly is the same
+// code at every n.
 
 import (
 	"fmt"
@@ -380,9 +381,9 @@ func (a *assembly) grow() {
 
 // BuildConnected materializes a stream and stitches connectivity: if
 // the sample is disconnected, each secondary component (in ascending
-// min-node order) is joined to node 0's component by one random edge,
-// mirroring the legacy stitchConnected semantics at streaming scale
-// (one component scan instead of a BFS per added edge). The stitch
+// min-node order) is joined to node 0's component by one random edge
+// drawn from the seed (StitchConnected, which the older seeded
+// generators use, draws from their own generator instead). The stitch
 // edges are spliced into the built CSR; the stream runs no extra time.
 // A sample that is connected already keeps the depth of the sweep
 // that found it so, which Eccentricity(g, 0) then returns without a
@@ -446,12 +447,11 @@ func (g *Graph) splice(us, vs []NodeID) *Graph {
 }
 
 // ---------------------------------------------------------------------
-// Streaming generators. Grid/Path/ClusterChain emit exactly the edge
-// sets of their Builder-based counterparts, so their streamed CSR is
-// byte-identical to the legacy graphs. GNP and RandomRegular sample
-// the same distributions but CANNOT replay the legacy draws (GNP
-// consumes Θ(n²) uniforms where the stream skips geometrically), so
-// they are distinct named families.
+// Streaming generators. Path, Grid and ClusterChain are FromStream over
+// the first three. StreamGNP and StreamRandomRegular sample the
+// distributions of GNP and RandomRegular but CANNOT replay their draws
+// (GNP consumes Θ(n²) uniforms where the stream skips geometrically),
+// so they are distinct named families.
 
 // pathStream emits the path 0-1-...-n-1.
 type pathStream struct{ n int }
@@ -610,8 +610,8 @@ func fastSkip(f, inv, end float64) (skip float64, ok bool) {
 	return q, int64(lo) == int64(hi)
 }
 
-// regularStream samples the pairing model of RandomRegular without the
-// Builder: n·d stubs, one shuffle, consecutive pairs become edges
+// regularStream samples the pairing model of RandomRegular without
+// recording the edges: n·d stubs, one shuffle, consecutive pairs become edges
 // (self-pairs dropped here, duplicate pairs deduplicated by the CSR
 // assembly). Peak extra memory is the 4·n·d-byte stub array per pass.
 // Identical distribution to RandomRegular, different draw sequence.

@@ -3,7 +3,9 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -38,19 +40,40 @@ func sameGraph(t *testing.T, got, want *Graph, label string) {
 	}
 }
 
-// buildViaBuilder feeds a stream's emissions through the legacy Builder
-// — the reference semantics FromStream must reproduce.
-func buildViaBuilder(s EdgeStream) *Graph {
-	b := NewBuilder(s.N())
-	b.SetName(s.Name())
-	s.Edges(func(u, v NodeID) { b.AddEdge(u, v) })
-	return b.Build()
+// buildViaMaps assembles a stream's emissions with one map per node,
+// as the Builder once did, and sorts each row: the independent
+// reference FromStream must reproduce (duplicates and self-loops
+// dropped, rows sorted).
+func buildViaMaps(s EdgeStream) *Graph {
+	n := s.N()
+	adj := make([]map[NodeID]struct{}, n)
+	s.Edges(func(u, v NodeID) {
+		if u == v {
+			return
+		}
+		for _, e := range [][2]NodeID{{u, v}, {v, u}} {
+			if adj[e[0]] == nil {
+				adj[e[0]] = make(map[NodeID]struct{})
+			}
+			adj[e[0]][e[1]] = struct{}{}
+		}
+	})
+	g := &Graph{n: n, offsets: make([]int32, n+1), name: s.Name()}
+	for v, m := range adj {
+		g.offsets[v] = int32(len(g.edges))
+		for u := range m {
+			g.edges = append(g.edges, u)
+		}
+		slices.Sort(g.edges[g.offsets[v]:])
+	}
+	g.offsets[n] = int32(len(g.edges))
+	return g
 }
 
 // TestStreamMatchesLegacyGenerators pins that the deterministic
 // generators, which build through FromStream, are byte-identical to
-// feeding their streams through the Builder, including names — the
-// Builder stays the independent reference for the streamed assembly.
+// assembling their streams with the map-based reference, including
+// names.
 func TestStreamMatchesLegacyGenerators(t *testing.T) {
 	cases := []struct {
 		stream EdgeStream
@@ -70,13 +93,13 @@ func TestStreamMatchesLegacyGenerators(t *testing.T) {
 		{StreamClusterChain(9, 7), ClusterChain(9, 7)},
 	}
 	for _, c := range cases {
-		sameGraph(t, c.gen, buildViaBuilder(c.stream), c.gen.Name())
+		sameGraph(t, c.gen, buildViaMaps(c.stream), c.gen.Name())
 	}
 }
 
 // randomStream emits a fixed pseudo-random edge sequence that includes
 // self-loops and duplicates — the adversarial input for the assembly
-// path (Builder drops both; FromStream must match).
+// path (the reference drops both; FromStream must match).
 type randomStream struct {
 	n, m int
 	seed uint64
@@ -97,7 +120,7 @@ func (s randomStream) Edges(emit func(u, v NodeID)) {
 // self-loops and heavy duplication, plus the randomized generators
 // (GNP with its skip sampler, the stub-pairing regular sampler) —
 // FromStream produces a CSR byte-identical to feeding the identical
-// emission sequence through the legacy Builder.
+// emission sequence through the map-based reference (buildViaMaps).
 func TestFromStreamMatchesBuilder(t *testing.T) {
 	var streams []EdgeStream
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -116,7 +139,7 @@ func TestFromStreamMatchesBuilder(t *testing.T) {
 		StreamRandomRegular(10, 0, 7),       // d=0: empty
 	)
 	for _, s := range streams {
-		sameGraph(t, FromStream(s), buildViaBuilder(s), s.Name())
+		sameGraph(t, FromStream(s), buildViaMaps(s), s.Name())
 	}
 }
 
@@ -133,7 +156,7 @@ func emissions(s EdgeStream) int {
 
 // TestFromStreamConcurrentWalk is the streaming-CSR contract for the
 // two-half walk on streams large enough that both halves hold many
-// rows: the CSR must equal the Builder's on monotone generators (GNP, a
+// rows: the CSR must equal the reference's on monotone generators (GNP, a
 // grid, a cluster chain), on the shuffled and duplicate-bearing
 // stub-pairing sampler, and on a random stream with duplicates and
 // self-loops.
@@ -145,7 +168,7 @@ func TestFromStreamConcurrentWalk(t *testing.T) {
 		StreamRandomRegular(20000, 4, 5),
 		randomStream{n: 2000, m: 60000, seed: 5},
 	} {
-		got, want := FromStream(s), buildViaBuilder(s)
+		got, want := FromStream(s), buildViaMaps(s)
 		sameGraph(t, got, want, s.Name())
 		if _, dup := s.(randomStream); dup && 2*got.M() == emissions(s) {
 			t.Fatalf("%s: no duplicate emission", s.Name())
@@ -268,6 +291,33 @@ func (a *augmentedStream) Edges(emit func(u, v NodeID)) {
 	}
 }
 
+// stitchRebuild is the reference for StitchConnected: after each stitch
+// edge it assembles the graph again and searches it from node 0, then
+// draws a node node 0 reaches and one it does not, in that order.
+func stitchRebuild(g *Graph, r *rand.Rand) *Graph {
+	if g.n == 0 {
+		return g
+	}
+	var extra [][2]NodeID
+	for {
+		h := FromStream(&augmentedStream{g: g, extra: extra})
+		res := BFS(h, 0)
+		if res.Reached == h.n {
+			return h
+		}
+		var reached, unreached []NodeID
+		for v := 0; v < h.n; v++ {
+			if res.Dist[v] >= 0 {
+				reached = append(reached, NodeID(v))
+			} else {
+				unreached = append(unreached, NodeID(v))
+			}
+		}
+		u := reached[r.Intn(len(reached))]
+		extra = append(extra, [2]NodeID{u, unreached[r.Intn(len(unreached))]})
+	}
+}
+
 // TestBuildConnectedSpliceMatchesRebuild pins the splice of stitch
 // edges into the built CSR byte-identical to the full rebuild, on
 // G(n,p) samples from far below to around the connectivity threshold.
@@ -357,7 +407,7 @@ func TestFromStreamOrderBreak(t *testing.T) {
 		if runs != 2 {
 			t.Errorf("%s: stream ran %d times, want 2", s.Name(), runs)
 		}
-		sameGraph(t, g, buildViaBuilder(s), s.Name())
+		sameGraph(t, g, buildViaMaps(s), s.Name())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"radiocast/internal/geo"
 	"radiocast/internal/graph"
 	"radiocast/internal/sched"
 )
@@ -20,7 +21,7 @@ func families() []*graph.Graph {
 		graph.ClusterChain(6, 5),
 		graph.Caterpillar(10, 2),
 		graph.GNP(80, 0.07, 3),
-		graph.UnitDisk(90, graph.ConnectivityRadius(90), 5),
+		geo.UnitDisk(90, geo.ConnectivityRadius(90), 5),
 	}
 }
 

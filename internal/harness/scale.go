@@ -4,8 +4,8 @@ package harness
 // in geoscale.go). Every cell drives the dense engine (radio.Dense —
 // structure-of-arrays node state, bitset frontiers) over a
 // streaming-generated CSR workload (graph.FromStream /
-// graph.BuildConnected: no Builder maps, the edge stream lands
-// directly in the final arrays), optionally with the deterministic
+// graph.BuildConnected: the edge stream lands directly in the final
+// arrays, with no edge list kept), optionally with the deterministic
 // intra-run parallel delivery pass (radio.Config.Workers —
 // byte-identical output at any worker count, so the tables below are
 // CI-comparable across worker settings).

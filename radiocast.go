@@ -55,7 +55,7 @@ import (
 )
 
 // Graph re-exports the workload graph type; construct instances with
-// the generators below or graph.NewBuilder via BuildGraph.
+// the generators below or from a Layout with UnitDiskGraph.
 type Graph = graph.Graph
 
 // NodeID identifies a node (0..N-1).
@@ -72,7 +72,7 @@ var (
 	// collision-detection broadcast wins by the largest factor.
 	NewClusterChain = graph.ClusterChain
 	// NewUnitDisk returns a random unit-disk (sensor field) graph.
-	NewUnitDisk = graph.UnitDisk
+	NewUnitDisk = geo.UnitDisk
 	// NewGNP returns a connected Erdős–Rényi sample.
 	NewGNP = graph.GNP
 )
