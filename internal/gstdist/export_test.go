@@ -1,16 +1,17 @@
 package gstdist
 
-// PipeRank and PipeRole expose the pipelined segment B's per-phase
+// BoundaryRank and BoundaryRole expose segment B's per-phase
 // arithmetic, exactly as Protocol runs it, to the invariant tests.
 
-// PipeRank returns the rank boundary b processes in phase (0 if none).
-func PipeRank(cfg Config, b, phase int) int { return pipeProbe(cfg, 0).pipeRank(b, phase) }
+// BoundaryRank returns the rank boundary b processes in phase (0 if
+// none).
+func BoundaryRank(cfg Config, b, phase int) int { return probe(cfg, 0).boundaryRank(b, phase) }
 
-// PipeRole returns the boundary a node at the given construction level
-// serves in phase and whether it plays the blue role there; ok is false
-// when it serves none.
-func PipeRole(cfg Config, level, phase int) (b int, blue, ok bool) {
-	rank, blue := pipeProbe(cfg, level).pipeRole(phase)
+// BoundaryRole returns the boundary a node at the given construction
+// level serves in phase and whether it plays the blue role there; ok
+// is false when it serves none.
+func BoundaryRole(cfg Config, level, phase int) (b int, blue, ok bool) {
+	rank, blue := probe(cfg, level).role(phase)
 	b = cfg.DBound - level
 	if !blue {
 		b--
@@ -18,6 +19,6 @@ func PipeRole(cfg Config, level, phase int) (b int, blue, ok bool) {
 	return b, blue, rank > 0
 }
 
-func pipeProbe(cfg Config, level int) *Protocol {
+func probe(cfg Config, level int) *Protocol {
 	return &Protocol{cfg: cfg, maxRank: cfg.Assign.MaxRank(), level: int32(level)}
 }

@@ -12,13 +12,18 @@
 //	           layering of Section 2.2.2 (no CD), or preset levels
 //	           (rings reuse the global wave).
 //	segment B  one Bipartite Assignment boundary (internal/assign) per
-//	           level. Sequential (default): boundaries run deepest
-//	           first, one after the other, O(D log^5 n). Pipelined
-//	           (Config.PipelinedBoundaries, Section 2.2.4): time is
-//	           split into rank-length phases alternating between even
-//	           and odd boundary indices; all in-window same-parity
-//	           boundaries process one rank per phase concurrently,
-//	           O((D + log n) log^4 n). See the pipelining notes below.
+//	           level, deepest first. Time is split into rank-length
+//	           phases, and each boundary processes its ranks, MaxRank
+//	           down to 1, in a window of phases. The two schedules
+//	           differ only in that window (Config.window), and one
+//	           implementation runs both. Sequential (default): boundary
+//	           b opens at phase b·MaxRank, when b-1 closes, and takes
+//	           one rank per phase, O(D log^5 n). Pipelined
+//	           (Config.PipelinedBoundaries, Section 2.2.4): boundary b
+//	           opens at phase 3b and takes one rank every second phase,
+//	           so phases alternate between even and odd boundaries and
+//	           all in-window same-parity boundaries run concurrently,
+//	           O((D + log n) log^4 n).
 //	segment C  virtual distances (Lemma 3.10): for d = 0..2⌈log n⌉,
 //	           stage 1 pipelines a wave down the fast stretches of
 //	           each rank class (2(D+1) rounds per rank), stage 2 runs
@@ -92,7 +97,8 @@ type Config struct {
 	// D·MaxRank rank-lengths to 3D + 2·MaxRank - 4 (strictly fewer for
 	// every D >= 3 at MaxRank >= 3).
 	PipelinedBoundaries bool
-	// TagBase offsets the level-mod-4 boundary tags. Standalone
+	// TagBase offsets the level-mod-4 boundary tags of a pipelined
+	// segment B (sequential boundaries stay untagged). Standalone
 	// constructions leave it 0; the rings of Theorems 1.1/1.3 set each
 	// ring's base to (ring·W) mod 4 so tags are globally consistent
 	// across ring borders even though each ring's construction runs on
@@ -134,37 +140,44 @@ func (c Config) LayerRounds() int64 {
 
 // BoundariesRounds returns the length of segment B.
 func (c Config) BoundariesRounds() int64 {
-	if c.PipelinedBoundaries {
-		return int64(c.PipelinedPhases()) * c.Assign.RankLen()
-	}
-	return int64(c.DBound) * c.Assign.BoundaryRounds()
+	return int64(c.BoundaryPhases()) * c.Assign.RankLen()
 }
 
-// PipelinedPhases returns the number of rank-length phases of the
-// pipelined segment B: it ends with the last boundary's window, so the
-// schedule spans 3·DBound + 2·MaxRank - 4 phases.
-func (c Config) PipelinedPhases() int {
+// BoundaryPhases returns the number of rank-length phases of segment
+// B: it ends with the last boundary's window, so the schedule spans
+// DBound·MaxRank phases sequentially and 3·DBound + 2·MaxRank - 4
+// pipelined.
+func (c Config) BoundaryPhases() int {
 	if c.DBound <= 0 {
 		return 0
 	}
-	_, end := pipeWindow(c.DBound-1, c.Assign.MaxRank())
+	_, end, _ := c.window(c.DBound-1, c.Assign.MaxRank())
 	return end + 1
 }
 
-// pipeWindow returns the first and last phase of boundary b's window in
-// the pipelined segment B, whose ranks run from maxRank down to 1. The
-// window opens at phase 3b (the dependency skew documented on
-// PipelinedBoundaries) and processes one rank every second phase, so
-// rank i falls in phase start + 2(maxRank-i) and the window shares
-// b's parity.
-func pipeWindow(b, maxRank int) (start, end int) {
+// window returns boundary b's window in segment B: its first and last
+// phase and the stride between its ranks, which run from maxRank down
+// to 1, rank i falling in phase start + stride·(maxRank-i). A
+// sequential window opens when the one before it closes and takes one
+// rank per phase. A pipelined window opens at phase 3b (the dependency
+// skew documented on PipelinedBoundaries) and takes one rank every
+// second phase, so it shares b's parity.
+func (c Config) window(b, maxRank int) (start, end, stride int) {
+	if !c.PipelinedBoundaries {
+		start = b * maxRank
+		return start, start + maxRank - 1, 1
+	}
 	start = 3 * b
-	return start, start + 2*(maxRank-1)
+	return start, start + 2*(maxRank-1), 2
 }
 
 // LevelTag returns the level-mod-4 boundary packet tag of a node at
-// the given (construction-local) level.
+// the given (construction-local) level. Sequential boundaries are
+// never audible to each other, so their packets stay untagged (0).
 func (c Config) LevelTag(level int32) int32 {
+	if !c.PipelinedBoundaries {
+		return 0
+	}
 	return (c.TagBase + level) & 3
 }
 
@@ -209,14 +222,11 @@ const (
 // Pos locates a round within the construction schedule.
 type Pos struct {
 	Seg Segment
-	// Boundary fields (SegBoundary, sequential): the boundary index
-	// (0 = deepest, blue level = DBound - Boundary) and the
-	// in-boundary offset. Pipelined segment-B positions set Boundary
-	// to -1 (which boundary a node serves is level-dependent), Phase to
-	// the rank-length phase index, and Off to the in-phase offset.
-	Boundary int
-	Phase    int
-	Off      int64
+	// Boundary fields (SegBoundary): the rank-length phase index and
+	// the in-phase offset (which boundary a node serves in a phase is
+	// level-dependent). SegLayer sets Off to the round.
+	Phase int
+	Off   int64
 	// Vdist fields (SegVdist).
 	D     int   // frontier distance being extended
 	Stage int   // 1 or 2
@@ -235,9 +245,7 @@ type Pos struct {
 type Locator struct {
 	layer      int64
 	boundaries int64
-	boundary   int64 // one boundary's length
-	pipelined  bool  // segment B runs the even/odd pipelined schedule
-	rankLen    int64 // one rank-length phase (pipelined)
+	rankLen    int64 // one rank-length phase of segment B
 	vdist      int64
 	stage1     int64
 	blockLen   int64 // stage1 + stage2
@@ -249,8 +257,6 @@ func (c Config) Locator() Locator {
 	return Locator{
 		layer:      c.LayerRounds(),
 		boundaries: c.BoundariesRounds(),
-		boundary:   c.Assign.BoundaryRounds(),
-		pipelined:  c.PipelinedBoundaries,
 		rankLen:    c.Assign.RankLen(),
 		vdist:      c.VdistRounds(),
 		stage1:     c.VdistStage1Rounds(),
@@ -269,11 +275,7 @@ func (l Locator) Locate(r int64) Pos {
 	}
 	r -= l.layer
 	if r < l.boundaries {
-		if l.pipelined {
-			return Pos{Seg: SegBoundary, Boundary: -1,
-				Phase: int(r / l.rankLen), Off: r % l.rankLen}
-		}
-		return Pos{Seg: SegBoundary, Boundary: int(r / l.boundary), Off: r % l.boundary}
+		return Pos{Seg: SegBoundary, Phase: int(r / l.rankLen), Off: r % l.rankLen}
 	}
 	r -= l.boundaries
 	if r < l.vdist {
@@ -291,11 +293,3 @@ func (l Locator) Locate(r int64) Pos {
 	}
 	return Pos{Seg: SegDone}
 }
-
-// BlueLevel returns the blue level of boundary index b: boundaries are
-// processed deepest-first.
-func (c Config) BlueLevel(b int) int { return c.DBound - b }
-
-// BoundaryIndexForBlueLevel returns the boundary index in which nodes
-// of the given level act as blues.
-func (c Config) BoundaryIndexForBlueLevel(l int) int { return c.DBound - l }

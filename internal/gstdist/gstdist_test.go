@@ -240,19 +240,6 @@ func TestScheduleShape(t *testing.T) {
 	}
 }
 
-func TestBlueLevelMapping(t *testing.T) {
-	cfg := DefaultConfig(64, 10, 1, LayerCD, false)
-	for b := 0; b < 10; b++ {
-		l := cfg.BlueLevel(b)
-		if cfg.BoundaryIndexForBlueLevel(l) != b {
-			t.Fatal("boundary/level mapping not inverse")
-		}
-	}
-	if cfg.BlueLevel(0) != 10 {
-		t.Fatal("deepest boundary must be processed first")
-	}
-}
-
 func BenchmarkConstructionGrid4x5(b *testing.B) {
 	g := graph.Grid(4, 5)
 	d := graph.Eccentricity(g, 0)

@@ -1,12 +1,17 @@
 package gstdist_test
 
-// Property tests for the boundary-separation invariant of the
-// pipelined even/odd construction (Section 2.2.4), across both
-// theorem stacks that run it: the standalone distributed GST build
-// (internal/gstdist) and the per-ring builds of Theorems 1.1/1.3
-// (internal/rings).
+// Property tests for segment B's boundary windows. Both schedules run
+// through one implementation, so the tests read the protocol's own
+// per-phase arithmetic (export_test.go) for each. Every boundary
+// processes each rank once, from MaxRank down to 1. Sequential windows
+// are disjoint and deepest-first, and tile segment B. The pipelined
+// even/odd construction (Section 2.2.4) keeps a boundary-separation
+// invariant across both theorem stacks that run it: the standalone
+// distributed GST build (internal/gstdist) and the per-ring builds of
+// Theorems 1.1/1.3 (internal/rings).
 //
-// The invariant has three parts:
+// The pipelined invariant has three parts (part 3 holds sequentially
+// too):
 //
 //  1. parity separation: every phase drives only boundaries of one
 //     parity, so simultaneously-active boundaries are >= 2 indices
@@ -38,9 +43,14 @@ import (
 
 // pipeCfg builds a pipelined construction schedule.
 func pipeCfg(n, d, c int) gstdist.Config {
-	cfg := gstdist.DefaultConfig(n, d, c, gstdist.LayerPreset, false)
+	cfg := seqCfg(n, d, c)
 	cfg.PipelinedBoundaries = true
 	return cfg
+}
+
+// seqCfg builds a sequential construction schedule.
+func seqCfg(n, d, c int) gstdist.Config {
+	return gstdist.DefaultConfig(n, d, c, gstdist.LayerPreset, false)
 }
 
 // role is a node-level's activity in one phase.
@@ -53,7 +63,7 @@ type role struct {
 // given construction level serves its red boundary or its blue boundary
 // (never both — the test asserts that separately).
 func activeRole(cfg gstdist.Config, level, phase int) (role, bool) {
-	b, blue, ok := gstdist.PipeRole(cfg, level, phase)
+	b, blue, ok := gstdist.BoundaryRole(cfg, level, phase)
 	return role{boundary: b, blue: blue}, ok
 }
 
@@ -68,24 +78,35 @@ func wantTag(cfg gstdist.Config, level int, blue bool) int32 {
 	return cfg.LevelTag(int32(level + 1))
 }
 
-// checkPhaseArithmetic asserts parts 1 and 3 plus the schedule-length
-// identities for one configuration.
+// checkPhaseArithmetic asserts, for one configuration, the
+// schedule-length identities, that every boundary processes each rank
+// once from MaxRank down to 1, and part 3; for a pipelined one also
+// part 1, and for a sequential one that the windows are disjoint,
+// deepest-first and leave no phase idle.
 func checkPhaseArithmetic(t *testing.T, cfg gstdist.Config) {
 	t.Helper()
 	maxRank := cfg.Assign.MaxRank()
-	phases := cfg.PipelinedPhases()
-	if want := 3*cfg.DBound + 2*maxRank - 4; cfg.DBound >= 1 && phases != want {
-		t.Fatalf("D=%d: %d phases, want %d", cfg.DBound, phases, want)
+	phases := cfg.BoundaryPhases()
+	pipelined := cfg.PipelinedBoundaries
+	want := cfg.DBound * maxRank
+	if pipelined {
+		want = 3*cfg.DBound + 2*maxRank - 4
+	}
+	if cfg.DBound >= 1 && phases != want {
+		t.Fatalf("D=%d pipelined=%t: %d phases, want %d", cfg.DBound, pipelined, phases, want)
 	}
 	if got, want := cfg.BoundariesRounds(), int64(phases)*cfg.Assign.RankLen(); got != want {
 		t.Fatalf("D=%d: segment B %d rounds, want phases×rankLen = %d", cfg.DBound, got, want)
 	}
 	seq := cfg
 	seq.PipelinedBoundaries = false
-	if cfg.DBound >= 3 && cfg.BoundariesRounds() > seq.BoundariesRounds() {
+	if got, want := seq.BoundariesRounds(), int64(cfg.DBound)*cfg.Assign.BoundaryRounds(); got != want {
+		t.Fatalf("D=%d: sequential segment B %d rounds, want DBound×BoundaryRounds = %d", cfg.DBound, got, want)
+	}
+	if pipelined && cfg.DBound >= 3 && cfg.BoundariesRounds() > seq.BoundariesRounds() {
 		t.Fatalf("D=%d: pipelined %d > sequential %d", cfg.DBound, cfg.BoundariesRounds(), seq.BoundariesRounds())
 	}
-	if cfg.DBound >= 4 && cfg.BoundariesRounds() >= seq.BoundariesRounds() {
+	if pipelined && cfg.DBound >= 4 && cfg.BoundariesRounds() >= seq.BoundariesRounds() {
 		t.Fatalf("D=%d: pipelined %d not strictly below sequential %d", cfg.DBound, cfg.BoundariesRounds(), seq.BoundariesRounds())
 	}
 	// phaseOf[b][i] is the phase in which boundary b processes rank i
@@ -100,13 +121,19 @@ func checkPhaseArithmetic(t *testing.T, cfg gstdist.Config) {
 	for p := 0; p < phases; p++ {
 		var active []int
 		for b := 0; b < cfg.DBound; b++ {
-			if i := gstdist.PipeRank(cfg, b, p); i > 0 {
+			if i := gstdist.BoundaryRank(cfg, b, p); i > 0 {
 				if phaseOf[b][i] >= 0 {
 					t.Fatalf("boundary %d processes rank %d twice", b, i)
 				}
 				phaseOf[b][i] = p
 				active = append(active, b)
 			}
+		}
+		if !pipelined {
+			if len(active) != 1 {
+				t.Fatalf("sequential phase %d drives boundaries %v, want exactly one", p, active)
+			}
+			continue
 		}
 		for _, b := range active {
 			if b%2 != p%2 {
@@ -116,8 +143,16 @@ func checkPhaseArithmetic(t *testing.T, cfg gstdist.Config) {
 		for i := 1; i < len(active); i++ {
 			if active[i]-active[i-1] < 2 {
 				t.Fatalf("phase %d drives adjacent boundaries %d and %d (shared level %d)",
-					p, active[i-1], active[i], cfg.BlueLevel(active[i]))
+					p, active[i-1], active[i], cfg.DBound-active[i])
 			}
+		}
+	}
+	// Sequential windows run deepest-first: boundary b's last rank
+	// precedes boundary b+1's first.
+	for b := 1; b < cfg.DBound && !pipelined; b++ {
+		if phaseOf[b][maxRank] <= phaseOf[b-1][1] {
+			t.Fatalf("sequential boundary %d opens at phase %d, before boundary %d closes at %d",
+				b, phaseOf[b][maxRank], b-1, phaseOf[b-1][1])
 		}
 	}
 	// Every boundary processes every rank, from MaxRank down to 1.
@@ -148,11 +183,15 @@ func checkPhaseArithmetic(t *testing.T, cfg gstdist.Config) {
 	}
 }
 
-func TestPipelinedPhaseArithmetic(t *testing.T) {
+func TestPipelinedPhaseArithmetic(t *testing.T) { phaseArithmetic(t, pipeCfg) }
+
+func TestSequentialPhaseArithmetic(t *testing.T) { phaseArithmetic(t, seqCfg) }
+
+func phaseArithmetic(t *testing.T, cfgOf func(n, d, c int) gstdist.Config) {
 	for _, c := range []struct{ n, d, c int }{
 		{16, 1, 1}, {16, 2, 1}, {24, 3, 2}, {32, 10, 1}, {64, 9, 2}, {1 << 10, 23, 1},
 	} {
-		checkPhaseArithmetic(t, pipeCfg(c.n, c.d, c.c))
+		checkPhaseArithmetic(t, cfgOf(c.n, c.d, c.c))
 	}
 	// Randomized sweep (testing/quick-style): the arithmetic must hold
 	// for arbitrary (n, D, c).
@@ -160,7 +199,7 @@ func TestPipelinedPhaseArithmetic(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 8 + r.Intn(1<<12)
 		d := 1 + r.Intn(40)
-		checkPhaseArithmetic(t, pipeCfg(n, d, 1+r.Intn(3)))
+		checkPhaseArithmetic(t, cfgOf(n, d, 1+r.Intn(3)))
 	}
 }
 
@@ -170,12 +209,12 @@ func TestPipelinedPhaseArithmetic(t *testing.T) {
 // level; reject is called for violations.
 func checkGraphConflicts(t *testing.T, g *graph.Graph, cfg gstdist.Config, levels []int32) {
 	t.Helper()
-	phases := cfg.PipelinedPhases()
+	phases := cfg.BoundaryPhases()
 	for p := 0; p < phases; p++ {
 		for v := 0; v < g.N(); v++ {
 			lv := int(levels[v])
 			bBlue := cfg.DBound - lv
-			if gstdist.PipeRank(cfg, bBlue, p) > 0 && gstdist.PipeRank(cfg, bBlue-1, p) > 0 {
+			if gstdist.BoundaryRank(cfg, bBlue, p) > 0 && gstdist.BoundaryRank(cfg, bBlue-1, p) > 0 {
 				t.Fatalf("phase %d: node %d (level %d) active in both roles", p, v, lv)
 			}
 			rv, okv := activeRole(cfg, lv, p)
@@ -222,6 +261,7 @@ func TestPipelinedBoundarySeparationOnGraphs(t *testing.T) {
 			}
 			levels := graph.BFS(g, 0).Dist
 			checkGraphConflicts(t, g, pipeCfg(g.N(), d, 1), levels)
+			checkGraphConflicts(t, g, seqCfg(g.N(), d, 1), levels)
 		})
 	}
 }
@@ -268,7 +308,7 @@ func TestRingsPipelinedParitySeparation(t *testing.T) {
 		for g := 0; g <= c.d; g++ {
 			nodes = append(nodes, ringNode{ring: rcfg.RingOf(int32(g)), local: int(rcfg.LocalLevel(int32(g))), global: g})
 		}
-		phases := rcfg.GST.PipelinedPhases()
+		phases := rcfg.GST.BoundaryPhases()
 		for p := 0; p < phases; p++ {
 			for _, a := range nodes {
 				ra, oka := activeRole(gcfg[a.ring], a.local, p)
@@ -296,15 +336,21 @@ func TestRingsPipelinedParitySeparation(t *testing.T) {
 }
 
 // TestSequentialTagsStayZero pins the compatibility contract: the
-// sequential construction never sets tags, so every packet the
-// untagged protocol exchanged is byte-identical under the tagged
-// packet layout (all-zero tags accept all-zero tags).
+// sequential construction never tags its packets, whatever tag base a
+// ring sets, so every packet the untagged protocol exchanged (and the
+// shared untagged ping box) is unchanged.
 func TestSequentialTagsStayZero(t *testing.T) {
-	var nd assign.Node
-	_ = nd // the zero Node carries zero tags by construction
 	cfg := gstdist.DefaultConfig(64, 8, 1, gstdist.LayerPreset, false)
-	if cfg.LevelTag(0) != 0 || cfg.TagBase != 0 {
-		t.Fatal("sequential default config must keep a zero tag base")
+	if cfg.TagBase != 0 {
+		t.Fatal("default config must keep a zero tag base")
+	}
+	for base := int32(0); base < 4; base++ {
+		cfg.TagBase = base
+		for l := int32(0); l <= 8; l++ {
+			if tag := cfg.LevelTag(l); tag != 0 {
+				t.Fatalf("sequential level %d tag %d at base %d, want 0", l, tag, base)
+			}
+		}
 	}
 	if (assign.IdentPacket{}).Tag != 0 || (assign.PingPacket{}).Tag != 0 {
 		t.Fatal("zero-value packets must carry zero tags")

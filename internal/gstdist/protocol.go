@@ -62,7 +62,7 @@ func (r Result) Put(f *gst.Flat, v graph.NodeID, root bool) {
 type Protocol struct {
 	cfg     Config
 	loc     Locator // cached schedule arithmetic (hot: every Act/Observe)
-	maxRank int     // cached Assign.MaxRank (hot in the pipelined path)
+	maxRank int     // cached Assign.MaxRank (hot in segment B)
 	id      radio.NodeID
 	isRoot  bool
 	rng     *rand.Rand
@@ -78,10 +78,11 @@ type Protocol struct {
 	layering *decay.Layering
 	level    int32
 
-	// Segment B (sequential: one live machine at a time).
-	bNode     *assign.Node
-	bIdx      int  // boundary index of the live node (-1 none)
-	bIsBlue   bool // live machine plays the blue role
+	// Segment B. The node serves two boundaries: as a red at
+	// DBound-level-1 and as a blue at DBound-level, one machine each.
+	// Pipelined windows interleave, so both machines can be live.
+	bRed      *assign.Node
+	bBlue     *assign.Node
 	rank      int32
 	ranked    bool // red role produced a rank
 	sameRank  bool
@@ -89,11 +90,12 @@ type Protocol struct {
 	parentRnk int32
 	assigned  bool
 	informed  bool // DoneSet ticked (or root)
-
-	// Segment B (pipelined: the node's red- and blue-role boundaries
-	// interleave phases, so both machines live concurrently).
-	bRed  *assign.Node
-	bBlue *assign.Node
+	// The node's role in phase bPhase (-1 none yet), computed once per
+	// phase: the rank it processes there (0 if it serves no boundary)
+	// and whether as a blue.
+	bPhase  int
+	bRank   int
+	bIsBlue bool
 
 	// Segment C.
 	vdist     int32
@@ -119,7 +121,7 @@ func New(cfg Config, id radio.NodeID, isRoot bool, presetLevel int32, rng *rand.
 		isRoot:    isRoot,
 		rng:       rng,
 		level:     -1,
-		bIdx:      -1,
+		bPhase:    -1,
 		rank:      0,
 		parent:    -1,
 		parentRnk: 0,
@@ -149,11 +151,9 @@ func New(cfg Config, id radio.NodeID, isRoot bool, presetLevel int32, rng *rand.
 func (p *Protocol) Reset(isRoot bool, presetLevel int32) {
 	p.isRoot = isRoot
 	p.level = -1
-	p.bNode = nil
-	p.bIdx = -1
-	p.bIsBlue = false
 	p.bRed = nil
 	p.bBlue = nil
+	p.bPhase = -1
 	p.rank = 0
 	p.ranked = false
 	p.sameRank = false
@@ -186,10 +186,7 @@ func (p *Protocol) Reset(isRoot bool, presetLevel int32) {
 // with the end of the schedule is harvested here (the engine stops
 // before any post-schedule Act could do it).
 func (p *Protocol) Result() Result {
-	if p.bNode != nil {
-		p.harvestBoundary()
-	}
-	p.pipeFinish()
+	p.harvestAll()
 	rank := p.rank
 	if !p.ranked {
 		rank = 1
@@ -238,7 +235,7 @@ func (p *Protocol) tickAssigned() {
 // ownRank returns the node's rank for its blue role: the rank learned
 // as a red at the deeper boundary, or 1 (leaf). Under pipelining the
 // red machine is still live while the blue role runs, so the rank is
-// consulted in place; the schedule skew guarantees that at a blue
+// consulted in place; the window skew guarantees that at a blue
 // rank-i window every rank >= i is already final.
 func (p *Protocol) ownRank() int32 {
 	if p.ranked {
@@ -287,96 +284,65 @@ func (p *Protocol) harvestRed(nd *assign.Node) {
 	}
 }
 
-// harvestBoundary folds the live sequential boundary machine's results
-// into the node state.
-func (p *Protocol) harvestBoundary() {
-	nd := p.bNode
-	p.bNode = nil
-	if p.cfg.BlueLevel(p.bIdx) == int(p.level) {
-		p.harvestBlue(nd)
-	} else {
-		p.harvestRed(nd)
-	}
-	p.bIdx = -1
-}
-
-// syncBoundary manages the live assign.Node across boundary windows.
-func (p *Protocol) syncBoundary(pos Pos) {
-	if p.bNode != nil && (pos.Seg != SegBoundary || pos.Boundary != p.bIdx) {
-		p.harvestBoundary()
-	}
-	if pos.Seg == SegBoundary && p.bNode == nil && pos.Off == 0 && p.level >= 0 {
-		blue := p.cfg.BlueLevel(pos.Boundary)
-		switch int(p.level) {
-		case blue:
-			p.bNode = assign.NewNode(p.cfg.Assign, p.id, assign.Blue, p.ownRank(), p.rng)
-			p.bIdx = pos.Boundary
-			p.bIsBlue = true
-		case blue - 1:
-			p.bNode = assign.NewNode(p.cfg.Assign, p.id, assign.Red, 0, p.rng)
-			p.bIdx = pos.Boundary
-			p.bIsBlue = false
-		}
-	}
-}
-
-// Pipelined segment B (Config.PipelinedBoundaries, Section 2.2.4).
+// Segment B.
 //
-// Phase p of the pipelined schedule drives the parity-(p mod 2)
-// boundaries inside their windows; boundary b processes rank
-// MaxRank - (p-3b)/2 during phase p at the same in-rank offsets as the
-// sequential schedule, so the assign.Node machines run unchanged —
-// they are simply fed their boundary-local offsets in interleaved
-// slices of global time. A node's red boundary (index DBound-level-1)
-// and blue boundary (DBound-level) have opposite parities, so it plays
-// at most one role per phase, but both machines stay live across the
-// interleaving.
+// Phase q drives every boundary whose window holds q at the window's
+// stride; boundary b processes rank MaxRank - (q-start)/stride there
+// at the in-rank offsets of a boundary run on its own, so the
+// assign.Node machines run unchanged: they are fed their
+// boundary-local offsets in (for pipelining, interleaved) slices of
+// global time. A node's red boundary (DBound-level-1) and blue boundary
+// (DBound-level) never share a phase: sequential windows are disjoint,
+// and pipelined windows of adjacent boundaries have opposite parities.
 
-// pipeRank returns the rank boundary b processes in the given phase,
-// or 0 when b is not a boundary or the phase is outside b's window or
-// of the other parity.
-func (p *Protocol) pipeRank(b, phase int) int {
-	start, end := pipeWindow(b, p.maxRank)
-	if b < 0 || b >= p.cfg.DBound || phase < start || phase > end || (phase-start)%2 != 0 {
+// boundaryRank returns the rank boundary b processes in the given
+// phase, or 0 when b is not a boundary or the phase is outside b's
+// window or between its ranks.
+func (p *Protocol) boundaryRank(b, phase int) int {
+	if b < 0 || b >= p.cfg.DBound {
 		return 0
 	}
-	return p.maxRank - (phase-start)/2
+	start, end, stride := p.cfg.window(b, p.maxRank)
+	if phase < start || phase > end || (phase-start)%stride != 0 {
+		return 0
+	}
+	return p.maxRank - (phase-start)/stride
 }
 
-// pipeRole returns the rank the node processes in the given phase (0
-// if it serves no boundary there) and whether it plays the blue role,
-// at boundary DBound-level, rather than the red one at DBound-level-1.
-func (p *Protocol) pipeRole(phase int) (rank int, isBlue bool) {
+// role returns the rank the node processes in the given phase (0 if it
+// serves no boundary there) and whether it plays the blue role, at
+// boundary DBound-level, rather than the red one at DBound-level-1.
+func (p *Protocol) role(phase int) (rank int, isBlue bool) {
 	bBlue := p.cfg.DBound - int(p.level)
-	if rank := p.pipeRank(bBlue-1, phase); rank > 0 {
+	if rank := p.boundaryRank(bBlue-1, phase); rank > 0 {
 		return rank, false
 	}
-	return p.pipeRank(bBlue, phase), true
+	return p.boundaryRank(bBlue, phase), true
 }
 
-// pipeSync harvests pipelined machines whose windows have passed. The
-// red machine must be harvested (or consulted live — see ownRank)
-// before the blue role needs the node's rank; harvesting on the first
-// Act after the window closes preserves that order.
-func (p *Protocol) pipeSync(phase int) {
+// harvestPast harvests machines whose windows have passed. The red
+// machine must be harvested (or consulted live — see ownRank) before
+// the blue role needs the node's rank; harvesting at the first phase
+// after the window closes preserves that order.
+func (p *Protocol) harvestPast(phase int) {
 	bBlue := p.cfg.DBound - int(p.level)
 	if p.bRed != nil {
-		if _, end := pipeWindow(bBlue-1, p.maxRank); phase > end {
+		if _, end, _ := p.cfg.window(bBlue-1, p.maxRank); phase > end {
 			p.harvestRed(p.bRed)
 			p.bRed = nil
 		}
 	}
 	if p.bBlue != nil {
-		if _, end := pipeWindow(bBlue, p.maxRank); phase > end {
+		if _, end, _ := p.cfg.window(bBlue, p.maxRank); phase > end {
 			p.harvestBlue(p.bBlue)
 			p.bBlue = nil
 		}
 	}
 }
 
-// pipeFinish harvests any still-live pipelined machines (segment B
-// over, or Result called at the schedule end).
-func (p *Protocol) pipeFinish() {
+// harvestAll harvests any still-live machines (segment B over, or
+// Result called at the schedule end).
+func (p *Protocol) harvestAll() {
 	if p.bRed != nil {
 		p.harvestRed(p.bRed)
 		p.bRed = nil
@@ -387,21 +353,21 @@ func (p *Protocol) pipeFinish() {
 	}
 }
 
-// pipeAct drives the pipelined segment B at the located phase/offset.
-func (p *Protocol) pipeAct(pos Pos) radio.Action {
-	p.finishLayering()
-	if p.level < 0 {
-		// Level never learned: sit out segment B (as the sequential
-		// schedule's nextWake does) and rejoin at segment C.
-		return radio.Sleep(p.loc.layer + p.loc.boundaries)
+// boundaryAct drives segment B at the located phase and offset. A node
+// that never learned its level serves no boundary and sleeps to
+// segment C.
+func (p *Protocol) boundaryAct(pos Pos) radio.Action {
+	if pos.Phase != p.bPhase {
+		p.finishLayering()
+		p.harvestPast(pos.Phase)
+		p.bPhase = pos.Phase
+		p.bRank, p.bIsBlue = p.role(pos.Phase)
 	}
-	p.pipeSync(pos.Phase)
-	rank, isBlue := p.pipeRole(pos.Phase)
-	if rank == 0 {
-		return radio.Sleep(p.pipeNextWake(pos.Phase))
+	if p.bRank == 0 {
+		return radio.Sleep(p.nextWake(pos.Phase))
 	}
-	off := int64(p.maxRank-rank)*p.loc.rankLen + pos.Off
-	if isBlue {
+	off := int64(p.maxRank-p.bRank)*p.loc.rankLen + pos.Off
+	if p.bIsBlue {
 		if p.bBlue == nil {
 			if off != 0 {
 				return radio.Listen // window already running; cannot join
@@ -429,17 +395,14 @@ func (p *Protocol) pipeAct(pos Pos) radio.Action {
 	return p.bRed.Act(off)
 }
 
-// pipeObserve routes a segment-B reception to the phase's machine.
-func (p *Protocol) pipeObserve(pos Pos, out radio.Outcome) {
-	if p.level < 0 {
+// boundaryObserve routes a segment-B reception to the machine of the
+// role boundaryAct memoized for this round's phase.
+func (p *Protocol) boundaryObserve(pos Pos, out radio.Outcome) {
+	if p.bRank == 0 {
 		return
 	}
-	rank, isBlue := p.pipeRole(pos.Phase)
-	if rank == 0 {
-		return
-	}
-	off := int64(p.maxRank-rank)*p.loc.rankLen + pos.Off
-	if isBlue {
+	off := int64(p.maxRank-p.bRank)*p.loc.rankLen + pos.Off
+	if p.bIsBlue {
 		if p.bBlue != nil {
 			p.bBlue.Observe(off, out)
 			if p.bBlue.Assigned() {
@@ -451,27 +414,23 @@ func (p *Protocol) pipeObserve(pos Pos, out radio.Outcome) {
 	}
 }
 
-// pipeNextWake returns the round of the node's next pipelined
+// nextWake returns the round of the node's next segment-B
 // participation: the next in-window phase of either of its boundaries,
 // or the start of segment C.
-func (p *Protocol) pipeNextWake(phase int) int64 {
+func (p *Protocol) nextWake(phase int) int64 {
 	bBlue := p.cfg.DBound - int(p.level)
 	next := p.loc.layer + p.loc.boundaries // segment C
 	for _, b := range [2]int{bBlue - 1, bBlue} {
 		if b < 0 || b >= p.cfg.DBound {
 			continue
 		}
-		start, end := pipeWindow(b, p.maxRank)
+		start, end, stride := p.cfg.window(b, p.maxRank)
 		q := max(phase+1, start)
-		if p.pipeRank(b, q) == 0 {
-			q++ // the other parity, or past the window
-		}
+		q += (stride - (q-start)%stride) % stride
 		if q > end {
 			continue
 		}
-		if r := p.loc.layer + int64(q)*p.loc.rankLen; r < next {
-			next = r
-		}
+		next = min(next, p.loc.layer+int64(q)*p.loc.rankLen)
 	}
 	return next
 }
@@ -495,59 +454,14 @@ func (p *Protocol) Act(r int64) radio.Action {
 		}
 		return act
 	case SegBoundary:
-		if p.loc.pipelined {
-			return p.pipeAct(pos)
-		}
-		if pos.Boundary != p.bIdx || pos.Off == 0 {
-			if pos.Off == 0 && p.bNode == nil {
-				p.finishLayering()
-			}
-			p.syncBoundary(pos)
-		}
-		if p.bNode != nil {
-			act := p.bNode.Act(pos.Off)
-			if p.bIsBlue && p.bNode.Assigned() {
-				p.tickAssigned()
-			}
-			return act
-		}
-		// Not a participant of this boundary: sleep until the next
-		// window this node cares about.
-		return radio.Sleep(p.nextWake(r, pos))
+		return p.boundaryAct(pos)
 	case SegVdist:
-		p.syncBoundary(pos)
-		p.pipeFinish()
+		p.harvestAll()
 		return p.vdistAct(pos)
 	default:
-		p.syncBoundary(pos)
-		p.pipeFinish()
+		p.harvestAll()
 		return radio.Sleep(1 << 62)
 	}
-}
-
-// nextWake computes the next round at which the node participates
-// during segment B: the start of its red-role boundary, its blue-role
-// boundary, or segment C.
-func (p *Protocol) nextWake(r int64, pos Pos) int64 {
-	base := p.loc.layer
-	br := p.loc.boundary
-	candidates := [2]int{
-		p.cfg.BoundaryIndexForBlueLevel(int(p.level) + 1), // red role
-		p.cfg.BoundaryIndexForBlueLevel(int(p.level)),     // blue role
-	}
-	next := p.loc.layer + p.loc.boundaries // segment C
-	for _, b := range candidates {
-		if b < 0 || b >= p.cfg.DBound || b <= pos.Boundary {
-			continue
-		}
-		if start := base + int64(b)*br; start < next {
-			next = start
-		}
-	}
-	if next <= r {
-		return r + 1
-	}
-	return next
 }
 
 // Observe implements radio.Protocol.
@@ -562,16 +476,7 @@ func (p *Protocol) Observe(r int64, out radio.Outcome) {
 			p.layering.Observe(r, out)
 		}
 	case SegBoundary:
-		if p.loc.pipelined {
-			p.pipeObserve(pos, out)
-			return
-		}
-		if p.bNode != nil && pos.Boundary == p.bIdx {
-			p.bNode.Observe(pos.Off, out)
-			if p.bIsBlue && p.bNode.Assigned() {
-				p.tickAssigned()
-			}
-		}
+		p.boundaryObserve(pos, out)
 	case SegVdist:
 		p.vdistObserve(pos, out)
 	}
