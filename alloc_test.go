@@ -90,7 +90,7 @@ func TestSteadyStateRoundLoopAllocsZeroCD(t *testing.T) {
 // boundaries driving concurrently, the steady-state round loop — phase
 // arithmetic, boundary-machine windows, tagged boxed packets — must
 // still allocate nothing. The warm-up lands mid-identification-window
-// of a mid-schedule phase (window length CIdent·L² = 128 rounds at
+// of a mid-schedule phase (window length C·L² = 128 rounds at
 // N=256, c=2), so the measured steps never cross a window start (the
 // only points that construct recruiting machines).
 func TestSteadyStateRoundLoopAllocsZeroPipelined(t *testing.T) {

@@ -53,18 +53,14 @@ type NodeID = radio.NodeID
 type Params struct {
 	// L is ⌈log2 n⌉.
 	L int
-	// CIdent scales identification phases: CIdent·L Decay phases.
-	CIdent int
-	// CLoner scales loner-announcement phases: CLoner·L Decay phases.
-	CLoner int
-	// CEpochs scales epochs per rank: CEpochs·L epochs.
-	CEpochs int
+	// C is the Θ-constant of every phase count: C·L Decay phases each
+	// for identification, loner announcement and the stage III
+	// broadcast, and C·L epochs per rank.
+	C int
 	// EpochsOverride, when positive, fixes the absolute number of
-	// epochs per rank regardless of CEpochs. Used by the Lemma 2.4
+	// epochs per rank regardless of C. Used by the Lemma 2.4
 	// shrinkage experiment (E5) to starve the schedule deliberately.
 	EpochsOverride int
-	// CMop scales stage III broadcast phases: CMop·L Decay phases.
-	CMop int
 	// Rec is the recruiting sub-protocol schedule.
 	Rec recruit.Params
 }
@@ -72,17 +68,7 @@ type Params struct {
 // DefaultParams returns the schedule for network size n with a global
 // Θ-constant c applied to every phase count.
 func DefaultParams(n, c int) Params {
-	if c < 1 {
-		c = 1
-	}
-	return Params{
-		L:       sched.LogN(n),
-		CIdent:  c,
-		CLoner:  c,
-		CEpochs: c,
-		CMop:    c,
-		Rec:     recruit.DefaultParams(n, c),
-	}
+	return Params{L: sched.LogN(n), C: max(c, 1), Rec: recruit.DefaultParams(n, c)}
 }
 
 // Window identifies a schedule segment within a rank's processing.
@@ -107,18 +93,13 @@ type Pos struct {
 	Off   int64 // offset within the window
 }
 
-// IdentLen returns the identification segment length.
-func (p Params) IdentLen() int64 { return int64(p.CIdent) * int64(p.L) * int64(p.L) }
-
-// LonerLen returns the loner-announcement segment length.
-func (p Params) LonerLen() int64 { return int64(p.CLoner) * int64(p.L) * int64(p.L) }
-
-// MopLen returns the stage III broadcast segment length.
-func (p Params) MopLen() int64 { return int64(p.CMop) * int64(p.L) * int64(p.L) }
+// decayLen is the length of C·L Decay phases of L rounds each: one
+// identification, loner-announcement or stage III broadcast segment.
+func (p Params) decayLen() int64 { return int64(p.C) * int64(p.L) * int64(p.L) }
 
 // EpochLen returns the rounds per epoch.
 func (p Params) EpochLen() int64 {
-	return 1 + p.LonerLen() + 3*p.Rec.Rounds() + p.MopLen()
+	return 1 + 2*p.decayLen() + 3*p.Rec.Rounds()
 }
 
 // Epochs returns the epochs per rank.
@@ -126,7 +107,7 @@ func (p Params) Epochs() int {
 	if p.EpochsOverride > 0 {
 		return p.EpochsOverride
 	}
-	return p.CEpochs * p.L
+	return p.C * p.L
 }
 
 // MaxRank returns the largest processed rank, ⌈log n⌉ (+1 slack for
@@ -134,7 +115,7 @@ func (p Params) Epochs() int {
 func (p Params) MaxRank() int { return p.L + 1 }
 
 // RankLen returns the rounds spent per rank.
-func (p Params) RankLen() int64 { return p.IdentLen() + int64(p.Epochs())*p.EpochLen() }
+func (p Params) RankLen() int64 { return p.decayLen() + int64(p.Epochs())*p.EpochLen() }
 
 // BoundaryRounds returns the total rounds for one boundary.
 func (p Params) BoundaryRounds() int64 { return int64(p.MaxRank()) * p.RankLen() }
@@ -146,8 +127,7 @@ func (p Params) BoundaryRounds() int64 { return int64(p.MaxRank()) * p.RankLen()
 // (assign.Params.RankLen alone was ~27% of flat samples); nodes cache
 // a layout at construction instead.
 type layout struct {
-	identLen int64
-	lonerLen int64
+	decayLen int64 // identification, loner and mop segments
 	epochLen int64
 	recLen   int64
 	rankLen  int64
@@ -158,8 +138,7 @@ type layout struct {
 // layout precomputes the Params' schedule lengths.
 func (p Params) layout() layout {
 	ly := layout{
-		identLen: p.IdentLen(),
-		lonerLen: p.LonerLen(),
+		decayLen: p.decayLen(),
 		epochLen: p.EpochLen(),
 		recLen:   p.Rec.Rounds(),
 		rankLen:  p.RankLen(),
@@ -178,20 +157,20 @@ func (ly layout) locate(off int64) Pos {
 	rankIdx := off / ly.rankLen
 	rank := ly.maxRank - int(rankIdx)
 	rem := off % ly.rankLen
-	if rem < ly.identLen {
+	if rem < ly.decayLen {
 		return Pos{Rank: rank, Epoch: -1, Win: WinIdent, Off: rem}
 	}
-	rem -= ly.identLen
+	rem -= ly.decayLen
 	epoch := int(rem / ly.epochLen)
 	rem %= ly.epochLen
 	if rem < 1 {
 		return Pos{Rank: rank, Epoch: epoch, Win: WinPing, Off: rem}
 	}
 	rem--
-	if rem < ly.lonerLen {
+	if rem < ly.decayLen {
 		return Pos{Rank: rank, Epoch: epoch, Win: WinLoner, Off: rem}
 	}
-	rem -= ly.lonerLen
+	rem -= ly.decayLen
 	for part := 0; part < 3; part++ {
 		if rem < ly.recLen {
 			return Pos{Rank: rank, Epoch: epoch, Win: WinPart1 + Window(part), Off: rem}

@@ -266,7 +266,7 @@ func TestLocateCoversBoundary(t *testing.T) {
 	// Segment length accounting.
 	ranks := int64(p.MaxRank())
 	epochs := int64(p.Epochs())
-	if counts[WinIdent] != ranks*p.IdentLen() {
+	if counts[WinIdent] != ranks*p.decayLen() {
 		t.Fatalf("ident rounds %d", counts[WinIdent])
 	}
 	if counts[WinPing] != ranks*epochs {
@@ -275,7 +275,7 @@ func TestLocateCoversBoundary(t *testing.T) {
 	if counts[WinPart1] != ranks*epochs*p.Rec.Rounds() {
 		t.Fatalf("part1 rounds %d", counts[WinPart1])
 	}
-	if counts[WinMop] != ranks*epochs*p.MopLen() {
+	if counts[WinMop] != ranks*epochs*p.decayLen() {
 		t.Fatalf("mop rounds %d", counts[WinMop])
 	}
 }

@@ -59,7 +59,7 @@ type Node struct {
 
 	// ownTag tags this node's transmissions; peerTag is the expected
 	// tag on counterpart packets (level mod 4 of the other side). Both
-	// zero by default — the sequential construction never sets them.
+	// zero for a sequential construction, which never tags.
 	ownTag  int32
 	peerTag int32
 
@@ -88,9 +88,8 @@ func NewNode(p Params, id NodeID, role Role, blueRank int32, rng *rand.Rand) *No
 // level-mod-4 tags: own stamps every transmission, peer filters every
 // counterpart reception. The pipelined construction (Section 2.2.4)
 // uses tags to keep concurrently audible boundaries from
-// cross-binding; the sequential construction creates nodes through
-// NewNode with both tags zero, which reproduces the untagged protocol
-// exactly.
+// cross-binding; the sequential construction passes both tags zero
+// (as NewNode does), which reproduces the untagged protocol exactly.
 func NewTaggedNode(p Params, id NodeID, role Role, blueRank int32, rng *rand.Rand, own, peer int32) *Node {
 	nd := &Node{
 		p:        p,
@@ -123,11 +122,12 @@ func NewTaggedNode(p Params, id NodeID, role Role, blueRank int32, rng *rand.Ran
 // boxing for it.
 var untaggedPing radio.Packet = PingPacket{}
 
-// SetBlueRank updates the blue node's rank. The pipelined construction
-// calls this at every rank-window start: a blue's rank is learned
-// incrementally by its red role at the boundary below, and the
+// SetBlueRank updates the blue node's rank. The construction calls
+// this at every rank-window start: under pipelining a blue's rank is
+// learned incrementally by its red role at the boundary below, and the
 // schedule skew guarantees any rank >= the window's rank is already
-// final when the window opens.
+// final when the window opens (sequentially it is final from the
+// start).
 func (nd *Node) SetBlueRank(r int32) { nd.blueRank = r }
 
 // Blue results.

@@ -69,14 +69,12 @@ type Config struct {
 	DBound int
 	// Mode selects the layering mechanism.
 	Mode LayerMode
-	// CLayer scales the Decay-layering phases per epoch (LayerDecay).
-	CLayer int
-	// Assign is the per-boundary schedule.
+	// Assign is the per-boundary schedule. Its Θ-constant C also scales
+	// the Decay-layering phases per epoch (3C, LayerDecay) and the
+	// stage-2 Decay phases of segment C (C·L).
 	Assign assign.Params
 	// WithVdist appends segment C (Lemma 3.10).
 	WithVdist bool
-	// CVdist scales the stage-2 Decay phases of segment C.
-	CVdist int
 	// Tag scopes segment-C packets when several constructions run in
 	// parallel on adjacent regions (the rings of Theorems 1.1/1.3):
 	// nodes discard Wave/Flood packets whose tag differs. Adjacent
@@ -109,19 +107,17 @@ type Config struct {
 // DefaultConfig returns a construction schedule for size n, diameter
 // bound d, with the global Θ-constant c.
 func DefaultConfig(n, d, c int, mode LayerMode, withVdist bool) Config {
-	if c < 1 {
-		c = 1
-	}
 	return Config{
 		N:         n,
 		DBound:    d,
 		Mode:      mode,
-		CLayer:    3 * c,
 		Assign:    assign.DefaultParams(n, c),
 		WithVdist: withVdist,
-		CVdist:    c,
 	}
 }
+
+// layerPhases returns the Decay-layering phases per epoch (LayerDecay).
+func (c Config) layerPhases() int { return decay.EpochPhases(c.N, 3*c.Assign.C) }
 
 // L returns ⌈log2 n⌉.
 func (c Config) L() int { return sched.LogN(c.N) }
@@ -132,7 +128,7 @@ func (c Config) LayerRounds() int64 {
 	case LayerCD:
 		return int64(c.DBound) + 1
 	case LayerDecay:
-		return decay.LayeringRounds(c.N, c.DBound, decay.EpochPhases(c.N, c.CLayer))
+		return decay.LayeringRounds(c.N, c.DBound, c.layerPhases())
 	default:
 		return 0
 	}
@@ -192,7 +188,7 @@ func (c Config) VdistStage1Rounds() int64 {
 // VdistStage2Rounds returns stage 2's length within one d-iteration.
 func (c Config) VdistStage2Rounds() int64 {
 	l := int64(c.L())
-	return int64(c.CVdist) * l * l
+	return int64(c.Assign.C) * l * l
 }
 
 // VdistRounds returns the length of segment C.

@@ -133,7 +133,7 @@ func New(cfg Config, id radio.NodeID, isRoot bool, presetLevel int32, rng *rand.
 	case LayerCD:
 		p.wave = beep.NewWave(isRoot, cfg.LayerRounds())
 	case LayerDecay:
-		p.layering = decay.NewLayering(cfg.N, isRoot, decay.EpochPhases(cfg.N, cfg.CLayer), rng)
+		p.layering = decay.NewLayering(cfg.N, isRoot, cfg.layerPhases(), rng)
 	case LayerPreset:
 		p.level = presetLevel
 	}

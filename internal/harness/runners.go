@@ -300,9 +300,6 @@ func lowerLimit(own, limit int64) int64 {
 // ---------------------------------------------------------------------
 // Theorem 1.2 (k messages, known topology, RLNC).
 
-// gstMultiPayloadBits is the Theorem 1.2 payload size.
-const gstMultiPayloadBits = 32
-
 // GSTMultiRun is the reusable Theorem 1.2 harness.
 type GSTMultiRun struct {
 	sparseStack
@@ -329,10 +326,10 @@ func NewGSTMultiRun(g *graph.Graph, k int, source graph.NodeID) *GSTMultiRun {
 	}
 	r.node = r
 	for i := range r.msgs {
-		r.msgs[i] = bitvec.New(gstMultiPayloadBits)
+		r.msgs[i] = bitvec.New(rings.PayloadBits)
 	}
 	for v := 0; v < n; v++ {
-		r.bufs[v] = rlnc.NewBuffer(0, k, gstMultiPayloadBits)
+		r.bufs[v] = rlnc.NewBuffer(0, k, rings.PayloadBits)
 		r.bufs[v].SetOnFull(r.ds.Tick)
 		r.contents[v] = mmv.NewRLNC(r.bufs[v], rng.New())
 		r.protos[v] = mmv.New(s, f, graph.NodeID(v), r.contents[v], false, rng.New())
@@ -414,7 +411,7 @@ func NewTheorem13RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *
 	}
 	r.node = r
 	for i := range r.msgs {
-		r.msgs[i] = bitvec.New(cfg.PayloadBits)
+		r.msgs[i] = bitvec.New(rings.PayloadBits)
 	}
 	for v := 0; v < n; v++ {
 		var m []rlnc.Message

@@ -75,28 +75,22 @@ func (c Class) String() string {
 
 // Params fixes the schedule of one recruiting run.
 type Params struct {
-	// L is the Decay phase length ⌈log2 n⌉.
+	// L is the Decay phase length ⌈log2 n⌉ and the number of offer
+	// densities swept (probabilities 1/2 .. 2^-L).
 	L int
-	// IterPerDensity is the Θ(log n) number of iterations spent on
-	// each offer density.
-	IterPerDensity int
-	// Densities is the number of offer densities swept (default L, for
-	// probabilities 1/2 .. 2^-Densities).
-	Densities int
+	// C scales the Θ(log n) iterations spent on each offer density:
+	// C·L of them.
+	C int
 }
 
 // DefaultParams returns the schedule for network size n with constant
 // multiplier c (the Θ(log n) iterations-per-density constant).
 func DefaultParams(n, c int) Params {
-	l := sched.LogN(n)
-	if c < 1 {
-		c = 1
-	}
-	return Params{L: l, IterPerDensity: c * l, Densities: l}
+	return Params{L: sched.LogN(n), C: max(c, 1)}
 }
 
 // Iterations returns the number of recruiting iterations T.
-func (p Params) Iterations() int { return p.IterPerDensity * p.Densities }
+func (p Params) Iterations() int { return p.C * p.L * p.L }
 
 // IterLen returns the rounds per iteration: offer + L decay + ack.
 func (p Params) IterLen() int { return p.L + 2 }
@@ -110,9 +104,9 @@ func (p Params) Rounds() int64 {
 
 // offerProb returns the red transmission probability for iteration j.
 func (p Params) offerProb(iter int) float64 {
-	g := iter / p.IterPerDensity
-	if g >= p.Densities {
-		g = p.Densities - 1
+	g := iter / (p.C * p.L)
+	if g >= p.L {
+		g = p.L - 1
 	}
 	return 1 / float64(int64(2)<<uint(g))
 }

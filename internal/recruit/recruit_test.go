@@ -227,7 +227,7 @@ func TestOfferProbSweep(t *testing.T) {
 		t.Fatalf("first density %f", p.offerProb(0))
 	}
 	last := p.offerProb(p.Iterations() - 1)
-	want := 1 / float64(int64(1)<<uint(p.Densities))
+	want := 1 / float64(int64(1)<<uint(p.L))
 	if last != want {
 		t.Fatalf("last density %g, want %g", last, want)
 	}

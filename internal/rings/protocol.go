@@ -71,9 +71,9 @@ func New(cfg Config, f *gst.Flat, id radio.NodeID, isSource bool, msgs []rlnc.Me
 	}
 	if cfg.K > 0 {
 		if isSource {
-			p.store = rlnc.NewSourceStore(msgs, cfg.Batch, cfg.PayloadBits)
+			p.store = rlnc.NewSourceStore(msgs, cfg.Batch, PayloadBits)
 		} else {
-			p.store = rlnc.NewStore(cfg.K, cfg.Batch, cfg.PayloadBits)
+			p.store = rlnc.NewStore(cfg.K, cfg.Batch, PayloadBits)
 		}
 	} else {
 		p.single = mmv.NewSingleMessage(isSource, decay.Message{Data: 1})

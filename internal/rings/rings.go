@@ -40,7 +40,6 @@
 package rings
 
 import (
-	"radiocast/internal/assign"
 	"radiocast/internal/gstdist"
 	"radiocast/internal/sched"
 )
@@ -54,24 +53,20 @@ type Config struct {
 	// W is the ring width in layers; at least 3 (adjacent-ring
 	// non-interference) — the paper's W is D/log^4 n.
 	W int
-	// CBroadcast scales the per-ring broadcast window:
-	// CBroadcast·(2W + 6·L^2) rounds.
-	CBroadcast int
-	// CHandoff scales the border handoff window: CHandoff·L Decay
-	// phases (single message) or CHandoff·L + 2·Batch fountain phases
-	// (multi-message).
-	CHandoff int
 	// Batch is the messages per RLNC generation for Theorem 1.3
 	// (default Θ(log n)); 0 disables multi-message fields.
 	Batch int
 	// K is the total message count (Theorem 1.3).
 	K int
-	// PayloadBits is the message payload size for RLNC/FEC.
-	PayloadBits int
 	// GST is the per-ring construction schedule (preset levels,
-	// DBound = W-1, vdist enabled).
+	// DBound = W-1, vdist enabled). Its Θ-constant GST.Assign.C also
+	// scales the broadcast and handoff windows.
 	GST gstdist.Config
 }
+
+// PayloadBits is the message payload size of the k-message stacks
+// (RLNC/FEC).
+const PayloadBits = 32
 
 // L returns ⌈log2 n⌉.
 func (c Config) L() int { return sched.LogN(c.N) }
@@ -93,19 +88,13 @@ func DefaultWidth(n, d int) int {
 // DefaultConfig builds a Theorem 1.1 configuration (k = 0) or a
 // Theorem 1.3 configuration (k > 0) with Θ-constant c.
 func DefaultConfig(n, d, k, c int) Config {
-	if c < 1 {
-		c = 1
-	}
 	w := DefaultWidth(n, d)
 	l := sched.LogN(n)
 	cfg := Config{
-		N:           n,
-		DBound:      d,
-		W:           w,
-		CBroadcast:  c,
-		CHandoff:    c,
-		K:           k,
-		PayloadBits: 32,
+		N:      n,
+		DBound: d,
+		W:      w,
+		K:      k,
 	}
 	if k > 0 {
 		cfg.Batch = l
@@ -113,14 +102,7 @@ func DefaultConfig(n, d, k, c int) Config {
 			cfg.Batch = k
 		}
 	}
-	cfg.GST = gstdist.Config{
-		N:         n,
-		DBound:    w - 1,
-		Mode:      gstdist.LayerPreset,
-		Assign:    assign.DefaultParams(n, c),
-		WithVdist: true,
-		CVdist:    c,
-	}
+	cfg.GST = gstdist.DefaultConfig(n, w-1, c, gstdist.LayerPreset, true)
 	return cfg
 }
 
@@ -172,20 +154,22 @@ func (c Config) WaveRounds() int64 { return int64(c.DBound) + 1 }
 // they run in lockstep).
 func (c Config) BuildRounds() int64 { return c.GST.TotalRounds() }
 
-// BroadcastWindow returns the per-ring GST broadcast window length:
+// BroadcastWindow returns the per-ring GST broadcast window length,
+// C·(2W + 10·Batch·L + 8·L² + 20·L) rounds for the Θ-constant C:
 // Θ(W + Batch·log n + log^2 n) with empirically calibrated constants
 // (a fast wave advances one hop per two rounds; each extra message
 // costs ~4-6 slow-slot deliveries of ⌈log n⌉ rounds each).
 func (c Config) BroadcastWindow() int64 {
 	l := int64(c.L())
-	return int64(c.CBroadcast) * (2*int64(c.W) + 10*int64(c.Batch)*l + 8*l*l + 20*l)
+	return int64(c.GST.Assign.C) * (2*int64(c.W) + 10*int64(c.Batch)*l + 8*l*l + 20*l)
 }
 
 // HandoffWindow returns the border handoff window length: enough Decay
-// phases for Batch innovative fountain receptions plus slack.
+// phases for Batch innovative fountain receptions plus slack, C·L +
+// 3·Batch + 8 phases of L rounds.
 func (c Config) HandoffWindow() int64 {
 	l := int64(c.L())
-	phases := int64(c.CHandoff)*l + 3*int64(c.Batch) + 8
+	phases := int64(c.GST.Assign.C)*l + 3*int64(c.Batch) + 8
 	return phases * l
 }
 

@@ -165,7 +165,7 @@ func runMulti(t *testing.T, g *graph.Graph, k int, cfg Config, seed uint64) (int
 	r := rng.New(seed, 0xfeed)
 	msgs := make([]rlnc.Message, k)
 	for i := range msgs {
-		msgs[i] = bitvec.RandomVec(cfg.PayloadBits, r.Uint64)
+		msgs[i] = bitvec.RandomVec(PayloadBits, r.Uint64)
 	}
 	nw := radio.New(g, radio.Config{CollisionDetection: true})
 	protos := make([]*Protocol, g.N())
@@ -259,7 +259,7 @@ func TestFlatRowIsBuildResult(t *testing.T) {
 		cfg.GST.DBound = cfg.W - 1
 		msgs := make([]rlnc.Message, k)
 		for i := range msgs {
-			msgs[i] = bitvec.New(cfg.PayloadBits)
+			msgs[i] = bitvec.New(PayloadBits)
 		}
 		sourceMsgs := func(v int) []rlnc.Message {
 			if v == 0 && k > 0 {
