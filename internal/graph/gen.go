@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"radiocast/internal/rng"
@@ -189,10 +190,11 @@ func Caterpillar(spineLen, legs int) *Graph {
 
 // StitchConnected returns g joined into one component: while some node
 // is not in node 0's component, it draws a random node of that
-// component, then a random node outside it (each from the ascending
-// list of such nodes), and joins them, which merges the second node's
-// component. The edges are spliced in at the end; a connected g is
-// returned as it is.
+// component, then a random node outside it (each by its index in the
+// ascending list of such nodes), and joins them, which merges the
+// second node's component. The edges are spliced in at the end; a
+// connected g is returned as it is. Each draw selects from the reached
+// set by popcount, O(n/64) per stitch edge.
 func StitchConnected(g *Graph, r *rand.Rand) *Graph {
 	if g.n == 0 {
 		return g
@@ -201,22 +203,32 @@ func StitchConnected(g *Graph, r *rand.Rand) *Graph {
 	if count == g.n {
 		return g
 	}
-	var reached, unreached, comp, us, vs []NodeID
-	for {
-		reached, unreached = reached[:0], unreached[:0]
-		for v := 0; v < g.n; v++ {
-			if seen[v>>6]&(1<<(v&63)) != 0 {
-				reached = append(reached, NodeID(v))
-			} else {
-				unreached = append(unreached, NodeID(v))
-			}
-		}
-		if len(unreached) == 0 {
-			return g.splice(us, vs)
-		}
-		u := reached[r.Intn(len(reached))]
-		v := unreached[r.Intn(len(unreached))]
+	var comp, us, vs []NodeID
+	for count < g.n {
+		u := nthBit(seen, r.Intn(count), false)
+		v := nthBit(seen, r.Intn(g.n-count), true)
 		us, vs = append(us, u), append(vs, v)
 		comp, _ = reach(g, seen, comp[:0], v)
+		count += len(comp)
 	}
+	return g.splice(us, vs)
+}
+
+// nthBit returns the position of the i-th (0-based, ascending) set bit
+// of words, or of its i-th unset bit when unset is true.
+func nthBit(words []uint64, i int, unset bool) NodeID {
+	for w, x := range words {
+		if unset {
+			x = ^x
+		}
+		if c := bits.OnesCount64(x); i >= c {
+			i -= c
+			continue
+		}
+		for ; i > 0; i-- {
+			x &= x - 1
+		}
+		return NodeID(w<<6 + bits.TrailingZeros64(x))
+	}
+	panic("graph: bit index out of range")
 }
