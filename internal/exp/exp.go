@@ -162,35 +162,9 @@ func (r *Runner) workers(cells int) int {
 	return w
 }
 
-// Run executes every cell of the plan and returns results indexed
-// exactly like p.Cells, regardless of completion order.
-func (r *Runner) Run(p *Plan) []Result {
-	results := make([]Result, len(p.Cells))
-	w := r.workers(len(p.Cells))
-	if w == 1 {
-		for i := range p.Cells {
-			results[i] = r.runCell(&p.Cells[i])
-		}
-		return results
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = r.runCell(&p.Cells[i])
-			}
-		}()
-	}
-	for i := range p.Cells {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return results
-}
+// Run executes every cell of the plan through RunAll's pool and returns
+// results indexed exactly like p.Cells, regardless of completion order.
+func (r *Runner) Run(p *Plan) []Result { return r.RunAll([]*Plan{p})[0] }
 
 // RunTable executes the plan and assembles its table.
 func (r *Runner) RunTable(p *Plan) (*stats.Table, []Result) {
