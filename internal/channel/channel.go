@@ -7,7 +7,10 @@
 // Every probabilistic draw is a keyed SplitMix64 mix of
 // (model seed, round, node/link), so a run remains fully determined by
 // (graph, parameters, seed) regardless of hook evaluation order, and
-// stacked models never perturb each other's streams. Models may carry
+// stacked models never perturb each other's streams. The per-link and
+// per-listener draws go through an rng.Prefix that the constructor
+// builds over (seed, purpose tag), so they absorb the fixed keys once
+// while the model stays free of per-round state. Models may carry
 // mutable per-run state (jammer budgets): construct a fresh instance
 // per run, or reuse one across runs through the
 // radio.ResettableChannel contract — stateful models implement
@@ -24,16 +27,10 @@ import (
 	"radiocast/internal/rng"
 )
 
-// chance reports a deterministic Bernoulli(p) draw keyed by the given
-// values: the top 53 bits of the mix are compared against p.
-func chance(p float64, keys ...uint64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return float64(rng.Mix(keys...)>>11)/(1<<53) < p
+// chance reports a deterministic Bernoulli(p) outcome of the keyed
+// draw x: the top 53 bits of x are compared against p.
+func chance(p float64, x uint64) bool {
+	return p > 0 && (p >= 1 || float64(x>>11)/(1<<53) < p)
 }
 
 // linkKey packs a directed link into one mix key. NodeIDs are
@@ -73,17 +70,17 @@ type Erasure struct {
 	Nop
 	// P is the per-link, per-round erasure probability.
 	P    float64
-	seed uint64
+	drop rng.Prefix // link draws Mix(seed, 0xe7a5, round, link)
 }
 
 // NewErasure returns an erasure channel with loss probability p.
 func NewErasure(p float64, seed uint64) *Erasure {
-	return &Erasure{P: p, seed: seed}
+	return &Erasure{P: p, drop: rng.NewPrefix(seed, 0xe7a5)}
 }
 
 // DropLink implements radio.Channel.
 func (e *Erasure) DropLink(r int64, from, to radio.NodeID) bool {
-	return chance(e.P, e.seed, 0xe7a5, uint64(r), linkKey(from, to))
+	return chance(e.P, e.drop.Mix2(uint64(r), linkKey(from, to)))
 }
 
 // LinkOnly implements radio.LinkOnlyChannel: erasure acts only through
@@ -106,23 +103,26 @@ type NoisyCD struct {
 	Miss float64
 	// Spurious is the probability silence is observed as ⊤.
 	Spurious float64
-	seed     uint64
+
+	missDraw     rng.Prefix // Mix(seed, 0x6d15, round, listener)
+	spuriousDraw rng.Prefix // Mix(seed, 0x59c4, round, listener)
 }
 
 // NewNoisyCD returns an unreliable-CD channel.
 func NewNoisyCD(miss, spurious float64, seed uint64) *NoisyCD {
-	return &NoisyCD{Miss: miss, Spurious: spurious, seed: seed}
+	return &NoisyCD{Miss: miss, Spurious: spurious,
+		missDraw: rng.NewPrefix(seed, 0x6d15), spuriousDraw: rng.NewPrefix(seed, 0x59c4)}
 }
 
 // Observe implements radio.Channel.
 func (c *NoisyCD) Observe(r int64, to radio.NodeID, _ int, out radio.Outcome, ok bool) (radio.Outcome, bool) {
 	switch {
 	case ok && out.Collision:
-		if chance(c.Miss, c.seed, 0x6d15, uint64(r), uint64(to)) {
+		if chance(c.Miss, c.missDraw.Mix2(uint64(r), uint64(to))) {
 			return radio.Outcome{}, false
 		}
 	case !ok:
-		if chance(c.Spurious, c.seed, 0x59c4, uint64(r), uint64(to)) {
+		if chance(c.Spurious, c.spuriousDraw.Mix2(uint64(r), uint64(to))) {
 			return radio.Outcome{Collision: true}, true
 		}
 	}
@@ -189,7 +189,7 @@ func (j *Jammer) RoundStart(r int64, transmitters []radio.NodeID) {
 		}
 		j.jamming = len(transmitters) >= min
 	} else {
-		j.jamming = chance(j.Rate, j.seed, 0x4a6d, uint64(r))
+		j.jamming = chance(j.Rate, rng.Mix(j.seed, 0x4a6d, uint64(r)))
 	}
 	if j.jamming {
 		j.spent++
@@ -262,10 +262,10 @@ func RandomFaults(n int, source radio.NodeID, lateFrac float64, maxDelay int64, 
 		if radio.NodeID(v) == source {
 			continue
 		}
-		if maxDelay > 0 && chance(lateFrac, seed, 0x1a7e, uint64(v)) {
+		if maxDelay > 0 && chance(lateFrac, rng.Mix(seed, 0x1a7e, uint64(v))) {
 			f.wakeAt[v] = 1 + int64(rng.Mix(seed, 0xd31a, uint64(v))%uint64(maxDelay))
 		}
-		if horizon > 0 && chance(crashFrac, seed, 0xc0a5, uint64(v)) {
+		if horizon > 0 && chance(crashFrac, rng.Mix(seed, 0xc0a5, uint64(v))) {
 			f.crashAt[v] = 1 + int64(rng.Mix(seed, 0xc0a6, uint64(v))%uint64(horizon))
 		}
 	}

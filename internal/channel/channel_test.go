@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"math"
 	"testing"
 
 	"radiocast/internal/graph"
@@ -400,20 +401,56 @@ func TestStackOrderingKeepsDeadRadiosDeaf(t *testing.T) {
 }
 
 func TestChanceBounds(t *testing.T) {
-	if chance(0, 1, 2) {
+	if chance(0, rng.Mix(1, 2)) {
 		t.Fatal("p=0 fired")
 	}
-	if !chance(1, 1, 2) {
+	if !chance(1, rng.Mix(1, 2)) {
 		t.Fatal("p=1 did not fire")
 	}
 	hits := 0
 	for i := 0; i < 10000; i++ {
-		if chance(0.3, 42, uint64(i)) {
+		if chance(0.3, rng.Mix(42, uint64(i))) {
 			hits++
 		}
 	}
 	if hits < 2700 || hits > 3300 {
 		t.Fatalf("p=0.3 hit rate %d/10000", hits)
+	}
+}
+
+// TestPrefixDrawsMatchMix replays the models' per-link and
+// per-listener draws through the variadic rng.Mix, their definition:
+// the prefixes the constructors build must not move any stream.
+func TestPrefixDrawsMatchMix(t *testing.T) {
+	const seed = 0x5eed
+	x := []float64{0, 1, 2.2, 0.4}
+	y := []float64{0, 0, 0.1, 1.3}
+	e := NewErasure(0.4, seed)
+	re := NewRangeErasure(x, y, 0.5, 3, seed)
+	cd := NewNoisyCD(0.5, 0.3, seed)
+	for r := int64(0); r < 64; r++ {
+		for from := radio.NodeID(0); from < 4; from++ {
+			for to := radio.NodeID(0); to < 4; to++ {
+				link := linkKey(from, to)
+				if got, want := e.DropLink(r, from, to), chance(0.4, rng.Mix(seed, 0xe7a5, uint64(r), link)); got != want {
+					t.Fatalf("Erasure.DropLink(%d, %d, %d) = %v, Mix says %v", r, from, to, got, want)
+				}
+				dx, dy := x[to]-x[from], y[to]-y[from]
+				d := math.Sqrt(dx*dx + dy*dy)
+				want := d > 0.5 && chance((d-0.5)/2.5, rng.Mix(seed, 0xd157, uint64(r), link))
+				if got := re.DropLink(r, from, to); got != want {
+					t.Fatalf("RangeErasure.DropLink(%d, %d, %d) = %v, Mix says %v", r, from, to, got, want)
+				}
+			}
+			_, heard := cd.Observe(r, from, 2, radio.Outcome{Collision: true}, true)
+			if want := !chance(0.5, rng.Mix(seed, 0x6d15, uint64(r), uint64(from))); heard != want {
+				t.Fatalf("NoisyCD missed ⊤ at (%d, %d): heard %v, Mix says %v", r, from, heard, want)
+			}
+			_, heard = cd.Observe(r, from, 0, radio.Outcome{}, false)
+			if want := chance(0.3, rng.Mix(seed, 0x59c4, uint64(r), uint64(from))); heard != want {
+				t.Fatalf("NoisyCD spurious ⊤ at (%d, %d): %v, Mix says %v", r, from, heard, want)
+			}
+		}
 	}
 }
 

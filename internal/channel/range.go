@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"radiocast/internal/radio"
+	"radiocast/internal/rng"
 )
 
 // RangeErasure is the position-aware quasi-unit-disk loss model: a
@@ -33,7 +34,7 @@ type RangeErasure struct {
 	X, Y []float64
 	// Inner is the reliable radius; Outer the maximum range.
 	Inner, Outer float64
-	seed         uint64
+	drop         rng.Prefix // band draws Mix(seed, 0xd157, round, link)
 }
 
 // NewRangeErasure returns a quasi-unit-disk erasure channel over the
@@ -42,7 +43,7 @@ func NewRangeErasure(x, y []float64, inner, outer float64, seed uint64) *RangeEr
 	if !(inner >= 0 && outer > inner) {
 		panic("channel: NewRangeErasure requires 0 <= inner < outer")
 	}
-	return &RangeErasure{X: x, Y: y, Inner: inner, Outer: outer, seed: seed}
+	return &RangeErasure{X: x, Y: y, Inner: inner, Outer: outer, drop: rng.NewPrefix(seed, 0xd157)}
 }
 
 // DropLink implements radio.Channel. Squared distances settle the
@@ -60,7 +61,7 @@ func (c *RangeErasure) DropLink(r int64, from, to radio.NodeID) bool {
 		return true
 	}
 	p := (math.Sqrt(d2) - c.Inner) / (c.Outer - c.Inner)
-	return chance(p, c.seed, 0xd157, uint64(r), linkKey(from, to))
+	return chance(p, c.drop.Mix2(uint64(r), linkKey(from, to)))
 }
 
 // LinkOnly implements radio.LinkOnlyChannel: the band loss acts only

@@ -9,8 +9,9 @@ package decay
 // Differences from the per-node Broadcast (same schedule, same
 // delivery semantics, different randomness plumbing):
 //
-//   - Coin flips are keyed draws Mix3(key, node, round) instead of
-//     per-node xoshiro streams, so AppendTransmitters needs no mutable
+//   - Coin flips are keyed draws Mix(key, node, round) instead of
+//     per-node xoshiro streams, drawn through an rng.Prefix that
+//     absorbs the key once, so AppendTransmitters needs no mutable
 //     RNG state and partitions can draw concurrently. Runs are NOT
 //     byte-comparable with Broadcast runs; they ARE byte-comparable
 //     with a sparse protocol that draws the same keyed coins (the twin
@@ -46,7 +47,7 @@ type Dense struct {
 	radio.Spread // informed set, frontier, listeners; Done, InformedCount, EndRound
 
 	sched Schedule
-	key   uint64       // keyed-draw seed for transmit coins
+	coin  rng.Prefix   // transmit coins Mix(key, node, round), key absorbed
 	pkt   radio.Packet // the message, boxed once
 }
 
@@ -65,7 +66,7 @@ func NewDenseSchedule(g *graph.Graph, s Schedule, key uint64, source graph.NodeI
 	return &Dense{
 		Spread: radio.NewSpread(g, source, bitvec.Vec{}),
 		sched:  s,
-		key:    key,
+		coin:   rng.NewPrefix(key),
 		pkt:    Message{Data: int64(source)},
 	}
 }
@@ -83,7 +84,7 @@ func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.Nod
 		for w != 0 {
 			v := graph.NodeID(wi<<6 + bits.TrailingZeros64(w))
 			w &= w - 1
-			if rng.Mix3(d.key, uint64(v), uint64(r)) < threshold {
+			if d.coin.Mix2(uint64(v), uint64(r)) < threshold {
 				dst = append(dst, v)
 			}
 		}

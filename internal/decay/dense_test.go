@@ -5,7 +5,7 @@ package decay_test
 // FastDecay (cr.NewDense) — on the shared radiotest substrate. Dense's
 // keyed draws make dense runs incomparable with the per-node-RNG
 // Broadcast, so the twin is a sparse radio.Protocol replaying the
-// IDENTICAL keyed coins (same key derivation, same Mix3(key, node,
+// IDENTICAL keyed coins (same key derivation, same Mix(key, node,
 // round) draw, same schedule slot) on the per-node engine. Frontier
 // pruning aside — which provably cannot change informed-set dynamics,
 // see dense.go — the two engines must produce the same broadcast: same
@@ -66,7 +66,7 @@ func (b *keyedSparse) Act(r int64) radio.Action {
 	if !b.has {
 		return radio.Listen
 	}
-	if rng.Mix3(b.key, uint64(b.id), uint64(r)) < uint64(1)<<(63-uint(b.sched.Slot(r))) {
+	if rng.Mix(b.key, uint64(b.id), uint64(r)) < uint64(1)<<(63-uint(b.sched.Slot(r))) {
 		return radio.Transmit(b.pkt)
 	}
 	return radio.Listen

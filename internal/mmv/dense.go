@@ -9,8 +9,9 @@ package mmv
 // Differences from the per-node Protocol (same schedule, same delivery
 // semantics, different randomness plumbing):
 //
-//   - Slow-slot coin flips are keyed draws Mix3(key, node, round)
-//     instead of per-node RNG streams, so AppendTransmitters needs no
+//   - Slow-slot coin flips are keyed draws Mix(key, node, round)
+//     instead of per-node RNG streams, drawn through an rng.Prefix
+//     that absorbs the key once, so AppendTransmitters needs no
 //     mutable state and partitions can draw concurrently. Runs are NOT
 //     byte-comparable with Protocol runs driven by rand.Rand — the
 //     determinism claim is Dense(Workers=a) == Dense(Workers=b) at any
@@ -58,7 +59,7 @@ type Dense struct {
 
 	f       *gst.Flat
 	s       Schedule
-	key     uint64
+	coin    rng.Prefix // slow-slot coins Mix(DenseKey(seed), node, round)
 	noising bool
 
 	armed   bitvec.Vec // relay bit: parent's fast wave buffered
@@ -89,7 +90,7 @@ func NewDense(g *graph.Graph, f *gst.Flat, s Schedule, seed uint64, source graph
 	d := &Dense{
 		f:        f,
 		s:        s,
-		key:      DenseKey(seed),
+		coin:     rng.NewPrefix(DenseKey(seed)),
 		noising:  noising,
 		armed:    bitvec.New(n),
 		noiseTx:  bitvec.New(n),
@@ -188,7 +189,7 @@ func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.Nod
 				continue
 			}
 			if exp := ((r - base) / 6) % int64(d.s.L); exp > 0 &&
-				rng.Mix3(d.key, uint64(v), uint64(r)) >= uint64(1)<<(64-uint(exp)) {
+				d.coin.Mix2(uint64(v), uint64(r)) >= uint64(1)<<(64-uint(exp)) {
 				continue
 			}
 			if d.Informed(v) {

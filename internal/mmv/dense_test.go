@@ -4,7 +4,7 @@ package mmv_test
 // port's keyed slow-slot draws make runs incomparable with the
 // rand.Rand-driven Protocol, so the twin is a sparse radio.Protocol
 // replaying the IDENTICAL schedule — same FastSlot residues, same
-// relay-arming rule, same Mix3(key, node, round) slow coins — on the
+// relay-arming rule, same Mix(key, node, round) slow coins — on the
 // per-node engine. Frontier pruning aside (which provably cannot
 // change per-node dynamics, see dense.go), the two engines must then
 // produce the same broadcast: same reception round for every node.
@@ -75,7 +75,7 @@ func (p *keyedTwin) Act(t int64) radio.Action {
 		return radio.Listen
 	}
 	if exp := ((t - base) / 6) % int64(p.s.L); exp > 0 &&
-		rng.Mix3(p.key, uint64(p.id), uint64(t)) >= uint64(1)<<(64-uint(exp)) {
+		rng.Mix(p.key, uint64(p.id), uint64(t)) >= uint64(1)<<(64-uint(exp)) {
 		return radio.Listen
 	}
 	switch {

@@ -7,16 +7,33 @@
 //   - each node's coin flips are independent of every other node's, and
 //   - adding a new consumer of randomness does not perturb existing
 //     streams (streams are keyed, not drawn from a shared sequence).
+//
+// Mix is the one definition of a keyed draw. A hot draw whose leading
+// keys are fixed for a whole run (a protocol's coin key, a channel's
+// seed and purpose tag) builds a Prefix over them once and draws
+// through Prefix.Mix2, which equals Mix over all the keys bit for bit
+// at two finalizer rounds per draw.
 package rng
 
 import "math/rand"
+
+const (
+	// gamma is SplitMix64's state increment (the golden ratio).
+	gamma = 0x9e3779b97f4a7c15
+	// mixInit is Mix's starting state: pi, nothing up the sleeve.
+	mixInit = 0x243f6a8885a308d3
+)
 
 // splitmix64 advances a SplitMix64 state and returns the next output.
 // SplitMix64 passes BigCrush and is the recommended seeder for the
 // xoshiro family; we use it both as a mixer and as a stream generator.
 func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+	*state += gamma
+	return finalize(*state)
+}
+
+// finalize is SplitMix64's output function of an advanced state.
+func finalize(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -26,27 +43,39 @@ func splitmix64(state *uint64) uint64 {
 // well-distributed 64-bit value. It is used to derive stream seeds from
 // (seed, node, purpose) tuples.
 func Mix(keys ...uint64) uint64 {
-	state := uint64(0x243f6a8885a308d3) // pi, nothing up the sleeve
+	state := absorb(mixInit, keys)
+	return splitmix64(&state)
+}
+
+// absorb folds keys into a Mix state, one key per two SplitMix64 steps.
+func absorb(state uint64, keys []uint64) uint64 {
 	for _, k := range keys {
 		state ^= splitmix64(&state) ^ k
 		_ = splitmix64(&state)
 	}
-	return splitmix64(&state)
+	return state
 }
 
-// Mix3 is Mix for exactly three keys, avoiding the variadic slice.
-// The dense engine draws one keyed value per (seed, node, round) on its
-// hottest path, where even a stack-promoted slice header is measurable;
-// Mix3(a, b, c) == Mix(a, b, c) bit-for-bit.
-func Mix3(a, b, c uint64) uint64 {
-	state := uint64(0x243f6a8885a308d3)
-	state ^= splitmix64(&state) ^ a
-	_ = splitmix64(&state)
-	state ^= splitmix64(&state) ^ b
-	_ = splitmix64(&state)
-	state ^= splitmix64(&state) ^ c
-	_ = splitmix64(&state)
-	return splitmix64(&state)
+// Prefix is Mix with its leading keys already absorbed:
+// NewPrefix(k...).Mix2(b, c) == Mix(k..., b, c) bit for bit. It holds
+// the state after the leading keys, advanced and XORed with the mask
+// that the next absorb applies, so a draw costs two finalizer rounds
+// whatever the number of leading keys. A Prefix is an immutable value,
+// safe to draw from concurrently.
+type Prefix uint64
+
+// NewPrefix absorbs the leading keys of a family of draws.
+func NewPrefix(keys ...uint64) Prefix {
+	t := absorb(mixInit, keys) + gamma
+	return Prefix(t ^ finalize(t))
+}
+
+// Mix2 returns Mix(k..., b, c) for the prefix's leading keys k: it
+// absorbs b and c and finalizes, with each discarded SplitMix64 output
+// reduced to its state increment.
+func (p Prefix) Mix2(b, c uint64) uint64 {
+	t := (uint64(p) ^ b) + gamma + gamma
+	return finalize((t ^ finalize(t) ^ c) + gamma + gamma)
 }
 
 // Source is a deterministic rand.Source64 backed by xoshiro256**.

@@ -95,8 +95,27 @@ func BenchmarkSourceUint64(b *testing.B) {
 	}
 }
 
-func BenchmarkMix3(b *testing.B) {
+// benchSink keeps the benchmarked draws live.
+var benchSink uint64
+
+// BenchmarkMix is a four-key draw through the variadic mixer, the shape
+// of a channel's link draw (seed, tag, round, link); each draw keys the
+// next, so the loop measures latency.
+func BenchmarkMix(b *testing.B) {
+	x := uint64(7)
 	for i := 0; i < b.N; i++ {
-		_ = Mix(uint64(i), 42, 7)
+		x = Mix(42, 0xe7a5, uint64(i), x)
 	}
+	benchSink = x
+}
+
+// BenchmarkPrefixMix2 is the same draw with its two fixed keys
+// absorbed once.
+func BenchmarkPrefixMix2(b *testing.B) {
+	p := NewPrefix(42, 0xe7a5)
+	x := uint64(7)
+	for i := 0; i < b.N; i++ {
+		x = p.Mix2(uint64(i), x)
+	}
+	benchSink = x
 }
