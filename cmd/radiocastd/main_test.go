@@ -317,6 +317,7 @@ func TestSpecValidation(t *testing.T) {
 	for name, spec := range map[string]string{
 		"unknown protocol": `{"protocol": "gossip", "graph": {"kind": "path", "n": 8}}`,
 		"bad graph":        `{"protocol": "decay", "graph": {"kind": "torus", "n": 8}}`,
+		"gnp over bound":   `{"protocol": "decay", "graph": {"kind": "gnp", "n": 32769, "p": 0.001}}`,
 		"bad channel":      `{"protocol": "decay", "graph": {"kind": "path", "n": 8}, "channel": [{"kind": "noise"}]}`,
 		"unknown field":    `{"protocol": "decay", "graph": {"kind": "path", "n": 8}, "frobnicate": 1}`,
 		"k on decay":       `{"protocol": "decay", "k": 3, "graph": {"kind": "path", "n": 8}}`,

@@ -78,6 +78,11 @@ func (g GraphSpec) geoLayout() *geo.Layout {
 	return geo.Uniform(g.N, g.Seed)
 }
 
+// maxGNPN bounds the gnp kind's node count: graph.GNP draws once per
+// node pair, O(n^2) whatever p, and 32768 nodes (5.4·10^8 pairs) take
+// about 2 s of draws.
+const maxGNPN = 1 << 15
+
 // check validates the spec without paying for construction (admission
 // control runs on the HTTP handler; build runs on a worker).
 func (g GraphSpec) check() error {
@@ -95,8 +100,8 @@ func (g GraphSpec) check() error {
 			return fmt.Errorf("cluster: chain/clique must be positive, got %d/%d", g.Chain, g.Clique)
 		}
 	case "gnp":
-		if g.N < 2 || g.P <= 0 || g.P > 1 {
-			return fmt.Errorf("gnp: need n >= 2 and p in (0,1], got n=%d p=%g", g.N, g.P)
+		if g.N < 2 || g.N > maxGNPN || g.P <= 0 || g.P > 1 {
+			return fmt.Errorf("gnp: need 2 <= n <= %d and p in (0,1], got n=%d p=%g", maxGNPN, g.N, g.P)
 		}
 	case "unitdisk":
 		if g.N < 2 || g.Radius <= 0 {
