@@ -6,7 +6,9 @@ package decay_test
 // keyed draws make dense runs incomparable with the per-node-RNG
 // Broadcast, so the twin is a sparse radio.Protocol replaying the
 // IDENTICAL keyed coins (same key derivation, same Mix(key, node,
-// round) draw, same schedule slot) on the per-node engine. Frontier
+// round) draw, same schedule slot) on the per-node engine. The twin
+// draws through the variadic rng.Mix, never through the rng.Prefix
+// that Dense uses, so it does not share the code it checks. Frontier
 // pruning aside — which provably cannot change informed-set dynamics,
 // see dense.go — the two engines must produce the same broadcast: same
 // reception round for every node, same completion round. Checked on the

@@ -4,7 +4,8 @@ package mmv_test
 // port's keyed slow-slot draws make runs incomparable with the
 // rand.Rand-driven Protocol, so the twin is a sparse radio.Protocol
 // replaying the IDENTICAL schedule — same FastSlot residues, same
-// relay-arming rule, same Mix(key, node, round) slow coins — on the
+// relay-arming rule, same Mix(key, node, round) slow coins, drawn
+// through the variadic rng.Mix rather than Dense's rng.Prefix — on the
 // per-node engine. Frontier pruning aside (which provably cannot
 // change per-node dynamics, see dense.go), the two engines must then
 // produce the same broadcast: same reception round for every node.
