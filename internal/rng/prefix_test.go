@@ -2,17 +2,6 @@ package rng
 
 import "testing"
 
-// prefixCases are leading-key lists of length 0 to 4, the edge values
-// of each key among them.
-var prefixCases = [][]uint64{
-	{},
-	{0},
-	{^uint64(0)},
-	{42, 0xdd},
-	{1, 0xe7a5, 7},
-	{^uint64(0), 0x6d15, 0, gamma},
-}
-
 // TestPrefixMatchesMix pins Prefix to its definition: for every
 // leading-key list k, NewPrefix(k...).Mix2(b, c) is the variadic
 // Mix(k..., b, c) bit for bit, so moving a hot draw onto a prefix
@@ -22,7 +11,9 @@ func TestPrefixMatchesMix(t *testing.T) {
 	for i := uint64(0); i < 64; i++ {
 		trail = append(trail, [2]uint64{i * gamma, i<<32 | ^i>>32})
 	}
-	for _, lead := range prefixCases {
+	// Leading-key lists of length 0 to 4, with edge values among them.
+	leads := [][]uint64{{}, {0}, {^uint64(0)}, {42, 0xdd}, {1, 0xe7a5, 7}, {^uint64(0), 0x6d15, 0, gamma}}
+	for _, lead := range leads {
 		p := NewPrefix(lead...)
 		for _, bc := range trail {
 			got := p.Mix2(bc[0], bc[1])

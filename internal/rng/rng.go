@@ -43,15 +43,17 @@ func finalize(z uint64) uint64 {
 // well-distributed 64-bit value. It is used to derive stream seeds from
 // (seed, node, purpose) tuples.
 func Mix(keys ...uint64) uint64 {
-	state := absorb(mixInit, keys)
-	return splitmix64(&state)
+	return finalize(absorb(mixInit, keys) + gamma)
 }
 
-// absorb folds keys into a Mix state, one key per two SplitMix64 steps.
+// absorb folds keys into a Mix state, one key per two SplitMix64 steps:
+// the first step's output is XORed into the advanced state with the
+// key, the second's is discarded.
 func absorb(state uint64, keys []uint64) uint64 {
 	for _, k := range keys {
-		state ^= splitmix64(&state) ^ k
-		_ = splitmix64(&state)
+		state += gamma
+		state ^= finalize(state) ^ k
+		state += gamma
 	}
 	return state
 }
@@ -70,9 +72,8 @@ func NewPrefix(keys ...uint64) Prefix {
 	return Prefix(t ^ finalize(t))
 }
 
-// Mix2 returns Mix(k..., b, c) for the prefix's leading keys k: it
-// absorbs b and c and finalizes, with each discarded SplitMix64 output
-// reduced to its state increment.
+// Mix2 returns Mix(k..., b, c) for the prefix's leading keys k: absorb
+// of b from the stored mask onwards, absorb of c, and Mix's final step.
 func (p Prefix) Mix2(b, c uint64) uint64 {
 	t := (uint64(p) ^ b) + gamma + gamma
 	return finalize((t ^ finalize(t) ^ c) + gamma + gamma)
