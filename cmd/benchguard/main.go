@@ -20,6 +20,11 @@
 //
 //	go run ./cmd/benchguard -scale BENCH_scale.json \
 //	    -scalebaseline bench/scale_baseline.json
+//
+// A third pins the same artifact's outputs (see cells.go):
+//
+//	go run ./cmd/benchguard -cells BENCH_scale.json \
+//	    -cellpins bench/scale_cells.json
 package main
 
 import (
@@ -49,8 +54,15 @@ func main() {
 	baselinePath := flag.String("baseline", "bench/baseline.json", "committed baseline JSON")
 	scalePath := flag.String("scale", "", "radiobench -json scale artifact (BENCH_scale.json); enables the E19 trajectory ratchet instead of the stdin alloc gate")
 	scaleBaselinePath := flag.String("scalebaseline", "bench/scale_baseline.json", "committed scale-trajectory baseline JSON")
+	cellsPath := flag.String("cells", "", "radiobench -json artifact whose per-experiment cells digests must match -cellpins; enables that check instead of the stdin alloc gate")
+	cellPinsPath := flag.String("cellpins", "bench/scale_cells.json", "committed cells digests, keyed <ID>/cells")
+	updateCells := flag.Bool("updatecells", false, "with -cells, rewrite -cellpins from the artifact instead of checking it")
 	flag.Parse()
 
+	if *cellsPath != "" {
+		runCellsGuard(*cellsPath, *cellPinsPath, *updateCells)
+		return
+	}
 	if *scalePath != "" {
 		runScaleGuard(*scalePath, *scaleBaselinePath)
 		return

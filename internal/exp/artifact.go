@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"time"
 
@@ -120,4 +122,24 @@ func (a *Artifact) Canonical() *Artifact {
 		c.Experiments[i] = ce
 	}
 	return &c
+}
+
+// CellDigests returns, under "<ID>/cells", the SHA-256 of each
+// experiment's canonical record, rendered as a one-experiment artifact
+// of parallelism 1. That is the form the golden digests pin, so a
+// radiobench -json artifact and a test's own run digest alike.
+func (a *Artifact) CellDigests() (map[string]string, error) {
+	out := make(map[string]string, len(a.Experiments))
+	for _, e := range a.Experiments {
+		one := *a
+		one.Parallelism = 1
+		one.Experiments = []ExperimentRecord{e}
+		blob, err := one.Canonical().JSON()
+		if err != nil {
+			return nil, err
+		}
+		sum := sha256.Sum256(blob)
+		out[e.ID+"/cells"] = hex.EncodeToString(sum[:])
+	}
+	return out, nil
 }
