@@ -356,6 +356,51 @@ func TestRetopoSteadyStateAllocsZero(t *testing.T) {
 	})
 }
 
+// denseRunAllocs pins the objects of one whole sequential run of each
+// dense catalog entry on a reused context, read by
+// testing.AllocsPerRun: the SoA protocol state, the engine's bitsets,
+// per-node scratch and per-partition lists, and the append growth of
+// those lists (the GST entry adds its per-residue fast lists). A
+// sequential run allocates the same objects every time, so the pins
+// have no tolerance: one new object per run fails here, where the
+// BenchmarkEngine_Dense* rows at -benchtime 3x read a spread under a
+// 25% band. They read exactly these counts with go1.24 on
+// linux/amd64; like streamBuildAllocs they are ceilings, so a
+// toolchain that allocates less passes.
+var denseRunAllocs = []struct {
+	name string
+	max  float64
+}{
+	{"dense-decay", 37},
+	{"dense-cr", 35},
+	{"dense-wave", 35},
+	{"dense-gst", 340},
+}
+
+// TestDenseRunAllocs runs every dense catalog entry once over a
+// 64×64 grid from node 0 on the ideal channel with one partition,
+// after a warm-up run on the same context, and pins its allocations.
+func TestDenseRunAllocs(t *testing.T) {
+	g := graph.FromStream(graph.StreamGrid(64, 64))
+	for _, tc := range denseRunAllocs {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			entry, ok := harness.LookupProtocol(tc.name)
+			if !ok {
+				t.Fatalf("no catalog entry %s", tc.name)
+			}
+			st := entry.Build(g, 0, harness.StackOpts{}) // Workers 0: one partition
+			if _, ok, _ := st.RunFrom(nil, nil, 7, 1<<20); !ok {
+				t.Fatalf("%s run incomplete", tc.name)
+			}
+			allocs := testing.AllocsPerRun(3, func() { st.RunFrom(nil, nil, 7, 1<<20) })
+			if allocs > tc.max {
+				t.Fatalf("one sequential %s run allocates %.0f objects, pinned at most %.0f", tc.name, allocs, tc.max)
+			}
+		})
+	}
+}
+
 // denseScaleMemBudget caps the live-heap growth of a full n = 10^5
 // dense GNP cell: streaming CSR graph (~16n int32 edge entries), the
 // engine's word bitsets and stamp arrays, and the SoA protocol state.
