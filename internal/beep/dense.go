@@ -70,7 +70,8 @@ func (w *DenseWave) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio
 		return dst
 	}
 	words := w.FrontierWords()
-	for wi := int(lo) >> 6; wi<<6 < int(hi); wi++ {
+	end := (int(hi) + 63) >> 6
+	for wi := w.NextFrontierWord(int(lo)>>6, end); wi < end; wi = w.NextFrontierWord(wi+1, end) {
 		word := words[wi]
 		for word != 0 {
 			dst = append(dst, graph.NodeID(wi<<6+bits.TrailingZeros64(word)))

@@ -79,7 +79,8 @@ func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.Nod
 	slot := d.sched.Slot(r)
 	threshold := uint64(1) << (63 - uint(slot))
 	words := d.FrontierWords()
-	for wi := int(lo) >> 6; wi<<6 < int(hi); wi++ {
+	end := (int(hi) + 63) >> 6
+	for wi := d.NextFrontierWord(int(lo)>>6, end); wi < end; wi = d.NextFrontierWord(wi+1, end) {
 		w := words[wi]
 		for w != 0 {
 			v := graph.NodeID(wi<<6 + bits.TrailingZeros64(w))

@@ -62,6 +62,9 @@ type Dense struct {
 	coin    rng.Prefix // slow-slot coins Mix(DenseKey(seed), node, round)
 	noising bool
 
+	res    int64  // r mod M of the current round, set by ListenWords
+	lRecip uint64 // 2^64/L rounded up: x mod L by multiplication (modL)
+
 	armed   bitvec.Vec // relay bit: parent's fast wave buffered
 	noiseTx bitvec.Vec // this round's transmitters that send noise, stamped at collect
 
@@ -125,7 +128,29 @@ func NewDense(g *graph.Graph, f *gst.Flat, s Schedule, seed uint64, source graph
 		}
 	}
 	d.Spread = radio.NewSpread(g, source, fastListen)
+	if s.L > 0 {
+		d.lRecip = ^uint64(0)/uint64(s.L) + 1
+	}
 	return d
+}
+
+// modL returns x mod L. Below 2^32 it is Lemire's direct remainder,
+// two multiplications by the reciprocal computed once per run, exact
+// for every 32-bit x and L; above, it divides.
+func (d *Dense) modL(x uint64) uint64 {
+	if x >= 1<<32 {
+		return x % uint64(d.s.L)
+	}
+	hi, _ := bits.Mul64(d.lRecip*x, uint64(d.s.L))
+	return hi
+}
+
+// ListenWords implements radio.DenseProtocol. The engine calls it once
+// per round, before collect, so it also fixes the round's fast-slot
+// residue r mod M, which AppendTransmitters, Deliver and EndRound read.
+func (d *Dense) ListenWords(r int64) []uint64 {
+	d.res = r % d.s.M
+	return d.Spread.ListenWords(r)
 }
 
 // fastContent reports whether fast transmitter v holds content this
@@ -141,12 +166,14 @@ func (d *Dense) fastContent(v graph.NodeID) bool {
 // the round's fast residue class; odd rounds walk the round's slow
 // bucket masked by the frontier (plus, when noising, the uninformed
 // nodes; the bucket holds members only, so non-members in the frontier
-// or the uninformed set never transmit). The per-transmitter payload kind (content vs noise) is
-// stamped into noiseTx here — at collect time — so Packet reads a
-// round-stable bit even while deliveries arm relays concurrently.
+// or the uninformed set never transmit). A quiet slow slot visits only
+// the non-zero frontier words; a noising one reads every word. The
+// per-transmitter payload kind (content vs noise) is stamped into
+// noiseTx here — at collect time — so Packet reads a round-stable bit
+// even while deliveries arm relays concurrently.
 func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.NodeID) []radio.NodeID {
 	if r%2 == 0 {
-		lst := d.fastList[r%d.s.M]
+		lst := d.fastList[d.res]
 		i, j := 0, len(lst)
 		for i < j {
 			h := int(uint(i+j) >> 1)
@@ -170,25 +197,32 @@ func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.Nod
 		}
 		return dst
 	}
-	bw := d.slowBucket[((r-1)/2)%3].Words()
+	// Slow round r = 1 + 2q is node v's slot when q ≡ Vdist[v] (mod 3)
+	// and q >= Vdist[v]; with base = 1 + 2·Vdist[v] its exponent
+	// ((r-base)/6) mod L is ((q-Vdist[v])/3) mod L.
+	q := (r - 1) / 2
+	bw := d.slowBucket[q%3].Words()
 	fw := d.FrontierWords()
-	var iw []uint64
-	if d.noising {
-		iw = d.InformedWords()
-	}
-	for wi := int(lo) >> 6; wi<<6 < int(hi); wi++ {
-		w := bw[wi] & fw[wi]
-		if iw != nil {
+	iw := d.InformedWords()
+	end := (int(hi) + 63) >> 6
+	for wi := int(lo) >> 6; wi < end; wi++ {
+		var w uint64
+		if d.noising {
 			w = bw[wi] & (fw[wi] | ^iw[wi])
+		} else {
+			if wi = d.NextFrontierWord(wi, end); wi == end {
+				break
+			}
+			w = bw[wi] & fw[wi]
 		}
 		for w != 0 {
 			v := graph.NodeID(wi<<6 + bits.TrailingZeros64(w))
 			w &= w - 1
-			base := 1 + 2*int64(d.f.Vdist[v])
-			if r < base {
+			vd := int64(d.f.Vdist[v])
+			if q < vd {
 				continue
 			}
-			if exp := ((r - base) / 6) % int64(d.s.L); exp > 0 &&
+			if exp := d.modL(uint64(q-vd) / 3); exp > 0 &&
 				d.coin.Mix2(uint64(v), uint64(r)) >= uint64(1)<<(64-uint(exp)) {
 				continue
 			}
@@ -224,7 +258,7 @@ func (d *Dense) Deliver(r int64, v graph.NodeID, out radio.Outcome) {
 	}
 	d.Hear(v)
 	// Buffer the parent's fast wave for relaying two rounds later.
-	if s := d.armSlot[v]; s >= 0 && int64(s) == r%d.s.M && out.From == d.f.Parent[v] {
+	if s := d.armSlot[v]; s >= 0 && int64(s) == d.res && out.From == d.f.Parent[v] {
 		d.armed.Set(int(v))
 	}
 }
@@ -237,7 +271,7 @@ func (d *Dense) Deliver(r int64, v graph.NodeID, out radio.Outcome) {
 // round's receivers in ascending node order.
 func (d *Dense) EndRound(r int64) {
 	if r%2 == 0 {
-		for _, v := range d.fastList[r%d.s.M] {
+		for _, v := range d.fastList[d.res] {
 			if !d.f.StretchStart[v] {
 				d.armed.Clear(int(v))
 			}

@@ -32,11 +32,11 @@ package radio
 //     per-partition lists — ascending node order regardless of the
 //     partition count — and source suppression walks it sequentially.
 //   - Deliver: each partition owns the listeners of its node range and
-//     counts the surviving hits on them itself, into its own slots of
-//     the stamped count/sender scratch. A count is a sum, and the
-//     recorded sender is read only when the count is 1, when it is the
-//     unique contributor; so the order in which hits arrive is
-//     irrelevant. Channel DropLink draws are keyed by (round, link), so
+//     counts the surviving hits on them itself, into its own words of
+//     the heard/multi bitsets and its own count/sender slots. A count
+//     is a sum, and the recorded sender is read only when the count is
+//     1, when it is the unique contributor; so the order in which hits
+//     arrive is irrelevant. Channel DropLink draws are keyed by (round, link), so
 //     evaluation order is irrelevant to them too (see Config.Workers
 //     for the concurrency contract).
 //   - Deliver/Observe touch disjoint per-listener state by contract and
@@ -171,16 +171,22 @@ type Dense struct {
 
 	lastTx int // previous round's transmitter count (parallel gate)
 
-	txWords   []uint64   // current round's transmitter bitset
-	txLists   [][]NodeID // per-partition transmitter lists (ascending)
-	allTx     []NodeID   // concatenation, ascending node order
-	listenW   []uint64   // this round's listener words (protocol-owned)
-	effTx     []NodeID   // surviving transmitters: allTx or keptTx
-	hearStamp []int64    // round-stamped per-listener scratch (push)
-	hearCount []int32
-	hearFrom  []NodeID
-	touched   [][]NodeID // per-owner listeners first heard this round (push)
-	perPart   []partStats
+	txWords []uint64   // current round's transmitter bitset
+	txLists [][]NodeID // per-partition transmitter lists (ascending)
+	allTx   []NodeID   // concatenation, ascending node order
+	listenW []uint64   // this round's listener words (protocol-owned)
+	effTx   []NodeID   // surviving transmitters: allTx or keptTx
+	touched [][]NodeID // per-owner listeners first heard this round (push)
+	perPart []partStats
+
+	// Push scratch. heard marks the listeners hit this round and multi
+	// those hit at least twice; both are all-zero between rounds, since
+	// each partition clears the words of its touched listeners. hearFrom
+	// is written at a listener's first hit and hearCount from its second
+	// on, so a touched listener's count is 1 unless its multi bit is set.
+	heard, multi []uint64
+	hearCount    []int32
+	hearFrom     []NodeID
 
 	// pull is this round's counting direction. A pulled round reads the
 	// surviving transmitters from survW: txWords, or survWords (built
@@ -238,16 +244,14 @@ func NewDense(g *graph.Graph, cfg Config, proto DenseProtocol) *Dense {
 		wordsPerPart: wordsPerPart,
 		txWords:      make([]uint64, nWords),
 		txLists:      make([][]NodeID, parts),
-		hearStamp:    make([]int64, n),
 		hearCount:    make([]int32, n),
 		hearFrom:     make([]NodeID, n),
 		touched:      make([][]NodeID, parts),
 		perPart:      make([]partStats, parts),
 		survWords:    make([]uint64, nWords),
 	}
-	for i := range d.hearStamp {
-		d.hearStamp[i] = -1
-	}
+	push := make([]uint64, 2*nWords)
+	d.heard, d.multi = push[:nWords:nWords], push[nWords:]
 	return d
 }
 
@@ -268,7 +272,7 @@ func (d *Dense) Close() {
 }
 
 // Reset rewinds the engine to its post-NewDense state — round counter,
-// statistics, transmitter bitset and lists, stamps, the parallel gate —
+// statistics, transmitter bitset and lists, the parallel gate —
 // and installs proto for the next run, without reallocating any scratch
 // or restarting the worker pool. A Reset-reused run is byte-identical
 // to a freshly constructed engine with the same configuration. The
@@ -290,9 +294,6 @@ func (d *Dense) Reset(proto DenseProtocol) {
 	d.keptTx = d.keptTx[:0]
 	d.effTx = nil
 	d.listenW = nil
-	for i := range d.hearStamp {
-		d.hearStamp[i] = -1
-	}
 }
 
 // partNodeRange returns partition p's node range [lo, hi).
@@ -377,10 +378,11 @@ func (d *Dense) execCollect(r int64, w int) {
 
 // execDeliver is owner partition w's whole delivery: it counts the
 // surviving hits on its listeners and finalizes them. A pushed round
-// counts into the stamped scratch first, then resolves the touched
+// counts into the push scratch first, then resolves the touched
 // listeners (no channel, or a link-only one whose DropLink ran while
-// counting) or sweeps every listener through Observe. A pulled round
-// counts each listener as the listener sweep reaches it.
+// counting) or sweeps every listener through Observe, and clears the
+// scratch words it wrote. A pulled round counts each listener as the
+// listener sweep reaches it.
 func (d *Dense) execDeliver(r int64, w int) {
 	st := &d.perPart[w]
 	if d.pull {
@@ -388,26 +390,43 @@ func (d *Dense) execDeliver(r int64, w int) {
 		return
 	}
 	d.execPush(r, w, st)
+	touched := d.touched[w]
 	if d.sweep {
 		d.execSweep(r, w, st)
-		return
+	} else {
+		for _, u := range touched {
+			count, from := d.pushed(u)
+			d.resolve(r, u, count, from, st)
+		}
 	}
-	for _, u := range d.touched[w] {
-		d.resolve(r, u, int(d.hearCount[u]), d.hearFrom[u], st)
+	for _, u := range touched {
+		d.heard[u>>6], d.multi[u>>6] = 0, 0
 	}
 }
 
+// pushed returns listener u's surviving hit count and first sender in
+// a pushed round, from the push scratch.
+func (d *Dense) pushed(u NodeID) (count int, from NodeID) {
+	wi, bit := u>>6, uint64(1)<<(uint(u)&63)
+	switch {
+	case d.heard[wi]&bit == 0:
+		return 0, 0
+	case d.multi[wi]&bit == 0:
+		return 1, d.hearFrom[u]
+	}
+	return int(d.hearCount[u]), d.hearFrom[u]
+}
+
 // execPush counts, for owner partition w, every surviving
-// (transmitter, listener) hit on its node range into the stamped
-// per-listener count/sender scratch, and records the listeners it
-// touched first.
+// (transmitter, listener) hit on its node range into the push scratch,
+// and records the listeners it touched first.
 func (d *Dense) execPush(r int64, w int, st *partStats) {
 	ch := d.cfg.Channel
 	lo, hi := d.partNodeRange(w)
 	split := d.parts > 1
 	offsets, edges := d.offsets, d.edges
 	listen, tx := d.listenW, d.txWords
-	stamp, count, from := d.hearStamp, d.hearCount, d.hearFrom
+	heard, multi, count, from := d.heard, d.multi, d.hearCount, d.hearFrom
 	touched := d.touched[w][:0]
 	for _, t := range d.effTx {
 		row := edges[offsets[t]:offsets[t+1]]
@@ -422,19 +441,25 @@ func (d *Dense) execPush(r int64, w int, st *partStats) {
 			if u >= hi {
 				break
 			}
-			if (listen[u>>6]&^tx[u>>6])&(1<<(uint(u)&63)) == 0 {
+			wi, bit := u>>6, uint64(1)<<(uint(u)&63)
+			if (listen[wi]&^tx[wi])&bit == 0 {
 				continue // transmitting or not listening
 			}
 			if ch != nil && ch.DropLink(r, t, u) {
 				st.dropped++
 				continue
 			}
-			if stamp[u] != r {
-				stamp[u], count[u], from[u] = r, 1, t
+			switch {
+			case heard[wi]&bit == 0:
+				heard[wi] |= bit
+				from[u] = t
 				touched = append(touched, u)
-				continue
+			case multi[wi]&bit == 0:
+				multi[wi] |= bit
+				count[u] = 2
+			default:
+				count[u]++
 			}
-			count[u]++
 		}
 	}
 	d.touched[w] = touched
@@ -470,7 +495,7 @@ func (d *Dense) pullHits(r int64, u NodeID, st *partStats) (count int, from Node
 
 // execSweep walks owner partition w's eligible listeners (listening
 // and not transmitting) in ascending node order, counting each one's
-// hits by pull or reading push's stamped scratch, and finalizes it:
+// hits by pull or reading push's scratch, and finalizes it:
 // through core.rewrite under a channel that may rewrite observations —
 // every eligible listener, not only neighbors of transmitters, so the
 // channel can inject observations into silent receptions (over all
@@ -488,12 +513,12 @@ func (d *Dense) execSweep(r int64, w int, st *partStats) {
 		for wordBits != 0 {
 			u := NodeID(wi<<6 + bits.TrailingZeros64(wordBits))
 			wordBits &= wordBits - 1
-			count, from := 0, NodeID(0)
-			switch {
-			case d.pull:
+			var count int
+			var from NodeID
+			if d.pull {
 				count, from = d.pullHits(r, u, st)
-			case d.hearStamp[u] == r:
-				count, from = int(d.hearCount[u]), d.hearFrom[u]
+			} else {
+				count, from = d.pushed(u)
 			}
 			if d.sweep {
 				d.observe(r, u, count, from, st)

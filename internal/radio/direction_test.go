@@ -114,3 +114,46 @@ func TestDenseDirectionTwin(t *testing.T) {
 		}
 	}
 }
+
+// TestDensePushBitsClear checks the push scratch's invariant: a pushed
+// run leaves the heard and multi bitsets all-zero after every round,
+// on the ideal path, on the link-only path and under the Observe sweep,
+// with one partition and with four. The run must deliver, or the
+// check would pass on bitsets that were never written.
+func TestDensePushBitsClear(t *testing.T) {
+	defer radio.SetDenseDirection(radio.DirPush)()
+	cluster := graph.ClusterChain(12, 16)
+	for _, tc := range []struct {
+		name string
+		c    radiotest.DenseCase
+	}{
+		{"gst-noise-cluster12x16", gstCase(cluster)},
+		{"decay-grid15x20", decayCase(graph.FromStream(graph.StreamGrid(15, 20)), true, nil)},
+	} {
+		for _, ch := range directionChannels(tc.c.Graph.N())[:3] { // ideal, link-only, sweep
+			for _, w := range []int{1, 4} {
+				var chn radio.Channel
+				if ch.mk != nil {
+					chn = ch.mk()
+				}
+				pr, done, _ := tc.c.Build()
+				eng := radio.NewDense(tc.c.Graph, radio.Config{CollisionDetection: tc.c.CD, MaxPacketBits: 64, Channel: chn, Workers: w}, pr)
+				for r := 0; r < 4096 && !done(); r++ {
+					eng.Step()
+					heard, multi := eng.PushBits()
+					for wi := range heard {
+						if heard[wi] != 0 || multi[wi] != 0 {
+							t.Fatalf("%s %s workers=%d: after round %d push word %d reads heard %#x multi %#x",
+								tc.name, ch.name, w, r, wi, heard[wi], multi[wi])
+						}
+					}
+				}
+				eng.Close()
+				if st := eng.Stats(); st.Deliveries == 0 || st.CollisionObs == 0 && tc.c.CD {
+					t.Fatalf("%s %s workers=%d: %d deliveries, %d collisions; the scratch went unexercised",
+						tc.name, ch.name, w, st.Deliveries, st.CollisionObs)
+				}
+			}
+		}
+	}
+}

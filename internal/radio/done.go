@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"radiocast/internal/bitvec"
 	"radiocast/internal/graph"
@@ -63,13 +64,21 @@ func (d *DoneSet) Count() int { return d.done }
 // -1 at the source and at uninformed nodes. Only frontier nodes can
 // reach a listener that still needs the message, which is what lets
 // every port prune its transmitters to the frontier.
+//
+// frontier and newly each carry a summary with one bit per word: bit
+// j of summary word i is set iff word 64i+j is non-zero. A round with
+// a thin frontier then costs the words that hold work, not n/64:
+// NextFrontierWord skips the zero frontier words, and EndRound visits
+// only the newly words that Hear marked. Each summary lives in the
+// tail of its bitset's own allocation.
 type Spread struct {
 	g        *graph.Graph
 	informed bitvec.Vec
-	newly    bitvec.Vec
 	listen   bitvec.Vec
-	frontier bitvec.Vec
 	keep     bitvec.Vec // listeners that stay in listen once informed (zero Vec: none)
+
+	frontier, frontierSum []uint64
+	newly, newlySum       []uint64
 
 	uninformedDeg []int32
 	stamp         []int64
@@ -84,13 +93,13 @@ func NewSpread(g *graph.Graph, source graph.NodeID, keep bitvec.Vec) Spread {
 	s := Spread{
 		g:             g,
 		informed:      bitvec.New(n),
-		newly:         bitvec.New(n),
 		listen:        bitvec.New(n),
-		frontier:      bitvec.New(n),
 		keep:          keep,
 		uninformedDeg: make([]int32, n),
 		stamp:         make([]int64, n),
 	}
+	s.frontier, s.frontierSum = summarized(n)
+	s.newly, s.newlySum = summarized(n)
 	s.listen.Ones()
 	for v := 0; v < n; v++ {
 		s.uninformedDeg[v] = int32(g.Degree(graph.NodeID(v)))
@@ -102,9 +111,17 @@ func NewSpread(g *graph.Graph, source graph.NodeID, keep bitvec.Vec) Spread {
 	return s
 }
 
+// summarized returns an n-bit bitset's words and, carved from the
+// same allocation, its one-bit-per-word summary.
+func summarized(n int) (words, sum []uint64) {
+	nw := (n + 63) >> 6
+	buf := make([]uint64, nw+(nw+63)>>6)
+	return buf[:nw:nw], buf[nw:]
+}
+
 // inform flips v to informed (received in round r; -1 for the source),
 // maintaining the listen set, the neighbours' uninformed-degree counts
-// and the frontier on both sides.
+// and the frontier with its summary on both sides.
 func (s *Spread) inform(v graph.NodeID, r int64) {
 	s.informed.Set(int(v))
 	if s.keep.Len() == 0 || !s.keep.Get(int(v)) {
@@ -114,35 +131,70 @@ func (s *Spread) inform(v graph.NodeID, r int64) {
 	s.count++
 	for _, u := range s.g.Neighbors(v) {
 		s.uninformedDeg[u]--
-		if s.uninformedDeg[u] == 0 {
-			s.frontier.Clear(int(u)) // no-op for uninformed u
+		if s.uninformedDeg[u] == 0 { // a no-op for uninformed u
+			wi := u >> 6
+			s.frontier[wi] &^= 1 << (uint(u) & 63)
+			if s.frontier[wi] == 0 {
+				s.frontierSum[wi>>6] &^= 1 << (uint(wi) & 63)
+			}
 		}
 	}
 	if s.uninformedDeg[v] > 0 {
-		s.frontier.Set(int(v))
+		wi := v >> 6
+		s.frontier[wi] |= 1 << (uint(v) & 63)
+		s.frontierSum[wi>>6] |= 1 << (uint(wi) & 63)
 	}
 }
 
 // Hear records that v received the message in this round; an informed
-// v (a kept listener) is left as it is. It writes only v's bit, so
-// Deliver may call it from v's owner partition.
+// v (a kept listener) is left as it is. It writes v's bit and, when v's
+// word gains its first bit of the round, sets that word's summary bit
+// by an atomic OR: partitions own whole words, so the word write needs
+// no synchronisation, but two partitions can share a summary word.
+// Deliver may therefore call it from v's owner partition.
 func (s *Spread) Hear(v graph.NodeID) {
-	if !s.informed.Get(int(v)) {
-		s.newly.Set(int(v))
+	if s.informed.Get(int(v)) {
+		return
+	}
+	wi := v >> 6
+	w := s.newly[wi]
+	if w == 0 {
+		orUint64(&s.newlySum[wi>>6], 1<<(uint(wi)&63))
+	}
+	s.newly[wi] = w | 1<<(uint(v)&63)
+}
+
+// orUint64 sets the bits of mask in *p atomically (go 1.22 has no
+// atomic.OrUint64).
+func orUint64(p *uint64, mask uint64) {
+	for {
+		old := atomic.LoadUint64(p)
+		if old&mask == mask || atomic.CompareAndSwapUint64(p, old, old|mask) {
+			return
+		}
 	}
 }
 
 // EndRound implements DenseProtocol's round close: it promotes round
-// r's receivers in ascending node order.
+// r's receivers in ascending node order, visiting only the newly words
+// that Hear marked.
 func (s *Spread) EndRound(r int64) {
-	words := s.newly.Words()
-	for wi, w := range words {
-		for w != 0 {
-			v := graph.NodeID(wi<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-			s.inform(v, r)
+	for si, sw := range s.newlySum {
+		if sw == 0 {
+			continue
 		}
-		words[wi] = 0
+		s.newlySum[si] = 0
+		for sw != 0 {
+			wi := si<<6 + bits.TrailingZeros64(sw)
+			sw &= sw - 1
+			w := s.newly[wi]
+			s.newly[wi] = 0
+			for w != 0 {
+				v := graph.NodeID(wi<<6 + bits.TrailingZeros64(w))
+				w &= w - 1
+				s.inform(v, r)
+			}
+		}
 	}
 }
 
@@ -151,7 +203,25 @@ func (s *Spread) EndRound(r int64) {
 func (s *Spread) ListenWords(int64) []uint64 { return s.listen.Words() }
 
 // FrontierWords returns the frontier bitset's words, read-only.
-func (s *Spread) FrontierWords() []uint64 { return s.frontier.Words() }
+func (s *Spread) FrontierWords() []uint64 { return s.frontier }
+
+// NextFrontierWord returns the index of the first non-zero frontier
+// word in [wi, end), or end if there is none. A scan of the frontier
+// over a word range runs
+//
+//	for wi := s.NextFrontierWord(lo, end); wi < end; wi = s.NextFrontierWord(wi+1, end)
+//
+// and so reads one summary word per 64 frontier words it skips.
+func (s *Spread) NextFrontierWord(wi, end int) int {
+	for wi < end {
+		si := wi >> 6
+		if sw := s.frontierSum[si] >> (uint(wi) & 63); sw != 0 {
+			return min(wi+bits.TrailingZeros64(sw), end)
+		}
+		wi = (si + 1) << 6
+	}
+	return end
+}
 
 // InformedWords returns the informed bitset's words, read-only.
 func (s *Spread) InformedWords() []uint64 { return s.informed.Words() }

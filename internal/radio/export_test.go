@@ -21,3 +21,12 @@ func SetDenseDirection(dir int) (restore func()) {
 // PullRounds reports how many rounds d counted by pull since NewDense
 // or Reset.
 func (d *Dense) PullRounds() int64 { return d.pulls }
+
+// SummaryWords returns s's frontier and newly words with their
+// one-bit-per-word summaries.
+func (s *Spread) SummaryWords() (frontier, frontierSum, newly, newlySum []uint64) {
+	return s.frontier, s.frontierSum, s.newly, s.newlySum
+}
+
+// PushBits returns d's heard and multi push bitsets.
+func (d *Dense) PushBits() (heard, multi []uint64) { return d.heard, d.multi }
