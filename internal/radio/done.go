@@ -129,17 +129,20 @@ func (s *Spread) inform(v graph.NodeID, r int64) {
 	}
 	s.stamp[v] = r
 	s.count++
+	// Locals, so the loop does not reload the slice headers after each store.
+	deg, front := s.uninformedDeg, s.frontier
 	for _, u := range s.g.Neighbors(v) {
-		s.uninformedDeg[u]--
-		if s.uninformedDeg[u] == 0 { // a no-op for uninformed u
+		d := deg[u] - 1
+		deg[u] = d
+		if d == 0 { // a no-op for uninformed u
 			wi := u >> 6
-			s.frontier[wi] &^= 1 << (uint(u) & 63)
-			if s.frontier[wi] == 0 {
+			front[wi] &^= 1 << (uint(u) & 63)
+			if front[wi] == 0 {
 				s.frontierSum[wi>>6] &^= 1 << (uint(wi) & 63)
 			}
 		}
 	}
-	if s.uninformedDeg[v] > 0 {
+	if deg[v] > 0 {
 		wi := v >> 6
 		s.frontier[wi] |= 1 << (uint(v) & 63)
 		s.frontierSum[wi>>6] |= 1 << (uint(wi) & 63)
