@@ -10,8 +10,9 @@ package main
 // zeroed first, so any machine and any worker count must match.
 //
 // A pinned experiment missing from the artifact fails, and so does an
-// experiment with no pin. -updatecells rewrites the pin file from the
-// artifact instead: for an intended output change only.
+// experiment with no pin. Every line prints the artifact's digest, so
+// an intended output change regenerates the pins from the output of a
+// failing check.
 
 import (
 	"encoding/json"
@@ -58,7 +59,7 @@ func checkCells(pins, got map[string]string, out io.Writer) bool {
 		case have != want:
 			fmt.Fprintf(out, "benchguard: FAIL %s: digest %s, pinned %s\n", k, have, want)
 		default:
-			fmt.Fprintf(out, "benchguard: ok %s\n", k)
+			fmt.Fprintf(out, "benchguard: ok %s: %s\n", k, have)
 			continue
 		}
 		failed = true
@@ -67,7 +68,7 @@ func checkCells(pins, got map[string]string, out io.Writer) bool {
 }
 
 // runCellsGuard runs the -cells mode.
-func runCellsGuard(artifactPath, pinsPath string, update bool) {
+func runCellsGuard(artifactPath, pinsPath string) {
 	artBlob, err := os.ReadFile(artifactPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
@@ -77,17 +78,6 @@ func runCellsGuard(artifactPath, pinsPath string, update bool) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: %s: %v\n", artifactPath, err)
 		os.Exit(2)
-	}
-	if update {
-		blob, err := json.MarshalIndent(got, "", "  ")
-		if err == nil {
-			err = os.WriteFile(pinsPath, append(blob, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		return
 	}
 	pinBlob, err := os.ReadFile(pinsPath)
 	if err != nil {

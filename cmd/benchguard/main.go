@@ -56,11 +56,10 @@ func main() {
 	scaleBaselinePath := flag.String("scalebaseline", "bench/scale_baseline.json", "committed scale-trajectory baseline JSON")
 	cellsPath := flag.String("cells", "", "radiobench -json artifact whose per-experiment cells digests must match -cellpins; enables that check instead of the stdin alloc gate")
 	cellPinsPath := flag.String("cellpins", "bench/scale_cells.json", "committed cells digests, keyed <ID>/cells")
-	updateCells := flag.Bool("updatecells", false, "with -cells, rewrite -cellpins from the artifact instead of checking it")
 	flag.Parse()
 
 	if *cellsPath != "" {
-		runCellsGuard(*cellsPath, *cellPinsPath, *updateCells)
+		runCellsGuard(*cellsPath, *cellPinsPath)
 		return
 	}
 	if *scalePath != "" {
