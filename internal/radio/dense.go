@@ -36,9 +36,9 @@ package radio
 //     the heard/multi bitsets and its own count/sender slots. A count
 //     is a sum, and the recorded sender is read only when the count is
 //     1, when it is the unique contributor; so the order in which hits
-//     arrive is irrelevant. Channel DropLink draws are keyed by (round, link), so
-//     evaluation order is irrelevant to them too (see Config.Workers
-//     for the concurrency contract).
+//     arrive is irrelevant. Channel DropLink draws are keyed by
+//     (round, link), so evaluation order is irrelevant to them too (see
+//     Config.Workers for the concurrency contract).
 //   - Deliver/Observe touch disjoint per-listener state by contract and
 //     are order-independent, and per-partition stats are summed in
 //     partition order.
@@ -82,9 +82,13 @@ import (
 // Protocol: one value owns the state of every node. The engine calls,
 // per round r:
 //
-//  1. ListenWords(r) once, then AppendTransmitters(r, lo, hi, dst) for
-//     each partition — concurrently when Config.Workers > 1, so it must
-//     not touch shared mutable state beyond the [lo, hi) range's.
+//  1. ListenWords(r) exactly once, on the stepping goroutine, then
+//     AppendTransmitters(r, lo, hi, dst) for each partition —
+//     concurrently when Config.Workers > 1, so it must not touch shared
+//     mutable state beyond the [lo, hi) range's. Since ListenWords
+//     precedes every other call of the round, a protocol may compute
+//     its per-round values there and read them for the rest of the
+//     round.
 //  2. Packet(r, v) for transmitters whose packet is actually delivered
 //     (unlike Network, undelivered packets are never materialized).
 //  3. Deliver(r, v, out) for every listener with an observation —
@@ -109,9 +113,11 @@ type DenseProtocol interface {
 	// Deliver hands listener v its observation for round r (a packet,
 	// or ⊤ under collision detection). Calls for distinct v may be
 	// concurrent and in any order; the effect must be confined to
-	// v-local state (per-node array slots, v's own bitset bit) and be
-	// independent of delivery order within the round. Cross-node
-	// effects belong in EndRound.
+	// v-local state (per-node array slots, v's own bitset bit, v's word
+	// of a bitset, since partitions own whole words) and be independent
+	// of delivery order within the round. The one shared write allowed
+	// is an atomic OR into a summary word that several partitions' words
+	// map to (Spread.Hear). Cross-node effects belong in EndRound.
 	Deliver(r int64, v NodeID, out Outcome)
 	// EndRound runs sequentially after all deliveries of round r.
 	EndRound(r int64)
