@@ -144,7 +144,7 @@ func (s *Spread) inform(v graph.NodeID, r int64) {
 	}
 	if deg[v] > 0 {
 		wi := v >> 6
-		s.frontier[wi] |= 1 << (uint(v) & 63)
+		front[wi] |= 1 << (uint(v) & 63)
 		s.frontierSum[wi>>6] |= 1 << (uint(wi) & 63)
 	}
 }
