@@ -278,10 +278,12 @@ func (d *Dense) Close() {
 }
 
 // Reset rewinds the engine to its post-NewDense state — round counter,
-// statistics, transmitter bitset and lists, the parallel gate —
-// and installs proto for the next run, without reallocating any scratch
-// or restarting the worker pool. A Reset-reused run is byte-identical
-// to a freshly constructed engine with the same configuration. The
+// statistics, transmitter bitset and lists, the push and survivors
+// bitsets, the per-partition counters, the parallel gate — and
+// installs proto for the next run, without reallocating any scratch or
+// restarting the worker pool. A Reset-reused run is byte-identical to
+// a freshly constructed engine with the same configuration, also after
+// a run cut short by a panic in the middle of a round. The
 // protocol is taken fresh because dense protocols own all node state
 // in SoA form; rewinding that state is the protocol's own business.
 func (d *Dense) Reset(proto DenseProtocol) {
@@ -300,6 +302,10 @@ func (d *Dense) Reset(proto DenseProtocol) {
 	d.keptTx = d.keptTx[:0]
 	d.effTx = nil
 	d.listenW = nil
+	clear(d.heard)
+	clear(d.multi)
+	clear(d.survWords)
+	clear(d.perPart)
 }
 
 // partNodeRange returns partition p's node range [lo, hi).

@@ -30,3 +30,7 @@ func (s *Spread) SummaryWords() (frontier, frontierSum, newly, newlySum []uint64
 
 // PushBits returns d's heard and multi push bitsets.
 func (d *Dense) PushBits() (heard, multi []uint64) { return d.heard, d.multi }
+
+// SurvivorBits returns d's survivors bitset, marked in pulled rounds
+// that suppressed a transmitter.
+func (d *Dense) SurvivorBits() []uint64 { return d.survWords }
