@@ -62,9 +62,6 @@ type Dense struct {
 	coin    rng.Prefix // slow-slot coins Mix(DenseKey(seed), node, round)
 	noising bool
 
-	res    int64  // r mod M of the current round, set by ListenWords
-	lRecip uint64 // 2^64/L rounded up: x mod L by multiplication (modL)
-
 	armed   bitvec.Vec // relay bit: parent's fast wave buffered
 	noiseTx bitvec.Vec // this round's transmitters that send noise, stamped at collect
 
@@ -128,29 +125,7 @@ func NewDense(g *graph.Graph, f *gst.Flat, s Schedule, seed uint64, source graph
 		}
 	}
 	d.Spread = radio.NewSpread(g, source, fastListen)
-	if s.L > 0 {
-		d.lRecip = ^uint64(0)/uint64(s.L) + 1
-	}
 	return d
-}
-
-// modL returns x mod L. Below 2^32 it is Lemire's direct remainder,
-// two multiplications by the reciprocal computed once per run, exact
-// for every 32-bit x and L; above, it divides.
-func (d *Dense) modL(x uint64) uint64 {
-	if x >= 1<<32 {
-		return x % uint64(d.s.L)
-	}
-	hi, _ := bits.Mul64(d.lRecip*x, uint64(d.s.L))
-	return hi
-}
-
-// ListenWords implements radio.DenseProtocol. The engine calls it once
-// per round, before collect, so it also fixes the round's fast-slot
-// residue r mod M, which AppendTransmitters, Deliver and EndRound read.
-func (d *Dense) ListenWords(r int64) []uint64 {
-	d.res = r % d.s.M
-	return d.Spread.ListenWords(r)
 }
 
 // fastContent reports whether fast transmitter v holds content this
@@ -173,7 +148,7 @@ func (d *Dense) fastContent(v graph.NodeID) bool {
 // even while deliveries arm relays concurrently.
 func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.NodeID) []radio.NodeID {
 	if r%2 == 0 {
-		lst := d.fastList[d.res]
+		lst := d.fastList[r%d.s.M]
 		i, j := 0, len(lst)
 		for i < j {
 			h := int(uint(i+j) >> 1)
@@ -222,7 +197,7 @@ func (d *Dense) AppendTransmitters(r int64, lo, hi graph.NodeID, dst []radio.Nod
 			if q < vd {
 				continue
 			}
-			if exp := d.modL(uint64(q-vd) / 3); exp > 0 &&
+			if exp := (uint64(q-vd) / 3) % uint64(d.s.L); exp > 0 &&
 				d.coin.Mix2(uint64(v), uint64(r)) >= uint64(1)<<(64-uint(exp)) {
 				continue
 			}
@@ -258,7 +233,7 @@ func (d *Dense) Deliver(r int64, v graph.NodeID, out radio.Outcome) {
 	}
 	d.Hear(v)
 	// Buffer the parent's fast wave for relaying two rounds later.
-	if s := d.armSlot[v]; s >= 0 && int64(s) == d.res && out.From == d.f.Parent[v] {
+	if s := d.armSlot[v]; s >= 0 && int64(s) == r%d.s.M && out.From == d.f.Parent[v] {
 		d.armed.Set(int(v))
 	}
 }
@@ -271,7 +246,7 @@ func (d *Dense) Deliver(r int64, v graph.NodeID, out radio.Outcome) {
 // round's receivers in ascending node order.
 func (d *Dense) EndRound(r int64) {
 	if r%2 == 0 {
-		for _, v := range d.fastList[d.res] {
+		for _, v := range d.fastList[r%d.s.M] {
 			if !d.f.StretchStart[v] {
 				d.armed.Clear(int(v))
 			}
