@@ -401,6 +401,53 @@ func TestDenseRunAllocs(t *testing.T) {
 	}
 }
 
+// sparseRunAllocs pins the objects of one reused run of each sparse
+// (per-node engine) catalog entry, read by testing.AllocsPerRun after a
+// warm-up run on the same context: one object per reseeded RNG stream
+// (rng.Source.Seed), plus the RLNC decoding of k-known and the GST
+// builds' boundary, assignment and recruiting state of the ring
+// pipelines, none of it per round. Every run reseeds and replays the
+// same draws, so the pins have no tolerance: one new object per run
+// fails here. They read exactly these counts with go1.24 on
+// linux/amd64; like denseRunAllocs they are ceilings, so a toolchain
+// that allocates less passes.
+var sparseRunAllocs = []struct {
+	name string
+	max  float64
+}{
+	{"decay", 24},
+	{"cr", 24},
+	{"gst", 24},
+	{"k-known", 145},
+	{"cd", 705},
+	{"k-cd", 716},
+}
+
+// TestSparseRunAllocs runs every sparse catalog entry over a 4x6
+// cluster chain from node 0 on the ideal channel (k = 3 for the
+// k-message entries), after a warm-up run on the same context, and
+// pins one reused run's allocations.
+func TestSparseRunAllocs(t *testing.T) {
+	g := graph.ClusterChain(4, 6)
+	for _, tc := range sparseRunAllocs {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			entry, ok := harness.LookupProtocol(tc.name)
+			if !ok {
+				t.Fatalf("no catalog entry %s", tc.name)
+			}
+			st := entry.Build(g, 0, harness.StackOpts{K: 3})
+			if _, ok, _ := st.RunFrom(nil, nil, 7, 0); !ok {
+				t.Fatalf("%s run incomplete", tc.name)
+			}
+			allocs := testing.AllocsPerRun(3, func() { st.RunFrom(nil, nil, 7, 0) })
+			if allocs > tc.max {
+				t.Fatalf("one reused %s run allocates %.0f objects, pinned at most %.0f", tc.name, allocs, tc.max)
+			}
+		})
+	}
+}
+
 // denseScaleMemBudget caps the live-heap growth of a full n = 10^5
 // dense GNP cell: streaming CSR graph (~16n int32 edge entries), the
 // engine's word bitsets and stamp arrays, and the SoA protocol state.

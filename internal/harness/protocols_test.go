@@ -81,3 +81,25 @@ func TestAdaptiveRetopoGuard(t *testing.T) {
 		t.Error("decay: Retopo panicked; plain Decay depends on nothing but n")
 	}
 }
+
+// TestCarryoverGuard pins the epoch guard: a context whose entry is not
+// Adaptive has no carryover epochs, so a run handed an informed set
+// panics instead of silently running a fresh broadcast.
+func TestCarryoverGuard(t *testing.T) {
+	g := graph.ClusterChain(3, 4)
+	for i := range Protocols {
+		p := &Protocols[i]
+		if p.Adaptive {
+			continue
+		}
+		s := p.Build(g, 0, StackOpts{K: 2})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a carryover run did not panic", p.Name)
+				}
+			}()
+			s.RunFrom(make([]bool, g.N()), nil, 1, 0)
+		}()
+	}
+}
