@@ -52,8 +52,8 @@ func (c *core) Stats() Stats { return c.stats }
 
 // SetObserver installs (or clears) the round observer and its stride.
 // Unlike channels, observers carry no per-run simulation state, so —
-// like the tracer — an installed observer survives Reset; pass nil to
-// detach and restore the observer-free hot path.
+// like the tracer — an installed observer survives Network.Reset; pass
+// nil to detach and restore the observer-free hot path.
 func (c *core) SetObserver(o obs.RoundObserver, stride int64) {
 	c.cfg.Observer = o
 	c.cfg.ObserverStride = stride
@@ -69,15 +69,15 @@ func (c *core) SetObserver(o obs.RoundObserver, stride int64) {
 // with several partitions binary-searches them) and symmetry (a pulled
 // round finds a listener's transmitters in the listener's own row).
 //
-// Retopo composes with Reset in either order: Reset rewinds the run
-// state without touching the CSR, Retopo swaps the CSR without
+// Retopo composes with Network.Reset in either order: Reset rewinds
+// the run state without touching the CSR, Retopo swaps the CSR without
 // touching the run state. Swapping mid-run is legal too (the mobility
 // driver's case) — deliveries of round r simply fan out over the new
 // adjacency. Dense protocols typically hold their own
 // adjacency-derived state (degrees, trees), so on Dense a swap usually
-// pairs with Reset and a protocol built on the new graph. Graph()
-// keeps returning the construction-time graph; a caller that swaps
-// topologies owns the mapping to graph objects.
+// comes before the first step, with a protocol built on the new graph.
+// Graph() keeps returning the construction-time graph; a caller that
+// swaps topologies owns the mapping to graph objects.
 func (c *core) Retopo(offsets []int32, edges []NodeID) {
 	if len(offsets) != len(c.offsets) {
 		panic(fmt.Sprintf("radio: Retopo with %d offsets, want %d (node count must be unchanged)",

@@ -200,7 +200,7 @@ type Dense struct {
 	pull      bool
 	survW     []uint64
 	survWords []uint64
-	pulls     int64 // rounds counted by pull since NewDense/Reset
+	pulls     int64 // rounds counted by pull since NewDense
 
 	// Worker pool: spawned lazily on the first parallel round. Phase
 	// dispatch is one channel send per worker per phase and one
@@ -275,37 +275,6 @@ func (d *Dense) Close() {
 			}
 		}
 	}
-}
-
-// Reset rewinds the engine to its post-NewDense state — round counter,
-// statistics, transmitter bitset and lists, the push and survivors
-// bitsets, the per-partition counters, the parallel gate — and
-// installs proto for the next run, without reallocating any scratch or
-// restarting the worker pool. A Reset-reused run is byte-identical to
-// a freshly constructed engine with the same configuration, also after
-// a run cut short by a panic in the middle of a round. The
-// protocol is taken fresh because dense protocols own all node state
-// in SoA form; rewinding that state is the protocol's own business.
-func (d *Dense) Reset(proto DenseProtocol) {
-	d.proto = proto
-	d.round = 0
-	d.stats = Stats{}
-	d.lastTx = 0
-	d.pulls = 0
-	for i := range d.txWords {
-		d.txWords[i] = 0
-	}
-	for p := range d.txLists {
-		d.txLists[p] = d.txLists[p][:0]
-	}
-	d.allTx = d.allTx[:0]
-	d.keptTx = d.keptTx[:0]
-	d.effTx = nil
-	d.listenW = nil
-	clear(d.heard)
-	clear(d.multi)
-	clear(d.survWords)
-	clear(d.perPart)
 }
 
 // partNodeRange returns partition p's node range [lo, hi).

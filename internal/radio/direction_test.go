@@ -157,88 +157,3 @@ func TestDensePushBitsClear(t *testing.T) {
 		}
 	}
 }
-
-// panicDeliver wraps a dense protocol and panics at its second Deliver
-// of round at, leaving that round's delivery half done.
-type panicDeliver struct {
-	radio.DenseProtocol
-	at    int64
-	calls int
-}
-
-func (p *panicDeliver) Deliver(r int64, v graph.NodeID, out radio.Outcome) {
-	if r == p.at {
-		if p.calls++; p.calls == 2 {
-			panic("panicDeliver")
-		}
-	}
-	p.DenseProtocol.Deliver(r, v, out)
-}
-
-// TestDenseResetAfterPanic pins Reset's promise for a run cut short by
-// a panic in the middle of a round's delivery, as a recovered daemon
-// job leaves its pooled engine: Reset with a fresh protocol, and the
-// next run must be byte-identical to a fresh engine's. The cut round
-// leaves push bits set (pushed rounds, with and without the Observe
-// sweep), the survivors bitset marked (pulled rounds in which crashed
-// transmitters were suppressed) and per-partition counters part-summed.
-func TestDenseResetAfterPanic(t *testing.T) {
-	cluster := graph.ClusterChain(12, 16)
-	grid := graph.FromStream(graph.StreamGrid(15, 20))
-	chans := directionChannels(cluster.N())
-	for _, tc := range []struct {
-		name string
-		dir  int
-		c    radiotest.DenseCase
-		ch   namedChannel
-	}{
-		{"gst-push-ideal", radio.DirPush, gstCase(cluster), chans[0]},
-		{"gst-push-noisycd", radio.DirPush, gstCase(cluster), chans[2]},
-		{"decay-pull-crash", radio.DirPull, decayCase(grid, false, nil), namedChannel{"crash", func() radio.Channel {
-			f := channel.NewFaults(grid.N())
-			for v := 1; v < grid.N(); v += 3 {
-				f.SetCrash(radio.NodeID(v), int64(20+v%100))
-			}
-			return f
-		}}},
-	} {
-		restore := radio.SetDenseDirection(tc.dir)
-		c := tc.c
-		c.Channel, c.Limit = tc.ch.mk, 512
-		want := c.Run()
-		dirty := false
-		for at := int64(0); at < want.Rounds; at++ {
-			var chn radio.Channel
-			if c.Channel != nil {
-				chn = c.Channel()
-			}
-			pr, _, _ := c.Build()
-			eng := radio.NewDense(c.Graph, radio.Config{MaxPacketBits: c.MaxPacketBits, Channel: chn}, &panicDeliver{DenseProtocol: pr, at: at})
-			func() {
-				defer func() { recover() }()
-				eng.Run(at + 1)
-			}()
-			left := eng.SurvivorBits()
-			if tc.dir == radio.DirPush {
-				left, _ = eng.PushBits()
-			}
-			for _, w := range left {
-				dirty = dirty || w != 0
-			}
-
-			pr2, done, state := c.Build()
-			eng.Reset(pr2)
-			rounds, ok := eng.RunUntil(c.Limit, done)
-			got := radiotest.Fingerprint{Rounds: rounds, Completed: ok, Stats: eng.Stats(), State: make([]int64, c.Graph.N())}
-			eng.Close()
-			for v := range got.State {
-				got.State[v] = state(graph.NodeID(v))
-			}
-			radiotest.Equal(t, fmt.Sprintf("%s panic at round %d", tc.name, at), got, want)
-		}
-		restore()
-		if !dirty {
-			t.Fatalf("%s: no cut round left its bitset marked; the check went unexercised", tc.name)
-		}
-	}
-}

@@ -18,8 +18,7 @@ func SetDenseDirection(dir int) (restore func()) {
 	return func() { denseDirection = prev }
 }
 
-// PullRounds reports how many rounds d counted by pull since NewDense
-// or Reset.
+// PullRounds reports how many rounds d counted by pull since NewDense.
 func (d *Dense) PullRounds() int64 { return d.pulls }
 
 // SummaryWords returns s's frontier and newly words with their
@@ -30,7 +29,3 @@ func (s *Spread) SummaryWords() (frontier, frontierSum, newly, newlySum []uint64
 
 // PushBits returns d's heard and multi push bitsets.
 func (d *Dense) PushBits() (heard, multi []uint64) { return d.heard, d.multi }
-
-// SurvivorBits returns d's survivors bitset, marked in pulled rounds
-// that suppressed a transmitter.
-func (d *Dense) SurvivorBits() []uint64 { return d.survWords }

@@ -137,9 +137,9 @@ func (s emptyStream) N() int                        { return s.n }
 func (s emptyStream) Name() string                  { return fmt.Sprintf("empty(%d)", s.n) }
 func (s emptyStream) Edges(func(u, v graph.NodeID)) {}
 
-// TestDenseRetopoMatchesFresh is the dense half: construct on g1, run,
-// Reset with a fresh protocol, Retopo to g2, run — byte-identical to
-// a freshly constructed engine on g2, at Workers ∈ {1, 2, 4, 8}
+// TestDenseRetopoMatchesFresh is the dense half: construct on g1,
+// Retopo to g2 before the first step, run — byte-identical to a
+// freshly constructed engine on g2, at Workers ∈ {1, 2, 4, 8}
 // (including stats: same protocol, same graph, so even traffic
 // counters must agree).
 func TestDenseRetopoMatchesFresh(t *testing.T) {
@@ -155,11 +155,8 @@ func TestDenseRetopoMatchesFresh(t *testing.T) {
 			wantStats := engFresh.Stats()
 			engFresh.Close()
 
-			pr1 := decay.NewDense(g1, 9, 0)
-			eng := radio.NewDense(g1, cfg, pr1)
-			eng.RunUntil(1<<20, pr1.Done)
 			pr2 := decay.NewDense(g2, 42, 0)
-			eng.Reset(pr2)
+			eng := radio.NewDense(g1, cfg, pr2)
 			off, edges := g2.CSR()
 			eng.Retopo(off, edges)
 			gotRounds, gotOK := eng.RunUntil(1<<20, pr2.Done)
