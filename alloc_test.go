@@ -27,7 +27,6 @@ import (
 	"radiocast/internal/harness"
 	"radiocast/internal/mmv"
 	"radiocast/internal/radio"
-	"radiocast/internal/rings"
 	"radiocast/internal/rng"
 )
 
@@ -589,10 +588,9 @@ func TestTheorem13ResetReuseAllocBudget(t *testing.T) {
 		t.Skip("full Theorem 1.3 runs are slow")
 	}
 	g := graph.Grid(4, 12)
-	d := graph.Eccentricity(g, 0)
-	cfg := rings.DefaultConfig(g.N(), d, 8, 1)
-	run := harness.NewTheorem13RunCfg(g, cfg, 0)
-	wantRounds, wantOK, _ := harness.NewTheorem13RunCfg(g, cfg, 0).RunFrom(nil, nil, 3, 0)
+	kcd, _ := harness.LookupProtocol("k-cd")
+	run := kcd.Build(g, 0, harness.StackOpts{K: 8})
+	wantRounds, wantOK, _ := kcd.Build(g, 0, harness.StackOpts{K: 8}).RunFrom(nil, nil, 3, 0)
 	if !wantOK {
 		t.Fatal("fresh reference run incomplete")
 	}

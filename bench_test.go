@@ -25,7 +25,6 @@ import (
 	"radiocast/internal/harness"
 	"radiocast/internal/mmv"
 	"radiocast/internal/radio"
-	"radiocast/internal/rings"
 	"radiocast/internal/rng"
 )
 
@@ -51,8 +50,13 @@ func benchExperiment(b *testing.B, id string) {
 // rounds per run.
 // buildStack builds the named protocol table entry over g from node 0.
 func buildStack(name string, g *graph.Graph) harness.Stack {
+	return buildStackOpts(name, g, harness.StackOpts{})
+}
+
+// buildStackOpts is buildStack with build options.
+func buildStackOpts(name string, g *graph.Graph, o harness.StackOpts) harness.Stack {
 	p, _ := harness.LookupProtocol(name)
-	return p.Build(g, 0, harness.StackOpts{})
+	return p.Build(g, 0, o)
 }
 
 func reportRounds(b *testing.B, fn func(seed uint64) (int64, bool)) {
@@ -90,17 +94,15 @@ func BenchmarkE1_CR_ClusterChain32x8(b *testing.B) {
 func BenchmarkE1_GSTBroadcast_ClusterChain32x8(b *testing.B) {
 	g := graph.ClusterChain(32, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, seed, 1<<22)
+		rounds, ok, _ := buildStack("gst", g).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
 
 func BenchmarkE1_Theorem11Full_ClusterChain8x8(b *testing.B) {
 	g := graph.ClusterChain(8, 8)
-	d := graph.Eccentricity(g, 0)
-	cfg := rings.DefaultConfig(g.N(), d, 0, 1)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewTheorem11RunCfg(g, cfg, 0).RunFrom(nil, nil, seed, 0)
+		rounds, ok, _ := buildStack("cd", g).RunFrom(nil, nil, seed, 0)
 		return rounds, ok
 	})
 }
@@ -110,7 +112,7 @@ func BenchmarkE2_DiameterScaling_GST(b *testing.B) {
 		g := graph.ClusterChain(chain, 8)
 		b.Run(g.Name(), func(b *testing.B) {
 			reportRounds(b, func(seed uint64) (int64, bool) {
-				rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, seed, 1<<22)
+				rounds, ok, _ := buildStack("gst", g).RunFrom(nil, nil, seed, 1<<22)
 				return rounds, ok
 			})
 		})
@@ -137,7 +139,7 @@ func BenchmarkE7_MultiMessageKnown_Grid8x8(b *testing.B) {
 	for _, k := range []int{4, 16} {
 		b.Run("k="+itoa(k), func(b *testing.B) {
 			reportRounds(b, func(seed uint64) (int64, bool) {
-				rounds, ok, _ := harness.NewGSTMultiRun(g, k, 0).RunFrom(nil, nil, seed, 1<<22)
+				rounds, ok, _ := buildStackOpts("k-known", g, harness.StackOpts{K: k}).RunFrom(nil, nil, seed, 1<<22)
 				return rounds, ok
 			})
 		})
@@ -147,10 +149,8 @@ func BenchmarkE7_MultiMessageKnown_Grid8x8(b *testing.B) {
 // E8: Theorem 1.3 full pipeline.
 func BenchmarkE8_MultiMessageUnknown_Grid4x12(b *testing.B) {
 	g := graph.Grid(4, 12)
-	d := graph.Eccentricity(g, 0)
-	cfg := rings.DefaultConfig(g.N(), d, 8, 1)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewTheorem13RunCfg(g, cfg, 0).RunFrom(nil, nil, seed, 0)
+		rounds, ok, _ := buildStackOpts("k-cd", g, harness.StackOpts{K: 8}).RunFrom(nil, nil, seed, 0)
 		return rounds, ok
 	})
 }
@@ -162,7 +162,7 @@ func BenchmarkE9_DecayMMV_Path64(b *testing.B) { benchExperiment(b, "E9") }
 func BenchmarkE10_MMVGST_Grid8x8(b *testing.B) {
 	g := graph.Grid(8, 8)
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewGSTSingleRun(g, true, 0).RunFrom(nil, nil, seed, 1<<22)
+		rounds, ok, _ := buildStackOpts("gst", g, harness.StackOpts{Noise: true}).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -203,7 +203,7 @@ func BenchmarkA2_CodingVsRouting_Grid6x6(b *testing.B) {
 	g := graph.Grid(6, 6)
 	b.Run("rlnc-k8", func(b *testing.B) {
 		reportRounds(b, func(seed uint64) (int64, bool) {
-			rounds, ok, _ := harness.NewGSTMultiRun(g, 8, 0).RunFrom(nil, nil, seed, 1<<22)
+			rounds, ok, _ := buildStackOpts("k-known", g, harness.StackOpts{K: 8}).RunFrom(nil, nil, seed, 1<<22)
 			return rounds, ok
 		})
 	})
@@ -245,7 +245,7 @@ func BenchmarkEngine_SleepHeavy_Path256(b *testing.B) {
 	g := graph.Path(256)
 	b.ResetTimer()
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, seed, 1<<22)
+		rounds, ok, _ := buildStack("gst", g).RunFrom(nil, nil, seed, 1<<22)
 		return rounds, ok
 	})
 }
@@ -262,9 +262,8 @@ func BenchmarkEngine_SleepHeavy_Path256(b *testing.B) {
 // same seed.
 func BenchmarkEngine_Theorem13_Grid4x12(b *testing.B) {
 	g := graph.Grid(4, 12)
-	d := graph.Eccentricity(g, 0)
 	b.ResetTimer()
-	run := harness.NewTheorem13RunCfg(g, rings.DefaultConfig(g.N(), d, 8, 1), 0)
+	run := buildStackOpts("k-cd", g, harness.StackOpts{K: 8})
 	reportRounds(b, func(seed uint64) (int64, bool) {
 		rounds, ok, _ := run.RunFrom(nil, nil, seed, 0)
 		return rounds, ok
@@ -274,15 +273,13 @@ func BenchmarkEngine_Theorem13_Grid4x12(b *testing.B) {
 // BenchmarkEngine_Theorem13_Fresh is the same workload without Reset
 // reuse (construct-per-run): the difference against the benchmark
 // above is the per-seed construction cost the reuse layer eliminates.
-// It builds through the typed constructor, not the protocol table, so
-// the timed construction is the stack alone (a table Build would add
-// the source eccentricity BFS).
+// It builds through the protocol table, so the timed construction
+// includes the table's source eccentricity BFS (a few objects per op).
 func BenchmarkEngine_Theorem13_Fresh_Grid4x12(b *testing.B) {
 	g := graph.Grid(4, 12)
-	d := graph.Eccentricity(g, 0)
 	b.ResetTimer()
 	reportRounds(b, func(seed uint64) (int64, bool) {
-		rounds, ok, _ := harness.NewTheorem13RunCfg(g, rings.DefaultConfig(g.N(), d, 8, 1), 0).RunFrom(nil, nil, seed, 0)
+		rounds, ok, _ := buildStackOpts("k-cd", g, harness.StackOpts{K: 8}).RunFrom(nil, nil, seed, 0)
 		return rounds, ok
 	})
 }
@@ -319,7 +316,7 @@ func BenchmarkEngine_GSTSequentialBuild_Grid4x8(b *testing.B) {
 }
 
 // BenchmarkEngine_DecayReuse measures the lightest reuse path: one
-// DecayRun context across seeds — per-seed work is the round loop
+// Decay context across seeds — per-seed work is the round loop
 // plus reseeding, nothing else.
 func BenchmarkEngine_DecayReuse_ClusterChain16x8(b *testing.B) {
 	g := graph.ClusterChain(16, 8)

@@ -20,8 +20,9 @@ func main() {
 	fmt.Printf("multi-message viability on %s (jammers = nodes without the message)\n\n", g.Name())
 
 	// GST schedule, silent vs jammed (Lemma 3.3).
-	silent, ok1, _ := harness.NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, 1, 1<<20)
-	jammed, ok2, _ := harness.NewGSTSingleRun(g, true, 0).RunFrom(nil, nil, 1, 1<<20)
+	gstEntry, _ := harness.LookupProtocol("gst")
+	silent, ok1, _ := gstEntry.Build(g, 0, harness.StackOpts{}).RunFrom(nil, nil, 1, 1<<20)
+	jammed, ok2, _ := gstEntry.Build(g, 0, harness.StackOpts{Noise: true}).RunFrom(nil, nil, 1, 1<<20)
 	if !ok1 || !ok2 {
 		log.Fatal("GST schedule incomplete")
 	}

@@ -13,6 +13,7 @@ package harness
 import (
 	"radiocast/internal/adapt"
 	"radiocast/internal/channel"
+	"radiocast/internal/graph"
 	"radiocast/internal/obs"
 	"radiocast/internal/radio"
 	"radiocast/internal/rng"
@@ -52,7 +53,7 @@ func EpochChannel(ch radio.Channel) ChannelFactory {
 // randomness. One AdaptiveRunner serves many adaptive runs: epoch 0
 // rewinds the carryover, and Reseed switches the base seed.
 type AdaptiveRunner struct {
-	stack      carrier
+	stack      *sparseStack
 	informed   []bool
 	baseSeed   uint64
 	chf        ChannelFactory
@@ -62,18 +63,20 @@ type AdaptiveRunner struct {
 	relayout   func(epoch int)
 }
 
-// carrier is a Stack whose per-node done state the retry layer
-// harvests after every epoch: the next epoch's carryover sources.
-type carrier interface {
-	Stack
-	mark(dst []bool)
+// newAdaptive wraps an n-node context in the retry layer, which
+// harvests its per-node done state after every epoch as the next
+// epoch's carryover sources. epochLimit caps every epoch (0 = the
+// stack's own budget); retopoSafe admits Retopo.
+func newAdaptive(s *sparseStack, n int, chf ChannelFactory, seed uint64, epochLimit int64, retopoSafe bool) *AdaptiveRunner {
+	return &AdaptiveRunner{stack: s, informed: make([]bool, n), baseSeed: seed, chf: chf, epochLimit: epochLimit, retopoSafe: retopoSafe}
 }
 
-// newAdaptive wraps an n-node context in the retry layer. epochLimit
-// caps every epoch (0 = the stack's own budget); retopoSafe admits
-// Retopo.
-func newAdaptive(s carrier, n int, chf ChannelFactory, seed uint64, epochLimit int64, retopoSafe bool) *AdaptiveRunner {
-	return &AdaptiveRunner{stack: s, informed: make([]bool, n), baseSeed: seed, chf: chf, epochLimit: epochLimit, retopoSafe: retopoSafe}
+// NewAdaptiveWave wraps E23's collision wave (waveStack) in the retry
+// layer with a per-epoch horizon: each epoch floods for up to
+// epochHorizon rounds from the carried frontier. Pair with SetRelayout
+// to swap topology between epochs — the mobility/churn driver of E23.
+func NewAdaptiveWave(g *graph.Graph, chf ChannelFactory, seed uint64, source graph.NodeID, epochHorizon int64) *AdaptiveRunner {
+	return newAdaptive(waveStack(g, source, epochHorizon), g.N(), chf, seed, epochHorizon, true)
 }
 
 var _ adapt.Runner = (*AdaptiveRunner)(nil)
@@ -101,15 +104,12 @@ func (a *AdaptiveRunner) SetObserver(o obs.RoundObserver, stride int64) {
 // schedule-compiled stacks (CR, GST, the Theorem pipelines) bake
 // eccentricity or per-node transmission plans out of the construction
 // graph, so a swap would silently run a stale schedule. Those panic
-// here instead, even where the context type could swap (CR shares
-// Decay's DecayRun).
+// here instead, although every sparse context could swap.
 func (a *AdaptiveRunner) Retopo(offsets []int32, edges []radio.NodeID) {
 	if !a.retopoSafe {
 		panic("harness: this adaptive stack compiles its schedule from the construction graph and cannot Retopo")
 	}
-	a.stack.(interface {
-		Retopo(offsets []int32, edges []radio.NodeID)
-	}).Retopo(offsets, edges)
+	a.stack.Retopo(offsets, edges)
 }
 
 // SetRelayout installs the mobility hook: before every carryover

@@ -425,18 +425,8 @@ func A3Plan(seeds int, quick bool) *exp.Plan {
 	p := exp.NewGrid("A3", "Ablation: ring width in Theorem 1.1", seeds)
 	for _, w := range widths {
 		p.Add(fmt.Sprintf("w=%d", w), 0, budgetCost(g.N(), a3Config(g, d, w).TotalRounds()), func(seed uint64, limit int64) exp.Result {
-			cfg := a3Config(g, d, w)
-			nw := radio.New(g, radio.Config{CollisionDetection: true})
-			var ds radio.DoneSet
-			protos := make([]*rings.Protocol, g.N())
-			f := gst.NewFlat(g.N())
-			for v := 0; v < g.N(); v++ {
-				protos[v] = rings.New(cfg, f, graph.NodeID(v), v == 0, nil, rng.New(seed, 0xa3, uint64(v)))
-				protos[v].SingleContent().DoneSet = &ds
-				nw.SetProtocol(graph.NodeID(v), protos[v])
-			}
-			initDone(&ds, g.N(), func(v int) bool { return protos[v].Has() })
-			return exp.Rounds(nw.RunUntil(lowerLimit(cfg.TotalRounds(), limit), ds.Done))
+			rounds, ok, _ := ringStack(g, a3Config(g, d, w), 0, 0xa3).RunFrom(nil, nil, seed, limit)
+			return exp.Rounds(rounds, ok)
 		})
 	}
 	p.Assemble = func(results []exp.Result) *stats.Table {

@@ -183,7 +183,7 @@ func runE23Cell(mode string, period, total int64, seed uint64, limit int64) exp.
 	l := geo.Clustered(e23N, e23Clusters, e23Spread, rng.Mix(0xe23, seed))
 	g := graph.FromStream(geo.NewDisk(l, e23Radius))
 	if mode == "oneshot" {
-		wr := NewWaveRun(g, 0, period)
+		wr := waveStack(g, 0, period)
 		rounds, ok, _ := wr.RunFrom(nil, nil, seed, period)
 		res := exp.Rounds(rounds, ok)
 		res.Epochs = 1

@@ -26,16 +26,13 @@ type GSTBuildResult struct {
 // GSTPipelinedRun is the reusable E6 harness: one distributed
 // segment-B construction (sequential or pipelined boundaries) over one
 // graph, executing any number of seeds with zero per-seed construction
-// under the reuse/reset contract. Levels are preset from a BFS so the
-// measured rounds isolate the boundary-construction segment the
-// pipelining changes.
+// on a sparse stack capped at the fixed schedule. Levels are preset
+// from a BFS so the measured rounds isolate the boundary-construction
+// segment the pipelining changes.
 type GSTPipelinedRun struct {
-	cfg    gstdist.Config
+	s      *sparseStack
 	g      *graph.Graph
-	nw     *radio.Network
 	protos []*gstdist.Protocol
-	levels []int32
-	ds     radio.DoneSet
 }
 
 // NewGSTPipelinedRun builds the reusable stack. nBound is the schedule
@@ -49,42 +46,37 @@ func NewGSTPipelinedRun(g *graph.Graph, nBound, d, c int, pipelined bool) *GSTPi
 	}
 	cfg := gstdist.DefaultConfig(nBound, d, c, gstdist.LayerPreset, false)
 	cfg.PipelinedBoundaries = pipelined
-	bfs := graph.BFS(g, 0)
-	r := &GSTPipelinedRun{
-		cfg:    cfg,
-		g:      g,
-		nw:     radio.New(g, radio.Config{}),
-		protos: make([]*gstdist.Protocol, g.N()),
-		levels: bfs.Dist,
+	levels := graph.BFS(g, 0).Dist
+	s := newSparse(g, false, 0)
+	s.own = cfg.TotalRounds()
+	protos := make([]*gstdist.Protocol, g.N())
+	for v := range protos {
+		protos[v] = gstdist.New(cfg, graph.NodeID(v), v == 0, levels[v], rng.New())
+		protos[v].DoneSet = &s.ds
 	}
-	for v := 0; v < g.N(); v++ {
-		r.protos[v] = gstdist.New(cfg, graph.NodeID(v), v == 0, r.levels[v], rng.New())
-		r.protos[v].DoneSet = &r.ds
+	s.done = func(v int) bool { return protos[v].Informed() }
+	s.reset = func(v int, source bool, seed uint64, _ int64) radio.Protocol {
+		p := protos[v]
+		p.Reset(source, levels[v])
+		rng.Reseed(p.Rng(), seed, 0x60, uint64(v))
+		return p
 	}
-	return r
+	return &GSTPipelinedRun{s: s, g: g, protos: protos}
 }
 
 // Run executes one seeded construction: it measures the round at which
 // every node knows its parent, then finishes the fixed schedule and
 // validates the full GST contract.
 func (r *GSTPipelinedRun) Run(seed uint64) GSTBuildResult {
-	r.nw.Reset()
-	for v, p := range r.protos {
-		p.Reset(v == 0, r.levels[v])
-		rng.Reseed(p.Rng(), seed, 0x60, uint64(v))
-		r.nw.SetProtocol(graph.NodeID(v), p)
-	}
-	initDone(&r.ds, len(r.protos), func(v int) bool { return r.protos[v].Informed() })
-	budget := r.cfg.TotalRounds()
-	rounds, done := r.nw.RunUntil(budget, r.ds.Done)
+	rounds, done, _ := r.s.RunFrom(nil, nil, seed, 0)
 	// Ranks and mop-up broadcasts continue past the completion round;
 	// validation needs the full schedule.
-	r.nw.Run(budget)
+	r.s.nw.Run(r.s.own)
 	tree, _ := gstdist.Harvest(r.g, 0, r.protos)
 	return GSTBuildResult{
 		Rounds: rounds,
 		Done:   done,
 		Valid:  tree.Validate() == nil,
-		Budget: budget,
+		Budget: r.s.own,
 	}
 }

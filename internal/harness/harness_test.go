@@ -218,7 +218,7 @@ func TestE1CrossoverShape(t *testing.T) {
 	d := graph.Eccentricity(g, 0)
 	decayR, ok1, _ := cellStack("decay", g, d, StackOpts{}).RunFrom(nil, nil, 1, 1<<22)
 	crR, ok2, _ := cellStack("cr", g, d, StackOpts{}).RunFrom(nil, nil, 1, 1<<22)
-	gstR, ok3, _ := NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, 1, 1<<22)
+	gstR, ok3, _ := gstStack(g, false, 0).RunFrom(nil, nil, 1, 1<<22)
 	if !ok1 || !ok2 || !ok3 {
 		t.Fatal("some protocol incomplete")
 	}
@@ -230,7 +230,7 @@ func TestE1CrossoverShape(t *testing.T) {
 
 func TestRunnersVerifyPayloads(t *testing.T) {
 	g := graph.Grid(5, 5)
-	if _, ok, _ := NewGSTMultiRun(g, 6, 0).RunFrom(nil, nil, 3, 1<<20); !ok {
+	if _, ok, _ := gstMultiStack(g, 6, 0).RunFrom(nil, nil, 3, 1<<20); !ok {
 		t.Fatal("Theorem 1.2 runner failed")
 	}
 	if _, ok := RunGSTMultiRouting(g, 4, 3, 1<<20); !ok {
@@ -245,7 +245,7 @@ func TestTheorem11RunnerDecomposition(t *testing.T) {
 	if cfg.WaveRounds()+cfg.BuildRounds()+cfg.SpreadRounds() != cfg.TotalRounds() {
 		t.Fatal("budget decomposition inconsistent")
 	}
-	rounds, ok, _ := NewTheorem11RunCfg(g, cfg, 0).RunFrom(nil, nil, 2, 0)
+	rounds, ok, _ := ringStack(g, cfg, 0, 0x11).RunFrom(nil, nil, 2, 0)
 	if !ok {
 		t.Fatal("Theorem 1.1 incomplete")
 	}

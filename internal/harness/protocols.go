@@ -27,7 +27,7 @@ import (
 // Stack is the one runner shape of every protocol context.
 type Stack interface {
 	// RunFrom executes one seeded run over ch (nil = ideal). informed
-	// non-nil is an adaptive carryover epoch (see DecayRun.RunFrom);
+	// non-nil is an adaptive carryover epoch (see sparseStack.RunFrom);
 	// only adaptive-capable stacks accept it. limit <= 0 runs to the
 	// stack's own budget: the compiled schedule of a ring pipeline, the
 	// wave's horizon, OpenLimit for the open-ended stacks.
@@ -133,19 +133,19 @@ var Protocols = []Protocol{
 	{Name: "decay", Adaptive: true, RetopoSafe: true, build: plainDecay.sparse, rounds: decayRounds},
 	{Name: "cr", Adaptive: true, build: fastDecay.sparse, rounds: decayRounds},
 	{Name: "gst", Adaptive: true, build: func(b *builder) Stack {
-		return NewGSTSingleRun(b.g, b.Noise, b.src)
+		return gstStack(b.g, b.Noise, b.src)
 	}, rounds: decayRounds},
 	{Name: "k-known", TakesK: true, build: func(b *builder) Stack {
-		return NewGSTMultiRun(b.g, b.k(), b.src)
+		return gstMultiStack(b.g, b.k(), b.src)
 	}, rounds: func(b *builder) int64 {
 		// Theorem 1.2 adds k log n for the k messages.
 		return decayRounds(b) + int64(b.k()*sched.LogN(b.n))
 	}},
 	{Name: "cd", Adaptive: true, Rings: true, build: func(b *builder) Stack {
-		return NewTheorem11RunCfg(b.g, b.ringConfig(0), b.src)
+		return ringStack(b.g, b.ringConfig(0), b.src, 0x11)
 	}, rounds: func(b *builder) int64 { return b.ringConfig(0).TotalRounds() }},
 	{Name: "k-cd", TakesK: true, Adaptive: true, Rings: true, build: func(b *builder) Stack {
-		return NewTheorem13RunCfg(b.g, b.ringConfig(b.k()), b.src)
+		return ringStack(b.g, b.ringConfig(b.k()), b.src, 0x16)
 	}, rounds: func(b *builder) int64 { return b.ringConfig(b.k()).TotalRounds() }},
 	{Name: "dense-decay", Dense: true, build: plainDecay.dense, rounds: decayRounds},
 	{Name: "dense-cr", Dense: true, build: fastDecay.dense, rounds: decayRounds},
@@ -193,7 +193,7 @@ var (
 )
 
 func (f decayFlavor) sparse(b *builder) Stack {
-	return NewDecayRun(b.g, f.schedule(b), f.tag, b.src)
+	return decayStack(b.g, f.schedule(b), f.tag, b.src)
 }
 
 func (f decayFlavor) dense(b *builder) Stack {
@@ -293,7 +293,7 @@ func (p *Protocol) NewAdaptive(g *graph.Graph, src graph.NodeID, o StackOpts, ch
 		panic(fmt.Sprintf("harness: %s does not support adaptive retry", p.Name))
 	}
 	b := &builder{StackOpts: o, g: g, n: g.N(), src: src, d: -1}
-	s := p.build(b).(carrier)
+	s := p.build(b).(*sparseStack)
 	limit := o.EpochLimit
 	if limit <= 0 && !p.Rings {
 		limit = p.ceiling(g.N(), b.ecc(), o)

@@ -51,9 +51,9 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 		}
 	})
 	t.Run("gst-single", func(t *testing.T) {
-		run := NewGSTSingleRun(g, false, 0)
+		run := gstStack(g, false, 0)
 		for _, s := range seeds {
-			fr, fok, _ := NewGSTSingleRun(g, false, 0).RunFrom(nil, nil, s, limit)
+			fr, fok, _ := gstStack(g, false, 0).RunFrom(nil, nil, s, limit)
 			rr, rok, _ := run.RunFrom(nil, nil, s, limit)
 			if fr != rr || fok != rok {
 				t.Fatalf("seed %d: fresh (%d,%v) vs reused (%d,%v)", s, fr, fok, rr, rok)
@@ -61,9 +61,9 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 		}
 	})
 	t.Run("gst-multi", func(t *testing.T) {
-		run := NewGSTMultiRun(g, 4, 0)
+		run := gstMultiStack(g, 4, 0)
 		for _, s := range seeds {
-			fr, fok, _ := NewGSTMultiRun(g, 4, 0).RunFrom(nil, nil, s, limit)
+			fr, fok, _ := gstMultiStack(g, 4, 0).RunFrom(nil, nil, s, limit)
 			rr, rok, _ := run.RunFrom(nil, nil, s, limit)
 			if fr != rr || fok != rok {
 				t.Fatalf("seed %d: fresh (%d,%v) vs reused (%d,%v)", s, fr, fok, rr, rok)
@@ -117,9 +117,9 @@ func TestReuseContextsMatchFreshRuns(t *testing.T) {
 		if !cfg.Pipelined() {
 			t.Fatal("pipelining did not engage at W=5")
 		}
-		run := NewTheorem11RunCfg(g, cfg, 0)
+		run := ringStack(g, cfg, 0, 0x11)
 		for _, s := range seeds {
-			fr, fok, fst := NewTheorem11RunCfg(g, cfg, 0).RunFrom(nil, nil, s, 0)
+			fr, fok, fst := ringStack(g, cfg, 0, 0x11).RunFrom(nil, nil, s, 0)
 			rr, rok, rst := run.RunFrom(nil, nil, s, 0)
 			if fr != rr || fok != rok || fst != rst {
 				t.Fatalf("seed %d: fresh (%d,%v,%+v) vs reused (%d,%v,%+v)", s, fr, fok, fst, rr, rok, rst)

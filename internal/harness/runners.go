@@ -14,16 +14,19 @@
 // A context-run is bit-identical to a fresh context's run with the same
 // seed — same RNG streams, same draws, same rounds — so a one-shot run
 // is just Build(...).RunFrom(nil, ch, seed, limit). informed != nil is
-// the adaptive layer's carryover epoch (AdaptiveRunner); the dense
-// contexts build their SoA protocol and engine per run instead.
+// the adaptive layer's carryover epoch (AdaptiveRunner). Every per-node
+// stack is one context type, sparseStack, that its constructor fills
+// with per-entry functions; the dense contexts build their SoA protocol
+// and engine per run instead.
 //
 // Protocols lists every broadcast stack in one ordered table: each
 // entry carries its capabilities (dense engine, takes k,
 // adaptive-capable, retopo-safe, ring pipeline) and builds its context.
 // The facade, radiocastd, radiosim and the experiment cells all build
 // through it (Protocol.Build, Protocol.NewAdaptive, cellStack), so a
-// protocol is named and constructed in one place; only E23's sparse
-// wave, which is not a table entry, has its own constructors.
+// protocol is named and constructed in one place. E23's collision wave,
+// A3's ring-width sweep and E6's construction runner, which are not
+// table entries, build on the same sparseStack constructors.
 //
 // Completion predicates are O(1): each protocol/content layer ticks a
 // radio.DoneSet exactly once on first completion, replacing the
@@ -32,8 +35,7 @@
 package harness
 
 import (
-	"math/rand"
-
+	"radiocast/internal/beep"
 	"radiocast/internal/bitvec"
 	"radiocast/internal/decay"
 	"radiocast/internal/graph"
@@ -57,18 +59,6 @@ func openLimit(limit int64) int64 {
 	return limit
 }
 
-// epochSource resolves node v's source flag for a run with carryover:
-// a fresh run (informed == nil) broadcasts from the configured source
-// node; a re-layering epoch broadcasts from every informed radio. All
-// RunFrom implementations share this so carryover semantics cannot
-// drift between stacks.
-func epochSource(informed []bool, v int, source graph.NodeID) bool {
-	if informed == nil {
-		return graph.NodeID(v) == source
-	}
-	return informed[v]
-}
-
 // initDone applies the DoneSet contract after a stack is constructed
 // or reset: rewind the counter LAST (wiping any stray ticks fired
 // while preloading source stores), then perform the single O(n) scan
@@ -85,35 +75,88 @@ func initDone(ds *radio.DoneSet, n int, done func(v int) bool) {
 	}
 }
 
-// sparseStack is what every per-node (radio.Network) context shares:
-// the engine, the source node, and the O(1) completion counter.
+// lowerLimit is a run's round cap: its own cap (a ring pipeline's
+// compiled schedule budget, say), lowered to limit when that is
+// positive and smaller.
+func lowerLimit(own, limit int64) int64 {
+	if limit > 0 && limit < own {
+		return limit
+	}
+	return own
+}
+
+// sparseStack is the one context of every per-node (radio.Network)
+// stack: the engine, the source node, the O(1) completion counter, the
+// stack's own round cap and the per-entry functions its constructor
+// supplies. Its per-node protocols are built once; every run resets
+// and reseeds them in place and installs them on the rewound engine.
 type sparseStack struct {
 	nw  *radio.Network
 	src graph.NodeID
 	ds  radio.DoneSet
-	// node is the concrete stack: its per-node completion predicate
-	// seeds the counter and harvests the adaptive carryover.
-	node interface{ nodeDone(v int) bool }
+	// own caps every run: a ring pipeline's compiled schedule or the
+	// wave's horizon; 0 = open-ended (OpenLimit when limit <= 0).
+	own int64
+	// freshOnly stacks have no carryover epochs (the k-known entry).
+	freshOnly bool
+	// done reports node v's completion: it seeds the counter and
+	// harvests the adaptive carryover.
+	done func(v int) bool
+	// reset rewinds node v's protocol for a run with the given source
+	// flag, seed and round budget, and returns it for installation.
+	reset func(v int, source bool, seed uint64, budget int64) radio.Protocol
+	// fresh, when set, draws a fresh run's payloads from its seed, and
+	// check verifies a completed run's decoded payloads (the k-message
+	// entries).
+	fresh func(seed uint64)
+	check func() bool
 }
 
-// begin rewinds the engine for one run over ch (nil = ideal). A fresh
-// run (informed == nil) also rewinds the channel's per-run state via
-// radio.ResetChannel, so one channel instance may serve many seeds;
-// carryover epochs deliberately keep it (an adversary's budget spans
-// the whole retried broadcast).
-func (s *sparseStack) begin(informed []bool, ch radio.Channel) {
+// newSparse builds the engine of a stack broadcasting from src (cd
+// turns on collision detection).
+func newSparse(g *graph.Graph, cd bool, src graph.NodeID) *sparseStack {
+	return &sparseStack{nw: radio.New(g, radio.Config{CollisionDetection: cd}), src: src}
+}
+
+// RunFrom executes one seeded run over ch (nil = ideal). A fresh run
+// (informed == nil) broadcasts from the constructor's source and
+// rewinds the channel's per-run state via radio.ResetChannel, so one
+// channel instance may serve many seeds. When informed is non-nil,
+// node v starts as a source iff informed[v]: the adaptive retry
+// layer's re-layering epoch, where every radio informed by earlier
+// epochs broadcasts again (a decode-complete k-cd node preloads the
+// identical message set) and the channel keeps its state (an
+// adversary's budget spans the whole retried broadcast). limit caps
+// the run when positive and below the stack's own cap; limit <= 0
+// runs to that cap, or to OpenLimit.
+func (s *sparseStack) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
 	if informed == nil {
+		if s.fresh != nil {
+			s.fresh(seed)
+		}
 		radio.ResetChannel(ch)
+	} else if s.freshOnly {
+		panic("harness: this stack has no carryover epochs")
+	}
+	budget := openLimit(limit)
+	if s.own > 0 {
+		budget = lowerLimit(s.own, limit)
 	}
 	s.nw.Reset()
 	s.nw.SetChannel(ch)
-}
-
-// finish seeds the completion counter from the installed protocols and
-// runs until every node is done or limit rounds elapse.
-func (s *sparseStack) finish(limit int64) (int64, bool, radio.Stats) {
-	initDone(&s.ds, s.nw.Graph().N(), s.node.nodeDone)
-	rounds, ok := s.nw.RunUntil(limit, s.ds.Done)
+	n := s.nw.Graph().N()
+	for v := 0; v < n; v++ {
+		source := graph.NodeID(v) == s.src
+		if informed != nil {
+			source = informed[v]
+		}
+		s.nw.SetProtocol(graph.NodeID(v), s.reset(v, source, seed, budget))
+	}
+	initDone(&s.ds, n, s.done)
+	rounds, ok := s.nw.RunUntil(budget, s.ds.Done)
+	if ok && s.check != nil {
+		ok = s.check()
+	}
 	return rounds, ok, s.nw.Stats()
 }
 
@@ -121,7 +164,7 @@ func (s *sparseStack) finish(limit int64) (int64, bool, radio.Stats) {
 // carryover harvest).
 func (s *sparseStack) mark(dst []bool) {
 	for v := range dst {
-		dst[v] = s.node.nodeDone(v)
+		dst[v] = s.done(v)
 	}
 }
 
@@ -135,323 +178,188 @@ func (s *sparseStack) Coverage() int { return s.ds.Count() }
 // engine's Reset, so one call covers every subsequent seed.
 func (s *sparseStack) SetObserver(o obs.RoundObserver, stride int64) { s.nw.SetObserver(o, stride) }
 
-// ---------------------------------------------------------------------
-// Decay (the BGI baseline and, on the FastDecay schedule, CR).
-
-// DecayRun is a reusable Decay broadcast harness over one graph:
-// construct once, run any number of seeds with zero per-seed
-// construction.
-type DecayRun struct {
-	sparseStack
-	protos []*decay.Broadcast
-	tag    uint64 // per-node RNG reseed tag of the schedule's stream
-}
-
-// NewDecayRun builds the reusable stack on schedule s broadcasting
-// from source; node v's RNG is reseeded from (seed, tag, v) every run.
-func NewDecayRun(g *graph.Graph, s decay.Schedule, tag uint64, source graph.NodeID) *DecayRun {
-	n := g.N()
-	r := &DecayRun{sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source}, protos: make([]*decay.Broadcast, n), tag: tag}
-	r.node = r
-	for v := 0; v < n; v++ {
-		r.protos[v] = decay.NewBroadcast(s, graph.NodeID(v) == source, decay.Message{Data: 1}, rng.New())
-		r.protos[v].DoneSet = &r.ds
-	}
-	return r
-}
-
-func (r *DecayRun) nodeDone(v int) bool { return r.protos[v].Has() }
-
-// RunFrom executes one seeded run over ch (nil = ideal; stateful
-// channels are rewound via radio.ResetChannel, so one instance may
-// serve many seeds); limit <= 0 means OpenLimit. When informed is
-// non-nil, node v starts holding the message iff informed[v] — the
-// adaptive retry layer's re-layering epoch, where every radio informed
-// by earlier epochs broadcasts as an additional source. informed == nil
-// is a fresh run broadcasting from the constructor's source.
-func (r *DecayRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	r.begin(informed, ch)
-	for v, p := range r.protos {
-		p.Reset(epochSource(informed, v, r.src), decay.Message{Data: 1})
-		rng.Reseed(p.Rng(), seed, r.tag, uint64(v))
-		r.nw.SetProtocol(graph.NodeID(v), p)
-	}
-	return r.finish(openLimit(limit))
-}
-
 // Retopo swaps the engine's topology in place (radio.Network.Retopo).
-// It is sound only on a schedule that depends on nothing but n (plain
-// Decay): the FastDecay schedule bakes in the construction graph's
-// eccentricity. The table marks only the plain entry RetopoSafe, and
-// AdaptiveRunner.Retopo gates on that. The mobility driver's hook.
-func (r *DecayRun) Retopo(offsets []int32, edges []radio.NodeID) {
-	r.nw.Retopo(offsets, edges)
+// It is sound only for a stack whose protocols depend on nothing but
+// n (plain Decay, the collision wave): the others compile eccentricity
+// or per-node transmission plans out of the construction graph. The
+// table marks only plain Decay RetopoSafe, and AdaptiveRunner.Retopo
+// gates on that. The mobility driver's hook.
+func (s *sparseStack) Retopo(offsets []int32, edges []radio.NodeID) {
+	s.nw.Retopo(offsets, edges)
 }
 
-// ---------------------------------------------------------------------
-// GST single-message broadcast (known topology).
-
-// GSTSingleRun is the reusable single-message GST harness: the
-// centralized GST, its flat view, and protocol objects are built once
-// (they depend only on the graph).
-type GSTSingleRun struct {
-	sparseStack
-	protos   []*mmv.Protocol
-	contents []*mmv.SingleMessage
+// decayStack is Decay (the BGI baseline and, on the FastDecay
+// schedule, CR) on schedule, broadcasting from src; node v's RNG is
+// reseeded from (seed, tag, v) every run.
+func decayStack(g *graph.Graph, schedule decay.Schedule, tag uint64, src graph.NodeID) *sparseStack {
+	s := newSparse(g, false, src)
+	protos := make([]*decay.Broadcast, g.N())
+	for v := range protos {
+		protos[v] = decay.NewBroadcast(schedule, graph.NodeID(v) == src, decay.Message{Data: 1}, rng.New())
+		protos[v].DoneSet = &s.ds
+	}
+	s.done = func(v int) bool { return protos[v].Has() }
+	s.reset = func(v int, source bool, seed uint64, _ int64) radio.Protocol {
+		p := protos[v]
+		p.Reset(source, decay.Message{Data: 1})
+		rng.Reseed(p.Rng(), seed, tag, uint64(v))
+		return p
+	}
+	return s
 }
 
-// NewGSTSingleRun builds the reusable stack (noising enables the MMV
-// jamming adversary). The GST is rooted at source, which also holds
-// the message.
-func NewGSTSingleRun(g *graph.Graph, noising bool, source graph.NodeID) *GSTSingleRun {
-	n := g.N()
-	f := gst.Flatten(gst.Construct(g, source))
-	s := mmv.NewSchedule(n)
-	r := &GSTSingleRun{
-		sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source},
-		protos:      make([]*mmv.Protocol, n),
-		contents:    make([]*mmv.SingleMessage, n),
+// gstStack is the single-message GST broadcast of known topology
+// (noising enables the MMV jamming adversary). The GST is rooted at
+// src, which also holds the message; the tree, its flat view and the
+// schedule are built once, since they depend only on the graph.
+func gstStack(g *graph.Graph, noising bool, src graph.NodeID) *sparseStack {
+	f := gst.Flatten(gst.Construct(g, src))
+	schedule := mmv.NewSchedule(g.N())
+	s := newSparse(g, false, src)
+	protos := make([]*mmv.Protocol, g.N())
+	contents := make([]*mmv.SingleMessage, g.N())
+	for v := range protos {
+		contents[v] = mmv.NewSingleMessage(graph.NodeID(v) == src, decay.Message{Data: 1})
+		contents[v].DoneSet = &s.ds
+		protos[v] = mmv.New(schedule, f, graph.NodeID(v), contents[v], noising, rng.New())
 	}
-	r.node = r
-	for v := 0; v < n; v++ {
-		r.contents[v] = mmv.NewSingleMessage(graph.NodeID(v) == source, decay.Message{Data: 1})
-		r.contents[v].DoneSet = &r.ds
-		r.protos[v] = mmv.New(s, f, graph.NodeID(v), r.contents[v], noising, rng.New())
+	s.done = func(v int) bool { return contents[v].Done() }
+	s.reset = func(v int, source bool, seed uint64, _ int64) radio.Protocol {
+		contents[v].Reset(source, decay.Message{Data: 1})
+		protos[v].Rebind(contents[v])
+		rng.Reseed(protos[v].Rng(), seed, 0xe0, uint64(v))
+		return protos[v]
 	}
-	return r
+	return s
 }
 
-func (r *GSTSingleRun) nodeDone(v int) bool { return r.contents[v].Done() }
-
-// RunFrom executes one seeded run, with per-node carryover when
-// informed is non-nil (see DecayRun.RunFrom): the GST schedule is
-// unchanged, but every informed node starts holding the message, so
-// the re-layered broadcast fills in the radios the previous pass
-// missed.
-func (r *GSTSingleRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	r.begin(informed, ch)
-	for v, p := range r.protos {
-		r.contents[v].Reset(epochSource(informed, v, r.src), decay.Message{Data: 1})
-		p.Rebind(r.contents[v])
-		rng.Reseed(p.Rng(), seed, 0xe0, uint64(v))
-		r.nw.SetProtocol(graph.NodeID(v), p)
+// payloads returns k payloads of rings.PayloadBits and the fresh-run
+// draw that randomizes them from (seed, tag).
+func payloads(k int, tag uint64) ([]rlnc.Message, func(seed uint64)) {
+	msgs := make([]rlnc.Message, k)
+	for i := range msgs {
+		msgs[i] = bitvec.New(rings.PayloadBits)
 	}
-	return r.finish(openLimit(limit))
+	r := rng.New()
+	return msgs, func(seed uint64) {
+		rng.Reseed(r, seed, tag)
+		for i := range msgs {
+			msgs[i].Randomize(r.Uint64)
+		}
+	}
 }
 
-// ---------------------------------------------------------------------
-// Theorem 1.1 (single message, unknown topology, CD).
-
-// Theorem11Run is the reusable full-pipeline harness of Theorem 1.1.
-type Theorem11Run struct {
-	sparseStack
-	cfg    rings.Config
-	protos []*rings.Protocol
-}
-
-// NewTheorem11RunCfg builds the reusable Theorem 1.1 stack on an
-// explicit ring configuration (the table's cd entry builds one,
-// optionally scaled and pipelined), broadcasting from source. Its nodes
-// share one GST view, each writing its own row as it learns it.
-func NewTheorem11RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *Theorem11Run {
-	n := g.N()
-	f := gst.NewFlat(n)
-	r := &Theorem11Run{
-		sparseStack: sparseStack{nw: radio.New(g, radio.Config{CollisionDetection: true}), src: source},
-		cfg:         cfg,
-		protos:      make([]*rings.Protocol, n),
+// gstMultiStack is Theorem 1.2: k messages over the GST schedule of
+// known topology with RLNC content. The GST is rooted at src, which
+// holds all k messages; a completed run is verified by decoding every
+// node's buffer. It has no carryover epochs.
+func gstMultiStack(g *graph.Graph, k int, src graph.NodeID) *sparseStack {
+	f := gst.Flatten(gst.Construct(g, src))
+	schedule := mmv.NewSchedule(g.N())
+	s := newSparse(g, false, src)
+	s.freshOnly = true
+	msgs, fresh := payloads(k, 0x12)
+	protos := make([]*mmv.Protocol, g.N())
+	contents := make([]*mmv.RLNC, g.N())
+	for v := range protos {
+		buf := rlnc.NewBuffer(0, k, rings.PayloadBits)
+		buf.SetOnFull(s.ds.Tick)
+		contents[v] = mmv.NewRLNC(buf, rng.New())
+		protos[v] = mmv.New(schedule, f, graph.NodeID(v), contents[v], false, rng.New())
 	}
-	r.node = r
-	for v := 0; v < n; v++ {
-		r.protos[v] = rings.New(cfg, f, graph.NodeID(v), graph.NodeID(v) == source, nil, rng.New())
-		r.protos[v].SingleContent().DoneSet = &r.ds
-	}
-	return r
-}
-
-func (r *Theorem11Run) nodeDone(v int) bool { return r.protos[v].Has() }
-
-// RunFrom is one full pipeline execution with per-node carryover (see
-// DecayRun.RunFrom): informed nodes re-run the whole schedule as
-// additional sources, so the collision wave — and therefore the
-// layering, ring decomposition, and spread — restarts from the entire
-// informed frontier. limit caps the rounds when positive and below the
-// schedule budget.
-func (r *Theorem11Run) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	r.begin(informed, ch)
-	for v, p := range r.protos {
-		p.Reset(epochSource(informed, v, r.src), nil)
-		rng.Reseed(p.Rng(), seed, 0x11, uint64(v))
-		r.nw.SetProtocol(graph.NodeID(v), p)
-	}
-	return r.finish(lowerLimit(r.cfg.TotalRounds(), limit))
-}
-
-// lowerLimit is a run's round cap: its own cap (a ring pipeline's
-// compiled schedule budget, say), lowered to limit when that is
-// positive and smaller.
-func lowerLimit(own, limit int64) int64 {
-	if limit > 0 && limit < own {
-		return limit
-	}
-	return own
-}
-
-// ---------------------------------------------------------------------
-// Theorem 1.2 (k messages, known topology, RLNC).
-
-// GSTMultiRun is the reusable Theorem 1.2 harness.
-type GSTMultiRun struct {
-	sparseStack
-	protos   []*mmv.Protocol
-	contents []*mmv.RLNC
-	bufs     []*rlnc.Buffer
-	msgRng   *rand.Rand
-	msgs     []rlnc.Message
-}
-
-// NewGSTMultiRun builds the reusable stack for k messages. The GST is
-// rooted at source, which holds all k messages.
-func NewGSTMultiRun(g *graph.Graph, k int, source graph.NodeID) *GSTMultiRun {
-	n := g.N()
-	f := gst.Flatten(gst.Construct(g, source))
-	s := mmv.NewSchedule(n)
-	r := &GSTMultiRun{
-		sparseStack: sparseStack{nw: radio.New(g, radio.Config{}), src: source},
-		protos:      make([]*mmv.Protocol, n),
-		contents:    make([]*mmv.RLNC, n),
-		bufs:        make([]*rlnc.Buffer, n),
-		msgRng:      rng.New(),
-		msgs:        make([]rlnc.Message, k),
-	}
-	r.node = r
-	for i := range r.msgs {
-		r.msgs[i] = bitvec.New(rings.PayloadBits)
-	}
-	for v := 0; v < n; v++ {
-		r.bufs[v] = rlnc.NewBuffer(0, k, rings.PayloadBits)
-		r.bufs[v].SetOnFull(r.ds.Tick)
-		r.contents[v] = mmv.NewRLNC(r.bufs[v], rng.New())
-		r.protos[v] = mmv.New(s, f, graph.NodeID(v), r.contents[v], false, rng.New())
-	}
-	return r
-}
-
-func (r *GSTMultiRun) nodeDone(v int) bool { return r.contents[v].Done() }
-
-// RunFrom executes one seeded run over ch (nil = ideal), verifying
-// decoded payloads on completion; limit <= 0 means OpenLimit. The
-// k-message stack has no carryover epochs (it is not adaptive-capable),
-// so informed must be nil.
-func (r *GSTMultiRun) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	if informed != nil {
-		panic("harness: the Theorem 1.2 stack has no carryover epochs")
-	}
-	r.begin(nil, ch)
-	rng.Reseed(r.msgRng, seed, 0x12)
-	for i := range r.msgs {
-		r.msgs[i].Randomize(r.msgRng.Uint64)
-	}
-	for v, p := range r.protos {
-		if graph.NodeID(v) == r.src {
-			r.bufs[v].ResetSource(r.msgs)
+	s.fresh = fresh
+	s.done = func(v int) bool { return contents[v].Done() }
+	s.reset = func(v int, source bool, seed uint64, _ int64) radio.Protocol {
+		if source {
+			contents[v].Buffer().ResetSource(msgs)
 		} else {
-			r.bufs[v].Reset()
+			contents[v].Buffer().Reset()
 		}
-		rng.Reseed(r.contents[v].Rng(), seed, 0x13, uint64(v))
-		p.Rebind(r.contents[v])
-		rng.Reseed(p.Rng(), seed, 0x14, uint64(v))
-		r.nw.SetProtocol(graph.NodeID(v), p)
+		rng.Reseed(contents[v].Rng(), seed, 0x13, uint64(v))
+		protos[v].Rebind(contents[v])
+		rng.Reseed(protos[v].Rng(), seed, 0x14, uint64(v))
+		return protos[v]
 	}
-	rounds, ok, st := r.finish(openLimit(limit))
-	if !ok {
-		return rounds, false, st
-	}
-	for _, c := range r.contents {
-		got, dok := c.Buffer().Decode()
-		if !dok {
-			return rounds, false, st
-		}
-		for i := range r.msgs {
-			if !bitvec.Equal(got[i], r.msgs[i]) {
-				return rounds, false, st
+	s.check = func() bool {
+		for _, c := range contents {
+			got, ok := c.Buffer().Decode()
+			if !ok {
+				return false
+			}
+			for i := range msgs {
+				if !bitvec.Equal(got[i], msgs[i]) {
+					return false
+				}
 			}
 		}
+		return true
 	}
-	return rounds, true, st
+	return s
 }
 
-// ---------------------------------------------------------------------
-// Theorem 1.3 (k messages, unknown topology, CD).
-
-// Theorem13Run is the reusable full-pipeline harness of Theorem 1.3 —
-// the allocation-heaviest stack (per-ring RLNC stores), and therefore
-// the one the Reset-reuse benchmarks guard.
-type Theorem13Run struct {
-	sparseStack
-	cfg    rings.Config
-	protos []*rings.Protocol
-	msgRng *rand.Rand
-	msgs   []rlnc.Message
+// ringStack is the full unknown-topology pipeline of Theorem 1.1
+// (cfg.K == 0) or Theorem 1.3 (cfg.K > 0, src holding the k messages,
+// randomized from the seed on fresh runs), capped by cfg's compiled
+// schedule. Its nodes share one GST view, each writing its own row as
+// it learns it; node v's RNG is reseeded from (seed, tag, v) every run.
+func ringStack(g *graph.Graph, cfg rings.Config, src graph.NodeID, tag uint64) *sparseStack {
+	f := gst.NewFlat(g.N())
+	s := newSparse(g, true, src)
+	s.own = cfg.TotalRounds()
+	var msgs []rlnc.Message
+	if cfg.K > 0 {
+		msgs, s.fresh = payloads(cfg.K, 0x15)
+	}
+	held := func(source bool) []rlnc.Message {
+		if source {
+			return msgs
+		}
+		return nil
+	}
+	protos := make([]*rings.Protocol, g.N())
+	for v := range protos {
+		source := graph.NodeID(v) == src
+		protos[v] = rings.New(cfg, f, graph.NodeID(v), source, held(source), rng.New())
+		if cfg.K > 0 {
+			protos[v].Store().SetOnAllDecodable(s.ds.Tick)
+		} else {
+			protos[v].SingleContent().DoneSet = &s.ds
+		}
+	}
+	s.done = func(v int) bool {
+		if cfg.K > 0 {
+			return protos[v].Store().CanDecodeAll()
+		}
+		return protos[v].Has()
+	}
+	s.reset = func(v int, source bool, seed uint64, _ int64) radio.Protocol {
+		p := protos[v]
+		p.Reset(source, held(source))
+		rng.Reseed(p.Rng(), seed, tag, uint64(v))
+		return p
+	}
+	return s
 }
 
-// NewTheorem13RunCfg builds the reusable Theorem 1.3 stack on an
-// explicit ring configuration (cfg.K must be positive), with source
-// holding the k messages. Like Theorem 1.1's, its nodes share one GST
-// view.
-func NewTheorem13RunCfg(g *graph.Graph, cfg rings.Config, source graph.NodeID) *Theorem13Run {
-	n := g.N()
-	f := gst.NewFlat(n)
-	r := &Theorem13Run{
-		sparseStack: sparseStack{nw: radio.New(g, radio.Config{CollisionDetection: true}), src: source},
-		cfg:         cfg,
-		protos:      make([]*rings.Protocol, n),
-		msgRng:      rng.New(),
-		msgs:        make([]rlnc.Message, cfg.K),
+// waveStack is the collision wave of E23 from src: the Theorem 1.1
+// layering primitive as a standalone broadcast, which floods for at
+// most horizon rounds per run (lowered to a positive limit) and then
+// goes silent. It draws no randomness: collisions are the signal, so
+// the engine runs with collision detection.
+func waveStack(g *graph.Graph, src graph.NodeID, horizon int64) *sparseStack {
+	s := newSparse(g, true, src)
+	s.own = horizon
+	protos := make([]*beep.Wave, g.N())
+	for v := range protos {
+		protos[v] = beep.NewWave(graph.NodeID(v) == src, horizon)
+		protos[v].DoneSet = &s.ds
 	}
-	r.node = r
-	for i := range r.msgs {
-		r.msgs[i] = bitvec.New(rings.PayloadBits)
+	s.done = func(v int) bool { return protos[v].Level() >= 0 }
+	s.reset = func(v int, source bool, _ uint64, budget int64) radio.Protocol {
+		protos[v].Reset(source, budget)
+		return protos[v]
 	}
-	for v := 0; v < n; v++ {
-		var m []rlnc.Message
-		if graph.NodeID(v) == source {
-			m = r.msgs
-		}
-		r.protos[v] = rings.New(cfg, f, graph.NodeID(v), graph.NodeID(v) == source, m, rng.New())
-		r.protos[v].Store().SetOnAllDecodable(r.ds.Tick)
-	}
-	return r
-}
-
-func (r *Theorem13Run) nodeDone(v int) bool { return r.protos[v].Store().CanDecodeAll() }
-
-// RunFrom is one full pipeline execution with per-node carryover (see
-// DecayRun.RunFrom): a node that decoded every message in an earlier
-// epoch re-runs as an additional source, preloading the identical
-// message set (decode-complete stores hold exactly the source
-// payloads), so every ring's RLNC spread draws from the whole informed
-// frontier. Fresh runs (informed == nil) randomize the payloads from
-// the seed; carryover epochs keep them.
-func (r *Theorem13Run) RunFrom(informed []bool, ch radio.Channel, seed uint64, limit int64) (int64, bool, radio.Stats) {
-	if informed == nil {
-		rng.Reseed(r.msgRng, seed, 0x15)
-		for i := range r.msgs {
-			r.msgs[i].Randomize(r.msgRng.Uint64)
-		}
-	}
-	r.begin(informed, ch)
-	for v, p := range r.protos {
-		src := epochSource(informed, v, r.src)
-		var m []rlnc.Message
-		if src {
-			m = r.msgs
-		}
-		p.Reset(src, m)
-		rng.Reseed(p.Rng(), seed, 0x16, uint64(v))
-		r.nw.SetProtocol(graph.NodeID(v), p)
-	}
-	return r.finish(lowerLimit(r.cfg.TotalRounds(), limit))
+	return s
 }
 
 // ---------------------------------------------------------------------

@@ -83,14 +83,13 @@ func writeGSTNodes(h hash.Hash, protos []*gstdist.Protocol) {
 // writeRingNodes hashes each ring-pipeline node's layer, completion
 // and RNG position.
 func writeRingNodes(h hash.Hash, st Stack) {
-	switch r := st.(type) {
-	case *Theorem11Run:
-		for v, p := range r.protos {
-			fmt.Fprintf(h, "node %d layer=%d has=%t rng=%d\n", v, p.Layer(), p.Has(), p.Rng().Uint64())
-		}
-	case *Theorem13Run:
-		for v, p := range r.protos {
+	nw := st.(*sparseStack).nw
+	for v := 0; v < nw.Graph().N(); v++ {
+		p := nw.Protocol(graph.NodeID(v)).(*rings.Protocol)
+		if p.Store() != nil {
 			fmt.Fprintf(h, "node %d layer=%d decoded=%t rng=%d\n", v, p.Layer(), p.Store().CanDecodeAll(), p.Rng().Uint64())
+		} else {
+			fmt.Fprintf(h, "node %d layer=%d has=%t rng=%d\n", v, p.Layer(), p.Has(), p.Rng().Uint64())
 		}
 	}
 }
@@ -137,12 +136,11 @@ func segmentBCases() map[string]string {
 				cfg := rings.DefaultConfig(g.N(), graph.Eccentricity(g, 0), k, 1)
 				cfg.W, cfg.GST.DBound = 5, 4
 				cfg.SetPipelined(pipe)
-				var st Stack
+				tag := uint64(0x11)
 				if k > 0 {
-					st = NewTheorem13RunCfg(g, cfg, 0)
-				} else {
-					st = NewTheorem11RunCfg(g, cfg, 0)
+					tag = 0x16
 				}
+				st := ringStack(g, cfg, 0, tag)
 				h := sha256.New()
 				for _, seed := range probeSeeds {
 					o := &probeObserver{}
@@ -204,7 +202,7 @@ func segmentBCases() map[string]string {
 			r := NewGSTPipelinedRun(g, g.N(), graph.Eccentricity(g, 0), 1, pipe)
 			h := sha256.New()
 			for _, seed := range probeSeeds {
-				fmt.Fprintf(h, "seed=%d %+v stats=%+v\n", seed, r.Run(seed), r.nw.Stats())
+				fmt.Fprintf(h, "seed=%d %+v stats=%+v\n", seed, r.Run(seed), r.s.nw.Stats())
 				writeGSTNodes(h, r.protos)
 			}
 			got[fmt.Sprintf("e6/pipe=%t/%s", pipe, g.Name())] = digestOf(h)

@@ -53,7 +53,7 @@ func checkWaveOrigin(t *testing.T, label string, g *graph.Graph, src graph.NodeI
 func TestDecaySourceWaveOrigin(t *testing.T) {
 	g := graph.Path(201)
 	src := graph.NodeID(100)
-	r := mustProtocol("decay").Build(g, src, StackOpts{}).(carrier)
+	r := mustProtocol("decay").Build(g, src, StackOpts{}).(*sparseStack)
 	const limit = 12
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-201 decay completed in 12 rounds; limit too loose")
@@ -65,7 +65,7 @@ func TestDecaySourceWaveOrigin(t *testing.T) {
 func TestCRSourceWaveOrigin(t *testing.T) {
 	g := graph.Path(201)
 	src := graph.NodeID(100)
-	r := mustProtocol("cr").Build(g, src, StackOpts{}).(carrier)
+	r := mustProtocol("cr").Build(g, src, StackOpts{}).(*sparseStack)
 	const limit = 12
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-201 CR completed in 12 rounds; limit too loose")
@@ -78,7 +78,7 @@ func TestCRSourceWaveOrigin(t *testing.T) {
 func TestGSTSingleSourceWaveOrigin(t *testing.T) {
 	g := graph.Path(129)
 	src := graph.NodeID(64)
-	r := NewGSTSingleRun(g, false, src)
+	r := gstStack(g, false, src)
 	const limit = 10
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-129 GST single completed in 10 rounds; limit too loose")
@@ -126,13 +126,13 @@ func TestSourceCompletionMatrix(t *testing.T) {
 	if _, ok, _ := mustProtocol("cr").Build(g, src, StackOpts{}).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("cr from tail-end source did not complete")
 	}
-	if _, ok, _ := NewGSTSingleRun(g, false, src).RunFrom(nil, nil, 7, limit); !ok {
+	if _, ok, _ := gstStack(g, false, src).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("gst-single from tail-end source did not complete")
 	}
 	if _, ok, _ := mustProtocol("cd").Build(g, src, StackOpts{}).RunFrom(nil, nil, 7, 0); !ok {
 		t.Error("theorem 1.1 from tail-end source did not complete")
 	}
-	if _, ok, _ := NewGSTMultiRun(g, 3, src).RunFrom(nil, nil, 7, limit); !ok {
+	if _, ok, _ := gstMultiStack(g, 3, src).RunFrom(nil, nil, 7, limit); !ok {
 		t.Error("gst-multi from tail-end source did not complete (decode verified)")
 	}
 	if rounds, ok, _ := mustProtocol("k-cd").Build(g, src, StackOpts{K: 2}).RunFrom(nil, nil, 7, 0); !ok {
@@ -170,14 +170,16 @@ func TestAdaptiveSource(t *testing.T) {
 func TestGSTMultiSourcePayloads(t *testing.T) {
 	g := graph.Path(129)
 	src := graph.NodeID(64)
-	r := NewGSTMultiRun(g, 2, src)
+	r := gstMultiStack(g, 2, src)
 	const limit = 10
 	if _, ok, _ := r.RunFrom(nil, nil, 1, limit); ok {
 		t.Fatal("path-129 gst-multi completed in 10 rounds; limit too loose")
 	}
 	dist := graph.BFS(g, src).Dist
-	for v, c := range r.contents {
-		if c.Done() && int64(dist[v]) > limit {
+	decoded := make([]bool, g.N())
+	r.mark(decoded)
+	for v, done := range decoded {
+		if done && int64(dist[v]) > limit {
 			t.Fatalf("node %d (distance %d) decoded all messages after %d rounds", v, dist[v], limit)
 		}
 	}
