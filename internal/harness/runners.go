@@ -258,7 +258,8 @@ func gstMultiStack(g *graph.Graph, k int, src graph.NodeID) *sparseStack {
 	schedule := mmv.NewSchedule(g.N())
 	s := newSparse(g, false, src)
 	s.freshOnly = true
-	msgs, fresh := payloads(k, 0x12)
+	var msgs []rlnc.Message
+	msgs, s.fresh = payloads(k, 0x12)
 	protos := make([]*mmv.Protocol, g.N())
 	contents := make([]*mmv.RLNC, g.N())
 	for v := range protos {
@@ -267,7 +268,6 @@ func gstMultiStack(g *graph.Graph, k int, src graph.NodeID) *sparseStack {
 		contents[v] = mmv.NewRLNC(buf, rng.New())
 		protos[v] = mmv.New(schedule, f, graph.NodeID(v), contents[v], false, rng.New())
 	}
-	s.fresh = fresh
 	s.done = func(v int) bool { return contents[v].Done() }
 	s.reset = func(v int, source bool, seed uint64, _ int64) radio.Protocol {
 		if source {
